@@ -143,9 +143,9 @@ func BenchmarkIndexedSlide(b *testing.B) {
 }
 
 // BenchmarkConcurrentSessions measures the session layer: N sessions run
-// the identical gesture script over one shared table on the bounded
-// work-stealing scheduler, each with its own virtual clock, over shared
-// immutable sample hierarchies. Two throughput metrics, two claims:
+// the identical gesture script over one shared table, one goroutine per
+// session, each with its own virtual clock, over shared immutable sample
+// hierarchies. Two throughput metrics, two claims:
 // touches/vsec (aggregate over virtual session time) is linear in N by
 // construction and states that sessions never interfere on the
 // virtual-time axis; touches/wallsec (and ns/op) carry the contention

@@ -11,7 +11,7 @@
 //	dbtouch-ftdc -format chunks <dir>              # per-chunk inventory
 //
 // The decode is exact: every value is the int64 the engine observed at
-// that tick. Cumulative counters (steals, dispatches, append_epochs,
+// that tick. Cumulative counters (evictions, append_epochs,
 // kernel_bytes) are differentiated against ts_unix_ns only in the
 // summary view; ndjson/csv emit the raw captured values.
 package main
@@ -127,7 +127,9 @@ func emitChunks(chunks []ftdc.Chunk) error {
 }
 
 // counterMetrics are cumulative; the summary differentiates them into
-// per-second rates against the capture's own timestamps.
+// per-second rates against the capture's own timestamps. steals and
+// dispatches appear only in captures from servers older than the current
+// 15-column schema.
 var counterMetrics = map[string]bool{
 	"steals": true, "dispatches": true, "evictions": true,
 	"append_epochs": true, "retention_gens": true, "kernel_bytes": true,

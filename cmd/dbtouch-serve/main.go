@@ -21,7 +21,7 @@
 //	dbtouch-serve -addr :9000 -rows 100000 -pattern levelshift
 //	dbtouch-serve -csv data.csv -table readings
 //	dbtouch-serve -max-sessions 1000    # LRU-evict beyond 1000 sessions
-//	dbtouch-serve -admit-sessions 10000 -max-queued 4096 -workers 8
+//	dbtouch-serve -admit-sessions 10000 # reject opens past 10000 sessions
 //	dbtouch-serve -live 'events:ts=int,key=string,value=int' \
 //	    -retain-rows 100000 -append-rate 50000 -append-burst 10000
 //	dbtouch-serve -ftdc-dir /var/lib/dbtouch/ftdc -ftdc-interval 1s \
@@ -37,8 +37,8 @@
 // with AutoResume. Live-table appends are persisted and restored at
 // startup too. See docs/operations.md, "Session durability".
 //
-// -ftdc-dir turns on the flight recorder: every scheduler/session/
-// storage gauge is sampled each -ftdc-interval into delta-of-delta
+// -ftdc-dir turns on the flight recorder: every session/storage
+// gauge is sampled each -ftdc-interval into delta-of-delta
 // compressed chunks under the -ftdc-retain disk budget. SIGHUP flushes
 // the partial chunk; decode a capture with dbtouch-ftdc (see
 // docs/operations.md, "Diagnosing an incident from an FTDC capture").
@@ -49,11 +49,14 @@
 // snapshots"). -retain-rows/-retain-age bound its history, -append-rate
 // caps ingestion (rejected batches get 503 + Retry-After).
 //
-// Sessions run on a bounded work-stealing scheduler (pool size
-// -workers, fairness quantum -fairness-budget); -admit-sessions and
-// -max-queued are admission-control ceilings — past them the server
-// answers HTTP 503 with a Retry-After header instead of queueing
-// unboundedly. See docs/operations.md for tuning guidance.
+// Concurrency model: net/http spends one goroutine per connection, and a
+// request executes on it — one kernel execution per session at a time
+// (the session's run lock), any number of sessions in parallel; an idle
+// session holds no goroutine. What bounds the server is admission
+// (-admit-sessions answers opens past the ceiling with HTTP 503 +
+// Retry-After; -max-sessions LRU-evicts), -rpc-timeout per request,
+// -append-rate for ingestion, and the HTTP read/idle timeouts. See
+// docs/operations.md for tuning guidance.
 //
 // Try it:
 //
@@ -90,9 +93,6 @@ func main() {
 	seed := flag.Int64("seed", 42, "data seed")
 	maxSessions := flag.Int("max-sessions", 0, "cap live sessions (0 = unlimited; beyond the cap the least recently used session is evicted)")
 	admitSessions := flag.Int("admit-sessions", 0, "hard live-session ceiling, counting the server's own \"main\" session (0 = none; beyond it opens are rejected with 503 + Retry-After instead of evicting)")
-	maxQueued := flag.Int("max-queued", 0, "cap the total queued-batch backlog across sessions (0 = unlimited; at the cap, work is rejected with 503 + Retry-After)")
-	workers := flag.Int("workers", 0, "scheduler pool size (0 = GOMAXPROCS)")
-	budget := flag.Int("fairness-budget", 0, "events one session may absorb per scheduler dispatch (0 = default)")
 	liveSpec := flag.String("live", "", "also serve an appendable live table: 'name:col=type,...' with types int, float, bool, string")
 	retainRows := flag.Int("retain-rows", 0, "live table: cap retained rows (0 = unbounded)")
 	retainAge := flag.Duration("retain-age", 0, "live table: drop rows older than this (0 = unbounded; requires -retain-age-column)")
@@ -162,18 +162,6 @@ func main() {
 	}
 	if *admitSessions > 0 {
 		mgr.SetAdmissionCap(*admitSessions)
-	}
-	if *maxQueued > 0 {
-		mgr.SetMaxQueuedBatches(*maxQueued)
-	}
-	if *workers > 0 {
-		if err := mgr.SetWorkers(*workers); err != nil {
-			fmt.Fprintln(os.Stderr, "dbtouch-serve:", err)
-			os.Exit(1)
-		}
-	}
-	if *budget > 0 {
-		mgr.SetFairnessBudget(*budget)
 	}
 
 	var sessions *sessionlog.Store
@@ -247,6 +235,10 @@ func main() {
 		IdleTimeout:       *idleTimeout,
 		MaxHeaderBytes:    64 << 10,
 	}
+	// A /stream handler only ends when its subscription does: closing the
+	// streams on shutdown lets attached clients see a clean end-of-stream
+	// at a frame boundary instead of holding Shutdown to its timeout.
+	srv.RegisterOnShutdown(mgr.CloseStreams)
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dbtouch-serve:", err)
@@ -259,8 +251,8 @@ func main() {
 	// kill -9 loses nothing (exactly what the resume smoke test
 	// exercises). SIGTERM drains: /healthz flips to draining (the admit
 	// gate closes with it), -drain-grace gives a gateway's prober time to
-	// migrate our sessions, in-flight requests finish, logs park, then
-	// exit.
+	// migrate our sessions, in-flight requests finish, attached streams
+	// end at a frame boundary, logs park, then exit.
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGHUP, syscall.SIGINT, syscall.SIGTERM)
 	go func() {
@@ -279,7 +271,7 @@ func main() {
 				time.Sleep(*drainGrace)
 				ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 				if err := srv.Shutdown(ctx); err != nil {
-					srv.Close() // cut still-attached streams
+					srv.Close() // cut whatever outlived the timeout
 				}
 				cancel()
 				mgr.Close()
@@ -308,6 +300,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "dbtouch-serve:", err)
 		os.Exit(1)
 	}
+	// Serve returns as soon as Shutdown begins; the signal goroutine
+	// finishes the drain and exits the process.
+	select {}
 }
 
 // createLiveTable parses 'name:col=type,...' and registers the table.

@@ -10,50 +10,32 @@
 //	dbtouch -rows 100000 -pattern outliers -mode summary -k 10
 //	dbtouch -csv data.csv -table readings -column temp
 //	dbtouch -sessions 4      # four concurrent users over the same data
-//	dbtouch -sessions 8 -workers 2   # eight users on a two-worker scheduler
 //
-// With -sessions, the closing report includes the work-stealing
-// scheduler's state (workers, parked/runnable/running sessions, steals,
-// queue depths); run dbtouch -help for the column key.
+// With -sessions, the closing report lists the manager's live sessions;
+// run dbtouch -help for the column key.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"sync"
 	"time"
 
 	"dbtouch"
 	"dbtouch/internal/datagen"
-	"dbtouch/internal/gesture"
 	"dbtouch/internal/script"
-	"dbtouch/internal/touchos"
 	"dbtouch/internal/viz"
 )
 
-// statsColumnsHelp documents the -sessions report, column by column, so
-// `dbtouch -help` explains everything the scheduler printout shows.
+// statsColumnsHelp documents the -sessions report, column by column.
 const statsColumnsHelp = `
-With -sessions N > 1, the sessions run on the manager's bounded
-work-stealing scheduler and the final report prints one line per
-session plus a scheduler summary.
+With -sessions N > 1, each session runs its slide on its own goroutine
+over the shared data and the final report prints one line per session.
 
 Session columns:
   session   session id
-  state     sync     — never started; batches run on the caller
-            parked   — started, queue empty, holding no goroutine
-            runnable — queued batches, waiting in a worker deque
-            running  — a pool worker is executing its batches
-  queue     enqueued-but-unfinished event batches (backlog)
   lastUsed  manager dispatch tick at last use (lower = next LRU victim)
-
-Scheduler summary fields:
-  workers     pool size (default GOMAXPROCS; 0 = scheduler never started)
-  parked/runnable/running
-              started sessions partitioned by state at snapshot time
-  steals      lifetime deque steals (work migrating between workers)
-  dispatches  lifetime scheduler dispatches (one per session quantum)
-  queued      total backlog across sessions (the admission-control gauge)
 `
 
 func main() {
@@ -67,7 +49,6 @@ func main() {
 	seed := flag.Int64("seed", 42, "data seed")
 	scriptPath := flag.String("script", "", "run an exploration script (see internal/script) instead of the default session")
 	sessions := flag.Int("sessions", 1, "run N concurrent exploration sessions over the shared data")
-	workers := flag.Int("workers", 0, "scheduler pool size for -sessions (0 = GOMAXPROCS)")
 	flag.Usage = func() {
 		out := flag.CommandLine.Output()
 		fmt.Fprintf(out, "Usage of %s:\n", os.Args[0])
@@ -133,7 +114,7 @@ func main() {
 	}
 
 	if *sessions > 1 {
-		multiUser(db, tblName, colName, *mode, *k, *sessions, *workers)
+		multiUser(db, tblName, colName, *mode, *k, *sessions)
 		return
 	}
 
@@ -182,30 +163,23 @@ func main() {
 }
 
 // multiUser runs n concurrent exploration sessions over the shared
-// table on the manager's bounded work-stealing scheduler: every user's
-// slide is enqueued to their session, a fixed pool of workers executes
-// the batches (stealing across deques, parking idle sessions), and each
-// session's screen is rendered in turn. The column data and sample
-// hierarchies are shared and immutable; screens, clocks and result logs
-// are per session. Run dbtouch -help for the report's column key.
-func multiUser(db *dbtouch.DB, tblName, colName, mode string, k, n, workers int) {
-	mgr := db.Manager()
-	if workers > 0 {
-		if err := mgr.SetWorkers(workers); err != nil {
-			fmt.Fprintln(os.Stderr, "dbtouch:", err)
-			os.Exit(1)
-		}
-	}
+// table, one goroutine per session: user i sweeps the i-th n-quantile of
+// the column, slower users seeing finer granularity, and each session's
+// screen is rendered in turn once all have finished. The column data and
+// sample hierarchies are shared and immutable; screens, clocks and
+// result logs are per session. Run dbtouch -help for the report's column
+// key.
+func multiUser(db *dbtouch.DB, tblName, colName, mode string, k, n int) {
 	fmt.Printf("%d concurrent sessions exploring %q.%s\n\n", n, tblName, colName)
 	users := make([]*dbtouch.DB, n)
-	frame := touchos.NewRect(2, 2, 2, 10)
+	objs := make([]*dbtouch.Object, n)
 	for i := range users {
 		u, err := db.Session(fmt.Sprintf("user%d", i+1))
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "dbtouch:", err)
 			os.Exit(1)
 		}
-		obj, err := u.NewColumnObject(tblName, colName, frame.Origin.X, frame.Origin.Y, frame.Size.W, frame.Size.H)
+		obj, err := u.NewColumnObject(tblName, colName, 2, 2, 2, 10)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "dbtouch:", err)
 			os.Exit(1)
@@ -218,50 +192,32 @@ func multiUser(db *dbtouch.DB, tblName, colName, mode string, k, n, workers int)
 		default:
 			obj.Summarize(dbtouch.Avg, k)
 		}
-		users[i] = u
+		users[i], objs[i] = u, obj
 	}
-	// Hand every session to the scheduler, then enqueue each user's
-	// slide: user i sweeps the i-th n-quantile of the column, slower
-	// users seeing finer granularity. The pool — not a goroutine per
-	// session — executes the batches. The slide description synthesizes
-	// through gesture.Gesture, the same trajectory math every other
-	// driving path uses.
-	var synth gesture.Synth
-	for i, u := range users {
-		s, _ := mgr.Get(u.SessionID())
-		s.Start()
-		lo := float64(i) / float64(n)
-		hi := float64(i+1) / float64(n)
-		g := gesture.NewSlide(0, lo, hi, time.Duration(i+1)*time.Second)
-		events, err := g.Synthesize(synth, frame, 0)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dbtouch:", err)
-			os.Exit(1)
-		}
-		if _, err := mgr.Dispatch(u.SessionID(), events); err != nil {
-			fmt.Fprintln(os.Stderr, "dbtouch:", err)
-			os.Exit(1)
-		}
+	var wg sync.WaitGroup
+	for i, obj := range objs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			lo := float64(i) / float64(n)
+			hi := float64(i+1) / float64(n)
+			obj.SlideRange(lo, hi, time.Duration(i+1)*time.Second)
+		}()
 	}
-	for _, u := range users {
-		s, _ := mgr.Get(u.SessionID())
-		s.Drain()
-	}
+	wg.Wait()
 	for _, u := range users {
 		fmt.Printf("── %s ── virtual time %v\n", u.SessionID(), u.Now().Round(time.Millisecond))
 		fmt.Print(viz.Render(u.Kernel().Screen(), u.Kernel().Objects(), u.Results(), u.Now()))
 		fmt.Printf("touches handled: %d   results: %d\n\n",
 			u.TouchLatency().Count(), len(u.Results()))
 	}
-	st := mgr.Stats()
+	st := db.Manager().Stats()
 	limit := "unlimited"
 	if st.Max > 0 {
 		limit = fmt.Sprint(st.Max)
 	}
 	fmt.Printf("── session manager ── %d live (cap %s), %d evicted\n", st.Live, limit, st.Evictions)
-	fmt.Printf("── scheduler ── workers=%d parked=%d runnable=%d running=%d steals=%d dispatches=%d queued=%d\n",
-		st.Workers, st.Parked, st.Runnable, st.Running, st.Steals, st.Dispatches, st.QueuedBatches)
 	for _, s := range st.Sessions {
-		fmt.Printf("  %-10s %-8s queue=%d lastUsed=%d\n", s.ID, s.State, s.QueueDepth, s.LastUsed)
+		fmt.Printf("  %-10s lastUsed=%d\n", s.ID, s.LastUsed)
 	}
 }

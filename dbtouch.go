@@ -83,8 +83,7 @@ type (
 )
 
 // ErrOverloaded reports an admission-control rejection from the session
-// manager: Session past the admission cap, or gestures while the
-// scheduler's backlog sits at its cap. Test with errors.Is and retry
+// manager: Session past the admission cap. Test with errors.Is and retry
 // after a backoff; see docs/operations.md for the tuning knobs.
 var ErrOverloaded = session.ErrOverloaded
 
@@ -216,9 +215,8 @@ func Open(opts ...Option) *DB {
 // sessions may run on different goroutines concurrently. If the manager
 // later evicts the session (Manager().Evict or a SetMaxSessions cap),
 // the handle becomes inert: further gestures are dropped. Under
-// admission control (Manager().SetAdmissionCap, or a backlog at the
-// SetMaxQueuedBatches cap) the error is ErrOverloaded: no session was
-// created, back off and retry.
+// admission control (Manager().SetAdmissionCap) the error is
+// ErrOverloaded: no session was created, back off and retry.
 func (db *DB) Session(id string) (*DB, error) {
 	s, err := db.manager.Create(id)
 	if err != nil {
@@ -234,7 +232,9 @@ func (db *DB) Session(id string) (*DB, error) {
 // log tail, landing it exactly where the old handle left off — a
 // handle that went inert through eviction is replaced, not revived, so
 // discard it and drive the returned one. Resuming a still-live session
-// returns a second handle onto it without replaying anything.
+// returns a second handle onto it without replaying anything, unless
+// another process sharing the log directory has run the session since —
+// then the live copy is stale and is rebuilt from the log.
 func (db *DB) Resume(id string) (*DB, error) {
 	if _, err := db.manager.Resume(id); err != nil {
 		return nil, err
@@ -321,13 +321,7 @@ func (db *DB) Perform(g Gesture) ([]Result, error) {
 // lifted the finger and is looking at the screen. Same session routing
 // and eviction semantics as Apply.
 func (db *DB) Idle(d time.Duration) {
-	err := db.sess.Idle(d)
-	if errors.Is(err, session.ErrClosed) {
-		return
-	}
-	if err != nil {
-		panic(err)
-	}
+	_ = db.sess.Idle(d) // the only error is ErrClosed: an evicted handle is inert
 }
 
 // Apply pushes a raw touch-event stream through the session (advanced
@@ -336,17 +330,9 @@ func (db *DB) Idle(d time.Duration) {
 // serializes against any concurrent driver of the same session.
 //
 // If the session was evicted (manager cap or explicit Evict), the handle
-// is inert: gestures are dropped and Apply returns nil. Mixing a facade
-// handle with a Start()ed worker on the same session is a programming
-// error and panics.
+// is inert: gestures are dropped and Apply returns nil.
 func (db *DB) Apply(events []touchos.TouchEvent) []Result {
-	results, err := db.sess.Apply(events)
-	if errors.Is(err, session.ErrClosed) {
-		return nil
-	}
-	if err != nil {
-		panic(err)
-	}
+	results, _ := db.sess.Apply(events) // the only error is ErrClosed
 	return results
 }
 

@@ -25,7 +25,7 @@ type FlightRecorderOptions struct {
 type FlightRecorderStats = ftdc.RecorderStats
 
 // FlightRecorder is a running always-on telemetry capture: every
-// manager/scheduler/storage gauge sampled on a fixed tick into
+// manager/storage gauge sampled on a fixed tick into
 // delta-of-delta compressed columnar chunks under a bounded disk budget.
 // Decode a capture with cmd/dbtouch-ftdc.
 type FlightRecorder struct {

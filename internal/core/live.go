@@ -44,7 +44,7 @@ func (k *Kernel) liveStore() *sample.LiveStore {
 }
 
 // OnPin registers a callback fired once per pinned live table at every
-// batch start (inside Apply, on the session's worker goroutine — same
+// batch start (inside Apply, on the goroutine driving the session — same
 // confinement as OnResult), with the epoch the batch will read. The
 // equivalence suite records these to replay each batch against a frozen
 // copy of exactly the version the live run saw.

@@ -128,7 +128,7 @@ func (s *ResultStream) Dropped() int64 {
 // Subscribe registers a bounded result stream fed by every subsequent
 // emission. buffer sizes the ring (non-positive selects
 // DefaultStreamBuffer). Subscribe must be called on the goroutine that
-// owns the kernel (sessions serialize it against their worker); the
+// owns the kernel (sessions serialize it under their run lock); the
 // returned stream itself is safe to consume from any goroutine. Closing
 // the stream unsubscribes it at the kernel's next emission.
 func (k *Kernel) Subscribe(buffer int) *ResultStream {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"dbtouch/internal/core"
@@ -98,10 +99,9 @@ func NewSessionBench(rows int) *SessionBench {
 // Close tears the fixture down.
 func (b *SessionBench) Close() { b.mgr.Close() }
 
-// Run executes the standard script on n sessions — on the manager's
-// bounded work-stealing scheduler when concurrent, else batch by batch
-// on the calling goroutine — and evicts them afterwards, so the fixture
-// can be reused.
+// Run executes the standard script on n sessions — one goroutine per
+// session when concurrent, else session by session on the calling
+// goroutine — and evicts them afterwards, so the fixture can be reused.
 func (b *SessionBench) Run(n int, concurrent bool) ConcurrentSessionsResult {
 	b.runID++
 	sessions := make([]*session.Session, n)
@@ -121,28 +121,27 @@ func (b *SessionBench) Run(n int, concurrent bool) ConcurrentSessionsResult {
 		sessions[i] = s
 	}
 
+	runScript := func(s *session.Session) {
+		for _, batch := range b.script {
+			if _, err := s.Apply(batch); err != nil {
+				panic(err)
+			}
+		}
+	}
 	start := time.Now()
 	if concurrent {
+		var wg sync.WaitGroup
 		for _, s := range sessions {
-			s.Start()
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				runScript(s)
+			}()
 		}
-		for _, batch := range b.script {
-			for _, s := range sessions {
-				if err := s.Enqueue(batch); err != nil {
-					panic(err)
-				}
-			}
-		}
-		for _, s := range sessions {
-			s.Drain()
-		}
+		wg.Wait()
 	} else {
 		for _, s := range sessions {
-			for _, batch := range b.script {
-				if _, err := s.Apply(batch); err != nil {
-					panic(err)
-				}
-			}
+			runScript(s)
 		}
 	}
 	wall := time.Since(start)
@@ -166,17 +165,16 @@ func (b *SessionBench) Run(n int, concurrent bool) ConcurrentSessionsResult {
 
 // RunConcurrentSessions executes the standard script on n concurrent
 // sessions over one shared table of rows tuples and reports the group's
-// aggregate numbers. Sessions share the scheduler's bounded worker pool
-// but own their virtual clocks and trackers; the column data and sample
-// hierarchy are shared.
+// aggregate numbers. Each session runs on its own goroutine and owns its
+// virtual clock and trackers; the column data and sample hierarchy are
+// shared.
 func RunConcurrentSessions(rows, n int) ConcurrentSessionsResult {
 	b := NewSessionBench(rows)
 	defer b.Close()
 	return b.Run(n, true)
 }
 
-// RunSequentialSessions runs the identical workload without the
-// scheduler: every batch of every session executes on the calling
+// RunSequentialSessions runs the identical workload on the calling
 // goroutine, one session at a time — the reference for stream-equivalence
 // checks.
 func RunSequentialSessions(rows, n int) ConcurrentSessionsResult {

@@ -1,6 +1,6 @@
 // Package ftdc implements a flight recorder for engine telemetry,
 // modeled on MongoDB's full-time diagnostic data capture: a sampler
-// captures every scheduler/session/storage gauge on a fixed tick into
+// captures every session/storage gauge on a fixed tick into
 // delta-of-delta + varint-compressed columnar chunks with bounded
 // on-disk retention, so an operator can diagnose an incident after the
 // fact without having had any monitoring attached at the time.

@@ -7,7 +7,6 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -37,9 +36,18 @@ const chaosStreamBuffer = 16384
 
 // streamTap collects one /stream connection's NDJSON lines.
 type streamTap struct {
-	body  io.ReadCloser
-	done  chan struct{}
+	body io.ReadCloser
+	done chan struct{}
+
+	mu    sync.Mutex
 	lines [][]byte
+}
+
+// count reports how many lines have arrived so far.
+func (st *streamTap) count() int {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return len(st.lines)
 }
 
 func attachStream(t *testing.T, base, session string) *streamTap {
@@ -53,12 +61,17 @@ func attachStream(t *testing.T, base, session string) *streamTap {
 		t.Fatalf("stream attach %s: %s", session, resp.Status)
 	}
 	st := &streamTap{body: resp.Body, done: make(chan struct{})}
+	// A failing test never reaches stop; an attached tap would then hold
+	// the gateway's httptest.Server.Close (an earlier cleanup) forever.
+	t.Cleanup(func() { st.body.Close() })
 	go func() {
 		defer close(st.done)
 		sc := bufio.NewScanner(resp.Body)
 		sc.Buffer(make([]byte, 1<<20), 1<<20)
 		for sc.Scan() {
+			st.mu.Lock()
 			st.lines = append(st.lines, append([]byte(nil), sc.Bytes()...))
+			st.mu.Unlock()
 		}
 	}()
 	return st
@@ -67,6 +80,11 @@ func attachStream(t *testing.T, base, session string) *streamTap {
 // stop closes the tap and returns everything it saw (safe after close).
 func (st *streamTap) stop() [][]byte {
 	st.body.Close()
+	return st.wait()
+}
+
+// wait returns everything the tap saw once the server ends the stream.
+func (st *streamTap) wait() [][]byte {
 	<-st.done
 	return st.lines
 }
@@ -76,7 +94,7 @@ func (st *streamTap) stop() [][]byte {
 // lines — the ground truth the chaos run must reproduce byte for byte.
 func runControl(t *testing.T, scripts map[string][]protocol.Request) (map[string][][]byte, map[string][][]byte) {
 	t.Helper()
-	control := newTestBackend(t, t.TempDir(), 0)
+	control := newTestBackend(t, t.TempDir())
 	bodies := make(map[string][][]byte)
 	lines := make(map[string][][]byte)
 	for session, script := range scripts {
@@ -88,8 +106,10 @@ func runControl(t *testing.T, scripts map[string][]protocol.Request) (map[string
 				tap = attachStream(t, control.url(), session)
 			}
 		}
-		time.Sleep(300 * time.Millisecond) // let trailing frames land
-		lines[session] = tap.stop()
+		// A server-side stop delivers every emitted frame before the
+		// end of the body, so the control needs no settling sleep.
+		control.db.Manager().CloseStreams()
+		lines[session] = tap.wait()
 	}
 	return bodies, lines
 }
@@ -128,7 +148,6 @@ func isSubsequence(sub, seq [][]byte) bool {
 
 // chaosConfig parameterizes one equivalence run.
 type chaosConfig struct {
-	workers     int // backend scheduler pool (0 = GOMAXPROCS)
 	sessions    int
 	ops         int                                    // script length past open+create
 	waveFault   func(w int, proxies []*faultnet.Proxy) // pre-wave fault injection
@@ -154,7 +173,7 @@ func runChaosEquivalence(t *testing.T, cfg chaosConfig) {
 	var proxies []*faultnet.Proxy
 	var fronts []string
 	for i := 0; i < 3; i++ {
-		b := newTestBackend(t, shared, cfg.workers)
+		b := newTestBackend(t, shared)
 		p, err := faultnet.New(strings.TrimPrefix(b.url(), "http://"))
 		if err != nil {
 			t.Fatal(err)
@@ -217,11 +236,25 @@ func runChaosEquivalence(t *testing.T, cfg chaosConfig) {
 			}
 		}
 	}
-	// Clear any lingering toxics so trailing stream frames drain fast.
+	// Clear any lingering toxics so trailing stream frames drain fast,
+	// then wait for what the comparison below needs: the whole control
+	// stream when no connection died, else (frames emitted while detached
+	// are gone for good, so no count is owed) one relayed frame.
 	for _, p := range proxies {
 		p.Set(faultnet.Toxics{})
 	}
-	time.Sleep(500 * time.Millisecond)
+	waitFor(t, 5*time.Second, "trailing stream frames", func() bool {
+		for session, tap := range taps {
+			need := len(wantLines[session])
+			if !cfg.exactStream && need > 1 {
+				need = 1
+			}
+			if tap.count() < need {
+				return false
+			}
+		}
+		return true
+	})
 
 	for session, want := range wantBodies {
 		got := gotBodies[session]
@@ -311,11 +344,14 @@ func TestChaosEquivalenceBackendKills(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos suite is seconds-long")
 	}
-	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(int64(workers)))
+	// Three fault schedules, one per rng seed. The subtest ids keep their
+	// historical "workers=" label so they stay comparable across the
+	// suite's history; the value only ever seeded the rng (backends serve
+	// requests on net/http's goroutines).
+	for _, seed := range []int64{1, 4, 2} {
+		t.Run(fmt.Sprintf("workers=%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
 			runChaosEquivalence(t, chaosConfig{
-				workers:  workers,
 				sessions: 5,
 				ops:      10,
 				waveKill: map[int]int{4: 0, 8: 2},
@@ -349,7 +385,7 @@ func TestChaosEquivalenceBackendKills(t *testing.T) {
 // client requests must never touch the backend (no thundering herd;
 // the prober alone decides readmission).
 func TestBreakerRecoveryViaProxy(t *testing.T) {
-	backend := newTestBackend(t, t.TempDir(), 0)
+	backend := newTestBackend(t, t.TempDir())
 	proxy, err := faultnet.New(strings.TrimPrefix(backend.url(), "http://"))
 	if err != nil {
 		t.Fatal(err)

@@ -37,7 +37,7 @@ type testBackend struct {
 	killed     atomic.Bool
 }
 
-func newTestBackend(t *testing.T, dir string, workers int) *testBackend {
+func newTestBackend(t *testing.T, dir string) *testBackend {
 	t.Helper()
 	b := &testBackend{db: dbtouch.Open(), health: protocol.NewHealth()}
 	vals := make([]int64, 50000)
@@ -45,11 +45,6 @@ func newTestBackend(t *testing.T, dir string, workers int) *testBackend {
 		vals[i] = int64(i * 7 % 1000)
 	}
 	b.db.NewTable("t").Int("v", vals).MustCreate()
-	if workers > 0 {
-		if err := b.db.Manager().SetWorkers(workers); err != nil {
-			t.Fatal(err)
-		}
-	}
 	st, err := sessionlog.Open(sessionlog.Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
@@ -78,9 +73,15 @@ func newTestBackend(t *testing.T, dir string, workers int) *testBackend {
 
 // kill makes the backend look dead on the wire: listener closed, live
 // connections cut. The process-internal state (manager, store) stays,
-// like a kill -9'd process whose durable logs survive on disk.
+// like a kill -9'd process whose durable logs survive on disk. The order
+// matters: the listener goes first so no /stream re-attach can be
+// accepted after the connections are cut, and the attached streams are
+// ended server-side — httptest.Server.Close waits forever on a handler
+// still blocked in ResultStream.Next.
 func (b *testBackend) kill() {
 	if b.killed.CompareAndSwap(false, true) {
+		b.srv.Listener.Close()
+		b.db.Manager().CloseStreams()
 		b.srv.CloseClientConnections()
 		b.srv.Close()
 	}
@@ -204,8 +205,8 @@ func backendState(g *gateway.Gateway, addr string) gateway.BackendStats {
 // response through the gateway is byte-identical to the same request
 // against a standalone server — the gateway adds routing, not bytes.
 func TestGatewayTransparentForwarding(t *testing.T) {
-	backend := newTestBackend(t, t.TempDir(), 0)
-	control := newTestBackend(t, t.TempDir(), 0)
+	backend := newTestBackend(t, t.TempDir())
+	control := newTestBackend(t, t.TempDir())
 	_, gw := newGateway(t, fastOpts(t, backend.url()))
 
 	script := sessionScript("transparent", 12)
@@ -216,8 +217,8 @@ func TestGatewayTransparentForwarding(t *testing.T) {
 		gs, gb := rawPost(t, gw, raw)
 		cs, cb := rawPost(t, control.url(), raw)
 		if req.Op == protocol.OpStats {
-			// Stats are live gauges (scheduler counters differ run to
-			// run); assert transport equivalence only.
+			// Stats are live gauges of one backend, not session
+			// state; assert transport equivalence only.
 			if gs != cs {
 				t.Fatalf("stats status through gateway %d, direct %d", gs, cs)
 			}
@@ -235,9 +236,9 @@ func TestGatewayTransparentForwarding(t *testing.T) {
 // response — failover is a routing event, not a session loss.
 func TestGatewayFailoverByResume(t *testing.T) {
 	shared := t.TempDir()
-	a := newTestBackend(t, shared, 0)
-	b := newTestBackend(t, shared, 0)
-	control := newTestBackend(t, t.TempDir(), 0)
+	a := newTestBackend(t, shared)
+	b := newTestBackend(t, shared)
+	control := newTestBackend(t, t.TempDir())
 	g, gw := newGateway(t, fastOpts(t, a.url(), b.url()))
 
 	script := sessionScript("failover", 10)
@@ -288,10 +289,10 @@ func TestGatewayFailoverByResume(t *testing.T) {
 // successes close it. That is the flap damping + no-thundering-herd
 // contract.
 func TestGatewayBreakerHalfOpenNoHerd(t *testing.T) {
-	backend := newTestBackend(t, t.TempDir(), 0)
+	backend := newTestBackend(t, t.TempDir())
 	// A second, always-healthy backend keeps the gateway answering
 	// while the first is down.
-	stable := newTestBackend(t, t.TempDir(), 0)
+	stable := newTestBackend(t, t.TempDir())
 	opts := fastOpts(t, backend.url(), stable.url())
 	opts.HealthInterval = 30 * time.Millisecond
 	opts.SuccessThreshold = 5 // stretch the half-open window for the assertion
@@ -337,9 +338,9 @@ func TestGatewayBreakerHalfOpenNoHerd(t *testing.T) {
 // proactively (resume + re-pin) and stop admitting traffic to it.
 func TestGatewayDrainMigratesSessions(t *testing.T) {
 	shared := t.TempDir()
-	a := newTestBackend(t, shared, 0)
-	b := newTestBackend(t, shared, 0)
-	control := newTestBackend(t, t.TempDir(), 0)
+	a := newTestBackend(t, shared)
+	b := newTestBackend(t, shared)
+	control := newTestBackend(t, t.TempDir())
 	g, gw := newGateway(t, fastOpts(t, a.url(), b.url()))
 
 	script := sessionScript("drainer", 8)
@@ -385,7 +386,7 @@ func TestGatewayDrainMigratesSessions(t *testing.T) {
 // their in-memory live tables stay converged.
 func TestGatewayAppendFanout(t *testing.T) {
 	mkLive := func(dir string) *testBackend {
-		b := newTestBackend(t, dir, 0)
+		b := newTestBackend(t, dir)
 		if _, err := b.db.NewLiveTable("ev").Int("k", nil).Create(); err != nil {
 			t.Fatal(err)
 		}
@@ -423,8 +424,8 @@ func TestGatewayAppendFanout(t *testing.T) {
 // attached to.
 func TestGatewayStreamFailover(t *testing.T) {
 	shared := t.TempDir()
-	a := newTestBackend(t, shared, 0)
-	b := newTestBackend(t, shared, 0)
+	a := newTestBackend(t, shared)
+	b := newTestBackend(t, shared)
 	g, gw := newGateway(t, fastOpts(t, a.url(), b.url()))
 
 	for _, req := range sessionScript("streamer", 0) { // open + create only
@@ -488,7 +489,7 @@ func TestGatewayStreamFailover(t *testing.T) {
 
 // TestGatewayHealthz: the gateway's own /healthz follows its backends.
 func TestGatewayHealthz(t *testing.T) {
-	backend := newTestBackend(t, t.TempDir(), 0)
+	backend := newTestBackend(t, t.TempDir())
 	g, gw := newGateway(t, fastOpts(t, backend.url()))
 	waitFor(t, 5*time.Second, "backend ready", func() bool {
 		return backendState(g, backend.url()).Ready

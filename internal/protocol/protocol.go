@@ -63,7 +63,7 @@ const (
 	// OpPin promotes the hottest revisited region of the object named in
 	// Request.Object as a new object bound to Request.As.
 	OpPin = "pin"
-	// OpStats snapshots the manager (live sessions, evictions, queues).
+	// OpStats snapshots the manager (live sessions, evictions, durability).
 	OpStats = "stats"
 	// OpAppend appends Request.Rows to the live table named in
 	// Request.Table — the ingestion entry point. Appends are session-less:
@@ -173,9 +173,10 @@ type Response struct {
 	// Error holds the failure message when OK is false.
 	Error string `json:"error,omitempty"`
 	// Overloaded marks a failure as an admission-control rejection
-	// (session/manager backlog or session cap hit): the request was not
-	// executed and should be retried after RetryAfter seconds. The HTTP
-	// transport renders it as status 503 with a Retry-After header.
+	// (session admission cap, append rate limit, a draining server): the
+	// request was not executed and should be retried after RetryAfter
+	// seconds. The HTTP transport renders it as status 503 with a
+	// Retry-After header.
 	Overloaded bool `json:"overloaded,omitempty"`
 	// RetryAfter is the suggested backoff in seconds when Overloaded.
 	RetryAfter int `json:"retryAfter,omitempty"`
@@ -259,22 +260,12 @@ func FrameResults(results []core.Result) []ResultFrame {
 }
 
 // StatsFrame is the wire form of a manager snapshot: admission state
-// (live/max/evictions, backlog gauge and cap) plus the scheduler
-// counters (pool size, parked/runnable/running partition, steals,
-// dispatches).
+// (live/max/evictions), the live session ids, and the durability gauges.
 type StatsFrame struct {
-	Live             int            `json:"live"`
-	Max              int            `json:"max,omitempty"`
-	Evictions        int64          `json:"evictions"`
-	Workers          int            `json:"workers,omitempty"`
-	Parked           int            `json:"parked,omitempty"`
-	Runnable         int            `json:"runnable,omitempty"`
-	Running          int            `json:"running,omitempty"`
-	Steals           int64          `json:"steals,omitempty"`
-	Dispatches       int64          `json:"dispatches,omitempty"`
-	QueuedBatches    int64          `json:"queuedBatches,omitempty"`
-	MaxQueuedBatches int64          `json:"maxQueuedBatches,omitempty"`
-	Sessions         []SessionFrame `json:"sessions,omitempty"`
+	Live      int            `json:"live"`
+	Max       int            `json:"max,omitempty"`
+	Evictions int64          `json:"evictions"`
+	Sessions  []SessionFrame `json:"sessions,omitempty"`
 	// Durability gauges (all zero when the server runs without a session
 	// log): requests teed to session/table logs, append/compaction
 	// failures, checkpoint compactions, resumes served and requests
@@ -286,13 +277,9 @@ type StatsFrame struct {
 	ReplayedRequests int64 `json:"replayedRequests,omitempty"`
 }
 
-// SessionFrame is one session's row in a StatsFrame. State is the
-// scheduling state: sync, parked, runnable or running.
+// SessionFrame is one session's row in a StatsFrame.
 type SessionFrame struct {
-	ID         string `json:"id"`
-	Started    bool   `json:"started,omitempty"`
-	State      string `json:"state,omitempty"`
-	QueueDepth int    `json:"queueDepth,omitempty"`
+	ID string `json:"id"`
 }
 
 // OK returns a successful response envelope.

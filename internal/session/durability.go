@@ -184,6 +184,9 @@ func (d *durability) logRequest(m *Manager, req protocol.Request) {
 		return
 	}
 	d.logged.Add(1)
+	if s, ok := m.Get(req.Session); ok {
+		s.logFrames++
+	}
 	if tail >= d.store.CompactBytes() {
 		if err := m.compactSession(d, req.Session); err != nil {
 			d.logErrs.Add(1)
@@ -294,11 +297,15 @@ func valueToAny(v storage.Value) any {
 
 // Resume re-materializes session id from its persisted log, replaying
 // checkpoint + tail through the normal request routing. It returns how
-// many requests were replayed. Resuming a live session is a no-op
-// (0, nil); concurrent resumes of the same id serialize on the
-// session's locker and the losers see the winner's live session. A log
-// damaged beyond its torn tail surfaces sessionlog.ErrTornLog; a
-// session with no log surfaces sessionlog.ErrNoLog.
+// many requests were replayed. Resuming a live session whose log holds
+// nothing this manager has not executed is a no-op (0, nil); concurrent
+// resumes of the same id serialize on the session's locker and the
+// losers see the winner's live session. A live copy the log has outrun —
+// another process sharing the log directory ran the session since (a
+// gateway failed it over and is failing it back) — is stale: it is
+// evicted and rebuilt from the log, which is the truth. A log damaged
+// beyond its torn tail surfaces sessionlog.ErrTornLog; a session with no
+// log surfaces sessionlog.ErrNoLog.
 func (m *Manager) Resume(id string) (replayed int, err error) {
 	d := m.durability()
 	if d == nil {
@@ -310,10 +317,13 @@ func (m *Manager) Resume(id string) (replayed int, err error) {
 	lk := d.store.SessionLocker(id)
 	lk.Lock()
 	defer lk.Unlock()
-	if _, ok := m.Get(id); ok {
-		return 0, nil
-	}
 	rep, err := d.store.LoadSession(id)
+	if s, ok := m.Get(id); ok {
+		if err != nil || len(rep.Frames) <= s.logFrames {
+			return 0, nil
+		}
+		m.Evict(id)
+	}
 	if err != nil {
 		return 0, fmt.Errorf("session: resume %q: %w", id, err)
 	}
@@ -323,7 +333,7 @@ func (m *Manager) Resume(id string) (replayed int, err error) {
 			m.Evict(id)
 			return replayed, fmt.Errorf("session: resume %q: frame %d: %w", id, fr.Seq, derr)
 		}
-		resp := m.replayRequest(req)
+		resp := m.routeRequest(req)
 		if !resp.OK {
 			// The log says this request succeeded once; if it cannot
 			// succeed again the replay would land in a different state —
@@ -343,24 +353,12 @@ func (m *Manager) Resume(id string) (replayed int, err error) {
 			}
 		}
 	}
+	if s, ok := m.Get(id); ok {
+		s.logFrames = replayed
+	}
 	d.resumes.Add(1)
 	d.replayed.Add(int64(replayed))
 	return replayed, nil
-}
-
-// replayRequest routes one logged request during resume: identical to
-// routeRequest except the global backlog gate on performs is skipped —
-// the request was admitted and executed once already, and rejecting it
-// now would fail the whole resume over a transient load spike.
-func (m *Manager) replayRequest(req protocol.Request) protocol.Response {
-	if req.Op == protocol.OpPerform {
-		s, ok := m.Get(req.Session)
-		if !ok {
-			return protocol.Errorf("perform: session %q not found", req.Session)
-		}
-		return s.handlePerform(req)
-	}
-	return m.routeRequest(req)
 }
 
 // handleResume serves the wire OpResume.

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -19,11 +20,10 @@ import (
 // across the session layer: a session's result stream must be
 // byte-identical whether its gesture script runs alone on one goroutine
 // or concurrently with many other sessions over the same shared storage,
-// at any scheduler pool size (the same scripts run under pools of 1, 4
-// and GOMAXPROCS workers — the work-stealing scheduler must never
-// reorder one session's batches or let sessions interfere). Randomized
-// scripts vary gesture speed, direction, range and touch mode per
-// session; `go test -race ./internal/session` additionally proves the
+// however many goroutines drive them (the same scripts run from 1, 4 and
+// GOMAXPROCS driver goroutines — sessions must never interfere).
+// Randomized scripts vary gesture speed, direction, range and touch mode
+// per session; `go test -race ./internal/session` additionally proves the
 // shared layer (catalog, sample columns, single-flight span statistics,
 // memoized predicate tables) is read without data races.
 
@@ -117,6 +117,39 @@ func setupEquivManager(t *testing.T, data []int64, scripts []sessionScript) (*Ma
 	return m, streams
 }
 
+// driveScripts runs every script on m from the given number of driver
+// goroutines: session i belongs to driver i%goroutines, and each driver
+// interleaves its sessions' batches round-robin through Dispatch.
+func driveScripts(t *testing.T, m *Manager, scripts []sessionScript, goroutines int) {
+	t.Helper()
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for b := 0; ; b++ {
+				any := false
+				for i := g; i < len(scripts); i += goroutines {
+					if sc := scripts[i]; b < len(sc.batches) {
+						any = true
+						if _, err := m.Dispatch(sc.id, sc.batches[b]); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}
+				if !any {
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+}
+
 func TestConcurrentStreamsIdenticalToSequential(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
 		seed := seed
@@ -144,38 +177,12 @@ func TestConcurrentStreamsIdenticalToSequential(t *testing.T) {
 			}
 			seqM.Close()
 
-			// Concurrent runs: all sessions started on the work-stealing
-			// scheduler, batches interleaved round-robin across sessions
-			// from the main goroutine. Pool sizes 1 (pure round-robin), 4
-			// (stealing among few workers) and GOMAXPROCS (the default)
-			// must all reproduce the sequential streams.
-			for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
+			// Concurrent runs: 1 driver goroutine (all sessions interleaved
+			// round-robin on one goroutine), 4 (a few sessions each) and
+			// GOMAXPROCS must all reproduce the sequential streams.
+			for _, goroutines := range []int{1, 4, runtime.GOMAXPROCS(0)} {
 				conM, conStreams := setupEquivManager(t, data, scripts)
-				if err := conM.SetWorkers(workers); err != nil {
-					t.Fatal(err)
-				}
-				for _, sc := range scripts {
-					s, _ := conM.Get(sc.id)
-					s.Start()
-				}
-				for b := 0; ; b++ {
-					any := false
-					for _, sc := range scripts {
-						if b < len(sc.batches) {
-							any = true
-							if _, err := conM.Dispatch(sc.id, sc.batches[b]); err != nil {
-								t.Fatal(err)
-							}
-						}
-					}
-					if !any {
-						break
-					}
-				}
-				for _, sc := range scripts {
-					s, _ := conM.Get(sc.id)
-					s.Drain()
-				}
+				driveScripts(t, conM, scripts, goroutines)
 				conM.Close()
 
 				for _, sc := range scripts {
@@ -190,12 +197,12 @@ func TestConcurrentStreamsIdenticalToSequential(t *testing.T) {
 						}
 						for i := 0; i < limit; i++ {
 							if !reflect.DeepEqual(seq[i], con[i]) {
-								t.Fatalf("session %s (pool %d): result %d differs\nseq: %+v\ncon: %+v",
-									sc.id, workers, i, seq[i], con[i])
+								t.Fatalf("session %s (%d goroutines): result %d differs\nseq: %+v\ncon: %+v",
+									sc.id, goroutines, i, seq[i], con[i])
 							}
 						}
-						t.Fatalf("session %s (pool %d): stream lengths differ (seq %d, con %d)",
-							sc.id, workers, len(seq), len(con))
+						t.Fatalf("session %s (%d goroutines): stream lengths differ (seq %d, con %d)",
+							sc.id, goroutines, len(seq), len(con))
 					}
 				}
 			}

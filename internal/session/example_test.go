@@ -3,6 +3,7 @@ package session_test
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"dbtouch/internal/core"
@@ -39,14 +40,15 @@ func slide(s *session.Session) []touchos.TouchEvent {
 
 // ExampleManager shows the multi-user shape: one manager owns the shared
 // immutable storage (catalog + sample hierarchies); each user gets a
-// session with its own virtual clock and result stream, and started
-// sessions run concurrently on the manager's bounded work-stealing
-// scheduler — parked at zero goroutines whenever their queues drain.
+// session with its own virtual clock and result stream, and sessions run
+// concurrently when driven from separate goroutines — an idle session
+// holds no goroutine of its own.
 func ExampleManager() {
 	mgr := session.NewManager(core.DefaultConfig())
 	mgr.Catalog().Register(sensorTable())
 
-	for _, user := range []string{"alice", "bob"} {
+	users := []string{"alice", "bob"}
+	for _, user := range users {
 		s, err := mgr.Create(user)
 		if err != nil {
 			panic(err)
@@ -54,19 +56,23 @@ func ExampleManager() {
 		if _, err := s.CreateColumnObject("readings", "temp", touchos.NewRect(2, 2, 2, 10)); err != nil {
 			panic(err)
 		}
-		s.Start() // hand the session to the shared scheduler
 	}
 
-	// Route one gesture to each session; batches run concurrently.
-	for _, user := range mgr.Sessions() {
-		s, _ := mgr.Get(user)
-		if _, err := mgr.Dispatch(user, slide(s)); err != nil {
-			panic(err)
-		}
+	// One goroutine per user routes a gesture to that user's session.
+	var wg sync.WaitGroup
+	for _, user := range users {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s, _ := mgr.Get(user)
+			if _, err := mgr.Dispatch(user, slide(s)); err != nil {
+				panic(err)
+			}
+		}()
 	}
-	for _, user := range []string{"alice", "bob"} {
+	wg.Wait() // synchronize before reading results
+	for _, user := range users {
 		s, _ := mgr.Get(user)
-		s.Drain() // synchronize before reading results
 		fmt.Printf("%s: %d summaries in %v of virtual session time\n",
 			user, len(s.Results()), s.Kernel().Clock().Now().Round(time.Millisecond))
 	}
@@ -76,9 +82,8 @@ func ExampleManager() {
 	// bob: 16 summaries in 1.138s of virtual session time
 }
 
-// ExampleSession shows the synchronous (single-goroutine) driving mode:
-// before Start, batches run on the caller's goroutine and return their
-// results directly — handy for tests and sequential replay.
+// ExampleSession shows the driving contract: a batch runs on the caller's
+// goroutine and returns its results directly.
 func ExampleSession() {
 	mgr := session.NewManager(core.DefaultConfig())
 	mgr.Catalog().Register(sensorTable())
@@ -106,17 +111,14 @@ func ExampleSession() {
 	// running aggregate absorbed 82 sample entries
 }
 
-// ExampleManager_workers pins the scheduler pool size. The pool is
-// shared by every started session and fixed at first start — two
-// workers here serve four users (and would serve ten thousand: parked
-// sessions hold no goroutine, so goroutines stay O(workers), never
-// O(sessions)).
+// ExampleManager_workers bounds kernel concurrency the plain Go way: the
+// manager has no pool of its own, so a caller that wants at most two
+// gestures executing at once runs two worker goroutines over a channel
+// of users. Sessions hold no goroutine, so two workers serve four users
+// here and would serve ten thousand.
 func ExampleManager_workers() {
 	mgr := session.NewManager(core.DefaultConfig())
 	mgr.Catalog().Register(sensorTable())
-	if err := mgr.SetWorkers(2); err != nil { // before the first Start
-		panic(err)
-	}
 
 	users := []string{"alice", "bob", "carol", "dave"}
 	for _, user := range users {
@@ -127,20 +129,28 @@ func ExampleManager_workers() {
 		if _, err := s.CreateColumnObject("readings", "temp", touchos.NewRect(2, 2, 2, 10)); err != nil {
 			panic(err)
 		}
-		s.Start()
+	}
+	const workers = 2
+	work := make(chan string)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for user := range work {
+				s, _ := mgr.Get(user)
+				if _, err := s.Apply(slide(s)); err != nil {
+					panic(err)
+				}
+			}
+		}()
 	}
 	for _, user := range users {
-		s, _ := mgr.Get(user)
-		if err := s.Enqueue(slide(s)); err != nil {
-			panic(err)
-		}
+		work <- user
 	}
-	for _, user := range users {
-		s, _ := mgr.Get(user)
-		s.Drain()
-	}
-	st := mgr.Stats()
-	fmt.Printf("%d workers served %d sessions\n", st.Workers, st.Live)
+	close(work)
+	wg.Wait()
+	fmt.Printf("%d workers served %d sessions\n", workers, mgr.Len())
 	for _, user := range users {
 		s, _ := mgr.Get(user)
 		fmt.Printf("%s: %d summaries\n", user, len(s.Results()))
@@ -155,10 +165,9 @@ func ExampleManager_workers() {
 }
 
 // ExampleManager_backpressure documents the admission contract: past
-// the configured caps the manager rejects work with the typed
-// ErrOverloaded instead of queueing it, and admits again once load
-// drops. The same rejection travels the wire protocol as HTTP 503 with
-// a Retry-After hint.
+// the admission cap the manager rejects new sessions with the typed
+// ErrOverloaded, and admits again once load drops. The same rejection
+// travels the wire protocol as HTTP 503 with a Retry-After hint.
 func ExampleManager_backpressure() {
 	mgr := session.NewManager(core.DefaultConfig())
 	mgr.Catalog().Register(sensorTable())

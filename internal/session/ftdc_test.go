@@ -28,7 +28,7 @@ func TestFTDCSampleSchema(t *testing.T) {
 	for i, n := range names {
 		idx[n] = i
 	}
-	for _, want := range []string{"ts_unix_ns", "sessions_live", "queued_batches", "kernel_bytes", "append_epochs"} {
+	for _, want := range []string{"ts_unix_ns", "sessions_live", "evictions", "kernel_bytes", "append_epochs"} {
 		if _, ok := idx[want]; !ok {
 			t.Fatalf("metric %q missing from schema %v", want, names)
 		}

@@ -21,9 +21,9 @@ func failf(op string, err error) protocol.Response {
 
 // HandleRequest routes one decoded protocol request into the manager:
 // session lifecycle ops run on the manager itself, everything else
-// resolves the named session and executes under its synchronous driving
-// contract (wire-driven sessions are request-at-a-time by construction —
-// each request is one batch, serialized by the session's run lock).
+// resolves the named session and executes on the calling goroutine
+// (wire-driven sessions are request-at-a-time by construction — each
+// request is one batch, serialized by the session's run lock).
 // Errors come back as failed responses, never panics: the wire is a
 // trust boundary.
 func (m *Manager) HandleRequest(req protocol.Request) protocol.Response {
@@ -61,17 +61,12 @@ func (m *Manager) routeRequest(req protocol.Request) protocol.Response {
 		st := m.Stats()
 		frame := protocol.StatsFrame{
 			Live: st.Live, Max: st.Max, Evictions: st.Evictions,
-			Workers: st.Workers, Parked: st.Parked, Runnable: st.Runnable,
-			Running: st.Running, Steals: st.Steals, Dispatches: st.Dispatches,
-			QueuedBatches: st.QueuedBatches, MaxQueuedBatches: st.MaxQueuedBatches,
 			LoggedRequests: st.LoggedRequests, LogErrors: st.LogErrors,
 			LogCompactions: st.LogCompactions, Resumes: st.Resumes,
 			ReplayedRequests: st.ReplayedRequests,
 		}
 		for _, s := range st.Sessions {
-			frame.Sessions = append(frame.Sessions, protocol.SessionFrame{
-				ID: s.ID, Started: s.Started, State: string(s.State), QueueDepth: s.QueueDepth,
-			})
+			frame.Sessions = append(frame.Sessions, protocol.SessionFrame{ID: s.ID})
 		}
 		resp := protocol.OK()
 		resp.Stats = &frame
@@ -93,13 +88,6 @@ func (m *Manager) routeRequest(req protocol.Request) protocol.Response {
 		}
 		return protocol.OK()
 	case protocol.OpPerform:
-		// Synchronous wire work obeys the same backpressure as Enqueue:
-		// while the scheduler's backlog gauge sits at the cap, performs
-		// are rejected so remote clients back off with the rest.
-		if backlog, limit, over := m.overloaded(); over {
-			return protocol.Overloadedf("perform: session %q: %v (manager backlog %d batches at cap %d)",
-				req.Session, ErrOverloaded, backlog, limit)
-		}
 		return s.handlePerform(req)
 	case protocol.OpCreate:
 		return s.handleCreate(req)

@@ -2,7 +2,9 @@ package session
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -199,18 +201,71 @@ func TestEvictClosesSubscribedStreams(t *testing.T) {
 	}
 }
 
+// TestCloseStreamsEndsStreamHandlers: CloseStreams is the server-side
+// stop for /stream — an attached client receives every frame already
+// emitted, then a clean end of body, and the handler returns (so
+// http.Server.Shutdown and httptest.Server.Close need not wait for the
+// client to hang up). The session itself stays usable.
+func TestCloseStreamsEndsStreamHandlers(t *testing.T) {
+	m := handleManager(t)
+	defer m.Close()
+	mustOK(t, m, protocol.Request{Op: protocol.OpOpen, Session: "u"})
+	mustOK(t, m, protocol.Request{Op: protocol.OpCreate, Session: "u", Object: "col",
+		Create: &protocol.CreateSpec{Table: "t", Column: "v", X: 2, Y: 2, W: 2, H: 10}})
+	srv := httptest.NewServer(protocol.NewHTTPHandler(m))
+	defer srv.Close() // would hang on a handler still blocked in Next
+
+	httpResp, err := http.Get(srv.URL + "/stream?session=u")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer httpResp.Body.Close()
+	// Response headers are flushed after the subscription exists, so the
+	// perform below is guaranteed to reach the stream.
+	g := gesture.NewSlide(0, 0, 1, time.Second)
+	resp := mustOK(t, m, protocol.Request{Op: protocol.OpPerform, Session: "u", Object: "col", Gesture: &g})
+	if len(resp.Results) == 0 {
+		t.Fatal("perform produced no results")
+	}
+	m.CloseStreams()
+
+	body, err := io.ReadAll(httpResp.Body) // returns only once the handler exits
+	if err != nil {
+		t.Fatalf("stream body: %v", err)
+	}
+	lines := bytes.Split(bytes.TrimSpace(body), []byte("\n"))
+	if len(lines) != len(resp.Results) {
+		t.Fatalf("stream delivered %d frames before end-of-stream, perform emitted %d", len(lines), len(resp.Results))
+	}
+	for i, line := range lines {
+		var f protocol.ResultFrame
+		if err := json.Unmarshal(line, &f); err != nil {
+			t.Fatalf("frame %d is not whole JSON (cut mid-frame?): %v", i, err)
+		}
+		if f != resp.Results[i] {
+			t.Fatalf("frame %d: stream and response disagree", i)
+		}
+	}
+
+	// The session survives and can be streamed again.
+	mustOK(t, m, protocol.Request{Op: protocol.OpPerform, Session: "u", Object: "col", Gesture: &g})
+	stream, err := m.SubscribeSession("u", 0)
+	if err != nil {
+		t.Fatalf("re-subscribe after CloseStreams: %v", err)
+	}
+	stream.Close()
+}
+
 func TestManagerStats(t *testing.T) {
 	m := handleManager(t)
 	defer m.Close()
 	m.SetMaxSessions(2)
-	a, err := m.Create("a")
-	if err != nil {
+	if _, err := m.Create("a"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := m.Create("b"); err != nil {
 		t.Fatal(err)
 	}
-	a.Start()
 
 	st := m.Stats()
 	if st.Live != 2 || st.Max != 2 || st.Evictions != 0 {
@@ -218,9 +273,6 @@ func TestManagerStats(t *testing.T) {
 	}
 	if len(st.Sessions) != 2 || st.Sessions[0].ID != "a" || st.Sessions[1].ID != "b" {
 		t.Fatalf("sessions = %+v, want sorted [a b]", st.Sessions)
-	}
-	if !st.Sessions[0].Started || st.Sessions[1].Started {
-		t.Fatalf("started flags = %+v", st.Sessions)
 	}
 
 	// A third session evicts the LRU one.
@@ -287,33 +339,22 @@ func TestHandleRequestOverloaded(t *testing.T) {
 	}
 }
 
-// TestStatsFrameSchedulerFields: OpStats carries the scheduler signals
-// (pool size, state partition, backlog gauge) a remote operator reads.
-func TestStatsFrameSchedulerFields(t *testing.T) {
+// TestStatsFrameGolden pins the OpStats wire JSON byte for byte: the
+// admission gauges and the live session ids, nothing else — a remote
+// operator's dashboards parse exactly this.
+func TestStatsFrameGolden(t *testing.T) {
 	m := handleManager(t)
 	defer m.Close()
-	m.SetMaxQueuedBatches(1000)
-	a, err := m.Create("a")
+	m.SetMaxSessions(2)
+	for _, id := range []string{"b", "a", "c"} { // "b" is LRU-evicted by "c"
+		mustOK(t, m, protocol.Request{Op: protocol.OpOpen, Session: id})
+	}
+	got, err := protocol.EncodeResponse(mustOK(t, m, protocol.Request{Op: protocol.OpStats}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.Start()
-
-	resp := mustOK(t, m, protocol.Request{Op: protocol.OpStats})
-	st := resp.Stats
-	if st == nil {
-		t.Fatal("stats response without frame")
-	}
-	if st.Workers == 0 {
-		t.Fatalf("stats frame workers = 0 with a started session: %+v", st)
-	}
-	if st.Parked != 1 {
-		t.Fatalf("stats frame parked = %d, want 1: %+v", st.Parked, st)
-	}
-	if st.MaxQueuedBatches != 1000 {
-		t.Fatalf("stats frame maxQueuedBatches = %d, want 1000", st.MaxQueuedBatches)
-	}
-	if len(st.Sessions) != 1 || st.Sessions[0].State != string(StateParked) {
-		t.Fatalf("session frame = %+v, want state %q", st.Sessions, StateParked)
+	const want = `{"v":2,"ok":true,"stats":{"live":2,"max":2,"evictions":1,"sessions":[{"id":"a"},{"id":"c"}]}}`
+	if string(got) != want {
+		t.Fatalf("OpStats response:\n got %s\nwant %s", got, want)
 	}
 }

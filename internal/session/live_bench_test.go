@@ -1,7 +1,6 @@
 package session
 
 import (
-	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -13,8 +12,8 @@ import (
 
 // BenchmarkAppendWhileTouching measures ingestion throughput under
 // exploration pressure: the timed loop appends 256-row batches while a
-// started session continuously slides over the table on the scheduler —
-// every batch forces a snapshot publication, and every slide batch a
+// second goroutine continuously slides a session over the table — every
+// batch forces a snapshot publication, and every slide batch a
 // repin plus incremental statistics extension. This is the live-
 // ingestion cost the roofline doc cites; bench.sh records it in
 // BENCH_kernels.json.
@@ -33,9 +32,6 @@ func BenchmarkAppendWhileTouching(b *testing.B) {
 		b.Fatal(err)
 	}
 	m.Catalog().RegisterLive(tb)
-	if err := m.SetWorkers(2); err != nil {
-		b.Fatal(err)
-	}
 	s, err := m.Create("toucher")
 	if err != nil {
 		b.Fatal(err)
@@ -45,7 +41,6 @@ func BenchmarkAppendWhileTouching(b *testing.B) {
 		b.Fatal(err)
 	}
 	obj.SetActions(core.Actions{Mode: core.ModeAggregate, Agg: operator.Sum})
-	s.Start()
 
 	stop := make(chan struct{})
 	touchDone := make(chan struct{})
@@ -58,11 +53,8 @@ func BenchmarkAppendWhileTouching(b *testing.B) {
 				return
 			default:
 			}
-			if _, err := m.Dispatch("toucher", livePinSlide(cur)); err != nil {
-				if errors.Is(err, ErrOverloaded) {
-					time.Sleep(100 * time.Microsecond)
-					continue
-				}
+			if _, err := s.Apply(livePinSlide(cur)); err != nil {
+				b.Error(err)
 				return
 			}
 			cur += 3 * time.Second
@@ -85,7 +77,6 @@ func BenchmarkAppendWhileTouching(b *testing.B) {
 	b.StopTimer()
 	close(stop)
 	<-touchDone
-	s.Drain()
 	m.Close()
 	if tb.Epoch() < uint64(b.N) {
 		b.Fatal(fmt.Sprintf("epoch %d after %d batches", tb.Epoch(), b.N))

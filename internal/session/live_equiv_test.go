@@ -102,20 +102,13 @@ func TestLiveAppendExploreEquivalence(t *testing.T) {
 				scripts[i] = genScript(fmt.Sprintf("live%d", i), rand.New(rand.NewSource(seed*100+int64(i))))
 			}
 
-			for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
-				// Live run: all sessions on the scheduler while an appender
-				// goroutine grows the table between (and during) their
-				// batches. Which epoch each batch pins is scheduling-
+			for _, goroutines := range []int{1, 4, runtime.GOMAXPROCS(0)} {
+				// Live run: the sessions' driver goroutines run while an
+				// appender goroutine grows the table between (and during)
+				// their batches. Which epoch each batch pins is scheduling-
 				// dependent — the recorded sequence is the ground truth the
 				// replay reconstructs.
 				m, streams, epochs := setupLiveEquivManager(t, scripts)
-				if err := m.SetWorkers(workers); err != nil {
-					t.Fatal(err)
-				}
-				for _, sc := range scripts {
-					s, _ := m.Get(sc.id)
-					s.Start()
-				}
 				appendErr := make(chan error, 1)
 				go func() {
 					for j := 0; j < liveAppendBatches; j++ {
@@ -127,24 +120,7 @@ func TestLiveAppendExploreEquivalence(t *testing.T) {
 					}
 					appendErr <- nil
 				}()
-				for b := 0; ; b++ {
-					any := false
-					for _, sc := range scripts {
-						if b < len(sc.batches) {
-							any = true
-							if _, err := m.Dispatch(sc.id, sc.batches[b]); err != nil {
-								t.Fatal(err)
-							}
-						}
-					}
-					if !any {
-						break
-					}
-				}
-				for _, sc := range scripts {
-					s, _ := m.Get(sc.id)
-					s.Drain()
-				}
+				driveScripts(t, m, scripts, goroutines)
 				if err := <-appendErr; err != nil {
 					t.Fatalf("appender: %v", err)
 				}
@@ -157,8 +133,8 @@ func TestLiveAppendExploreEquivalence(t *testing.T) {
 				for _, sc := range scripts {
 					recorded := *epochs[sc.id]
 					if len(recorded) != len(sc.batches) {
-						t.Fatalf("session %s (pool %d): %d pinned epochs for %d batches",
-							sc.id, workers, len(recorded), len(sc.batches))
+						t.Fatalf("session %s (%d goroutines): %d pinned epochs for %d batches",
+							sc.id, goroutines, len(recorded), len(sc.batches))
 					}
 					rm, rstreams, _ := setupLiveEquivManager(t, []sessionScript{sc})
 					applied := 0
@@ -181,7 +157,7 @@ func TestLiveAppendExploreEquivalence(t *testing.T) {
 
 					live, frozen := *streams[sc.id], *rstreams[sc.id]
 					if len(live) == 0 {
-						t.Fatalf("session %s (pool %d): live run emitted nothing", sc.id, workers)
+						t.Fatalf("session %s (%d goroutines): live run emitted nothing", sc.id, goroutines)
 					}
 					if !reflect.DeepEqual(live, frozen) {
 						limit := len(live)
@@ -190,12 +166,12 @@ func TestLiveAppendExploreEquivalence(t *testing.T) {
 						}
 						for i := 0; i < limit; i++ {
 							if !reflect.DeepEqual(live[i], frozen[i]) {
-								t.Fatalf("session %s (pool %d): result %d differs\nlive:   %+v\nfrozen: %+v",
-									sc.id, workers, i, live[i], frozen[i])
+								t.Fatalf("session %s (%d goroutines): result %d differs\nlive:   %+v\nfrozen: %+v",
+									sc.id, goroutines, i, live[i], frozen[i])
 							}
 						}
-						t.Fatalf("session %s (pool %d): stream lengths differ (live %d, frozen %d)",
-							sc.id, workers, len(live), len(frozen))
+						t.Fatalf("session %s (%d goroutines): stream lengths differ (live %d, frozen %d)",
+							sc.id, goroutines, len(live), len(frozen))
 					}
 				}
 			}

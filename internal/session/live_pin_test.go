@@ -40,9 +40,6 @@ func TestEvictedSessionReleasesPinAfterDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.Catalog().RegisterLive(tb)
-	if err := m.SetWorkers(2); err != nil {
-		t.Fatal(err)
-	}
 
 	mkSession := func(id string) *Session {
 		s, err := m.Create(id)
@@ -59,8 +56,8 @@ func TestEvictedSessionReleasesPinAfterDrain(t *testing.T) {
 	s1 := mkSession("s1")
 	s2 := mkSession("s2")
 
-	// Gate: s1's first result parks its worker inside the batch, with the
-	// epoch-1 pin held.
+	// Gate: s1's first result parks its driver goroutine inside the batch,
+	// with the epoch-1 pin held.
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
@@ -71,14 +68,15 @@ func TestEvictedSessionReleasesPinAfterDrain(t *testing.T) {
 		})
 	})
 
-	s1.Start()
-	if _, err := m.Dispatch("s1", livePinSlide(0)); err != nil {
-		t.Fatal(err)
-	}
+	s1Done := make(chan error, 1)
+	go func() {
+		_, err := m.Dispatch("s1", livePinSlide(0))
+		s1Done <- err
+	}()
 	<-entered
 
 	// The table moves on while s1 is parked: epoch 2 publishes, and s2
-	// (synchronous) pins it with a batch of its own.
+	// pins it with a batch of its own.
 	if _, err := m.Append("events", [][]storage.Value{{storage.IntValue(7)}}); err != nil {
 		t.Fatal(err)
 	}
@@ -91,8 +89,8 @@ func TestEvictedSessionReleasesPinAfterDrain(t *testing.T) {
 		t.Fatalf("mid-batch pins = %v, want both epochs 1 and 2", pinned)
 	}
 
-	// Evict s1 while it is parked mid-batch. Eviction must block in the
-	// drain, keeping the pin alive until the batch completes — releasing
+	// Evict s1 while it is parked mid-batch. Eviction must block on the
+	// run lock, keeping the pin alive until the batch completes — releasing
 	// early would let version pruning run while s1's statistics views are
 	// still in use.
 	evicted := make(chan bool, 1)
@@ -108,6 +106,9 @@ func TestEvictedSessionReleasesPinAfterDrain(t *testing.T) {
 	}
 
 	close(release)
+	if err := <-s1Done; err != nil {
+		t.Fatalf("s1's in-flight batch: %v", err)
+	}
 	if ok := <-evicted; !ok {
 		t.Fatal("Evict reported the session missing")
 	}

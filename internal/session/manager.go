@@ -2,7 +2,6 @@ package session
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -13,14 +12,9 @@ import (
 	"dbtouch/internal/touchos"
 )
 
-// DefaultSessionQueueCap bounds one session's queued-but-unexecuted
-// batches; Enqueue past it returns ErrOverloaded.
-const DefaultSessionQueueCap = 64
-
 // Manager owns the shared immutable storage layer — one catalog, one
-// sample store — the bounded work-stealing scheduler started sessions
-// run on, and the registry of live sessions. All methods are safe for
-// concurrent use.
+// sample store — and the registry of live sessions. All methods are safe
+// for concurrent use.
 type Manager struct {
 	cfg     core.Config
 	catalog *storage.Catalog
@@ -39,20 +33,6 @@ type Manager struct {
 	// admissionCap is a hard live-session ceiling: unlike maxSessions it
 	// rejects Create with ErrOverloaded instead of evicting. 0 = none.
 	admissionCap int
-	// sched is the shared worker pool, built lazily on first Start;
-	// schedWorkers is the configured pool size (0 = GOMAXPROCS).
-	sched        *scheduler
-	schedWorkers int
-
-	// budget is the fairness quantum in events per dispatch (0 selects
-	// DefaultFairnessBudget); settable at any time.
-	budget atomic.Int64
-	// queuedBatches gauges the backlog across all sessions (queued plus
-	// in-flight batches); maxQueuedBatches caps it (0 = unlimited) and
-	// sessionQueueCap caps one session's queue.
-	queuedBatches    atomic.Int64
-	maxQueuedBatches atomic.Int64
-	sessionQueueCap  atomic.Int64
 
 	// dur is the session-persistence state, nil until EnableDurability.
 	// Behind an atomic pointer (not m.mu) because the tee path must
@@ -78,104 +58,13 @@ type sampleEntry struct {
 // NewManager builds a session manager whose sessions all run cfg
 // (zero-valued fields inherit core.DefaultConfig, as in core.NewKernel).
 func NewManager(cfg core.Config) *Manager {
-	m := &Manager{
+	return &Manager{
 		cfg:      cfg,
 		catalog:  storage.NewCatalog(),
 		live:     sample.NewLiveStore(),
 		sessions: make(map[string]*Session),
 		samples:  make(map[sampleKey]*sampleEntry),
 	}
-	m.sessionQueueCap.Store(DefaultSessionQueueCap)
-	return m
-}
-
-// scheduler returns the shared worker pool, building it on first use
-// (the pool costs nothing until a session starts).
-func (m *Manager) scheduler() *scheduler {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.schedulerLocked()
-}
-
-// schedulerFor is scheduler() gated on s still being registered: a
-// deregistered session (Close/Evict/Manager.Close racing Start) gets no
-// pool, so a teardown that already stopped the pool cannot leak a
-// freshly rebuilt one. Enqueue deliberately uses the ungated scheduler()
-// instead — an appended batch must always reach a pool or Drain would
-// hang (its ordering against Close is protected by the closed check
-// under s.mu plus Close's drain-then-teardown sequence).
-func (m *Manager) schedulerFor(s *Session) *scheduler {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if reg, ok := m.sessions[s.id]; !ok || reg != s {
-		return nil
-	}
-	return m.schedulerLocked()
-}
-
-// schedulerLocked builds the pool if needed. Caller holds m.mu.
-func (m *Manager) schedulerLocked() *scheduler {
-	if m.sched == nil {
-		n := m.schedWorkers
-		if n <= 0 {
-			n = runtime.GOMAXPROCS(0)
-		}
-		m.sched = newScheduler(m, n)
-	}
-	return m.sched
-}
-
-// SetWorkers fixes the scheduler pool size (default GOMAXPROCS). The
-// pool is created when the first session starts; afterwards the size
-// cannot change.
-func (m *Manager) SetWorkers(n int) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.sched != nil {
-		return fmt.Errorf("session: scheduler already running with %d workers", len(m.sched.workers))
-	}
-	m.schedWorkers = n
-	return nil
-}
-
-// SetFairnessBudget sets the per-dispatch quantum in touch events
-// (default DefaultFairnessBudget): a session yields its worker after
-// absorbing this many events, so a spamming session cannot starve
-// parked ones. Settable at any time; n <= 0 restores the default.
-func (m *Manager) SetFairnessBudget(events int) {
-	if events <= 0 {
-		events = 0
-	}
-	m.budget.Store(int64(events))
-}
-
-// fairnessBudget resolves the current quantum.
-func (m *Manager) fairnessBudget() int {
-	if b := m.budget.Load(); b > 0 {
-		return int(b)
-	}
-	return DefaultFairnessBudget
-}
-
-// SetSessionQueueCap bounds one session's queued batches (default
-// DefaultSessionQueueCap); Enqueue past it returns ErrOverloaded.
-// n <= 0 restores the default.
-func (m *Manager) SetSessionQueueCap(n int) {
-	if n <= 0 {
-		n = DefaultSessionQueueCap
-	}
-	m.sessionQueueCap.Store(int64(n))
-}
-
-// SetMaxQueuedBatches caps the total backlog (queued plus in-flight
-// batches across all sessions, the QueuedBatches gauge in Stats); at
-// the cap, Enqueue and wire performs return ErrOverloaded. 0 (the
-// default) disables the cap.
-func (m *Manager) SetMaxQueuedBatches(n int) {
-	if n < 0 {
-		n = 0
-	}
-	m.maxQueuedBatches.Store(int64(n))
 }
 
 // SetAdmissionCap sets a hard ceiling on live sessions: Create past it
@@ -187,39 +76,6 @@ func (m *Manager) SetAdmissionCap(n int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.admissionCap = n
-}
-
-// overloaded reports whether the global backlog cap is currently hit —
-// the admission signal for synchronous wire work.
-func (m *Manager) overloaded() (backlog, limit int64, over bool) {
-	limit = m.maxQueuedBatches.Load()
-	if limit <= 0 {
-		return 0, 0, false
-	}
-	backlog = m.queuedBatches.Load()
-	return backlog, limit, backlog >= limit
-}
-
-// reserveBatch claims one slot in the global backlog gauge, exactly:
-// under a cap, concurrent claimers cannot overshoot it (CAS loop rather
-// than check-then-add). The caller releases the slot with
-// queuedBatches.Add(-1) — after executing the batch, or immediately if
-// the batch is rejected downstream.
-func (m *Manager) reserveBatch() (backlog, limit int64, ok bool) {
-	limit = m.maxQueuedBatches.Load()
-	if limit <= 0 {
-		m.queuedBatches.Add(1)
-		return 0, 0, true
-	}
-	for {
-		backlog = m.queuedBatches.Load()
-		if backlog >= limit {
-			return backlog, limit, false
-		}
-		if m.queuedBatches.CompareAndSwap(backlog, backlog+1) {
-			return backlog + 1, limit, true
-		}
-	}
 }
 
 // Catalog returns the shared catalog. Tables registered here are visible
@@ -258,59 +114,23 @@ func (m *Manager) Evictions() int64 {
 	return m.evictions
 }
 
-// SessionState names a session's scheduling state in stats output.
-type SessionState string
-
-// Session scheduling states as reported by Stats and the wire protocol.
-const (
-	// StateSync: never started; batches run synchronously on the caller.
-	StateSync SessionState = "sync"
-	// StateParked: started, queue empty, holding no goroutine.
-	StateParked SessionState = "parked"
-	// StateRunnable: queued batches, waiting in a worker deque.
-	StateRunnable SessionState = "runnable"
-	// StateRunning: a pool worker is executing its batches.
-	StateRunning SessionState = "running"
-)
-
 // SessionStat is one session's row in a Stats snapshot.
 type SessionStat struct {
 	ID string
-	// Started reports whether the session runs on the scheduler.
-	Started bool
-	// State is the scheduling state (sync, parked, runnable, running).
-	State SessionState
-	// QueueDepth counts enqueued-but-unfinished batches (0 for
-	// synchronous sessions).
-	QueueDepth int
 	// LastUsed is the manager's dispatch tick at the session's last use;
 	// lower means closer to LRU eviction.
 	LastUsed uint64
 }
 
-// Stats is a point-in-time snapshot of the manager — the admission and
-// scheduling signals (live sessions, eviction pressure, scheduler load,
-// per-session backlog) an operator watches and admission control feeds
-// on.
+// Stats is a point-in-time snapshot of the manager — the admission
+// signals (live sessions, eviction pressure) and durability counters an
+// operator watches.
 type Stats struct {
 	// Live counts registered sessions; Max is the SetMaxSessions cap
 	// (0 = unlimited); Evictions counts sessions the cap has removed.
 	Live      int
 	Max       int
 	Evictions int64
-	// Workers is the scheduler pool size (0 until the first session
-	// starts). Parked/Runnable/Running partition the started sessions by
-	// scheduling state; Steals and Dispatches are lifetime pool counters.
-	Workers    int
-	Parked     int
-	Runnable   int
-	Running    int
-	Steals     int64
-	Dispatches int64
-	// QueuedBatches is the backlog across all sessions (queued plus
-	// in-flight); MaxQueuedBatches is its cap (0 = unlimited).
-	QueuedBatches    int64
-	MaxQueuedBatches int64
 	// Session-durability gauges, all zero until EnableDurability:
 	// LoggedRequests counts requests teed to the session log; LogErrors
 	// counts append/compaction failures (durability degraded, requests
@@ -331,38 +151,16 @@ type Stats struct {
 func (m *Manager) Stats() Stats {
 	m.mu.Lock()
 	st := Stats{Live: len(m.sessions), Max: m.maxSessions, Evictions: m.evictions}
-	if m.sched != nil {
-		st.Workers = len(m.sched.workers)
-		st.Steals = m.sched.steals.Load()
-		st.Dispatches = m.sched.dispatches.Load()
-	}
-	live := make([]*Session, 0, len(m.sessions))
 	for _, s := range m.sessions {
-		live = append(live, s)
 		st.Sessions = append(st.Sessions, SessionStat{ID: s.id, LastUsed: s.lastUsed})
 	}
 	m.mu.Unlock()
-	st.QueuedBatches = m.queuedBatches.Load()
-	st.MaxQueuedBatches = m.maxQueuedBatches.Load()
 	if d := m.durability(); d != nil {
 		st.LoggedRequests = d.logged.Load()
 		st.LogErrors = d.logErrs.Load()
 		st.LogCompactions = d.store.Stats().Compactions
 		st.Resumes = d.resumes.Load()
 		st.ReplayedRequests = d.replayed.Load()
-	}
-	for i, s := range live {
-		st.Sessions[i].Started = s.Started()
-		st.Sessions[i].State = s.State()
-		st.Sessions[i].QueueDepth = s.QueueDepth()
-		switch st.Sessions[i].State {
-		case StateParked:
-			st.Parked++
-		case StateRunnable:
-			st.Runnable++
-		case StateRunning:
-			st.Running++
-		}
 	}
 	sort.Slice(st.Sessions, func(i, j int) bool { return st.Sessions[i].ID < st.Sessions[j].ID })
 	return st
@@ -390,8 +188,8 @@ func (m *Manager) sharedSamples(base *storage.Column, levels int) (*sample.Share
 // the manager's catalog and sample store but owns its own virtual clock,
 // screen, dispatcher and result log. Creating past the MaxSessions cap
 // evicts the least recently dispatched session first; creating past the
-// AdmissionCap (or while the global backlog cap is hit) is rejected
-// with ErrOverloaded instead — no eviction, the caller backs off.
+// AdmissionCap is rejected with ErrOverloaded instead — no eviction, the
+// caller backs off.
 func (m *Manager) Create(id string) (*Session, error) {
 	// Admission and duplicate checks come before kernel construction:
 	// the rejection path is the hot one under a retry storm, and it must
@@ -407,7 +205,6 @@ func (m *Manager) Create(id string) (*Session, error) {
 	k.ShareStorage(m.catalog, m.sharedSamples)
 	k.ShareLive(m.live)
 	s := &Session{id: id, manager: m, kernel: k}
-	s.pendingCond = sync.NewCond(&s.pendingMu)
 
 	m.mu.Lock()
 	// Re-check: a racing Create may have taken the id or the last
@@ -438,15 +235,11 @@ func (m *Manager) Create(id string) (*Session, error) {
 	return s, nil
 }
 
-// admitLocked applies Create's rejection rules: duplicate id, global
-// backlog at cap, or the hard admission ceiling. Caller holds m.mu.
+// admitLocked applies Create's rejection rules: duplicate id or the hard
+// admission ceiling. Caller holds m.mu.
 func (m *Manager) admitLocked(id string) error {
 	if _, exists := m.sessions[id]; exists {
 		return fmt.Errorf("session %q already exists", id)
-	}
-	if _, _, over := m.overloaded(); over {
-		return fmt.Errorf("session %q: %w (manager backlog at cap; not admitting new sessions)",
-			id, ErrOverloaded)
 	}
 	if m.admissionCap > 0 && len(m.sessions) >= m.admissionCap {
 		return fmt.Errorf("session %q: %w (%d live sessions at admission cap %d)",
@@ -498,29 +291,17 @@ func (m *Manager) Sessions() []string {
 
 // Dispatch routes a touch-event batch to the session identified by id —
 // the touchos event stream is demultiplexed here, one hop above each
-// session's own dispatcher. Batches for a started session are enqueued
-// to the scheduler (asynchronous; returned results are nil — Drain then
-// read Results, and the error may be ErrOverloaded under backpressure);
-// otherwise the batch runs synchronously and its results come back
-// directly.
+// session's own dispatcher — and returns the results the batch emitted.
 func (m *Manager) Dispatch(id string, events []touchos.TouchEvent) ([]core.Result, error) {
-	m.mu.Lock()
-	s, ok := m.sessions[id]
-	m.mu.Unlock()
+	s, ok := m.Get(id)
 	if !ok {
 		return nil, fmt.Errorf("session %q not found", id)
-	}
-	s.mu.Lock()
-	started := s.started
-	s.mu.Unlock()
-	if started {
-		return nil, s.Enqueue(events)
 	}
 	return s.Apply(events)
 }
 
-// Evict removes the session and stops its worker, waiting for queued
-// batches to finish. Shared storage (catalog, sample hierarchies) stays:
+// Evict removes the session, waiting for the kernel execution in flight
+// (if any) to finish. Shared storage (catalog, sample hierarchies) stays:
 // it belongs to the manager, not the session. Reports whether the session
 // existed.
 func (m *Manager) Evict(id string) bool {
@@ -536,37 +317,38 @@ func (m *Manager) Evict(id string) bool {
 	return true
 }
 
-// Close evicts every session (draining their queued batches) and then
-// stops the scheduler's worker pool. The manager remains usable: a
-// later Start builds a fresh pool.
-func (m *Manager) Close() {
+// CloseStreams closes every live session's subscribed result streams
+// without evicting the sessions: each close happens under the session's
+// run lock, i.e. between kernel executions, so a consumer blocked in
+// ResultStream.Next drains what was already emitted and then sees
+// end-of-stream. It is the server-side stop for /stream handlers
+// (dbtouch-serve registers it to run on shutdown); sessions stay usable
+// and a later Subscribe opens a fresh stream.
+func (m *Manager) CloseStreams() {
 	m.mu.Lock()
 	all := make([]*Session, 0, len(m.sessions))
 	for _, s := range m.sessions {
 		all = append(all, s)
 	}
+	m.mu.Unlock()
+	for _, s := range all {
+		s.runMu.Lock()
+		s.kernel.CloseSubscriptions()
+		s.runMu.Unlock()
+	}
+}
+
+// Close evicts every session. The manager remains usable.
+func (m *Manager) Close() {
+	m.mu.Lock()
+	all := m.sessions
 	m.sessions = make(map[string]*Session)
 	m.mu.Unlock()
-	// Sessions first: their Close waits for queued batches, which needs
-	// the pool alive.
 	for _, s := range all {
 		s.Close()
 		// Every logged request is already on disk; parking just releases
 		// the cached file handles. The store itself belongs to whoever
 		// enabled durability and is closed there.
 		m.parkLog(s.id)
-	}
-	// A Start/Enqueue racing this Close can lazily rebuild the pool
-	// after we detach it; loop until no pool reappears so no worker
-	// goroutines are ever leaked.
-	for {
-		m.mu.Lock()
-		sched := m.sched
-		m.sched = nil
-		m.mu.Unlock()
-		if sched == nil {
-			return
-		}
-		sched.stop()
 	}
 }

@@ -11,27 +11,28 @@
 // synchronization is single-flight initialization of lazily built shared
 // statistics and the memoized string-predicate tables).
 //
-// A Manager creates and evicts sessions by ID, routes touch-event batches
-// to the right session, and runs started sessions on a bounded
-// work-stealing scheduler: a fixed worker pool (default GOMAXPROCS)
-// pulls runnable sessions from per-worker deques, sessions park at zero
-// goroutines while their event queues are empty, and a per-session
-// fairness budget keeps one gesture-spamming user from starving the
-// rest — 10k mostly-idle users cost O(workers) goroutines, not
-// O(sessions). Queue-depth and eviction metrics (Manager.Stats) feed
-// admission control: past the configured caps, Enqueue and Create
-// return ErrOverloaded instead of queueing unboundedly. Because every
-// session's timeline is its own virtual clock and the scheduler runs
-// each session's batches in order on at most one worker at a time, a
-// session's result stream is byte-identical whether it runs alone,
-// sequentially with others, or concurrently with them at any pool size —
-// asserted by the package's equivalence suite under the race detector.
+// A Manager creates and evicts sessions by ID and routes touch-event
+// batches and wire requests to the right session.
+//
+// Concurrency model: a session is driven by whichever goroutine calls it
+// — for served traffic that is net/http's goroutine for the connection —
+// and runs one kernel execution at a time under its run lock, so
+// concurrent callers of one session serialize and callers of different
+// sessions run in parallel on shared storage. An idle session holds no
+// goroutine, timer or queue. Because every session's timeline is its own
+// virtual clock, a session's result stream is byte-identical whether it
+// runs alone, sequentially with others, or concurrently with them on any
+// number of goroutines — asserted by the package's equivalence suite
+// under the race detector. What bounds a manager is admission, not
+// queueing: SetAdmissionCap rejects Create with ErrOverloaded and
+// SetMaxSessions evicts the least recently used session.
 package session
 
 import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dbtouch/internal/core"
@@ -45,61 +46,27 @@ import (
 var (
 	// ErrClosed reports use of a session after Close or manager eviction.
 	ErrClosed = errors.New("session closed")
-	// ErrWorkerRunning reports a synchronous call (Apply, Idle) on a
-	// started session — once handed to the scheduler, the kernel belongs
-	// to the worker pool.
-	ErrWorkerRunning = errors.New("session worker running")
-	// ErrNotStarted reports Enqueue before Start.
-	ErrNotStarted = errors.New("session not started")
-	// ErrOverloaded reports an admission-control rejection: a session or
-	// manager backlog cap was hit (Enqueue) or the live-session admission
-	// ceiling was reached (Create). The work was not queued; back off and
+	// ErrOverloaded reports an admission-control rejection: the
+	// live-session admission ceiling was reached (Create). Back off and
 	// retry. The wire protocol surfaces it as HTTP 503 + Retry-After.
 	ErrOverloaded = errors.New("overloaded")
 )
 
 // Session is one user's exploration context: a kernel confined to one
 // goroutine at a time, over storage shared with every other session of
-// the same Manager.
-//
-// A session has two driving modes. Before Start, the owner calls Apply
-// (or Manager.Dispatch) and batches run synchronously on the calling
-// goroutine. After Start, the session belongs to the manager's
-// work-stealing scheduler: batches go through Enqueue/Dispatch, workers
-// execute them in order (at most one worker per session at a time), and
-// the caller synchronizes with Drain before reading results. A started
-// session with an empty queue is parked — it holds no goroutine at all.
-// The two modes must not be mixed — Apply fails once the session is
-// started.
+// the same Manager. Apply, Perform, Idle and Do run on the calling
+// goroutine under the session's run lock.
 type Session struct {
 	id      string
 	manager *Manager
 	kernel  *core.Kernel
 
-	// mu guards the lifecycle state below.
-	mu      sync.Mutex
-	started bool
-	closed  bool
-	// runMu serializes kernel execution: concurrent synchronous Applies
-	// (or an Apply racing the scheduler's first batch) run one at a time.
-	// Determinism still requires one logical driver per session; the lock
-	// only guarantees batches stay atomic, never interleaved.
+	closed atomic.Bool
+	// runMu serializes kernel execution: concurrent calls on one session
+	// run one at a time. Determinism still requires one logical driver
+	// per session; the lock only guarantees batches stay atomic, never
+	// interleaved.
 	runMu sync.Mutex
-	// pendingMu guards the scheduler-facing state: the FIFO batch queue,
-	// the park/runnable/running state, and pendingN, the count of
-	// enqueued-but-unfinished batches for Drain. A plain condition
-	// variable (not a WaitGroup): Enqueue may race Drain from the zero
-	// count, which WaitGroup reuse rules forbid.
-	pendingMu   sync.Mutex
-	pendingCond *sync.Cond
-	pendingN    int
-	// batches is the session's queued-but-unexecuted event batches; the
-	// scheduler pops from the front. pendingN ≥ len(batches): a batch
-	// leaves the queue when a worker picks it up and leaves pendingN when
-	// it finishes executing.
-	batches [][]touchos.TouchEvent
-	// schedState is schedParked, schedRunnable or schedRunning.
-	schedState int
 
 	// lastUsed is the manager's dispatch tick at the session's last use,
 	// for least-recently-used eviction. Guarded by manager.mu.
@@ -109,6 +76,13 @@ type Session struct {
 	// remote clients address objects by chosen name, the kernel by id.
 	objMu    sync.Mutex
 	objNames map[string]int
+
+	// logFrames counts the requests of this session's history that are in
+	// its durable log — replayed from it, or appended to it by this
+	// manager. Guarded by the log store's per-session locker. Resume
+	// compares it with the log on disk to tell a current live copy from
+	// one another process has outrun.
+	logFrames int
 
 	// dedupeMu guards the exactly-once cache: the ReqID and full
 	// response of the session's most recent mutating wire request.
@@ -124,9 +98,8 @@ type Session struct {
 func (s *Session) ID() string { return s.id }
 
 // Kernel exposes the session's kernel for object creation and
-// configuration. Setup must happen before Start (or between Drain and the
-// next Enqueue only from the worker's perspective — in practice: set up,
-// then start).
+// configuration. It bypasses the run lock: use it from the goroutine
+// that drives the session, not concurrently with Apply/Perform.
 func (s *Session) Kernel() *core.Kernel { return s.kernel }
 
 // CreateColumnObject places one column of a cataloged table on the
@@ -155,8 +128,8 @@ func (s *Session) CreateTableObject(table string, frame touchos.Rect) (*core.Obj
 }
 
 // touch refreshes the session's recently-used stamp for the manager's
-// LRU cap, whatever path drove it (Dispatch, Enqueue, or a facade
-// handle's synchronous Apply).
+// LRU cap, whatever path drove it (Dispatch, a wire request, or a facade
+// handle's Apply).
 func (s *Session) touch() {
 	if s.manager == nil {
 		return
@@ -167,11 +140,10 @@ func (s *Session) touch() {
 	s.manager.mu.Unlock()
 }
 
-// Apply processes a touch-event batch synchronously on the caller's
-// goroutine and returns the results it emitted. It is the pre-Start
-// (sequential) driving mode; once the worker runs, use Enqueue.
+// Apply processes a touch-event batch on the caller's goroutine and
+// returns the results it emitted.
 func (s *Session) Apply(events []touchos.TouchEvent) ([]core.Result, error) {
-	if err := s.checkSynchronous(); err != nil {
+	if err := s.checkOpen(); err != nil {
 		return nil, err
 	}
 	s.runMu.Lock()
@@ -180,10 +152,9 @@ func (s *Session) Apply(events []touchos.TouchEvent) ([]core.Result, error) {
 }
 
 // Idle advances the session's virtual time by d with no touch activity,
-// giving background machinery (prefetch, layout conversion) the gap. Same
-// driving contract as Apply: synchronous, pre-Start only.
+// giving background machinery (prefetch, layout conversion) the gap.
 func (s *Session) Idle(d time.Duration) error {
-	if err := s.checkSynchronous(); err != nil {
+	if err := s.checkOpen(); err != nil {
 		return err
 	}
 	s.runMu.Lock()
@@ -194,10 +165,9 @@ func (s *Session) Idle(d time.Duration) error {
 }
 
 // Perform executes a serializable gesture description on the session's
-// kernel: the wire-ready form of driving a session. Same contract as
-// Apply — synchronous, pre-Start only.
+// kernel: the wire-ready form of driving a session.
 func (s *Session) Perform(g gesture.Gesture) ([]core.Result, error) {
-	if err := s.checkSynchronous(); err != nil {
+	if err := s.checkOpen(); err != nil {
 		return nil, err
 	}
 	s.runMu.Lock()
@@ -205,11 +175,11 @@ func (s *Session) Perform(g gesture.Gesture) ([]core.Result, error) {
 	return s.kernel.Perform(g)
 }
 
-// Do runs fn with exclusive synchronous access to the session's kernel —
-// the seam the protocol handler uses for object creation, configuration
-// and promotion. Same contract as Apply: synchronous, pre-Start only.
+// Do runs fn with exclusive access to the session's kernel — the seam
+// the protocol handler uses for object creation, configuration and
+// promotion.
 func (s *Session) Do(fn func(*core.Kernel) error) error {
-	if err := s.checkSynchronous(); err != nil {
+	if err := s.checkOpen(); err != nil {
 		return err
 	}
 	s.runMu.Lock()
@@ -218,11 +188,10 @@ func (s *Session) Do(fn func(*core.Kernel) error) error {
 }
 
 // Subscribe registers a bounded result stream on the session's kernel
-// (buffer <= 0 selects the default size). Unlike Apply, subscribing is
-// legal while the worker runs — that is the point: the stream hands
-// results across goroutines, so a monitor can cursor through them while
-// the worker keeps executing. The registration itself is serialized
-// against the running kernel.
+// (buffer <= 0 selects the default size). The stream hands results
+// across goroutines, so a monitor can cursor through them while another
+// goroutine keeps driving the session; the registration itself is
+// serialized against the running kernel.
 func (s *Session) Subscribe(buffer int) *core.ResultStream {
 	s.runMu.Lock()
 	defer s.runMu.Unlock()
@@ -248,176 +217,41 @@ func (s *Session) BoundObject(name string) (int, bool) {
 	return id, ok
 }
 
-// QueueDepth reports how many enqueued batches the scheduler has not
-// yet finished — the manager's per-session backlog metric and an
-// admission-control input.
-func (s *Session) QueueDepth() int {
-	s.pendingMu.Lock()
-	defer s.pendingMu.Unlock()
-	return s.pendingN
-}
-
-// State reports the session's scheduling state: StateSync for a session
-// never handed to the scheduler, else parked, runnable or running.
-func (s *Session) State() SessionState {
-	s.mu.Lock()
-	started := s.started
-	s.mu.Unlock()
-	if !started {
-		return StateSync
-	}
-	s.pendingMu.Lock()
-	defer s.pendingMu.Unlock()
-	switch s.schedState {
-	case schedRunnable:
-		return StateRunnable
-	case schedRunning:
-		return StateRunning
-	default:
-		return StateParked
-	}
-}
-
-// Started reports whether the session has been handed to the scheduler.
-func (s *Session) Started() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.started
-}
-
-// checkSynchronous gates the synchronous driving mode and refreshes the
-// LRU stamp.
-func (s *Session) checkSynchronous() error {
+// checkOpen rejects use after Close and refreshes the LRU stamp.
+func (s *Session) checkOpen() error {
 	s.touch()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
+	if s.closed.Load() {
 		return fmt.Errorf("session %q: %w", s.id, ErrClosed)
-	}
-	if s.started {
-		return fmt.Errorf("session %q: %w; use Enqueue", s.id, ErrWorkerRunning)
 	}
 	return nil
 }
 
-// Start hands the session to the manager's work-stealing scheduler.
-// Subsequent batches go through Enqueue; the caller must not touch the
-// kernel again until Drain (for reads) or Close. Starting is cheap: a
-// started session with nothing queued is parked and holds no goroutine
-// (the pool itself is shared and bounded).
-func (s *Session) Start() {
-	s.mu.Lock()
-	if s.started || s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.started = true
-	s.mu.Unlock()
-	// Build the shared pool only while this session is still registered:
-	// a Start racing Manager.Close/Evict must not resurrect a pool after
-	// the teardown loop has finished (schedulerFor is a no-op then — the
-	// closed session can never enqueue, so no pool is needed).
-	s.manager.schedulerFor(s)
-}
-
-// Enqueue hands a batch to the scheduler. It never blocks: past the
-// per-session queue cap or the manager's global backlog cap it rejects
-// the batch with ErrOverloaded (backpressure the caller can see and
-// retry), so a burst cannot queue unbounded work behind a busy session.
-func (s *Session) Enqueue(events []touchos.TouchEvent) error {
-	s.touch()
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return fmt.Errorf("session %q: %w", s.id, ErrClosed)
-	}
-	if !s.started {
-		s.mu.Unlock()
-		return fmt.Errorf("session %q: %w; use Apply or Start first", s.id, ErrNotStarted)
-	}
-	// Reserve a global backlog slot first (exact under the cap: CAS, not
-	// check-then-add), so the batch is accounted before it can become
-	// poppable — the worker's decrement after executing it then always
-	// follows this increment and the gauge never goes negative.
-	if backlog, gcap, ok := s.manager.reserveBatch(); !ok {
-		s.mu.Unlock()
-		return fmt.Errorf("session %q: %w (manager backlog %d batches at cap %d)",
-			s.id, ErrOverloaded, backlog, gcap)
-	}
-	s.pendingMu.Lock()
-	if qcap := int(s.manager.sessionQueueCap.Load()); len(s.batches) >= qcap {
-		depth := len(s.batches)
-		s.pendingMu.Unlock()
-		s.mu.Unlock()
-		s.manager.queuedBatches.Add(-1) // release the unused reservation
-		return fmt.Errorf("session %q: %w (queue depth %d at session cap %d)",
-			s.id, ErrOverloaded, depth, qcap)
-	}
-	s.batches = append(s.batches, events)
-	s.pendingN++
-	wake := s.schedState == schedParked
-	if wake {
-		s.schedState = schedRunnable
-	}
-	s.pendingMu.Unlock()
-	s.mu.Unlock()
-	if wake {
-		s.manager.scheduler().submit(s)
-	}
-	return nil
-}
-
-// Drain blocks until every batch enqueued so far has been processed.
-// After Drain (and before further Enqueues) the kernel's results and
-// counters are safe to read from the caller's goroutine. A concurrent
-// Enqueue extends the wait — Drain returns only at a moment the queue is
-// empty.
-func (s *Session) Drain() {
-	s.pendingMu.Lock()
-	for s.pendingN > 0 {
-		s.pendingCond.Wait()
-	}
-	s.pendingMu.Unlock()
-}
-
-// Close stops the session: already-queued batches still execute on the
-// scheduler, then every subscribed result stream is closed (so consumers
+// Close stops the session: it waits for the kernel execution in flight
+// (if any), then closes every subscribed result stream (so consumers
 // blocked in Next see end-of-stream instead of hanging on an evicted
 // session) and the session is unusable. It is idempotent and safe to
 // call from any goroutine; Manager.Evict calls it.
 func (s *Session) Close() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		s.Drain() // another closer may still be draining; match its wait
-		return
-	}
-	s.closed = true
-	s.mu.Unlock()
-	// New Enqueues are rejected now; wait for the scheduler to finish the
-	// backlog. Once pendingN hits zero the last kernel execution has
-	// completed (batches decrement only after Apply returns).
-	s.Drain()
-	// runMu serializes against a synchronous Apply/Perform that slipped
-	// in before closed was set.
+	s.closed.Store(true)
 	s.runMu.Lock()
+	defer s.runMu.Unlock()
 	s.kernel.CloseSubscriptions()
-	// Release live-table snapshot pins only now — after the drain, under
-	// runMu — so an eviction mid-batch cannot unpin the version the
-	// in-flight batch is still reading, and the shared store's refcounts
-	// keep versions other sessions pinned alive regardless (the
-	// eviction-race regression test drives exactly this schedule).
+	// Release live-table snapshot pins only now — under runMu — so an
+	// eviction mid-batch cannot unpin the version the in-flight batch is
+	// still reading, and the shared store's refcounts keep versions other
+	// sessions pinned alive regardless (the eviction-race regression test
+	// drives exactly this schedule).
 	s.kernel.ReleaseLive()
-	s.runMu.Unlock()
 }
 
 // Results returns the session's retained results (the kernel's bounded,
-// fade-pruned window). Synchronize with Drain when the worker is running.
+// fade-pruned window). Read it from the goroutine that drives the
+// session, or after that goroutine has been joined.
 func (s *Session) Results() []core.Result { return s.kernel.Results() }
 
 // OnResult registers the session's live result callback. The callback
-// runs on whichever goroutine owns the kernel (the worker once started),
-// so it must not share unsynchronized state across sessions.
+// runs on whichever goroutine is driving the session, so it must not
+// share unsynchronized state across sessions.
 func (s *Session) OnResult(fn func(core.Result)) { s.kernel.OnResult(fn) }
 
 // Catalog exposes the shared catalog.

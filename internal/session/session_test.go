@@ -1,7 +1,9 @@
 package session
 
 import (
+	"errors"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -76,6 +78,9 @@ func TestManagerCreateGetEvict(t *testing.T) {
 	if _, ok := m.Get("alice"); ok {
 		t.Fatal("evicted session still resolvable")
 	}
+	if _, err := s.Apply(nil); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Apply on an evicted session: err = %v, want ErrClosed", err)
+	}
 }
 
 func TestDispatchRoutesToSession(t *testing.T) {
@@ -102,30 +107,6 @@ func TestDispatchRoutesToSession(t *testing.T) {
 	}
 	if a.Kernel().Clock().Now() == 0 {
 		t.Fatal("session a clock did not advance")
-	}
-}
-
-func TestDispatchEnqueuesWhenStarted(t *testing.T) {
-	m := testManager(t, 50_000)
-	s := newColumnSession(t, m, "w")
-	s.Start()
-	res, err := m.Dispatch("w", slideEvents(s, time.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res != nil {
-		t.Fatal("async dispatch returned synchronous results")
-	}
-	s.Drain()
-	if len(s.Results()) == 0 {
-		t.Fatal("worker processed no results")
-	}
-	if _, err := s.Apply(nil); err == nil {
-		t.Fatal("Apply succeeded while worker running")
-	}
-	m.Close()
-	if err := s.Enqueue(nil); err == nil {
-		t.Fatal("Enqueue succeeded after Close")
 	}
 }
 
@@ -177,25 +158,22 @@ func TestMaxSessionsEvictsLRU(t *testing.T) {
 
 // TestEvictionPruningNoLeak is the bounded-retention audit for the
 // session layer: a long-running session's retained result log must stay
-// bounded by the fade horizon (not session length), the scheduler's
-// pool must stay bounded by the worker count (sessions pin no
-// goroutines of their own) and exit on Manager.Close, and the manager
-// must drop its reference on eviction so the session is collectable.
+// bounded by the fade horizon (not session length), sessions must pin no
+// goroutines of their own, and the manager must drop its reference on
+// eviction so the session is collectable.
 func TestEvictionPruningNoLeak(t *testing.T) {
 	base := runtime.NumGoroutine()
 	m := testManager(t, 200_000)
 	s := newColumnSession(t, m, "long")
-	s.Start()
 
 	// A long session: many gestures, each followed by an idle gap larger
 	// than the fade horizon, so earlier results are prunable each batch.
 	const gestures = 60
 	maxRetained := 0
 	for i := 0; i < gestures; i++ {
-		if err := s.Enqueue(slideEvents(s, 500*time.Millisecond)); err != nil {
+		if _, err := s.Apply(slideEvents(s, 500*time.Millisecond)); err != nil {
 			t.Fatal(err)
 		}
-		s.Drain()
 		if n := len(s.Results()); n > maxRetained {
 			maxRetained = n
 		}
@@ -222,46 +200,36 @@ func TestEvictionPruningNoLeak(t *testing.T) {
 	if m.Len() != 0 {
 		t.Fatalf("manager still holds %d sessions", m.Len())
 	}
-	// While the manager lives, only the bounded pool remains — O(workers),
-	// regardless of how many sessions ran.
-	if g, limit := runtime.NumGoroutine(), base+runtime.GOMAXPROCS(0); g > limit {
-		t.Fatalf("goroutines %d exceed baseline+workers %d", g, limit)
-	}
-	// Closing the manager stops the pool; everything must exit.
 	m.Close()
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
-		runtime.Gosched()
-		time.Sleep(time.Millisecond)
-	}
 	if g := runtime.NumGoroutine(); g > base {
-		t.Fatalf("goroutines leaked after Close: %d > baseline %d", g, base)
+		t.Fatalf("goroutines leaked by the session layer: %d > baseline %d", g, base)
 	}
 }
 
-// TestConcurrentSessionsRace drives many started sessions at once purely
-// for the race detector: shared catalog reads, single-flight sample
-// builds, shared span statistics, and independent clocks.
+// TestConcurrentSessionsRace drives many sessions at once, one goroutine
+// each, purely for the race detector: shared catalog reads, single-flight
+// sample builds, shared span statistics, and independent clocks.
 func TestConcurrentSessionsRace(t *testing.T) {
 	m := testManager(t, 100_000)
 	const n = 8
 	sessions := make([]*Session, n)
 	for i := 0; i < n; i++ {
 		sessions[i] = newColumnSession(t, m, string(rune('a'+i)))
-		sessions[i].Start()
 	}
-	for round := 0; round < 3; round++ {
-		for _, s := range sessions {
-			// Enqueue from the main goroutine; the per-session virtual
-			// start time only depends on that session's own timeline.
-			if err := s.Enqueue(slideEvents(s, time.Second)); err != nil {
-				t.Fatal(err)
+	var wg sync.WaitGroup
+	for _, s := range sessions {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 3; round++ {
+				if _, err := s.Apply(slideEvents(s, time.Second)); err != nil {
+					t.Error(err)
+					return
+				}
 			}
-		}
-		for _, s := range sessions {
-			s.Drain()
-		}
+		}()
 	}
+	wg.Wait()
 	for _, s := range sessions {
 		if len(s.Results()) == 0 {
 			t.Fatalf("session %s produced no results", s.ID())

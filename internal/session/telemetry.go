@@ -14,14 +14,6 @@ var ftdcNames = []string{
 	"sessions_live",
 	"sessions_max",
 	"evictions",
-	"workers",
-	"sessions_parked",
-	"sessions_runnable",
-	"sessions_running",
-	"steals",
-	"dispatches",
-	"queued_batches",
-	"max_queued_batches",
 	"live_tables",
 	"append_epochs",
 	"live_rows",
@@ -39,10 +31,8 @@ var ftdcNames = []string{
 // recorder: everything Stats() reports plus the storage-layer cumulative
 // counters, as int64s so the capture is exact. Unlike Stats it builds no
 // per-session rows — at 10k sessions a one-second tick must not allocate
-// 10k structs — it only folds each session's scheduling state into the
-// parked/runnable/running partition counts. Counters (steals,
-// dispatches, append_epochs, kernel_bytes) are cumulative; the capture
-// reader differentiates them into rates.
+// 10k structs. Counters (append_epochs, kernel_bytes) are cumulative; the
+// capture reader differentiates them into rates.
 func (m *Manager) FTDCSample() (names []string, values []int64) {
 	v := make([]int64, len(ftdcNames))
 	v[0] = time.Now().UnixNano()
@@ -51,48 +41,26 @@ func (m *Manager) FTDCSample() (names []string, values []int64) {
 	v[1] = int64(len(m.sessions))
 	v[2] = int64(m.maxSessions)
 	v[3] = m.evictions
-	if m.sched != nil {
-		v[4] = int64(len(m.sched.workers))
-		v[8] = m.sched.steals.Load()
-		v[9] = m.sched.dispatches.Load()
-	}
-	live := make([]*Session, 0, len(m.sessions))
-	for _, s := range m.sessions {
-		live = append(live, s)
-	}
 	m.mu.Unlock()
-
-	for _, s := range live {
-		switch s.State() {
-		case StateParked:
-			v[5]++
-		case StateRunnable:
-			v[6]++
-		case StateRunning:
-			v[7]++
-		}
-	}
-	v[10] = m.queuedBatches.Load()
-	v[11] = m.maxQueuedBatches.Load()
 
 	for _, t := range m.catalog.LiveTables() {
 		snap := t.Snapshot()
-		v[12]++
-		v[13] += int64(snap.Epoch)
-		v[14] += int64(snap.Rows)
-		v[15] += int64(snap.Gen)
+		v[4]++
+		v[5] += int64(snap.Epoch)
+		v[6] += int64(snap.Rows)
+		v[7] += int64(snap.Gen)
 	}
-	v[16] = storage.KernelBytes()
+	v[8] = storage.KernelBytes()
 	// Durability gauges stay zero when no session-log store is attached,
 	// keeping the schema (and so chunk column identity) fixed either way.
 	if d := m.durability(); d != nil {
 		st := d.store.Stats()
-		v[17] = d.logged.Load()
-		v[18] = d.logErrs.Load()
-		v[19] = st.Compactions
-		v[20] = st.AppendedBytes
-		v[21] = d.resumes.Load()
-		v[22] = d.replayed.Load()
+		v[9] = d.logged.Load()
+		v[10] = d.logErrs.Load()
+		v[11] = st.Compactions
+		v[12] = st.AppendedBytes
+		v[13] = d.resumes.Load()
+		v[14] = d.replayed.Load()
 	}
 	return ftdcNames, v
 }

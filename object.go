@@ -1,14 +1,12 @@
 package dbtouch
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
 	"dbtouch/internal/core"
 	"dbtouch/internal/gesture"
 	"dbtouch/internal/operator"
-	"dbtouch/internal/session"
 	"dbtouch/internal/storage"
 	"dbtouch/internal/touchos"
 )
@@ -178,15 +176,9 @@ func (o *Object) MoveToGesture(x, y float64) Gesture { return gesture.NewMove(o.
 
 // perform executes a description, preserving the legacy imperative
 // contract: an evicted session or an invalid parameter (zoom factor <= 0)
-// degrades to a silent no-op exactly as the pre-protocol methods did,
-// while driving a worker-owned session synchronously stays the panic it
-// always was (DB.Apply's contract) — that is a programming error, not a
-// condition to swallow.
+// degrades to a silent no-op exactly as the pre-protocol methods did.
 func (o *Object) perform(g Gesture) []Result {
-	results, err := o.db.Perform(g)
-	if errors.Is(err, session.ErrWorkerRunning) {
-		panic(err)
-	}
+	results, _ := o.db.Perform(g)
 	return results
 }
 

@@ -48,6 +48,16 @@ fi
   echo "FAIL: summary is missing the sessions_live gauge" >&2
   exit 1
 }
+# The capture's schema is the current one: none of the removed pool gauges.
+header="$("$work/dbtouch-ftdc" -format csv "$capture" | sed -n 1p)"
+for gone in workers steals dispatches; do
+  case ",$header," in
+    *",$gone,"*)
+      echo "FAIL: capture still carries the removed $gone column: $header" >&2
+      exit 1
+      ;;
+  esac
+done
 
 # Retention bound: budget + one live file (clamped to budget/4) + slack.
 size="$(du -sb "$capture" | cut -f1)"
