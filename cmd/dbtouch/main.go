@@ -28,14 +28,10 @@ import (
 	"dbtouch/internal/viz"
 )
 
-// statsColumnsHelp documents the -sessions report, column by column.
-const statsColumnsHelp = `
+// sessionsHelp documents the -sessions report.
+const sessionsHelp = `
 With -sessions N > 1, each session runs its slide on its own goroutine
-over the shared data and the final report prints one line per session.
-
-Session columns:
-  session   session id
-  lastUsed  manager dispatch tick at last use (lower = next LRU victim)
+over the shared data and the final report lists the live session ids.
 `
 
 func main() {
@@ -53,7 +49,7 @@ func main() {
 		out := flag.CommandLine.Output()
 		fmt.Fprintf(out, "Usage of %s:\n", os.Args[0])
 		flag.PrintDefaults()
-		fmt.Fprint(out, statsColumnsHelp)
+		fmt.Fprint(out, sessionsHelp)
 	}
 	flag.Parse()
 
@@ -218,6 +214,6 @@ func multiUser(db *dbtouch.DB, tblName, colName, mode string, k, n int) {
 	}
 	fmt.Printf("── session manager ── %d live (cap %s), %d evicted\n", st.Live, limit, st.Evictions)
 	for _, s := range st.Sessions {
-		fmt.Printf("  %-10s lastUsed=%d\n", s.ID, s.LastUsed)
+		fmt.Printf("  %s\n", s.ID)
 	}
 }

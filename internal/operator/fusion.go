@@ -10,9 +10,10 @@ import (
 // Fusion dispatch: when a WHERE-restricted slide span is consumed only by
 // a running aggregate — no group-by, join, scan reveal, or promotion
 // needs the qualifying positions — the filter and the aggregate fuse into
-// one scan through the storage fused kernels (Column.FilterAggRange /
-// FilterAggSel / FilterCountRange / FilterCountSel) instead of
-// materializing a selection vector and re-reading it.
+// one scan through the storage blocked fused scans
+// (Column.FilterAggRangeBlocked / FilterAggSelBlocked, in the FusedMode
+// the aggregate kind needs) instead of materializing a selection vector
+// and re-reading it.
 //
 // Charging stays byte-compatible with the unfused pipeline (EvalRange,
 // then per-run charging, then per-row absorption): the predicate column's

@@ -59,17 +59,8 @@ func (m *Manager) routeRequest(req protocol.Request) protocol.Response {
 		return m.handleAppend(req)
 	case protocol.OpStats:
 		st := m.Stats()
-		frame := protocol.StatsFrame{
-			Live: st.Live, Max: st.Max, Evictions: st.Evictions,
-			LoggedRequests: st.LoggedRequests, LogErrors: st.LogErrors,
-			LogCompactions: st.LogCompactions, Resumes: st.Resumes,
-			ReplayedRequests: st.ReplayedRequests,
-		}
-		for _, s := range st.Sessions {
-			frame.Sessions = append(frame.Sessions, protocol.SessionFrame{ID: s.ID})
-		}
 		resp := protocol.OK()
-		resp.Stats = &frame
+		resp.Stats = &st
 		return resp
 	}
 	s, ok := m.Get(req.Session)

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"dbtouch/internal/core"
+	"dbtouch/internal/protocol"
 	"dbtouch/internal/sample"
 	"dbtouch/internal/storage"
 	"dbtouch/internal/touchos"
@@ -114,45 +115,16 @@ func (m *Manager) Evictions() int64 {
 	return m.evictions
 }
 
-// SessionStat is one session's row in a Stats snapshot.
-type SessionStat struct {
-	ID string
-	// LastUsed is the manager's dispatch tick at the session's last use;
-	// lower means closer to LRU eviction.
-	LastUsed uint64
-}
-
-// Stats is a point-in-time snapshot of the manager — the admission
-// signals (live sessions, eviction pressure) and durability counters an
-// operator watches.
-type Stats struct {
-	// Live counts registered sessions; Max is the SetMaxSessions cap
-	// (0 = unlimited); Evictions counts sessions the cap has removed.
-	Live      int
-	Max       int
-	Evictions int64
-	// Session-durability gauges, all zero until EnableDurability:
-	// LoggedRequests counts requests teed to the session log; LogErrors
-	// counts append/compaction failures (durability degraded, requests
-	// still served); LogCompactions counts checkpoint rewrites; Resumes
-	// and ReplayedRequests count successful OpResumes and the requests
-	// they replayed.
-	LoggedRequests   int64
-	LogErrors        int64
-	LogCompactions   int64
-	Resumes          int64
-	ReplayedRequests int64
-	// Sessions lists per-session rows sorted by id.
-	Sessions []SessionStat
-}
-
-// Stats snapshots the manager. Sessions created or evicted concurrently
-// may or may not appear; each row is internally consistent.
-func (m *Manager) Stats() Stats {
+// Stats snapshots the manager in its wire form — the admission signals
+// (live sessions, eviction pressure), the live session ids sorted, and
+// the durability counters an operator watches (all zero until
+// EnableDurability). Sessions created or evicted concurrently may or may
+// not appear.
+func (m *Manager) Stats() protocol.StatsFrame {
 	m.mu.Lock()
-	st := Stats{Live: len(m.sessions), Max: m.maxSessions, Evictions: m.evictions}
-	for _, s := range m.sessions {
-		st.Sessions = append(st.Sessions, SessionStat{ID: s.id, LastUsed: s.lastUsed})
+	st := protocol.StatsFrame{Live: len(m.sessions), Max: m.maxSessions, Evictions: m.evictions}
+	for id := range m.sessions {
+		st.Sessions = append(st.Sessions, protocol.SessionFrame{ID: id})
 	}
 	m.mu.Unlock()
 	if d := m.durability(); d != nil {

@@ -11,7 +11,7 @@ import (
 //
 // Sharing contract: loaded columns are immutable and may be read by any
 // number of concurrent exploration sessions without locking — every read
-// kernel (Value/Float, the span kernels, Gather/Strided/Slice) only looks
+// kernel (Value/Float, the span kernels, Strided/Slice) only looks
 // at the backing slices. The lazily memoized predicate tables are the one
 // piece of internal mutable state and are mutex-guarded. Mutators (Append,
 // Set, Rename) are reserved for single-owner use before a column is
@@ -267,47 +267,6 @@ func (c *Column) Slice(lo, hi int) (*Column, error) {
 		s.codes = c.codes[lo:hi]
 	}
 	return s, nil
-}
-
-// Gather builds a new column from the cells of c at the given positions,
-// copying typed backing slices directly (no Value boxing). Positions out
-// of range are skipped. String columns share c's dictionary: the gathered
-// codes stay valid and no re-interning pass is needed.
-func (c *Column) Gather(positions []int) *Column {
-	out := &Column{name: c.name, typ: c.typ}
-	n := c.Len()
-	switch c.typ {
-	case Int64:
-		out.ints = make([]int64, 0, len(positions))
-		for _, p := range positions {
-			if p >= 0 && p < n {
-				out.ints = append(out.ints, c.ints[p])
-			}
-		}
-	case Float64:
-		out.flts = make([]float64, 0, len(positions))
-		for _, p := range positions {
-			if p >= 0 && p < n {
-				out.flts = append(out.flts, c.flts[p])
-			}
-		}
-	case Bool:
-		out.bools = make([]byte, 0, len(positions))
-		for _, p := range positions {
-			if p >= 0 && p < n {
-				out.bools = append(out.bools, c.bools[p])
-			}
-		}
-	case String:
-		out.dict = c.dict
-		out.codes = make([]int32, 0, len(positions))
-		for _, p := range positions {
-			if p >= 0 && p < n {
-				out.codes = append(out.codes, c.codes[p])
-			}
-		}
-	}
-	return out
 }
 
 // Strided builds a new column containing every stride-th value of c

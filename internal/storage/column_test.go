@@ -133,17 +133,6 @@ func TestStridedProperty(t *testing.T) {
 	}
 }
 
-func TestColumnGather(t *testing.T) {
-	c := NewFloatColumn("v", []float64{10, 20, 30})
-	g := c.Gather([]int{2, 0, 99, -1})
-	if g.Len() != 2 {
-		t.Fatalf("Gather len = %d, want 2 (out-of-range skipped)", g.Len())
-	}
-	if g.Float(0) != 30 || g.Float(1) != 10 {
-		t.Fatalf("Gather values = %v, %v", g.Float(0), g.Float(1))
-	}
-}
-
 func TestColumnClone(t *testing.T) {
 	c := NewStringColumn("s", []string{"a", "b"})
 	cl := c.Clone()

@@ -80,62 +80,6 @@ func TestCSVRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBinaryRoundTripColumnMajor(t *testing.T) {
-	m, err := NewMatrix("bin",
-		NewIntColumn("i", []int64{1, 2, 3}),
-		NewFloatColumn("f", []float64{0.25, -1, 42}),
-		NewBoolColumn("b", []bool{true, false, true}),
-		NewStringColumn("s", []string{"x", "yz", "x"}),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertBinaryRoundTrip(t, m)
-}
-
-func TestBinaryRoundTripRowMajor(t *testing.T) {
-	m := NewRowMajorMatrix("bin", []ColumnMeta{
-		{Name: "i", Type: Int64}, {Name: "s", Type: String},
-	})
-	_ = m.AppendRow([]Value{IntValue(9), StringValue("alpha")})
-	_ = m.AppendRow([]Value{IntValue(-3), StringValue("beta")})
-	assertBinaryRoundTrip(t, m)
-}
-
-func assertBinaryRoundTrip(t *testing.T, m *Matrix) {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := WriteBinary(m, &buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Name() != m.Name() || back.Layout() != m.Layout() ||
-		back.NumRows() != m.NumRows() || back.NumCols() != m.NumCols() {
-		t.Fatalf("shape mismatch: %s/%v %dx%d", back.Name(), back.Layout(), back.NumRows(), back.NumCols())
-	}
-	for r := 0; r < m.NumRows(); r++ {
-		for c := 0; c < m.NumCols(); c++ {
-			a, _ := m.At(r, c)
-			b, _ := back.At(r, c)
-			if !a.Equal(b) {
-				t.Errorf("cell (%d,%d): %v != %v", r, c, a, b)
-			}
-		}
-	}
-}
-
-func TestReadBinaryRejectsGarbage(t *testing.T) {
-	if _, err := ReadBinary(strings.NewReader("not a dbtouch file")); err == nil {
-		t.Fatal("garbage should be rejected")
-	}
-	if _, err := ReadBinary(strings.NewReader("DBT1")); err == nil {
-		t.Fatal("truncated file should be rejected")
-	}
-}
-
 func TestParseType(t *testing.T) {
 	for in, want := range map[string]Type{
 		"INT": Int64, "int64": Int64, "FLOAT": Float64,

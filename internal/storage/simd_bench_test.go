@@ -1,6 +1,9 @@
 package storage
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // Paired scalar-vs-SIMD benchmarks: the same dispatched entry points as
 // the tracked kernel benchmarks, once with the SIMD flags forced off and
@@ -49,37 +52,19 @@ func BenchmarkSIMDMinMaxRange(b *testing.B) {
 	}
 }
 
-func BenchmarkSIMDFilterSumRange(b *testing.B) {
-	for _, typ := range []string{"int64"} {
-		c := benchCols()[typ]
-		for _, sel := range selectivities {
-			b.Run(typ+"/"+sel.label, func(b *testing.B) {
-				benchPair(b, func(b *testing.B) {
-					b.SetBytes(benchRows * 8)
-					for i := 0; i < b.N; i++ {
-						fa := c.FilterSumRange(0, benchRows, RangeLt, IntValue(sel.operand))
-						sinkF = fa.Sum
-						sinkN = fa.N
-					}
-				})
+// BenchmarkSIMDFusedBlocked pairs the int64 blocked scans — the only
+// fused inner loops with assembly behind them — at the served chunk width,
+// where a 1024-value chunk amortizes the SIMD call less than a whole-column
+// sweep would.
+func BenchmarkSIMDFusedBlocked(b *testing.B) {
+	c := benchIntCol()
+	operand := fusedBenchOperand("int64", selectivities[1]) // sel50
+	for _, mode := range []FusedMode{FusedCount, FusedSum, FusedMinMax} {
+		for _, span := range benchSpans {
+			b.Run(fmt.Sprintf("int64/%s/sel50/span%d", fusedModeLabels[mode], span), func(b *testing.B) {
+				benchPair(b, func(b *testing.B) { benchFusedBlocked(b, c, span, operand, mode) })
 			})
 		}
-	}
-}
-
-func BenchmarkSIMDFilterAggRange(b *testing.B) {
-	c := benchIntCol()
-	for _, sel := range selectivities {
-		b.Run("int64/"+sel.label, func(b *testing.B) {
-			benchPair(b, func(b *testing.B) {
-				b.SetBytes(benchRows * 8)
-				for i := 0; i < b.N; i++ {
-					fa := c.FilterAggRange(0, benchRows, RangeLt, IntValue(sel.operand))
-					sinkF = fa.Sum
-					sinkN = fa.N
-				}
-			})
-		})
 	}
 }
 

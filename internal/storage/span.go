@@ -236,13 +236,6 @@ func (c *Column) MinMaxRange(lo, hi int) (mn, mx float64, n int) {
 	return math.Inf(1), math.Inf(-1), 0
 }
 
-// CountRange reports how many stored values fall in [lo, hi) after
-// clamping.
-func (c *Column) CountRange(lo, hi int) int {
-	lo, hi = c.clampRange(lo, hi)
-	return hi - lo
-}
-
 // AddRangeTo feeds the float coercion of values [lo, hi) in ascending
 // order into add — the per-value span path for order-sensitive consumers
 // (Welford variance) that still avoids Value boxing and per-call type

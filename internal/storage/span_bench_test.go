@@ -64,12 +64,14 @@ func benchCols() map[string]*Column {
 	}
 }
 
-// selectivities maps label → operand for `v < operand` over values
-// uniform in [0, 100).
-var selectivities = []struct {
+// selectivity pairs a label with the operand of `v < operand` that
+// yields it over values uniform in [0, 100).
+type selectivity struct {
 	label   string
 	operand int64
-}{
+}
+
+var selectivities = []selectivity{
 	{"sel01", 1},
 	{"sel50", 50},
 	{"sel99", 99},
@@ -121,73 +123,99 @@ func BenchmarkFilterRange(b *testing.B) {
 	}
 }
 
-func BenchmarkFilterAggRange(b *testing.B) {
-	for _, typ := range []string{"int64", "float64", "bool", "string"} {
-		c := benchCols()[typ]
-		for _, sel := range selectivities {
-			operand := IntValue(sel.operand)
-			if typ == "bool" {
-				operand = IntValue(1)
-			}
-			if typ == "string" {
-				operand = StringValue(fmt.Sprintf("w%02d", sel.operand))
-			}
-			b.Run(typ+"/"+sel.label, func(b *testing.B) {
-				b.SetBytes(benchRows * 8)
-				for i := 0; i < b.N; i++ {
-					fa := c.FilterAggRange(0, benchRows, RangeLt, operand)
-					sinkF = fa.Sum
-					sinkN = fa.N
+// Spans the blocked benchmarks scan: a short slide step, scan_direct's
+// median span (bench/'s storage.span_rows_p50) and a full-height sweep.
+var benchSpans = []int{4096, 120_000, 1_000_000}
+
+const (
+	// benchBlockLen is iomodel's default BlockValues — the chunk width
+	// operator.FuseFilterAgg passes for a tracked column.
+	benchBlockLen = 1024
+	// benchSpanLo starts every span mid-block, as a slide step does, so
+	// the first and last chunks are partial.
+	benchSpanLo = 500
+)
+
+// fusedBenchCases are the (type, mode) pairs core.Object.trySlideFused
+// can hand the blocked scan: count, sum/avg and min/max over every type
+// except a float sum, which stays on the selection-vector path. Bool and
+// string columns run at 50% only: their inner loops are table lookups the
+// operand does not change.
+var fusedBenchCases = []struct {
+	typ   string
+	modes []FusedMode
+	sels  []selectivity
+}{
+	{"int64", []FusedMode{FusedCount, FusedSum, FusedMinMax}, selectivities},
+	{"float64", []FusedMode{FusedCount, FusedMinMax}, selectivities},
+	{"bool", []FusedMode{FusedCount, FusedSum, FusedMinMax}, selectivities[1:2]},
+	{"string", []FusedMode{FusedCount, FusedSum, FusedMinMax}, selectivities[1:2]},
+}
+
+var fusedModeLabels = map[FusedMode]string{FusedCount: "count", FusedSum: "sum", FusedMinMax: "minmax"}
+
+// fusedBenchOperand is the `v < operand` operand that gives sel on the
+// bench column of the given type.
+func fusedBenchOperand(typ string, sel selectivity) Value {
+	switch typ {
+	case "bool":
+		return IntValue(1)
+	case "string":
+		return StringValue(fmt.Sprintf("w%02d", sel.operand))
+	default:
+		return IntValue(sel.operand)
+	}
+}
+
+// benchFusedBlocked times one blocked scan shaped like a served fused
+// slide: cost-model-sized chunks and a live per-block charge callback.
+func benchFusedBlocked(b *testing.B, c *Column, span int, operand Value, mode FusedMode) {
+	b.SetBytes(int64(span) * 8)
+	charged := 0
+	onBlock := func(_, k int) { charged += k }
+	for i := 0; i < b.N; i++ {
+		fa := c.FilterAggRangeBlocked(benchSpanLo, benchSpanLo+span, benchBlockLen, RangeLt, operand, mode, onBlock)
+		sinkF = fa.Sum
+		sinkN = fa.N
+	}
+	sinkN += charged
+}
+
+// BenchmarkFusedBlocked is the fused path exactly as the touch pipeline
+// runs it (operator.FuseFilterAgg → FilterAggRangeBlocked). The
+// FilterThen…Compose benchmarks below are the unfused shapes it replaces;
+// compare them against the span1000000 rows.
+func BenchmarkFusedBlocked(b *testing.B) {
+	cols := benchCols()
+	for _, bc := range fusedBenchCases {
+		c := cols[bc.typ]
+		for _, mode := range bc.modes {
+			for _, sel := range bc.sels {
+				operand := fusedBenchOperand(bc.typ, sel)
+				for _, span := range benchSpans {
+					name := fmt.Sprintf("%s/%s/%s/span%d", bc.typ, fusedModeLabels[mode], sel.label, span)
+					b.Run(name, func(b *testing.B) { benchFusedBlocked(b, c, span, operand, mode) })
 				}
-			})
+			}
 		}
 	}
 }
 
-func BenchmarkFilterCountRange(b *testing.B) {
-	c := benchIntCol()
-	for _, sel := range selectivities {
-		b.Run("int64/"+sel.label, func(b *testing.B) {
-			b.SetBytes(benchRows * 8)
-			for i := 0; i < b.N; i++ {
-				sinkN = c.FilterCountRange(0, benchRows, RangeLt, IntValue(sel.operand))
-			}
-		})
-	}
-}
-
-func BenchmarkFilterAggSel(b *testing.B) {
+// BenchmarkFusedSelBlocked is the multi-conjunct form: the final conjunct
+// fused over the survivors of an earlier one (FilterAggSelBlocked).
+func BenchmarkFusedSelBlocked(b *testing.B) {
 	c := benchIntCol()
 	base := c.FilterRange(0, benchRows, RangeLt, IntValue(50), nil)
-	b.Run("int64/sel50of50", func(b *testing.B) {
+	b.Run("int64/sum/sel50of50", func(b *testing.B) {
 		b.SetBytes(int64(len(base)) * 8)
+		charged := 0
+		onBlock := func(_, k int) { charged += k }
 		for i := 0; i < b.N; i++ {
-			fa := c.FilterAggSel(base, RangeLt, IntValue(25))
+			fa := c.FilterAggSelBlocked(base, benchBlockLen, RangeLt, IntValue(25), FusedSum, onBlock)
 			sinkF = fa.Sum
 		}
+		sinkN = charged
 	})
-}
-
-// BenchmarkFilterSumRange is the sum-specialized fused kernel the
-// acceptance bar measures: it must run ≥ 2x faster than
-// BenchmarkFilterThenSumRangeOverSel (the unfused pipeline shape it
-// replaces) at ≥ 50% selectivity on 1M-row int64 — measured ~8x on the
-// reference container, and still ~1.6x against the idealized typed
-// gather compose (BenchmarkFilterThenSumCompose).
-func BenchmarkFilterSumRange(b *testing.B) {
-	for _, typ := range []string{"int64", "float64"} {
-		c := benchCols()[typ]
-		for _, sel := range selectivities {
-			b.Run(typ+"/"+sel.label, func(b *testing.B) {
-				b.SetBytes(benchRows * 8)
-				for i := 0; i < b.N; i++ {
-					fa := c.FilterSumRange(0, benchRows, RangeLt, IntValue(sel.operand))
-					sinkF = fa.Sum
-					sinkN = fa.N
-				}
-			})
-		}
-	}
 }
 
 // BenchmarkFilterThenSumCompose is the unfused sum reference:
@@ -256,9 +284,9 @@ func forEachRun(sel []int32, fn func(lo, hi int)) {
 	fn(int(runStart), int(prev)+1)
 }
 
-// BenchmarkFilterThenAggCompose is the unfused full-aggregate reference
-// for FilterAggRange: FilterRange materializes the selection, then a
-// second pass computes sum, count, min and max over it.
+// BenchmarkFilterThenAggCompose is the unfused full-aggregate reference:
+// FilterRange materializes the selection, then a second pass computes
+// sum, count, min and max over it.
 func BenchmarkFilterThenAggCompose(b *testing.B) {
 	c := benchIntCol()
 	for _, sel := range selectivities {

@@ -5,7 +5,10 @@ import "math"
 // Fused filter+aggregate kernels: when a WHERE-restricted slide only
 // feeds a running aggregate, materializing the qualifying positions is
 // pure overhead — the selection vector is written by one kernel, read
-// once by the next, and thrown away. The kernels here classify and
+// once by the next, and thrown away. The two exported scans,
+// FilterAggRangeBlocked and FilterAggSelBlocked (what
+// operator.FuseFilterAgg calls), lower the predicate once and run the
+// FusedMode-specialized chunk loops below, which classify and
 // aggregate in a single pass over the native backing slice with the same
 // branch-free predicate masks as FilterRange, turning the qualifying test
 // into integer mask arithmetic: sum += v&m, count += pass, and min/max
@@ -107,68 +110,6 @@ func (f filterAggInt) result() FilterAgg {
 	return agg
 }
 
-// FilterAggRange filters values [lo, hi) by `value op operand` (exactly
-// FilterRange's semantics) and aggregates the qualifying values in the
-// same pass, returning their count, sum, minimum and maximum — the fused
-// kernel behind WHERE + aggregate slides, which skips the selection
-// vector entirely. Equal by construction to FilterRange followed by
-// aggregation over the selection (asserted by TestFusedKernelsMatchCompose).
-//
-// All whole-range fused entry points (this one, FilterSumRange,
-// FilterMinMaxRange, FilterCountRange) lower the predicate once with
-// preparePred and run the mode-specialized fusedChunk inner loops — the
-// same kind-specialized kernels the blocked scans use, so the generic
-// entry points no longer pay the full count+sum+min/max bookkeeping when
-// the caller wants less.
-func (c *Column) FilterAggRange(lo, hi int, op RangeOp, operand Value) FilterAgg {
-	lo, hi = c.clampRange(lo, hi)
-	if hi == lo {
-		return emptyFilterAgg()
-	}
-	pp := c.preparePred(op, operand)
-	return c.fusedChunk(&pp, lo, hi, FusedFull)
-}
-
-// filterAggBools aggregates qualifying bool cells: the predicate has only
-// two possible outcomes, so the loop reduces to table lookups and the
-// extrema follow from the pass counts of zeros and ones.
-func filterAggBools(vals []byte, b float64, wLt, wGt, wEq int) FilterAgg {
-	var tab [2]int
-	tab[0] = passFloat(0, b, wLt, wGt, wEq)
-	tab[1] = passFloat(1, b, wLt, wGt, wEq)
-	cnt, ones := 0, 0
-	for _, v := range vals {
-		p := tab[v&1]
-		cnt += p
-		ones += p & int(v&1)
-	}
-	agg := FilterAgg{N: cnt, IntSum: int64(ones), Sum: float64(ones), Exact: true, Min: math.Inf(1), Max: math.Inf(-1)}
-	if cnt > 0 {
-		agg.Min, agg.Max = 1, 0
-		if cnt > ones { // at least one qualifying zero
-			agg.Min = 0
-		}
-		if ones > 0 {
-			agg.Max = 1
-		}
-	}
-	return agg
-}
-
-// FilterAggSel filters the positions of sel by `value op operand` and
-// aggregates the qualifying values in the same pass — the fused form of
-// FilterSel + aggregation for the final conjunct of a multi-conjunct
-// WHERE. Out-of-range positions are skipped, matching FilterSel. Like
-// the whole-range entry points, the selection forms all route through
-// the mode-specialized fusedSelChunk loops.
-func (c *Column) FilterAggSel(sel []int32, op RangeOp, operand Value) FilterAgg {
-	if len(sel) == 0 {
-		return emptyFilterAgg()
-	}
-	pp := c.preparePred(op, operand)
-	return c.fusedSelChunk(&pp, sel, c.Len(), FusedFull)
-}
-
 // sumMaskedLe counts and sums values v <= bound — the single-compare
 // masked loop, unrolled with independent accumulator pairs so the adds
 // overlap in the pipeline (the hottest fused inner loop).
@@ -227,12 +168,12 @@ func sumMaskedGe(vals []int64, bound int64) (cnt int, isum int64) {
 	return c0 + c1 + c2 + c3, s0 + s1 + s2 + s3
 }
 
-// filterSumIntsPred is the lowered-predicate fused filter+sum core: the
+// filterSumInt64 is the lowered-predicate fused filter+sum core: the
 // SIMD kernel when the build+host provides one (the interval compare
 // covers every predicate shape), else the shape-specialized scalar loops
 // — single-compare masked sums for the one-sided operators, the
 // two-compare interval test only for Eq/Ne.
-func filterSumIntsPred(vals []int64, p intPred) (cnt int, isum int64) {
+func filterSumInt64(vals []int64, p intPred) (cnt int, isum int64) {
 	if simdFilterSum && len(vals) >= simdMinSpan {
 		return simdFilterSumInt64(vals, p)
 	}
@@ -251,9 +192,9 @@ func filterSumIntsPred(vals []int64, p intPred) (cnt int, isum int64) {
 	}
 }
 
-// filterAggIntsPred is the lowered-predicate full filter+aggregate core:
+// filterAggInt64 is the lowered-predicate full filter+aggregate core:
 // the SIMD kernel when available, else the scalar masked-absorb loop.
-func filterAggIntsPred(vals []int64, p intPred) filterAggInt {
+func filterAggInt64(vals []int64, p intPred) filterAggInt {
 	if simdFilterAgg && len(vals) >= simdMinSpan {
 		return simdFilterAggInt64(vals, p)
 	}
@@ -262,67 +203,6 @@ func filterAggIntsPred(vals []int64, p intPred) filterAggInt {
 		f.absorb(v, p.test(v))
 	}
 	return f
-}
-
-// filterSumInts is the sum-specialized fused loop over int64 values: the
-// float comparison lowers to integer bounds (intPredFor), constant
-// predicates collapse to a plain multi-accumulator sum or nothing, and
-// everything else dispatches through filterSumIntsPred.
-func filterSumInts(vals []int64, b float64, op RangeOp) (cnt int, isum int64) {
-	p, none, all := intPredFor(op, b)
-	switch {
-	case none || len(vals) == 0:
-		return 0, 0
-	case all:
-		return len(vals), sumInt64Kernel(vals)
-	default:
-		return filterSumIntsPred(vals, p)
-	}
-}
-
-// FilterSumRange is the sum/avg-specialized fused kernel: count and sum
-// of the qualifying values in [lo, hi), skipping the min/max bookkeeping
-// FilterAggRange carries (the returned extrema are ±Inf). Semantics
-// otherwise identical to FilterAggRange.
-func (c *Column) FilterSumRange(lo, hi int, op RangeOp, operand Value) FilterAgg {
-	lo, hi = c.clampRange(lo, hi)
-	if hi == lo {
-		return emptyFilterAgg()
-	}
-	pp := c.preparePred(op, operand)
-	return c.fusedChunk(&pp, lo, hi, FusedSum)
-}
-
-// FilterSumSel is FilterSumRange over a prior selection.
-func (c *Column) FilterSumSel(sel []int32, op RangeOp, operand Value) FilterAgg {
-	if len(sel) == 0 {
-		return emptyFilterAgg()
-	}
-	pp := c.preparePred(op, operand)
-	return c.fusedSelChunk(&pp, sel, c.Len(), FusedSum)
-}
-
-// FilterMinMaxRange is the min/max-specialized fused kernel: count and
-// extrema of the qualifying values in [lo, hi), skipping the sum (the
-// returned Sum is 0). Semantics otherwise identical to FilterAggRange.
-func (c *Column) FilterMinMaxRange(lo, hi int, op RangeOp, operand Value) FilterAgg {
-	lo, hi = c.clampRange(lo, hi)
-	if hi == lo {
-		return emptyFilterAgg()
-	}
-	pp := c.preparePred(op, operand)
-	fa := c.fusedChunk(&pp, lo, hi, FusedMinMax)
-	return FilterAgg{N: fa.N, Min: fa.Min, Max: fa.Max}
-}
-
-// FilterMinMaxSel is FilterMinMaxRange over a prior selection.
-func (c *Column) FilterMinMaxSel(sel []int32, op RangeOp, operand Value) FilterAgg {
-	if len(sel) == 0 {
-		return emptyFilterAgg()
-	}
-	pp := c.preparePred(op, operand)
-	fa := c.fusedSelChunk(&pp, sel, c.Len(), FusedMinMax)
-	return FilterAgg{N: fa.N, Min: fa.Min, Max: fa.Max}
 }
 
 // FusedMode selects what a blocked fused scan maintains — the storage
@@ -395,7 +275,7 @@ func (c *Column) fusedChunk(pp *preparedPred, lo, hi int, mode FusedMode) Filter
 			if pp.all {
 				cnt, isum = len(vals), sumInt64Kernel(vals)
 			} else {
-				cnt, isum = filterSumIntsPred(vals, pp.ip)
+				cnt, isum = filterSumInt64(vals, pp.ip)
 			}
 			return FilterAgg{N: cnt, IntSum: isum, Sum: float64(isum), Exact: true, Min: math.Inf(1), Max: math.Inf(-1)}
 		case FusedCount:
@@ -414,7 +294,7 @@ func (c *Column) fusedChunk(pp *preparedPred, lo, hi int, mode FusedMode) Filter
 		default: // FusedMinMax, FusedFull
 			// pp.all lowers to the trivially-true interval, which the
 			// shared core handles without a special case.
-			f := filterAggIntsPred(vals, pp.ip)
+			f := filterAggInt64(vals, pp.ip)
 			fa := f.result()
 			if mode == FusedMinMax {
 				fa.Sum, fa.IntSum = 0, 0
@@ -508,9 +388,10 @@ func boolFilterAgg(cnt, ones int, mode FusedMode) FilterAgg {
 // in chunks aligned to blockLen boundaries, lowering the predicate once
 // for the whole scan and reporting each chunk's qualifying count to
 // onBlock (the cost-charging hook: one chunk never crosses a cost-model
-// block) before merging. Result-equal to the corresponding whole-range
-// kernel; the chunking only exists so callers can charge per block
-// without re-deriving the predicate per chunk.
+// block) before merging. Result-equal to FilterRange followed by a
+// scalar aggregation of the selection (asserted by
+// TestFusedKernelsMatchCompose); the chunking only exists so callers can
+// charge per block without re-deriving the predicate per chunk.
 func (c *Column) FilterAggRangeBlocked(lo, hi, blockLen int, op RangeOp, operand Value, mode FusedMode, onBlock func(start, count int)) FilterAgg {
 	lo, hi = c.clampRange(lo, hi)
 	total := emptyFilterAgg()
@@ -667,26 +548,4 @@ func (c *Column) fusedSelChunk(pp *preparedPred, sel []int32, n int, mode FusedM
 		return fa
 	}
 	return emptyFilterAgg()
-}
-
-// FilterCountRange reports how many values in [lo, hi) satisfy
-// `value op operand` — the fused kernel for COUNT-only consumers, which
-// drops even the sum/min/max bookkeeping. Branch-free on every type.
-func (c *Column) FilterCountRange(lo, hi int, op RangeOp, operand Value) int {
-	lo, hi = c.clampRange(lo, hi)
-	if hi == lo {
-		return 0
-	}
-	pp := c.preparePred(op, operand)
-	return c.fusedChunk(&pp, lo, hi, FusedCount).N
-}
-
-// FilterCountSel reports how many positions of sel satisfy
-// `value op operand` — the COUNT-only twin of FilterAggSel.
-func (c *Column) FilterCountSel(sel []int32, op RangeOp, operand Value) int {
-	if len(sel) == 0 {
-		return 0
-	}
-	pp := c.preparePred(op, operand)
-	return c.fusedSelChunk(&pp, sel, c.Len(), FusedCount).N
 }

@@ -7,14 +7,19 @@ import (
 	"testing"
 )
 
-// The fused-kernel property suite: every fused filter+aggregate kernel
-// must equal the compose-of-parts path — FilterRange (or FilterSel) to a
-// selection vector, then a scalar aggregation loop over the selection —
-// for all operators × column types × edge cases (NaN data and operands,
-// empty and inverted ranges, out-of-bounds clamping). CI runs this under
-// -race with the rest of the package.
+// The fused-kernel property suite: the blocked fused scans
+// (FilterAggRangeBlocked, FilterAggSelBlocked) must equal the
+// compose-of-parts path — FilterRange (or FilterSel) to a selection
+// vector, then a scalar aggregation loop over the selection — for all
+// operators × column types × modes × block lengths × edge cases (NaN data
+// and operands, empty and inverted ranges, out-of-bounds clamping). CI
+// runs this under -race with the rest of the package.
 
-var fusedOps = []RangeOp{RangeEq, RangeNe, RangeLt, RangeLe, RangeGt, RangeGe}
+var (
+	fusedOps       = []RangeOp{RangeEq, RangeNe, RangeLt, RangeLe, RangeGt, RangeGe}
+	fusedModes     = []FusedMode{FusedCount, FusedSum, FusedMinMax, FusedFull}
+	fusedBlockLens = []int{0, 1, 7, 64, 1024, 10000}
+)
 
 // composeAgg is the scalar reference: aggregate over the selection
 // exactly as a filter-then-add loop would — int64 accumulation for
@@ -22,29 +27,28 @@ var fusedOps = []RangeOp{RangeEq, RangeNe, RangeLt, RangeLe, RangeGt, RangeGe}
 // matches a float loop bitwise whenever that loop is itself exact, and
 // is the more accurate answer beyond 2^53), float left-to-right for
 // float columns.
-func composeAgg(c *Column, sel []int32) (n int, sum, mn, mx float64) {
-	mn, mx = math.Inf(1), math.Inf(-1)
-	exact := c.Type() != Float64
-	var isum int64
+func composeAgg(c *Column, sel []int32) FilterAgg {
+	want := emptyFilterAgg()
+	want.Exact = c.Type() != Float64
 	for _, p := range sel {
 		v := c.Float(int(p))
-		if exact {
-			isum += c.Int(int(p))
+		if want.Exact {
+			want.IntSum += c.Int(int(p))
 		} else {
-			sum += v
+			want.Sum += v
 		}
-		n++
-		if v < mn {
-			mn = v
+		want.N++
+		if v < want.Min {
+			want.Min = v
 		}
-		if v > mx {
-			mx = v
+		if v > want.Max {
+			want.Max = v
 		}
 	}
-	if exact {
-		sum = float64(isum)
+	if want.Exact {
+		want.Sum = float64(want.IntSum)
 	}
-	return n, sum, mn, mx
+	return want
 }
 
 // eqFloat compares aggregates bitwise, treating two NaNs as equal.
@@ -55,13 +59,14 @@ func eqFloat(a, b float64) bool {
 	return a == b
 }
 
-func checkAgainstCompose(t *testing.T, c *Column, lo, hi int, op RangeOp, operand Value, label string) {
+// composeRange is the reference answer for a range scan: FilterRange,
+// then composeAgg. FilterRange itself is first held to a scalar
+// Value.Compare loop, which anchors the whole suite to the system
+// comparison semantics — in particular the integer-bound lowering of
+// float comparisons.
+func composeRange(t *testing.T, c *Column, lo, hi int, op RangeOp, operand Value, label string) FilterAgg {
 	t.Helper()
 	sel := c.FilterRange(lo, hi, op, operand, nil)
-	// Ground truth: FilterRange itself must match a scalar Value.Compare
-	// loop (the compose reference below builds on FilterRange, so this
-	// anchors the whole suite to the system comparison semantics — in
-	// particular the integer-bound lowering of float comparisons).
 	clo, chi := c.clampRange(lo, hi)
 	want := sel[:0:0]
 	for i := clo; i < chi; i++ {
@@ -77,43 +82,45 @@ func checkAgainstCompose(t *testing.T, c *Column, lo, hi int, op RangeOp, operan
 			t.Fatalf("%s FilterRange[%d,%d) row %d = %d, Value.Compare loop = %d", label, lo, hi, i, sel[i], want[i])
 		}
 	}
-	wantN, wantSum, wantMin, wantMax := composeAgg(c, sel)
-	fa := c.FilterAggRange(lo, hi, op, operand)
-	if fa.N != wantN || !eqFloat(fa.Sum, wantSum) || !eqFloat(fa.Min, wantMin) || !eqFloat(fa.Max, wantMax) {
-		t.Fatalf("%s FilterAggRange[%d,%d) = %+v, compose = n=%d sum=%v min=%v max=%v",
-			label, lo, hi, fa, wantN, wantSum, wantMin, wantMax)
+	return composeAgg(c, sel)
+}
+
+// checkBlocked runs one blocked scan — scan hands the counting onBlock to
+// FilterAggRangeBlocked or FilterAggSelBlocked — and holds its result and
+// its per-chunk counts to want.
+func checkBlocked(t *testing.T, label string, typ Type, mode FusedMode, bl int, want FilterAgg, scan func(onBlock func(start, count int)) FilterAgg) {
+	t.Helper()
+	blocks, counted := 0, 0
+	got := scan(func(_, k int) { blocks++; counted += k })
+	label = fmt.Sprintf("%s mode=%d bl=%d", label, mode, bl)
+	checkModeAgainstFull(t, label, got, want, mode, typ, blocks)
+	if counted != want.N {
+		t.Fatalf("%s: onBlock counts sum to %d, want %d", label, counted, want.N)
 	}
-	if fa.Exact && fa.Sum != float64(fa.IntSum) {
-		t.Fatalf("%s exact sum mismatch: Sum=%v IntSum=%d", label, fa.Sum, fa.IntSum)
-	}
-	if got := c.FilterCountRange(lo, hi, op, operand); got != wantN {
-		t.Fatalf("%s FilterCountRange[%d,%d) = %d, want %d", label, lo, hi, got, wantN)
-	}
-	if fs := c.FilterSumRange(lo, hi, op, operand); fs.N != wantN || !eqFloat(fs.Sum, wantSum) {
-		t.Fatalf("%s FilterSumRange[%d,%d) = %+v, want n=%d sum=%v", label, lo, hi, fs, wantN, wantSum)
-	}
-	if fm := c.FilterMinMaxRange(lo, hi, op, operand); fm.N != wantN || !eqFloat(fm.Min, wantMin) || !eqFloat(fm.Max, wantMax) {
-		t.Fatalf("%s FilterMinMaxRange[%d,%d) = %+v, want n=%d min=%v max=%v", label, lo, hi, fm, wantN, wantMin, wantMax)
+}
+
+func checkAgainstCompose(t *testing.T, c *Column, lo, hi int, op RangeOp, operand Value, label string) {
+	t.Helper()
+	want := composeRange(t, c, lo, hi, op, operand, label)
+	label = fmt.Sprintf("%s range[%d,%d)", label, lo, hi)
+	for _, mode := range fusedModes {
+		for _, bl := range fusedBlockLens {
+			checkBlocked(t, label, c.Type(), mode, bl, want, func(onBlock func(int, int)) FilterAgg {
+				return c.FilterAggRangeBlocked(lo, hi, bl, op, operand, mode, onBlock)
+			})
+		}
 	}
 }
 
 func checkSelAgainstCompose(t *testing.T, c *Column, base []int32, op RangeOp, operand Value, label string) {
 	t.Helper()
-	refined := c.FilterSel(base, op, operand, nil)
-	wantN, wantSum, wantMin, wantMax := composeAgg(c, refined)
-	fa := c.FilterAggSel(base, op, operand)
-	if fa.N != wantN || !eqFloat(fa.Sum, wantSum) || !eqFloat(fa.Min, wantMin) || !eqFloat(fa.Max, wantMax) {
-		t.Fatalf("%s FilterAggSel = %+v, compose = n=%d sum=%v min=%v max=%v",
-			label, fa, wantN, wantSum, wantMin, wantMax)
-	}
-	if got := c.FilterCountSel(base, op, operand); got != wantN {
-		t.Fatalf("%s FilterCountSel = %d, want %d", label, got, wantN)
-	}
-	if fs := c.FilterSumSel(base, op, operand); fs.N != wantN || !eqFloat(fs.Sum, wantSum) {
-		t.Fatalf("%s FilterSumSel = %+v, want n=%d sum=%v", label, fs, wantN, wantSum)
-	}
-	if fm := c.FilterMinMaxSel(base, op, operand); fm.N != wantN || !eqFloat(fm.Min, wantMin) || !eqFloat(fm.Max, wantMax) {
-		t.Fatalf("%s FilterMinMaxSel = %+v, want n=%d min=%v max=%v", label, fm, wantN, wantMin, wantMax)
+	want := composeAgg(c, c.FilterSel(base, op, operand, nil))
+	for _, mode := range fusedModes {
+		for _, bl := range fusedBlockLens {
+			checkBlocked(t, label+" sel", c.Type(), mode, bl, want, func(onBlock func(int, int)) FilterAgg {
+				return c.FilterAggSelBlocked(base, bl, op, operand, mode, onBlock)
+			})
+		}
 	}
 }
 
@@ -208,59 +215,61 @@ func TestFusedKernelsMatchCompose(t *testing.T) {
 
 // TestBlockedKernelsMatchWholeRange asserts the blocked fused scans —
 // which lower the predicate once and chunk at cost-model block borders —
-// equal the whole-range kernels for every mode × type × block length,
-// and report per-chunk counts that sum to N.
+// equal the compose over the whole range and over the every-row
+// selection, for every mode × type × block length on a column long
+// enough to split into many chunks, and report per-chunk counts that sum
+// to N.
 func TestBlockedKernelsMatchWholeRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(131))
 	n := 1000
-	cols := fuzzColumns(rng, n)
-	modes := []FusedMode{FusedCount, FusedSum, FusedMinMax, FusedFull}
-	for _, c := range cols {
+	for _, c := range fuzzColumns(rng, n) {
+		base := c.FilterRange(0, n, RangeNe, IntValue(math.MaxInt64), nil)
 		for _, op := range fusedOps {
 			for oi, operand := range fuzzOperands(rng) {
-				whole := c.FilterAggRange(0, n, op, operand)
-				base := c.FilterRange(0, n, RangeNe, IntValue(math.MaxInt64), nil)
-				for _, mode := range modes {
-					for _, bl := range []int{0, 1, 7, 64, 10000} {
-						label := fmt.Sprintf("type=%v op=%d operand#%d mode=%d bl=%d", c.Type(), op, oi, mode, bl)
-						counted := 0
-						got := c.FilterAggRangeBlocked(0, n, bl, op, operand, mode, func(_, k int) { counted += k })
-						checkModeAgainstFull(t, label+" range", got, whole, mode, c.Type())
-						if counted != whole.N {
-							t.Fatalf("%s: onBlock counts sum to %d, want %d", label, counted, whole.N)
-						}
-						counted = 0
-						gotSel := c.FilterAggSelBlocked(base, bl, op, operand, mode, func(_, k int) { counted += k })
-						wholeSel := c.FilterAggSel(base, op, operand)
-						checkModeAgainstFull(t, label+" sel", gotSel, wholeSel, mode, c.Type())
-						if counted != wholeSel.N {
-							t.Fatalf("%s sel: onBlock counts sum to %d, want %d", label, counted, wholeSel.N)
-						}
-					}
-				}
+				label := fmt.Sprintf("type=%v op=%d operand#%d", c.Type(), op, oi)
+				checkAgainstCompose(t, c, 0, n, op, operand, label)
+				checkSelAgainstCompose(t, c, base, op, operand, label)
 			}
 		}
 	}
 }
 
 // checkModeAgainstFull compares a mode-restricted blocked result to the
-// full whole-range result: N always matches; the sum matches for
-// sum-maintaining modes (float sums only when unchunked semantics agree,
-// so float equality is checked only on integer-backed columns); extrema
-// match for extrema-maintaining modes.
-func checkModeAgainstFull(t *testing.T, label string, got, whole FilterAgg, mode FusedMode, typ Type) {
+// full compose result: N always matches; the sum matches for
+// sum-maintaining modes and the extrema for extrema-maintaining modes,
+// and what a mode does not maintain comes back as the empty value. A
+// Float64 sum is compared only when at most one chunk contributed
+// (blocks counts the onBlock calls): merging chunk partials reassociates
+// float addition, while a single chunk adds left to right exactly as the
+// compose does.
+func checkModeAgainstFull(t *testing.T, label string, got, want FilterAgg, mode FusedMode, typ Type, blocks int) {
 	t.Helper()
-	if got.N != whole.N {
-		t.Fatalf("%s: N = %d, want %d", label, got.N, whole.N)
+	if got.N != want.N {
+		t.Fatalf("%s: N = %d, want %d", label, got.N, want.N)
 	}
-	sumModes := mode == FusedSum || mode == FusedFull
-	if sumModes && typ != Float64 && got.IntSum != whole.IntSum {
-		t.Fatalf("%s: IntSum = %d, want %d", label, got.IntSum, whole.IntSum)
+	if got.Exact && got.Sum != float64(got.IntSum) {
+		t.Fatalf("%s: exact sum mismatch: Sum=%v IntSum=%d", label, got.Sum, got.IntSum)
 	}
-	if mode == FusedMinMax || mode == FusedFull {
-		if !eqFloat(got.Min, whole.Min) || !eqFloat(got.Max, whole.Max) {
-			t.Fatalf("%s: extrema = (%v, %v), want (%v, %v)", label, got.Min, got.Max, whole.Min, whole.Max)
+	switch {
+	case mode == FusedCount || mode == FusedMinMax:
+		if got.Sum != 0 || got.IntSum != 0 {
+			t.Fatalf("%s: unmaintained sum = %v/%d, want 0", label, got.Sum, got.IntSum)
 		}
+	case typ != Float64:
+		if got.IntSum != want.IntSum || !eqFloat(got.Sum, want.Sum) {
+			t.Fatalf("%s: sum = %v/%d, want %v/%d", label, got.Sum, got.IntSum, want.Sum, want.IntSum)
+		}
+	case blocks <= 1:
+		if !eqFloat(got.Sum, want.Sum) {
+			t.Fatalf("%s: float sum = %v, want %v", label, got.Sum, want.Sum)
+		}
+	}
+	wantMin, wantMax := want.Min, want.Max
+	if mode == FusedCount || mode == FusedSum {
+		wantMin, wantMax = math.Inf(1), math.Inf(-1)
+	}
+	if !eqFloat(got.Min, wantMin) || !eqFloat(got.Max, wantMax) {
+		t.Fatalf("%s: extrema = (%v, %v), want (%v, %v)", label, got.Min, got.Max, wantMin, wantMax)
 	}
 }
 
@@ -268,33 +277,38 @@ func checkModeAgainstFull(t *testing.T, label string, got, whole FilterAgg, mode
 // ±Inf and Sum 0, matching MinMaxRange over an empty range.
 func TestFilterAggRangeEmpty(t *testing.T) {
 	c := NewIntColumn("v", []int64{1, 2, 3})
-	fa := c.FilterAggRange(0, 3, RangeGt, IntValue(100))
+	fa := c.FilterAggRangeBlocked(0, 3, 0, RangeGt, IntValue(100), FusedFull, nil)
 	if fa.N != 0 || fa.Sum != 0 || !math.IsInf(fa.Min, 1) || !math.IsInf(fa.Max, -1) {
-		t.Fatalf("no-qualifier FilterAggRange = %+v", fa)
+		t.Fatalf("no-qualifier FilterAggRangeBlocked = %+v", fa)
 	}
-	fa = c.FilterAggRange(2, 2, RangeGe, IntValue(0))
+	fa = c.FilterAggRangeBlocked(2, 2, 0, RangeGe, IntValue(0), FusedFull, nil)
 	if fa.N != 0 || !math.IsInf(fa.Min, 1) {
-		t.Fatalf("empty-range FilterAggRange = %+v", fa)
+		t.Fatalf("empty-range FilterAggRangeBlocked = %+v", fa)
 	}
 }
 
 // TestFilterAggExactSums verifies the int64 accumulation is exact where
-// a float64 accumulator would round.
+// a float64 accumulator would round — within one chunk and across merged
+// chunks.
 func TestFilterAggExactSums(t *testing.T) {
 	big := int64(1) << 60
 	c := NewIntColumn("v", []int64{big, 1, big, 1, -big, 1})
-	fa := c.FilterAggRange(0, 6, RangeNe, IntValue(big))
-	// Qualifying values: 1, 1, -big, 1.
-	if !fa.Exact || fa.IntSum != 3-big {
-		t.Fatalf("exact sum = %+v, want IntSum %d", fa, 3-big)
-	}
-	if fa.N != 4 || fa.Min != float64(-big) || fa.Max != 1 {
-		t.Fatalf("extrema = %+v", fa)
+	for _, bl := range []int{0, 4} {
+		fa := c.FilterAggRangeBlocked(0, 6, bl, RangeNe, IntValue(big), FusedFull, nil)
+		// Qualifying values: 1, 1, -big, 1.
+		if !fa.Exact || fa.IntSum != 3-big {
+			t.Fatalf("bl=%d: exact sum = %+v, want IntSum %d", bl, fa, 3-big)
+		}
+		if fa.N != 4 || fa.Min != float64(-big) || fa.Max != 1 {
+			t.Fatalf("bl=%d: extrema = %+v", bl, fa)
+		}
 	}
 }
 
-// TestFilterAggMergeOrder verifies chunked scans merge to the whole-range
-// answer (the operator layer splits scans at cost-model block borders).
+// TestFilterAggMergeOrder verifies chunked scans merge to the
+// single-chunk answer (the operator layer splits scans at cost-model
+// block borders), both through Merge by hand and through the blocked
+// scan's own chunking.
 func TestFilterAggMergeOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	vals := make([]int64, 5000)
@@ -303,19 +317,19 @@ func TestFilterAggMergeOrder(t *testing.T) {
 	}
 	c := NewIntColumn("v", vals)
 	op, operand := RangeLt, IntValue(500)
-	whole := c.FilterAggRange(0, len(vals), op, operand)
-	var merged FilterAgg
-	merged.Min, merged.Max = math.Inf(1), math.Inf(-1)
-	for lo := 0; lo < len(vals); lo += 512 {
-		hi := lo + 512
-		if hi > len(vals) {
-			hi = len(vals)
-		}
-		chunk := c.FilterAggRange(lo, hi, op, operand)
-		merged.Merge(chunk)
+	whole := c.FilterAggRangeBlocked(0, len(vals), 0, op, operand, FusedFull, nil)
+	if want := composeAgg(c, c.FilterRange(0, len(vals), op, operand, nil)); whole != want {
+		t.Fatalf("whole = %+v, compose = %+v", whole, want)
 	}
-	if merged.N != whole.N || merged.Sum != whole.Sum || merged.Min != whole.Min || merged.Max != whole.Max || merged.IntSum != whole.IntSum {
+	merged := emptyFilterAgg()
+	for lo := 0; lo < len(vals); lo += 512 {
+		merged.Merge(c.FilterAggRangeBlocked(lo, lo+512, 0, op, operand, FusedFull, nil))
+	}
+	if merged != whole {
 		t.Fatalf("merged = %+v, whole = %+v", merged, whole)
+	}
+	if chunked := c.FilterAggRangeBlocked(0, len(vals), 512, op, operand, FusedFull, nil); chunked != whole {
+		t.Fatalf("chunked = %+v, whole = %+v", chunked, whole)
 	}
 }
 

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -76,6 +77,121 @@ func FuzzIntPredFor(f *testing.F) {
 		}
 		if all && want != 1 {
 			t.Fatalf("op=%d b=%v v=%d: flagged all but float reference fails", op, b, v)
+		}
+	})
+}
+
+// fuzzWords is the string-column dictionary and string-operand pool of
+// FuzzFusedBlocked: sorted neighbours, a trailing-space near-duplicate, an
+// above-everything word and the empty string.
+var fuzzWords = []string{"apple", "apple ", "banana", "fig", "pear", "quince", "zzz", ""}
+
+// FuzzFusedBlocked holds the blocked fused scans — the storage entry
+// points operator.FuseFilterAgg calls — to the scalar compose (FilterRange
+// or FilterSel, then a per-value loop) over a fuzzer-chosen column type,
+// range, block length, mode, operator and operand. The operand crosses
+// every coercion path: a raw float64 payload (NaN, ±Inf, ±2^53 and the
+// MinInt64/MaxInt64 rounding edges come from the seed corpus), the same
+// bits as an int64, or a string.
+func FuzzFusedBlocked(f *testing.F) {
+	for i, bb := range fuzzEdgeBits {
+		for typ := uint8(0); typ < 4; typ++ {
+			// opSel cycles op, mode and operand kind together.
+			f.Add(typ, int64(i), int16(-3), int16(300), uint16(7), uint8(i*25+int(typ)), bb)
+		}
+	}
+	for i, v := range fuzzEdgeInts {
+		f.Add(uint8(0), v, int16(0), int16(255), uint16(64), uint8(24+i*7), uint64(v))
+		f.Add(uint8(0), v, int16(5), int16(2), uint16(0), uint8(i), math.Float64bits(float64(v)))
+	}
+	f.Fuzz(func(t *testing.T, typByte uint8, seed int64, loRaw, hiRaw int16, blRaw uint16, opSel uint8, bBits uint64) {
+		op := RangeOp(opSel % 6)
+		mode := FusedMode(opSel / 6 % 4)
+		var operand Value
+		switch opSel / 24 % 3 {
+		case 0:
+			operand = FloatValue(math.Float64frombits(bBits))
+		case 1:
+			operand = IntValue(int64(bBits))
+		default:
+			operand = StringValue(fuzzWords[bBits%uint64(len(fuzzWords))])
+		}
+
+		// Deterministic column from the seed: a Weyl sequence mixed with
+		// the edge sets, so every run sits on lowering boundaries.
+		x := uint64(seed)
+		next := func() uint64 {
+			x = x*6364136223846793005 + 1442695040888963407
+			return x
+		}
+		n := int(next() >> 32 % 400)
+		var c *Column
+		switch typByte % 4 {
+		case 0:
+			v := make([]int64, n)
+			for i := range v {
+				if r := next(); r%4 == 0 {
+					v[i] = fuzzEdgeInts[(r>>32)%uint64(len(fuzzEdgeInts))]
+				} else {
+					v[i] = int64(r)
+				}
+			}
+			c = NewIntColumn("i", v)
+		case 1:
+			v := make([]float64, n)
+			for i := range v {
+				if r := next(); r%4 == 0 {
+					v[i] = math.Float64frombits(fuzzEdgeBits[(r>>32)%uint64(len(fuzzEdgeBits))])
+				} else {
+					v[i] = math.Float64frombits(r)
+				}
+			}
+			c = NewFloatColumn("f", v)
+		case 2:
+			v := make([]bool, n)
+			for i := range v {
+				v[i] = next()>>40&1 == 1
+			}
+			c = NewBoolColumn("b", v)
+		default:
+			v := make([]string, n)
+			for i := range v {
+				v[i] = fuzzWords[(next()>>32)%uint64(len(fuzzWords))]
+			}
+			c = NewStringColumn("s", v)
+		}
+
+		// Ranges reach past both ends and invert; block lengths run from
+		// "whole span" (0) through one value to wider than the column.
+		lo, hi := int(loRaw)%(n+16), int(hiRaw)%(n+16)
+		bl := int(blRaw % 1100)
+		// The selection form refines a thinned ascending base that ends in
+		// out-of-range positions, which both paths must skip.
+		base := make([]int32, 0, n+2)
+		for i := 0; i < n; i++ {
+			if next()>>33%3 != 0 {
+				base = append(base, int32(i))
+			}
+		}
+		base = append(base, int32(n), -1)
+
+		label := fmt.Sprintf("type=%v n=%d op=%d operand=%+v", c.Type(), n, op, operand)
+		check := func() {
+			want := composeRange(t, c, lo, hi, op, operand, label)
+			checkBlocked(t, fmt.Sprintf("%s range[%d,%d)", label, lo, hi), c.Type(), mode, bl, want, func(onBlock func(int, int)) FilterAgg {
+				return c.FilterAggRangeBlocked(lo, hi, bl, op, operand, mode, onBlock)
+			})
+			want = composeAgg(c, c.FilterSel(base, op, operand, nil))
+			checkBlocked(t, label+" sel", c.Type(), mode, bl, want, func(onBlock func(int, int)) FilterAgg {
+				return c.FilterAggSelBlocked(base, bl, op, operand, mode, onBlock)
+			})
+		}
+		check()
+		if simdAvailable() {
+			// Fuzz the scalar arm of the dispatched int loops too.
+			restore := setSIMD(false)
+			defer restore()
+			check()
 		}
 	})
 }

@@ -51,11 +51,11 @@ func TestMinMaxRange(t *testing.T) {
 
 func TestCountRangeClamps(t *testing.T) {
 	c := NewIntColumn("v", make([]int64, 10))
-	if got := c.CountRange(-5, 7); got != 7 {
-		t.Fatalf("CountRange = %d", got)
+	if _, _, got := c.MinMaxRange(-5, 7); got != 7 {
+		t.Fatalf("MinMaxRange count = %d", got)
 	}
-	if got := c.CountRange(8, 100); got != 2 {
-		t.Fatalf("CountRange = %d", got)
+	if got := c.AddRangeTo(8, 100, func(float64) {}); got != 2 {
+		t.Fatalf("AddRangeTo count = %d", got)
 	}
 }
 
@@ -120,19 +120,6 @@ func TestFilterRangeMixedTypeCoercion(t *testing.T) {
 	sel := c.FilterRange(0, 3, RangeGe, FloatValue(2.5), nil)
 	if len(sel) != 1 || sel[0] != 2 {
 		t.Fatalf("mixed coercion sel = %v", sel)
-	}
-}
-
-func TestGatherTyped(t *testing.T) {
-	sc := NewStringColumn("s", []string{"x", "y", "z"})
-	g := sc.Gather([]int{2, 0, 5})
-	if g.Len() != 2 || g.Value(0).S != "z" || g.Value(1).S != "x" {
-		t.Fatalf("string Gather = %v", g)
-	}
-	bc := NewBoolColumn("b", []bool{true, false, true})
-	gb := bc.Gather([]int{1, 2})
-	if gb.Len() != 2 || gb.Value(0).B || !gb.Value(1).B {
-		t.Fatalf("bool Gather broken")
 	}
 }
 

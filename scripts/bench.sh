@@ -9,6 +9,9 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 benchtime="${1:-1s}"
+# go test appends -GOMAXPROCS to benchmark names (unless it is 1); strip
+# it so a row keeps its name across hosts and the header carries the value.
+procs="${GOMAXPROCS:-$(nproc)}"
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
 
@@ -34,13 +37,16 @@ go test -run=NONE -bench='BenchmarkResultFrame(Encode|Decode)(Binary|JSON)$' -be
 
 awk -v go_version="$(go version)" \
     -v goamd64="$(go env GOAMD64)" \
+    -v procs="$procs" \
     -v cpu_features="${cpu_features:-}" \
     -v triad_mbps="${triad_mbps:-0}" \
     -v read_mbps="${read_mbps:-0}" \
     -v read_llc_mbps="${read_llc_mbps:-0}" '
 /^cpu:/ { sub(/^cpu: */, ""); cpu = $0 }
 /^Benchmark/ {
-    line = sprintf("    {\"name\": \"%s\", \"iters\": %s, \"metrics\": {", $1, $2)
+    name = $1
+    if (procs != 1) sub("-" procs "$", "", name)
+    line = sprintf("    {\"name\": \"%s\", \"iters\": %s, \"metrics\": {", name, $2)
     m = 0
     for (i = 3; i + 1 <= NF; i += 2) {
         if (m++) line = line ", "
@@ -53,6 +59,7 @@ END {
     printf "  \"go\": \"%s\",\n", go_version
     printf "  \"cpu\": \"%s\",\n", cpu
     printf "  \"goamd64\": \"%s\",\n", goamd64
+    printf "  \"gomaxprocs\": %s,\n", procs
     printf "  \"cpu_features\": \"%s\",\n", cpu_features
     printf "  \"stream_triad_mbps\": %s,\n", triad_mbps
     printf "  \"stream_read_mbps\": %s,\n", read_mbps
