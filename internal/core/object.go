@@ -277,8 +277,9 @@ func (o *Object) processSlideStep(ev gesture.Event) {
 // Multi-conjunct WHEREs evaluate all but the final conjunct normally and
 // fuse the last one over the survivors (see AdaptiveOptimizer.FusionPlan
 // for when that split is offered). Charging is byte-compatible with the
-// unfused path, so the emitted stream — values, counts, virtual times —
-// is identical to both the selection-vector path and the scalar
+// unfused path and the scan continues the running sum in row order on
+// every column type, so the emitted stream — values, counts, virtual
+// times — is identical to both the selection-vector path and the scalar
 // reference. It reports whether it handled the touch; eligibility checks
 // all run before any charging, so a false return falls through to the
 // unfused path with no cost double-counted.
@@ -290,15 +291,6 @@ func (o *Object) trySlideFused(id, level, spanLo, spanHi int) bool {
 		return false
 	}
 	if o.optimizer == nil || o.optimizer.Len() == 0 || o.agg == nil || !operator.FusableAgg(o.agg.Kind()) {
-		return false
-	}
-	// Float sums are order-sensitive: the fused scan merges chunk
-	// partials, which reassociates addition and breaks bit-identity with
-	// the scalar reference's per-value adds. Sum-consuming kinds over
-	// float columns stay on the unfused path; min/max/count fuse fine
-	// (exact on any data).
-	if col, err := o.column(); err == nil && col.Type() == storage.Float64 &&
-		(o.agg.Kind() == operator.Sum || o.agg.Kind() == operator.Avg) {
 		return false
 	}
 	final, prefixLen, ok := o.optimizer.FusionPlan(o.colIdx)
@@ -337,14 +329,13 @@ func (o *Object) trySlideFused(id, level, spanLo, spanHi int) bool {
 			return true
 		}
 	}
-	fa := operator.FuseFilterAgg(lvl.Col, spanLo, spanHi, sel, final.Op, final.Operand, o.trackerFor(final.Col), lvl.Tracker, o.agg.Kind())
+	qualified := o.agg.FuseFilter(lvl.Col, spanLo, spanHi, sel, final.Op, final.Operand, o.trackerFor(final.Col), lvl.Tracker)
 	o.optimizer.NoteSpan(spanHi - spanLo)
 	o.kernel.counters.Add("touch.fused", 1)
-	if fa.N == 0 {
+	if qualified == 0 {
 		o.kernel.counters.Add("touch.filtered", 1)
 		return true
 	}
-	o.agg.AddSpan(int64(fa.N), fa.Sum, fa.Min, fa.Max)
 	o.kernel.emit(Result{
 		Kind: AggregateValue, ObjectID: o.id, TupleID: id,
 		Agg: o.agg.Value(), N: o.agg.N(), Level: level,
@@ -395,15 +386,6 @@ func clampIdx(idx, n int) int {
 		return n - 1
 	}
 	return idx
-}
-
-// chargeSelRuns charges one read per selected row, batching contiguous
-// runs of the ascending selection through ranged accounting.
-func chargeSelRuns(tr *iomodel.Tracker, sel []int32) {
-	if tr == nil {
-		return
-	}
-	operator.ForEachRun(sel, func(lo, hi int) { tr.AccessRange(lo, hi) })
 }
 
 // slideColumn executes the configured mode against the column hierarchy
@@ -502,7 +484,7 @@ func (o *Object) slideAggregateColumn(prevID, id, level int, sel []int32) {
 				o.agg.Add(lvl.Col.Float(int(r)))
 			}
 		} else {
-			chargeSelRuns(lvl.Tracker, sel)
+			operator.ChargeSelection(lvl.Tracker, sel)
 			for _, r := range sel {
 				o.agg.Add(lvl.Col.Float(int(r)))
 			}

@@ -402,16 +402,34 @@ func TestSpanEquivalenceFusedAggregate(t *testing.T) {
 	}
 }
 
-// TestSpanEquivalenceFusedFloatColumn pins the float-order contract:
-// float columns fuse only the exact kinds (min/max/count); sum and avg
-// are order-sensitive, stay on the unfused path, and every kind's
-// stream is byte-identical to the scalar reference either way.
-func TestSpanEquivalenceFusedFloatColumn(t *testing.T) {
-	mkFloats := func() *storage.Matrix {
-		rng := rand.New(rand.NewSource(61))
-		vals := make([]float64, 40000)
+// orderSensitiveFloats builds a float column factory whose running sum
+// shows any reassociation: full-mantissa values round differently in
+// every order, a rare ±1e16 lifts the sum to where a lone small addend is
+// lost but a span's partial sum is not (rare, so the sum never grows past
+// where partial sums vanish too), -0 survives only until a +0 joins it,
+// and subnormals vanish against anything. With specials the last fifth
+// also holds NaN and ±Inf, so the stream first runs on finite sums and
+// then has to carry the poisoned ones identically.
+func orderSensitiveFloats(seed int64, n int, specials bool) func() *storage.Matrix {
+	return func() *storage.Matrix {
+		rng := rand.New(rand.NewSource(seed))
+		vals := make([]float64, n)
 		for i := range vals {
-			vals[i] = rng.NormFloat64() * 5
+			switch k := rng.Intn(2000); {
+			case k == 0:
+				vals[i] = math.Copysign(1e16, rng.Float64()-0.5)
+			case k < 200:
+				vals[i] = 1
+			case k < 400:
+				vals[i] = math.Copysign(0, -1)
+			case k < 500:
+				vals[i] = math.SmallestNonzeroFloat64
+			default:
+				vals[i] = rng.NormFloat64() * 5
+			}
+			if specials && i > n*4/5 && rng.Intn(40) == 0 {
+				vals[i] = []float64{math.NaN(), math.Inf(1), math.Inf(-1)}[rng.Intn(3)]
+			}
 		}
 		m, err := storage.NewMatrix("t", storage.NewFloatColumn("v", vals))
 		if err != nil {
@@ -419,26 +437,46 @@ func TestSpanEquivalenceFusedFloatColumn(t *testing.T) {
 		}
 		return m
 	}
-	filters := []operator.Predicate{{Col: 0, Op: operator.Lt, Operand: storage.FloatValue(1.0)}}
-	for _, tc := range []struct {
-		kind  operator.AggKind
-		fuses bool
+}
+
+// TestSpanEquivalenceFusedFloatColumn pins the float-order contract:
+// every fusable kind fuses over a float column — sum and avg included —
+// and its stream is byte-identical to the scalar reference, because the
+// fused scan continues the running sum one qualifier at a time in
+// position order. The data makes any other order visible, sliding both
+// ways; `<= 2e16` lets NaN qualify (Value.Compare ranks it equal), `< 1`
+// keeps the sum finite.
+func TestSpanEquivalenceFusedFloatColumn(t *testing.T) {
+	cases := []struct {
+		name    string
+		data    func() *storage.Matrix
+		op      operator.CmpOp
+		operand float64
+		path    []float64 // fractional heights the finger visits in turn
 	}{
-		{operator.Sum, false}, {operator.Avg, false},
-		{operator.Min, true}, {operator.Max, true}, {operator.Count, true},
-	} {
-		t.Run(tc.kind.String(), func(t *testing.T) {
-			p := newEquivPair(t, nil)
-			obj := p.addColumn(mkFloats, 0, touchos.NewRect(2, 2, 2, 10))
-			p.setActions(obj, Actions{Mode: ModeAggregate, Agg: tc.kind, Filters: filters})
-			p.slide(obj, 0, 1, 1200*time.Millisecond)
-			p.slide(obj, 1, 0.1, 700*time.Millisecond)
-			fused := p.vector.Counters().Get("touch.fused")
-			if tc.fuses && fused == 0 {
-				t.Fatalf("%v over floats should fuse but did not", tc.kind)
-			}
-			if !tc.fuses && fused != 0 {
-				t.Fatalf("%v over floats fused (%d touches) — float sums must keep scalar order", tc.kind, fused)
+		{"finite_down", orderSensitiveFloats(61, 40000, false), operator.Lt, 1.0, []float64{0, 1, 0.45, 1}},
+		{"finite_up", orderSensitiveFloats(62, 40000, false), operator.Ge, -3.0, []float64{1, 0, 0.45, 0}},
+		{"specials_down", orderSensitiveFloats(63, 40000, true), operator.Le, 2e16, []float64{0, 1, 0.45, 1}},
+		{"specials_up", orderSensitiveFloats(64, 40000, true), operator.Ne, 1.0, []float64{0.75, 0, 1, 0.45}},
+	}
+	for _, kind := range []operator.AggKind{operator.Sum, operator.Avg, operator.Min, operator.Max, operator.Count} {
+		t.Run(kind.String(), func(t *testing.T) {
+			for _, tc := range cases {
+				t.Run(tc.name, func(t *testing.T) {
+					filters := []operator.Predicate{{Col: 0, Op: tc.op, Operand: storage.FloatValue(tc.operand)}}
+					p := newEquivPair(t, nil)
+					obj := p.addColumn(tc.data, 0, touchos.NewRect(2, 2, 2, 10))
+					p.setActions(obj, Actions{Mode: ModeAggregate, Agg: kind, Filters: filters})
+					for i := 1; i < len(tc.path); i++ {
+						p.slide(obj, tc.path[i-1], tc.path[i], 900*time.Millisecond)
+					}
+					if p.vector.Counters().Get("touch.fused") == 0 {
+						t.Fatalf("%v over floats never took the fused path", kind)
+					}
+					if p.scalar.Counters().Get("touch.fused") != 0 {
+						t.Fatal("scalar kernel took the fused path")
+					}
+				})
 			}
 		})
 	}
@@ -463,37 +501,47 @@ func TestSpanEquivalenceFusedSelective(t *testing.T) {
 // TestSpanEquivalenceFusedMultiConjunct drives the FilterSel-fused form:
 // with adaptation disabled (fixed conjunct order) and the final conjunct
 // reading the aggregated column, the prefix conjuncts evaluate normally
-// and the last fuses with the aggregate over the survivors.
+// and the last fuses with the aggregate over the survivors — over an
+// integer column, and over an order-sensitive float one.
 func TestSpanEquivalenceFusedMultiConjunct(t *testing.T) {
-	mk := func() *storage.Matrix {
-		rng := rand.New(rand.NewSource(59))
-		n := 50000
-		v := make([]int64, n)
-		a := make([]int64, n)
-		for i := range v {
-			v[i] = rng.Int63n(1000)
-			a[i] = int64((i / 3000) % 4)
-		}
-		m, err := storage.NewMatrix("t",
-			storage.NewIntColumn("v", v),
-			storage.NewIntColumn("a", a),
-		)
-		if err != nil {
-			panic(err)
-		}
-		return m
+	const n = 50000
+	gate := make([]int64, n)
+	for i := range gate {
+		gate[i] = int64((i / 3000) % 4)
 	}
-	filters := []operator.Predicate{
-		{Col: 1, Op: operator.Ne, Operand: storage.IntValue(2)},
-		{Col: 0, Op: operator.Ge, Operand: storage.IntValue(250)},
+	// withGate pairs a one-column factory's values with the gate column.
+	withGate := func(values func() *storage.Matrix) func() *storage.Matrix {
+		return func() *storage.Matrix {
+			v, err := values().Column(0)
+			if err != nil {
+				panic(err)
+			}
+			m, err := storage.NewMatrix("t", v, storage.NewIntColumn("a", gate))
+			if err != nil {
+				panic(err)
+			}
+			return m
+		}
 	}
-	p := newEquivPair(t, func(c *Config) { c.AdaptiveOpt = false })
-	obj := p.addColumn(mk, 0, touchos.NewRect(2, 2, 2, 10))
-	p.setActions(obj, Actions{Mode: ModeAggregate, Agg: operator.Avg, Filters: filters})
-	p.slide(obj, 0, 1, 1600*time.Millisecond)
-	p.slide(obj, 1, 0.1, 900*time.Millisecond)
-	if fused := p.vector.Counters().Get("touch.fused"); fused == 0 {
-		t.Fatal("vector kernel never took the fused multi-conjunct path")
+	for _, tc := range []struct {
+		name  string
+		data  func() *storage.Matrix
+		final operator.Predicate
+	}{
+		{"int", withGate(randInts(59, n, 1000)), operator.Predicate{Col: 0, Op: operator.Ge, Operand: storage.IntValue(250)}},
+		{"float", withGate(orderSensitiveFloats(67, n, false)), operator.Predicate{Col: 0, Op: operator.Lt, Operand: storage.FloatValue(2.5)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			filters := []operator.Predicate{{Col: 1, Op: operator.Ne, Operand: storage.IntValue(2)}, tc.final}
+			p := newEquivPair(t, func(c *Config) { c.AdaptiveOpt = false })
+			obj := p.addColumn(tc.data, 0, touchos.NewRect(2, 2, 2, 10))
+			p.setActions(obj, Actions{Mode: ModeAggregate, Agg: operator.Avg, Filters: filters})
+			p.slide(obj, 0, 1, 1600*time.Millisecond)
+			p.slide(obj, 1, 0.1, 900*time.Millisecond)
+			if fused := p.vector.Counters().Get("touch.fused"); fused == 0 {
+				t.Fatal("vector kernel never took the fused multi-conjunct path")
+			}
+		})
 	}
 }
 

@@ -80,11 +80,14 @@ func ParseAggKind(s string) (AggKind, error) {
 }
 
 // FusableAgg reports whether kind's running state can absorb a fused
-// filter+aggregate result through RunningAgg.AddSpan: count, sum, avg,
-// min and max merge exactly from (n, sum, min, max); the Welford variance
-// family is order-sensitive and must absorb values one at a time. The
-// fusion dispatch (FuseFilterAgg, core's trySlideFused) consults this
-// before routing a filtered slide through the fused kernels.
+// filter+aggregate scan through RunningAgg.FuseFilter: count, sum, avg,
+// min and max need only (n, sum, min, max), which the scan continues
+// exactly as per-row Adds would — over float columns too, since it
+// carries the running sum through the span one qualifier at a time. The
+// Welford variance family needs the mean and m2 updated per value and
+// must absorb values one at a time. The fusion dispatch (core's
+// trySlideFused) consults this before routing a filtered slide through
+// the fused kernels.
 func FusableAgg(kind AggKind) bool {
 	switch kind {
 	case Count, Sum, Avg, Min, Max:

@@ -1,8 +1,6 @@
 package operator
 
 import (
-	"math"
-
 	"dbtouch/internal/iomodel"
 	"dbtouch/internal/storage"
 )
@@ -16,31 +14,63 @@ import (
 // and re-reading it.
 //
 // Charging stays byte-compatible with the unfused pipeline (EvalRange,
-// then per-run charging, then per-row absorption): the predicate column's
+// then ChargeSelection, then per-row absorption): the predicate column's
 // tracker is charged for every evaluated row exactly as EvalRange
 // charges, and the value tracker is charged per qualifying value block by
 // block — the fused scan is chunked at the cost model's block size, and
-// each chunk reports how many values qualified inside its block. The
-// virtual cost model decomposes per (block, count), so these charges are
-// indistinguishable from the per-run charges of a materialized selection.
+// each chunk reports how many values qualified inside its block, which
+// is what ChargeSelection derives from a materialized selection.
+//
+// The aggregate stays bit-compatible with per-row absorption too, on
+// every column type: the scan is seeded with the running sum and float
+// qualifiers join it one by one in position order (integer-backed spans
+// sum exactly and join it in one addition), so no kind is left behind on
+// the selection-vector path for ordering reasons.
 
-// FuseFilterAgg evaluates one WHERE conjunct over col fused with
-// aggregation of the same column's qualifying values. With sel == nil the
-// conjunct covers the base span [lo, hi); otherwise it refines the
-// surviving selection sel of earlier conjuncts (the FilterSel-fused form)
-// and lo/hi are ignored. kind selects the aggregate-specialized kernel:
+// FuseFilter evaluates one WHERE conjunct over col fused with the
+// absorption of the same column's qualifying values into a — what a
+// filtered aggregate slide step runs. With sel == nil the conjunct covers
+// the base span [lo, hi); otherwise it refines the surviving selection
+// sel of earlier conjuncts (the FilterSel-fused form) and lo/hi are
+// ignored. The scan continues a's running sum and the result replaces
+// it, so a ends up exactly where an Add per qualifying row, in position
+// order, would have left its count, sum and extrema (the Welford state is
+// not maintained: see FusableAgg). It returns how many values qualified.
+// Trackers are charged as FuseFilterAgg documents.
+func (a *RunningAgg) FuseFilter(col *storage.Column, lo, hi int, sel []int32, op CmpOp, operand storage.Value, predTracker, valTracker *iomodel.Tracker) int {
+	fa := fuseFilterAgg(col, lo, hi, sel, op, operand, predTracker, valTracker, a.kind, a.sum)
+	a.n += int64(fa.N)
+	a.sum = fa.Sum
+	if fa.Min < a.min {
+		a.min = fa.Min
+	}
+	if fa.Max > a.max {
+		a.max = fa.Max
+	}
+	return fa.N
+}
+
+// FuseFilterAgg is the scan behind RunningAgg.FuseFilter on its own,
+// seeded with 0: the span's own count, sum and extrema, for a caller that
+// absorbs them itself. kind selects the aggregate-specialized kernel:
 // COUNT runs the count-only kernels, SUM/AVG the sum kernels (extrema
 // come back ±Inf), MIN/MAX the extrema kernels (sum comes back 0) —
 // each skips the bookkeeping its consumer ignores, which is most of the
 // per-element cost. Unfusable kinds fall back to the full kernel.
 //
 // predTracker is charged for every evaluated row — AccessRange over the
-// span, or one read per selected row batched by contiguous runs — exactly
-// as Predicate.EvalRange charges. valTracker is charged one read per
+// span, or ChargeSelection over the prior selection — exactly as
+// Predicate.EvalRange charges. valTracker is charged one read per
 // qualifying value, placed in the block that holds it, exactly as
-// per-run charging of the materialized selection would. Either tracker
+// ChargeSelection over the materialized selection would. Either tracker
 // may be nil to skip its accounting.
 func FuseFilterAgg(col *storage.Column, lo, hi int, sel []int32, op CmpOp, operand storage.Value, predTracker, valTracker *iomodel.Tracker, kind AggKind) storage.FilterAgg {
+	return fuseFilterAgg(col, lo, hi, sel, op, operand, predTracker, valTracker, kind, 0)
+}
+
+// fuseFilterAgg charges the trackers and runs the blocked fused scan that
+// continues the running sum seed.
+func fuseFilterAgg(col *storage.Column, lo, hi int, sel []int32, op CmpOp, operand storage.Value, predTracker, valTracker *iomodel.Tracker, kind AggKind, seed float64) storage.FilterAgg {
 	rop := op.rangeOp()
 	mode := fusedModeFor(kind)
 	onBlock := func(start, count int) {
@@ -55,16 +85,13 @@ func FuseFilterAgg(col *storage.Column, lo, hi int, sel []int32, op CmpOp, opera
 		if n := col.Len(); hi > n {
 			hi = n
 		}
-		if hi <= lo {
-			return storage.FilterAgg{Min: math.Inf(1), Max: math.Inf(-1)}
-		}
 		if predTracker != nil {
 			predTracker.AccessRange(lo, hi)
 		}
-		return col.FilterAggRangeBlocked(lo, hi, chunkSize(valTracker, hi-lo), rop, operand, mode, onBlock)
+		return col.FilterAggRangeBlocked(lo, hi, chunkSize(valTracker, hi-lo), rop, operand, mode, seed, onBlock)
 	}
-	chargeSelection(predTracker, sel)
-	return col.FilterAggSelBlocked(sel, chunkSize(valTracker, col.Len()), rop, operand, mode, onBlock)
+	ChargeSelection(predTracker, sel)
+	return col.FilterAggSelBlocked(sel, chunkSize(valTracker, col.Len()), rop, operand, mode, seed, onBlock)
 }
 
 // fusedModeFor maps an aggregate kind to what the fused scan maintains.

@@ -14,9 +14,9 @@ import (
 
 // The fusion charging contract: FuseFilterAgg must advance the virtual
 // clock and evolve tracker stats exactly as the unfused pipeline —
-// EvalRange to a selection vector, per-run charging of the value tracker,
-// then a scalar add loop — for any span, selectivity, block size, and
-// eviction pressure. The aggregate itself must match the scalar loop.
+// EvalRange to a selection vector, one value-tracker read per selected
+// row, then a scalar add loop — for any span, selectivity, block size,
+// and eviction pressure. The aggregate itself must match the scalar loop.
 
 type fusionFixture struct {
 	m     *storage.Matrix
@@ -51,10 +51,10 @@ func runUnfused(t *testing.T, f *fusionFixture, lo, hi int, p Predicate) (n int,
 	if err != nil {
 		t.Fatal(err)
 	}
-	chargeSelection(f.val, sel)
 	mn, mx = math.Inf(1), math.Inf(-1)
 	var isum int64
 	for _, r := range sel {
+		f.val.Access(int(r))
 		v := f.col.Float(int(r))
 		isum += f.col.Int(int(r))
 		n++
@@ -140,10 +140,10 @@ func TestFuseFilterAggSelChargesLikeUnfused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chargeSelection(ref.val, refined)
 	var wantN int
 	var wantISum int64
 	for _, r := range refined {
+		ref.val.Access(int(r))
 		wantISum += vals[r]
 		wantN++
 	}
@@ -159,6 +159,41 @@ func TestFuseFilterAggSelChargesLikeUnfused(t *testing.T) {
 		t.Fatalf("tracker stats diverge:\n pred %+v vs %+v\n val %+v vs %+v",
 			ref.pred.Stats(), fus.pred.Stats(), ref.val.Stats(), fus.val.Stats())
 	}
+}
+
+// TestChargeSelectionChargesLikeAccessLoop holds the per-block selection
+// charge to its definition — one Access per selected row — under eviction
+// pressure, for selections from single rows to whole blocks.
+func TestChargeSelectionChargesLikeAccessLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(227))
+	params := iomodel.Params{
+		BlockValues: 64,
+		ColdLatency: 40 * time.Microsecond,
+		WarmLatency: 7 * time.Nanosecond,
+		WarmBudget:  8,
+	}
+	vals := make([]int64, 20000)
+	ref := newFusionFixture(t, vals, params)
+	got := newFusionFixture(t, vals, params)
+	for _, keepOneIn := range []int{1, 2, 3, 50, 700} {
+		for _, span := range [][2]int{{0, 20000}, {19000, 5000}, {4990, 5010}} {
+			var sel []int32
+			for i := min(span[0], span[1]); i < max(span[0], span[1]); i++ {
+				if rng.Intn(keepOneIn) == 0 {
+					sel = append(sel, int32(i))
+				}
+			}
+			for _, r := range sel {
+				ref.val.Access(int(r))
+			}
+			ChargeSelection(got.val, sel)
+			if ref.clock.Now() != got.clock.Now() || !eqStats(ref.val.Stats(), got.val.Stats()) || ref.val.WarmBlocks() != got.val.WarmBlocks() {
+				t.Fatalf("1 in %d over %v: per-row loop clock %v stats %+v warm %d, ChargeSelection clock %v stats %+v warm %d", keepOneIn, span,
+					ref.clock.Now(), ref.val.Stats(), ref.val.WarmBlocks(), got.clock.Now(), got.val.Stats(), got.val.WarmBlocks())
+			}
+		}
+	}
+	ChargeSelection(nil, []int32{1, 2}) // a nil tracker skips the accounting
 }
 
 // TestFuseFilterAggKindDispatch pins what each kind-specialized kernel
@@ -187,6 +222,44 @@ func TestFuseFilterAggKindDispatch(t *testing.T) {
 	// Unfusable kinds fall back to the full kernel: everything maintained.
 	if fa := run(Var); fa.IntSum != 5+9+7+8 || fa.Min != 5 || fa.Max != 9 {
 		t.Fatalf("Var fallback = %+v", fa)
+	}
+}
+
+// TestFuseFilterContinuesRunningSum holds RunningAgg.FuseFilter to an Add
+// per qualifying row over consecutive spans of a float column whose sum
+// depends on the order of addition: the fused scan must continue the
+// running sum, not add a span total to it, whatever the block size.
+func TestFuseFilterContinuesRunningSum(t *testing.T) {
+	rng := rand.New(rand.NewSource(229))
+	vals := make([]float64, 9000)
+	for i := range vals {
+		switch rng.Intn(40) {
+		case 0:
+			vals[i] = math.Copysign(1e16, rng.Float64()-0.5)
+		case 1:
+			vals[i] = math.Copysign(0, -1)
+		default:
+			vals[i] = rng.NormFloat64() * 5
+		}
+	}
+	col := storage.NewFloatColumn("v", vals)
+	p := Predicate{Col: 0, Op: Lt, Operand: storage.FloatValue(2e16)}
+	for _, kind := range []AggKind{Count, Sum, Avg, Min, Max} {
+		for _, blockValues := range []int{1, 37, 1024} {
+			want, got := NewRunningAgg(kind), NewRunningAgg(kind)
+			val := iomodel.New(vclock.New(), iomodel.Params{BlockValues: blockValues, WarmLatency: time.Nanosecond}, nil)
+			for _, s := range [][2]int{{0, 1}, {1, 2500}, {2500, 2500}, {2400, 9000}, {100, 300}} {
+				for i := s[0]; i < s[1]; i++ {
+					if vals[i] < 2e16 {
+						want.Add(vals[i])
+					}
+				}
+				got.FuseFilter(col, s[0], s[1], nil, p.Op, p.Operand, nil, val)
+				if got.N() != want.N() || math.Float64bits(got.Value()) != math.Float64bits(want.Value()) {
+					t.Fatalf("%v blocks of %d, span %v: fused %v over %d rows, per-row adds %v over %d", kind, blockValues, s, got.Value(), got.N(), want.Value(), want.N())
+				}
+			}
+		}
 	}
 }
 

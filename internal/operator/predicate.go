@@ -139,7 +139,7 @@ func (p Predicate) EvalRange(m *storage.Matrix, lo, hi int, sel []int32, tracker
 			}
 			return col.FilterRange(lo, hi, p.Op.rangeOp(), p.Operand, out), hi - lo, nil
 		}
-		chargeSelection(tracker, sel)
+		ChargeSelection(tracker, sel)
 		return col.FilterSel(sel, p.Op.rangeOp(), p.Operand, out), len(sel), nil
 	}
 	// Row-major fallback: per-row boxed evaluation, span-charged.
@@ -165,7 +165,7 @@ func (p Predicate) EvalRange(m *storage.Matrix, lo, hi int, sel []int32, tracker
 		}
 		return out, hi - lo, nil
 	}
-	chargeSelection(tracker, sel)
+	ChargeSelection(tracker, sel)
 	for _, row := range sel {
 		ok, err := eval(int(row))
 		if err != nil {
@@ -179,8 +179,8 @@ func (p Predicate) EvalRange(m *storage.Matrix, lo, hi int, sel []int32, tracker
 }
 
 // ForEachRun invokes fn for every maximal contiguous run [lo, hi) of the
-// ascending selection vector — the shared primitive behind run-batched
-// charging and span dispatch over selections.
+// ascending selection vector — the primitive behind span dispatch over
+// selections.
 func ForEachRun(sel []int32, fn func(lo, hi int)) {
 	if len(sel) == 0 {
 		return
@@ -196,13 +196,25 @@ func ForEachRun(sel []int32, fn func(lo, hi int)) {
 	fn(int(runStart), int(prev)+1)
 }
 
-// chargeSelection charges one read per selected row, batching contiguous
-// runs of the (ascending) selection through ranged accounting.
-func chargeSelection(tracker *iomodel.Tracker, sel []int32) {
+// ChargeSelection charges tracker one read per row of the ascending
+// selection, one AccessCount per cost-model block the selection enters —
+// O(blocks), not O(runs): at mid selectivities a selection is mostly
+// two-row runs. Cost, stats and warm state evolve as a per-row Access
+// loop's would.
+func ChargeSelection(tracker *iomodel.Tracker, sel []int32) {
 	if tracker == nil {
 		return
 	}
-	ForEachRun(sel, func(lo, hi int) { tracker.AccessRange(lo, hi) })
+	bv := tracker.Params().BlockValues
+	for i := 0; i < len(sel); {
+		end := (int(sel[i])/bv + 1) * bv
+		j := i + 1
+		for j < len(sel) && int(sel[j]) < end {
+			j++
+		}
+		tracker.AccessCount(int(sel[i]), j-i)
+		i = j
+	}
 }
 
 // ConjunctStats tracks the observed selectivity and cost of one predicate

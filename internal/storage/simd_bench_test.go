@@ -52,17 +52,27 @@ func BenchmarkSIMDMinMaxRange(b *testing.B) {
 	}
 }
 
-// BenchmarkSIMDFusedBlocked pairs the int64 blocked scans — the only
-// fused inner loops with assembly behind them — at the served chunk width,
-// where a 1024-value chunk amortizes the SIMD call less than a whole-column
-// sweep would.
+// BenchmarkSIMDFusedBlocked pairs the blocked scans with assembly behind
+// them at the served chunk width, where a 1024-value chunk amortizes the
+// SIMD call less than a whole-column sweep would: the int64 masked loops,
+// and the float64 sum, whose compaction step is the compare+compress
+// kernel (its fold is scalar on both sides).
 func BenchmarkSIMDFusedBlocked(b *testing.B) {
-	c := benchIntCol()
+	ic := benchIntCol()
 	operand := fusedBenchOperand("int64", selectivities[1]) // sel50
 	for _, mode := range []FusedMode{FusedCount, FusedSum, FusedMinMax} {
 		for _, span := range benchSpans {
 			b.Run(fmt.Sprintf("int64/%s/sel50/span%d", fusedModeLabels[mode], span), func(b *testing.B) {
-				benchPair(b, func(b *testing.B) { benchFusedBlocked(b, c, span, operand, mode) })
+				benchPair(b, func(b *testing.B) { benchFusedBlocked(b, ic, span, operand, mode) })
+			})
+		}
+	}
+	fc := benchFloatCol()
+	for _, sel := range selectivities {
+		operand := fusedBenchOperand("float64", sel)
+		for _, span := range benchSpans {
+			b.Run(fmt.Sprintf("float64/sum/%s/span%d", sel.label, span), func(b *testing.B) {
+				benchPair(b, func(b *testing.B) { benchFusedBlocked(b, fc, span, operand, FusedSum) })
 			})
 		}
 	}

@@ -539,14 +539,7 @@ func (c *Column) FilterRange(lo, hi int, op RangeOp, operand Value, sel []int32)
 			}
 		}
 	case Float64:
-		if simdCompress && hi-lo >= simdMinSpan {
-			j = simdCompressFloat64(c.flts[lo:hi], b, wLt, wGt, wEq, lo, buf)
-			break
-		}
-		for i, v := range c.flts[lo:hi] {
-			buf[j] = int32(lo + i)
-			j += passFloat(v, b, wLt, wGt, wEq)
-		}
+		j = compressFloat64(c.flts[lo:hi], b, wLt, wGt, wEq, lo, buf)
 	case Bool:
 		var tab [2]int
 		tab[0] = passFloat(0, b, wLt, wGt, wEq)
@@ -557,6 +550,23 @@ func (c *Column) FilterRange(lo, hi int, op RangeOp, operand Value, sel []int32)
 		}
 	}
 	return sel[:len(sel)+j]
+}
+
+// compressFloat64 writes to buf the positions base+i whose v[i] passes
+// the decomposed float comparison, ascending, and returns how many it
+// wrote — FilterRange's float inner loop, shared with the fused float
+// scans. buf needs room for len(v) entries: every candidate is stored and
+// the cursor advances only on a pass.
+func compressFloat64(v []float64, b float64, wLt, wGt, wEq int, base int, buf []int32) int {
+	if simdCompress && len(v) >= simdMinSpan {
+		return simdCompressFloat64(v, b, wLt, wGt, wEq, base, buf)
+	}
+	j := 0
+	for i, x := range v {
+		buf[j] = int32(base + i)
+		j += passFloat(x, b, wLt, wGt, wEq)
+	}
+	return j
 }
 
 // FilterSel appends to out the positions from sel whose value satisfies

@@ -137,17 +137,16 @@ const (
 )
 
 // fusedBenchCases are the (type, mode) pairs core.Object.trySlideFused
-// can hand the blocked scan: count, sum/avg and min/max over every type
-// except a float sum, which stays on the selection-vector path. Bool and
-// string columns run at 50% only: their inner loops are table lookups the
-// operand does not change.
+// can hand the blocked scan: count, sum/avg and min/max over every type.
+// Bool and string columns run at 50% only: their inner loops are table
+// lookups the operand does not change.
 var fusedBenchCases = []struct {
 	typ   string
 	modes []FusedMode
 	sels  []selectivity
 }{
 	{"int64", []FusedMode{FusedCount, FusedSum, FusedMinMax}, selectivities},
-	{"float64", []FusedMode{FusedCount, FusedMinMax}, selectivities},
+	{"float64", []FusedMode{FusedCount, FusedSum, FusedMinMax}, selectivities},
 	{"bool", []FusedMode{FusedCount, FusedSum, FusedMinMax}, selectivities[1:2]},
 	{"string", []FusedMode{FusedCount, FusedSum, FusedMinMax}, selectivities[1:2]},
 }
@@ -174,7 +173,7 @@ func benchFusedBlocked(b *testing.B, c *Column, span int, operand Value, mode Fu
 	charged := 0
 	onBlock := func(_, k int) { charged += k }
 	for i := 0; i < b.N; i++ {
-		fa := c.FilterAggRangeBlocked(benchSpanLo, benchSpanLo+span, benchBlockLen, RangeLt, operand, mode, onBlock)
+		fa := c.FilterAggRangeBlocked(benchSpanLo, benchSpanLo+span, benchBlockLen, RangeLt, operand, mode, 0, onBlock)
 		sinkF = fa.Sum
 		sinkN = fa.N
 	}
@@ -201,21 +200,38 @@ func BenchmarkFusedBlocked(b *testing.B) {
 	}
 }
 
+// benchFusedSelBlocked times one blocked scan over a prior selection.
+func benchFusedSelBlocked(b *testing.B, c *Column, base []int32, operand Value) {
+	b.SetBytes(int64(len(base)) * 8)
+	charged := 0
+	onBlock := func(_, k int) { charged += k }
+	for i := 0; i < b.N; i++ {
+		fa := c.FilterAggSelBlocked(base, benchBlockLen, RangeLt, operand, FusedSum, 0, onBlock)
+		sinkF = fa.Sum
+	}
+	sinkN = charged
+}
+
 // BenchmarkFusedSelBlocked is the multi-conjunct form: the final conjunct
-// fused over the survivors of an earlier one (FilterAggSelBlocked).
+// fused over the survivors of an earlier one (FilterAggSelBlocked) — an
+// int64 sum over half the column, and float64 sums over the half of each
+// span a `v < 50` conjunct leaves, the final conjunct keeping 1, 50 and
+// 99% of those.
 func BenchmarkFusedSelBlocked(b *testing.B) {
-	c := benchIntCol()
-	base := c.FilterRange(0, benchRows, RangeLt, IntValue(50), nil)
+	ic := benchIntCol()
 	b.Run("int64/sum/sel50of50", func(b *testing.B) {
-		b.SetBytes(int64(len(base)) * 8)
-		charged := 0
-		onBlock := func(_, k int) { charged += k }
-		for i := 0; i < b.N; i++ {
-			fa := c.FilterAggSelBlocked(base, benchBlockLen, RangeLt, IntValue(25), FusedSum, onBlock)
-			sinkF = fa.Sum
-		}
-		sinkN = charged
+		benchFusedSelBlocked(b, ic, ic.FilterRange(0, benchRows, RangeLt, IntValue(50), nil), IntValue(25))
 	})
+	fc := benchFloatCol()
+	for _, sel := range selectivities {
+		operand := FloatValue(float64(sel.operand) / 2)
+		for _, span := range benchSpans {
+			base := fc.FilterRange(benchSpanLo, benchSpanLo+span, RangeLt, IntValue(50), nil)
+			b.Run(fmt.Sprintf("float64/sum/%sof50/span%d", sel.label, span), func(b *testing.B) {
+				benchFusedSelBlocked(b, fc, base, operand)
+			})
+		}
+	}
 }
 
 // BenchmarkFilterThenSumCompose is the unfused sum reference:

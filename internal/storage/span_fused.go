@@ -15,27 +15,32 @@ import "math"
 // select through sentinel values, so the inner loop carries no
 // data-dependent branch on integer-backed columns.
 //
-// Float columns keep a branchy accumulate (a masked float add would turn
-// -0.0, NaN and Inf non-qualifiers into sum perturbations) with a single
-// accumulator in strict left-to-right order over the qualifying values —
-// the same order a scalar filter-then-add loop produces within one
-// kernel call. Chunked (blocked) scans merge chunk partials in chunk
-// order, which reassociates float addition; the pipeline therefore
-// routes float sum/avg slides through the unfused path (see
-// core.Object.trySlideFused) and fuses floats only for the exact
-// min/max/count kinds.
+// Float columns compact, then reduce: a masked float add would turn
+// -0.0, NaN and Inf non-qualifiers into sum perturbations, so each step
+// first packs the qualifying positions into a block-sized stack buffer —
+// the branch-free compare+compress FilterRange runs, AVX2 where the
+// build+host has it — and a tight loop folds them. The scan carries one
+// accumulator through every chunk, seeded with the consumer's running sum,
+// and adds each qualifier strictly left to right: ((seed + v1) + v2) + …,
+// never a per-chunk partial. The result is bit-identical to a scalar
+// filter-then-add loop continuing from the seed and independent of the
+// chunk width, which is what lets float SUM/AVG slides fuse like every
+// other kind.
 
-// FilterAgg is the result of one fused filter+aggregate scan: the count,
-// sum, minimum and maximum of the qualifying values. With no qualifiers
-// Min/Max are +Inf/-Inf and Sum is 0, matching MinMaxRange on an empty
-// range. Integer-backed columns report Exact=true and carry the exact
-// int64 sum in IntSum (Sum mirrors it in float64); merging exact chunks
-// stays exact, so a scan split into cost-model blocks loses nothing.
+// FilterAgg is the result of one fused filter+aggregate scan: the count
+// and extrema of the qualifying values, and the running sum the scan was
+// seeded with after they joined it. With no qualifiers Min/Max are
+// +Inf/-Inf and Sum is the seed, matching MinMaxRange on an empty range.
+// Integer-backed columns report Exact=true and carry the span's exact
+// int64 sum in IntSum, which joins the seed in one addition; merging
+// exact chunks stays exact, so a scan split into cost-model blocks loses
+// nothing.
 type FilterAgg struct {
 	// N counts qualifying values.
 	N int
-	// Sum is the float sum of qualifying values (exactly float64(IntSum)
-	// when Exact).
+	// Sum is the seed plus the qualifying values: added one by one in
+	// position order on float columns, as seed + float64(IntSum) when
+	// Exact. Modes that do not maintain a sum hand the seed back.
 	Sum float64
 	// IntSum is the exact integer sum for integer-backed columns
 	// (overflow wraps, like any int64 sum).
@@ -53,24 +58,15 @@ func emptyFilterAgg() FilterAgg {
 	return FilterAgg{Min: math.Inf(1), Max: math.Inf(-1)}
 }
 
-// Merge folds b — a later chunk of the same scan — into a, preserving
-// chunk order for float sums and exactness for integer sums.
-func (a *FilterAgg) Merge(b FilterAgg) {
-	if b.N == 0 {
-		return
-	}
-	if a.N == 0 {
-		*a = b
-		return
-	}
+// merge folds b — a later chunk of the same integer-backed scan — into a:
+// counts and integer sums add exactly, and a tie between extrema keeps
+// the earlier chunk's. Sum is settled once, by finish. Float columns have
+// nothing to merge — their scans fold every chunk into one accumulator
+// (see foldFloats) — because adding chunk partials would reassociate the
+// sum.
+func (a *FilterAgg) merge(b FilterAgg) {
 	a.N += b.N
-	if a.Exact && b.Exact {
-		a.IntSum += b.IntSum
-		a.Sum = float64(a.IntSum)
-	} else {
-		a.Exact = false
-		a.Sum += b.Sum
-	}
+	a.IntSum += b.IntSum
 	if b.Min < a.Min {
 		a.Min = b.Min
 	}
@@ -103,7 +99,7 @@ func (f *filterAggInt) absorb(v int64, p int) {
 }
 
 func (f filterAggInt) result() FilterAgg {
-	agg := FilterAgg{N: f.cnt, IntSum: f.isum, Sum: float64(f.isum), Exact: true, Min: math.Inf(1), Max: math.Inf(-1)}
+	agg := FilterAgg{N: f.cnt, IntSum: f.isum, Exact: true, Min: math.Inf(1), Max: math.Inf(-1)}
 	if f.cnt > 0 {
 		agg.Min, agg.Max = float64(f.mn), float64(f.mx)
 	}
@@ -259,9 +255,62 @@ func (c *Column) preparePred(op RangeOp, operand Value) preparedPred {
 	return pp
 }
 
-// fusedChunk runs one prepared chunk [lo, hi) (already clamped).
-func (c *Column) fusedChunk(pp *preparedPred, lo, hi int, mode FusedMode) FilterAgg {
+// fusedBufLen is how many rows one compact-then-reduce step of a float
+// scan classifies; the position buffer (4 KiB) lives on the scan's stack.
+// It equals iomodel's default BlockValues, so a served cost-model block is
+// one compaction.
+const fusedBufLen = 1024
+
+// foldFloats folds the values at pos — one step's qualifying positions,
+// ascending — into agg, each added to the running sum in position order.
+func foldFloats(vals []float64, pos []int32, mode FusedMode, agg *FilterAgg) {
+	agg.N += len(pos)
+	if mode == FusedSum || mode == FusedFull {
+		sum := agg.Sum
+		for _, p := range pos {
+			sum += vals[p]
+		}
+		agg.Sum = sum
+	}
+	if mode == FusedMinMax || mode == FusedFull {
+		mn, mx := agg.Min, agg.Max
+		for _, p := range pos {
+			v := vals[p]
+			if v < mn {
+				mn = v
+			}
+			if v > mx {
+				mx = v
+			}
+		}
+		agg.Min, agg.Max = mn, mx
+	}
+}
+
+// fusedChunk runs one prepared chunk [lo, hi) (already clamped) into
+// total and returns how many of its values qualified. Float chunks
+// compact the qualifying positions into buf, fusedBufLen rows at a time,
+// and fold them straight into total; the other types aggregate the chunk
+// on its own and merge exactly.
+func (c *Column) fusedChunk(pp *preparedPred, lo, hi int, mode FusedMode, total *FilterAgg, buf *[fusedBufLen]int32) int {
 	c.countSpan(lo, hi)
+	if c.typ != Float64 {
+		fa := c.exactChunk(pp, lo, hi, mode)
+		total.merge(fa)
+		return fa.N
+	}
+	before := total.N
+	for cur := lo; cur < hi; cur += fusedBufLen {
+		end := min(cur+fusedBufLen, hi)
+		k := compressFloat64(c.flts[cur:end], pp.b, pp.wLt, pp.wGt, pp.wEq, cur, buf[:])
+		foldFloats(c.flts, buf[:k], mode, total)
+	}
+	return total.N - before
+}
+
+// exactChunk aggregates one chunk of an integer-backed column: count,
+// IntSum and extrema (Sum is the scan's to settle, see finish).
+func (c *Column) exactChunk(pp *preparedPred, lo, hi int, mode FusedMode) FilterAgg {
 	switch c.typ {
 	case Int64:
 		vals := c.ints[lo:hi]
@@ -277,7 +326,7 @@ func (c *Column) fusedChunk(pp *preparedPred, lo, hi int, mode FusedMode) Filter
 			} else {
 				cnt, isum = filterSumInt64(vals, pp.ip)
 			}
-			return FilterAgg{N: cnt, IntSum: isum, Sum: float64(isum), Exact: true, Min: math.Inf(1), Max: math.Inf(-1)}
+			return FilterAgg{N: cnt, IntSum: isum, Exact: true, Min: math.Inf(1), Max: math.Inf(-1)}
 		case FusedCount:
 			cnt := 0
 			switch {
@@ -297,35 +346,10 @@ func (c *Column) fusedChunk(pp *preparedPred, lo, hi int, mode FusedMode) Filter
 			f := filterAggInt64(vals, pp.ip)
 			fa := f.result()
 			if mode == FusedMinMax {
-				fa.Sum, fa.IntSum = 0, 0
+				fa.IntSum = 0
 			}
 			return fa
 		}
-	case Float64:
-		agg := emptyFilterAgg()
-		for _, v := range c.flts[lo:hi] {
-			lt, gt := v < pp.b, v > pp.b
-			if (lt && pp.wLt != 0) || (gt && pp.wGt != 0) || (!lt && !gt && pp.wEq != 0) {
-				agg.N++
-				switch mode {
-				case FusedCount:
-				case FusedSum:
-					agg.Sum += v
-				default:
-					agg.Sum += v
-					if v < agg.Min {
-						agg.Min = v
-					}
-					if v > agg.Max {
-						agg.Max = v
-					}
-				}
-			}
-		}
-		if mode == FusedMinMax {
-			agg.Sum = 0
-		}
-		return agg
 	case Bool:
 		cnt, ones := 0, 0
 		for _, v := range c.bools[lo:hi] {
@@ -350,7 +374,7 @@ func (c *Column) fusedChunk(pp *preparedPred, lo, hi int, mode FusedMode) Filter
 				cnt += q
 				isum += int64(code) & int64(-q)
 			}
-			return FilterAgg{N: cnt, IntSum: isum, Sum: float64(isum), Exact: true, Min: math.Inf(1), Max: math.Inf(-1)}
+			return FilterAgg{N: cnt, IntSum: isum, Exact: true, Min: math.Inf(1), Max: math.Inf(-1)}
 		default:
 			f := newFilterAggInt()
 			for _, code := range c.codes[lo:hi] {
@@ -358,7 +382,7 @@ func (c *Column) fusedChunk(pp *preparedPred, lo, hi int, mode FusedMode) Filter
 			}
 			fa := f.result()
 			if mode == FusedMinMax {
-				fa.Sum, fa.IntSum = 0, 0
+				fa.IntSum = 0
 			}
 			return fa
 		}
@@ -370,7 +394,7 @@ func (c *Column) fusedChunk(pp *preparedPred, lo, hi int, mode FusedMode) Filter
 func boolFilterAgg(cnt, ones int, mode FusedMode) FilterAgg {
 	agg := FilterAgg{N: cnt, Exact: true, Min: math.Inf(1), Max: math.Inf(-1)}
 	if mode == FusedSum || mode == FusedFull {
-		agg.IntSum, agg.Sum = int64(ones), float64(ones)
+		agg.IntSum = int64(ones)
 	}
 	if cnt > 0 && (mode == FusedMinMax || mode == FusedFull) {
 		agg.Min, agg.Max = 1, 0
@@ -384,17 +408,37 @@ func boolFilterAgg(cnt, ones int, mode FusedMode) FilterAgg {
 	return agg
 }
 
+// seeded returns the accumulator a blocked scan over c starts from.
+func (c *Column) seeded(seed float64) FilterAgg {
+	total := emptyFilterAgg()
+	total.Sum = seed
+	total.Exact = c.typ != Float64
+	return total
+}
+
+// finish settles Sum once the last chunk is in: an exact scan's merged
+// integer sum joins the seed in one addition (float scans added their
+// qualifiers to the seed as they went). Without qualifiers the seed comes
+// back untouched, sign of zero included.
+func (a *FilterAgg) finish(mode FusedMode) {
+	if a.Exact && a.N > 0 && (mode == FusedSum || mode == FusedFull) {
+		a.Sum += float64(a.IntSum)
+	}
+}
+
 // FilterAggRangeBlocked runs a fused filter+aggregate scan over [lo, hi)
 // in chunks aligned to blockLen boundaries, lowering the predicate once
 // for the whole scan and reporting each chunk's qualifying count to
 // onBlock (the cost-charging hook: one chunk never crosses a cost-model
-// block) before merging. Result-equal to FilterRange followed by a
-// scalar aggregation of the selection (asserted by
-// TestFusedKernelsMatchCompose); the chunking only exists so callers can
-// charge per block without re-deriving the predicate per chunk.
-func (c *Column) FilterAggRangeBlocked(lo, hi, blockLen int, op RangeOp, operand Value, mode FusedMode, onBlock func(start, count int)) FilterAgg {
+// block). seed is the consumer's running sum, which the result's Sum
+// continues (pass 0 for the span's own sum). Result-equal to FilterRange
+// followed by a scalar aggregation of the selection starting from seed,
+// for any blockLen (asserted by TestFusedKernelsMatchCompose); the
+// chunking only exists so callers can charge per block without
+// re-deriving the predicate per chunk.
+func (c *Column) FilterAggRangeBlocked(lo, hi, blockLen int, op RangeOp, operand Value, mode FusedMode, seed float64, onBlock func(start, count int)) FilterAgg {
 	lo, hi = c.clampRange(lo, hi)
-	total := emptyFilterAgg()
+	total := c.seeded(seed)
 	if hi == lo {
 		return total
 	}
@@ -402,18 +446,15 @@ func (c *Column) FilterAggRangeBlocked(lo, hi, blockLen int, op RangeOp, operand
 		blockLen = hi - lo
 	}
 	pp := c.preparePred(op, operand)
+	var buf [fusedBufLen]int32
 	for cur := lo; cur < hi; {
-		end := (cur/blockLen + 1) * blockLen
-		if end > hi {
-			end = hi
+		end := min((cur/blockLen+1)*blockLen, hi)
+		if k := c.fusedChunk(&pp, cur, end, mode, &total, &buf); onBlock != nil && k > 0 {
+			onBlock(cur, k)
 		}
-		fa := c.fusedChunk(&pp, cur, end, mode)
-		if onBlock != nil && fa.N > 0 {
-			onBlock(cur, fa.N)
-		}
-		total.Merge(fa)
 		cur = end
 	}
+	total.finish(mode)
 	return total
 }
 
@@ -421,8 +462,8 @@ func (c *Column) FilterAggRangeBlocked(lo, hi, blockLen int, op RangeOp, operand
 // the ascending selection is segmented at blockLen boundaries, each
 // segment's qualifying count goes to onBlock, and the predicate is
 // lowered once. Out-of-range positions are skipped, matching FilterSel.
-func (c *Column) FilterAggSelBlocked(sel []int32, blockLen int, op RangeOp, operand Value, mode FusedMode, onBlock func(start, count int)) FilterAgg {
-	total := emptyFilterAgg()
+func (c *Column) FilterAggSelBlocked(sel []int32, blockLen int, op RangeOp, operand Value, mode FusedMode, seed float64, onBlock func(start, count int)) FilterAgg {
+	total := c.seeded(seed)
 	if len(sel) == 0 {
 		return total
 	}
@@ -430,26 +471,52 @@ func (c *Column) FilterAggSelBlocked(sel []int32, blockLen int, op RangeOp, oper
 		blockLen = c.Len() + 1
 	}
 	pp := c.preparePred(op, operand)
-	n := c.Len()
+	var buf [fusedBufLen]int32
 	for i := 0; i < len(sel); {
-		b := int(sel[i]) / blockLen
+		end := (int(sel[i])/blockLen + 1) * blockLen
 		j := i + 1
-		for j < len(sel) && int(sel[j])/blockLen == b {
+		for j < len(sel) && int(sel[j]) < end {
 			j++
 		}
-		fa := c.fusedSelChunk(&pp, sel[i:j], n, mode)
-		if onBlock != nil && fa.N > 0 {
-			onBlock(int(sel[i]), fa.N)
+		if k := c.fusedSelChunk(&pp, sel[i:j], mode, &total, &buf); onBlock != nil && k > 0 {
+			onBlock(int(sel[i]), k)
 		}
-		total.Merge(fa)
 		i = j
 	}
+	total.finish(mode)
 	return total
 }
 
-// fusedSelChunk runs one prepared segment of a selection.
-func (c *Column) fusedSelChunk(pp *preparedPred, sel []int32, n int, mode FusedMode) FilterAgg {
+// fusedSelChunk runs one prepared segment of a selection into total and
+// returns how many of its rows qualified — fusedChunk's selection form.
+func (c *Column) fusedSelChunk(pp *preparedPred, sel []int32, mode FusedMode, total *FilterAgg, buf *[fusedBufLen]int32) int {
 	c.countSel(len(sel))
+	n := c.Len()
+	if c.typ != Float64 {
+		fa := c.exactSelChunk(pp, sel, n, mode)
+		total.merge(fa)
+		return fa.N
+	}
+	before := total.N
+	for len(sel) > 0 {
+		step := sel[:min(len(sel), fusedBufLen)]
+		k := 0
+		for _, p := range step {
+			if p < 0 || int(p) >= n {
+				continue
+			}
+			buf[k] = p
+			k += passFloat(c.flts[p], pp.b, pp.wLt, pp.wGt, pp.wEq)
+		}
+		foldFloats(c.flts, buf[:k], mode, total)
+		sel = sel[len(step):]
+	}
+	return total.N - before
+}
+
+// exactSelChunk aggregates one selection segment of an integer-backed
+// column.
+func (c *Column) exactSelChunk(pp *preparedPred, sel []int32, n int, mode FusedMode) FilterAgg {
 	switch c.typ {
 	case Int64:
 		if pp.none {
@@ -470,7 +537,7 @@ func (c *Column) fusedSelChunk(pp *preparedPred, sel []int32, n int, mode FusedM
 			}
 			agg := FilterAgg{N: cnt, Exact: true, Min: math.Inf(1), Max: math.Inf(-1)}
 			if mode == FusedSum {
-				agg.IntSum, agg.Sum = isum, float64(isum)
+				agg.IntSum = isum
 			}
 			return agg
 		default:
@@ -484,37 +551,10 @@ func (c *Column) fusedSelChunk(pp *preparedPred, sel []int32, n int, mode FusedM
 			}
 			fa := f.result()
 			if mode == FusedMinMax {
-				fa.Sum, fa.IntSum = 0, 0
+				fa.IntSum = 0
 			}
 			return fa
 		}
-	case Float64:
-		agg := emptyFilterAgg()
-		for _, p := range sel {
-			if p < 0 || int(p) >= n {
-				continue
-			}
-			v := c.flts[p]
-			lt, gt := v < pp.b, v > pp.b
-			if (lt && pp.wLt != 0) || (gt && pp.wGt != 0) || (!lt && !gt && pp.wEq != 0) {
-				agg.N++
-				if mode != FusedCount {
-					agg.Sum += v
-				}
-				if mode == FusedMinMax || mode == FusedFull {
-					if v < agg.Min {
-						agg.Min = v
-					}
-					if v > agg.Max {
-						agg.Max = v
-					}
-				}
-			}
-		}
-		if mode == FusedMinMax {
-			agg.Sum = 0
-		}
-		return agg
 	case Bool:
 		cnt, ones := 0, 0
 		for _, p := range sel {
@@ -539,11 +579,11 @@ func (c *Column) fusedSelChunk(pp *preparedPred, sel []int32, n int, mode FusedM
 		fa := f.result()
 		switch mode {
 		case FusedCount:
-			fa.Sum, fa.IntSum, fa.Min, fa.Max = 0, 0, math.Inf(1), math.Inf(-1)
+			fa.IntSum, fa.Min, fa.Max = 0, math.Inf(1), math.Inf(-1)
 		case FusedSum:
 			fa.Min, fa.Max = math.Inf(1), math.Inf(-1)
 		case FusedMinMax:
-			fa.Sum, fa.IntSum = 0, 0
+			fa.IntSum = 0
 		}
 		return fa
 	}

@@ -10,10 +10,12 @@ import (
 // The fused-kernel property suite: the blocked fused scans
 // (FilterAggRangeBlocked, FilterAggSelBlocked) must equal the
 // compose-of-parts path — FilterRange (or FilterSel) to a selection
-// vector, then a scalar aggregation loop over the selection — for all
-// operators × column types × modes × block lengths × edge cases (NaN data
-// and operands, empty and inverted ranges, out-of-bounds clamping). CI
-// runs this under -race with the rest of the package.
+// vector, then a scalar aggregation loop over the selection, continuing
+// the seeded running sum — for all operators × column types × modes ×
+// block lengths × seeds × edge cases (NaN data and operands, empty and
+// inverted ranges, out-of-bounds clamping). Sums are compared bit for bit:
+// a float scan that added chunk partials, or added the seed last, would
+// differ. CI runs this under -race with the rest of the package.
 
 var (
 	fusedOps       = []RangeOp{RangeEq, RangeNe, RangeLt, RangeLe, RangeGt, RangeGe}
@@ -21,14 +23,33 @@ var (
 	fusedBlockLens = []int{0, 1, 7, 64, 1024, 10000}
 )
 
+// fusedSeed draws a running sum for a scan to continue. Next to 1e16 a
+// qualifying 1.0 is half an ulp: added alone it is lost, added as part of
+// a chunk's partial sum it is not, so a scan that reassociates shows; -0
+// survives only while nothing but -0 joins it.
+func fusedSeed(rng *rand.Rand) float64 {
+	switch rng.Intn(5) {
+	case 0:
+		return 0
+	case 1:
+		return math.Copysign(0, -1)
+	case 2:
+		return math.Copysign(1e16, rng.Float64()-0.5)
+	default:
+		return (rng.Float64() - 0.5) * 1e3
+	}
+}
+
 // composeAgg is the scalar reference: aggregate over the selection
-// exactly as a filter-then-add loop would — int64 accumulation for
-// integer-backed columns (the fused kernels' exactness contract; it
-// matches a float loop bitwise whenever that loop is itself exact, and
-// is the more accurate answer beyond 2^53), float left-to-right for
+// exactly as a filter-then-add loop continuing the running sum seed would
+// — int64 accumulation for integer-backed columns, joined to the seed in
+// one addition (the fused kernels' exactness contract; it matches a float
+// loop bitwise whenever that loop is itself exact, and is the more
+// accurate answer beyond 2^53), float left-to-right from the seed for
 // float columns.
-func composeAgg(c *Column, sel []int32) FilterAgg {
+func composeAgg(c *Column, sel []int32, seed float64) FilterAgg {
 	want := emptyFilterAgg()
+	want.Sum = seed
 	want.Exact = c.Type() != Float64
 	for _, p := range sel {
 		v := c.Float(int(p))
@@ -45,26 +66,26 @@ func composeAgg(c *Column, sel []int32) FilterAgg {
 			want.Max = v
 		}
 	}
-	if want.Exact {
-		want.Sum = float64(want.IntSum)
+	if want.Exact && want.N > 0 {
+		want.Sum = seed + float64(want.IntSum)
 	}
 	return want
 }
 
-// eqFloat compares aggregates bitwise, treating two NaNs as equal.
+// eqFloat compares aggregates bit for bit (so -0 is not +0), treating any
+// two NaNs as equal.
 func eqFloat(a, b float64) bool {
 	if math.IsNaN(a) && math.IsNaN(b) {
 		return true
 	}
-	return a == b
+	return math.Float64bits(a) == math.Float64bits(b)
 }
 
-// composeRange is the reference answer for a range scan: FilterRange,
-// then composeAgg. FilterRange itself is first held to a scalar
-// Value.Compare loop, which anchors the whole suite to the system
-// comparison semantics — in particular the integer-bound lowering of
-// float comparisons.
-func composeRange(t *testing.T, c *Column, lo, hi int, op RangeOp, operand Value, label string) FilterAgg {
+// composeRange is the reference selection of a range scan: FilterRange,
+// itself first held to a scalar Value.Compare loop, which anchors the
+// whole suite to the system comparison semantics — in particular the
+// integer-bound lowering of float comparisons.
+func composeRange(t *testing.T, c *Column, lo, hi int, op RangeOp, operand Value, label string) []int32 {
 	t.Helper()
 	sel := c.FilterRange(lo, hi, op, operand, nil)
 	clo, chi := c.clampRange(lo, hi)
@@ -82,53 +103,65 @@ func composeRange(t *testing.T, c *Column, lo, hi int, op RangeOp, operand Value
 			t.Fatalf("%s FilterRange[%d,%d) row %d = %d, Value.Compare loop = %d", label, lo, hi, i, sel[i], want[i])
 		}
 	}
-	return composeAgg(c, sel)
+	return sel
 }
 
 // checkBlocked runs one blocked scan — scan hands the counting onBlock to
 // FilterAggRangeBlocked or FilterAggSelBlocked — and holds its result and
-// its per-chunk counts to want.
-func checkBlocked(t *testing.T, label string, typ Type, mode FusedMode, bl int, want FilterAgg, scan func(onBlock func(start, count int)) FilterAgg) {
+// its per-chunk counts to the compose over sel from the same seed.
+func checkBlocked(t *testing.T, label string, c *Column, sel []int32, mode FusedMode, bl int, seed float64, scan func(onBlock func(start, count int)) FilterAgg) {
 	t.Helper()
-	blocks, counted := 0, 0
-	got := scan(func(_, k int) { blocks++; counted += k })
-	label = fmt.Sprintf("%s mode=%d bl=%d", label, mode, bl)
-	checkModeAgainstFull(t, label, got, want, mode, typ, blocks)
+	want := composeAgg(c, sel, seed)
+	counted := 0
+	got := scan(func(_, k int) { counted += k })
+	label = fmt.Sprintf("%s mode=%d bl=%d seed=%v", label, mode, bl, seed)
+	checkModeAgainstFull(t, label, got, want, mode, seed)
 	if counted != want.N {
 		t.Fatalf("%s: onBlock counts sum to %d, want %d", label, counted, want.N)
 	}
 }
 
-func checkAgainstCompose(t *testing.T, c *Column, lo, hi int, op RangeOp, operand Value, label string) {
+// checkAgainstCompose holds the range form to the compose in every mode,
+// at the fixed block lengths and a random one, each mode from a random
+// seed: equal bits at every block length is what "independent of the
+// chunking" means.
+func checkAgainstCompose(t *testing.T, rng *rand.Rand, c *Column, lo, hi int, op RangeOp, operand Value, label string) {
 	t.Helper()
-	want := composeRange(t, c, lo, hi, op, operand, label)
+	sel := composeRange(t, c, lo, hi, op, operand, label)
 	label = fmt.Sprintf("%s range[%d,%d)", label, lo, hi)
 	for _, mode := range fusedModes {
-		for _, bl := range fusedBlockLens {
-			checkBlocked(t, label, c.Type(), mode, bl, want, func(onBlock func(int, int)) FilterAgg {
-				return c.FilterAggRangeBlocked(lo, hi, bl, op, operand, mode, onBlock)
+		seed := fusedSeed(rng)
+		for _, bl := range append(fusedBlockLens, 1+rng.Intn(1200)) {
+			checkBlocked(t, label, c, sel, mode, bl, seed, func(onBlock func(int, int)) FilterAgg {
+				return c.FilterAggRangeBlocked(lo, hi, bl, op, operand, mode, seed, onBlock)
 			})
 		}
 	}
 }
 
-func checkSelAgainstCompose(t *testing.T, c *Column, base []int32, op RangeOp, operand Value, label string) {
+// checkSelAgainstCompose is checkAgainstCompose for the selection form.
+func checkSelAgainstCompose(t *testing.T, rng *rand.Rand, c *Column, base []int32, op RangeOp, operand Value, label string) {
 	t.Helper()
-	want := composeAgg(c, c.FilterSel(base, op, operand, nil))
+	sel := c.FilterSel(base, op, operand, nil)
 	for _, mode := range fusedModes {
-		for _, bl := range fusedBlockLens {
-			checkBlocked(t, label+" sel", c.Type(), mode, bl, want, func(onBlock func(int, int)) FilterAgg {
-				return c.FilterAggSelBlocked(base, bl, op, operand, mode, onBlock)
+		seed := fusedSeed(rng)
+		for _, bl := range append(fusedBlockLens, 1+rng.Intn(1200)) {
+			checkBlocked(t, label+" sel", c, sel, mode, bl, seed, func(onBlock func(int, int)) FilterAgg {
+				return c.FilterAggSelBlocked(base, bl, op, operand, mode, seed, onBlock)
 			})
 		}
 	}
 }
 
 // fuzzColumns builds one column per type with adversarial values:
-// duplicates, extremes, NaN/Inf floats, and a small string dictionary.
+// duplicates, extremes, NaN/Inf floats, and a small string dictionary —
+// plus a second float column of finite values whose sum depends on the
+// order of addition (1e16 next to 1.0, -0, subnormals), since a sum over
+// the first saturates at NaN or ±Inf within a few rows.
 func fuzzColumns(rng *rand.Rand, n int) []*Column {
 	ints := make([]int64, n)
 	flts := make([]float64, n)
+	finite := make([]float64, n)
 	bools := make([]bool, n)
 	strs := make([]string, n)
 	words := []string{"apple", "fig", "pear", "quince", "banana", "apple "}
@@ -151,12 +184,25 @@ func fuzzColumns(rng *rand.Rand, n int) []*Column {
 		default:
 			flts[i] = (rng.Float64() - 0.5) * 200
 		}
+		switch rng.Intn(8) {
+		case 0:
+			finite[i] = math.Copysign(1e16, rng.Float64()-0.5)
+		case 1, 2:
+			finite[i] = 1
+		case 3:
+			finite[i] = math.Copysign(0, -1)
+		case 4:
+			finite[i] = math.SmallestNonzeroFloat64
+		default:
+			finite[i] = (rng.Float64() - 0.5) * 200
+		}
 		bools[i] = rng.Intn(2) == 0
 		strs[i] = words[rng.Intn(len(words))]
 	}
 	return []*Column{
 		NewIntColumn("i", ints),
 		NewFloatColumn("f", flts),
+		NewFloatColumn("g", finite),
 		NewBoolColumn("b", bools),
 		NewStringColumn("s", strs),
 	}
@@ -171,6 +217,7 @@ func fuzzOperands(rng *rand.Rand) []Value {
 		FloatValue((rng.Float64() - 0.5) * 300),
 		FloatValue(math.NaN()),
 		FloatValue(math.Inf(1)),
+		FloatValue(2e16),
 		BoolValue(rng.Intn(2) == 0),
 		StringValue("fig"),
 		StringValue("zzz"),
@@ -194,9 +241,9 @@ func TestFusedKernelsMatchCompose(t *testing.T) {
 		for _, c := range cols {
 			for _, op := range fusedOps {
 				for oi, operand := range fuzzOperands(rng) {
-					label := fmt.Sprintf("round=%d type=%v op=%d operand#%d", round, c.Type(), op, oi)
+					label := fmt.Sprintf("round=%d col=%s op=%d operand#%d", round, c.Name(), op, oi)
 					for _, r := range ranges {
-						checkAgainstCompose(t, c, r[0], r[1], op, operand, label)
+						checkAgainstCompose(t, rng, c, r[0], r[1], op, operand, label)
 					}
 					// Selection-refinement forms over a random base
 					// selection (including out-of-range positions, which
@@ -206,7 +253,7 @@ func TestFusedKernelsMatchCompose(t *testing.T) {
 						base = base[:rng.Intn(len(base)+1)]
 					}
 					base = append(base, int32(n), int32(-1), int32(n+7))
-					checkSelAgainstCompose(t, c, base, op, operand, label)
+					checkSelAgainstCompose(t, rng, c, base, op, operand, label)
 				}
 			}
 		}
@@ -226,43 +273,30 @@ func TestBlockedKernelsMatchWholeRange(t *testing.T) {
 		base := c.FilterRange(0, n, RangeNe, IntValue(math.MaxInt64), nil)
 		for _, op := range fusedOps {
 			for oi, operand := range fuzzOperands(rng) {
-				label := fmt.Sprintf("type=%v op=%d operand#%d", c.Type(), op, oi)
-				checkAgainstCompose(t, c, 0, n, op, operand, label)
-				checkSelAgainstCompose(t, c, base, op, operand, label)
+				label := fmt.Sprintf("col=%s op=%d operand#%d", c.Name(), op, oi)
+				checkAgainstCompose(t, rng, c, 0, n, op, operand, label)
+				checkSelAgainstCompose(t, rng, c, base, op, operand, label)
 			}
 		}
 	}
 }
 
 // checkModeAgainstFull compares a mode-restricted blocked result to the
-// full compose result: N always matches; the sum matches for
-// sum-maintaining modes and the extrema for extrema-maintaining modes,
-// and what a mode does not maintain comes back as the empty value. A
-// Float64 sum is compared only when at most one chunk contributed
-// (blocks counts the onBlock calls): merging chunk partials reassociates
-// float addition, while a single chunk adds left to right exactly as the
-// compose does.
-func checkModeAgainstFull(t *testing.T, label string, got, want FilterAgg, mode FusedMode, typ Type, blocks int) {
+// full compose result from the same seed: N always matches; the sum
+// matches bit for bit for sum-maintaining modes — on float columns too,
+// whatever the chunking — and the extrema for extrema-maintaining modes,
+// and what a mode does not maintain comes back untouched (the seed, ±Inf).
+func checkModeAgainstFull(t *testing.T, label string, got, want FilterAgg, mode FusedMode, seed float64) {
 	t.Helper()
-	if got.N != want.N {
-		t.Fatalf("%s: N = %d, want %d", label, got.N, want.N)
+	if got.N != want.N || got.Exact != want.Exact {
+		t.Fatalf("%s: N = %d exact = %v, want %d %v", label, got.N, got.Exact, want.N, want.Exact)
 	}
-	if got.Exact && got.Sum != float64(got.IntSum) {
-		t.Fatalf("%s: exact sum mismatch: Sum=%v IntSum=%d", label, got.Sum, got.IntSum)
+	wantSum, wantIntSum := want.Sum, want.IntSum
+	if mode == FusedCount || mode == FusedMinMax {
+		wantSum, wantIntSum = seed, 0
 	}
-	switch {
-	case mode == FusedCount || mode == FusedMinMax:
-		if got.Sum != 0 || got.IntSum != 0 {
-			t.Fatalf("%s: unmaintained sum = %v/%d, want 0", label, got.Sum, got.IntSum)
-		}
-	case typ != Float64:
-		if got.IntSum != want.IntSum || !eqFloat(got.Sum, want.Sum) {
-			t.Fatalf("%s: sum = %v/%d, want %v/%d", label, got.Sum, got.IntSum, want.Sum, want.IntSum)
-		}
-	case blocks <= 1:
-		if !eqFloat(got.Sum, want.Sum) {
-			t.Fatalf("%s: float sum = %v, want %v", label, got.Sum, want.Sum)
-		}
+	if got.IntSum != wantIntSum || !eqFloat(got.Sum, wantSum) {
+		t.Fatalf("%s: sum = %v/%d, want %v/%d", label, got.Sum, got.IntSum, wantSum, wantIntSum)
 	}
 	wantMin, wantMax := want.Min, want.Max
 	if mode == FusedCount || mode == FusedSum {
@@ -274,16 +308,19 @@ func checkModeAgainstFull(t *testing.T, label string, got, want FilterAgg, mode 
 }
 
 // TestFilterAggRangeEmpty pins the zero-qualifier contract: Min/Max are
-// ±Inf and Sum 0, matching MinMaxRange over an empty range.
+// ±Inf, matching MinMaxRange over an empty range, and Sum is the seed.
 func TestFilterAggRangeEmpty(t *testing.T) {
 	c := NewIntColumn("v", []int64{1, 2, 3})
-	fa := c.FilterAggRangeBlocked(0, 3, 0, RangeGt, IntValue(100), FusedFull, nil)
+	fa := c.FilterAggRangeBlocked(0, 3, 0, RangeGt, IntValue(100), FusedFull, 0, nil)
 	if fa.N != 0 || fa.Sum != 0 || !math.IsInf(fa.Min, 1) || !math.IsInf(fa.Max, -1) {
 		t.Fatalf("no-qualifier FilterAggRangeBlocked = %+v", fa)
 	}
-	fa = c.FilterAggRangeBlocked(2, 2, 0, RangeGe, IntValue(0), FusedFull, nil)
-	if fa.N != 0 || !math.IsInf(fa.Min, 1) {
+	fa = c.FilterAggRangeBlocked(2, 2, 0, RangeGe, IntValue(0), FusedFull, 4.5, nil)
+	if fa.N != 0 || fa.Sum != 4.5 || !math.IsInf(fa.Min, 1) {
 		t.Fatalf("empty-range FilterAggRangeBlocked = %+v", fa)
+	}
+	if fa = c.FilterAggSelBlocked(nil, 0, RangeGe, IntValue(0), FusedFull, 4.5, nil); fa.N != 0 || fa.Sum != 4.5 {
+		t.Fatalf("empty-selection FilterAggSelBlocked = %+v", fa)
 	}
 }
 
@@ -294,7 +331,7 @@ func TestFilterAggExactSums(t *testing.T) {
 	big := int64(1) << 60
 	c := NewIntColumn("v", []int64{big, 1, big, 1, -big, 1})
 	for _, bl := range []int{0, 4} {
-		fa := c.FilterAggRangeBlocked(0, 6, bl, RangeNe, IntValue(big), FusedFull, nil)
+		fa := c.FilterAggRangeBlocked(0, 6, bl, RangeNe, IntValue(big), FusedFull, 0, nil)
 		// Qualifying values: 1, 1, -big, 1.
 		if !fa.Exact || fa.IntSum != 3-big {
 			t.Fatalf("bl=%d: exact sum = %+v, want IntSum %d", bl, fa, 3-big)
@@ -307,7 +344,7 @@ func TestFilterAggExactSums(t *testing.T) {
 
 // TestFilterAggMergeOrder verifies chunked scans merge to the
 // single-chunk answer (the operator layer splits scans at cost-model
-// block borders), both through Merge by hand and through the blocked
+// block borders), both through merge by hand and through the blocked
 // scan's own chunking.
 func TestFilterAggMergeOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -317,18 +354,19 @@ func TestFilterAggMergeOrder(t *testing.T) {
 	}
 	c := NewIntColumn("v", vals)
 	op, operand := RangeLt, IntValue(500)
-	whole := c.FilterAggRangeBlocked(0, len(vals), 0, op, operand, FusedFull, nil)
-	if want := composeAgg(c, c.FilterRange(0, len(vals), op, operand, nil)); whole != want {
+	whole := c.FilterAggRangeBlocked(0, len(vals), 0, op, operand, FusedFull, 0, nil)
+	if want := composeAgg(c, c.FilterRange(0, len(vals), op, operand, nil), 0); whole != want {
 		t.Fatalf("whole = %+v, compose = %+v", whole, want)
 	}
-	merged := emptyFilterAgg()
+	merged := c.seeded(0)
 	for lo := 0; lo < len(vals); lo += 512 {
-		merged.Merge(c.FilterAggRangeBlocked(lo, lo+512, 0, op, operand, FusedFull, nil))
+		merged.merge(c.FilterAggRangeBlocked(lo, lo+512, 0, op, operand, FusedFull, 0, nil))
 	}
+	merged.finish(FusedFull)
 	if merged != whole {
 		t.Fatalf("merged = %+v, whole = %+v", merged, whole)
 	}
-	if chunked := c.FilterAggRangeBlocked(0, len(vals), 512, op, operand, FusedFull, nil); chunked != whole {
+	if chunked := c.FilterAggRangeBlocked(0, len(vals), 512, op, operand, FusedFull, 0, nil); chunked != whole {
 		t.Fatalf("chunked = %+v, whole = %+v", chunked, whole)
 	}
 }

@@ -88,11 +88,12 @@ var fuzzWords = []string{"apple", "apple ", "banana", "fig", "pear", "quince", "
 
 // FuzzFusedBlocked holds the blocked fused scans — the storage entry
 // points operator.FuseFilterAgg calls — to the scalar compose (FilterRange
-// or FilterSel, then a per-value loop) over a fuzzer-chosen column type,
-// range, block length, mode, operator and operand. The operand crosses
-// every coercion path: a raw float64 payload (NaN, ±Inf, ±2^53 and the
-// MinInt64/MaxInt64 rounding edges come from the seed corpus), the same
-// bits as an int64, or a string.
+// or FilterSel, then a per-value loop continuing a seed-derived running
+// sum, compared bit for bit on float columns too) over a fuzzer-chosen
+// column type, range, block length, mode, operator and operand. The
+// operand crosses every coercion path: a raw float64 payload (NaN, ±Inf,
+// ±2^53 and the MinInt64/MaxInt64 rounding edges come from the seed
+// corpus), the same bits as an int64, or a string.
 func FuzzFusedBlocked(f *testing.F) {
 	for i, bb := range fuzzEdgeBits {
 		for typ := uint8(0); typ < 4; typ++ {
@@ -103,6 +104,11 @@ func FuzzFusedBlocked(f *testing.F) {
 	for i, v := range fuzzEdgeInts {
 		f.Add(uint8(0), v, int16(0), int16(255), uint16(64), uint8(24+i*7), uint64(v))
 		f.Add(uint8(0), v, int16(5), int16(2), uint16(0), uint8(i), math.Float64bits(float64(v)))
+	}
+	// Float sums (opSel 6..11: FusedSum, float operand) over whole columns
+	// at block lengths that cut them into many chunks.
+	for i, bl := range []uint16{0, 1, 3, 64, 1024} {
+		f.Add(uint8(1), int64(1000+i), int16(0), int16(415), bl, uint8(6+i), math.Float64bits(1))
 	}
 	f.Fuzz(func(t *testing.T, typByte uint8, seed int64, loRaw, hiRaw int16, blRaw uint16, opSel uint8, bBits uint64) {
 		op := RangeOp(opSel % 6)
@@ -175,15 +181,20 @@ func FuzzFusedBlocked(f *testing.F) {
 		}
 		base = append(base, int32(n), -1)
 
+		// The running sum the scans continue: signed zeros, a magnitude
+		// that swallows small addends unless they arrive pre-summed, or
+		// arbitrary bits.
+		sumSeed := []float64{0, math.Copysign(0, -1), 1e16, -1e16, 1, math.Float64frombits(next())}[next()>>32%6]
+
 		label := fmt.Sprintf("type=%v n=%d op=%d operand=%+v", c.Type(), n, op, operand)
 		check := func() {
-			want := composeRange(t, c, lo, hi, op, operand, label)
-			checkBlocked(t, fmt.Sprintf("%s range[%d,%d)", label, lo, hi), c.Type(), mode, bl, want, func(onBlock func(int, int)) FilterAgg {
-				return c.FilterAggRangeBlocked(lo, hi, bl, op, operand, mode, onBlock)
+			sel := composeRange(t, c, lo, hi, op, operand, label)
+			checkBlocked(t, fmt.Sprintf("%s range[%d,%d)", label, lo, hi), c, sel, mode, bl, sumSeed, func(onBlock func(int, int)) FilterAgg {
+				return c.FilterAggRangeBlocked(lo, hi, bl, op, operand, mode, sumSeed, onBlock)
 			})
-			want = composeAgg(c, c.FilterSel(base, op, operand, nil))
-			checkBlocked(t, label+" sel", c.Type(), mode, bl, want, func(onBlock func(int, int)) FilterAgg {
-				return c.FilterAggSelBlocked(base, bl, op, operand, mode, onBlock)
+			sel = c.FilterSel(base, op, operand, nil)
+			checkBlocked(t, label+" sel", c, sel, mode, bl, sumSeed, func(onBlock func(int, int)) FilterAgg {
+				return c.FilterAggSelBlocked(base, bl, op, operand, mode, sumSeed, onBlock)
 			})
 		}
 		check()
