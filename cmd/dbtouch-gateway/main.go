@@ -23,6 +23,9 @@
 //	GET  /stream    frame-aligned relay with resume-and-reattach
 //	GET  /healthz   gateway readiness (ready iff >= 1 backend is)
 //	GET  /gatewayz  JSON routing snapshot: breaker states, pins, counters
+//
+// -debug-addr serves net/http/pprof on a listener of its own (off by
+// default, never on the protocol address).
 package main
 
 import (
@@ -37,6 +40,7 @@ import (
 	"syscall"
 	"time"
 
+	"dbtouch/internal/debughttp"
 	"dbtouch/internal/gateway"
 	"dbtouch/internal/protocol"
 )
@@ -54,6 +58,7 @@ func main() {
 	retryBase := flag.Duration("retry-base", 0, "first retry's backoff ceiling (0 = 50ms; grows exponentially, full jitter)")
 	retryCap := flag.Duration("retry-cap", 0, "backoff ceiling for any single retry (0 = 2s)")
 	quiet := flag.Bool("quiet", false, "suppress routing state-transition logs")
+	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof (/debug/pprof/) on this separate address (empty = off; never on the protocol listener)")
 	flag.Parse()
 
 	if *backends == "" {
@@ -104,6 +109,14 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dbtouch-gateway:", err)
 		os.Exit(1)
+	}
+	if *debugAddr != "" {
+		dln, err := debughttp.Listen(*debugAddr)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "dbtouch-gateway: -debug-addr:", err)
+			os.Exit(1)
+		}
+		fmt.Printf("pprof on http://%s/debug/pprof/\n", dln.Addr())
 	}
 
 	sig := make(chan os.Signal, 1)

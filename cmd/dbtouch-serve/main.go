@@ -50,13 +50,19 @@
 // caps ingestion (rejected batches get 503 + Retry-After).
 //
 // Concurrency model: net/http spends one goroutine per connection, and a
-// request executes on it — one kernel execution per session at a time
+// request executes on it (with -rpc-timeout set, on a reused runner
+// goroutine the connection's goroutine waits for, so the request can be
+// abandoned at the deadline) — one kernel execution per session at a time
 // (the session's run lock), any number of sessions in parallel; an idle
 // session holds no goroutine. What bounds the server is admission
 // (-admit-sessions answers opens past the ceiling with HTTP 503 +
 // Retry-After; -max-sessions LRU-evicts), -rpc-timeout per request,
 // -append-rate for ingestion, and the HTTP read/idle timeouts. See
 // docs/operations.md for tuning guidance.
+//
+// -debug-addr serves net/http/pprof on a listener of its own (off by
+// default, never on the protocol address): profile the live server with
+// go tool pprof http://ADDR/debug/pprof/profile?seconds=30.
 //
 // Try it:
 //
@@ -79,6 +85,7 @@ import (
 
 	"dbtouch"
 	"dbtouch/internal/datagen"
+	"dbtouch/internal/debughttp"
 	"dbtouch/internal/protocol"
 	"dbtouch/internal/sessionlog"
 )
@@ -109,6 +116,7 @@ func main() {
 	readTimeout := flag.Duration("read-timeout", 30*time.Second, "HTTP read deadline for one request (0 = unbounded)")
 	idleTimeout := flag.Duration("idle-timeout", 2*time.Minute, "HTTP keep-alive idle deadline (0 = unbounded)")
 	rpcTimeout := flag.Duration("rpc-timeout", time.Minute, "wall-clock deadline for one /rpc request; past it the client gets 503 + Retry-After (0 = unbounded; /stream is never bounded)")
+	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof (/debug/pprof/) on this separate address (empty = off; never on the protocol listener)")
 	drainGrace := flag.Duration("drain-grace", 0, "on SIGTERM, keep serving this long after flipping /healthz to draining, so a gateway's health checker can migrate sessions before shutdown")
 	flag.Parse()
 
@@ -243,6 +251,14 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dbtouch-serve:", err)
 		os.Exit(1)
+	}
+	if *debugAddr != "" {
+		dln, err := debughttp.Listen(*debugAddr)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "dbtouch-serve: -debug-addr:", err)
+			os.Exit(1)
+		}
+		fmt.Printf("pprof on http://%s/debug/pprof/\n", dln.Addr())
 	}
 
 	// SIGHUP flushes the partial FTDC chunk so an operator can decode the

@@ -16,6 +16,15 @@
 // the session's dedupe cache instead of executing twice — which is what
 // makes retrying performs safe at all.
 //
+// The forward path parses nothing it does not route on. A request is
+// peeked for its five routing fields and then travels as the client
+// sent it: the backend receives the client's bytes verbatim plus at
+// most one spliced key (the ReqID stamp). A response is relayed as the
+// backend sent it: its bytes are never re-encoded, and are parsed only
+// where control flow reads a field of them — on a non-200 status, after
+// an evict, and after the gateway's own resume — never on the 200 path
+// of a forwarded touch.
+//
 // Failover is resume-based: all backends share one -session-dir, every
 // executed request is teed into the session's durable log by whichever
 // backend is pinned, and when that backend dies the gateway re-pins the
@@ -55,6 +64,12 @@ const maxProxyRequestBytes = 1 << 20
 // maxProxyResponseBytes bounds one forwarded response body (matches the
 // client's own decode bound).
 const maxProxyResponseBytes = 64 << 20
+
+// maxIdleConnsPerBackend sizes the keep-alive pool the gateway holds to
+// each backend, well above any realistic per-backend concurrency:
+// http.DefaultTransport keeps two, so every forward past the second in
+// flight would close its connection on return and re-dial the next time.
+const maxIdleConnsPerBackend = 256
 
 // Gateway option defaults.
 const (
@@ -137,9 +152,16 @@ func New(opts Options) (*Gateway, error) {
 	if len(opts.Backends) == 0 {
 		return nil, errors.New("gateway: no backends configured")
 	}
+	// The gateway's own transport: a per-backend idle pool wide enough
+	// to keep every concurrent session's connection, and no transparent
+	// gzip — nothing on this hop is compressed.
+	transport := http.DefaultTransport.(*http.Transport).Clone()
+	transport.MaxIdleConns = 0 // bounded per backend instead
+	transport.MaxIdleConnsPerHost = maxIdleConnsPerBackend
+	transport.DisableCompression = true
 	g := &Gateway{
 		opts:     opts,
-		client:   &http.Client{},
+		client:   &http.Client{Transport: transport},
 		instance: strconv.FormatInt(time.Now().UnixNano(), 36),
 		pins:     make(map[string]*sessEntry),
 		tables:   make(map[string]*sync.Mutex),
@@ -162,8 +184,8 @@ func New(opts Options) (*Gateway, error) {
 	return g, nil
 }
 
-// Close stops the health prober. In-flight forwards finish on their own
-// deadlines.
+// Close stops the health prober and drops the idle backend connections.
+// In-flight forwards finish on their own deadlines.
 func (g *Gateway) Close() {
 	g.mu.Lock()
 	if g.closed {
@@ -174,6 +196,7 @@ func (g *Gateway) Close() {
 	g.mu.Unlock()
 	close(g.done)
 	g.wg.Wait()
+	g.client.CloseIdleConnections()
 }
 
 func (g *Gateway) requestTimeout() time.Duration {
@@ -352,14 +375,23 @@ func (g *Gateway) tableLock(table string) *sync.Mutex {
 	return mu
 }
 
-// rpcResult is one forwarded response: the raw bytes to relay verbatim
-// (byte-transparency — the gateway never re-encodes a backend response)
-// plus the decoded envelope for control flow only.
+// rpcResult is one forwarded response: the HTTP status and Retry-After
+// hint control flow reads, and the raw bytes to relay verbatim
+// (byte-transparency — the gateway never re-encodes a backend response).
+// The envelope is not decoded here; the few paths that need a field of
+// it (a 503's error text, an evict's or a resume's outcome) call
+// envelope.
 type rpcResult struct {
 	status     int
 	retryAfter time.Duration
 	body       []byte
-	resp       protocol.Response
+}
+
+// envelope decodes the response body. A body that is not an envelope
+// reads as the zero Response: not OK, no error text.
+func (res rpcResult) envelope() protocol.Response {
+	resp, _ := protocol.DecodeResponse(res.body)
+	return resp
 }
 
 // post forwards one raw /rpc body to a backend under the per-attempt
@@ -387,7 +419,6 @@ func (g *Gateway) post(b *backend, raw []byte) (rpcResult, error) {
 			out.retryAfter = time.Duration(n) * time.Second
 		}
 	}
-	out.resp, _ = protocol.DecodeResponse(body)
 	return out, nil
 }
 
@@ -408,7 +439,7 @@ func stampedOp(op string) bool {
 // immediately instead of backing off against a server that is leaving.
 func isDraining(res rpcResult) bool {
 	return res.status == http.StatusServiceUnavailable &&
-		strings.Contains(res.resp.Error, "draining")
+		strings.Contains(res.envelope().Error, "draining")
 }
 
 // resumeOn replays a session's durable log on a backend before traffic
@@ -416,27 +447,82 @@ func isDraining(res rpcResult) bool {
 // that was never opened (or a server without durability) has no log,
 // and the forwarded request that follows surfaces the truth either way.
 func (g *Gateway) resumeOn(b *backend, session string) {
-	raw, err := json.Marshal(protocol.Request{V: protocol.Version, Op: protocol.OpResume, Session: session})
+	raw, err := protocol.EncodeRequest(protocol.Request{Op: protocol.OpResume, Session: session})
 	if err != nil {
 		return
 	}
 	res, err := g.post(b, raw)
-	if err != nil || !res.resp.OK {
+	if err != nil {
+		return
+	}
+	resp := res.envelope()
+	if !resp.OK {
 		return
 	}
 	g.resumes.Add(1)
-	g.replayed.Add(int64(res.resp.Replayed))
+	g.replayed.Add(int64(resp.Replayed))
 }
 
-// dispatch routes one decoded request down the matching forward path.
-// raw is the client's original body, relayed untouched whenever the
-// gateway adds nothing (byte-transparency).
-func (g *Gateway) dispatch(req protocol.Request, raw []byte) (rpcResult, error) {
+// routing is everything the gateway reads of a request: enough to check
+// the version, pick the forward path and decide on a ReqID stamp. The
+// rest of the body (gesture, rows, specs) is the backend's to parse.
+type routing struct {
+	V       int    `json:"v"`
+	Op      string `json:"op"`
+	ReqID   string `json:"reqId"`
+	Session string `json:"session"`
+	Table   string `json:"table"`
+}
+
+// peekRequest decodes a body's routing fields with the decoder and the
+// version check a backend applies, so the edge accepts no body a backend
+// would call malformed on those fields. A rejection is worded by the
+// full decoder — the cold path — so it reads exactly as a backend's.
+func peekRequest(body []byte) (routing, error) {
+	var rt routing
+	err := json.Unmarshal(body, &rt)
+	if err == nil {
+		err = protocol.Request{V: rt.V}.CheckVersion()
+	}
+	if err != nil {
+		if _, full := protocol.DecodeRequest(body); full != nil {
+			err = full
+		}
+		return routing{}, err
+	}
+	return rt, nil
+}
+
+// errStampOverflow rejects a request the ReqID stamp would push past the
+// backend's own /rpc body bound, where it would be truncated mid-JSON.
+var errStampOverflow = fmt.Errorf("request too large: no room for the ReqID stamp under the %d-byte /rpc limit", maxProxyRequestBytes)
+
+// stamp returns body with ,"reqId":"<id>" spliced in front of its
+// closing brace. body must have passed peekRequest: a JSON object with
+// at least the "v" key, followed by whitespace at most — so the last '}'
+// is the object's own and the leading comma is always due. The spliced
+// key comes last and JSON decoding lets the last duplicate win, so an
+// explicit empty or null reqId earlier in the body is overridden. id
+// must need no JSON escaping (gateway ReqIDs are [a-z0-9-]).
+func stamp(body []byte, id string) []byte {
+	end := bytes.LastIndexByte(body, '}')
+	out := make([]byte, 0, len(body)+len(id)+len(`,"reqId":""`))
+	out = append(out, body[:end]...)
+	out = append(out, `,"reqId":"`...)
+	out = append(out, id...)
+	out = append(out, '"')
+	return append(out, body[end:]...)
+}
+
+// dispatch routes one peeked request down the matching forward path.
+// raw is the client's original body, relayed untouched but for the
+// ReqID stamp (byte-transparency).
+func (g *Gateway) dispatch(rt routing, raw []byte) (rpcResult, error) {
 	switch {
-	case req.Op == protocol.OpAppend:
-		return g.forwardAppend(req, raw)
-	case req.Session != "":
-		return g.forwardSession(req)
+	case rt.Op == protocol.OpAppend:
+		return g.forwardAppend(rt.Table, raw)
+	case rt.Session != "":
+		return g.forwardSession(rt, raw)
 	default:
 		return g.forwardAny(raw)
 	}
@@ -446,20 +532,20 @@ func (g *Gateway) dispatch(req protocol.Request, raw []byte) (rpcResult, error) 
 // backend, stamping a ReqID on mutating ops, retrying overload with
 // backoff, and failing over by resume when the backend dies under it.
 // The entry lock makes the whole sequence atomic per session.
-func (g *Gateway) forwardSession(req protocol.Request) (rpcResult, error) {
+func (g *Gateway) forwardSession(req routing, raw []byte) (rpcResult, error) {
 	e := g.entry(req.Session)
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if req.ReqID == "" && stampedOp(req.Op) {
+		// The client's bytes, its v included, reach the backend as sent
+		// (version echo behaves as if the client spoke direct); the stamp
+		// is the one key the gateway adds. A request that already carries
+		// a ReqID is forwarded untouched.
 		e.seq++
-		req.ReqID = fmt.Sprintf("gw-%s-%d", g.instance, e.seq)
-	}
-	// Re-marshal rather than forwarding raw: the ReqID stamp requires
-	// it, and json round-trips the request losslessly (the client's V is
-	// preserved, so version echo behaves as if the client spoke direct).
-	raw, err := json.Marshal(req)
-	if err != nil {
-		return rpcResult{}, err
+		raw = stamp(raw, "gw-"+g.instance+"-"+strconv.FormatUint(e.seq, 10))
+		if len(raw) > maxProxyRequestBytes {
+			return rpcResult{}, errStampOverflow
+		}
 	}
 
 	var lastErr error
@@ -506,7 +592,7 @@ func (g *Gateway) forwardSession(req protocol.Request) (rpcResult, error) {
 				time.Sleep(g.opts.Retry.Delay(attempt, res.retryAfter))
 				continue
 			}
-			if req.Op == protocol.OpEvict && res.resp.OK {
+			if req.Op == protocol.OpEvict && res.envelope().OK {
 				g.dropEntry(req.Session)
 			}
 			return res, nil
@@ -542,8 +628,8 @@ func (g *Gateway) forwardSession(req protocol.Request) (rpcResult, error) {
 // observe every append or their session states diverge. The per-table
 // lock keeps concurrent appends in one order everywhere. The first
 // backend's response is the client's answer.
-func (g *Gateway) forwardAppend(req protocol.Request, raw []byte) (rpcResult, error) {
-	mu := g.tableLock(req.Table)
+func (g *Gateway) forwardAppend(table string, raw []byte) (rpcResult, error) {
+	mu := g.tableLock(table)
 	mu.Lock()
 	defer mu.Unlock()
 	var first *rpcResult
@@ -706,17 +792,19 @@ func (g *Gateway) handleRPC(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	req, err := protocol.DecodeRequest(body)
+	rt, err := peekRequest(body)
 	if err != nil {
 		// Malformed requests are answered at the edge, like the server.
 		writeEnvelope(w, protocol.Errorf("%v", err), 0)
 		return
 	}
-	res, err := g.dispatch(req, body)
+	res, err := g.dispatch(rt, body)
 	if err != nil {
 		resp := protocol.Overloadedf("gateway: %v", err)
-		resp.V = req.V
-		writeEnvelope(w, resp, 0)
+		if errors.Is(err, errStampOverflow) {
+			resp = protocol.Errorf("gateway: %v", err) // retrying cannot help
+		}
+		writeEnvelope(w, resp, rt.V)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")

@@ -8,9 +8,11 @@ import (
 	"hash/fnv"
 	"io"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -37,7 +39,7 @@ type testBackend struct {
 	killed     atomic.Bool
 }
 
-func newTestBackend(t *testing.T, dir string) *testBackend {
+func newTestBackend(t testing.TB, dir string) *testBackend {
 	t.Helper()
 	b := &testBackend{db: dbtouch.Open(), health: protocol.NewHealth()}
 	vals := make([]int64, 50000)
@@ -91,7 +93,7 @@ func (b *testBackend) url() string { return b.srv.URL }
 
 // fastOpts is a gateway tuned for test time: tight probe period, small
 // breaker thresholds, millisecond backoff.
-func fastOpts(t *testing.T, backends ...string) gateway.Options {
+func fastOpts(t testing.TB, backends ...string) gateway.Options {
 	return gateway.Options{
 		Backends:         backends,
 		Retry:            protocol.Backoff{Base: 5 * time.Millisecond, Cap: 50 * time.Millisecond, Attempts: 8},
@@ -104,7 +106,7 @@ func fastOpts(t *testing.T, backends ...string) gateway.Options {
 	}
 }
 
-func newGateway(t *testing.T, opts gateway.Options) (*gateway.Gateway, string) {
+func newGateway(t testing.TB, opts gateway.Options) (*gateway.Gateway, string) {
 	t.Helper()
 	g, err := gateway.New(opts)
 	if err != nil {
@@ -134,7 +136,7 @@ func rawPost(t *testing.T, base string, body []byte) (int, []byte) {
 	return resp.StatusCode, b
 }
 
-func encode(t *testing.T, req protocol.Request) []byte {
+func encode(t testing.TB, req protocol.Request) []byte {
 	t.Helper()
 	data, err := protocol.EncodeRequest(req)
 	if err != nil {
@@ -524,5 +526,84 @@ func TestGatewayHealthz(t *testing.T) {
 	res.Body.Close()
 	if len(st.Backends) != 1 || st.Backends[0].State == "" {
 		t.Fatalf("gatewayz snapshot: %+v", st)
+	}
+}
+
+// TestGatewayKeepsBackendConnections: with more sessions in flight to
+// one backend than http.DefaultTransport's two idle slots, every forward
+// must still find a kept-alive connection — the backend sees about one
+// new connection per concurrent session, not one per request.
+func TestGatewayKeepsBackendConnections(t *testing.T) {
+	const sessions, rounds = 8, 50
+	var dialed atomic.Int64
+	backend := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		if r.URL.Path == "/rpc" {
+			time.Sleep(time.Millisecond) // keep a round's forwards overlapping
+			io.WriteString(w, `{"v":2,"ok":true}`)
+		}
+	}))
+	backend.Config.ConnState = func(_ net.Conn, state http.ConnState) {
+		if state == http.StateNew {
+			dialed.Add(1)
+		}
+	}
+	backend.Start()
+	defer backend.Close()
+	g, _ := newGateway(t, fastOpts(t, backend.URL))
+
+	// Each round is a burst: every session forwards at once, then all go
+	// quiet — the moment a two-wide idle pool closes the other six
+	// connections, to be re-dialed by the next round.
+	bodies := make([][]byte, sessions)
+	for s := range bodies {
+		bodies[s] = encode(t, protocol.Request{Op: protocol.OpIdle, Session: fmt.Sprintf("pool-%d", s), Idle: time.Millisecond})
+	}
+	for i := 0; i < rounds; i++ {
+		var wg sync.WaitGroup
+		for _, body := range bodies {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				rec := httptest.NewRecorder()
+				g.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/rpc", bytes.NewReader(body)))
+				if rec.Code != http.StatusOK {
+					t.Errorf("round %d: status %d: %s", i, rec.Code, rec.Body.Bytes())
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	// One connection per concurrent session, plus slack for a health
+	// probe that found them all busy.
+	if n := dialed.Load(); n > sessions+4 {
+		t.Fatalf("%d requests over %d concurrent sessions opened %d backend connections", sessions*rounds, sessions, n)
+	}
+}
+
+// BenchmarkGatewayForwardTap is one tap forwarded in-process through the
+// gateway to one loopback backend serving the real handler: the cost of
+// the hop itself — peek, stamp, one HTTP round trip, relay.
+func BenchmarkGatewayForwardTap(b *testing.B) {
+	backend := newTestBackend(b, b.TempDir())
+	opts := fastOpts(b, backend.url())
+	opts.Logf = nil
+	g, _ := newGateway(b, opts)
+	h := g.Handler()
+	post := func(body []byte) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/rpc", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", rec.Code, rec.Body.Bytes())
+		}
+	}
+	for _, req := range sessionScript("bench", 0) {
+		post(encode(b, req))
+	}
+	tap := gesture.NewTap(0, 0.5)
+	body := encode(b, protocol.Request{Op: protocol.OpPerform, Session: "bench", Object: "o", Gesture: &tap})
+	b.ReportAllocs()
+	for b.Loop() {
+		post(body)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"dbtouch/internal/core"
@@ -26,25 +27,99 @@ func admissionGated(op string) bool {
 
 // handleWithTimeout routes one request, bounding its wall-clock time
 // when d > 0. On timeout the execution is abandoned (it finishes in the
-// background under the session's own serialization) and the client gets
-// an overloaded envelope — the request may still take effect, which is
-// exactly the lost-response case ReqID dedupe exists for.
+// background, on the runner it started on, under the session's own
+// serialization) and the client gets an overloaded envelope — the
+// request may still take effect, which is exactly the lost-response case
+// ReqID dedupe exists for.
 func handleWithTimeout(r Router, req Request, d time.Duration) Response {
 	if d <= 0 {
 		return r.HandleRequest(req)
 	}
-	done := make(chan Response, 1)
-	go func() { done <- r.HandleRequest(req) }()
-	t := time.NewTimer(d)
-	defer t.Stop()
+	run := takeRunner()
+	run.deadline.Reset(d)
+	run.jobs <- rpcJob{r, req}
 	select {
-	case resp := <-done:
+	case resp := <-run.reply:
+		run.deadline.Stop()
+		run.release()
 		return resp
-	case <-t.C:
+	case <-run.deadline.C:
+		// Abandoned: the runner still owes a reply, so it must never serve
+		// another request — a late answer would land on someone else's
+		// connection. Closing jobs lets it exit once the execution returns.
+		close(run.jobs)
 		resp := Overloadedf("%s: request exceeded the server's %v rpc deadline", req.Op, d)
 		resp.V = req.V
 		return resp
 	}
+}
+
+// maxIdleRunners bounds the parked runners kept for reuse. Runners past
+// it exit when released, so a burst costs goroutines only while it lasts.
+const maxIdleRunners = 32
+
+// rpcJob is one bounded request handed to a runner.
+type rpcJob struct {
+	r   Router
+	req Request
+}
+
+// rpcRunner is a reusable goroutine executing deadline-bounded requests
+// off the connection's goroutine, so a request that outlives its
+// deadline can be abandoned without killing it. A fresh goroutine per
+// request would start on a minimum stack and grow it by copying all the
+// way down the kernel's call chain every time; a parked runner keeps the
+// stack it grew, and carries the one timer and reply channel its
+// requests reuse.
+type rpcRunner struct {
+	jobs     chan rpcJob   // unbuffered; closed to retire the runner
+	reply    chan Response // 1-slot, so an abandoned runner never blocks
+	deadline *time.Timer
+}
+
+// idleRunners is the process-wide list of parked runners, most recently
+// used last. It is a plain bounded list rather than a sync.Pool: a
+// runner the GC dropped would strand its goroutine.
+var idleRunners struct {
+	sync.Mutex
+	list []*rpcRunner
+}
+
+// takeRunner pops the warmest parked runner or starts a new one.
+func takeRunner() *rpcRunner {
+	idleRunners.Lock()
+	if n := len(idleRunners.list); n > 0 {
+		run := idleRunners.list[n-1]
+		idleRunners.list = idleRunners.list[:n-1]
+		idleRunners.Unlock()
+		return run
+	}
+	idleRunners.Unlock()
+	run := &rpcRunner{
+		jobs:     make(chan rpcJob),
+		reply:    make(chan Response, 1),
+		deadline: time.NewTimer(time.Hour),
+	}
+	run.deadline.Stop()
+	go func() {
+		for job := range run.jobs {
+			run.reply <- job.r.HandleRequest(job.req)
+		}
+	}()
+	return run
+}
+
+// release parks a runner whose reply was consumed, or retires it when
+// the idle list is full.
+func (run *rpcRunner) release() {
+	idleRunners.Lock()
+	if len(idleRunners.list) < maxIdleRunners {
+		idleRunners.list = append(idleRunners.list, run)
+		idleRunners.Unlock()
+		return
+	}
+	idleRunners.Unlock()
+	close(run.jobs)
 }
 
 // ErrOverloaded is the client-side face of server admission control: a

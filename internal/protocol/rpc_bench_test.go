@@ -1,0 +1,67 @@
+package protocol_test
+
+import (
+	"bytes"
+	"net/http"
+	"net/http/httptest"
+	"testing"
+	"time"
+
+	"dbtouch"
+	"dbtouch/internal/gesture"
+	"dbtouch/internal/protocol"
+)
+
+// BenchmarkRPCHandlerTap is one tap through the /rpc handler on a
+// recorder — decode, execute on a real session, encode — with and
+// without the per-request deadline: the difference between the two is
+// what bounding a request costs.
+func BenchmarkRPCHandlerTap(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		opts []protocol.HandlerOption
+	}{
+		{"inline", nil},
+		{"rpc-timeout", []protocol.HandlerOption{protocol.WithRPCTimeout(time.Minute)}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			db := dbtouch.Open()
+			vals := make([]float64, 100000)
+			for i := range vals {
+				vals[i] = float64(i * 7 % 1000)
+			}
+			db.NewTable("t").Float("v", vals).MustCreate()
+			defer db.Manager().Close()
+			h := protocol.NewHTTPHandler(db.Manager(), bc.opts...)
+			post := func(req protocol.Request) {
+				body, err := protocol.EncodeRequest(req)
+				if err != nil {
+					b.Fatal(err)
+				}
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/rpc", bytes.NewReader(body)))
+				if resp, err := protocol.DecodeResponse(rec.Body.Bytes()); err != nil || !resp.OK {
+					b.Fatalf("%s: %v %s", req.Op, err, rec.Body.Bytes())
+				}
+			}
+			post(protocol.Request{Op: protocol.OpOpen, Session: "s"})
+			post(protocol.Request{Op: protocol.OpCreate, Session: "s", Object: "o",
+				Create: &protocol.CreateSpec{Table: "t", Column: "v", X: 2, Y: 2, W: 2, H: 10}})
+			post(protocol.Request{Op: protocol.OpConfigure, Session: "s", Object: "o",
+				Actions: &protocol.ActionsSpec{Mode: "summary"}})
+			tap := gesture.NewTap(0, 0.5)
+			body, err := protocol.EncodeRequest(protocol.Request{Op: protocol.OpPerform, Session: "s", Object: "o", Gesture: &tap})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			for b.Loop() {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/rpc", bytes.NewReader(body)))
+				if rec.Code != http.StatusOK {
+					b.Fatalf("status %d: %s", rec.Code, rec.Body.Bytes())
+				}
+			}
+		})
+	}
+}
