@@ -9,6 +9,8 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"os"
+	"runtime/debug"
 	"strconv"
 	"strings"
 	"sync"
@@ -33,7 +35,8 @@ func admissionGated(op string) bool {
 // ReqID dedupe exists for.
 func handleWithTimeout(r Router, req Request, d time.Duration) Response {
 	if d <= 0 {
-		return r.HandleRequest(req)
+		resp, _ := handleRecovered(r, req)
+		return resp
 	}
 	run := takeRunner()
 	run.deadline.Reset(d)
@@ -41,7 +44,11 @@ func handleWithTimeout(r Router, req Request, d time.Duration) Response {
 	select {
 	case resp := <-run.reply:
 		run.deadline.Stop()
-		run.release()
+		if run.panicked {
+			close(run.jobs)
+		} else {
+			run.release()
+		}
 		return resp
 	case <-run.deadline.C:
 		// Abandoned: the runner still owes a reply, so it must never serve
@@ -52,6 +59,24 @@ func handleWithTimeout(r Router, req Request, d time.Duration) Response {
 		resp.V = req.V
 		return resp
 	}
+}
+
+// handleRecovered is r.HandleRequest behind the wire's last guard. A
+// runner goroutine has no net/http recover above it, so a panicking
+// handler would take the process — every session on the backend — down
+// with it; instead the panic is reported on stderr and the client gets a
+// plain failed envelope in the version it spoke. Not overloaded: retrying
+// the request that hit a bug is not the cure.
+func handleRecovered(r Router, req Request) (resp Response, panicked bool) {
+	defer func() {
+		if p := recover(); p != nil {
+			fmt.Fprintf(os.Stderr, "protocol: panic serving %s: %v\n%s", req.Op, p, debug.Stack())
+			resp = Errorf("%s: internal error", req.Op)
+			resp.V = req.V
+			panicked = true
+		}
+	}()
+	return r.HandleRequest(req), false
 }
 
 // maxIdleRunners bounds the parked runners kept for reuse. Runners past
@@ -75,6 +100,9 @@ type rpcRunner struct {
 	jobs     chan rpcJob   // unbuffered; closed to retire the runner
 	reply    chan Response // 1-slot, so an abandoned runner never blocks
 	deadline *time.Timer
+	// panicked is set by the runner before it replies from a recovered
+	// panic; the handler retires such a runner instead of parking it.
+	panicked bool
 }
 
 // idleRunners is the process-wide list of parked runners, most recently
@@ -103,7 +131,9 @@ func takeRunner() *rpcRunner {
 	run.deadline.Stop()
 	go func() {
 		for job := range run.jobs {
-			run.reply <- job.r.HandleRequest(job.req)
+			var resp Response
+			resp, run.panicked = handleRecovered(job.r, job.req)
+			run.reply <- resp
 		}
 	}()
 	return run
@@ -190,6 +220,18 @@ func WithAdmitGate(fn func() bool) HandlerOption {
 	return func(c *handlerConfig) { c.admitting = fn }
 }
 
+// readBody reads one /rpc body, at most maxRequestBytes of it. A declared
+// Content-Length is read in one exact read instead of io.ReadAll's
+// regrowing buffer (an append body is ~30 KB).
+func readBody(req *http.Request) ([]byte, error) {
+	if req.ContentLength < 0 {
+		return io.ReadAll(io.LimitReader(req.Body, maxRequestBytes))
+	}
+	body := make([]byte, min(req.ContentLength, maxRequestBytes))
+	_, err := io.ReadFull(req.Body, body)
+	return body, err
+}
+
 // NewHTTPHandler serves the wire protocol over HTTP:
 //
 //	POST /rpc                            one Request in, one Response out
@@ -209,7 +251,7 @@ func NewHTTPHandler(r Router, opts ...HandlerOption) http.Handler {
 			http.Error(w, "POST only", http.StatusMethodNotAllowed)
 			return
 		}
-		body, err := io.ReadAll(io.LimitReader(req.Body, maxRequestBytes))
+		body, err := readBody(req)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
@@ -311,13 +353,18 @@ func NewHTTPHandler(r Router, opts ...HandlerOption) http.Handler {
 				}
 			}
 		}
-		enc := json.NewEncoder(w)
+		var line []byte
 		for {
 			result, ok := stream.Next()
 			if !ok {
 				return
 			}
-			if err := enc.Encode(FrameResult(result)); err != nil {
+			frame := FrameResult(result)
+			line, err = appendFrameLine(line[:0], &frame)
+			if err != nil {
+				return
+			}
+			if _, err := w.Write(line); err != nil {
 				return
 			}
 			if canFlush {

@@ -317,11 +317,16 @@ func EncodeRequest(r Request) ([]byte, error) {
 	return json.Marshal(r)
 }
 
-// DecodeRequest unmarshals and version-checks one request.
+// DecodeRequest unmarshals and version-checks one request. An append
+// batch of plain scalars is parsed by hand (rows_decode.go); the result
+// is the one encoding/json would have produced.
 func DecodeRequest(data []byte) (Request, error) {
 	var r Request
-	if err := json.Unmarshal(data, &r); err != nil {
-		return Request{}, fmt.Errorf("protocol: decoding request: %w", err)
+	if !decodeAppend(data, &r) {
+		r = Request{}
+		if err := json.Unmarshal(data, &r); err != nil {
+			return Request{}, fmt.Errorf("protocol: decoding request: %w", err)
+		}
 	}
 	if err := r.CheckVersion(); err != nil {
 		return Request{}, err
@@ -332,10 +337,15 @@ func DecodeRequest(data []byte) (Request, error) {
 // EncodeResponse marshals the response, stamping the current version
 // when the caller did not choose one. Handlers answer in the version the
 // request spoke (HandleRequest echoes it), so v1 clients receive
-// envelopes byte-identical to a v1 server's.
+// envelopes byte-identical to a v1 server's. The bytes are json.Marshal's,
+// written by hand for the envelope and its result frames
+// (response_encode.go).
 func EncodeResponse(r Response) ([]byte, error) {
 	if r.V < 1 || r.V > Version {
 		r.V = Version
+	}
+	if b, ok := marshalResponse(&r); ok {
+		return b, nil
 	}
 	return json.Marshal(r)
 }

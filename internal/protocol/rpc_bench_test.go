@@ -10,6 +10,7 @@ import (
 	"dbtouch"
 	"dbtouch/internal/gesture"
 	"dbtouch/internal/protocol"
+	"dbtouch/internal/storage"
 )
 
 // BenchmarkRPCHandlerTap is one tap through the /rpc handler on a
@@ -63,5 +64,36 @@ func BenchmarkRPCHandlerTap(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkRPCHandlerAppend is one 1000x3 append through the /rpc handler
+// on a recorder — read, decode, coerce, land column-wise, publish, encode
+// — against a live table whose retention makes it compact every 100
+// batches, as stream_ingest's does.
+func BenchmarkRPCHandlerAppend(b *testing.B) {
+	db := dbtouch.Open()
+	defer db.Manager().Close()
+	tb, err := storage.NewTable("events",
+		storage.NewEmptyColumn("ts", storage.Int64),
+		storage.NewEmptyColumn("key", storage.String),
+		storage.NewEmptyColumn("value", storage.Int64))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := tb.SetRetention(storage.Retention{MaxRows: 50_000}); err != nil {
+		b.Fatal(err)
+	}
+	db.Manager().Catalog().RegisterLive(tb)
+	h := protocol.NewHTTPHandler(db.Manager(), protocol.WithRPCTimeout(time.Minute))
+	body := ingestBody(b, 1000)
+	b.ReportAllocs()
+	b.SetBytes(int64(len(body)))
+	for b.Loop() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/rpc", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", rec.Code, rec.Body.Bytes())
+		}
 	}
 }

@@ -246,3 +246,59 @@ func TestRPCRunnersAreReusedAndBounded(t *testing.T) {
 		t.Fatalf("%d runners parked after a burst of %d, want the bound %d", idle, burst, maxIdleRunners)
 	}
 }
+
+// goroutineAlive reports whether the goroutine with that id still exists.
+func goroutineAlive(id string) bool {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	return bytes.Contains(buf, []byte("goroutine "+id+" ["))
+}
+
+// TestRPCPanicAnswersTypedError pins the wire's last guard: a handler
+// that panics — on a runner, where no net/http recover stands above it,
+// or inline — answers a plain failed envelope in the request's version,
+// the server keeps serving, and the runner that panicked is retired:
+// it serves nothing further and its goroutine exits.
+func TestRPCPanicAnswersTypedError(t *testing.T) {
+	var ranOn []string // the handler runs one request at a time
+	router := routerFunc(func(req Request) Response {
+		ranOn = append(ranOn, goroutineID())
+		if req.Session == "boom" {
+			panic("boom")
+		}
+		return OK()
+	})
+	for _, tc := range []struct {
+		name string
+		opts []HandlerOption
+	}{
+		{"rpc-timeout", []HandlerOption{WithRPCTimeout(time.Minute)}},
+		{"inline", nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := NewHTTPHandler(router, tc.opts...)
+			ranOn = nil
+			rec, resp := postRPCBody(t, h, []byte(`{"v":1,"op":"perform","session":"boom"}`))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("status %d, want 200 with a failed envelope", rec.Code)
+			}
+			if resp.OK || resp.Overloaded || resp.V != 1 || resp.Error != "perform: internal error" {
+				t.Fatalf("want a plain failed v1 envelope, got %+v", resp)
+			}
+			if _, resp := postRPC(t, h, Request{Op: OpPerform, Session: "fine"}); !resp.OK {
+				t.Fatalf("the request after the panic: %+v", resp)
+			}
+			if tc.opts == nil {
+				return // inline: the panic was on this goroutine
+			}
+			if ranOn[0] == ranOn[1] {
+				t.Fatal("the runner that panicked served the next request")
+			}
+			for deadline := time.Now().Add(5 * time.Second); goroutineAlive(ranOn[0]); time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatal("the runner that panicked never exited")
+				}
+			}
+		})
+	}
+}

@@ -2,6 +2,7 @@ package sample
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"dbtouch/internal/storage"
@@ -162,23 +163,33 @@ func (v *Versioned) extendLocked(base *storage.Column, rows int) {
 	for li, t := range v.tails {
 		levelLen := ceilDiv(rows, t.stride)
 		col := t.col // level values; base for level 0
+		// Reserve each array's growth once: after a compaction restarts
+		// the tails a level grows by its whole length in one call, and
+		// append's doubling would copy it several times over.
 		if li == 0 {
 			col = base
 		} else {
+			col.Grow(levelLen - col.Len())
 			for k := col.Len(); k < levelLen; k++ {
 				col.AppendAt(base, k*t.stride)
 			}
 		}
 		if isInt {
+			t.iprefix = slices.Grow(t.iprefix, levelLen+1-len(t.iprefix))
 			for k := len(t.iprefix) - 1; k < levelLen; k++ {
 				t.iprefix = append(t.iprefix, t.iprefix[len(t.iprefix)-1]+col.Int(k))
 			}
 		} else {
+			t.prefix = slices.Grow(t.prefix, levelLen+1-len(t.prefix))
 			acc := t.prefix[len(t.prefix)-1]
 			for k := len(t.prefix) - 1; k < levelLen; k++ {
 				acc += col.Float(k)
 				t.prefix = append(t.prefix, acc)
 			}
+		}
+		if blocks := levelLen/v.blockLen - len(t.blockMin); blocks > 0 {
+			t.blockMin = slices.Grow(t.blockMin, blocks)
+			t.blockMax = slices.Grow(t.blockMax, blocks)
 		}
 		for b := len(t.blockMin); (b+1)*v.blockLen <= levelLen; b++ {
 			lo, hi := b*v.blockLen, (b+1)*v.blockLen

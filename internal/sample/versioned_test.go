@@ -254,3 +254,55 @@ func TestVersionedGenerationChange(t *testing.T) {
 	wantOld, _ := BuildShared(oldBase, 2)
 	diffShared(t, "stale-gen pin", gotOld, wantOld)
 }
+
+// TestVersionedMatchesFrozenBuildAcrossCompactions drives the chain the
+// way a served table does — a real storage.Table under a row cap,
+// batches landing column-wise, tails reserved per extension and restarted
+// at every compaction — and differentials every published version of an
+// int, a float and a string column against BuildShared, through three
+// compactions.
+func TestVersionedMatchesFrozenBuildAcrossCompactions(t *testing.T) {
+	tb, err := storage.NewTable("live",
+		storage.NewEmptyColumn("i", storage.Int64),
+		storage.NewEmptyColumn("f", storage.Float64),
+		storage.NewEmptyColumn("s", storage.String),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.SetRetention(storage.Retention{MaxRows: 1300}); err != nil {
+		t.Fatal(err)
+	}
+	chains := []*Versioned{NewVersioned(4, vtBlock), NewVersioned(4, vtBlock), NewVersioned(4, vtBlock)}
+	n := 0
+	for bi := 0; tb.Gen() < 3; bi++ {
+		rows := make([][]storage.Value, batchSizes[bi%len(batchSizes)])
+		for r := range rows {
+			f := float64(n) * 1.37
+			if n%13 == 0 {
+				f *= -1e15
+			}
+			rows[r] = []storage.Value{storage.IntValue(int64(n) + int64(n%97)<<52), storage.FloatValue(f), storage.StringValue(fmt.Sprintf("key%d", n%23))}
+			n++
+		}
+		snap, err := tb.AppendBatch(rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for c, chain := range chains {
+			base, err := snap.Matrix.Column(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := chain.ForSnapshot(snap.Gen, base)
+			if err != nil {
+				t.Fatalf("ForSnapshot: %v", err)
+			}
+			want, err := BuildShared(base, 4)
+			if err != nil {
+				t.Fatalf("BuildShared: %v", err)
+			}
+			diffShared(t, fmt.Sprintf("%s batch %d (gen %d, rows %d)", base.Name(), bi, snap.Gen, snap.Rows), got, want)
+		}
+	}
+}

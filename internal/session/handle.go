@@ -102,13 +102,20 @@ func (m *Manager) handleAppend(req protocol.Request) protocol.Response {
 	if len(req.Rows) == 0 {
 		return protocol.Errorf("append: no rows")
 	}
+	// One flat array of values for the whole batch, a row header each:
+	// two allocations however many rows arrive.
+	cells := 0
+	for _, r := range req.Rows {
+		cells += len(r)
+	}
+	flat := make([]storage.Value, 0, cells)
 	rows := make([][]storage.Value, len(req.Rows))
 	for i, r := range req.Rows {
-		vals := make([]storage.Value, len(r))
-		for j, cell := range r {
-			vals[j] = protocol.CoerceValue(cell)
+		start := len(flat)
+		for _, cell := range r {
+			flat = append(flat, protocol.CoerceValue(cell))
 		}
-		rows[i] = vals
+		rows[i] = flat[start:len(flat):len(flat)]
 	}
 	snap, err := m.Append(req.Table, rows)
 	if err != nil {

@@ -16,8 +16,16 @@ import (
 // batch forces a snapshot publication, and every slide batch a
 // repin plus incremental statistics extension. This is the live-
 // ingestion cost the roofline doc cites; bench.sh records it in
-// BENCH_kernels.json.
+// BENCH_kernels.json. "steady" retains 100 000 rows, so a run mostly
+// extends; "compacting" retains 4 096, so every 16th batch compacts the
+// table and restarts the toucher's sample tails (100 iterations hold six
+// compactions; the count is reported).
 func BenchmarkAppendWhileTouching(b *testing.B) {
+	b.Run("steady", func(b *testing.B) { benchAppendWhileTouching(b, 100_000) })
+	b.Run("compacting", func(b *testing.B) { benchAppendWhileTouching(b, 4096) })
+}
+
+func benchAppendWhileTouching(b *testing.B, retainRows int) {
 	const batchRows = 256
 	m := NewManager(core.DefaultConfig())
 	vals := make([]int64, 20_000)
@@ -28,7 +36,7 @@ func BenchmarkAppendWhileTouching(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := tb.SetRetention(storage.Retention{MaxRows: 100_000}); err != nil {
+	if err := tb.SetRetention(storage.Retention{MaxRows: retainRows}); err != nil {
 		b.Fatal(err)
 	}
 	m.Catalog().RegisterLive(tb)
@@ -75,6 +83,7 @@ func BenchmarkAppendWhileTouching(b *testing.B) {
 		}
 	}
 	b.StopTimer()
+	b.ReportMetric(float64(tb.Gen()), "compactions")
 	close(stop)
 	<-touchDone
 	m.Close()

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -180,6 +181,51 @@ func (c *Column) Append(v Value) {
 	}
 }
 
+// Grow reserves room for n more values, so the appends that follow do not
+// regrow the backing array one doubling at a time.
+func (c *Column) Grow(n int) {
+	switch c.typ {
+	case Int64:
+		c.ints = slices.Grow(c.ints, n)
+	case Float64:
+		c.flts = slices.Grow(c.flts, n)
+	case Bool:
+		c.bools = slices.Grow(c.bools, n)
+	case String:
+		c.codes = slices.Grow(c.codes, n)
+	}
+}
+
+// appendCells appends cell col of every row, coercing each like Append:
+// one type dispatch and one reservation per batch instead of per cell.
+func (c *Column) appendCells(rows [][]Value, col int) {
+	c.Grow(len(rows))
+	switch c.typ {
+	case Int64:
+		for _, r := range rows {
+			if v := &r[col]; v.Type == Float64 {
+				c.ints = append(c.ints, int64(v.F))
+			} else {
+				c.ints = append(c.ints, v.I)
+			}
+		}
+	case Float64:
+		for _, r := range rows {
+			c.flts = append(c.flts, r[col].AsFloat())
+		}
+	case Bool:
+		for _, r := range rows {
+			var b byte
+			if r[col].B {
+				b = 1
+			}
+			c.bools = append(c.bools, b)
+		}
+	case String:
+		c.codes = c.dict.appendCodes(c.codes, rows, col)
+	}
+}
+
 // Set overwrites the cell at i with v, coercing to the column type.
 func (c *Column) Set(i int, v Value) {
 	switch c.typ {
@@ -230,6 +276,27 @@ func (c *Column) Prefix(n int) (*Column, error) {
 // columns share c's dictionary so codes appended via AppendAt stay valid.
 func (c *Column) EmptyLike() *Column {
 	out := &Column{name: c.name, typ: c.typ, dict: c.dict}
+	return out
+}
+
+// tail returns a new column holding a copy of c's values from lo on, in
+// fresh arrays with room for capacity values (at least the copy). String
+// columns share c's dictionary. This is retention compaction's copy: the
+// old arrays stay untouched under the snapshots that still read them.
+func (c *Column) tail(lo, capacity int) *Column {
+	n := c.Len() - lo
+	capacity = max(capacity, n)
+	out := c.EmptyLike()
+	switch c.typ {
+	case Int64:
+		out.ints = append(make([]int64, 0, capacity), c.ints[lo:]...)
+	case Float64:
+		out.flts = append(make([]float64, 0, capacity), c.flts[lo:]...)
+	case Bool:
+		out.bools = append(make([]byte, 0, capacity), c.bools[lo:]...)
+	case String:
+		out.codes = append(make([]int32, 0, capacity), c.codes[lo:]...)
+	}
 	return out
 }
 

@@ -1,6 +1,9 @@
 package storage
 
-import "sync"
+import (
+	"strings"
+	"sync"
+)
 
 // Dictionary maps strings to dense int32 codes so string columns can be
 // stored as fixed-width words, the invariant dbTouch relies on for direct
@@ -38,10 +41,33 @@ func (d *Dictionary) Intern(s string) int32 {
 	if code, ok := d.index[s]; ok {
 		return code
 	}
+	// Keep a copy: s may be a substring of something much larger (a cell
+	// of a decoded append body), and the dictionary lives as long as the
+	// table.
+	s = strings.Clone(s)
 	code = int32(len(d.values))
 	d.values = append(d.values, s)
 	d.index[s] = code
 	return code
+}
+
+// appendCodes appends the code of cell col of every row to codes,
+// interning new strings. The read lock is held across the batch and
+// dropped only around a first sight, so a batch of known keys costs one
+// lock round trip, not one per cell.
+func (d *Dictionary) appendCodes(codes []int32, rows [][]Value, col int) []int32 {
+	d.mu.RLock()
+	for _, r := range rows {
+		code, ok := d.index[r[col].S]
+		if !ok {
+			d.mu.RUnlock()
+			code = d.Intern(r[col].S)
+			d.mu.RLock()
+		}
+		codes = append(codes, code)
+	}
+	d.mu.RUnlock()
+	return codes
 }
 
 // Code returns the code for s and whether it is present, without interning.

@@ -200,10 +200,8 @@ func (t *Table) AppendBatch(rows [][]Value) (*TableSnapshot, error) {
 			return nil, fmt.Errorf("storage: live table %q: row has %d values, want %d", t.name, len(r), len(t.cols))
 		}
 	}
-	for _, r := range rows {
-		for i, c := range t.cols {
-			c.Append(r[i])
-		}
+	for i, c := range t.cols {
+		c.appendCells(rows, i)
 	}
 	t.rows += len(rows)
 	t.applyRetentionLocked()
@@ -212,6 +210,9 @@ func (t *Table) AppendBatch(rows [][]Value) (*TableSnapshot, error) {
 	}
 	return t.snap.Load(), nil
 }
+
+// compactMinStale is the smallest stale run worth a compaction.
+const compactMinStale = 1024
 
 // applyRetentionLocked computes how many head rows are stale under the
 // policy and compacts once the stale run is large enough to amortize the
@@ -242,17 +243,24 @@ func (t *Table) applyRetentionLocked() {
 	if stale > t.rows-1 {
 		stale = t.rows - 1
 	}
-	if stale < 1024 || stale < t.rows-stale {
+	if stale < compactMinStale || stale < t.rows-stale {
 		return
 	}
 	live := t.rows - stale
+	// Size the fresh arrays for the whole cycle they will serve. When the
+	// row cap set the stale count, live is MaxRows and the next compaction
+	// fires at exactly live + max(compactMinStale, live) rows: reserving
+	// that much means no append regrows (and re-copies) the arrays in
+	// between, and nothing is reserved the table will not reach. An
+	// age-bound table cannot say when its next compaction comes, so it
+	// takes the survivors' size and grows by append's policy.
+	capacity := live
+	if live == t.ret.MaxRows {
+		capacity = live + max(compactMinStale, live)
+	}
 	fresh := make([]*Column, len(t.cols))
 	for i, c := range t.cols {
-		nc := c.EmptyLike()
-		for j := stale; j < t.rows; j++ {
-			nc.AppendAt(c, j)
-		}
-		fresh[i] = nc
+		fresh[i] = c.tail(stale, capacity)
 	}
 	t.cols = fresh
 	t.rows = live
