@@ -34,15 +34,6 @@ func (c *Client) CreateColumn(session, name, table, column string, x, y, w, h fl
 	return resp.ObjectID, err
 }
 
-// CreateTable places a whole table on the session's screen under name.
-func (c *Client) CreateTable(session, name, table string, x, y, w, h float64) (int, error) {
-	resp, err := c.Do(Request{
-		Op: OpCreate, Session: session, Object: name,
-		Create: &CreateSpec{Table: table, X: x, Y: y, W: w, H: h},
-	})
-	return resp.ObjectID, err
-}
-
 // Configure applies a touch-configuration delta to a named object.
 func (c *Client) Configure(session, name string, spec ActionsSpec) error {
 	_, err := c.Do(Request{Op: OpConfigure, Session: session, Object: name, Actions: &spec})
@@ -105,12 +96,6 @@ func (c *Client) Stats() (StatsFrame, error) {
 // other, and fn sees identical frames regardless of which encoding won.
 func (c *Client) Stream(ctx context.Context, session string, buffer int, fn func(ResultFrame) bool) error {
 	return c.streamWith(ctx, session, buffer, BinaryContentType+", "+NDJSONContentType, fn)
-}
-
-// StreamNDJSON is Stream pinned to the v1 NDJSON encoding — what a
-// pre-binary client sends, and the record/replay ground truth.
-func (c *Client) StreamNDJSON(ctx context.Context, session string, buffer int, fn func(ResultFrame) bool) error {
-	return c.streamWith(ctx, session, buffer, NDJSONContentType, fn)
 }
 
 // StreamResumed is Stream with transparent reconnect: when the stream

@@ -72,8 +72,9 @@ func fuzzManager(t *testing.T) *session.Manager {
 
 // FuzzDecodeRequest holds the hand-written append decoder to its oracle
 // — the same Request and the same error text as encoding/json for any
-// bytes — and then the trust boundary behind it: whatever decodes is
-// handled with a response, never a panic.
+// bytes — and the hand-written encoder behind the table log to
+// json.Marshal, byte for byte; then the trust boundary behind them:
+// whatever decodes is handled with a response, never a panic.
 func FuzzDecodeRequest(f *testing.F) {
 	batch := ingestBody(f, 1000)
 	if !protocol.TookFastPath(batch) {
@@ -159,6 +160,15 @@ func FuzzDecodeRequest(f *testing.F) {
 		}
 		if gotErr != nil {
 			return
+		}
+		// The table log writes the handler's decode: EncodeRequest renders it
+		// as json.Marshal renders the request encoding/json decodes.
+		cols, _ := protocol.DecodeColumns(data)
+		logged, logErr := protocol.EncodeRequest(cols)
+		want.V = protocol.Version
+		wantLogged, wantLogErr := json.Marshal(want)
+		if (logErr == nil) != (wantLogErr == nil) || !bytes.Equal(logged, wantLogged) {
+			t.Fatalf("logged request diverged from json.Marshal:\n got %s (%v)\nwant %s (%v)", logged, logErr, wantLogged, wantLogErr)
 		}
 		m := fuzzManager(t)
 		defer m.Close()

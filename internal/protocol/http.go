@@ -539,8 +539,8 @@ func (fs *FrameStream) Close() error { return fs.body.Close() }
 
 // OpenStream opens the session's result stream with the given Accept
 // preference and wires up the decoder the server chose. Most callers use
-// Client.Stream / Client.StreamNDJSON, which wrap this in the callback
-// loop; tests use it directly to pin negotiation outcomes.
+// Client.Stream, which wraps this in the callback loop; tests use it
+// directly to pin negotiation outcomes.
 func (c *Client) OpenStream(ctx context.Context, session string, buffer int, accept string) (*FrameStream, error) {
 	u := c.Base + "/stream?session=" + url.QueryEscape(session)
 	if buffer > 0 {

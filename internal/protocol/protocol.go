@@ -333,13 +333,33 @@ func (r Request) CheckVersion() error {
 }
 
 // EncodeRequest stamps the current version and marshals the request. A
-// request the /rpc handler decoded renders its batch as Rows.
+// request the /rpc handler decoded renders its batch as the Rows
+// encoding/json would have decoded from it, written cell by cell.
 func EncodeRequest(r Request) ([]byte, error) {
-	r.V = Version
-	if r.Rows == nil && r.batch != nil {
-		r.Rows = boxRows(r.batch)
+	if b := r.batch; r.Rows == nil && b != nil {
+		return EncodeRows(r, b.Len(), b.Width(), b.Cell)
 	}
+	r.V = Version
 	return json.Marshal(r)
+}
+
+// EncodeRows is EncodeRequest for r carrying rows x width cells, read
+// through cell, as its Rows — the bytes json.Marshal writes for them boxed,
+// without boxing them: how a table log writes a snapshot. encoding/json
+// writes the envelope and appendRows the cells; Rows is Request's last
+// field, so the cells go before the envelope's last brace.
+func EncodeRows(r Request, rows, width int, cell func(r, c int) storage.Value) ([]byte, error) {
+	r.V, r.Rows, r.batch = Version, nil, nil
+	env, err := json.Marshal(r)
+	if err != nil || rows == 0 {
+		return env, err
+	}
+	b := make([]byte, 0, len(env)+16+rows*(8*width+3))
+	b = append(append(b, env[:len(env)-1]...), `,"rows":`...)
+	if b, err = appendRows(b, rows, width, cell); err != nil {
+		return nil, err
+	}
+	return append(b, '}'), nil
 }
 
 // DecodeRequest unmarshals and version-checks one request. An append
@@ -408,18 +428,6 @@ func ParseMode(s string) (core.Mode, error) {
 	}
 }
 
-// ParseAgg maps a wire aggregate name to the operator kind. The wire is
-// case-insensitive; the table itself lives in operator.ParseAggKind.
-func ParseAgg(s string) (operator.AggKind, error) {
-	return operator.ParseAggKind(strings.ToLower(s))
-}
-
-// ParseCmp maps SQL comparison syntax to the operator comparison
-// (operator.ParseCmpOp is the canonical table).
-func ParseCmp(op string) (operator.CmpOp, error) {
-	return operator.ParseCmpOp(op)
-}
-
 // CoerceValue converts a decoded JSON operand into a typed storage value
 // with the same coercion the facade applies to Go operands.
 func CoerceValue(v any) storage.Value {
@@ -439,21 +447,6 @@ func CoerceValue(v any) storage.Value {
 	}
 }
 
-// ValueToAny renders a storage value as an append cell — the inverse of
-// CoerceValue up to JSON number typing.
-func ValueToAny(v storage.Value) any {
-	switch v.Type {
-	case storage.Int64:
-		return v.I
-	case storage.Float64:
-		return v.F
-	case storage.Bool:
-		return v.B
-	default:
-		return v.S
-	}
-}
-
 // Apply folds the delta into an object's current touch configuration.
 // The matrix resolves filter column names; unknown names, modes,
 // aggregates or comparisons reject the whole delta unapplied.
@@ -467,7 +460,7 @@ func (a ActionsSpec) Apply(cur core.Actions, m *storage.Matrix) (core.Actions, e
 		out.Mode = mode
 	}
 	if a.Agg != "" {
-		agg, err := ParseAgg(a.Agg)
+		agg, err := operator.ParseAggKind(strings.ToLower(a.Agg))
 		if err != nil {
 			return cur, err
 		}
@@ -491,7 +484,7 @@ func (a ActionsSpec) Apply(cur core.Actions, m *storage.Matrix) (core.Actions, e
 			if idx < 0 {
 				return cur, fmt.Errorf("protocol: no column %q", f.Column)
 			}
-			cmp, err := ParseCmp(f.Op)
+			cmp, err := operator.ParseCmpOp(f.Op)
 			if err != nil {
 				return cur, err
 			}

@@ -5,6 +5,8 @@ import (
 	"math"
 	"strconv"
 	"unicode/utf8"
+
+	"dbtouch/internal/storage"
 )
 
 // A perform answers with up to a few hundred ResultFrames, and /stream
@@ -14,7 +16,9 @@ import (
 // and anything whose rendering is not plain goes to json.Marshal itself:
 // a string outside printable HTML-safe ASCII is quoted by json.Marshal, a
 // Stats answer or a non-finite Agg sends the whole value there.
-// FuzzEncodeResponse holds the two encoders to identical bytes.
+// FuzzEncodeResponse holds the two encoders to identical bytes. The table
+// log's append rows (appendRows) are written with the same pieces, held
+// to json.Marshal by FuzzDecodeRequest.
 
 // frameSizeHint presizes an encode buffer: a summary frame is ~170 bytes.
 const frameSizeHint = 192
@@ -122,6 +126,40 @@ func appendIntField(b []byte, key string, v int64) []byte {
 		return b
 	}
 	return strconv.AppendInt(append(b, key...), v, 10)
+}
+
+// appendRows renders rows x width cells as json.Marshal renders the
+// [][]any boxing them (valueToAny): an append's Rows. A non-finite float
+// fails as it fails there.
+func appendRows(b []byte, rows, width int, cell func(r, c int) storage.Value) ([]byte, error) {
+	b = append(b, '[')
+	for r := 0; r < rows; r++ {
+		if r > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, '[')
+		for c := 0; c < width; c++ {
+			if c > 0 {
+				b = append(b, ',')
+			}
+			switch v := cell(r, c); v.Type {
+			case storage.Int64:
+				b = strconv.AppendInt(b, v.I, 10)
+			case storage.Float64:
+				if math.IsInf(v.F, 0) || math.IsNaN(v.F) {
+					_, err := json.Marshal(v.F)
+					return nil, err
+				}
+				b = appendFloat(b, v.F)
+			case storage.Bool:
+				b = strconv.AppendBool(b, v.B)
+			default:
+				b = appendString(b, v.S)
+			}
+		}
+		b = append(b, ']')
+	}
+	return append(b, ']'), nil
 }
 
 // appendString quotes s. Printable ASCII that json.Marshal copies through

@@ -298,11 +298,26 @@ func boxRows(b *storage.Batch) [][]any {
 	for r := range rows {
 		row := flat[r*w : (r+1)*w : (r+1)*w]
 		for c := range row {
-			row[c] = ValueToAny(b.Cell(r, c))
+			row[c] = valueToAny(b.Cell(r, c))
 		}
 		rows[r] = row
 	}
 	return rows
+}
+
+// valueToAny renders a storage value as an append cell — the inverse of
+// CoerceValue up to JSON number typing.
+func valueToAny(v storage.Value) any {
+	switch v.Type {
+	case storage.Int64:
+		return v.I
+	case storage.Float64:
+		return v.F
+	case storage.Bool:
+		return v.B
+	default:
+		return v.S
+	}
 }
 
 // parseNumber parses the JSON number at the start of s to the float64

@@ -10,6 +10,7 @@ import (
 	"dbtouch"
 	"dbtouch/internal/gesture"
 	"dbtouch/internal/protocol"
+	"dbtouch/internal/sessionlog"
 	"dbtouch/internal/storage"
 )
 
@@ -72,6 +73,24 @@ func BenchmarkRPCHandlerTap(b *testing.B) {
 // — against a live table whose retention makes it compact every 100
 // batches, as stream_ingest's does.
 func BenchmarkRPCHandlerAppend(b *testing.B) {
+	benchmarkRPCHandlerAppend(b, nil)
+}
+
+// BenchmarkRPCHandlerAppendDurable is BenchmarkRPCHandlerAppend with the
+// table logged (dbtouch-serve -live with -session-dir): each append is
+// also encoded and written to the table's log, which compacts into a
+// checkpoint of the whole table now and then — compactions/op says how
+// often. The table is full before the clock starts.
+func BenchmarkRPCHandlerAppendDurable(b *testing.B) {
+	st, err := sessionlog.Open(sessionlog.Options{Dir: b.TempDir()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	benchmarkRPCHandlerAppend(b, st)
+}
+
+func benchmarkRPCHandlerAppend(b *testing.B, st *sessionlog.Store) {
 	db := dbtouch.Open()
 	defer db.Manager().Close()
 	tb, err := storage.NewTable("events",
@@ -87,13 +106,29 @@ func BenchmarkRPCHandlerAppend(b *testing.B) {
 	db.Manager().Catalog().RegisterLive(tb)
 	h := protocol.NewHTTPHandler(db.Manager(), protocol.WithRPCTimeout(time.Minute))
 	body := ingestBody(b, 1000)
-	b.ReportAllocs()
-	b.SetBytes(int64(len(body)))
-	for b.Loop() {
+	post := func() {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/rpc", bytes.NewReader(body)))
 		if rec.Code != http.StatusOK {
 			b.Fatalf("status %d: %s", rec.Code, rec.Body.Bytes())
 		}
+	}
+	var compacted int64
+	if st != nil {
+		db.Manager().EnableDurability(st)
+		for i := 0; i < 100; i++ {
+			post()
+		}
+		compacted = st.Stats().Compactions
+	}
+	b.ReportAllocs()
+	b.SetBytes(int64(len(body)))
+	n := 0
+	for b.Loop() {
+		post()
+		n++
+	}
+	if st != nil {
+		b.ReportMetric(float64(st.Stats().Compactions-compacted)/float64(n), "compactions/op")
 	}
 }

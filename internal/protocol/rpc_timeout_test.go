@@ -44,18 +44,35 @@ func idleRunnerCount() int {
 	return len(idleRunners.list)
 }
 
-// settled waits for the goroutines that are not parked runners to return
-// to want: runners retire asynchronously after their jobs channel closes.
-func settled(t *testing.T, want int, what string) {
+// liveRunners counts the runner goroutines that exist, parked or not, by
+// the runner loop's frame in a dump of every goroutine's stack.
+func liveRunners() int {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return bytes.Count(buf[:n], []byte("protocol.takeRunner.func1("))
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
+// settled waits until every runner goroutine still alive is parked:
+// runners retire asynchronously after their jobs channel closes, and one
+// that stays alive unparked is leaked. Only runners are counted — the
+// /rpc path starts no other goroutine, and a total count would also see
+// the testing package's own goroutine for the previous test, which may
+// still be exiting when this one starts.
+func settled(t *testing.T, what string) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		got := runtime.NumGoroutine() - idleRunnerCount()
-		if got == want {
+		live, parked := liveRunners(), idleRunnerCount()
+		if live == parked {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("%s: %d goroutines besides the parked runners, want %d", what, got, want)
+			t.Fatalf("%s: %d runner goroutines alive, %d parked", what, live, parked)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -63,12 +80,14 @@ func settled(t *testing.T, want int, what string) {
 
 // TestRPCTimeoutAbandonsExecution pins the WithRPCTimeout contract: past
 // the deadline the client gets 503 + Retry-After and an overloaded
-// envelope in the version it spoke, and the abandoned execution still
-// takes effect once it gets to run.
+// envelope in the version it spoke, the abandoned execution still takes
+// effect once it gets to run, and its runner then exits.
 func TestRPCTimeoutAbandonsExecution(t *testing.T) {
 	release := make(chan struct{})
 	executed := make(chan string, 1)
+	var runnerID string
 	h := NewHTTPHandler(routerFunc(func(req Request) Response {
+		runnerID = goroutineID()
 		<-release
 		executed <- req.Session
 		return OK()
@@ -102,6 +121,13 @@ func TestRPCTimeoutAbandonsExecution(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("the abandoned execution never ran to completion")
 	}
+	// The runner is retired, not parked: it must exit once it has replied,
+	// and before the next test counts goroutines.
+	for deadline := time.Now().Add(5 * time.Second); goroutineAlive(runnerID); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the abandoned runner never exited")
+		}
+	}
 }
 
 // TestRPCTimeoutLateReplyNeverCrosses drives 200 requests through one
@@ -130,7 +156,6 @@ func TestRPCTimeoutLateReplyNeverCrosses(t *testing.T) {
 		return resp
 	}), WithRPCTimeout(50*time.Millisecond))
 
-	nonRunners := runtime.NumGoroutine() - idleRunnerCount()
 	var pending chan struct{}
 	for i := 1; i <= n; i++ {
 		slow := i%10 == 0
@@ -160,7 +185,7 @@ func TestRPCTimeoutLateReplyNeverCrosses(t *testing.T) {
 	if pending != nil {
 		close(pending)
 	}
-	settled(t, nonRunners, "after the abandoned runners finished")
+	settled(t, "after the abandoned runners finished")
 	mu.Lock()
 	defer mu.Unlock()
 	for i := 1; i <= n; i++ {
@@ -201,7 +226,6 @@ func TestRPCRunnersAreReusedAndBounded(t *testing.T) {
 	}), WithRPCTimeout(time.Minute))
 
 	postRPC(t, h, Request{Op: OpStats}) // park one runner
-	nonRunners := runtime.NumGoroutine() - idleRunnerCount()
 	clear(ids)
 	for i := 0; i < 1000; i++ {
 		if _, resp := postRPC(t, h, Request{Op: OpStats}); !resp.OK {
@@ -216,7 +240,7 @@ func TestRPCRunnersAreReusedAndBounded(t *testing.T) {
 			t.Fatal("bounded requests ran inline on the caller's goroutine")
 		}
 	}
-	settled(t, nonRunners, "after 1000 sequential requests")
+	settled(t, "after 1000 sequential requests")
 
 	const burst = 2 * maxIdleRunners
 	var wg sync.WaitGroup
@@ -241,7 +265,7 @@ func TestRPCRunnersAreReusedAndBounded(t *testing.T) {
 		}()
 	}
 	clients.Wait()
-	settled(t, nonRunners, "after a concurrent burst")
+	settled(t, "after a concurrent burst")
 	if idle := idleRunnerCount(); idle != maxIdleRunners {
 		t.Fatalf("%d runners parked after a burst of %d, want the bound %d", idle, burst, maxIdleRunners)
 	}

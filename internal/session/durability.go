@@ -7,6 +7,7 @@ import (
 
 	"dbtouch/internal/protocol"
 	"dbtouch/internal/sessionlog"
+	"dbtouch/internal/storage"
 )
 
 // Session durability: with a sessionlog.Store attached, the manager
@@ -52,9 +53,6 @@ func (m *Manager) EnableDurability(store *sessionlog.Store) {
 
 // durability returns the attached state, nil when disabled.
 func (m *Manager) durability() *durability { return m.dur.Load() }
-
-// DurabilityEnabled reports whether a session-log store is attached.
-func (m *Manager) DurabilityEnabled() bool { return m.durability() != nil }
 
 // loggableOp lists the session-scoped ops that mutate session state and
 // therefore replay on resume. OpEvict is session-scoped too but removes
@@ -224,54 +222,48 @@ func (s *Session) checkpointMeta() sessionlog.CheckpointMeta {
 	return meta
 }
 
-// logAppend tees one executed table append; past 4x the session
-// threshold the table log is compacted into a single whole-table
-// append request (coarser than a session checkpoint: replacing N
-// batches with one trades away intermediate epochs, which only matters
-// to forensics — restored sessions pin fresh epochs anyway).
+// logAppend tees one executed table append and, when the store reports
+// the log due, compacts it into a checkpoint holding one append request
+// with the table's current snapshot (coarser than a session checkpoint:
+// replacing N batches with one trades away intermediate epochs, which
+// only matters to forensics — restored sessions pin fresh epochs anyway).
 func (d *durability) logAppend(m *Manager, req protocol.Request) {
 	payload, err := protocol.EncodeRequest(req)
 	if err != nil {
 		d.logErrs.Add(1)
 		return
 	}
-	tail, err := d.store.AppendTable(req.Table, payload)
+	due, err := d.store.AppendTable(req.Table, payload)
 	if err != nil {
 		d.logErrs.Add(1)
 		return
 	}
 	d.logged.Add(1)
-	if tail >= 4*d.store.CompactBytes() {
+	if due {
 		if err := m.compactTable(d, req.Table); err != nil {
 			d.logErrs.Add(1)
 		}
 	}
 }
 
-// compactTable rewrites a table's log as one append request carrying
-// the table's current published snapshot. Caller holds the table's
-// locker, so no append races the snapshot read.
+// compactTable checkpoints a table's log as one append request carrying
+// the table's published snapshot, read straight from its columns. Caller
+// holds the table's locker, so no append races the snapshot read.
 func (m *Manager) compactTable(d *durability, name string) error {
 	t, ok := m.catalog.Live(name)
 	if !ok {
 		return fmt.Errorf("session: no live table %q to compact", name)
 	}
 	snap := t.Snapshot()
-	rows := make([][]any, snap.Rows)
-	for r := 0; r < snap.Rows; r++ {
-		row := make([]any, snap.Matrix.NumCols())
-		for c := range row {
-			v, err := snap.Matrix.At(r, c)
-			if err != nil {
-				return err
-			}
-			row[c] = protocol.ValueToAny(v)
+	cols := make([]*storage.Column, snap.Matrix.NumCols())
+	for c := range cols {
+		var err error
+		if cols[c], err = snap.Matrix.Column(c); err != nil {
+			return err
 		}
-		rows[r] = row
 	}
-	payload, err := protocol.EncodeRequest(protocol.Request{
-		Op: protocol.OpAppend, Table: name, Rows: rows,
-	})
+	payload, err := protocol.EncodeRows(protocol.Request{Op: protocol.OpAppend, Table: name},
+		snap.Rows, len(cols), func(r, c int) storage.Value { return cols[c].Value(r) })
 	if err != nil {
 		return err
 	}

@@ -1,15 +1,14 @@
-// Package sessionlog persists exploration sessions as append-only
-// request logs — the durability half of ROADMAP item 1 (persistence,
-// reconnect, shard-by-session). Every wire request a session executes is
-// framed (length prefix + CRC32C + sequence number) and appended to a
-// per-session log file; when the tail grows past a threshold the log is
-// compacted into a checkpoint file (compressed full history plus
-// metadata: virtual clock, bound objects, pinned epochs). Because the
-// wire protocol already replays byte-identically to direct calls (the
-// PR 3 record/replay contract), checkpoint + tail replayed through
-// session.Manager.HandleRequest reconstructs the session bit-exactly —
-// an evicted or crashed session resumes exactly where the finger left
-// off.
+// Package sessionlog persists exploration sessions and live tables as
+// append-only request logs. Every request a session executes, and every
+// append a live table takes, is framed (length prefix + CRC32C +
+// sequence number) and appended to its log file. Past a threshold one
+// checkpoint writer compacts the log: a session's checkpoint holds its
+// compressed history plus metadata (virtual clock, bound objects, pinned
+// epochs); a table's holds one append request carrying the whole table,
+// and its threshold grows with it, so rewrites stay amortized. Sessions
+// run on virtual clocks, so checkpoint + tail replayed through
+// session.Manager.HandleRequest reconstructs a session bit-exactly — an
+// evicted or crashed session resumes exactly where the finger left off.
 //
 // The on-disk contract mirrors internal/ftdc: writes are unbuffered
 // (one write syscall per frame, so a kill -9 loses at most the frame
@@ -32,7 +31,6 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"os"
 )
 
 // Sentinel errors callers test with errors.Is.
@@ -158,8 +156,9 @@ type CheckpointMeta struct {
 // failure is ErrTornLog.
 var ckptMagic = [8]byte{'d', 'b', 't', 's', 'l', 'c', 'k', '1'}
 
-// encodeCheckpoint renders meta + frames as a checkpoint file image.
-func encodeCheckpoint(meta CheckpointMeta, frames []Frame) ([]byte, error) {
+// encodeCheckpoint renders meta + frames as a checkpoint file image,
+// recording the frames' length in meta.RawBytes.
+func encodeCheckpoint(meta *CheckpointMeta, frames []Frame) ([]byte, error) {
 	var raw []byte
 	for _, fr := range frames {
 		raw = AppendFrame(raw, fr.Seq, fr.Payload)
@@ -259,21 +258,4 @@ func decodeCheckpointHeader(data []byte) (CheckpointMeta, []byte, error) {
 		return meta, nil, fmt.Errorf("%w: checkpoint meta: %v", ErrTornLog, err)
 	}
 	return meta, body[frameHeader+n:], nil
-}
-
-// readCheckpointFile loads and decodes a checkpoint file. A missing
-// file is (zero, nil, false, nil).
-func readCheckpointFile(path string) (CheckpointMeta, []Frame, bool, error) {
-	data, err := os.ReadFile(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return CheckpointMeta{}, nil, false, nil
-	}
-	if err != nil {
-		return CheckpointMeta{}, nil, false, err
-	}
-	meta, frames, err := decodeCheckpoint(data)
-	if err != nil {
-		return meta, nil, true, fmt.Errorf("%s: %w", path, err)
-	}
-	return meta, frames, true, nil
 }

@@ -275,8 +275,12 @@ func TestRetentionDropsOldestParked(t *testing.T) {
 	}
 }
 
+// TestTableLogCompaction: a compacted table is a checkpoint holding the
+// one snapshot frame, at the last appended sequence number, beside an
+// empty log.
 func TestTableLogCompaction(t *testing.T) {
-	st, err := Open(Options{Dir: t.TempDir()})
+	dir := t.TempDir()
+	st, err := Open(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,6 +294,9 @@ func TestTableLogCompaction(t *testing.T) {
 	if err := st.CompactTable("events", replacement); err != nil {
 		t.Fatal(err)
 	}
+	if fi, err := os.Stat(filepath.Join(dir, "t-events.log")); err != nil || fi.Size() != 0 {
+		t.Fatalf("log after compaction: %v, want an empty file", err)
+	}
 	rep, err := st.LoadTable("events")
 	if err != nil {
 		t.Fatal(err)
@@ -297,8 +304,14 @@ func TestTableLogCompaction(t *testing.T) {
 	if len(rep.Frames) != 1 || string(rep.Frames[0].Payload) != string(replacement) {
 		t.Fatalf("compacted table log = %d frames, want the single replacement", len(rep.Frames))
 	}
-	if rep.LastSeq != 6 {
+	if rep.LastSeq != 6 || rep.Frames[0].Seq != 6 {
 		t.Fatalf("replacement seq = %d, want 6 (continuity preserved)", rep.LastSeq)
+	}
+	if m := rep.Meta; m == nil || m.Table != "events" || m.Frames != 1 || m.RawBytes != int64(frameHeader+len(replacement)) {
+		t.Fatalf("checkpoint meta = %+v, want table events, 1 frame of %d raw bytes", m, frameHeader+len(replacement))
+	}
+	if st.Stats().Compactions != 1 {
+		t.Fatalf("Compactions = %d, want 1", st.Stats().Compactions)
 	}
 	// Appends continue the sequence after the rewrite.
 	if _, err := st.AppendTable("events", payloadFor(6)); err != nil {

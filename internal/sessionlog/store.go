@@ -96,6 +96,9 @@ type appender struct {
 	f       *os.File
 	size    int64
 	nextSeq uint64
+	// ckptBytes is the RawBytes of the log's checkpoint, a table's
+	// compaction threshold (see AppendTable).
+	ckptBytes int64
 }
 
 // Open opens (creating if needed) the log directory.
@@ -160,23 +163,27 @@ func (st *Store) locker(base string) *sync.Mutex {
 // frame, and only as a tolerated torn tail). It returns the log's tail
 // size so the caller can trigger compaction past CompactBytes.
 func (st *Store) AppendSession(id string, payload []byte) (tail int64, err error) {
-	return st.appendTo(sessionBase(id), payload)
+	tail, _, err = st.appendTo(sessionBase(id), payload)
+	return tail, err
 }
 
-// AppendTable appends one framed request payload to a table's log.
-func (st *Store) AppendTable(name string, payload []byte) (tail int64, err error) {
-	return st.appendTo(tableBase(name), payload)
+// AppendTable appends one framed request payload to a table's log and
+// reports whether the log is due for CompactTable: its tail has reached
+// max(CompactBytes, the last checkpoint's RawBytes). The threshold grows
+// with the table, so a table's total rewrite stays O(bytes appended).
+func (st *Store) AppendTable(name string, payload []byte) (due bool, err error) {
+	tail, ckpt, err := st.appendTo(tableBase(name), payload)
+	return err == nil && tail >= max(st.compactBytes, ckpt), err
 }
 
-func (st *Store) appendTo(base string, payload []byte) (int64, error) {
+// appendTo appends one frame and reports the log's tail size and its
+// checkpoint's RawBytes.
+func (st *Store) appendTo(base string, payload []byte) (tail, ckpt int64, err error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.closed {
-		return 0, fmt.Errorf("sessionlog: store closed")
-	}
 	ap, err := st.appenderLocked(base)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	buf := AppendFrame(nil, ap.nextSeq, payload)
 	n, err := ap.f.Write(buf)
@@ -187,7 +194,7 @@ func (st *Store) appendTo(base string, payload []byte) (int64, error) {
 			ap.f.Truncate(ap.size)
 			ap.f.Seek(ap.size, 0)
 		}
-		return ap.size, fmt.Errorf("sessionlog: append %s: %w", base, err)
+		return ap.size, ap.ckptBytes, fmt.Errorf("sessionlog: append %s: %w", base, err)
 	}
 	ap.size += int64(len(buf))
 	ap.nextSeq++
@@ -195,13 +202,16 @@ func (st *Store) appendTo(base string, payload []byte) (int64, error) {
 	st.stats.AppendedBytes += int64(len(buf))
 	st.sinceScan += int64(len(buf))
 	st.maybeRetainLocked()
-	return ap.size, nil
+	return ap.size, ap.ckptBytes, nil
 }
 
 // appenderLocked returns the cached appender for base, opening the log
 // (healing any torn tail) on a miss and evicting the coldest cached
 // appenders past MaxOpenLogs. Caller holds st.mu.
 func (st *Store) appenderLocked(base string) (*appender, error) {
+	if st.closed {
+		return nil, fmt.Errorf("sessionlog: store closed")
+	}
 	if ap, ok := st.appenders[base]; ok {
 		for i, b := range st.order {
 			if b == base {
@@ -236,17 +246,21 @@ func (st *Store) appenderLocked(base string) (*appender, error) {
 		}
 		st.stats.TornTruncations++
 	}
-	next := uint64(1)
+	ap := &appender{f: f, size: size, nextSeq: 1}
+	// The checkpoint header continues an empty log's sequence and sets a
+	// table's compaction threshold.
+	if len(frames) == 0 || strings.HasPrefix(base, "t-") {
+		if meta, err := st.checkpointHeader(base); err == nil {
+			ap.nextSeq, ap.ckptBytes = meta.LastSeq+1, meta.RawBytes
+		}
+	}
 	if len(frames) > 0 {
-		next = frames[len(frames)-1].Seq + 1
-	} else if meta, err := st.checkpointLastSeq(base); err == nil {
-		next = meta + 1
+		ap.nextSeq = frames[len(frames)-1].Seq + 1
 	}
 	if _, err := f.Seek(size, 0); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("sessionlog: %w", err)
 	}
-	ap := &appender{f: f, size: size, nextSeq: next}
 	st.appenders[base] = ap
 	st.order = append(st.order, base)
 	for len(st.appenders) > st.maxOpen {
@@ -258,18 +272,15 @@ func (st *Store) appenderLocked(base string) (*appender, error) {
 	return ap, nil
 }
 
-// checkpointLastSeq reads just the checkpoint header's LastSeq (0 with
-// an error if no checkpoint). Caller holds st.mu.
-func (st *Store) checkpointLastSeq(base string) (uint64, error) {
+// checkpointHeader reads just the checkpoint's meta (an error if there is
+// no checkpoint). Caller holds st.mu.
+func (st *Store) checkpointHeader(base string) (CheckpointMeta, error) {
 	data, err := os.ReadFile(filepath.Join(st.dir, base+".ckpt"))
 	if err != nil {
-		return 0, err
+		return CheckpointMeta{}, err
 	}
 	meta, _, err := decodeCheckpointHeader(data)
-	if err != nil {
-		return 0, err
-	}
-	return meta.LastSeq, nil
+	return meta, err
 }
 
 // LoadSession decodes a session's full replayable history: checkpoint
@@ -291,26 +302,29 @@ func (st *Store) LoadTable(name string) (*Replay, error) {
 }
 
 func (st *Store) loadLocked(base string) (*Replay, error) {
-	meta, ckptFrames, haveCkpt, err := readCheckpointFile(filepath.Join(st.dir, base+".ckpt"))
-	if err != nil {
+	rep := &Replay{}
+	ckptPath := filepath.Join(st.dir, base+".ckpt")
+	if data, err := os.ReadFile(ckptPath); err == nil {
+		meta, frames, err := decodeCheckpoint(data)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", ckptPath, err)
+		}
+		rep.Meta, rep.Frames, rep.LastSeq = &meta, frames, meta.LastSeq
+	} else if !os.IsNotExist(err) {
 		return nil, err
 	}
 	logData, err := os.ReadFile(filepath.Join(st.dir, base+".log"))
 	if err != nil && !os.IsNotExist(err) {
 		return nil, fmt.Errorf("sessionlog: %w", err)
 	}
-	if !haveCkpt && logData == nil {
+	if rep.Meta == nil && len(logData) == 0 {
 		return nil, fmt.Errorf("%w: %s", ErrNoLog, base)
 	}
 	frames, tail, err := parseFrames(logData)
 	if err != nil {
 		return nil, fmt.Errorf("sessionlog: %s.log: %w", base, err)
 	}
-	rep := &Replay{Frames: ckptFrames, Torn: tail > 0}
-	if haveCkpt {
-		rep.Meta = &meta
-		rep.LastSeq = meta.LastSeq
-	}
+	rep.Torn = tail > 0
 	for _, fr := range frames {
 		if fr.Seq <= rep.LastSeq {
 			// Duplicate of a checkpointed frame: a crash landed between
@@ -326,9 +340,6 @@ func (st *Store) loadLocked(base string) (*Replay, error) {
 		rep.LastSeq = fr.Seq
 		rep.Frames = append(rep.Frames, fr)
 	}
-	if len(rep.Frames) == 0 && !haveCkpt && tail == 0 && len(logData) == 0 {
-		return nil, fmt.Errorf("%w: %s", ErrNoLog, base)
-	}
 	return rep, nil
 }
 
@@ -339,11 +350,7 @@ func (st *Store) loadLocked(base string) (*Replay, error) {
 func (st *Store) CompactSession(id string, meta CheckpointMeta) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	meta.Session = id
-	return st.compactLocked(sessionBase(id), meta)
-}
-
-func (st *Store) compactLocked(base string, meta CheckpointMeta) error {
+	base := sessionBase(id)
 	rep, err := st.loadLocked(base)
 	if err != nil {
 		return err
@@ -351,10 +358,34 @@ func (st *Store) compactLocked(base string, meta CheckpointMeta) error {
 	if rep.Torn {
 		return fmt.Errorf("%w: refusing to compact %s with a torn tail", ErrTornLog, base)
 	}
-	meta.LastSeq = rep.LastSeq
-	meta.Frames = len(rep.Frames)
+	meta.Session, meta.LastSeq = id, rep.LastSeq
+	return st.writeCheckpointLocked(base, meta, rep.Frames)
+}
+
+// CompactTable replaces a table's history with snapshot, one append
+// request carrying the whole table: it becomes the table's checkpoint, at
+// the log's last sequence number, and the log empties. The caller holds
+// the table's locker.
+func (st *Store) CompactTable(name string, snapshot []byte) error {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	base := tableBase(name)
+	ap, err := st.appenderLocked(base)
+	if err != nil {
+		return err
+	}
+	seq := ap.nextSeq - 1
+	return st.writeCheckpointLocked(base, CheckpointMeta{Table: name, LastSeq: seq}, []Frame{{Seq: seq, Payload: snapshot}})
+}
+
+// writeCheckpointLocked is the one checkpoint writer: frames, ending at
+// meta.LastSeq, replace base's checkpoint (temp file + rename) and the
+// log they cover is truncated. A session writes its whole history, a
+// table the one frame holding its snapshot.
+func (st *Store) writeCheckpointLocked(base string, meta CheckpointMeta, frames []Frame) error {
+	meta.Frames = len(frames)
 	meta.WrittenUnixNS = time.Now().UnixNano()
-	img, err := encodeCheckpoint(meta, rep.Frames)
+	img, err := encodeCheckpoint(&meta, frames)
 	if err != nil {
 		return fmt.Errorf("sessionlog: encoding checkpoint %s: %w", base, err)
 	}
@@ -375,38 +406,10 @@ func (st *Store) compactLocked(base string, meta CheckpointMeta) error {
 		if _, err := ap.f.Seek(0, 0); err != nil {
 			return fmt.Errorf("sessionlog: %w", err)
 		}
-		ap.size = 0
+		ap.size, ap.ckptBytes = 0, meta.RawBytes
 	} else if err := os.Truncate(filepath.Join(st.dir, base+".log"), 0); err != nil && !os.IsNotExist(err) {
 		return fmt.Errorf("sessionlog: truncating %s: %w", base, err)
 	}
-	st.stats.Compactions++
-	return nil
-}
-
-// CompactTable atomically replaces a table's log with a single frame
-// carrying replacement (a whole-table append request), keeping the
-// sequence number so later appends stay contiguous. The caller holds
-// the table's locker.
-func (st *Store) CompactTable(name string, replacement []byte) error {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	base := tableBase(name)
-	rep, err := st.loadLocked(base)
-	if err != nil {
-		return err
-	}
-	if rep.Torn {
-		return fmt.Errorf("%w: refusing to compact %s with a torn tail", ErrTornLog, base)
-	}
-	path := filepath.Join(st.dir, base+".log")
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, AppendFrame(nil, rep.LastSeq, replacement), 0o644); err != nil {
-		return fmt.Errorf("sessionlog: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("sessionlog: %w", err)
-	}
-	st.closeAppenderLocked(base) // cached size/offset are stale; reopen lazily
 	st.stats.Compactions++
 	return nil
 }
@@ -466,17 +469,8 @@ func (st *Store) list(prefix string) []string {
 	seen := make(map[string]bool)
 	var out []string
 	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasPrefix(name, prefix) {
-			continue
-		}
-		var base string
-		switch {
-		case strings.HasSuffix(name, ".log"):
-			base = strings.TrimSuffix(name, ".log")
-		case strings.HasSuffix(name, ".ckpt"):
-			base = strings.TrimSuffix(name, ".ckpt")
-		default:
+		base, ok := logBase(e.Name())
+		if !ok || !strings.HasPrefix(base, prefix) {
 			continue
 		}
 		id, ok := unescapeName(base[len(prefix):])
@@ -562,16 +556,8 @@ func (st *Store) maybeRetainLocked() {
 			continue
 		}
 		total += info.Size()
-		name := e.Name()
-		var base string
-		switch {
-		case !strings.HasPrefix(name, "s-"):
-			continue
-		case strings.HasSuffix(name, ".log"):
-			base = strings.TrimSuffix(name, ".log")
-		case strings.HasSuffix(name, ".ckpt"):
-			base = strings.TrimSuffix(name, ".ckpt")
-		default:
+		base, ok := logBase(e.Name())
+		if !ok || !strings.HasPrefix(base, "s-") {
 			continue
 		}
 		p, ok := pairs[base]
@@ -612,11 +598,19 @@ func (st *Store) maybeRetainLocked() {
 }
 
 // File naming: "s-<escaped id>.log/.ckpt" for sessions, "t-<escaped
-// name>.log" for tables. Escaping is conservative %XX so arbitrary ids
-// round-trip through the filesystem.
+// name>.log/.ckpt" for tables. Escaping is conservative %XX so arbitrary
+// ids round-trip through the filesystem.
 
 func sessionBase(id string) string { return "s-" + escapeName(id) }
 func tableBase(name string) string { return "t-" + escapeName(name) }
+
+// logBase strips a directory entry's ".log" or ".ckpt" suffix.
+func logBase(name string) (string, bool) {
+	if base, ok := strings.CutSuffix(name, ".log"); ok {
+		return base, true
+	}
+	return strings.CutSuffix(name, ".ckpt")
+}
 
 func escapeName(s string) string {
 	var b strings.Builder

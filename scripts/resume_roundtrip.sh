@@ -4,7 +4,9 @@
 # at it, kill -9 the process mid-session, restart it on the same
 # directory, resume over the wire, finish the exploration — and prove
 # the concatenated perform responses are byte-identical to an
-# uninterrupted run on a server that never crashed.
+# uninterrupted run on a server that never crashed. A second leg does the
+# same for a durable live table: ingest past several table-log
+# compactions, kill -9, restart, and every appended row is restored.
 . "$(dirname "$0")/lib.sh"
 lib_init
 
@@ -81,3 +83,56 @@ if ! cmp -s "$work/control.out" "$work/crash.out"; then
 fi
 
 echo "ok: $want_replayed requests replayed, $(wc -l <"$work/crash.out") perform responses byte-identical across kill -9"
+
+# Live-table leg: an uncapped durable live table. Its log compacts into a
+# checkpoint of the whole table once the tail reaches max(-session-compact,
+# the last checkpoint), so N appended bytes cost at most
+# ceil(log2(N / -session-compact)) + 2 compactions.
+addr=127.0.0.1:18934
+compact=65536
+batches=40
+live_flags=(-addr "$addr" -rows 1000 -live 'events:ts=int,key=string,value=int'
+  -session-dir "$work/tables" -session-compact "$compact")
+serve_start "${live_flags[@]}"
+serve_wait "$addr"
+appended=0
+for b in $(seq 0 $((batches - 1))); do
+  seq 0 999 | awk -v b="$b" '
+    BEGIN { printf "{\"v\":2,\"op\":\"append\",\"table\":\"events\",\"rows\":[" }
+    { printf "%s[%d,\"k%02d\",%d]", (NR > 1 ? "," : ""), b * 1000 + $1, $1 % 64, ($1 * 7919 + b) % 1000000 }
+    END { printf "]}" }' >"$work/batch.json"
+  appended=$((appended + $(wc -c <"$work/batch.json")))
+  curl -sf --data-binary @"$work/batch.json" "http://$addr/rpc" >/dev/null
+done
+stats="$(rpc "$addr" '{"v":2,"op":"stats"}')"
+serve_kill9
+compactions="$(echo "$stats" | grep -o '"logCompactions":[0-9]*' | cut -d: -f2)"
+bound=2
+span=$compact
+while [ "$span" -lt "$appended" ]; do
+  span=$((span * 2))
+  bound=$((bound + 1))
+done
+if [ "${compactions:-0}" -lt 1 ] || [ "$compactions" -gt "$bound" ]; then
+  echo "FAIL: $appended bytes appended cost ${compactions:-0} table-log compactions, want 1..$bound" >&2
+  echo "$stats" >&2
+  exit 1
+fi
+
+serve_start "${live_flags[@]}"
+serve_wait "$addr"
+want_rows=$((batches * 1000))
+grep -q "restored $want_rows rows into 1 live tables" "$serve_log" || {
+  echo "FAIL: restart did not restore the $want_rows appended rows" >&2
+  cat "$serve_log" >&2
+  exit 1
+}
+# The restored table keeps ingesting where the log left off.
+resp="$(rpc "$addr" '{"v":2,"op":"append","table":"events","rows":[[1,"k00",1]]}')"
+echo "$resp" | grep -q '"rows":'"$((want_rows + 1))"'[,}]' || {
+  echo "FAIL: append after restart answered $resp, want rows=$((want_rows + 1))" >&2
+  exit 1
+}
+serve_stop TERM
+
+echo "ok: $want_rows table rows restored across kill -9 after $compactions table-log compactions (bound $bound)"
