@@ -74,6 +74,13 @@ func (b *backend) ready() bool {
 	return b.state == BreakerClosed && !b.draining
 }
 
+// isDraining reports whether the backend announced it is leaving.
+func (b *backend) isDraining() bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.draining
+}
+
 // breakerState returns the current state and when it was entered (for
 // Open, the trip time that starts the cooldown clock).
 func (b *backend) breakerState() (BreakerState, time.Time) {

@@ -20,19 +20,22 @@
 // peeked for its five routing fields and then travels as the client
 // sent it: the backend receives the client's bytes verbatim plus at
 // most one spliced key (the ReqID stamp). A response is relayed as the
-// backend sent it: its bytes are never re-encoded, and are parsed only
-// where control flow reads a field of them — on a non-200 status, after
-// an evict, and after the gateway's own resume — never on the 200 path
-// of a forwarded touch.
+// backend sent it: its bytes are never re-encoded, an OK envelope is
+// recognized by its first bytes and never parsed, and a non-OK body is
+// read only to spot "gone" (or a draining backend's refusal).
 //
-// Failover is resume-based: all backends share one -session-dir, every
-// executed request is teed into the session's durable log by whichever
-// backend is pinned, and when that backend dies the gateway re-pins the
-// session and replays OpResume on the new backend before forwarding the
-// in-flight request. The client observes a slower request, not a lost
-// session. A draining backend (SIGTERM) flips its /healthz to
-// "draining"; the gateway stops routing to it and proactively migrates
-// its pinned sessions the same way.
+// Placement is one rule, applied by place before anything is sent for a
+// session: its requests go to the pinned backend while that backend is
+// ready and known to hold the session — it answered the session OK or
+// accepted its resume. Otherwise the session is routed afresh and, before
+// any op but open and resume lands there, resumed from the shared
+// -session-dir (every executed request is teed into the session's durable
+// log by whichever backend runs it). One rule covers every way a backend
+// may lack the session: the pin died or is draining (SIGTERM flips its
+// /healthz to "draining", and the gateway migrates its sessions off
+// proactively), the gateway is fresh, the backend restarted in place and
+// answers "gone", or the session's stream there dropped. The client
+// observes a slower request, not a lost session.
 package gateway
 
 import (
@@ -113,14 +116,16 @@ type Options struct {
 	Logf func(format string, args ...any)
 }
 
-// sessEntry is one session's pin-table row: the backend it lives on and
-// the ReqID sequence. The entry mutex serializes everything the gateway
-// does for that session — forwards, failover resumes, migration — so a
-// session's durable log always has exactly one writer.
+// sessEntry is one session's pin-table row: the backend it is pinned
+// to, whether that backend is known to hold the session, and the ReqID
+// sequence. The entry mutex serializes everything the gateway does for
+// that session — forwards, resumes, migration — so a session's durable
+// log always has exactly one writer.
 type sessEntry struct {
-	mu  sync.Mutex
-	b   *backend
-	seq uint64
+	mu   sync.Mutex
+	b    *backend
+	held bool // b answered the session OK or accepted its resume
+	seq  uint64
 }
 
 // Gateway fronts a fleet of dbtouch-serve backends. Create with New,
@@ -153,6 +158,12 @@ func New(opts Options) (*Gateway, error) {
 	if len(opts.Backends) == 0 {
 		return nil, errors.New("gateway: no backends configured")
 	}
+	orDefault(&opts.RequestTimeout, DefaultRequestTimeout)
+	orDefault(&opts.HealthInterval, DefaultHealthInterval)
+	orDefault(&opts.ProbeTimeout, opts.HealthInterval)
+	orDefault(&opts.FailThreshold, DefaultFailThreshold)
+	orDefault(&opts.SuccessThreshold, DefaultSuccessThreshold)
+	orDefault(&opts.OpenCooldown, DefaultOpenCooldown)
 	// The gateway's own transport: a per-backend idle pool wide enough
 	// to keep every concurrent session's connection, and no transparent
 	// gzip — nothing on this hop is compressed.
@@ -200,46 +211,11 @@ func (g *Gateway) Close() {
 	g.client.CloseIdleConnections()
 }
 
-func (g *Gateway) requestTimeout() time.Duration {
-	if g.opts.RequestTimeout > 0 {
-		return g.opts.RequestTimeout
+// orDefault fills an unset (zero or negative) option with its default.
+func orDefault[T int | time.Duration](v *T, def T) {
+	if *v <= 0 {
+		*v = def
 	}
-	return DefaultRequestTimeout
-}
-
-func (g *Gateway) healthInterval() time.Duration {
-	if g.opts.HealthInterval > 0 {
-		return g.opts.HealthInterval
-	}
-	return DefaultHealthInterval
-}
-
-func (g *Gateway) probeTimeout() time.Duration {
-	if g.opts.ProbeTimeout > 0 {
-		return g.opts.ProbeTimeout
-	}
-	return g.healthInterval()
-}
-
-func (g *Gateway) failThreshold() int {
-	if g.opts.FailThreshold > 0 {
-		return g.opts.FailThreshold
-	}
-	return DefaultFailThreshold
-}
-
-func (g *Gateway) successThreshold() int {
-	if g.opts.SuccessThreshold > 0 {
-		return g.opts.SuccessThreshold
-	}
-	return DefaultSuccessThreshold
-}
-
-func (g *Gateway) openCooldown() time.Duration {
-	if g.opts.OpenCooldown > 0 {
-		return g.opts.OpenCooldown
-	}
-	return DefaultOpenCooldown
 }
 
 func (g *Gateway) logf(format string, args ...any) {
@@ -254,7 +230,7 @@ func (g *Gateway) logf(format string, args ...any) {
 // half-open state exists for.
 func (g *Gateway) healthLoop() {
 	defer g.wg.Done()
-	t := time.NewTicker(g.healthInterval())
+	t := time.NewTicker(g.opts.HealthInterval)
 	defer t.Stop()
 	for {
 		select {
@@ -272,14 +248,14 @@ func (g *Gateway) healthLoop() {
 func (g *Gateway) probe(b *backend) {
 	state, openedAt := b.breakerState()
 	if state == BreakerOpen {
-		if time.Since(openedAt) < g.openCooldown() {
+		if time.Since(openedAt) < g.opts.OpenCooldown {
 			return // still cooling down; nothing talks to it
 		}
 		b.toHalfOpen()
 		g.logf("gateway: backend %s half-open, probing", b.base)
 	}
 	b.probes.Add(1)
-	ctx, cancel := context.WithTimeout(context.Background(), g.probeTimeout())
+	ctx, cancel := context.WithTimeout(context.Background(), g.opts.ProbeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.base+"/healthz", nil)
 	if err != nil {
@@ -298,7 +274,7 @@ func (g *Gateway) probe(b *backend) {
 		// Alive but on the way out: not a breaker failure — the process
 		// answers and keeps serving in-flight sessions — but no new
 		// traffic, and its pinned sessions move off proactively.
-		b.noteSuccess(true, g.successThreshold())
+		b.noteSuccess(true, g.opts.SuccessThreshold)
 		if b.setDraining(true) {
 			g.logf("gateway: backend %s draining, migrating its sessions", b.base)
 			g.wg.Add(1)
@@ -309,12 +285,12 @@ func (g *Gateway) probe(b *backend) {
 		}
 	case err == nil && status == http.StatusOK:
 		b.setDraining(false)
-		if b.noteSuccess(true, g.successThreshold()) {
+		if b.noteSuccess(true, g.opts.SuccessThreshold) {
 			g.logf("gateway: backend %s recovered, breaker closed", b.base)
 		}
 	default:
 		b.probeFails.Add(1)
-		if b.noteFailure(g.failThreshold()) {
+		if b.noteFailure(g.opts.FailThreshold) {
 			g.logf("gateway: backend %s unhealthy, breaker open (probe: status=%d err=%v)", b.base, status, err)
 		}
 	}
@@ -379,13 +355,24 @@ func (g *Gateway) tableLock(table string) *sync.Mutex {
 // rpcResult is one forwarded response: the HTTP status and Retry-After
 // hint control flow reads, and the raw bytes to relay verbatim
 // (byte-transparency — the gateway never re-encodes a backend response).
-// The envelope is not decoded here; the few paths that need a field of
-// it (a 503's error text, an evict's or a resume's outcome) call
-// envelope.
+// The envelope is not decoded here: ok reads its outcome off the first
+// bytes, and the few paths that need a field of a failure (a 503's error
+// text, gone) or of a resume's answer call envelope.
 type rpcResult struct {
 	status     int
 	retryAfter time.Duration
 	body       []byte
+}
+
+// ok reports whether the response is a 200 OK envelope, from its prefix
+// alone: every envelope leads with {"v":<n>,"ok":<bool> (both fields
+// come first and are never omitted).
+func (res rpcResult) ok() bool {
+	rest, found := bytes.CutPrefix(res.body, []byte(`{"v":`))
+	if !found || res.status != http.StatusOK {
+		return false
+	}
+	return bytes.HasPrefix(bytes.TrimLeft(rest, "0123456789"), []byte(`,"ok":true`))
 }
 
 // envelope decodes the response body. A body that is not an envelope
@@ -398,7 +385,7 @@ func (res rpcResult) envelope() protocol.Response {
 // post forwards one raw /rpc body to a backend under the per-attempt
 // deadline.
 func (g *Gateway) post(b *backend, raw []byte) (rpcResult, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), g.requestTimeout())
+	ctx, cancel := context.WithTimeout(context.Background(), g.opts.RequestTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, b.base+"/rpc", bytes.NewReader(raw))
 	if err != nil {
@@ -423,45 +410,75 @@ func (g *Gateway) post(b *backend, raw []byte) (rpcResult, error) {
 	return out, nil
 }
 
-// stampedOp lists the session-scoped mutating ops the gateway stamps a
-// ReqID onto — exactly the ops the server's durability layer logs, so a
-// retried lost-response request dedupes instead of double-executing.
-func stampedOp(op string) bool {
-	switch op {
-	case protocol.OpOpen, protocol.OpCreate, protocol.OpConfigure,
-		protocol.OpPerform, protocol.OpIdle, protocol.OpPin:
-		return true
+// place is the gateway's one placement rule, applied under the session's
+// entry lock before anything is sent for it, and resumeOn's only caller.
+// The pin stands while its backend is ready, not excluded and known to
+// hold the session. Otherwise the session is routed afresh — around
+// exclude, a backend that just failed under it — and, when resume is set
+// (any op but open and resume), resumed on the chosen backend first. A
+// refused resume leaves the backend unknown, and the request that follows
+// surfaces the truth: a session that was never opened, or a server
+// without durability, has no log. A resume that never reached the backend
+// returns that backend with the transport error, for the caller to treat
+// as a failed request to it. A pin moved off a draining backend counts as
+// a migration, off a failed one as a failover.
+func (g *Gateway) place(e *sessEntry, session string, exclude *backend, resume bool) (*backend, error) {
+	if e.held && e.b != exclude && e.b.ready() {
+		return e.b, nil
 	}
-	return false
-}
-
-// isDraining reports whether a 503 came from a draining backend's
-// admission gate (as opposed to genuine overload): route elsewhere
-// immediately instead of backing off against a server that is leaving.
-func isDraining(res rpcResult) bool {
-	return res.status == http.StatusServiceUnavailable &&
-		strings.Contains(res.envelope().Error, "draining")
-}
-
-// resumeOn replays a session's durable log on a backend before traffic
-// lands there — the failover move. Failures are tolerated: a session
-// that was never opened (or a server without durability) has no log,
-// and the forwarded request that follows surfaces the truth either way.
-func (g *Gateway) resumeOn(b *backend, session string) {
-	raw, err := protocol.EncodeRequest(protocol.Request{Op: protocol.OpResume, Session: session})
+	nb, err := g.route(session, exclude)
 	if err != nil {
-		return
+		return nil, err
 	}
+	if old := e.b; old != nil && old != nb && (old == exclude || !old.ready()) {
+		move := "failed over"
+		if old.isDraining() {
+			move = "migrated"
+			g.migrations.Add(1)
+		} else {
+			g.failovers.Add(1)
+		}
+		g.logf("gateway: %s session %q %s -> %s", move, session, old.base, nb.base)
+	}
+	e.b, e.held = nb, false
+	if resume {
+		e.held, err = g.resumeOn(nb, session)
+	}
+	return nb, err
+}
+
+// resumeOn replays a session's durable log on b and reports whether b
+// accepted it; the error is the transport's.
+func (g *Gateway) resumeOn(b *backend, session string) (bool, error) {
+	raw, _ := protocol.EncodeRequest(protocol.Request{Op: protocol.OpResume, Session: session}) // an op and a string always marshal
 	res, err := g.post(b, raw)
 	if err != nil {
-		return
+		return false, err
 	}
 	resp := res.envelope()
 	if !resp.OK {
-		return
+		return false, nil
 	}
 	g.resumes.Add(1)
 	g.replayed.Add(int64(resp.Replayed))
+	return true, nil
+}
+
+// retry is the proxy path's one retry step. It reports false once
+// *attempt has spent the Retry budget; otherwise it spends one attempt
+// and, when wait is set, counts a backed-off retry and sleeps the
+// policy's jittered delay, never less than hint (a backend's
+// Retry-After). A retry that re-places the request goes at once.
+func (g *Gateway) retry(attempt *int, wait bool, hint time.Duration) bool {
+	if *attempt >= g.opts.Retry.MaxAttempts() {
+		return false
+	}
+	if wait {
+		g.retries.Add(1)
+		time.Sleep(g.opts.Retry.Delay(*attempt, hint))
+	}
+	*attempt++
+	return true
 }
 
 // routing is everything the gateway reads of a request: enough to check
@@ -529,15 +546,19 @@ func (g *Gateway) dispatch(rt routing, raw []byte) (rpcResult, error) {
 	}
 }
 
-// forwardSession forwards one session-scoped request to its pinned
-// backend, stamping a ReqID on mutating ops, retrying overload with
-// backoff, and failing over by resume when the backend dies under it.
-// The entry lock makes the whole sequence atomic per session.
+// forwardSession forwards one session-scoped request to the backend
+// place picks, stamping a ReqID on mutating ops: that makes every retry
+// below exactly-once. A transport failure feeds the backend's breaker and
+// places the retry around it; a draining backend's refusal re-places at
+// once; overload backs off on the same backend; "gone" from a backend
+// known to hold the session means it no longer does, and place resumes
+// the session there before the retry. The entry lock makes the whole
+// sequence atomic per session.
 func (g *Gateway) forwardSession(req routing, raw []byte) (rpcResult, error) {
 	e := g.entry(req.Session)
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if req.ReqID == "" && stampedOp(req.Op) {
+	if req.ReqID == "" && protocol.MutatesSession(req.Op) {
 		// The client's bytes, its v included, reach the backend as sent
 		// (version echo behaves as if the client spoke direct); the stamp
 		// is the one key the gateway adds. A request that already carries
@@ -549,77 +570,66 @@ func (g *Gateway) forwardSession(req routing, raw []byte) (rpcResult, error) {
 		}
 	}
 
+	resume := !protocol.OpensSession(req.Op)
+	var failed *backend // the backend the last attempt failed on
 	var lastErr error
-	for attempt := 0; ; attempt++ {
-		b := e.b
-		if b == nil || !b.ready() {
-			nb, rerr := g.route(req.Session, nil)
-			if rerr != nil {
-				lastErr = rerr
-				if attempt >= g.opts.Retry.MaxAttempts() {
-					break
-				}
-				g.retries.Add(1)
-				time.Sleep(g.opts.Retry.Delay(attempt, 0))
-				continue
+	for attempt := 0; ; {
+		b, err := g.place(e, req.Session, failed, resume)
+		failed = nil
+		if b == nil {
+			// Nowhere (else) to go: back off and let the same backend, or a
+			// probe-recovered one, take the retry.
+			lastErr = err
+			if !g.retry(&attempt, true, 0) {
+				break
 			}
-			if b != nil && nb != b {
-				// The pin moved while we weren't looking (its backend
-				// tripped or drained): replay the session's log first.
-				g.failovers.Add(1)
-				g.resumeOn(nb, req.Session)
-			}
-			b, e.b = nb, nb
+			continue
 		}
-		res, err := g.post(b, raw)
+		var res rpcResult
 		if err == nil {
-			if res.status == http.StatusServiceUnavailable {
-				if isDraining(res) {
-					if b.setDraining(true) {
-						g.logf("gateway: backend %s draining (admission gate)", b.base)
-					}
-					e.b = nil // re-route next iteration
-					lastErr = fmt.Errorf("gateway: backend %s is draining", b.base)
-					if attempt >= g.opts.Retry.MaxAttempts() {
-						return res, nil // pass the 503 through
-					}
-					continue
-				}
-				// Genuine overload: same backend, Retry-After honored.
-				if attempt >= g.opts.Retry.MaxAttempts() {
-					return res, nil
-				}
-				g.retries.Add(1)
-				time.Sleep(g.opts.Retry.Delay(attempt, res.retryAfter))
-				continue
+			res, err = g.post(b, raw)
+		}
+		if err != nil {
+			// Transport failure, of the resume or of the request: the
+			// request may or may not have executed — its ReqID makes the
+			// retry safe.
+			lastErr = err
+			if b.noteFailure(g.opts.FailThreshold) {
+				g.logf("gateway: backend %s failed on request path, breaker open: %v", b.base, err)
 			}
-			if req.Op == protocol.OpEvict && res.envelope().OK {
+			failed = b
+			if !g.retry(&attempt, false, 0) {
+				break
+			}
+			continue
+		}
+		wait, hint := false, time.Duration(0)
+		switch {
+		case res.ok():
+			e.held = true
+			if req.Op == protocol.OpEvict {
 				g.dropEntry(req.Session)
 			}
 			return res, nil
+		case res.status == http.StatusServiceUnavailable && strings.Contains(res.envelope().Error, "draining"):
+			// A draining backend's admission gate, not overload: place
+			// elsewhere at once instead of backing off against a server
+			// that is leaving.
+			if b.setDraining(true) {
+				g.logf("gateway: backend %s draining (admission gate)", b.base)
+			}
+		case res.status == http.StatusServiceUnavailable:
+			// Genuine overload: same backend, Retry-After honored.
+			wait, hint = true, res.retryAfter
+		case resume && e.held && res.envelope().Gone:
+			// The backend restarted in place or evicted the session.
+			e.held = false
+		default:
+			return res, nil
 		}
-		// Transport failure: the request may or may not have executed —
-		// its ReqID makes the retry safe. Feed the breaker, re-pin, and
-		// replay the log on the replacement before retrying.
-		lastErr = err
-		if b.noteFailure(g.failThreshold()) {
-			g.logf("gateway: backend %s failed on request path, breaker open: %v", b.base, err)
+		if !g.retry(&attempt, wait, hint) {
+			return res, nil // pass the last refusal through
 		}
-		if attempt >= g.opts.Retry.MaxAttempts() {
-			break
-		}
-		nb, rerr := g.route(req.Session, b)
-		if rerr != nil {
-			// Nowhere else to go: back off and let the same backend (or
-			// a probe-recovered one) take the retry.
-			e.b = nil
-			g.retries.Add(1)
-			time.Sleep(g.opts.Retry.Delay(attempt, 0))
-			continue
-		}
-		g.failovers.Add(1)
-		g.resumeOn(nb, req.Session)
-		e.b = nb
 	}
 	return rpcResult{}, fmt.Errorf("%w: session %q: %v", protocol.ErrRetriesExhausted, req.Session, lastErr)
 }
@@ -642,7 +652,7 @@ func (g *Gateway) forwardAppend(table string, raw []byte) (rpcResult, error) {
 		res, err := g.post(b, raw)
 		if err != nil {
 			lastErr = err
-			if b.noteFailure(g.failThreshold()) {
+			if b.noteFailure(g.opts.FailThreshold) {
 				g.logf("gateway: backend %s failed on append fan-out, breaker open: %v", b.base, err)
 			}
 			continue
@@ -674,17 +684,18 @@ func (g *Gateway) forwardAny(raw []byte) (rpcResult, error) {
 			return res, nil
 		}
 		lastErr = err
-		if b.noteFailure(g.failThreshold()) {
+		if b.noteFailure(g.opts.FailThreshold) {
 			g.logf("gateway: backend %s failed, breaker open: %v", b.base, err)
 		}
 	}
 	return rpcResult{}, lastErr
 }
 
-// migrateFrom re-pins every session living on b to a healthy backend,
-// replaying each session's log there first. Called when b starts
-// draining; each session's entry lock serializes the move against
-// in-flight forwards, so the durable log never has two writers.
+// migrateFrom places every session pinned to b on another backend ahead
+// of its next request. Called when b starts draining; each session's
+// entry lock serializes the move against in-flight forwards, so the
+// durable log never has two writers. A session with nowhere to go stays
+// pinned to b, and its next request places it.
 func (g *Gateway) migrateFrom(b *backend) {
 	g.mu.Lock()
 	type pinned struct {
@@ -699,14 +710,7 @@ func (g *Gateway) migrateFrom(b *backend) {
 	for _, s := range sessions {
 		s.e.mu.Lock()
 		if s.e.b == b {
-			if nb, err := g.route(s.id, b); err == nil {
-				g.resumeOn(nb, s.id)
-				s.e.b = nb
-				g.migrations.Add(1)
-				g.logf("gateway: migrated session %q %s -> %s", s.id, b.base, nb.base)
-			} else {
-				s.e.b = nil // re-pin lazily when a backend comes back
-			}
+			g.place(s.e, s.id, b, true)
 		}
 		s.e.mu.Unlock()
 	}
@@ -716,10 +720,11 @@ func (g *Gateway) migrateFrom(b *backend) {
 type Stats struct {
 	Backends []BackendStats    `json:"backends"`
 	Sessions map[string]string `json:"sessions,omitempty"` // session -> backend
-	// Failovers counts re-pins forced by backend failure; Migrations
-	// counts proactive drain-time re-pins; Resumes/ReplayedRequests
-	// count the log replays that made them invisible; Retries counts
-	// backed-off attempts on the proxy path.
+	// Failovers counts re-pins off a failed backend; Migrations counts
+	// re-pins off a draining one; Resumes/ReplayedRequests count every
+	// log replay — those moves, and first contact with a backend not known
+	// to hold the session; Retries counts backed-off attempts on the proxy
+	// path.
 	Failovers        int64 `json:"failovers"`
 	Migrations       int64 `json:"migrations"`
 	Resumes          int64 `json:"resumes"`
@@ -795,7 +800,7 @@ func (g *Gateway) handleRPC(w http.ResponseWriter, r *http.Request) {
 	rt, err := peekRequest(body)
 	if err != nil {
 		// Malformed requests are answered at the edge, like the server.
-		writeEnvelope(w, protocol.Errorf("%v", err), 0)
+		protocol.WriteResponse(w, protocol.Errorf("%v", err))
 		return
 	}
 	res, err := g.dispatch(rt, body)
@@ -804,7 +809,8 @@ func (g *Gateway) handleRPC(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, errStampOverflow) {
 			resp = protocol.Errorf("gateway: %v", err) // retrying cannot help
 		}
-		writeEnvelope(w, resp, rt.V)
+		resp.V = rt.V
+		protocol.WriteResponse(w, resp)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -815,29 +821,6 @@ func (g *Gateway) handleRPC(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(res.status)
 	}
 	w.Write(res.body)
-}
-
-// writeEnvelope emits a gateway-originated response envelope; overloaded
-// envelopes get the 503 + Retry-After rendering clients already speak.
-func writeEnvelope(w http.ResponseWriter, resp protocol.Response, v int) {
-	if v > 0 {
-		resp.V = v
-	}
-	w.Header().Set("Content-Type", "application/json")
-	data, err := protocol.EncodeResponse(resp)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	if resp.Overloaded {
-		ra := resp.RetryAfter
-		if ra <= 0 {
-			ra = protocol.DefaultRetryAfterSec
-		}
-		w.Header().Set("Retry-After", strconv.Itoa(ra))
-		w.WriteHeader(http.StatusServiceUnavailable)
-	}
-	w.Write(data)
 }
 
 func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {

@@ -384,6 +384,131 @@ func TestGatewayDrainMigratesSessions(t *testing.T) {
 	}
 }
 
+// rendezvous is the backend the gateway's routing hash picks for session
+// when every base is ready (mirrors Gateway.route).
+func rendezvous(session string, bases ...string) string {
+	var best string
+	var bestScore uint64
+	for _, base := range bases {
+		h := fnv.New64a()
+		io.WriteString(h, session)
+		h.Write([]byte{0})
+		io.WriteString(h, base)
+		if score := h.Sum64(); best == "" || score > bestScore {
+			best, bestScore = base, score
+		}
+	}
+	return best
+}
+
+// controlBodies runs script on an undisturbed backend of its own and
+// returns its answers.
+func controlBodies(t *testing.T, script []protocol.Request) [][]byte {
+	t.Helper()
+	control := newTestBackend(t, t.TempDir())
+	var bodies [][]byte
+	for _, req := range script {
+		_, body := rawPost(t, control.url(), encode(t, req))
+		bodies = append(bodies, body)
+	}
+	return bodies
+}
+
+// runScript sends script[from:to] to base, each answer byte-identical to
+// the control's.
+func runScript(t *testing.T, base, label string, script []protocol.Request, want [][]byte, from, to int) {
+	t.Helper()
+	for i := from; i < to; i++ {
+		if _, got := rawPost(t, base, encode(t, script[i])); !bytes.Equal(got, want[i]) {
+			t.Fatalf("%s request %d (%s): got %s, control %s", label, i, script[i].Op, got, want[i])
+		}
+	}
+}
+
+// TestGatewayResumesOnFirstContact: a session living on the backend its
+// rendezvous choice is not — where an earlier failover left it, the
+// state a gateway restart finds — continues byte-identically through a
+// gateway that has never seen it: the gateway resumes it on its own
+// choice before the first request lands there.
+func TestGatewayResumesOnFirstContact(t *testing.T) {
+	shared := t.TempDir()
+	a := newTestBackend(t, shared)
+	b := newTestBackend(t, shared)
+	const session = "first-contact"
+	script := sessionScript(session, 10)
+	want := controlBodies(t, script)
+	home, away := a, b
+	if rendezvous(session, a.url(), b.url()) == b.url() {
+		home, away = b, a
+	}
+	half := len(script) / 2
+	runScript(t, away.url(), "direct", script, want, 0, half)
+
+	g, gw := newGateway(t, fastOpts(t, a.url(), b.url()))
+	runScript(t, gw, "fresh gateway", script, want, half, len(script))
+	st := g.Stats()
+	if st.Sessions[session] != home.url() || st.Resumes != 1 || st.Failovers != 0 {
+		t.Fatalf("want one first-contact resume on %s and no failover, got %+v", home.url(), st)
+	}
+}
+
+// TestGatewayReplacesStrandedPin: the pinned backend dies while no other
+// backend is ready, so the request in flight fails with nowhere to go.
+// Once another backend is ready, the retried request and the rest of the
+// session land there byte-identically: the session is resumed first.
+func TestGatewayReplacesStrandedPin(t *testing.T) {
+	shared := t.TempDir()
+	a := newTestBackend(t, shared)
+	b := newTestBackend(t, shared)
+	g, gw := newGateway(t, fastOpts(t, a.url(), b.url()))
+	const session = "stranded"
+	script := sessionScript(session, 8)
+	want := controlBodies(t, script)
+	half := len(script) / 2
+	runScript(t, gw, "pre-kill", script, want, 0, half)
+
+	victim, other := a, b
+	if g.Stats().Sessions[session] == b.url() {
+		victim, other = b, a
+	}
+	other.health.Set(protocol.HealthDraining)
+	waitFor(t, 5*time.Second, "the other backend to drain", func() bool {
+		return backendState(g, other.url()).Draining
+	})
+	victim.kill()
+	if status, body := rawPost(t, gw, encode(t, script[half])); status != http.StatusServiceUnavailable {
+		t.Fatalf("with no backend ready the gateway answered %d %s, want 503", status, body)
+	}
+	other.health.Set(protocol.HealthReady)
+	waitFor(t, 5*time.Second, "the other backend ready again", func() bool {
+		return backendState(g, other.url()).Ready
+	})
+	runScript(t, gw, "re-placed", script, want, half, len(script))
+	if got := g.Stats().Sessions[session]; got != other.url() {
+		t.Fatalf("session pinned to %s, want %s", got, other.url())
+	}
+}
+
+// TestGatewayResumesAfterInPlaceRestart: the pinned backend loses its
+// sessions but keeps its address — a process restarted in place before
+// any breaker noticed — and answers "gone". The gateway resumes the
+// session there and retries the request, so traffic continues
+// byte-identically.
+func TestGatewayResumesAfterInPlaceRestart(t *testing.T) {
+	a := newTestBackend(t, t.TempDir())
+	g, gw := newGateway(t, fastOpts(t, a.url()))
+	const session = "restarted"
+	script := sessionScript(session, 10)
+	want := controlBodies(t, script)
+	half := len(script) / 2
+	runScript(t, gw, "before the restart", script, want, 0, half)
+	a.db.Manager().Close()
+	runScript(t, gw, "after the restart", script, want, half, len(script))
+	if st := g.Stats(); st.Resumes != 1 || st.Failovers != 0 {
+		t.Fatalf("want one in-place resume and no failover, got %+v", st)
+	}
+}
+
 // TestGatewayAppendFanout: appends fan out to every ready backend so
 // their in-memory live tables stay converged.
 func TestGatewayAppendFanout(t *testing.T) {

@@ -154,6 +154,12 @@ func TestStampOverflowRejectedAtEdge(t *testing.T) {
 		const tail = `"}`
 		return []byte(head + strings.Repeat("p", maxProxyRequestBytes-8-len(head)-len(tail)) + tail)
 	}
+	// Open the session first: the backend then holds it, so a perform
+	// reaches it alone, with no resume ahead of it.
+	if resp := post([]byte(`{"v":1,"op":"open","session":"s"}`)); !resp.OK {
+		t.Fatalf("open: %+v", resp)
+	}
+	hits.Store(0)
 
 	resp := post(padded(`{"v":1,"op":"perform","session":"s","object":"`))
 	if resp.OK || resp.Overloaded || resp.V != 1 || !strings.Contains(resp.Error, "too large") {

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"net/url"
 	"strings"
-	"time"
 
 	"dbtouch/internal/protocol"
 )
@@ -19,9 +18,10 @@ const maxProxyFrameBytes = 64 << 20
 
 // handleStream proxies GET /stream with failover: frames are relayed
 // only whole (a backend dying mid-frame tears the backend-side read,
-// never the client-side stream), and when the upstream drops, the
-// gateway resumes the session on a healthy backend and re-attaches —
-// the client keeps one uncorrupted stream across backend deaths.
+// never the client-side stream), and when an attach fails, is refused
+// or drops, that backend is no longer known to hold the session, so
+// place resumes it (on a healthy backend) before the re-attach — the
+// client keeps one uncorrupted stream across backend deaths.
 //
 // The encoding negotiated on the first attach is forced on every
 // reconnect, so a mid-stream failover cannot flip the client's decoder.
@@ -41,72 +41,57 @@ func (g *Gateway) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 	flusher, _ := w.(http.Flusher)
 
-	started := false    // response headers sent to the client
-	contentType := ""   // encoding locked in by the first attach
-	needResume := false // the previous attach dropped mid-stream
-	attempt := 0        // consecutive attach attempts without progress
+	started := false  // response headers sent to the client
+	contentType := "" // encoding locked in by the first attach
+	var prev *backend // the previous attach's backend
+	attempt := 0      // consecutive attach attempts without progress
 	for {
 		if r.Context().Err() != nil {
 			return
 		}
-		b, err := g.pinned(session)
-		if err != nil {
+		b, err := g.placeStream(session, prev)
+		if b == nil {
 			if !started {
 				http.Error(w, "gateway: no ready backend", http.StatusServiceUnavailable)
 				return
 			}
-			if attempt >= g.opts.Retry.MaxAttempts() {
+			if !g.retry(&attempt, true, 0) {
 				return
 			}
-			g.retries.Add(1)
-			time.Sleep(g.opts.Retry.Delay(attempt, 0))
-			attempt++
 			continue
 		}
-		if needResume {
-			// The previous stream dropped: replay the session's log on
-			// the (possibly new) backend before re-attaching, under the
-			// entry lock so the replay never races an /rpc forward.
-			g.resumePinned(session, b)
-			needResume = false
-		}
+		prev = b
 		wantAccept := accept
 		if contentType != "" {
 			wantAccept = contentType
 		}
-		up, err := g.openBackendStream(r.Context(), b, session, buffer, wantAccept)
+		var up *http.Response
+		if err == nil {
+			up, err = g.openBackendStream(r.Context(), b, session, buffer, wantAccept)
+		}
 		if err != nil {
 			if r.Context().Err() != nil {
 				return
 			}
-			if b.noteFailure(g.failThreshold()) {
+			if b.noteFailure(g.opts.FailThreshold) {
 				g.logf("gateway: backend %s failed on stream attach, breaker open: %v", b.base, err)
 			}
-			if attempt >= g.opts.Retry.MaxAttempts() {
+			if !g.retry(&attempt, true, 0) {
 				return
 			}
-			needResume = true
-			g.retries.Add(1)
-			time.Sleep(g.opts.Retry.Delay(attempt, 0))
-			attempt++
 			continue
 		}
 		if up.StatusCode != http.StatusOK {
-			// Most likely "session not found": the backend is healthy
-			// but doesn't hold the session (a fresh re-pin). Resume and
-			// try again; past the budget, relay the refusal.
+			// Most likely "session not found": the backend is healthy but
+			// doesn't hold the session. Past the budget, relay the refusal.
 			body, _ := io.ReadAll(io.LimitReader(up.Body, 1024))
 			up.Body.Close()
-			if attempt >= g.opts.Retry.MaxAttempts() {
+			if !g.retry(&attempt, true, 0) {
 				if !started {
 					http.Error(w, strings.TrimSpace(string(body)), up.StatusCode)
 				}
 				return
 			}
-			needResume = true
-			g.retries.Add(1)
-			time.Sleep(g.opts.Retry.Delay(attempt, 0))
-			attempt++
 			continue
 		}
 		if !started {
@@ -124,48 +109,28 @@ func (g *Gateway) handleStream(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		// The upstream dropped (backend died or the session was evicted
-		// there): resume and re-attach. Forward progress resets the
-		// attempt budget; attach loops that relay nothing burn it.
+		// there): re-attach. Forward progress resets the attempt budget;
+		// attach loops that relay nothing burn it.
 		if frames > 0 {
 			attempt = 0
-		} else {
-			if attempt >= g.opts.Retry.MaxAttempts() {
-				return
-			}
-			time.Sleep(g.opts.Retry.Delay(attempt, 0))
-			attempt++
+		} else if !g.retry(&attempt, true, 0) {
+			return
 		}
-		needResume = true
 	}
 }
 
-// pinned returns the session's current backend, routing fresh (with a
-// resume when the pin moves) if the pinned one is gone or unhealthy.
-func (g *Gateway) pinned(session string) (*backend, error) {
+// placeStream places the session for a stream attach under its entry
+// lock. An attach that follows one on prev — failed, refused or dropped
+// — means prev is no longer known to hold the session, so place resumes
+// it before the re-attach.
+func (g *Gateway) placeStream(session string, prev *backend) (*backend, error) {
 	e := g.entry(session)
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.b != nil && e.b.ready() {
-		return e.b, nil
+	if prev != nil && e.b == prev {
+		e.held = false
 	}
-	nb, err := g.route(session, nil)
-	if err != nil {
-		return nil, err
-	}
-	if e.b != nil && nb != e.b {
-		g.failovers.Add(1)
-		g.resumeOn(nb, session)
-	}
-	e.b = nb
-	return nb, nil
-}
-
-// resumePinned replays the session's log on b under the entry lock.
-func (g *Gateway) resumePinned(session string, b *backend) {
-	e := g.entry(session)
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	g.resumeOn(b, session)
+	return g.place(e, session, nil, true)
 }
 
 // openBackendStream attaches to a backend's /stream for the session.

@@ -19,14 +19,6 @@ import (
 	"dbtouch/internal/core"
 )
 
-// admissionGated lists the ops a draining server turns away: the ones
-// that would place a new session (or re-place a resumable one) on a
-// backend that is about to exit. Everything else — performs on live
-// sessions, appends, stats — keeps flowing until shutdown.
-func admissionGated(op string) bool {
-	return op == OpOpen || op == OpResume
-}
-
 // handleWithTimeout routes one request, bounding its wall-clock time
 // when d > 0. On timeout the execution is abandoned (it finishes in the
 // background, on the runner it started on, under the session's own
@@ -261,6 +253,28 @@ func ReadRequestBody(w http.ResponseWriter, req *http.Request) ([]byte, bool) {
 
 var errRequestTooLarge = fmt.Errorf("protocol: request body exceeds the %d-byte limit", MaxRequestBytes)
 
+// WriteResponse writes resp as the answer to one /rpc request. Admission
+// control speaks HTTP: an overloaded envelope goes out as 503 plus a
+// Retry-After hint (DefaultRetryAfterSec when resp names none), with the
+// full envelope still in the body.
+func WriteResponse(w http.ResponseWriter, resp Response) {
+	w.Header().Set("Content-Type", "application/json")
+	data, err := EncodeResponse(resp)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	if resp.Overloaded {
+		ra := resp.RetryAfter
+		if ra <= 0 {
+			ra = DefaultRetryAfterSec
+		}
+		w.Header().Set("Retry-After", strconv.Itoa(ra))
+		w.WriteHeader(http.StatusServiceUnavailable)
+	}
+	w.Write(data)
+}
+
 // NewHTTPHandler serves the wire protocol over HTTP:
 //
 //	POST /rpc                            one Request in, one Response out
@@ -289,29 +303,15 @@ func NewHTTPHandler(r Router, opts ...HandlerOption) http.Handler {
 		switch {
 		case err != nil:
 			resp = Errorf("%v", err)
-		case cfg.admitting != nil && admissionGated(decoded.Op) && !cfg.admitting():
+		case cfg.admitting != nil && OpensSession(decoded.Op) && !cfg.admitting():
+			// A draining server places no session on itself; performs on
+			// live sessions, appends and stats keep flowing until shutdown.
 			resp = Overloadedf("%s: server is draining; retry against another backend", decoded.Op)
 			resp.V = decoded.V
 		default:
 			resp = handleWithTimeout(r, decoded, cfg.rpcTimeout)
 		}
-		w.Header().Set("Content-Type", "application/json")
-		data, err := EncodeResponse(resp)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		if resp.Overloaded {
-			// Admission control speaks HTTP: 503 plus a Retry-After hint,
-			// with the full response envelope still in the body.
-			ra := resp.RetryAfter
-			if ra <= 0 {
-				ra = DefaultRetryAfterSec
-			}
-			w.Header().Set("Retry-After", strconv.Itoa(ra))
-			w.WriteHeader(http.StatusServiceUnavailable)
-		}
-		w.Write(data)
+		WriteResponse(w, resp)
 	})
 	mux.HandleFunc("/stream", func(w http.ResponseWriter, req *http.Request) {
 		sub, ok := r.(Subscriber)
@@ -459,23 +459,16 @@ func (c *Client) Do(req Request) (Response, error) {
 // doResuming is one Do attempt including the AutoResume Gone-handling.
 func (c *Client) doResuming(req Request) (Response, error) {
 	resp, err := c.do(req)
-	if err != nil && resp.Gone && c.AutoResume && req.Session != "" && resumableOp(req.Op) {
+	// A Gone failure is worth a resume + retry on session work, not on
+	// lifecycle or server-scoped ops.
+	if err != nil && resp.Gone && c.AutoResume && req.Session != "" &&
+		MutatesSession(req.Op) && !OpensSession(req.Op) {
 		if _, rerr := c.Resume(req.Session); rerr != nil {
 			return resp, err // surface the original failure
 		}
 		return c.do(req)
 	}
 	return resp, err
-}
-
-// resumableOp reports whether a Gone failure on op is worth a resume +
-// retry: session-scoped work, not lifecycle or server-scoped ops.
-func resumableOp(op string) bool {
-	switch op {
-	case OpCreate, OpConfigure, OpPerform, OpIdle, OpPin:
-		return true
-	}
-	return false
 }
 
 func (c *Client) do(req Request) (Response, error) {

@@ -82,6 +82,25 @@ const (
 	OpResume = "resume"
 )
 
+// MutatesSession reports whether op changes the state of the session it
+// names: the ops a durable server logs and replays on resume, and the
+// ones a ReqID makes exactly-once (a gateway stamps one on each). OpEvict
+// is session-scoped too, but removes the session instead.
+func MutatesSession(op string) bool {
+	switch op {
+	case OpOpen, OpCreate, OpConfigure, OpPerform, OpIdle, OpPin:
+		return true
+	}
+	return false
+}
+
+// OpensSession reports whether op puts its session on the server that
+// executes it (open, resume). A draining server refuses these; every
+// other session-scoped op needs the session to be there already.
+func OpensSession(op string) bool {
+	return op == OpOpen || op == OpResume
+}
+
 // Request is one decoded client operation. Field use by op:
 //
 //	open/evict   Session

@@ -54,19 +54,6 @@ func (m *Manager) EnableDurability(store *sessionlog.Store) {
 // durability returns the attached state, nil when disabled.
 func (m *Manager) durability() *durability { return m.dur.Load() }
 
-// loggableOp lists the session-scoped ops that mutate session state and
-// therefore replay on resume. OpEvict is session-scoped too but removes
-// the log instead of appending to it; OpStats/OpAppend are not
-// session-scoped.
-func loggableOp(op string) bool {
-	switch op {
-	case protocol.OpOpen, protocol.OpCreate, protocol.OpConfigure,
-		protocol.OpPerform, protocol.OpIdle, protocol.OpPin:
-		return true
-	}
-	return false
-}
-
 // serveRequest is HandleRequest's routing core, wrapped in the
 // exactly-once cache: a session-scoped mutating request carrying a
 // ReqID that matches the session's most recent one is answered from
@@ -78,7 +65,7 @@ func loggableOp(op string) bool {
 // the guarantee (the gateway) serialize a session's requests
 // themselves, which wire clients do anyway by construction.
 func (m *Manager) serveRequest(req protocol.Request) protocol.Response {
-	dedupe := req.ReqID != "" && req.Session != "" && loggableOp(req.Op)
+	dedupe := req.ReqID != "" && req.Session != "" && protocol.MutatesSession(req.Op)
 	if dedupe {
 		if s, ok := m.Get(req.Session); ok {
 			if resp, hit := s.cachedResponse(req.ReqID); hit {
@@ -136,7 +123,7 @@ func (m *Manager) dispatchRequest(req protocol.Request) protocol.Response {
 			d.logAppend(m, req)
 		}
 		return resp
-	case req.Session != "" && (loggableOp(req.Op) || req.Op == protocol.OpEvict):
+	case req.Session != "" && (protocol.MutatesSession(req.Op) || req.Op == protocol.OpEvict):
 		lk := d.store.SessionLocker(req.Session)
 		lk.Lock()
 		defer lk.Unlock()
