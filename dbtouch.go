@@ -282,7 +282,8 @@ func (db *DB) TouchLatency() *metrics.Histogram { return db.kernel.TouchLatency(
 
 // Results returns the retained results: everything still visible on
 // screen plus all results of the latest gesture. Faded results are
-// pruned between gestures; use OnResult to observe the full stream.
+// pruned in place when the next gesture starts, so the slice is valid
+// until then; use OnResult to observe the full stream.
 func (db *DB) Results() []Result { return db.kernel.Results() }
 
 // OnResult registers a live result callback (front-end hook). Prefer

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"dbtouch/internal/cache"
@@ -147,7 +148,10 @@ type Kernel struct {
 	pins  []*livePin
 	onPin func(table string, epoch uint64)
 
+	// results is the retained window (see Results); events is Perform's
+	// synthesis buffer. Both are reused across batches.
 	results   []Result
+	events    []touchos.TouchEvent
 	onResult  func(Result)
 	subs      []*ResultStream
 	counters  *metrics.Counters
@@ -272,9 +276,10 @@ func (k *Kernel) OnResult(fn func(Result)) { k.onResult = fn }
 
 // Results returns the retained results: everything still visible on
 // screen (not yet faded) plus all results emitted since the last Apply
-// call (shared slice; treat as read-only). Faded results are pruned at
-// the next Apply, bounding kernel memory for long-running sessions;
-// subscribe with OnResult to observe the complete stream.
+// call. The slice is the kernel's own window, read-only and valid until
+// the next Apply, which prunes faded results in place — bounding kernel
+// memory for long-running sessions; subscribe with OnResult to observe
+// the complete stream.
 func (k *Kernel) Results() []Result { return k.results }
 
 // ResetResults clears retained results (between experiment runs).
@@ -486,7 +491,10 @@ func (k *Kernel) wireJoin(o *Object, spec *JoinSpec) {
 }
 
 // Apply pushes a batch of raw touch events through the dispatcher and
-// returns the results emitted during the batch.
+// returns the results emitted during the batch. The returned slice is a
+// view of the kernel's result window: it is valid until the next Apply,
+// so a caller that keeps results across batches copies them (the session
+// layer does). events is not retained.
 func (k *Kernel) Apply(events []touchos.TouchEvent) []Result {
 	k.repinLive()
 	k.pruneFaded()
@@ -495,11 +503,18 @@ func (k *Kernel) Apply(events []touchos.TouchEvent) []Result {
 	return k.results[mark:]
 }
 
+// Buffers a kernel keeps between batches are dropped instead when a
+// burst grew them past these sizes (a long gesture's events, or the
+// results of one), so an idle session holds at most ~100 KB of each.
+const (
+	keepEvents  = 2048
+	keepResults = 512
+)
+
 // pruneFaded drops results that have already faded from the screen, so
 // the retained window is bounded by the fade horizon instead of the
 // session length. Results are emitted in nondecreasing virtual time, so
-// the faded ones form a prefix. The live suffix moves to a fresh backing
-// array: slices returned by earlier Apply calls keep their data.
+// the faded ones form a prefix, and the live suffix moves down in place.
 func (k *Kernel) pruneFaded() {
 	now := k.clock.Now()
 	faded := 0
@@ -509,9 +524,13 @@ func (k *Kernel) pruneFaded() {
 	if faded == 0 {
 		return
 	}
-	live := make([]Result, len(k.results)-faded)
-	copy(live, k.results[faded:])
-	k.results = live
+	if cap(k.results) > keepResults {
+		k.results = slices.Clone(k.results[faded:])
+		return
+	}
+	n := copy(k.results, k.results[faded:])
+	clear(k.results[n:])
+	k.results = k.results[:n]
 }
 
 // handleTouch is the per-touch pipeline of Figure 3: recognize the
@@ -644,7 +663,8 @@ func (k *Kernel) emit(r Result) {
 // normal touch pipeline, so a performed gesture is byte-identical to the
 // same gesture driven by raw events. KindMove applies directly (it is a
 // UI reposition, not a touch). Unknown targets and invalid descriptions
-// return an error without advancing the clock.
+// return an error without advancing the clock. As with Apply, the results
+// are valid until the kernel's next Apply.
 func (k *Kernel) Perform(g gesture.Gesture) ([]Result, error) {
 	o, err := k.Object(g.Target)
 	if err != nil {
@@ -659,9 +679,13 @@ func (k *Kernel) Perform(g gesture.Gesture) ([]Result, error) {
 		o.view.SetFrame(f)
 		return nil, nil
 	}
-	events, err := g.Synthesize(gesture.Synth{}, o.view.Frame(), k.clock.Now())
+	events, err := g.AppendEvents(k.events[:0], gesture.Synth{}, o.view.Frame(), k.clock.Now())
 	if err != nil {
 		return nil, err
 	}
-	return k.Apply(events), nil
+	results := k.Apply(events)
+	if cap(events) <= keepEvents {
+		k.events = events
+	}
+	return results, nil
 }

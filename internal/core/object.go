@@ -52,9 +52,10 @@ type Object struct {
 	lastLevel int
 	sliding   bool
 
-	// touchBuckets histograms touched base ids at bucketSize granularity,
-	// feeding hot-region detection for cache-to-sample promotion (§2.6).
-	touchBuckets map[int]int
+	// touchBuckets histograms touched base ids at bucketSize granularity
+	// (bucket b counts ids in [b·bucketSize, (b+1)·bucketSize)), feeding
+	// hot-region detection for cache-to-sample promotion (§2.6).
+	touchBuckets []int
 	bucketSize   int
 
 	// conv is the in-progress layout conversion after a rotate gesture.

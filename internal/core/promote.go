@@ -17,16 +17,45 @@ type HotRegion struct {
 	Touches int
 }
 
-// recordTouch histograms the touched base id (512 buckets per object).
+// maxTouchBuckets caps an object's touch histogram. A live table can grow
+// far past the row count bucketSize was chosen for at the first touch, so
+// the histogram coarsens (foldTouchBuckets) instead of growing with it.
+const maxTouchBuckets = 1024
+
+// recordTouch histograms the touched base id: 512 buckets over the rows
+// at the first touch, at most maxTouchBuckets ever.
 func (o *Object) recordTouch(id int) {
 	if o.touchBuckets == nil {
-		o.touchBuckets = make(map[int]int)
-		o.bucketSize = o.matrix.NumRows() / 512
-		if o.bucketSize < 1 {
-			o.bucketSize = 1
-		}
+		o.touchBuckets = make([]int, 0, maxTouchBuckets)
+		o.bucketSize = max(o.matrix.NumRows()/512, 1)
 	}
-	o.touchBuckets[id/o.bucketSize]++
+	b := id / o.bucketSize
+	for b >= maxTouchBuckets {
+		o.foldTouchBuckets()
+		b = id / o.bucketSize
+	}
+	if b >= len(o.touchBuckets) {
+		o.touchBuckets = o.touchBuckets[:b+1]
+	}
+	o.touchBuckets[b]++
+}
+
+// foldTouchBuckets halves the histogram's resolution: adjacent bucket
+// pairs merge and bucketSize doubles, so bucket b keeps covering
+// [b·bucketSize, (b+1)·bucketSize).
+func (o *Object) foldTouchBuckets() {
+	h := o.touchBuckets
+	n := (len(h) + 1) / 2
+	for i := 0; i < n; i++ {
+		c := h[2*i]
+		if 2*i+1 < len(h) {
+			c += h[2*i+1]
+		}
+		h[i] = c
+	}
+	clear(h[n:])
+	o.touchBuckets = h[:n]
+	o.bucketSize *= 2
 }
 
 // HotRegions reports contiguous base-tuple ranges the user has revisited
@@ -37,25 +66,14 @@ func (o *Object) HotRegions(minTouches int) []HotRegion {
 	if minTouches <= 0 {
 		minTouches = 2
 	}
-	var hot []int
-	for b, c := range o.touchBuckets {
-		if c >= minTouches {
-			hot = append(hot, b)
-		}
-	}
-	if len(hot) == 0 {
-		return nil
-	}
-	sort.Ints(hot)
 	rows := o.matrix.NumRows()
 	var out []HotRegion
-	for _, b := range hot {
-		lo := b * o.bucketSize
-		hi := (b + 1) * o.bucketSize
-		if hi > rows {
-			hi = rows
+	for b, touches := range o.touchBuckets {
+		if touches < minTouches {
+			continue
 		}
-		touches := o.touchBuckets[b]
+		lo := b * o.bucketSize
+		hi := min((b+1)*o.bucketSize, rows)
 		if n := len(out); n > 0 && lo <= out[n-1].Hi+o.bucketSize {
 			out[n-1].Hi = hi
 			out[n-1].Touches += touches

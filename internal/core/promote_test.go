@@ -1,10 +1,14 @@
 package core
 
 import (
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"time"
 
 	"dbtouch/internal/gesture"
+	"dbtouch/internal/storage"
 	"dbtouch/internal/touchos"
 )
 
@@ -105,5 +109,101 @@ func TestPromoteHotRegionErrors(t *testing.T) {
 	// No gestures yet: nothing hot.
 	if _, err := k.PromoteHotRegion(obj, touchos.NewRect(6, 2, 2, 10)); err == nil {
 		t.Fatal("promotion without hot regions should error")
+	}
+}
+
+// mapHotRegions is the histogram HotRegions replaced: an unbounded map
+// from bucket to count, bucketSize fixed at rows/512. It is the reference
+// for static tables, where the bounded histogram never folds.
+func mapHotRegions(rows int, touches []int, minTouches int) []HotRegion {
+	size := max(rows/512, 1)
+	buckets := make(map[int]int)
+	for _, id := range touches {
+		buckets[id/size]++
+	}
+	var hot []int
+	for b, c := range buckets {
+		if c >= minTouches {
+			hot = append(hot, b)
+		}
+	}
+	if len(hot) == 0 {
+		return nil
+	}
+	sort.Ints(hot)
+	var out []HotRegion
+	for _, b := range hot {
+		lo, hi := b*size, min((b+1)*size, rows)
+		if n := len(out); n > 0 && lo <= out[n-1].Hi+size {
+			out[n-1].Hi = hi
+			out[n-1].Touches += buckets[b]
+			continue
+		}
+		out = append(out, HotRegion{Lo: lo, Hi: hi, Touches: buckets[b]})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Touches > out[j].Touches })
+	return out
+}
+
+func TestHotRegionsMatchMapHistogram(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, rows := range []int{1, 300, 511, 512, 1000, 1023, 1024, 5000, 100_000} {
+		_, obj := testKernel(t, rows, DefaultConfig())
+		var touches []int
+		for i := 0; i < 3000; i++ {
+			// Mostly a hot band, some noise, so regions merge and split.
+			id := rng.Intn(rows)
+			if rng.Intn(3) > 0 {
+				id = rows/3 + rng.Intn(max(rows/10, 1))
+			}
+			touches = append(touches, id)
+			obj.recordTouch(id)
+		}
+		if len(obj.touchBuckets) > 1024 {
+			t.Fatalf("rows %d: %d buckets on a static table", rows, len(obj.touchBuckets))
+		}
+		for _, minTouches := range []int{1, 2, 5, 40} {
+			got, want := obj.HotRegions(minTouches), mapHotRegions(rows, touches, minTouches)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("rows %d min %d: HotRegions = %v, map histogram %v", rows, minTouches, got, want)
+			}
+		}
+	}
+}
+
+func TestTouchHistogramBoundedOnGrowingLiveTable(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.UseSamples = false
+	vals := make([]int64, 1000)
+	tbl, err := storage.NewTable("ev", storage.NewIntColumn("v", vals))
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := NewKernel(cfg)
+	k.Catalog().RegisterLive(tbl)
+	obj, err := k.CreateColumnObject(tbl.Snapshot().Matrix, 0, touchos.NewRect(2, 2, 2, 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([][]storage.Value, 9950)
+	for i := range rows {
+		rows[i] = []storage.Value{storage.IntValue(int64(i))}
+	}
+	for tbl.Rows() < 200_000 {
+		if _, err := tbl.AppendBatch(rows); err != nil {
+			t.Fatal(err)
+		}
+		k.Apply(slideEvents(obj, 10*time.Second, k.Clock().Now()+time.Millisecond))
+		if n := len(obj.touchBuckets); n > 1024 {
+			t.Fatalf("at %d rows the touch histogram holds %d buckets", tbl.Rows(), n)
+		}
+	}
+	// The coarsened histogram still spans the whole grown table.
+	end := 0
+	for _, r := range obj.HotRegions(1) {
+		end = max(end, r.Hi)
+	}
+	if end < 190_000 {
+		t.Fatalf("hot regions end at %d of %d rows", end, tbl.Rows())
 	}
 }

@@ -207,8 +207,12 @@ func TestResetAllKillsLiveConnections(t *testing.T) {
 	p := newProxy(t, ln.Addr().String())
 	a := dial(t, p.Addr())
 	b := dial(t, p.Addr())
-	if _, err := roundTrip(t, a, []byte("warm")); err != nil {
-		t.Fatal(err)
+	// A round trip on each proves the proxy has accepted and registered
+	// both: a dial returns before the proxy's accept loop reaches it.
+	for _, c := range []net.Conn{a, b} {
+		if _, err := roundTrip(t, c, []byte("warm")); err != nil {
+			t.Fatal(err)
+		}
 	}
 	p.ResetAll()
 	for _, c := range []net.Conn{a, b} {

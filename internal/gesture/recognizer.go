@@ -137,6 +137,9 @@ type Recognizer struct {
 	// the gesture-end event fires when the second lifts, with both
 	// fingers at their final locations.
 	endedMode twoFingerMode
+
+	// out is the buffer Feed returns, reused by the next Feed.
+	out []Event
 }
 
 // NewRecognizer returns a recognizer with the given config; a zero Config
@@ -148,12 +151,15 @@ func NewRecognizer(cfg Config) *Recognizer {
 	return &Recognizer{cfg: cfg, lastScale: 1}
 }
 
-// Feed consumes one touch event and returns zero or more recognized
-// gesture events.
+// Feed consumes one touch event and returns the gesture events it
+// completes (possibly none). The slice is the recognizer's own buffer:
+// it is valid until the next Feed, so a caller that keeps events copies
+// them.
 func (r *Recognizer) Feed(e touchos.TouchEvent) []Event {
 	if e.Finger < 0 || e.Finger > 1 {
 		return nil // only two simultaneous fingers are modeled
 	}
+	r.out = r.out[:0]
 	f := &r.fingers[e.Finger]
 	switch e.Phase {
 	case touchos.TouchBegan:
@@ -168,40 +174,37 @@ func (r *Recognizer) Feed(e touchos.TouchEvent) []Event {
 			r.lastScale = 1
 			r.lastAngle = 0
 		}
-		return nil
 	case touchos.TouchMoved:
 		if !f.down {
-			return nil
+			break
 		}
-		events := r.onMove(f, e)
+		r.onMove(f, e)
 		f.last = e.Loc
 		f.lastTime = e.Time
-		return events
 	case touchos.TouchEnded:
 		if !f.down {
-			return nil
+			break
 		}
 		// The end event carries the finger's final location (any
 		// undelivered move was coalesced into it).
 		f.last = e.Loc
 		f.lastTime = e.Time
-		events := r.onEnd(f, e)
+		r.onEnd(f, e)
 		f.down = false
 		r.nActive--
-		return events
 	case touchos.TouchCancelled:
 		if !f.down {
-			return nil
+			break
 		}
 		f.down = false
 		r.nActive--
 		r.mode = twoFingerUndecided
-		return []Event{{Kind: Cancelled, Loc: e.Loc, Time: e.Time}}
+		r.out = append(r.out, Event{Kind: Cancelled, Loc: e.Loc, Time: e.Time})
 	}
-	return nil
+	return r.out
 }
 
-func (r *Recognizer) onMove(f *fingerState, e touchos.TouchEvent) []Event {
+func (r *Recognizer) onMove(f *fingerState, e touchos.TouchEvent) {
 	// Update smoothed velocity.
 	if dt := e.Time - f.lastTime; dt > 0 {
 		inst := touchos.Point{
@@ -215,27 +218,26 @@ func (r *Recognizer) onMove(f *fingerState, e touchos.TouchEvent) []Event {
 		}
 	}
 	if r.nActive == 2 {
-		return r.twoFingerMove(e)
+		r.twoFingerMove(e)
+		return
 	}
-	var out []Event
 	if !f.moved && e.Loc.Dist(f.start) > r.cfg.TapSlop {
 		f.moved = true
-		out = append(out, Event{Kind: SlideBegan, Loc: f.start, Time: f.startTime})
+		r.out = append(r.out, Event{Kind: SlideBegan, Loc: f.start, Time: f.startTime})
 	}
 	if f.moved {
-		out = append(out, Event{Kind: SlideStep, Loc: e.Loc, Time: e.Time, Velocity: f.velocity})
+		r.out = append(r.out, Event{Kind: SlideStep, Loc: e.Loc, Time: e.Time, Velocity: f.velocity})
 	}
-	return out
 }
 
-func (r *Recognizer) onEnd(f *fingerState, e touchos.TouchEvent) []Event {
+func (r *Recognizer) onEnd(f *fingerState, e touchos.TouchEvent) {
 	if r.nActive == 2 {
 		// First finger up: stash the committed mode; the gesture-end
 		// event fires when the second finger lifts, so both fingers'
 		// final locations contribute to the final scale/angle.
 		r.endedMode = r.mode
 		r.mode = twoFingerUndecided
-		return nil
+		return
 	}
 	if r.endedMode != twoFingerUndecided {
 		// Second finger of a two-finger gesture lifting now.
@@ -248,29 +250,29 @@ func (r *Recognizer) onEnd(f *fingerState, e touchos.TouchEvent) []Event {
 			if r.startSpread > 0 {
 				scale = r.spread() / r.startSpread
 			}
-			return []Event{{Kind: PinchEnded, Loc: mid, Time: e.Time, Scale: scale}}
+			r.out = append(r.out, Event{Kind: PinchEnded, Loc: mid, Time: e.Time, Scale: scale})
 		case twoFingerRotate:
-			return []Event{{Kind: RotateEnded, Loc: mid, Time: e.Time, Angle: normalizeAngle(r.angle() - r.startAngle)}}
-		default:
-			return nil
+			r.out = append(r.out, Event{Kind: RotateEnded, Loc: mid, Time: e.Time, Angle: normalizeAngle(r.angle() - r.startAngle)})
 		}
+		return
 	}
-	if f.moved {
-		return []Event{{Kind: SlideEnded, Loc: e.Loc, Time: e.Time, Velocity: f.velocity}}
-	}
-	if e.Time-f.startTime <= r.cfg.TapMaxDuration && e.Loc.Dist(f.start) <= r.cfg.TapSlop {
-		return []Event{{Kind: Tap, Loc: e.Loc, Time: e.Time}}
-	}
-	// A long motionless press: treat as a degenerate slide (press-hold).
-	return []Event{
-		{Kind: SlideBegan, Loc: f.start, Time: f.startTime},
-		{Kind: SlideEnded, Loc: e.Loc, Time: e.Time},
+	switch {
+	case f.moved:
+		r.out = append(r.out, Event{Kind: SlideEnded, Loc: e.Loc, Time: e.Time, Velocity: f.velocity})
+	case e.Time-f.startTime <= r.cfg.TapMaxDuration && e.Loc.Dist(f.start) <= r.cfg.TapSlop:
+		r.out = append(r.out, Event{Kind: Tap, Loc: e.Loc, Time: e.Time})
+	default:
+		// A long motionless press: treat as a degenerate slide (press-hold).
+		r.out = append(r.out,
+			Event{Kind: SlideBegan, Loc: f.start, Time: f.startTime},
+			Event{Kind: SlideEnded, Loc: e.Loc, Time: e.Time},
+		)
 	}
 }
 
-func (r *Recognizer) twoFingerMove(e touchos.TouchEvent) []Event {
+func (r *Recognizer) twoFingerMove(e touchos.TouchEvent) {
 	if !r.fingers[0].down || !r.fingers[1].down {
-		return nil
+		return
 	}
 	// The moving finger's state still holds its previous location until
 	// Feed updates it, but spread/angle use .last of the *other* finger
@@ -297,18 +299,17 @@ func (r *Recognizer) twoFingerMove(e touchos.TouchEvent) []Event {
 		case math.Abs(dAngle) >= r.cfg.RotateThreshold:
 			r.mode = twoFingerRotate
 		default:
-			return nil
+			return
 		}
 	}
 	switch r.mode {
 	case twoFingerPinch:
 		r.lastScale = scale
-		return []Event{{Kind: PinchStep, Loc: mid, Time: e.Time, Scale: scale}}
+		r.out = append(r.out, Event{Kind: PinchStep, Loc: mid, Time: e.Time, Scale: scale})
 	case twoFingerRotate:
 		r.lastAngle = dAngle
-		return []Event{{Kind: RotateStep, Loc: mid, Time: e.Time, Angle: dAngle}}
+		r.out = append(r.out, Event{Kind: RotateStep, Loc: mid, Time: e.Time, Angle: dAngle})
 	}
-	return nil
 }
 
 func (r *Recognizer) spread() float64 {

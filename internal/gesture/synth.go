@@ -10,6 +10,7 @@ package gesture
 
 import (
 	"math"
+	"slices"
 	"time"
 
 	"dbtouch/internal/touchos"
@@ -37,16 +38,24 @@ func (s Synth) period() time.Duration {
 
 // Tap produces a touch-down/up pair at loc.
 func (s Synth) Tap(loc touchos.Point, at time.Duration) []touchos.TouchEvent {
-	return []touchos.TouchEvent{
-		{Finger: 0, Phase: touchos.TouchBegan, Loc: loc, Time: at},
-		{Finger: 0, Phase: touchos.TouchEnded, Loc: loc, Time: at + 50*time.Millisecond},
-	}
+	return s.appendTap(nil, loc, at)
+}
+
+func (s Synth) appendTap(dst []touchos.TouchEvent, loc touchos.Point, at time.Duration) []touchos.TouchEvent {
+	return append(dst,
+		touchos.TouchEvent{Finger: 0, Phase: touchos.TouchBegan, Loc: loc, Time: at},
+		touchos.TouchEvent{Finger: 0, Phase: touchos.TouchEnded, Loc: loc, Time: at + 50*time.Millisecond},
+	)
 }
 
 // Slide produces a single-finger straight slide from one point to another
 // over dur, beginning at start.
 func (s Synth) Slide(from, to touchos.Point, start, dur time.Duration) []touchos.TouchEvent {
-	return s.Path([]Waypoint{{At: start, Loc: from}, {At: start + dur, Loc: to}})
+	return s.appendSlide(nil, from, to, start, dur)
+}
+
+func (s Synth) appendSlide(dst []touchos.TouchEvent, from, to touchos.Point, start, dur time.Duration) []touchos.TouchEvent {
+	return s.appendPath(dst, []Waypoint{{At: start, Loc: from}, {At: start + dur, Loc: to}})
 }
 
 // Path produces a single-finger gesture through the waypoints with
@@ -54,13 +63,27 @@ func (s Synth) Slide(from, to touchos.Point, start, dur time.Duration) []touchos
 // location synthesize a pause (the finger stays down, the digitizer keeps
 // sampling the same spot). Waypoints must be in nondecreasing time order.
 func (s Synth) Path(points []Waypoint) []touchos.TouchEvent {
+	return s.appendPath(nil, points)
+}
+
+// appendPath appends Path's events to dst, growing it once: a segment of
+// duration d is sampled at a.At+k·period for k = 1..d/period, so the
+// count is known before the first event is written.
+func (s Synth) appendPath(dst []touchos.TouchEvent, points []Waypoint) []touchos.TouchEvent {
 	if len(points) == 0 {
-		return nil
+		return dst
 	}
 	period := s.period()
-	events := []touchos.TouchEvent{{
+	n := 2
+	for seg := 1; seg < len(points); seg++ {
+		if segDur := points[seg].At - points[seg-1].At; segDur > 0 {
+			n += int(segDur / period)
+		}
+	}
+	dst = slices.Grow(dst, n)
+	dst = append(dst, touchos.TouchEvent{
 		Finger: 0, Phase: touchos.TouchBegan, Loc: points[0].Loc, Time: points[0].At,
-	}}
+	})
 	for seg := 1; seg < len(points); seg++ {
 		a, b := points[seg-1], points[seg]
 		segDur := b.At - a.At
@@ -73,28 +96,31 @@ func (s Synth) Path(points []Waypoint) []touchos.TouchEvent {
 				X: a.Loc.X + (b.Loc.X-a.Loc.X)*frac,
 				Y: a.Loc.Y + (b.Loc.Y-a.Loc.Y)*frac,
 			}
-			events = append(events, touchos.TouchEvent{
+			dst = append(dst, touchos.TouchEvent{
 				Finger: 0, Phase: touchos.TouchMoved, Loc: loc, Time: t,
 			})
 		}
 	}
 	last := points[len(points)-1]
-	events = append(events, touchos.TouchEvent{
+	return append(dst, touchos.TouchEvent{
 		Finger: 0, Phase: touchos.TouchEnded, Loc: last.Loc, Time: last.At + period,
 	})
-	return events
 }
 
 // PauseResume produces a slide from 'from' to 'to' with a mid-gesture
 // pause: the finger travels pauseAt of the way, rests for pauseDur, then
 // completes the slide. Total moving time is dur.
 func (s Synth) PauseResume(from, to touchos.Point, start, dur time.Duration, pauseAt float64, pauseDur time.Duration) []touchos.TouchEvent {
+	return s.appendPauseResume(nil, from, to, start, dur, pauseAt, pauseDur)
+}
+
+func (s Synth) appendPauseResume(dst []touchos.TouchEvent, from, to touchos.Point, start, dur time.Duration, pauseAt float64, pauseDur time.Duration) []touchos.TouchEvent {
 	mid := touchos.Point{
 		X: from.X + (to.X-from.X)*pauseAt,
 		Y: from.Y + (to.Y-from.Y)*pauseAt,
 	}
 	t1 := start + time.Duration(float64(dur)*pauseAt)
-	return s.Path([]Waypoint{
+	return s.appendPath(dst, []Waypoint{
 		{At: start, Loc: from},
 		{At: t1, Loc: mid},
 		{At: t1 + pauseDur, Loc: mid},
@@ -106,10 +132,15 @@ func (s Synth) PauseResume(from, to touchos.Point, start, dur time.Duration, pau
 // repeated passes times (passes=1 is a single round trip). Each leg takes
 // legDur.
 func (s Synth) BackAndForth(from, to touchos.Point, start, legDur time.Duration, passes int) []touchos.TouchEvent {
+	return s.appendBackAndForth(nil, from, to, start, legDur, passes)
+}
+
+func (s Synth) appendBackAndForth(dst []touchos.TouchEvent, from, to touchos.Point, start, legDur time.Duration, passes int) []touchos.TouchEvent {
 	if passes < 1 {
 		passes = 1
 	}
-	points := []Waypoint{{At: start, Loc: from}}
+	points := make([]Waypoint, 1, 1+2*passes)
+	points[0] = Waypoint{At: start, Loc: from}
 	t := start
 	for p := 0; p < passes; p++ {
 		t += legDur
@@ -117,43 +148,57 @@ func (s Synth) BackAndForth(from, to touchos.Point, start, legDur time.Duration,
 		t += legDur
 		points = append(points, Waypoint{At: t, Loc: from})
 	}
-	return s.Path(points)
+	return s.appendPath(dst, points)
+}
+
+// twoFingerSteps counts the sampling instants start+k·period ≤ start+dur
+// (k ≥ 1) of a two-finger gesture.
+func twoFingerSteps(dur, period time.Duration) int {
+	return max(int(dur/period), 0)
 }
 
 // Pinch produces a two-finger pinch about center: finger spread changes
 // from spread0 to spread1 over dur. spread1 > spread0 is a zoom-in,
 // spread1 < spread0 a zoom-out.
 func (s Synth) Pinch(center touchos.Point, spread0, spread1 float64, start, dur time.Duration) []touchos.TouchEvent {
+	return s.appendPinch(nil, center, spread0, spread1, start, dur)
+}
+
+func (s Synth) appendPinch(dst []touchos.TouchEvent, center touchos.Point, spread0, spread1 float64, start, dur time.Duration) []touchos.TouchEvent {
 	period := s.period()
 	place := func(spread float64) (touchos.Point, touchos.Point) {
 		h := spread / 2
 		return touchos.Point{X: center.X, Y: center.Y - h},
 			touchos.Point{X: center.X, Y: center.Y + h}
 	}
+	dst = slices.Grow(dst, 4+2*twoFingerSteps(dur, period))
 	p0, p1 := place(spread0)
-	events := []touchos.TouchEvent{
-		{Finger: 0, Phase: touchos.TouchBegan, Loc: p0, Time: start},
-		{Finger: 1, Phase: touchos.TouchBegan, Loc: p1, Time: start},
-	}
+	dst = append(dst,
+		touchos.TouchEvent{Finger: 0, Phase: touchos.TouchBegan, Loc: p0, Time: start},
+		touchos.TouchEvent{Finger: 1, Phase: touchos.TouchBegan, Loc: p1, Time: start},
+	)
 	for t := start + period; t <= start+dur; t += period {
 		frac := float64(t-start) / float64(dur)
 		q0, q1 := place(spread0 + (spread1-spread0)*frac)
-		events = append(events,
+		dst = append(dst,
 			touchos.TouchEvent{Finger: 0, Phase: touchos.TouchMoved, Loc: q0, Time: t},
 			touchos.TouchEvent{Finger: 1, Phase: touchos.TouchMoved, Loc: q1, Time: t},
 		)
 	}
 	q0, q1 := place(spread1)
-	events = append(events,
+	return append(dst,
 		touchos.TouchEvent{Finger: 0, Phase: touchos.TouchEnded, Loc: q0, Time: start + dur + period},
 		touchos.TouchEvent{Finger: 1, Phase: touchos.TouchEnded, Loc: q1, Time: start + dur + period},
 	)
-	return events
 }
 
 // Rotate produces a two-finger rotation about center by angle radians
 // (positive is counterclockwise) at the given radius over dur.
 func (s Synth) Rotate(center touchos.Point, radius, angle float64, start, dur time.Duration) []touchos.TouchEvent {
+	return s.appendRotate(nil, center, radius, angle, start, dur)
+}
+
+func (s Synth) appendRotate(dst []touchos.TouchEvent, center touchos.Point, radius, angle float64, start, dur time.Duration) []touchos.TouchEvent {
 	period := s.period()
 	place := func(theta float64) (touchos.Point, touchos.Point) {
 		return touchos.Point{
@@ -164,25 +209,25 @@ func (s Synth) Rotate(center touchos.Point, radius, angle float64, start, dur ti
 				Y: center.Y - radius*math.Sin(theta),
 			}
 	}
+	dst = slices.Grow(dst, 4+2*twoFingerSteps(dur, period))
 	p0, p1 := place(0)
-	events := []touchos.TouchEvent{
-		{Finger: 0, Phase: touchos.TouchBegan, Loc: p0, Time: start},
-		{Finger: 1, Phase: touchos.TouchBegan, Loc: p1, Time: start},
-	}
+	dst = append(dst,
+		touchos.TouchEvent{Finger: 0, Phase: touchos.TouchBegan, Loc: p0, Time: start},
+		touchos.TouchEvent{Finger: 1, Phase: touchos.TouchBegan, Loc: p1, Time: start},
+	)
 	for t := start + period; t <= start+dur; t += period {
 		frac := float64(t-start) / float64(dur)
 		q0, q1 := place(angle * frac)
-		events = append(events,
+		dst = append(dst,
 			touchos.TouchEvent{Finger: 0, Phase: touchos.TouchMoved, Loc: q0, Time: t},
 			touchos.TouchEvent{Finger: 1, Phase: touchos.TouchMoved, Loc: q1, Time: t},
 		)
 	}
 	q0, q1 := place(angle)
-	events = append(events,
+	return append(dst,
 		touchos.TouchEvent{Finger: 0, Phase: touchos.TouchEnded, Loc: q0, Time: start + dur + period},
 		touchos.TouchEvent{Finger: 1, Phase: touchos.TouchEnded, Loc: q1, Time: start + dur + period},
 	)
-	return events
 }
 
 // Merge interleaves several event streams into one time-ordered stream

@@ -168,8 +168,16 @@ func maxInt(a, b int) int {
 // same stream wherever it is replayed. KindMove synthesizes no events —
 // it is applied directly by the executing kernel.
 func (g Gesture) Synthesize(s Synth, frame touchos.Rect, start time.Duration) ([]touchos.TouchEvent, error) {
+	return g.AppendEvents(nil, s, frame, start)
+}
+
+// AppendEvents is Synthesize appending to dst, which grows at most once:
+// a caller that keeps the returned slice and passes it back as dst[:0]
+// synthesizes without allocating. An invalid description returns dst
+// unchanged with the error.
+func (g Gesture) AppendEvents(dst []touchos.TouchEvent, s Synth, frame touchos.Rect, start time.Duration) ([]touchos.TouchEvent, error) {
 	if err := g.Validate(); err != nil {
-		return nil, err
+		return dst, err
 	}
 	const inset = 0.02 // finger margin inside the frame, centimeters
 	centerX := frame.Origin.X + frame.Size.W/2
@@ -186,24 +194,24 @@ func (g Gesture) Synthesize(s Synth, frame touchos.Rect, start time.Duration) ([
 	bottom := touchos.Point{X: centerX, Y: frame.Origin.Y + frame.Size.H - inset}
 	switch g.Kind {
 	case KindTap:
-		return s.Tap(touchos.Point{
+		return s.appendTap(dst, touchos.Point{
 			X: centerX,
 			Y: frame.Origin.Y + inset + g.Frac*(frame.Size.H-2*inset),
 		}, start), nil
 	case KindSlide:
-		return s.Slide(
+		return s.appendSlide(dst,
 			touchos.Point{X: centerX, Y: yAt(g.From)},
 			touchos.Point{X: centerX, Y: yAt(g.To)},
 			start, g.Dur,
 		), nil
 	case KindSlidePause:
-		return s.PauseResume(top, bottom, start, g.Dur, g.PauseAt, g.PauseDur), nil
+		return s.appendPauseResume(dst, top, bottom, start, g.Dur, g.PauseAt, g.PauseDur), nil
 	case KindBackAndForth:
-		return s.BackAndForth(top, bottom, start, g.Dur, g.Passes), nil
+		return s.appendBackAndForth(dst, top, bottom, start, g.Dur, g.Passes), nil
 	case KindZoom:
 		center := frame.Center()
 		spread := frame.Size.H / 3
-		return s.Pinch(center, spread, spread*g.Factor, start, 300*time.Millisecond), nil
+		return s.appendPinch(dst, center, spread, spread*g.Factor, start, 300*time.Millisecond), nil
 	case KindRotate:
 		radius := frame.Size.W / 2
 		if frame.Size.H < frame.Size.W {
@@ -212,10 +220,10 @@ func (g Gesture) Synthesize(s Synth, frame touchos.Rect, start time.Duration) ([
 		if radius <= 0.2 {
 			radius = 0.2
 		}
-		return s.Rotate(frame.Center(), radius*0.9, 1.65, start, 400*time.Millisecond), nil
+		return s.appendRotate(dst, frame.Center(), radius*0.9, 1.65, start, 400*time.Millisecond), nil
 	case KindMove:
-		return nil, nil
+		return dst, nil
 	default:
-		return nil, fmt.Errorf("gesture: unknown kind %q", g.Kind)
+		return dst, fmt.Errorf("gesture: unknown kind %q", g.Kind)
 	}
 }

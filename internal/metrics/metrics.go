@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"sort"
 	"strings"
 	"time"
@@ -35,21 +36,14 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.buckets[bucketFor(d)]++
 }
 
+// bucketFor maps d to its power-of-two microsecond bucket: 0 below 1µs,
+// then k+1 for [2^k, 2^(k+1)) µs, clamped to the last bucket.
 func bucketFor(d time.Duration) int {
 	if d < time.Microsecond {
 		return 0
 	}
-	b := int(math.Log2(float64(d)/float64(time.Microsecond))) + 1
-	if b < 0 {
-		b = 0
-	}
-	if b >= len(Histogram{}.bucketsArray()) {
-		b = len(Histogram{}.bucketsArray()) - 1
-	}
-	return b
+	return min(bits.Len64(uint64(d/time.Microsecond)), len(Histogram{}.buckets)-1)
 }
-
-func (h Histogram) bucketsArray() []int64 { return h.buckets[:] }
 
 // Count reports observations.
 func (h *Histogram) Count() int64 { return h.count }

@@ -116,3 +116,28 @@ func TestCounters(t *testing.T) {
 		t.Fatal("Fprint missing counts")
 	}
 }
+
+// TestBucketForBoundaries pins bucketFor at both sides of every bucket
+// edge, 1000·2^k − 1 and 1000·2^k ns, against an exact integer rule.
+func TestBucketForBoundaries(t *testing.T) {
+	want := func(d time.Duration) int {
+		b := 0
+		for edge := time.Microsecond; d >= edge && b < 27; edge *= 2 {
+			b++
+		}
+		return b
+	}
+	for _, d := range []time.Duration{-time.Second, -1, 0, 1, 999} {
+		if got := bucketFor(d); got != want(d) {
+			t.Fatalf("bucketFor(%d) = %d, want %d", d, got, want(d))
+		}
+	}
+	for k := 0; k < 40; k++ {
+		edge := time.Microsecond << k
+		for _, d := range []time.Duration{edge - 1, edge} {
+			if got := bucketFor(d); got != want(d) {
+				t.Fatalf("bucketFor(%d) = %d, want %d", d, got, want(d))
+			}
+		}
+	}
+}

@@ -107,59 +107,80 @@ func zigzag(v int64) uint64 { return uint64(v)<<1 ^ uint64(v>>63) }
 // unzigzag inverts zigzag.
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-// intColumn accumulates one integer section: zigzag varints, optionally
-// delta-coded, omitted when every row is zero.
-type intColumn struct {
-	tag   byte
-	delta bool
-	prev  int64
-	buf   []byte
-	live  bool
-}
-
-func (c *intColumn) push(v int64) {
-	enc := v
-	if c.delta {
-		enc = v - c.prev
-		c.prev = v
-	}
-	if v != 0 {
-		c.live = true
-	}
-	c.buf = binary.AppendUvarint(c.buf, zigzag(enc))
-}
-
-// strColumn accumulates one string section, omitted when all rows are
-// empty.
-type strColumn struct {
-	tag  byte
-	buf  []byte
-	live bool
-}
-
-func (c *strColumn) push(s string) {
-	if s != "" {
-		c.live = true
-	}
-	c.buf = binary.AppendUvarint(c.buf, uint64(len(s)))
-	c.buf = append(c.buf, s...)
-}
-
-// appendSection writes a section (tag, length, payload) if the column
-// observed any non-zero row.
-func appendSection(dst []byte, tag byte, payload []byte, live bool) []byte {
-	if !live {
-		return dst
-	}
+// appendSection appends one section — tag, uvarint byte length, bytes —
+// where fill appends the bytes and reports whether any row was non-zero;
+// a section with no live row is left out. The bytes are written in place
+// behind a reserved length and moved down once it is known, so a frame
+// needs no buffer of its own.
+func appendSection(dst []byte, tag byte, fill func([]byte) ([]byte, bool)) []byte {
+	start := len(dst)
 	dst = append(dst, tag)
-	dst = binary.AppendUvarint(dst, uint64(len(payload)))
-	return append(dst, payload...)
+	dst = append(dst, make([]byte, binary.MaxVarintLen64)...)
+	body := len(dst)
+	dst, live := fill(dst)
+	if !live {
+		return dst[:start]
+	}
+	n := len(dst) - body
+	k := binary.PutUvarint(dst[start+1:], uint64(n))
+	copy(dst[start+1+k:], dst[body:])
+	return dst[:start+1+k+n]
+}
+
+// appendIntSection appends an integer section: one zigzag varint per
+// row, delta-coded against the previous row when delta is set. always
+// keeps an all-zero section.
+func appendIntSection(dst []byte, tag byte, delta, always bool, run []core.Result, field func(*core.Result) int64) []byte {
+	return appendSection(dst, tag, func(dst []byte) ([]byte, bool) {
+		live, prev := always, int64(0)
+		for i := range run {
+			v := field(&run[i])
+			enc := v
+			if delta {
+				enc, prev = v-prev, v
+			}
+			live = live || v != 0
+			if u := zigzag(enc); u < 0x80 {
+				dst = append(dst, byte(u)) // most rows: AppendUvarint's first byte, inline
+			} else {
+				dst = binary.AppendUvarint(dst, u)
+			}
+		}
+		return dst, live
+	})
+}
+
+// appendStrSection appends a string section: each row's text, as
+// render appends it, prefixed by its uvarint length. The length takes one
+// byte below 128; a longer text moves up to make room for more.
+func appendStrSection(dst []byte, tag byte, run []core.Result, render func([]byte, *core.Result) []byte) []byte {
+	return appendSection(dst, tag, func(dst []byte) ([]byte, bool) {
+		live := false
+		for i := range run {
+			start := len(dst)
+			dst = render(append(dst, 0), &run[i])
+			n := len(dst) - start - 1
+			if n < 0x80 {
+				dst[start] = byte(n)
+			} else {
+				var l [binary.MaxVarintLen64]byte
+				k := binary.PutUvarint(l[:], uint64(n))
+				dst = append(dst, l[1:k]...)
+				copy(dst[start+k:], dst[start+1:start+1+n])
+				copy(dst[start:], l[:k])
+			}
+			live = live || n > 0
+		}
+		return dst, live
+	})
 }
 
 // AppendBinaryResults encodes results as binary frames appended to dst.
 // Consecutive results sharing (ObjectID, Kind) form one columnar frame;
 // a stream of interleaved objects produces one frame per run. Epoch
-// stamps every produced frame (pass 0 when unknown).
+// stamps every produced frame (pass 0 when unknown). Frames are written
+// straight into dst: with room there, encoding allocates nothing for scan,
+// aggregate, summary and group results.
 func AppendBinaryResults(dst []byte, session string, epoch uint64, results []core.Result) []byte {
 	for len(results) > 0 {
 		run := 1
@@ -175,78 +196,53 @@ func AppendBinaryResults(dst []byte, session string, epoch uint64, results []cor
 
 // appendBinaryFrame encodes one run (same object, same kind).
 func appendBinaryFrame(dst []byte, session string, epoch uint64, run []core.Result) []byte {
-	payload := make([]byte, 0, 64+len(run)*16)
-	payload = append(payload, binaryMagic, BinaryVersion, frameKindResults, byte(run[0].Kind))
-	payload = binary.AppendUvarint(payload, uint64(len(session)))
-	payload = append(payload, session...)
-	payload = binary.AppendUvarint(payload, uint64(run[0].ObjectID))
-	payload = binary.AppendUvarint(payload, epoch)
-	payload = binary.AppendUvarint(payload, uint64(len(run)))
+	start := len(dst)
+	dst = append(dst, 0, 0, 0, 0) // the payload length, set once known
+	dst = append(dst, binaryMagic, BinaryVersion, frameKindResults, byte(run[0].Kind))
+	dst = binary.AppendUvarint(dst, uint64(len(session)))
+	dst = append(dst, session...)
+	dst = binary.AppendUvarint(dst, uint64(run[0].ObjectID))
+	dst = binary.AppendUvarint(dst, epoch)
+	dst = binary.AppendUvarint(dst, uint64(len(run)))
 
 	// The tuple-id section is always emitted, even all-zero: it gives
 	// every legitimate frame at least one payload byte per row, which is
 	// the invariant the decoder's allocation guard (count ≤ payload
 	// bytes) rests on.
-	tupleID := intColumn{tag: secTupleID, delta: true, live: true}
-	col := intColumn{tag: secCol}
-	n := intColumn{tag: secN}
-	windowLo := intColumn{tag: secWindowLo, delta: true}
-	windowHi := intColumn{tag: secWindowHi, delta: true}
-	level := intColumn{tag: secLevel}
-	tm := intColumn{tag: secTime, delta: true}
-	fadeAt := intColumn{tag: secFadeAt, delta: true}
-	latency := intColumn{tag: secLatency, delta: true}
-	matches := intColumn{tag: secMatches}
-	value := strColumn{tag: secValue}
-	groupKey := strColumn{tag: secGroupKey}
-	var agg []byte
-	aggLive := false
-
-	for _, r := range run {
-		tupleID.push(int64(r.TupleID))
-		col.push(int64(r.Col))
-		n.push(r.N)
-		windowLo.push(int64(r.WindowLo))
-		windowHi.push(int64(r.WindowHi))
-		level.push(int64(r.Level))
-		tm.push(int64(r.Time))
-		fadeAt.push(int64(r.FadeAt))
-		latency.push(int64(r.Latency))
-		matches.push(int64(len(r.Matches)))
-		groupKey.push(r.GroupKey)
+	dst = appendIntSection(dst, secTupleID, true, true, run, func(r *core.Result) int64 { return int64(r.TupleID) })
+	dst = appendIntSection(dst, secCol, false, false, run, func(r *core.Result) int64 { return int64(r.Col) })
+	dst = appendSection(dst, secAgg, func(dst []byte) ([]byte, bool) {
+		live := false
+		for i := range run {
+			bits := math.Float64bits(run[i].Agg)
+			live = live || bits != 0
+			dst = binary.LittleEndian.AppendUint64(dst, bits)
+		}
+		return dst, live
+	})
+	dst = appendIntSection(dst, secN, false, false, run, func(r *core.Result) int64 { return r.N })
+	dst = appendIntSection(dst, secWindowLo, true, false, run, func(r *core.Result) int64 { return int64(r.WindowLo) })
+	dst = appendIntSection(dst, secWindowHi, true, false, run, func(r *core.Result) int64 { return int64(r.WindowHi) })
+	dst = appendIntSection(dst, secLevel, false, false, run, func(r *core.Result) int64 { return int64(r.Level) })
+	dst = appendIntSection(dst, secTime, true, false, run, func(r *core.Result) int64 { return int64(r.Time) })
+	dst = appendIntSection(dst, secFadeAt, true, false, run, func(r *core.Result) int64 { return int64(r.FadeAt) })
+	dst = appendIntSection(dst, secLatency, true, false, run, func(r *core.Result) int64 { return int64(r.Latency) })
+	dst = appendStrSection(dst, secValue, run, func(dst []byte, r *core.Result) []byte {
 		// The wire carries the rendered value — same contract as
 		// FrameResult, which renders only scan and tuple kinds.
 		switch r.Kind {
 		case core.ScanValue:
-			value.push(r.Value.String())
+			return r.Value.AppendString(dst)
 		case core.TuplePeek:
-			value.push(fmt.Sprintf("%v", r.Tuple))
-		default:
-			value.push("")
+			return fmt.Appendf(dst, "%v", r.Tuple)
 		}
-		bits := math.Float64bits(r.Agg)
-		if bits != 0 {
-			aggLive = true
-		}
-		agg = binary.LittleEndian.AppendUint64(agg, bits)
-	}
+		return dst
+	})
+	dst = appendStrSection(dst, secGroupKey, run, func(dst []byte, r *core.Result) []byte { return append(dst, r.GroupKey...) })
+	dst = appendIntSection(dst, secMatches, false, false, run, func(r *core.Result) int64 { return int64(len(r.Matches)) })
 
-	payload = appendSection(payload, tupleID.tag, tupleID.buf, tupleID.live)
-	payload = appendSection(payload, col.tag, col.buf, col.live)
-	payload = appendSection(payload, secAgg, agg, aggLive)
-	payload = appendSection(payload, n.tag, n.buf, n.live)
-	payload = appendSection(payload, windowLo.tag, windowLo.buf, windowLo.live)
-	payload = appendSection(payload, windowHi.tag, windowHi.buf, windowHi.live)
-	payload = appendSection(payload, level.tag, level.buf, level.live)
-	payload = appendSection(payload, tm.tag, tm.buf, tm.live)
-	payload = appendSection(payload, fadeAt.tag, fadeAt.buf, fadeAt.live)
-	payload = appendSection(payload, latency.tag, latency.buf, latency.live)
-	payload = appendSection(payload, value.tag, value.buf, value.live)
-	payload = appendSection(payload, groupKey.tag, groupKey.buf, groupKey.live)
-	payload = appendSection(payload, matches.tag, matches.buf, matches.live)
-
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
-	return append(dst, payload...)
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(dst)-start-4))
+	return dst
 }
 
 // binReader walks one frame payload with bounds checking on every read.

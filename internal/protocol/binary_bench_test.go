@@ -6,6 +6,9 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"dbtouch/internal/core"
+	"dbtouch/internal/storage"
 )
 
 // Serialization cost per result frame, binary vs JSON, at the three frame
@@ -125,5 +128,35 @@ func TestBinaryEncodeSpeedup(t *testing.T) {
 	}
 	if 3*binAllocs > jsonAllocs {
 		t.Fatalf("binary frame costs %.0f allocs against %.0f for NDJSON (want <= a third)", binAllocs, jsonAllocs)
+	}
+}
+
+// TestBinaryScanFrameAllocs: a stream_ingest scan slide's frame — 196
+// integer scan values — encodes into a reused buffer without per-result
+// allocation (the values render with Value.AppendString, the sections
+// are written in place).
+func TestBinaryScanFrameAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	results := genSlideRun(rng, 196)
+	for i := range results {
+		results[i].Kind = core.ScanValue
+		results[i].Agg, results[i].N = 0, 0
+		results[i].Value = storage.IntValue(int64(rng.Intn(1_000_000)))
+	}
+	var buf []byte
+	allocs := testing.AllocsPerRun(20, func() {
+		buf = AppendBinaryResults(buf[:0], "ingest", 7, results)
+	})
+	if allocs > 8 {
+		t.Fatalf("a 196-result scan frame allocates %.0f times, want ≤ 8", allocs)
+	}
+	_, frames, err := DecodeBinaryFrame(buf[4:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, f := range frames {
+		if want := results[i].Value.String(); f.Value != want {
+			t.Fatalf("row %d value %q, want %q", i, f.Value, want)
+		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -111,15 +112,21 @@ func TestBinaryRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBinaryRoundTripEdgeValues pins exactness on the numeric edges:
-// NaN/±Inf aggregates, max tuple ids, zero rows.
+// TestBinaryRoundTripEdgeValues pins exactness on the edges: NaN/±Inf
+// aggregates, max tuple ids, zero rows, and texts whose length prefix
+// needs more than one byte.
 func TestBinaryRoundTripEdgeValues(t *testing.T) {
+	long := strings.Repeat("é", 100)
 	results := []core.Result{
 		{Kind: core.AggregateValue, ObjectID: 1, Agg: math.NaN(), N: math.MaxInt64},
 		{Kind: core.AggregateValue, ObjectID: 1, Agg: math.Inf(1), TupleID: math.MaxInt32},
 		{Kind: core.AggregateValue, ObjectID: 1, Agg: math.Inf(-1), TupleID: 0},
 		{Kind: core.AggregateValue, ObjectID: 1, Agg: math.Copysign(0, -1)},
 		{Kind: core.AggregateValue, ObjectID: 1},
+		{Kind: core.ScanValue, ObjectID: 1, Value: storage.StringValue(long)},
+		{Kind: core.ScanValue, ObjectID: 1, Value: storage.StringValue(strings.Repeat(long, 200))},
+		{Kind: core.ScanValue, ObjectID: 1, Value: storage.StringValue("")},
+		{Kind: core.GroupValue, ObjectID: 1, GroupKey: long},
 	}
 	enc := AppendBinaryResults(nil, "", 0, results)
 	want := FrameResults(results)

@@ -201,43 +201,46 @@ func (v *Versioned) extendLocked(base *storage.Column, rows int) {
 	v.baseLen = rows
 }
 
-// statsView carves the frozen statistics for the first n level entries
-// out of the tail's append-only arrays.
-func (t *levelTail) statsView(n, blockLen int) *spanStats {
+// statsView sets s to the frozen statistics for the first n level
+// entries, carved out of the tail's append-only arrays.
+func (t *levelTail) statsView(s *spanStats, n, blockLen int) {
 	nb := n / blockLen
-	s := &spanStats{
-		blockMin: t.blockMin[:nb:nb],
-		blockMax: t.blockMax[:nb:nb],
-		blockLen: blockLen,
-	}
+	s.blockMin = t.blockMin[:nb:nb]
+	s.blockMax = t.blockMax[:nb:nb]
+	s.blockLen = blockLen
 	if t.iprefix != nil {
 		s.iprefix = t.iprefix[: n+1 : n+1]
 	} else {
 		s.prefix = t.prefix[: n+1 : n+1]
 	}
-	return s
 }
 
 // buildLocked assembles the immutable Shared for rows base values. The
 // sharedLevels are pre-seeded with the chain's statistics (their
 // single-flight build is consumed up front), so attached sessions never
-// trigger a from-scratch stats build.
+// trigger a from-scratch stats build. A version is built after every
+// append a reader sees, so each kind of part is allocated once for all
+// levels, not once per level.
 func (v *Versioned) buildLocked(base *storage.Column, rows int) (*Shared, error) {
-	s := &Shared{}
-	lvl0 := &sharedLevel{stride: 1, col: base, span: v.tails[0].statsView(rows, v.blockLen)}
-	lvl0.once.Do(func() {})
-	s.levels = append(s.levels, lvl0)
 	top := v.levelsFor(rows)
-	for li := 1; li <= top; li++ {
-		t := v.tails[li]
+	levels := make([]sharedLevel, top+1)
+	stats := make([]spanStats, top+1)
+	cols := make([]storage.Column, top) // views of levels 1..top
+	s := &Shared{levels: make([]*sharedLevel, top+1)}
+	for li := range levels {
+		t, sl := v.tails[li], &levels[li]
 		levelLen := ceilDiv(rows, t.stride)
-		colView, err := t.col.Prefix(levelLen)
-		if err != nil {
-			return nil, err
+		sl.stride, sl.col = t.stride, base
+		if li > 0 {
+			sl.col = &cols[li-1]
+			if err := t.col.PrefixInto(sl.col, levelLen); err != nil {
+				return nil, err
+			}
 		}
-		sl := &sharedLevel{stride: t.stride, col: colView, span: t.statsView(levelLen, v.blockLen)}
+		t.statsView(&stats[li], levelLen, v.blockLen)
+		sl.span = &stats[li]
 		sl.once.Do(func() {})
-		s.levels = append(s.levels, sl)
+		s.levels[li] = sl
 	}
 	return s, nil
 }

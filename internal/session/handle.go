@@ -147,12 +147,19 @@ func (s *Session) handlePerform(req protocol.Request) protocol.Response {
 	}
 	g := *req.Gesture
 	g.Target = id
-	results, err := s.Perform(g)
+	// The frames render under the run lock: the kernel's results are
+	// valid only until its next batch, so no copy is needed.
+	var frames []protocol.ResultFrame
+	err := s.Do(func(k *core.Kernel) error {
+		results, err := k.Perform(g)
+		frames = protocol.FrameResults(results)
+		return err
+	})
 	if err != nil {
 		return protocol.Errorf("perform: %v", err)
 	}
 	resp := protocol.OK()
-	resp.Results = protocol.FrameResults(results)
+	resp.Results = frames
 	return resp
 }
 

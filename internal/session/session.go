@@ -31,6 +31,7 @@ package session
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -141,14 +142,15 @@ func (s *Session) touch() {
 }
 
 // Apply processes a touch-event batch on the caller's goroutine and
-// returns the results it emitted.
+// returns the results it emitted: a copy, since the kernel reuses its
+// result window for the next batch.
 func (s *Session) Apply(events []touchos.TouchEvent) ([]core.Result, error) {
 	if err := s.checkOpen(); err != nil {
 		return nil, err
 	}
 	s.runMu.Lock()
 	defer s.runMu.Unlock()
-	return s.kernel.Apply(events), nil
+	return slices.Clone(s.kernel.Apply(events)), nil
 }
 
 // Idle advances the session's virtual time by d with no touch activity,
@@ -165,14 +167,16 @@ func (s *Session) Idle(d time.Duration) error {
 }
 
 // Perform executes a serializable gesture description on the session's
-// kernel: the wire-ready form of driving a session.
+// kernel: the wire-ready form of driving a session. Like Apply, it
+// returns a copy of the results.
 func (s *Session) Perform(g gesture.Gesture) ([]core.Result, error) {
 	if err := s.checkOpen(); err != nil {
 		return nil, err
 	}
 	s.runMu.Lock()
 	defer s.runMu.Unlock()
-	return s.kernel.Perform(g)
+	results, err := s.kernel.Perform(g)
+	return slices.Clone(results), err
 }
 
 // Do runs fn with exclusive access to the session's kernel — the seam
@@ -245,8 +249,9 @@ func (s *Session) Close() {
 }
 
 // Results returns the session's retained results (the kernel's bounded,
-// fade-pruned window). Read it from the goroutine that drives the
-// session, or after that goroutine has been joined.
+// fade-pruned window), valid until the session's next batch. Read it
+// from the goroutine that drives the session, or after that goroutine
+// has been joined.
 func (s *Session) Results() []core.Result { return s.kernel.Results() }
 
 // OnResult registers the session's live result callback. The callback

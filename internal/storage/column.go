@@ -287,21 +287,31 @@ func (c *Column) Set(i int, v Value) {
 // primitive used by live tables: the appender only ever writes at indexes
 // ≥ n, so published prefixes stay immutable without copying.
 func (c *Column) Prefix(n int) (*Column, error) {
-	if n < 0 || n > c.Len() {
-		return nil, fmt.Errorf("storage: prefix %d out of range for column %q of length %d", n, c.name, c.Len())
-	}
-	s := &Column{name: c.name, typ: c.typ, dict: c.dict}
-	switch c.typ {
-	case Int64:
-		s.ints = c.ints[:n:n]
-	case Float64:
-		s.flts = c.flts[:n:n]
-	case Bool:
-		s.bools = c.bools[:n:n]
-	case String:
-		s.codes = c.codes[:n:n]
+	s := new(Column)
+	if err := c.PrefixInto(s, n); err != nil {
+		return nil, err
 	}
 	return s, nil
+}
+
+// PrefixInto makes dst, a zero Column, the view Prefix would return, for
+// callers that allocate many views at once.
+func (c *Column) PrefixInto(dst *Column, n int) error {
+	if n < 0 || n > c.Len() {
+		return fmt.Errorf("storage: prefix %d out of range for column %q of length %d", n, c.name, c.Len())
+	}
+	dst.name, dst.typ, dst.dict = c.name, c.typ, c.dict
+	switch c.typ {
+	case Int64:
+		dst.ints = c.ints[:n:n]
+	case Float64:
+		dst.flts = c.flts[:n:n]
+	case Bool:
+		dst.bools = c.bools[:n:n]
+	case String:
+		dst.codes = c.codes[:n:n]
+	}
+	return nil
 }
 
 // EmptyLike returns a zero-length column with c's name and type. String

@@ -194,6 +194,20 @@ func TestValueAsFloat(t *testing.T) {
 	}
 }
 
+func TestValueAppendStringMatchesString(t *testing.T) {
+	vals := []Value{
+		IntValue(0), IntValue(-1), IntValue(99), IntValue(100), IntValue(math.MinInt64), IntValue(math.MaxInt64),
+		FloatValue(0), FloatValue(math.Copysign(0, -1)), FloatValue(1.5), FloatValue(1e21), FloatValue(5e-324),
+		FloatValue(math.NaN()), FloatValue(math.Inf(-1)),
+		BoolValue(true), BoolValue(false), StringValue(""), StringValue("héllo <&>"), {},
+	}
+	for _, v := range vals {
+		if got := string(v.AppendString([]byte("x"))); got != "x"+v.String() {
+			t.Fatalf("AppendString(%#v) = %q, want %q", v, got, "x"+v.String())
+		}
+	}
+}
+
 func TestDictionary(t *testing.T) {
 	d := NewDictionary()
 	a := d.Intern("alpha")

@@ -111,6 +111,23 @@ func (v Value) AsFloat() float64 {
 	}
 }
 
+// AppendString appends String's rendering of v to dst without
+// allocating a string.
+func (v Value) AppendString(dst []byte) []byte {
+	switch v.Type {
+	case Int64:
+		return strconv.AppendInt(dst, v.I, 10)
+	case Float64:
+		return strconv.AppendFloat(dst, v.F, 'g', -1, 64)
+	case Bool:
+		return strconv.AppendBool(dst, v.B)
+	case String:
+		return append(dst, v.S...)
+	default:
+		return append(dst, '?')
+	}
+}
+
 // String renders the value for display.
 func (v Value) String() string {
 	switch v.Type {

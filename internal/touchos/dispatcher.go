@@ -118,7 +118,9 @@ func (d *Dispatcher) havePending() bool {
 	return len(d.barriers) > 0 || len(d.moveOrder) > 0
 }
 
-// absorb enqueues a raw sample, coalescing moves per finger.
+// absorb enqueues a raw sample, coalescing moves per finger. The queue
+// holds copies: nothing refers into the caller's event slice once
+// Dispatch returns, so callers may reuse it for the next batch.
 func (d *Dispatcher) absorb(e TouchEvent) {
 	switch e.Phase {
 	case TouchMoved:
@@ -157,7 +159,8 @@ func (d *Dispatcher) pop() (TouchEvent, bool) {
 	if len(d.barriers) > 0 {
 		b := d.barriers[0]
 		if bestMoveIdx == -1 || b.Time <= bestMove.Time {
-			d.barriers = d.barriers[1:]
+			// Shift rather than reslice, so the queue keeps its array.
+			d.barriers = d.barriers[:copy(d.barriers, d.barriers[1:])]
 			return b, true
 		}
 	}

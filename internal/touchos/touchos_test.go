@@ -67,6 +67,20 @@ func TestHitTestStackingOrder(t *testing.T) {
 	if got := screen.HitTest(Point{1.5, 1.5}); got != bottom {
 		t.Fatalf("non-overlap HitTest = %q, want bottom", got.Name())
 	}
+	// Re-adding a view raises it; removing one keeps the others' order.
+	mid := NewView("mid", NewRect(2, 2, 5, 5))
+	_ = screen.AddChild(mid)
+	_ = screen.AddChild(bottom)
+	if got := screen.HitTest(Point{3, 3}); got != bottom {
+		t.Fatalf("re-added view HitTest = %q, want bottom", got.Name())
+	}
+	screen.RemoveChild(bottom)
+	if got := screen.HitTest(Point{3, 3}); got != mid {
+		t.Fatalf("after removal HitTest = %q, want mid", got.Name())
+	}
+	if kids := screen.Children(); len(kids) != 2 || kids[0] != top || kids[1] != mid {
+		t.Fatalf("Children() = %v, want [top mid]", kids)
+	}
 }
 
 func TestHiddenViewSkipped(t *testing.T) {

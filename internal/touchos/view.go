@@ -2,7 +2,6 @@ package touchos
 
 import (
 	"fmt"
-	"sort"
 	"sync/atomic"
 )
 
@@ -47,8 +46,10 @@ type View struct {
 	name     string
 	frame    Rect // in parent coordinates
 	rotation QuarterTurns
-	z        int // stacking order among siblings; higher is on top
 	parent   *View
+	// children are in stacking order, bottom first: AddChild appends on
+	// top and RemoveChild keeps the order of the rest, so the slice order
+	// is the z-order and hit testing walks it back to front.
 	children []*View
 	props    DataProps
 	hidden   bool
@@ -103,11 +104,10 @@ func (v *View) SetHidden(h bool) { v.hidden = h }
 // Parent returns the master view, or nil for the root.
 func (v *View) Parent() *View { return v.parent }
 
-// Children returns the subviews in stacking order (bottom first).
+// Children returns a copy of the subviews in stacking order (bottom
+// first).
 func (v *View) Children() []*View {
-	out := append([]*View(nil), v.children...)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].z < out[j].z })
-	return out
+	return append([]*View(nil), v.children...)
 }
 
 // AddChild places child into v's hierarchy on top of existing children.
@@ -124,13 +124,6 @@ func (v *View) AddChild(child *View) error {
 		child.parent.RemoveChild(child)
 	}
 	child.parent = v
-	maxZ := 0
-	for _, c := range v.children {
-		if c.z > maxZ {
-			maxZ = c.z
-		}
-	}
-	child.z = maxZ + 1
 	v.children = append(v.children, child)
 	return nil
 }
@@ -182,9 +175,8 @@ func (v *View) HitTest(p Point) *View {
 		return nil
 	}
 	inner := p.Sub(v.frame.Origin)
-	children := v.Children()
-	for i := len(children) - 1; i >= 0; i-- {
-		if hit := children[i].HitTest(inner); hit != nil {
+	for i := len(v.children) - 1; i >= 0; i-- {
+		if hit := v.children[i].HitTest(inner); hit != nil {
 			return hit
 		}
 	}
