@@ -6,23 +6,23 @@
 // lives in iomodel; here are the gesture-aware alternative and a
 // no-caching strawman — plus a hash-table cache for join state reuse
 // (§2.9: "caching of hash tables across the various sample copies can
-// enhance future queries") and a hot-range detector feeding
-// cache-to-sample promotion.
+// enhance future queries"). Cache-to-sample promotion reads core's
+// per-object touch histogram, not these policies.
 package cache
 
 import (
-	"sort"
 	"time"
+
+	"dbtouch/internal/iomodel"
 )
 
 // GestureAware protects blocks the gesture is likely to revisit: blocks
 // just *behind* the current movement direction (back-and-forth slides
-// re-examine them) and blocks touched repeatedly. Victims are chosen by
-// lowest protection score, breaking ties by recency.
+// re-examine them). Victims are chosen by lowest protection score,
+// breaking ties by recency and then by block number.
 type GestureAware struct {
 	// Window is how many blocks behind the frontier stay protected.
 	Window int
-	counts map[int]int
 	lastB  int
 	dir    int
 }
@@ -33,30 +33,16 @@ func NewGestureAware(window int) *GestureAware {
 	if window <= 0 {
 		window = 8
 	}
-	return &GestureAware{Window: window, counts: make(map[int]int), lastB: -1}
+	return &GestureAware{Window: window, lastB: -1}
 }
 
 // Touched implements iomodel.EvictionPolicy.
 func (g *GestureAware) Touched(b int, _ time.Duration, dir int) {
-	g.counts[b]++
 	g.lastB = b
 	if dir != 0 {
 		g.dir = dir
 	}
 }
-
-// TouchedN implements iomodel.RangePolicy: one call absorbs a whole
-// block's worth of span accesses, keeping ranged charging O(blocks).
-func (g *GestureAware) TouchedN(b, n int, _ time.Duration, dir int) {
-	g.counts[b] += n
-	g.lastB = b
-	if dir != 0 {
-		g.dir = dir
-	}
-}
-
-// Forgot implements iomodel.EvictionPolicy.
-func (g *GestureAware) Forgot(b int) { delete(g.counts, b) }
 
 // Name implements iomodel.EvictionPolicy.
 func (g *GestureAware) Name() string { return "gesture-aware" }
@@ -66,12 +52,13 @@ func (g *GestureAware) Name() string { return "gesture-aware" }
 // block farthest from it is evicted first, with a tie broken toward the
 // block *behind* the movement direction beyond the protection window
 // (ahead-of-finger blocks are about to be touched; just-behind blocks are
-// what a direction reversal revisits).
-func (g *GestureAware) Victim(lastUse map[int]time.Duration) int {
-	victim := -1
+// what a direction reversal revisits). A full tie — same score, same last
+// use — goes to the lower block.
+func (g *GestureAware) Victim(warm *iomodel.WarmSet) int {
+	victim, found := -1, false
 	var victimScore float64
 	var victimUse time.Duration
-	for b, use := range lastUse {
+	for b, use := range warm.All() {
 		dist := b - g.lastB
 		if g.lastB < 0 {
 			dist = 0
@@ -82,8 +69,8 @@ func (g *GestureAware) Victim(lastUse map[int]time.Duration) int {
 			// trailing window: least likely to be touched soon.
 			score -= float64(g.Window)
 		}
-		if victim == -1 || score < victimScore || (score == victimScore && use < victimUse) {
-			victim, victimScore, victimUse = b, score, use
+		if !found || score < victimScore || (score == victimScore && (use < victimUse || use == victimUse && b < victim)) {
+			victim, victimScore, victimUse, found = b, score, use, true
 		}
 	}
 	return victim
@@ -104,58 +91,17 @@ type None struct{}
 // Touched implements iomodel.EvictionPolicy.
 func (None) Touched(int, time.Duration, int) {}
 
-// TouchedN implements iomodel.RangePolicy.
-func (None) TouchedN(int, int, time.Duration, int) {}
-
-// Forgot implements iomodel.EvictionPolicy.
-func (None) Forgot(int) {}
-
 // Name implements iomodel.EvictionPolicy.
 func (None) Name() string { return "none" }
 
-// Victim implements iomodel.EvictionPolicy: evict the newest block.
-func (None) Victim(lastUse map[int]time.Duration) int {
+// Victim implements iomodel.EvictionPolicy: evict the newest block, the
+// higher block on a tie.
+func (None) Victim(warm *iomodel.WarmSet) int {
 	victim, newest := -1, time.Duration(-1)
-	for b, t := range lastUse {
+	for b, t := range warm.All() {
 		if t > newest || (t == newest && b > victim) {
 			victim, newest = b, t
 		}
 	}
 	return victim
-}
-
-// HotRange is a contiguous run of heavily accessed blocks, a candidate
-// for promotion to a stored sample.
-type HotRange struct {
-	// FromBlock and ToBlock bound the run [FromBlock, ToBlock].
-	FromBlock, ToBlock int
-	// Touches is the total access count over the run.
-	Touches int
-}
-
-// HotRanges scans a policy's touch counts for contiguous runs where every
-// block has at least minTouches accesses, merging runs separated by at
-// most gap blocks. Results are sorted by Touches descending.
-func (g *GestureAware) HotRanges(minTouches, gap int) []HotRange {
-	if minTouches <= 0 {
-		minTouches = 2
-	}
-	blocks := make([]int, 0, len(g.counts))
-	for b, c := range g.counts {
-		if c >= minTouches {
-			blocks = append(blocks, b)
-		}
-	}
-	sort.Ints(blocks)
-	var out []HotRange
-	for _, b := range blocks {
-		if len(out) > 0 && b-out[len(out)-1].ToBlock <= gap+1 {
-			out[len(out)-1].ToBlock = b
-			out[len(out)-1].Touches += g.counts[b]
-		} else {
-			out = append(out, HotRange{FromBlock: b, ToBlock: b, Touches: g.counts[b]})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Touches > out[j].Touches })
-	return out
 }

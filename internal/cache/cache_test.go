@@ -8,6 +8,15 @@ import (
 	"dbtouch/internal/vclock"
 )
 
+// warmSet builds a warm set from block → last use.
+func warmSet(lastUse map[int]time.Duration) *iomodel.WarmSet {
+	w := new(iomodel.WarmSet)
+	for b, use := range lastUse {
+		w.Set(b, use)
+	}
+	return w
+}
+
 func TestGestureAwareKeepsFingerNeighborhood(t *testing.T) {
 	g := NewGestureAware(4)
 	lastUse := map[int]time.Duration{}
@@ -16,7 +25,7 @@ func TestGestureAwareKeepsFingerNeighborhood(t *testing.T) {
 		g.Touched(b, time.Duration(b), 1)
 		lastUse[b] = time.Duration(b)
 	}
-	victim := g.Victim(lastUse)
+	victim := g.Victim(warmSet(lastUse))
 	if victim != 0 {
 		t.Fatalf("victim = %d, want 0 (farthest from frontier 20)", victim)
 	}
@@ -25,46 +34,36 @@ func TestGestureAwareKeepsFingerNeighborhood(t *testing.T) {
 func TestGestureAwareVictimFallsBackWithoutState(t *testing.T) {
 	g := NewGestureAware(4)
 	lastUse := map[int]time.Duration{3: 1, 7: 2}
-	v := g.Victim(lastUse)
+	v := g.Victim(warmSet(lastUse))
 	if v != 3 && v != 7 {
 		t.Fatalf("victim %d not a warm block", v)
 	}
 }
 
-func TestGestureAwareForgotClearsCounts(t *testing.T) {
+// TestGestureAwareTieGoesToLowerBlock pins the full-tie rule: blocks 5
+// and 15 are equally far from the frontier (10) and equally recent, so
+// the lower one is evicted — every time, whatever order the warm set is
+// built or scanned in.
+func TestGestureAwareTieGoesToLowerBlock(t *testing.T) {
 	g := NewGestureAware(4)
-	g.Touched(5, 0, 1)
-	g.Touched(5, 1, 1)
-	g.Forgot(5)
-	if ranges := g.HotRanges(1, 0); len(ranges) != 0 {
-		t.Fatalf("forgot block still hot: %v", ranges)
-	}
-}
-
-func TestHotRangesMergesRuns(t *testing.T) {
-	g := NewGestureAware(4)
-	for i := 0; i < 3; i++ {
-		for b := 10; b <= 12; b++ {
-			g.Touched(b, 0, 1)
+	g.Touched(10, 2, 0)
+	for i := 0; i < 200; i++ {
+		if v := g.Victim(warmSet(map[int]time.Duration{5: 1, 15: 1, 10: 2})); v != 5 {
+			t.Fatalf("call %d: victim = %d, want 5 (the lower of two tied blocks)", i, v)
 		}
-		g.Touched(20, 0, 1)
 	}
-	ranges := g.HotRanges(2, 1)
-	if len(ranges) != 2 {
-		t.Fatalf("ranges = %v", ranges)
-	}
-	if ranges[0].FromBlock != 10 || ranges[0].ToBlock != 12 {
-		t.Fatalf("hottest run = %+v", ranges[0])
-	}
-	if ranges[0].Touches < ranges[1].Touches {
-		t.Fatal("ranges not sorted by touches")
+	// Negative blocks tie the same way, and block -1 is a block like any
+	// other rather than a "no victim yet" marker.
+	g.Touched(0, 2, 0)
+	if v := g.Victim(warmSet(map[int]time.Duration{-1: 1, 1: 1, 0: 2})); v != -1 {
+		t.Fatalf("victim = %d, want -1", v)
 	}
 }
 
 func TestNonePolicyEvictsNewest(t *testing.T) {
 	n := None{}
 	lastUse := map[int]time.Duration{1: 10, 2: 30, 3: 20}
-	if v := n.Victim(lastUse); v != 2 {
+	if v := n.Victim(warmSet(lastUse)); v != 2 {
 		t.Fatalf("victim = %d, want newest (2)", v)
 	}
 }

@@ -42,25 +42,17 @@ func DefaultParams() Params {
 // exceeded. Implementations live in internal/cache; iomodel ships plain
 // LRU as the default.
 type EvictionPolicy interface {
-	// Touched notifies the policy of an access to block b at virtual time
-	// now, moving in direction dir (-1 backward, 0 unknown, +1 forward).
+	// Touched notifies the policy of a charge against block b at
+	// virtual time now, moving in direction dir (-1 backward, 0 unknown,
+	// +1 forward): one call per charged block, however many of its
+	// values the charge reads, so span charging stays O(blocks).
 	Touched(b int, now time.Duration, dir int)
-	// Victim picks the block to evict from the warm set. lastUse maps
-	// warm blocks to their last access time.
-	Victim(lastUse map[int]time.Duration) int
-	// Forgot notifies the policy that block b was evicted.
-	Forgot(b int)
+	// Victim picks the block to evict from the warm set, which holds
+	// each warm block's last access time. A policy that leaves a choice
+	// open must break it by block number, never by iteration order.
+	Victim(warm *WarmSet) int
 	// Name identifies the policy in benchmark output.
 	Name() string
-}
-
-// RangePolicy is an optional EvictionPolicy extension: policies that
-// implement it receive one TouchedN call per block for ranged accesses
-// instead of one Touched call per value, keeping span charging O(blocks).
-type RangePolicy interface {
-	// TouchedN notifies the policy of n accesses to block b at virtual
-	// time now, moving in direction dir.
-	TouchedN(b, n int, now time.Duration, dir int)
 }
 
 // Stats counts cost-model activity.
@@ -78,7 +70,7 @@ type Stats struct {
 type Tracker struct {
 	params Params
 	clock  *vclock.Clock
-	warm   map[int]time.Duration
+	warm   WarmSet
 	policy EvictionPolicy
 	stats  Stats
 	dir    int
@@ -95,7 +87,6 @@ func New(clock *vclock.Clock, params Params, policy EvictionPolicy) *Tracker {
 	return &Tracker{
 		params: params,
 		clock:  clock,
-		warm:   make(map[int]time.Duration),
 		policy: policy,
 	}
 }
@@ -103,8 +94,7 @@ func New(clock *vclock.Clock, params Params, policy EvictionPolicy) *Tracker {
 // Params returns the tracker's cost parameters.
 func (t *Tracker) Params() Params { return t.params }
 
-// Policy exposes the eviction policy (gesture-aware policies also feed
-// hot-range detection for cache-to-sample promotion).
+// Policy exposes the eviction policy.
 func (t *Tracker) Policy() EvictionPolicy { return t.policy }
 
 // SetDirection records the current gesture movement direction, forwarded
@@ -116,16 +106,14 @@ func (t *Tracker) Block(idx int) int { return idx / t.params.BlockValues }
 
 // IsWarm reports whether the block holding value idx is warm.
 func (t *Tracker) IsWarm(idx int) bool {
-	_, ok := t.warm[t.Block(idx)]
+	_, ok := t.warm.LastUse(t.Block(idx))
 	return ok
 }
 
 // Access charges the cost of reading the value at idx, advances the clock,
 // and returns the charged duration.
 func (t *Tracker) Access(idx int) time.Duration {
-	cost := t.accessCost(idx, false)
-	t.clock.Advance(cost)
-	return cost
+	return t.AccessCount(idx, 1)
 }
 
 // AccessRange charges the cost of reading values [lo, hi), advances the
@@ -200,18 +188,18 @@ func (t *Tracker) AccessStrided(lo, hi, stride int) time.Duration {
 }
 
 // chargeBlock records k value reads against block b at time now and
-// returns their cost — the per-block equivalent of k accessCost calls,
+// returns their cost — the per-block equivalent of k Access calls,
 // including the pathological case where the eviction policy drops the
 // block immediately after warming (the no-caching strawman), which makes
 // every further value in the block a fresh cold fetch.
 func (t *Tracker) chargeBlock(b, k int, now time.Duration) time.Duration {
 	cost := time.Duration(k) * t.params.WarmLatency
-	if _, ok := t.warm[b]; !ok {
+	if !t.warm.touch(b, now) {
 		cost += t.params.ColdLatency
 		t.warmBlock(b, now)
 		t.stats.ColdFetches++
 		t.stats.BytesRead += int64(t.params.BlockValues) * 8
-		if _, still := t.warm[b]; still {
+		if _, still := t.warm.LastUse(b); still {
 			t.stats.WarmHits += int64(k - 1)
 		} else {
 			for i := 1; i < k; i++ {
@@ -222,60 +210,24 @@ func (t *Tracker) chargeBlock(b, k int, now time.Duration) time.Duration {
 			}
 		}
 	} else {
-		t.warm[b] = now
 		t.stats.WarmHits += int64(k)
 	}
 	t.stats.ValuesRead += int64(k)
-	if rp, ok := t.policy.(RangePolicy); ok {
-		rp.TouchedN(b, k, now, t.dir)
-	} else {
-		for i := 0; i < k; i++ {
-			t.policy.Touched(b, now, t.dir)
-		}
-	}
-	return cost
-}
-
-// accessCost computes and records the cost of one value read. When
-// prefetching is true the warm hit is not counted against touch stats.
-func (t *Tracker) accessCost(idx int, prefetching bool) time.Duration {
-	b := t.Block(idx)
-	now := t.clock.Now()
-	cost := t.params.WarmLatency
-	if _, ok := t.warm[b]; !ok {
-		cost += t.params.ColdLatency
-		t.warmBlock(b, now)
-		if prefetching {
-			t.stats.Prefetched++
-		} else {
-			t.stats.ColdFetches++
-		}
-		t.stats.BytesRead += int64(t.params.BlockValues) * 8
-	} else {
-		t.warm[b] = now
-		if !prefetching {
-			t.stats.WarmHits++
-		}
-	}
-	if !prefetching {
-		t.stats.ValuesRead++
-	}
 	t.policy.Touched(b, now, t.dir)
 	return cost
 }
 
 // warmBlock marks b warm and evicts if over budget.
 func (t *Tracker) warmBlock(b int, now time.Duration) {
-	t.warm[b] = now
-	if t.params.WarmBudget > 0 && len(t.warm) > t.params.WarmBudget {
-		victim := t.policy.Victim(t.warm)
-		if _, ok := t.warm[victim]; !ok {
+	t.warm.Set(b, now)
+	if t.params.WarmBudget > 0 && t.warm.Len() > t.params.WarmBudget {
+		victim := t.policy.Victim(&t.warm)
+		if _, ok := t.warm.LastUse(victim); !ok {
 			// Defensive: a policy returning a non-warm block falls back
 			// to oldest-first so eviction always makes progress.
-			victim = oldestBlock(t.warm)
+			victim = oldestBlock(&t.warm)
 		}
-		delete(t.warm, victim)
-		t.policy.Forgot(victim)
+		t.warm.drop(victim)
 		t.stats.Evictions++
 	}
 }
@@ -285,7 +237,7 @@ func (t *Tracker) warmBlock(b int, now time.Duration) {
 // (zero when the block was already warm or the budget is insufficient).
 func (t *Tracker) PrefetchBlock(idx int, budget time.Duration) time.Duration {
 	b := t.Block(idx)
-	if _, ok := t.warm[b]; ok {
+	if _, ok := t.warm.LastUse(b); ok {
 		return 0
 	}
 	if budget < t.params.ColdLatency {
@@ -317,7 +269,7 @@ func (t *Tracker) PrefetchRange(lo, hi int, budget time.Duration) (time.Duration
 }
 
 // WarmBlocks reports how many blocks are currently warm.
-func (t *Tracker) WarmBlocks() int { return len(t.warm) }
+func (t *Tracker) WarmBlocks() int { return t.warm.Len() }
 
 // Stats returns a snapshot of the counters.
 func (t *Tracker) Stats() Stats { return t.stats }
@@ -326,35 +278,25 @@ func (t *Tracker) Stats() Stats { return t.stats }
 func (t *Tracker) ResetStats() { t.stats = Stats{} }
 
 // Cool drops all warm blocks, returning the store to a cold start.
-func (t *Tracker) Cool() {
-	for b := range t.warm {
-		t.policy.Forgot(b)
-	}
-	t.warm = make(map[int]time.Duration)
-}
+func (t *Tracker) Cool() { t.warm.clear() }
 
 // LRU is the default eviction policy: evict the least recently used block.
 type LRU struct{}
 
 // Touched implements EvictionPolicy (LRU keeps no extra state; recency
-// lives in the tracker's lastUse map).
+// lives in the tracker's warm set).
 func (LRU) Touched(int, time.Duration, int) {}
 
-// TouchedN implements RangePolicy (no per-touch state to batch).
-func (LRU) TouchedN(int, int, time.Duration, int) {}
-
-// Victim returns the least recently used warm block.
-func (LRU) Victim(lastUse map[int]time.Duration) int { return oldestBlock(lastUse) }
-
-// Forgot implements EvictionPolicy.
-func (LRU) Forgot(int) {}
+// Victim returns the least recently used warm block, the lower block on
+// a tie.
+func (LRU) Victim(warm *WarmSet) int { return oldestBlock(warm) }
 
 // Name implements EvictionPolicy.
 func (LRU) Name() string { return "lru" }
 
-func oldestBlock(lastUse map[int]time.Duration) int {
+func oldestBlock(warm *WarmSet) int {
 	victim, oldest := -1, time.Duration(1<<62)
-	for b, t := range lastUse {
+	for b, t := range warm.All() {
 		if t < oldest || (t == oldest && b < victim) {
 			victim, oldest = b, t
 		}

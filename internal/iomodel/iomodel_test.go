@@ -1,6 +1,7 @@
 package iomodel
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -252,5 +253,72 @@ func TestAccessCountMatchesScalarLoop(t *testing.T) {
 	}
 	if counted.AccessCount(5, 0) != 0 || counted.AccessCount(5, -3) != 0 {
 		t.Fatal("non-positive count should be free")
+	}
+}
+
+// TestWarmSetAscendingAcrossPages pins the WarmSet contract the eviction
+// policies rely on: All yields warm blocks in ascending block order —
+// negative blocks first, across page boundaries both sides of zero —
+// with their last-use times; Set on a warm block moves its time without
+// recounting it; drop and clear make blocks cold.
+func TestWarmSetAscendingAcrossPages(t *testing.T) {
+	var w WarmSet
+	blocks := []int{1 << 20, 511, 512, 0, -1, -512, -513, 7, -3}
+	for i, b := range blocks {
+		w.Set(b, time.Duration(i))
+	}
+	w.Set(7, 99)
+	if w.Len() != len(blocks) {
+		t.Fatalf("Len = %d, want %d", w.Len(), len(blocks))
+	}
+	want := []int{-513, -512, -3, -1, 0, 7, 511, 512, 1 << 20}
+	var got []int
+	for b, use := range w.All() {
+		got = append(got, b)
+		if wantUse, _ := w.LastUse(b); use != wantUse {
+			t.Fatalf("block %d: All reports last use %v, LastUse %v", b, use, wantUse)
+		}
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("All order = %v, want %v", got, want)
+	}
+	if use, ok := w.LastUse(7); !ok || use != 99 {
+		t.Fatalf("LastUse(7) = %v, %v; want 99, true", use, ok)
+	}
+	if _, ok := w.LastUse(513); ok {
+		t.Fatal("an untouched block on an allocated page reads warm")
+	}
+	if _, ok := w.LastUse(-1 << 30); ok {
+		t.Fatal("a block on an unallocated page reads warm")
+	}
+	w.drop(-512)
+	w.drop(-512)
+	w.drop(4096) // never warm: a no-op
+	if _, ok := w.LastUse(-512); ok || w.Len() != len(blocks)-1 {
+		t.Fatalf("after drop: warm=%v Len=%d", ok, w.Len())
+	}
+	w.clear()
+	if w.Len() != 0 {
+		t.Fatalf("Len after clear = %d", w.Len())
+	}
+	for b := range w.All() {
+		t.Fatalf("block %d still warm after clear", b)
+	}
+}
+
+// TestTrackerNegativeBlocks charges blocks left of zero — a prefetch
+// extrapolated past the start of the data reaches them — exactly like
+// any other block.
+func TestTrackerNegativeBlocks(t *testing.T) {
+	tr := New(vclock.New(), testParams(), nil)
+	used, frontier := tr.PrefetchRange(-25, 5, 10*time.Millisecond)
+	if used != 3*time.Millisecond || frontier != 10 {
+		t.Fatalf("PrefetchRange(-25, 5) used %v frontier %d, want 3ms and 10", used, frontier)
+	}
+	if !tr.IsWarm(-25) || !tr.IsWarm(-11) || !tr.IsWarm(0) {
+		t.Fatal("blocks -2, -1 and 0 should be warm")
+	}
+	if cost := tr.Access(-20); cost != time.Microsecond {
+		t.Fatalf("warm negative block access cost %v, want 1µs", cost)
 	}
 }

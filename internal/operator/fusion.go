@@ -34,7 +34,8 @@ import (
 // sel of earlier conjuncts (the FilterSel-fused form) and lo/hi are
 // ignored. The scan continues a's running sum and the result replaces
 // it, so a ends up exactly where an Add per qualifying row, in position
-// order, would have left its count, sum and extrema (the Welford state is
+// order, would have left the state its kind reads — the count, and the
+// sum or the one extremum (the other extremum and the Welford state are
 // not maintained: see FusableAgg). It returns how many values qualified.
 // Trackers are charged as FuseFilterAgg documents.
 func (a *RunningAgg) FuseFilter(col *storage.Column, lo, hi int, sel []int32, op CmpOp, operand storage.Value, predTracker, valTracker *iomodel.Tracker) int {
@@ -51,12 +52,13 @@ func (a *RunningAgg) FuseFilter(col *storage.Column, lo, hi int, sel []int32, op
 }
 
 // FuseFilterAgg is the scan behind RunningAgg.FuseFilter on its own,
-// seeded with 0: the span's own count, sum and extrema, for a caller that
-// absorbs them itself. kind selects the aggregate-specialized kernel:
-// COUNT runs the count-only kernels, SUM/AVG the sum kernels (extrema
-// come back ±Inf), MIN/MAX the extrema kernels (sum comes back 0) —
-// each skips the bookkeeping its consumer ignores, which is most of the
-// per-element cost. Unfusable kinds fall back to the full kernel.
+// seeded with 0: the span's count and what kind reads of its sum and
+// extrema, for a caller that absorbs them itself. kind selects the
+// aggregate-specialized kernel, which maintains only what the kind reads:
+// COUNT the count, SUM/AVG count and sum (extrema come back ±Inf), MIN
+// count and minimum, MAX count and maximum (sum comes back 0, the other
+// extremum ±Inf). Unfusable kinds (see FusableAgg) run the scalar loop
+// that maintains everything.
 //
 // predTracker is charged for every evaluated row — AccessRange over the
 // span, or ChargeSelection over the prior selection — exactly as
@@ -101,8 +103,10 @@ func fusedModeFor(kind AggKind) storage.FusedMode {
 		return storage.FusedCount
 	case Sum, Avg:
 		return storage.FusedSum
-	case Min, Max:
-		return storage.FusedMinMax
+	case Min:
+		return storage.FusedMin
+	case Max:
+		return storage.FusedMax
 	default:
 		return storage.FusedFull
 	}

@@ -198,7 +198,8 @@ func TestChargeSelectionChargesLikeAccessLoop(t *testing.T) {
 
 // TestFuseFilterAggKindDispatch pins what each kind-specialized kernel
 // maintains: every kind reports the exact qualifying count; sum kinds
-// carry the sum (±Inf extrema), extrema kinds the min/max (zero sum).
+// carry the sum (±Inf extrema), MIN the minimum and MAX the maximum
+// (zero sum, the other extremum ±Inf).
 func TestFuseFilterAggKindDispatch(t *testing.T) {
 	vals := []int64{5, 1, 9, 3, 7, 2, 8}
 	col := storage.NewIntColumn("v", vals)
@@ -216,8 +217,11 @@ func TestFuseFilterAggKindDispatch(t *testing.T) {
 	if fa := run(Sum); fa.IntSum != 5+9+7+8 || !math.IsInf(fa.Min, 1) {
 		t.Fatalf("Sum = %+v", fa)
 	}
-	if fa := run(Min); fa.Min != 5 || fa.Max != 9 || fa.Sum != 0 {
+	if fa := run(Min); fa.Min != 5 || !math.IsInf(fa.Max, -1) || fa.Sum != 0 {
 		t.Fatalf("Min = %+v", fa)
+	}
+	if fa := run(Max); fa.Max != 9 || !math.IsInf(fa.Min, 1) || fa.Sum != 0 {
+		t.Fatalf("Max = %+v", fa)
 	}
 	// Unfusable kinds fall back to the full kernel: everything maintained.
 	if fa := run(Var); fa.IntSum != 5+9+7+8 || fa.Min != 5 || fa.Max != 9 {
@@ -268,6 +272,68 @@ func TestFusableAgg(t *testing.T) {
 	for kind, want := range fusable {
 		if FusableAgg(kind) != want {
 			t.Fatalf("FusableAgg(%v) = %v, want %v", kind, FusableAgg(kind), want)
+		}
+	}
+}
+
+// TestFuseFilterMinMaxEveryType holds the one-extremum MIN and MAX scans
+// to the unfused pipeline — FilterRange to a selection, then an Add per
+// selected row — on every column type, across consecutive spans, every
+// comparison operator and cost-model block sizes: the answer a MIN or MAX
+// aggregate reports must not notice that the other extremum is no longer
+// maintained.
+func TestFuseFilterMinMaxEveryType(t *testing.T) {
+	rng := rand.New(rand.NewSource(233))
+	const n = 3000
+	ints := make([]int64, n)
+	flts := make([]float64, n)
+	bools := make([]bool, n)
+	strs := make([]string, n)
+	intEdges := []int64{math.MinInt64, math.MaxInt64, 1 << 53, -(1 << 53)}
+	fltEdges := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1)}
+	words := []string{"apple", "fig", "pear", "quince"}
+	for i := 0; i < n; i++ {
+		ints[i] = int64(rng.Intn(2000)) - 1000
+		flts[i] = rng.NormFloat64() * 100
+		if rng.Intn(10) == 0 {
+			ints[i] = intEdges[rng.Intn(len(intEdges))]
+			flts[i] = fltEdges[rng.Intn(len(fltEdges))]
+		}
+		bools[i] = rng.Intn(3) == 0
+		strs[i] = words[rng.Intn(len(words))]
+	}
+	cols := []*storage.Column{
+		storage.NewIntColumn("i", ints),
+		storage.NewFloatColumn("f", flts),
+		storage.NewBoolColumn("b", bools),
+		storage.NewStringColumn("s", strs),
+	}
+	operands := map[storage.Type]storage.Value{
+		storage.Int64:   storage.IntValue(100),
+		storage.Float64: storage.FloatValue(20),
+		storage.Bool:    storage.IntValue(1),
+		storage.String:  storage.StringValue("fig"),
+	}
+	spans := [][2]int{{0, 1}, {1, 700}, {700, 700}, {650, 3000}, {40, 90}}
+	for _, col := range cols {
+		operand := operands[col.Type()]
+		for _, op := range []CmpOp{Eq, Ne, Lt, Le, Gt, Ge} {
+			for _, kind := range []AggKind{Min, Max} {
+				for _, blockValues := range []int{1, 64, 1024} {
+					want, got := NewRunningAgg(kind), NewRunningAgg(kind)
+					val := iomodel.New(vclock.New(), iomodel.Params{BlockValues: blockValues, WarmLatency: time.Nanosecond}, nil)
+					for _, s := range spans {
+						for _, r := range col.FilterRange(s[0], s[1], op.rangeOp(), operand, nil) {
+							want.Add(col.Float(int(r)))
+						}
+						got.FuseFilter(col, s[0], s[1], nil, op, operand, nil, val)
+						if got.N() != want.N() || math.Float64bits(got.Value()) != math.Float64bits(want.Value()) {
+							t.Fatalf("%s %v op=%v blocks of %d, span %v: fused %v over %d rows, unfused %v over %d",
+								col.Type(), kind, op, blockValues, s, got.Value(), got.N(), want.Value(), want.N())
+						}
+					}
+				}
+			}
 		}
 	}
 }

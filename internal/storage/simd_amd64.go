@@ -24,11 +24,11 @@ import (
 // bit-identical to the pure-Go kernels (asserted by simd_diff_test.go
 // and, end to end, by the kernel-vs-compose property suite).
 var (
-	simdSum       = cpu.X86.HasAVX2 && !raceEnabled
-	simdMinMax    = cpu.X86.HasAVX2 && !raceEnabled
-	simdFilterSum = cpu.X86.HasAVX2 && !raceEnabled
-	simdFilterAgg = cpu.X86.HasAVX2 && !raceEnabled
-	simdCompress  = cpu.X86.HasAVX2 && !raceEnabled
+	simdSum          = cpu.X86.HasAVX2 && !raceEnabled
+	simdMinMax       = cpu.X86.HasAVX2 && !raceEnabled
+	simdFilterSum    = cpu.X86.HasAVX2 && !raceEnabled
+	simdFilterMinMax = cpu.X86.HasAVX2 && !raceEnabled
+	simdCompress     = cpu.X86.HasAVX2 && !raceEnabled
 )
 
 // simdAvailable reports whether this build+host can run the SIMD
@@ -39,17 +39,17 @@ func simdAvailable() bool { return cpu.X86.HasAVX2 && !raceEnabled }
 // benchmarks and returns a restore func. "On" is clamped to
 // simdAvailable().
 func setSIMD(on bool) (restore func()) {
-	oldSum, oldMM, oldFS, oldFA, oldC := simdSum, simdMinMax, simdFilterSum, simdFilterAgg, simdCompress
+	oldSum, oldMM, oldFS, oldFM, oldC := simdSum, simdMinMax, simdFilterSum, simdFilterMinMax, simdCompress
 	set := on && simdAvailable()
-	simdSum, simdMinMax, simdFilterSum, simdFilterAgg, simdCompress = set, set, set, set, set
+	simdSum, simdMinMax, simdFilterSum, simdFilterMinMax, simdCompress = set, set, set, set, set
 	return func() {
-		simdSum, simdMinMax, simdFilterSum, simdFilterAgg, simdCompress = oldSum, oldMM, oldFS, oldFA, oldC
+		simdSum, simdMinMax, simdFilterSum, simdFilterMinMax, simdCompress = oldSum, oldMM, oldFS, oldFM, oldC
 	}
 }
 
 // Assembly kernels (simd_amd64.s). Length preconditions are the
-// wrappers' responsibility: avxSumInt64/avxFilterSumInt64 and the
-// compress kernels need len(v) % 8 == 0, the 4-lane kernels
+// wrappers' responsibility: avxSumInt64, the filter kernels and the
+// compress kernels need len(v) % 8 == 0, the 4-lane min/max kernels
 // len(v) % 4 == 0, all with len(v) > 0.
 
 //go:noescape
@@ -65,7 +65,10 @@ func avxMinMaxFloat64(v []float64, lanes *[8]float64)
 func avxFilterSumInt64(v []int64, lo, hi int64, kxor uint64) (cnt, isum int64)
 
 //go:noescape
-func avxFilterAggInt64(v []int64, lo, hi int64, kxor uint64, lanes *[8]int64) (cnt, isum int64)
+func avxFilterMinInt64(v []int64, lo, hi int64, kxor uint64, lanes *[4]int64) (cnt int64)
+
+//go:noescape
+func avxFilterMaxInt64(v []int64, lo, hi int64, kxor uint64, lanes *[4]int64) (cnt int64)
 
 //go:noescape
 func avxCompressInt64(v []int64, lo, hi int64, kxor uint64, base int64, lut *byte, out *int32) int64
@@ -178,26 +181,35 @@ func simdFilterSumInt64(v []int64, p intPred) (cnt int, isum int64) {
 	return cnt, isum
 }
 
-// simdFilterAggInt64 counts, sums and min/maxes the values passing p.
-// The asm returns its four min and four max lanes (pass-masked, with
-// the same MaxInt64/MinInt64 sentinels filterAggInt uses) and the
-// wrapper folds them with the scalar tail.
-func simdFilterAggInt64(v []int64, p intPred) filterAggInt {
-	f := newFilterAggInt()
-	n := len(v) &^ 3
+// simdFilterMinInt64 counts the values passing p and keeps their
+// minimum. The asm returns its four pass-masked minimum lanes (with the
+// MaxInt64 sentinel minPassing uses) and the wrapper folds them with
+// the scalar tail.
+func simdFilterMinInt64(v []int64, p intPred) (cnt int, mn int64) {
+	n := len(v) &^ 7
+	cnt, mn = minPassing(v[n:], p)
 	if n > 0 {
-		var lanes [8]int64
-		c, s := avxFilterAggInt64(v[:n], p.lo, p.hi, kxorFor(p), &lanes)
-		f.cnt, f.isum = int(c), s
-		for i := 0; i < 4; i++ {
-			f.mn = min(f.mn, lanes[i])
-			f.mx = max(f.mx, lanes[4+i])
+		var lanes [4]int64
+		cnt += int(avxFilterMinInt64(v[:n], p.lo, p.hi, kxorFor(p), &lanes))
+		for _, x := range lanes {
+			mn = min(mn, x)
 		}
 	}
-	for _, x := range v[n:] {
-		f.absorb(x, p.test(x))
+	return cnt, mn
+}
+
+// simdFilterMaxInt64 is simdFilterMinInt64 for the maximum.
+func simdFilterMaxInt64(v []int64, p intPred) (cnt int, mx int64) {
+	n := len(v) &^ 7
+	cnt, mx = maxPassing(v[n:], p)
+	if n > 0 {
+		var lanes [4]int64
+		cnt += int(avxFilterMaxInt64(v[:n], p.lo, p.hi, kxorFor(p), &lanes))
+		for _, x := range lanes {
+			mx = max(mx, x)
+		}
 	}
-	return f
+	return cnt, mx
 }
 
 // simdCompressInt64 appends to buf the positions base+i whose v[i]

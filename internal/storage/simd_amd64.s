@@ -16,9 +16,10 @@
 //   - int64 sums may wrap; wrapping addition is associative, so lane
 //     order cannot change the result (bit-identity with the scalar
 //     reference).
-//   - Min/max routines return their four per-lane partial minima and
-//     maxima through a *[8]T rather than reducing across lanes in asm;
-//     the wrapper folds them, which keeps the horizontal step in Go.
+//   - Min/max routines return their four per-lane partial extrema
+//     through a *[8]T (minima, then maxima) or, keeping one extremum, a
+//     *[4]int64, rather than reducing across lanes in asm; the wrapper
+//     folds them, which keeps the horizontal step in Go.
 //   - VZEROUPPER before every RET (Go's ABI expects clean upper YMM
 //     state on return).
 
@@ -193,10 +194,12 @@ fsloop:
 	MOVQ         AX, isum+56(FP)
 	RET
 
-// func avxFilterAggInt64(v []int64, lo, hi int64, kxor uint64, lanes *[8]int64) (cnt, isum int64)
-// Full fused filter+aggregate: count, sum, and pass-masked per-lane
-// min/max (sentinel-initialized like filterAggInt).
-TEXT ·avxFilterAggInt64(SB), NOSPLIT, $0-72
+// func avxFilterMinInt64(v []int64, lo, hi int64, kxor uint64, lanes *[4]int64) (cnt int64)
+// Fused filter+MIN: the count and one pass-masked minimum, nothing else.
+// Two vectors (8 elements) per iteration, each with its own count and
+// minimum accumulators; the minima fold lane-wise at the end and the
+// four lanes go back through lanes (MaxInt64 where nothing passed).
+TEXT ·avxFilterMinInt64(SB), NOSPLIT, $0-64
 	MOVQ         v_base+0(FP), SI
 	MOVQ         v_len+8(FP), CX
 	VPBROADCASTQ lo+24(FP), Y8
@@ -205,38 +208,38 @@ TEXT ·avxFilterAggInt64(SB), NOSPLIT, $0-72
 	MOVQ         lanes+48(FP), DI
 	MOVQ         $0x7FFFFFFFFFFFFFFF, AX
 	MOVQ         AX, X0
-	VPBROADCASTQ X0, Y11            // minima
-	MOVQ         $0x8000000000000000, AX
-	MOVQ         AX, X1
-	VPBROADCASTQ X1, Y12            // maxima
-	VPXOR        Y0, Y0, Y0         // sum
-	VPXOR        Y2, Y2, Y2         // cnt
+	VPBROADCASTQ X0, Y0             // minima a
+	VPBROADCASTQ X0, Y1             // minima b
+	VPXOR        Y2, Y2, Y2         // cnt a
+	VPXOR        Y3, Y3, Y3         // cnt b
 
-faloop:
+fminloop:
 	VMOVDQU   (SI), Y4
+	VMOVDQU   32(SI), Y5
 	VPCMPGTQ  Y4, Y8, Y6            // lo > v
 	VPCMPGTQ  Y9, Y4, Y7            // v > hi
 	VPOR      Y7, Y6, Y6
-	VPXOR     Y10, Y6, Y6           // pass
+	VPXOR     Y10, Y6, Y6           // pass a
 	VPSUBQ    Y6, Y2, Y2
-	VPAND     Y6, Y4, Y5
-	VPADDQ    Y5, Y0, Y0
-	VPCMPGTQ  Y4, Y11, Y7           // mn > v
+	VPCMPGTQ  Y4, Y0, Y7            // mn > v
 	VPAND     Y6, Y7, Y7            // ... and passes
-	VBLENDVPD Y7, Y4, Y11, Y11
-	VPCMPGTQ  Y12, Y4, Y7           // v > mx
+	VBLENDVPD Y7, Y4, Y0, Y0
+	VPCMPGTQ  Y5, Y8, Y6
+	VPCMPGTQ  Y9, Y5, Y7
+	VPOR      Y7, Y6, Y6
+	VPXOR     Y10, Y6, Y6           // pass b
+	VPSUBQ    Y6, Y3, Y3
+	VPCMPGTQ  Y5, Y1, Y7
 	VPAND     Y6, Y7, Y7
-	VBLENDVPD Y7, Y4, Y12, Y12
-	ADDQ      $32, SI
-	SUBQ      $4, CX
-	JNZ       faloop
+	VBLENDVPD Y7, Y5, Y1, Y1
+	ADDQ      $64, SI
+	SUBQ      $8, CX
+	JNZ       fminloop
 
-	VMOVDQU      Y11, (DI)
-	VMOVDQU      Y12, 32(DI)
-	VEXTRACTI128 $1, Y0, X1
-	VPADDQ       X1, X0, X0
-	VPSHUFD      $0xEE, X0, X1
-	VPADDQ       X1, X0, X0
+	VPCMPGTQ     Y1, Y0, Y7         // a > b
+	VBLENDVPD    Y7, Y1, Y0, Y0
+	VMOVDQU      Y0, (DI)
+	VPADDQ       Y3, Y2, Y2
 	VEXTRACTI128 $1, Y2, X3
 	VPADDQ       X3, X2, X2
 	VPSHUFD      $0xEE, X2, X3
@@ -244,8 +247,58 @@ faloop:
 	VZEROUPPER
 	MOVQ         X2, AX
 	MOVQ         AX, cnt+56(FP)
-	MOVQ         X0, AX
-	MOVQ         AX, isum+64(FP)
+	RET
+
+// func avxFilterMaxInt64(v []int64, lo, hi int64, kxor uint64, lanes *[4]int64) (cnt int64)
+// avxFilterMinInt64 for the maximum (MinInt64 where nothing passed).
+TEXT ·avxFilterMaxInt64(SB), NOSPLIT, $0-64
+	MOVQ         v_base+0(FP), SI
+	MOVQ         v_len+8(FP), CX
+	VPBROADCASTQ lo+24(FP), Y8
+	VPBROADCASTQ hi+32(FP), Y9
+	VPBROADCASTQ kxor+40(FP), Y10
+	MOVQ         lanes+48(FP), DI
+	MOVQ         $0x8000000000000000, AX
+	MOVQ         AX, X0
+	VPBROADCASTQ X0, Y0             // maxima a
+	VPBROADCASTQ X0, Y1             // maxima b
+	VPXOR        Y2, Y2, Y2         // cnt a
+	VPXOR        Y3, Y3, Y3         // cnt b
+
+fmaxloop:
+	VMOVDQU   (SI), Y4
+	VMOVDQU   32(SI), Y5
+	VPCMPGTQ  Y4, Y8, Y6            // lo > v
+	VPCMPGTQ  Y9, Y4, Y7            // v > hi
+	VPOR      Y7, Y6, Y6
+	VPXOR     Y10, Y6, Y6           // pass a
+	VPSUBQ    Y6, Y2, Y2
+	VPCMPGTQ  Y0, Y4, Y7            // v > mx
+	VPAND     Y6, Y7, Y7            // ... and passes
+	VBLENDVPD Y7, Y4, Y0, Y0
+	VPCMPGTQ  Y5, Y8, Y6
+	VPCMPGTQ  Y9, Y5, Y7
+	VPOR      Y7, Y6, Y6
+	VPXOR     Y10, Y6, Y6           // pass b
+	VPSUBQ    Y6, Y3, Y3
+	VPCMPGTQ  Y1, Y5, Y7
+	VPAND     Y6, Y7, Y7
+	VBLENDVPD Y7, Y5, Y1, Y1
+	ADDQ      $64, SI
+	SUBQ      $8, CX
+	JNZ       fmaxloop
+
+	VPCMPGTQ     Y0, Y1, Y7         // b > a
+	VBLENDVPD    Y7, Y1, Y0, Y0
+	VMOVDQU      Y0, (DI)
+	VPADDQ       Y3, Y2, Y2
+	VEXTRACTI128 $1, Y2, X3
+	VPADDQ       X3, X2, X2
+	VPSHUFD      $0xEE, X2, X3
+	VPADDQ       X3, X2, X2
+	VZEROUPPER
+	MOVQ         X2, AX
+	MOVQ         AX, cnt+56(FP)
 	RET
 
 // func avxCompressInt64(v []int64, lo, hi int64, kxor uint64, base int64, lut *byte, out *int32) int64

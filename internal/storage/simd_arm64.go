@@ -13,14 +13,15 @@ import (
 // VADD/CMGT/logic ops, and the port stays small enough to audit by
 // decode (this tree is developed on amd64, so the arm64 kernels are
 // assemble- and objdump-verified rather than benchmarked in CI — keep
-// them conservative). Min/max, full aggregate and compare+compress take
-// the pure-Go kernels, which the gc compiler already keeps branch-free.
+// them conservative). Min/max, filtered min/max and compare+compress
+// take the pure-Go kernels, which the gc compiler already keeps
+// branch-free.
 var (
-	simdSum       = cpu.ARM64.HasASIMD && !raceEnabled
-	simdFilterSum = cpu.ARM64.HasASIMD && !raceEnabled
-	simdMinMax    = false
-	simdFilterAgg = false
-	simdCompress  = false
+	simdSum          = cpu.ARM64.HasASIMD && !raceEnabled
+	simdFilterSum    = cpu.ARM64.HasASIMD && !raceEnabled
+	simdMinMax       = false
+	simdFilterMinMax = false
+	simdCompress     = false
 )
 
 // simdAvailable reports whether this build+host can run the SIMD
@@ -113,13 +114,9 @@ func simdMinMaxFloat64(v []float64) (mn, mx float64) {
 	return mn, mx
 }
 
-func simdFilterAggInt64(v []int64, p intPred) filterAggInt {
-	f := newFilterAggInt()
-	for _, x := range v {
-		f.absorb(x, p.test(x))
-	}
-	return f
-}
+func simdFilterMinInt64(v []int64, p intPred) (cnt int, mn int64) { return minPassing(v, p) }
+
+func simdFilterMaxInt64(v []int64, p intPred) (cnt int, mx int64) { return maxPassing(v, p) }
 
 func simdCompressInt64(v []int64, p intPred, base int, buf []int32) int {
 	j := 0

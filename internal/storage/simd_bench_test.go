@@ -60,7 +60,7 @@ func BenchmarkSIMDMinMaxRange(b *testing.B) {
 func BenchmarkSIMDFusedBlocked(b *testing.B) {
 	ic := benchIntCol()
 	operand := fusedBenchOperand("int64", selectivities[1]) // sel50
-	for _, mode := range []FusedMode{FusedCount, FusedSum, FusedMinMax} {
+	for _, mode := range []FusedMode{FusedCount, FusedSum, FusedMin, FusedMax} {
 		for _, span := range benchSpans {
 			b.Run(fmt.Sprintf("int64/%s/sel50/span%d", fusedModeLabels[mode], span), func(b *testing.B) {
 				benchPair(b, func(b *testing.B) { benchFusedBlocked(b, ic, span, operand, mode) })

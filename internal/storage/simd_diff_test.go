@@ -155,19 +155,44 @@ func TestSIMDFilterSumInt64Differential(t *testing.T) {
 	}
 }
 
+// TestSIMDFilterAggInt64Differential holds the one-extremum filter
+// kernels (the MIN and MAX slides' cores) to a branchy scalar loop, over
+// fuzzed values and over runs of a single edge value — all MinInt64, all
+// MaxInt64, all ±2^53 — where the kernels' sentinels and the data
+// coincide.
 func TestSIMDFilterAggInt64Differential(t *testing.T) {
 	skipNoAVX2(t)
 	rng := rand.New(rand.NewSource(5))
+	edges := []int64{math.MinInt64, math.MaxInt64, 1 << 53, -(1 << 53)}
 	for _, p := range diffPreds() {
 		for _, n := range diffLengths {
-			v := fuzzInts(rng, n)
-			got := simdFilterAggInt64(v, p)
-			want := newFilterAggInt()
-			for _, x := range v {
-				want.absorb(x, p.test(x))
+			inputs := [][]int64{fuzzInts(rng, n)}
+			for _, e := range edges {
+				v := make([]int64, n)
+				for i := range v {
+					v[i] = e
+				}
+				inputs = append(inputs, v)
 			}
-			if got != want {
-				t.Fatalf("pred %+v n=%d: simd %+v, scalar %+v", p, n, got, want)
+			for _, v := range inputs {
+				wc, wmn, wmx := 0, int64(math.MaxInt64), int64(math.MinInt64)
+				for _, x := range v {
+					if p.test(x) == 1 {
+						wc++
+						if x < wmn {
+							wmn = x
+						}
+						if x > wmx {
+							wmx = x
+						}
+					}
+				}
+				if gc, gmn := simdFilterMinInt64(v, p); gc != wc || gmn != wmn {
+					t.Fatalf("pred %+v n=%d: simd min (%d,%d), scalar (%d,%d)", p, n, gc, gmn, wc, wmn)
+				}
+				if gc, gmx := simdFilterMaxInt64(v, p); gc != wc || gmx != wmx {
+					t.Fatalf("pred %+v n=%d: simd max (%d,%d), scalar (%d,%d)", p, n, gc, gmx, wc, wmx)
+				}
 			}
 		}
 	}
@@ -239,7 +264,7 @@ func TestSIMDCompressFloat64Differential(t *testing.T) {
 // -race every flag must be off (the detector cannot see loads inside
 // assembly), and setSIMD must round-trip the flags.
 func TestSIMDDispatchFlagsConsistent(t *testing.T) {
-	if raceEnabled && (simdSum || simdMinMax || simdFilterSum || simdFilterAgg || simdCompress) {
+	if raceEnabled && (simdSum || simdMinMax || simdFilterSum || simdFilterMinMax || simdCompress) {
 		t.Fatal("SIMD dispatch flags must be off under -race")
 	}
 	was := simdSum

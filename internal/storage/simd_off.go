@@ -11,11 +11,11 @@ import "math"
 // build CI proves it compiles everywhere) — see ARCHITECTURE.md
 // "Kernel layer" for the build-tag matrix.
 const (
-	simdSum       = false
-	simdMinMax    = false
-	simdFilterSum = false
-	simdFilterAgg = false
-	simdCompress  = false
+	simdSum          = false
+	simdMinMax       = false
+	simdFilterSum    = false
+	simdFilterMinMax = false
+	simdCompress     = false
 )
 
 func simdAvailable() bool { return false }
@@ -59,13 +59,9 @@ func simdFilterSumInt64(v []int64, p intPred) (cnt int, isum int64) {
 	return cnt, isum
 }
 
-func simdFilterAggInt64(v []int64, p intPred) filterAggInt {
-	f := newFilterAggInt()
-	for _, x := range v {
-		f.absorb(x, p.test(x))
-	}
-	return f
-}
+func simdFilterMinInt64(v []int64, p intPred) (cnt int, mn int64) { return minPassing(v, p) }
+
+func simdFilterMaxInt64(v []int64, p intPred) (cnt int, mx int64) { return maxPassing(v, p) }
 
 func simdCompressInt64(v []int64, p intPred, base int, buf []int32) int {
 	j := 0

@@ -91,11 +91,24 @@ func newFilterAggInt() filterAggInt {
 // absorb folds value v with pass mask p (0 or 1) — no branches: the
 // sentinel select keeps mn/mx untouched on a fail.
 func (f *filterAggInt) absorb(v int64, p int) {
-	m := int64(-p) // 0 or -1
 	f.cnt += p
-	f.isum += v & m
-	f.mn = min(f.mn, v&m|(math.MaxInt64&^m))
-	f.mx = max(f.mx, v&m|(math.MinInt64&^m))
+	f.isum += v & int64(-p)
+	f.mn = passMin(f.mn, v, p)
+	f.mx = passMax(f.mx, v, p)
+}
+
+// passMin folds v into mn when pass q is 1: on a fail the MaxInt64
+// sentinel stands in for v, so the select carries no branch.
+func passMin(mn, v int64, q int) int64 {
+	m := int64(-q)
+	return min(mn, v&m|(math.MaxInt64&^m))
+}
+
+// passMax folds v into mx when pass q is 1, through the MinInt64
+// sentinel.
+func passMax(mx, v int64, q int) int64 {
+	m := int64(-q)
+	return max(mx, v&m|(math.MinInt64&^m))
 }
 
 func (f filterAggInt) result() FilterAgg {
@@ -188,17 +201,63 @@ func filterSumInt64(vals []int64, p intPred) (cnt int, isum int64) {
 	}
 }
 
-// filterAggInt64 is the lowered-predicate full filter+aggregate core:
-// the SIMD kernel when available, else the scalar masked-absorb loop.
-func filterAggInt64(vals []int64, p intPred) filterAggInt {
-	if simdFilterAgg && len(vals) >= simdMinSpan {
-		return simdFilterAggInt64(vals, p)
+// filterMinInt64 counts the values passing p and keeps their minimum
+// (MaxInt64 when none pass) — the MIN slide's core, which maintains
+// nothing else: the SIMD kernel when available, else minPassing.
+func filterMinInt64(vals []int64, p intPred) (cnt int, mn int64) {
+	if simdFilterMinMax && len(vals) >= simdMinSpan {
+		return simdFilterMinInt64(vals, p)
 	}
-	f := newFilterAggInt()
+	return minPassing(vals, p)
+}
+
+// filterMaxInt64 is filterMinInt64 for MAX (MinInt64 when none pass).
+func filterMaxInt64(vals []int64, p intPred) (cnt int, mx int64) {
+	if simdFilterMinMax && len(vals) >= simdMinSpan {
+		return simdFilterMaxInt64(vals, p)
+	}
+	return maxPassing(vals, p)
+}
+
+// minPassing is the scalar count+minimum loop.
+func minPassing(vals []int64, p intPred) (cnt int, mn int64) {
+	mn = math.MaxInt64
 	for _, v := range vals {
-		f.absorb(v, p.test(v))
+		q := p.test(v)
+		cnt += q
+		mn = passMin(mn, v, q)
 	}
-	return f
+	return cnt, mn
+}
+
+// maxPassing is the scalar count+maximum loop.
+func maxPassing(vals []int64, p intPred) (cnt int, mx int64) {
+	mx = math.MinInt64
+	for _, v := range vals {
+		q := p.test(v)
+		cnt += q
+		mx = passMax(mx, v, q)
+	}
+	return cnt, mx
+}
+
+// countPassing counts the dictionary codes whose pass entry is set —
+// the string COUNT slide's loop, unrolled with independent accumulators
+// like sumMaskedLe so the table lookups overlap.
+func countPassing(codes []int32, pass []bool) int {
+	var c0, c1, c2, c3 int
+	v := codes
+	for len(v) >= 4 {
+		c0 += b2i(pass[v[0]])
+		c1 += b2i(pass[v[1]])
+		c2 += b2i(pass[v[2]])
+		c3 += b2i(pass[v[3]])
+		v = v[4:]
+	}
+	for _, code := range v {
+		c0 += b2i(pass[code])
+	}
+	return c0 + c1 + c2 + c3
 }
 
 // FusedMode selects what a blocked fused scan maintains — the storage
@@ -211,11 +270,34 @@ const (
 	FusedCount FusedMode = iota
 	// FusedSum maintains count and sum (extrema come back ±Inf).
 	FusedSum
-	// FusedMinMax maintains count and extrema (sum comes back 0).
-	FusedMinMax
-	// FusedFull maintains count, sum and extrema.
+	// FusedMin maintains count and minimum (sum comes back 0, Max -Inf).
+	FusedMin
+	// FusedMax maintains count and maximum (sum comes back 0, Min +Inf).
+	FusedMax
+	// FusedFull maintains count, sum and extrema. No aggregate kind asks
+	// for it; it runs the scalar loops only.
 	FusedFull
 )
+
+// keepsSum, keepsMin and keepsMax report what a mode maintains.
+func (m FusedMode) keepsSum() bool { return m == FusedSum || m == FusedFull }
+func (m FusedMode) keepsMin() bool { return m == FusedMin || m == FusedFull }
+func (m FusedMode) keepsMax() bool { return m == FusedMax || m == FusedFull }
+
+// only drops from a what mode does not maintain: the integer sum back to
+// 0, an unkept extremum back to ±Inf.
+func (a FilterAgg) only(mode FusedMode) FilterAgg {
+	if !mode.keepsSum() {
+		a.IntSum = 0
+	}
+	if !mode.keepsMin() {
+		a.Min = math.Inf(1)
+	}
+	if !mode.keepsMax() {
+		a.Max = math.Inf(-1)
+	}
+	return a
+}
 
 // preparedPred is per-scan predicate state lowered exactly once: the
 // integer bounds for int columns, the wants masks for float columns, the
@@ -265,25 +347,30 @@ const fusedBufLen = 1024
 // ascending — into agg, each added to the running sum in position order.
 func foldFloats(vals []float64, pos []int32, mode FusedMode, agg *FilterAgg) {
 	agg.N += len(pos)
-	if mode == FusedSum || mode == FusedFull {
+	if mode.keepsSum() {
 		sum := agg.Sum
 		for _, p := range pos {
 			sum += vals[p]
 		}
 		agg.Sum = sum
 	}
-	if mode == FusedMinMax || mode == FusedFull {
-		mn, mx := agg.Min, agg.Max
+	if mode.keepsMin() {
+		mn := agg.Min
 		for _, p := range pos {
-			v := vals[p]
-			if v < mn {
+			if v := vals[p]; v < mn {
 				mn = v
 			}
-			if v > mx {
+		}
+		agg.Min = mn
+	}
+	if mode.keepsMax() {
+		mx := agg.Max
+		for _, p := range pos {
+			if v := vals[p]; v > mx {
 				mx = v
 			}
 		}
-		agg.Min, agg.Max = mn, mx
+		agg.Max = mx
 	}
 }
 
@@ -340,15 +427,20 @@ func (c *Column) exactChunk(pp *preparedPred, lo, hi int, mode FusedMode) Filter
 				}
 			}
 			return FilterAgg{N: cnt, Exact: true, Min: math.Inf(1), Max: math.Inf(-1)}
-		default: // FusedMinMax, FusedFull
-			// pp.all lowers to the trivially-true interval, which the
-			// shared core handles without a special case.
-			f := filterAggInt64(vals, pp.ip)
-			fa := f.result()
-			if mode == FusedMinMax {
-				fa.IntSum = 0
+		// pp.all lowers to the trivially-true interval, which the
+		// extremum loops handle without a special case.
+		case FusedMin:
+			cnt, mn := filterMinInt64(vals, pp.ip)
+			return extremumAgg(cnt, mn, mode)
+		case FusedMax:
+			cnt, mx := filterMaxInt64(vals, pp.ip)
+			return extremumAgg(cnt, mx, mode)
+		default: // FusedFull
+			f := newFilterAggInt()
+			for _, v := range vals {
+				f.absorb(v, pp.ip.test(v))
 			}
-			return fa
+			return f.result()
 		}
 	case Bool:
 		cnt, ones := 0, 0
@@ -361,11 +453,7 @@ func (c *Column) exactChunk(pp *preparedPred, lo, hi int, mode FusedMode) Filter
 	case String:
 		switch mode {
 		case FusedCount:
-			cnt := 0
-			for _, code := range c.codes[lo:hi] {
-				cnt += b2i(pp.pass[code])
-			}
-			return FilterAgg{N: cnt, Exact: true, Min: math.Inf(1), Max: math.Inf(-1)}
+			return FilterAgg{N: countPassing(c.codes[lo:hi], pp.pass), Exact: true, Min: math.Inf(1), Max: math.Inf(-1)}
 		case FusedSum:
 			cnt := 0
 			var isum int64
@@ -380,23 +468,30 @@ func (c *Column) exactChunk(pp *preparedPred, lo, hi int, mode FusedMode) Filter
 			for _, code := range c.codes[lo:hi] {
 				f.absorb(int64(code), b2i(pp.pass[code]))
 			}
-			fa := f.result()
-			if mode == FusedMinMax {
-				fa.IntSum = 0
-			}
-			return fa
+			return f.result().only(mode)
 		}
 	}
 	return emptyFilterAgg()
 }
 
+// extremumAgg assembles a FusedMin or FusedMax chunk result from the
+// qualifying count and the one extremum the mode keeps.
+func extremumAgg(cnt int, ext int64, mode FusedMode) FilterAgg {
+	agg := FilterAgg{N: cnt, Exact: true, Min: math.Inf(1), Max: math.Inf(-1)}
+	if cnt > 0 {
+		if mode == FusedMin {
+			agg.Min = float64(ext)
+		} else {
+			agg.Max = float64(ext)
+		}
+	}
+	return agg
+}
+
 // boolFilterAgg assembles a bool-column result from pass counts.
 func boolFilterAgg(cnt, ones int, mode FusedMode) FilterAgg {
-	agg := FilterAgg{N: cnt, Exact: true, Min: math.Inf(1), Max: math.Inf(-1)}
-	if mode == FusedSum || mode == FusedFull {
-		agg.IntSum = int64(ones)
-	}
-	if cnt > 0 && (mode == FusedMinMax || mode == FusedFull) {
+	agg := FilterAgg{N: cnt, IntSum: int64(ones), Exact: true, Min: math.Inf(1), Max: math.Inf(-1)}
+	if cnt > 0 {
 		agg.Min, agg.Max = 1, 0
 		if cnt > ones {
 			agg.Min = 0
@@ -405,7 +500,7 @@ func boolFilterAgg(cnt, ones int, mode FusedMode) FilterAgg {
 			agg.Max = 1
 		}
 	}
-	return agg
+	return agg.only(mode)
 }
 
 // seeded returns the accumulator a blocked scan over c starts from.
@@ -421,7 +516,7 @@ func (c *Column) seeded(seed float64) FilterAgg {
 // qualifiers to the seed as they went). Without qualifiers the seed comes
 // back untouched, sign of zero included.
 func (a *FilterAgg) finish(mode FusedMode) {
-	if a.Exact && a.N > 0 && (mode == FusedSum || mode == FusedFull) {
+	if a.Exact && a.N > 0 && mode.keepsSum() {
 		a.Sum += float64(a.IntSum)
 	}
 }
@@ -549,11 +644,7 @@ func (c *Column) exactSelChunk(pp *preparedPred, sel []int32, n int, mode FusedM
 				v := c.ints[p]
 				f.absorb(v, pp.ip.test(v))
 			}
-			fa := f.result()
-			if mode == FusedMinMax {
-				fa.IntSum = 0
-			}
-			return fa
+			return f.result().only(mode)
 		}
 	case Bool:
 		cnt, ones := 0, 0
@@ -576,16 +667,7 @@ func (c *Column) exactSelChunk(pp *preparedPred, sel []int32, n int, mode FusedM
 			code := c.codes[p]
 			f.absorb(int64(code), b2i(pp.pass[code]))
 		}
-		fa := f.result()
-		switch mode {
-		case FusedCount:
-			fa.IntSum, fa.Min, fa.Max = 0, math.Inf(1), math.Inf(-1)
-		case FusedSum:
-			fa.Min, fa.Max = math.Inf(1), math.Inf(-1)
-		case FusedMinMax:
-			fa.IntSum = 0
-		}
-		return fa
+		return f.result().only(mode)
 	}
 	return emptyFilterAgg()
 }

@@ -19,7 +19,7 @@ import (
 
 var (
 	fusedOps       = []RangeOp{RangeEq, RangeNe, RangeLt, RangeLe, RangeGt, RangeGe}
-	fusedModes     = []FusedMode{FusedCount, FusedSum, FusedMinMax, FusedFull}
+	fusedModes     = []FusedMode{FusedCount, FusedSum, FusedMin, FusedMax, FusedFull}
 	fusedBlockLens = []int{0, 1, 7, 64, 1024, 10000}
 )
 
@@ -292,15 +292,18 @@ func checkModeAgainstFull(t *testing.T, label string, got, want FilterAgg, mode 
 		t.Fatalf("%s: N = %d exact = %v, want %d %v", label, got.N, got.Exact, want.N, want.Exact)
 	}
 	wantSum, wantIntSum := want.Sum, want.IntSum
-	if mode == FusedCount || mode == FusedMinMax {
+	if !mode.keepsSum() {
 		wantSum, wantIntSum = seed, 0
 	}
 	if got.IntSum != wantIntSum || !eqFloat(got.Sum, wantSum) {
 		t.Fatalf("%s: sum = %v/%d, want %v/%d", label, got.Sum, got.IntSum, wantSum, wantIntSum)
 	}
 	wantMin, wantMax := want.Min, want.Max
-	if mode == FusedCount || mode == FusedSum {
-		wantMin, wantMax = math.Inf(1), math.Inf(-1)
+	if !mode.keepsMin() {
+		wantMin = math.Inf(1)
+	}
+	if !mode.keepsMax() {
+		wantMax = math.Inf(-1)
 	}
 	if !eqFloat(got.Min, wantMin) || !eqFloat(got.Max, wantMax) {
 		t.Fatalf("%s: extrema = (%v, %v), want (%v, %v)", label, got.Min, got.Max, wantMin, wantMax)
@@ -452,5 +455,29 @@ func TestPassCacheLRU(t *testing.T) {
 	}
 	if size > maxPassTables {
 		t.Fatalf("pass cache grew to %d tables, cap is %d", size, maxPassTables)
+	}
+}
+
+// TestCountPassingMatchesSingleAccumulator holds the unrolled string
+// count to the one-accumulator loop it replaced, at every length around
+// the 4-wide unroll (0–9) and at a long span with a ragged tail.
+func TestCountPassingMatchesSingleAccumulator(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	pass := make([]bool, 11)
+	for i := range pass {
+		pass[i] = rng.Intn(2) == 0
+	}
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 1027} {
+		codes := make([]int32, n)
+		for i := range codes {
+			codes[i] = int32(rng.Intn(len(pass)))
+		}
+		want := 0
+		for _, code := range codes {
+			want += b2i(pass[code])
+		}
+		if got := countPassing(codes, pass); got != want {
+			t.Fatalf("n=%d: countPassing = %d, single-accumulator loop = %d", n, got, want)
+		}
 	}
 }

@@ -112,7 +112,7 @@ func FuzzFusedBlocked(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, typByte uint8, seed int64, loRaw, hiRaw int16, blRaw uint16, opSel uint8, bBits uint64) {
 		op := RangeOp(opSel % 6)
-		mode := FusedMode(opSel / 6 % 4)
+		mode := FusedMode(opSel / 6 % 5)
 		var operand Value
 		switch opSel / 24 % 3 {
 		case 0:

@@ -26,6 +26,9 @@ cpu_features="$(echo "$stream_out" | awk '/^features/ {print $2}')"
 echo "== storage span kernels (benchtime=$benchtime)" >&2
 go test -run=NONE -bench='.' -benchtime="$benchtime" ./internal/storage/ | tee -a "$raw" >&2
 
+echo "== a full-height filtered slide (scan_direct's shape: 4M rows, charged)" >&2
+go test -run=NONE -bench='BenchmarkFuseFilterSlide$' -benchtime="$benchtime" ./internal/operator/ | tee -a "$raw" >&2
+
 echo "== end-to-end touch pipeline" >&2
 go test -run=NONE -bench='BenchmarkTouchPipeline$|BenchmarkFig4aGestureSpeed$' -benchtime="$benchtime" . | tee -a "$raw" >&2
 
