@@ -278,12 +278,12 @@ func (o *Object) processSlideStep(ev gesture.Event) {
 // Multi-conjunct WHEREs evaluate all but the final conjunct normally and
 // fuse the last one over the survivors (see AdaptiveOptimizer.FusionPlan
 // for when that split is offered). Charging is byte-compatible with the
-// unfused path and the scan continues the running sum in row order on
-// every column type, so the emitted stream — values, counts, virtual
-// times — is identical to both the selection-vector path and the scalar
-// reference. It reports whether it handled the touch; eligibility checks
-// all run before any charging, so a false return falls through to the
-// unfused path with no cost double-counted.
+// unfused path and every sum is exact on every column type, so the
+// emitted stream — values, counts, virtual times — is identical to both
+// the selection-vector path and the scalar reference. It reports whether
+// it handled the touch; eligibility checks all run before any charging,
+// so a false return falls through to the unfused path with no cost
+// double-counted.
 func (o *Object) trySlideFused(id, level, spanLo, spanHi int) bool {
 	if o.kernel.cfg.ScalarSlide || !o.IsColumn() || o.grouper != nil || o.join != nil {
 		return false
@@ -652,9 +652,7 @@ func (o *Object) absorbCellSpan(agg *operator.RunningAgg, lo, hi, col int, scala
 		o.cellTracker.AccessStrided(lo*ncols+col, (hi-1)*ncols+col+1, ncols)
 	}
 	if c, err := o.matrix.Column(col); err == nil && !agg.NeedsPerValue() {
-		sum, n := c.SumRange(lo, hi)
-		min, max, _ := c.MinMaxRange(lo, hi)
-		agg.AddSpan(int64(n), sum, min, max)
+		agg.AddRange(c, lo, hi)
 		return
 	}
 	for r := lo; r < hi; r++ {

@@ -402,14 +402,15 @@ func TestSpanEquivalenceFusedAggregate(t *testing.T) {
 	}
 }
 
-// orderSensitiveFloats builds a float column factory whose running sum
-// shows any reassociation: full-mantissa values round differently in
-// every order, a rare ±1e16 lifts the sum to where a lone small addend is
-// lost but a span's partial sum is not (rare, so the sum never grows past
-// where partial sums vanish too), -0 survives only until a +0 joins it,
-// and subnormals vanish against anything. With specials the last fifth
-// also holds NaN and ±Inf, so the stream first runs on finite sums and
-// then has to carry the poisoned ones identically.
+// orderSensitiveFloats builds a float column factory whose left-to-right
+// running sum differs from almost any other order of addition:
+// full-mantissa values round differently in every order, a rare ±1e16
+// lifts the sum to where a lone small addend is lost but a span's partial
+// sum is not, -0 survives only until a +0 joins it, and subnormals vanish
+// against anything. With specials the last fifth also holds NaN and ±Inf,
+// so the stream first runs on finite sums and then has to carry the
+// poisoned ones. Since every sum is exact, none of this may show: the
+// answer is the same for every order (TestFloatSumOrderInvariance).
 func orderSensitiveFloats(seed int64, n int, specials bool) func() *storage.Matrix {
 	return func() *storage.Matrix {
 		rng := rand.New(rand.NewSource(seed))
@@ -439,11 +440,11 @@ func orderSensitiveFloats(seed int64, n int, specials bool) func() *storage.Matr
 	}
 }
 
-// TestSpanEquivalenceFusedFloatColumn pins the float-order contract:
-// every fusable kind fuses over a float column — sum and avg included —
-// and its stream is byte-identical to the scalar reference, because the
-// fused scan continues the running sum one qualifier at a time in
-// position order. The data makes any other order visible, sliding both
+// TestSpanEquivalenceFusedFloatColumn runs every fusable kind fused over
+// a float column — sum and avg included — and holds its stream to the
+// scalar reference byte for byte: the fused scan's exact partial sums
+// merge into the same exact running sum the reference's per-row adds
+// build. The data makes any rounded reassociation visible, sliding both
 // ways; `<= 2e16` lets NaN qualify (Value.Compare ranks it equal), `< 1`
 // keeps the sum finite.
 func TestSpanEquivalenceFusedFloatColumn(t *testing.T) {
@@ -479,6 +480,93 @@ func TestSpanEquivalenceFusedFloatColumn(t *testing.T) {
 				})
 			}
 		})
+	}
+}
+
+// sweepSum runs one full-height filtered SUM or AVG sweep over data on a
+// fresh kernel and returns the last result: the aggregate over every
+// qualifying row the sweep covered.
+func sweepSum(t *testing.T, data func() *storage.Matrix, kind operator.AggKind, filter operator.Predicate, blockValues int, scalar, down bool) Result {
+	t.Helper()
+	cfg := DefaultConfig()
+	cfg.IO.BlockValues = blockValues
+	cfg.ScalarSlide = scalar
+	k := NewKernel(cfg)
+	o, err := k.CreateColumnObject(data(), 0, touchos.NewRect(2, 2, 2, 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.SetActions(Actions{Mode: ModeAggregate, Agg: kind, Filters: []operator.Predicate{filter}})
+	f := o.View().Frame()
+	from, to := f.Origin.Y+0.02, f.Origin.Y+f.Size.H-0.02
+	if !down {
+		from, to = to, from
+	}
+	x := f.Origin.X + f.Size.W/2
+	synth := gesture.Synth{}
+	k.Apply(synth.Slide(touchos.Point{X: x, Y: from}, touchos.Point{X: x, Y: to}, k.Clock().Now()+time.Millisecond, 10*time.Second))
+	results := k.Results()
+	if len(results) == 0 {
+		t.Fatal("the sweep emitted nothing")
+	}
+	return results[len(results)-1]
+}
+
+// quietEnds replaces the first and last 1 000 rows of a float column
+// factory's data with v, a value the test's filter rejects: a slide's
+// first sample absorbs only its own row, so a sweep down and a sweep up
+// skip different rows near their starts, and rows that never qualify
+// make the two cover the same qualifying set.
+func quietEnds(data func() *storage.Matrix, v float64) func() *storage.Matrix {
+	return func() *storage.Matrix {
+		col, err := data().Column(0)
+		if err != nil {
+			panic(err)
+		}
+		vals := append([]float64(nil), col.Floats()...)
+		for i := 0; i < 1000; i++ {
+			vals[i], vals[len(vals)-1-i] = v, v
+		}
+		m, err := storage.NewMatrix("t", storage.NewFloatColumn("v", vals))
+		if err != nil {
+			panic(err)
+		}
+		return m
+	}
+}
+
+// TestFloatSumOrderInvariance is the property the exact running sum
+// buys: over the order-sensitive float data, a full sweep's SUM and AVG
+// have the same bits whether the sweep runs fused or through the scalar
+// reference, slides down or up, and charges cost-model blocks of 64,
+// 1 024 or 4 096 rows (which re-chunk the fused scan) — every order of
+// addition the pipeline can produce.
+func TestFloatSumOrderInvariance(t *testing.T) {
+	cases := []struct {
+		name   string
+		data   func() *storage.Matrix
+		filter operator.Predicate
+	}{
+		{"finite", quietEnds(orderSensitiveFloats(71, 40000, false), 5), operator.Predicate{Col: 0, Op: operator.Lt, Operand: storage.FloatValue(1)}},
+		{"finite_all", quietEnds(orderSensitiveFloats(72, 40000, false), 3e16), operator.Predicate{Col: 0, Op: operator.Le, Operand: storage.FloatValue(2e16)}},
+		{"specials", quietEnds(orderSensitiveFloats(73, 40000, true), -5), operator.Predicate{Col: 0, Op: operator.Ge, Operand: storage.FloatValue(-3)}},
+	}
+	for _, tc := range cases {
+		for _, kind := range []operator.AggKind{operator.Sum, operator.Avg} {
+			t.Run(tc.name+"/"+kind.String(), func(t *testing.T) {
+				want := sweepSum(t, tc.data, kind, tc.filter, 1024, true, true)
+				for _, bv := range []int{64, 1024, 4096} {
+					for _, scalar := range []bool{false, true} {
+						for _, down := range []bool{true, false} {
+							got := sweepSum(t, tc.data, kind, tc.filter, bv, scalar, down)
+							if got.N != want.N || math.Float64bits(got.Agg) != math.Float64bits(want.Agg) && !(math.IsNaN(got.Agg) && math.IsNaN(want.Agg)) {
+								t.Fatalf("blocks of %d scalar=%v down=%v: %v over %d rows, want %v over %d", bv, scalar, down, got.Agg, got.N, want.Agg, want.N)
+							}
+						}
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -19,6 +19,8 @@ package operator
 import (
 	"fmt"
 	"math"
+
+	"dbtouch/internal/storage"
 )
 
 // AggKind selects an aggregation function.
@@ -81,11 +83,11 @@ func ParseAggKind(s string) (AggKind, error) {
 
 // FusableAgg reports whether kind's running state can absorb a fused
 // filter+aggregate scan through RunningAgg.FuseFilter: count, sum, avg,
-// min and max need only (n, sum, min, max), which the scan continues
-// exactly as per-row Adds would — over float columns too, since it
-// carries the running sum through the span one qualifier at a time. The
-// Welford variance family needs the mean and m2 updated per value and
-// must absorb values one at a time. The fusion dispatch (core's
+// min and max need only (n, sum, min, max), and the scan's exact partial
+// sum merges into the running one as if every qualifier had been added —
+// over float columns too, since no sum depends on the order of its
+// terms. The Welford variance family needs the mean and m2 updated per
+// value and must absorb values one at a time. The fusion dispatch (core's
 // trySlideFused) consults this before routing a filtered slide through
 // the fused kernels.
 func FusableAgg(kind AggKind) bool {
@@ -99,13 +101,15 @@ func FusableAgg(kind AggKind) bool {
 
 // RunningAgg maintains a running aggregate that can absorb one value per
 // touch and report the current answer at any time — the "running aggregate
-// continuously updated" of paper §2.3. Variance uses Welford's online
+// continuously updated" of paper §2.3. The sum is exact (storage.ExactSum)
+// and rounded once per answer, so SUM and AVG do not depend on the order
+// or grouping in which values arrive. Variance uses Welford's online
 // algorithm so a single pass stays numerically stable however long the
 // gesture wanders.
 type RunningAgg struct {
 	kind AggKind
 	n    int64
-	sum  float64
+	sum  storage.ExactSum
 	min  float64
 	max  float64
 	mean float64
@@ -123,7 +127,7 @@ func (a *RunningAgg) Kind() AggKind { return a.kind }
 // Add absorbs one value.
 func (a *RunningAgg) Add(v float64) {
 	a.n++
-	a.sum += v
+	a.sum.Add(v)
 	if v < a.min {
 		a.min = v
 	}
@@ -135,26 +139,6 @@ func (a *RunningAgg) Add(v float64) {
 	a.m2 += delta * (v - a.mean)
 }
 
-// AddN absorbs a pre-aggregated group of n values with the given sum,
-// minimum and maximum (used when feeding from coarser sample levels).
-// Variance absorbs the group mean n times, a standard approximation for
-// merged sketches.
-func (a *RunningAgg) AddN(n int64, sum, min, max float64) {
-	if n <= 0 {
-		return
-	}
-	groupMean := sum / float64(n)
-	for i := int64(0); i < n; i++ {
-		a.Add(groupMean)
-	}
-	if min < a.min {
-		a.min = min
-	}
-	if max > a.max {
-		a.max = max
-	}
-}
-
 // NeedsPerValue reports whether the aggregate's answer depends on the
 // exact per-value update order (the Welford variance family). Such
 // aggregates must absorb spans value by value (AddRangeTo); the others
@@ -163,16 +147,34 @@ func (a *RunningAgg) NeedsPerValue() bool { return a.kind == Var || a.kind == St
 
 // AddSpan merges a span of n values with the given sum, minimum and
 // maximum in O(1). For count/sum/avg/min/max the merged answer is exactly
-// what n sequential Add calls would report (the span sum is accumulated
-// with one addition, so integer-valued data stays bit-identical); the
-// Welford mean/m2 state is not maintained, so variance-family aggregates
-// must use per-value absorption instead (see NeedsPerValue).
+// what n sequential Add calls would report whenever sum is the span's
+// exact sum (the sum joins the running one exactly); the Welford mean/m2
+// state is not maintained, so variance-family aggregates must use
+// per-value absorption instead (see NeedsPerValue).
 func (a *RunningAgg) AddSpan(n int64, sum, min, max float64) {
 	if n <= 0 {
 		return
 	}
 	a.n += n
-	a.sum += sum
+	a.sum.Add(sum)
+	a.extend(min, max)
+}
+
+// AddRange absorbs values [lo, hi) of col as one span: the sum exactly
+// through Column.SumRange, the extrema through MinMaxRange. Like AddSpan
+// it does not maintain the Welford state.
+func (a *RunningAgg) AddRange(col *storage.Column, lo, hi int) {
+	n := col.SumRange(lo, hi, &a.sum)
+	if n == 0 {
+		return
+	}
+	a.n += int64(n)
+	min, max, _ := col.MinMaxRange(lo, hi)
+	a.extend(min, max)
+}
+
+// extend widens the extrema to cover [min, max].
+func (a *RunningAgg) extend(min, max float64) {
 	if min < a.min {
 		a.min = min
 	}
@@ -191,12 +193,12 @@ func (a *RunningAgg) Value() float64 {
 	case Count:
 		return float64(a.n)
 	case Sum:
-		return a.sum
+		return a.sum.Round()
 	case Avg:
 		if a.n == 0 {
 			return math.NaN()
 		}
-		return a.sum / float64(a.n)
+		return a.sum.Round() / float64(a.n)
 	case Min:
 		if a.n == 0 {
 			return math.NaN()

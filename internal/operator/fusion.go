@@ -21,44 +21,37 @@ import (
 // each chunk reports how many values qualified inside its block, which
 // is what ChargeSelection derives from a materialized selection.
 //
-// The aggregate stays bit-compatible with per-row absorption too, on
-// every column type: the scan is seeded with the running sum and float
-// qualifiers join it one by one in position order (integer-backed spans
-// sum exactly and join it in one addition), so no kind is left behind on
-// the selection-vector path for ordering reasons.
+// The aggregate matches per-row absorption bit for bit on every column
+// type: the scan hands back the exact sum of its qualifiers, which merges
+// into the running exact sum, so no kind is left behind on the
+// selection-vector path for ordering reasons.
 
 // FuseFilter evaluates one WHERE conjunct over col fused with the
 // absorption of the same column's qualifying values into a — what a
 // filtered aggregate slide step runs. With sel == nil the conjunct covers
 // the base span [lo, hi); otherwise it refines the surviving selection
 // sel of earlier conjuncts (the FilterSel-fused form) and lo/hi are
-// ignored. The scan continues a's running sum and the result replaces
-// it, so a ends up exactly where an Add per qualifying row, in position
-// order, would have left the state its kind reads — the count, and the
-// sum or the one extremum (the other extremum and the Welford state are
-// not maintained: see FusableAgg). It returns how many values qualified.
-// Trackers are charged as FuseFilterAgg documents.
+// ignored. a ends up exactly where an Add per qualifying row would have
+// left the state its kind reads — the count, and the sum or the one
+// extremum (the other extremum and the Welford state are not maintained:
+// see FusableAgg). It returns how many values qualified. Trackers are
+// charged as FuseFilterAgg documents.
 func (a *RunningAgg) FuseFilter(col *storage.Column, lo, hi int, sel []int32, op CmpOp, operand storage.Value, predTracker, valTracker *iomodel.Tracker) int {
-	fa := fuseFilterAgg(col, lo, hi, sel, op, operand, predTracker, valTracker, a.kind, a.sum)
+	fa := FuseFilterAgg(col, lo, hi, sel, op, operand, predTracker, valTracker, a.kind)
 	a.n += int64(fa.N)
-	a.sum = fa.Sum
-	if fa.Min < a.min {
-		a.min = fa.Min
-	}
-	if fa.Max > a.max {
-		a.max = fa.Max
-	}
+	a.sum.Merge(&fa.Partial)
+	a.extend(fa.Min, fa.Max)
 	return fa.N
 }
 
-// FuseFilterAgg is the scan behind RunningAgg.FuseFilter on its own,
-// seeded with 0: the span's count and what kind reads of its sum and
-// extrema, for a caller that absorbs them itself. kind selects the
-// aggregate-specialized kernel, which maintains only what the kind reads:
-// COUNT the count, SUM/AVG count and sum (extrema come back ±Inf), MIN
-// count and minimum, MAX count and maximum (sum comes back 0, the other
-// extremum ±Inf). Unfusable kinds (see FusableAgg) run the scalar loop
-// that maintains everything.
+// FuseFilterAgg is the scan behind RunningAgg.FuseFilter on its own: the
+// span's count and what kind reads of its sum and extrema, for a caller
+// that absorbs them itself. kind selects the aggregate-specialized
+// kernel, which maintains only what the kind reads: COUNT the count,
+// SUM/AVG count and sum (exact in Partial, rounded in Sum; extrema come
+// back ±Inf), MIN count and minimum, MAX count and maximum (sum comes
+// back 0, the other extremum ±Inf). It serves the FusableAgg kinds; any
+// other kind gets the count alone.
 //
 // predTracker is charged for every evaluated row — AccessRange over the
 // span, or ChargeSelection over the prior selection — exactly as
@@ -67,12 +60,6 @@ func (a *RunningAgg) FuseFilter(col *storage.Column, lo, hi int, sel []int32, op
 // ChargeSelection over the materialized selection would. Either tracker
 // may be nil to skip its accounting.
 func FuseFilterAgg(col *storage.Column, lo, hi int, sel []int32, op CmpOp, operand storage.Value, predTracker, valTracker *iomodel.Tracker, kind AggKind) storage.FilterAgg {
-	return fuseFilterAgg(col, lo, hi, sel, op, operand, predTracker, valTracker, kind, 0)
-}
-
-// fuseFilterAgg charges the trackers and runs the blocked fused scan that
-// continues the running sum seed.
-func fuseFilterAgg(col *storage.Column, lo, hi int, sel []int32, op CmpOp, operand storage.Value, predTracker, valTracker *iomodel.Tracker, kind AggKind, seed float64) storage.FilterAgg {
 	rop := op.rangeOp()
 	mode := fusedModeFor(kind)
 	onBlock := func(start, count int) {
@@ -90,17 +77,15 @@ func fuseFilterAgg(col *storage.Column, lo, hi int, sel []int32, op CmpOp, opera
 		if predTracker != nil {
 			predTracker.AccessRange(lo, hi)
 		}
-		return col.FilterAggRangeBlocked(lo, hi, chunkSize(valTracker, hi-lo), rop, operand, mode, seed, onBlock)
+		return col.FilterAggRangeBlocked(lo, hi, chunkSize(valTracker, hi-lo), rop, operand, mode, onBlock)
 	}
 	ChargeSelection(predTracker, sel)
-	return col.FilterAggSelBlocked(sel, chunkSize(valTracker, col.Len()), rop, operand, mode, seed, onBlock)
+	return col.FilterAggSelBlocked(sel, chunkSize(valTracker, col.Len()), rop, operand, mode, onBlock)
 }
 
 // fusedModeFor maps an aggregate kind to what the fused scan maintains.
 func fusedModeFor(kind AggKind) storage.FusedMode {
 	switch kind {
-	case Count:
-		return storage.FusedCount
 	case Sum, Avg:
 		return storage.FusedSum
 	case Min:
@@ -108,7 +93,7 @@ func fusedModeFor(kind AggKind) storage.FusedMode {
 	case Max:
 		return storage.FusedMax
 	default:
-		return storage.FusedFull
+		return storage.FusedCount
 	}
 }
 

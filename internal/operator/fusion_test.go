@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"dbtouch/internal/cache"
 	"dbtouch/internal/iomodel"
 	"dbtouch/internal/storage"
 	"dbtouch/internal/vclock"
@@ -149,7 +150,7 @@ func TestFuseFilterAggSelChargesLikeUnfused(t *testing.T) {
 	}
 
 	fa := FuseFilterAgg(fus.col, 0, 0, sel, p.Op, p.Operand, fus.pred, fus.val, Sum)
-	if fa.N != wantN || fa.IntSum != wantISum {
+	if fa.N != wantN || fa.Sum != float64(wantISum) {
 		t.Fatalf("fused sel form: %+v, want n=%d isum=%d", fa, wantN, wantISum)
 	}
 	if ref.clock.Now() != fus.clock.Now() {
@@ -199,7 +200,8 @@ func TestChargeSelectionChargesLikeAccessLoop(t *testing.T) {
 // TestFuseFilterAggKindDispatch pins what each kind-specialized kernel
 // maintains: every kind reports the exact qualifying count; sum kinds
 // carry the sum (±Inf extrema), MIN the minimum and MAX the maximum
-// (zero sum, the other extremum ±Inf).
+// (zero sum, the other extremum ±Inf), and a kind the fusion dispatch
+// never sends (Var) gets the count alone.
 func TestFuseFilterAggKindDispatch(t *testing.T) {
 	vals := []int64{5, 1, 9, 3, 7, 2, 8}
 	col := storage.NewIntColumn("v", vals)
@@ -211,10 +213,12 @@ func TestFuseFilterAggKindDispatch(t *testing.T) {
 			t.Fatalf("%v: N = %d, want 4", kind, fa.N)
 		}
 	}
-	if fa := run(Count); fa.Sum != 0 || !math.IsInf(fa.Min, 1) || !math.IsInf(fa.Max, -1) {
-		t.Fatalf("Count = %+v", fa)
+	for _, kind := range []AggKind{Count, Var} {
+		if fa := run(kind); fa.Sum != 0 || !math.IsInf(fa.Min, 1) || !math.IsInf(fa.Max, -1) {
+			t.Fatalf("%v = %+v", kind, fa)
+		}
 	}
-	if fa := run(Sum); fa.IntSum != 5+9+7+8 || !math.IsInf(fa.Min, 1) {
+	if fa := run(Sum); fa.Sum != 5+9+7+8 || fa.Partial.Round() != fa.Sum || !math.IsInf(fa.Min, 1) {
 		t.Fatalf("Sum = %+v", fa)
 	}
 	if fa := run(Min); fa.Min != 5 || !math.IsInf(fa.Max, -1) || fa.Sum != 0 {
@@ -223,16 +227,13 @@ func TestFuseFilterAggKindDispatch(t *testing.T) {
 	if fa := run(Max); fa.Max != 9 || !math.IsInf(fa.Min, 1) || fa.Sum != 0 {
 		t.Fatalf("Max = %+v", fa)
 	}
-	// Unfusable kinds fall back to the full kernel: everything maintained.
-	if fa := run(Var); fa.IntSum != 5+9+7+8 || fa.Min != 5 || fa.Max != 9 {
-		t.Fatalf("Var fallback = %+v", fa)
-	}
 }
 
 // TestFuseFilterContinuesRunningSum holds RunningAgg.FuseFilter to an Add
-// per qualifying row over consecutive spans of a float column whose sum
-// depends on the order of addition: the fused scan must continue the
-// running sum, not add a span total to it, whatever the block size.
+// per qualifying row over consecutive spans of a float column whose
+// left-to-right sum depends on the order of addition: the fused scan's
+// exact partial must merge into the running sum so that the answer is
+// the per-row one bit for bit, whatever the block size.
 func TestFuseFilterContinuesRunningSum(t *testing.T) {
 	rng := rand.New(rand.NewSource(229))
 	vals := make([]float64, 9000)
@@ -335,5 +336,29 @@ func TestFuseFilterMinMaxEveryType(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestFusedFloatSumAllocatesNothing is the allocation gate of the fused
+// float SUM slide: a filtered step over a float column, charged to
+// gesture-aware trackers, merged into the running sum and answered,
+// allocates nothing once the trackers are warm.
+func TestFusedFloatSumAllocatesNothing(t *testing.T) {
+	vals := make([]float64, 50_000)
+	for i := range vals {
+		vals[i] = float64(i%1000) / 7
+	}
+	col := storage.NewFloatColumn("f", vals)
+	clock := vclock.New()
+	pred := iomodel.New(clock, iomodel.DefaultParams(), cache.NewGestureAware(8))
+	val := iomodel.New(clock, iomodel.DefaultParams(), cache.NewGestureAware(8))
+	agg := NewRunningAgg(Sum)
+	step := func() {
+		agg.FuseFilter(col, 0, len(vals), nil, Lt, storage.FloatValue(100), pred, val)
+		sinkValue = agg.Value()
+	}
+	step() // warm the trackers
+	if allocs := testing.AllocsPerRun(20, step); allocs != 0 {
+		t.Fatalf("a fused float SUM step allocates %v times", allocs)
 	}
 }

@@ -88,22 +88,32 @@ func TestRunningAggStddevIsSqrtVar(t *testing.T) {
 	}
 }
 
-func TestRunningAggAddN(t *testing.T) {
-	a := NewRunningAgg(Avg)
-	a.AddN(4, 20, 2, 8) // four values summing 20
-	if got := a.Value(); got != 5 {
-		t.Fatalf("AddN avg = %v, want 5", got)
+// TestRunningAggSumIsExact pins SUM and AVG to the exact sum rounded
+// once: values whose left-to-right sum loses the small terms, fed in
+// either order and through AddSpan, Add and FuseFilter, answer the same
+// bits — and the answer allocates nothing.
+func TestRunningAggSumIsExact(t *testing.T) {
+	vals := []float64{1e16, 1, 1, 1, 1, -1e16, 0.1, 0.2}
+	want := 4.3 // 4 + 0.1 + 0.2, rounded once
+	forward, backward, spans := NewRunningAgg(Sum), NewRunningAgg(Sum), NewRunningAgg(Sum)
+	for i := range vals {
+		forward.Add(vals[i])
+		backward.Add(vals[len(vals)-1-i])
+		spans.AddSpan(1, vals[i], vals[i], vals[i])
 	}
-	mn := NewRunningAgg(Min)
-	mn.AddN(4, 20, 2, 8)
-	if got := mn.Value(); got != 2 {
-		t.Fatalf("AddN min = %v, want 2", got)
+	fused := NewRunningAgg(Sum)
+	fused.FuseFilter(storage.NewFloatColumn("v", vals), 0, len(vals), nil, Lt, storage.FloatValue(2e16), nil, nil)
+	for name, a := range map[string]*RunningAgg{"forward": forward, "backward": backward, "spans": spans, "fused": fused} {
+		if got := a.Value(); got != want {
+			t.Errorf("%s: sum = %v, want %v", name, got, want)
+		}
 	}
-	a.AddN(0, 100, 0, 0) // zero-count group is a no-op
-	if a.N() != 4 {
-		t.Fatal("AddN(0) should not change counts")
+	if allocs := testing.AllocsPerRun(100, func() { sinkValue = forward.Value() }); allocs != 0 {
+		t.Fatalf("Value allocates %v times", allocs)
 	}
 }
+
+var sinkValue float64
 
 func TestRunningAggReset(t *testing.T) {
 	a := NewRunningAgg(Max)

@@ -66,21 +66,28 @@ func (sl *sharedLevel) stats(blockValues int) *spanStats {
 		}
 		// Integer-backed columns keep exact int64 prefix sums: span sums
 		// of int data are exact at any magnitude and the build runs on
-		// native integer adds. Float columns accumulate strictly left to
-		// right so span sums stay bit-identical to a scalar loop whenever
-		// the values make that loop exact.
+		// native integer adds. Float columns accumulate their finite
+		// values left to right and count the others per block, so one NaN
+		// or infinity decides only the spans that hold it.
 		if sl.col.Type() != storage.Float64 {
 			ip := make([]int64, n+1)
 			sl.col.PrefixInts(ip)
 			s.iprefix = ip
 		} else {
 			s.prefix = make([]float64, n+1)
+			s.blockNF = make([]storage.NonFinite, len(s.blockMin))
+			s.firstNF = math.MaxInt
 			acc := 0.0
-			idx := 1
+			idx := 0
 			sl.col.AddRangeTo(0, n, func(v float64) {
-				acc += v
-				s.prefix[idx] = acc
+				if v-v == 0 {
+					acc += v
+				} else {
+					s.blockNF[idx/blockLen].Count(v)
+					s.firstNF = min(s.firstNF, idx)
+				}
 				idx++
+				s.prefix[idx] = acc
 			})
 		}
 		sl.span = s
@@ -96,9 +103,15 @@ func (sl *sharedLevel) stats(blockValues int) *spanStats {
 // time, and the cost model still charges every span read through the
 // level's tracker as if the entries themselves were scanned.
 type spanStats struct {
-	// prefix[i] is the sum of the float coercion of entries [0, i),
+	// prefix[i] is the sum of the finite values among entries [0, i),
 	// computed left to right (float columns only; nil otherwise).
 	prefix []float64
+	// blockNF counts each block's NaN and infinite entries, and firstNF
+	// is the index of the level's first one (math.MaxInt when there is
+	// none) — float columns only. A span ending at or before firstNF
+	// reads neither.
+	blockNF []storage.NonFinite
+	firstNF int
 	// iprefix[i] is the exact int64 sum of entries [0, i) for
 	// integer-backed columns (int values, bool 0/1, string codes) — span
 	// sums of integer data are exact at any magnitude (nil for floats).
@@ -380,8 +393,10 @@ func (h *Hierarchy) WindowAgg(lo, hi, level int) (sum float64, n int, min, max f
 // per-entry scan, a fraction of the wall-clock work. Integer-backed
 // columns difference exact int64 prefix sums, so span sums are exact at
 // any magnitude and bit-identical to WindowAgg's scalar loop whenever
-// that loop is itself exact; float sums may differ in the last ulp
-// (different association order).
+// that loop is itself exact. Float spans difference the prefix of finite
+// values and settle NaN and infinities from their counts by the IEEE rule
+// (storage.NonFinite.Apply); the finite part may differ from a scalar
+// loop in the last ulp (different association order).
 func (h *Hierarchy) SpanEntries(from, to, level int) (sum float64, n int, min, max float64, err error) {
 	l, err := h.Level(level)
 	if err != nil {
@@ -403,6 +418,9 @@ func (h *Hierarchy) SpanEntries(from, to, level int) (sum float64, n int, min, m
 		sum = float64(s.iprefix[to] - s.iprefix[from])
 	} else {
 		sum = s.prefix[to] - s.prefix[from]
+		if to > s.firstNF {
+			sum = s.nonFinite(l.Col, from, to).Apply(sum)
+		}
 	}
 	n = to - from
 	firstB, lastB := from/s.blockLen, (to-1)/s.blockLen
@@ -431,6 +449,34 @@ func (h *Hierarchy) SpanEntries(from, to, level int) (sum float64, n int, min, m
 		max = tmax
 	}
 	return sum, n, min, max, nil
+}
+
+// nonFinite counts the NaN and infinite entries of [from, to): edge
+// scans of the partial head and tail blocks, and the block counts in
+// between.
+func (s *spanStats) nonFinite(col *storage.Column, from, to int) storage.NonFinite {
+	var nf storage.NonFinite
+	vals := col.Floats()
+	firstB, lastB := from/s.blockLen, (to-1)/s.blockLen
+	if firstB == lastB {
+		countNonFinite(&nf, vals[from:to])
+		return nf
+	}
+	countNonFinite(&nf, vals[from:(firstB+1)*s.blockLen])
+	for b := firstB + 1; b < lastB; b++ {
+		nf.Merge(s.blockNF[b])
+	}
+	countNonFinite(&nf, vals[lastB*s.blockLen:to])
+	return nf
+}
+
+// countNonFinite counts the NaN and infinite values of vals into nf.
+func countNonFinite(nf *storage.NonFinite, vals []float64) {
+	for _, v := range vals {
+		if v-v != 0 {
+			nf.Count(v)
+		}
+	}
 }
 
 // SpanAgg is the vectorized WindowAgg: it aggregates the sample entries

@@ -354,3 +354,63 @@ func TestSpanEntriesExactIntSums(t *testing.T) {
 		t.Fatalf("float SpanEntries = %v (n=%d)", fsum, fn)
 	}
 }
+
+// TestSpanEntriesOneNonFiniteDoesNotPoison is the probe for the prefix
+// bug: a 4 096-row column of 1.0 whose first entry is +Inf or NaN. A span
+// that does not hold the special must read its plain sum — a
+// left-to-right prefix over every value carries the special into every
+// later span (NaN for both probes). Spans that do hold specials follow
+// the IEEE rule, on static hierarchies and live chains alike.
+func TestSpanEntriesOneNonFiniteDoesNotPoison(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	for _, first := range []float64{inf, nan} {
+		vals := make([]float64, 4096)
+		for i := range vals {
+			vals[i] = 1
+		}
+		vals[0] = first
+		vals[2500] = math.Inf(-1) // an interior block of the wide spans
+		col := storage.NewFloatColumn("v", vals)
+		chain := NewVersioned(3, 1024)
+		shared, err := chain.ForSnapshot(0, col)
+		if err != nil {
+			t.Fatal(err)
+		}
+		params := iomodel.Params{BlockValues: 1024, ColdLatency: time.Millisecond, WarmLatency: time.Microsecond}
+		static, err := Build(col, 3, vclock.New(), params, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		live := shared.Attach(vclock.New(), params, nil)
+		cases := []struct {
+			from, to int
+			want     float64
+		}{
+			{100, 200, 100},
+			{1, 2500, 2499},
+			{1, 4096, math.Inf(-1)},
+			{2501, 4096, 1595},
+			{0, 1, first},
+			{0, 2000, first},
+			{0, 4096, nan}, // with +Inf: both infinities
+		}
+		for name, h := range map[string]*Hierarchy{"static": static, "live": live} {
+			for _, tc := range cases {
+				sum, n, _, _, err := h.SpanEntries(tc.from, tc.to, 0)
+				if err != nil || n != tc.to-tc.from || !sameBits(sum, tc.want) {
+					t.Fatalf("first=%v %s SpanEntries[%d,%d) = %v over %d (%v), want %v", first, name, tc.from, tc.to, sum, n, err, tc.want)
+				}
+				if sum, _, _, _, err := h.SpanAgg(tc.from, tc.to, 0); err != nil || !sameBits(sum, tc.want) {
+					t.Fatalf("first=%v %s SpanAgg[%d,%d) = %v, want %v", first, name, tc.from, tc.to, sum, tc.want)
+				}
+			}
+		}
+	}
+}
+
+func sameBits(a, b float64) bool {
+	if math.IsNaN(a) && math.IsNaN(b) {
+		return true
+	}
+	return math.Float64bits(a) == math.Float64bits(b)
+}

@@ -2,6 +2,7 @@ package sample
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 
@@ -29,28 +30,33 @@ type levelTail struct {
 	// are the base column itself).
 	col *storage.Column
 	// iprefix/prefix mirror spanStats: exact int64 prefix sums for
-	// integer-backed columns, strictly left-to-right float sums otherwise.
-	// Extending by one value appends exactly the term a from-scratch
-	// build would have added at that index, so any prefix view of these
-	// arrays is bit-identical to a frozen single-pass build — the float
-	// order contract survives incremental extension.
+	// integer-backed columns, left-to-right sums of the finite values
+	// otherwise. Extending by one value appends exactly the term a
+	// from-scratch build would have added at that index, so any prefix
+	// view of these arrays is bit-identical to a frozen single-pass build.
 	iprefix []int64
 	prefix  []float64
-	// blockMin/blockMax hold zone-map entries for COMPLETE blocks only.
-	// SpanEntries reads zone maps for interior blocks exclusively (head
-	// and tail partial blocks scan natively), and the interior block
-	// index is always < floor(n/blockLen), so complete blocks suffice;
-	// a block is computed once, when it completes, and never changes.
+	// blockMin/blockMax (and, for floats, blockNF) hold zone-map entries
+	// for COMPLETE blocks only. SpanEntries reads them for interior
+	// blocks exclusively (head and tail partial blocks scan natively),
+	// and the interior block index is always < floor(n/blockLen), so
+	// complete blocks suffice; a block is computed once, when it
+	// completes, and never changes.
 	blockMin, blockMax []float64
+	blockNF            []storage.NonFinite
+	// firstNF is the index of the first NaN or infinite value appended
+	// (math.MaxInt while there is none): a view of n entries holds one
+	// iff firstNF < n.
+	firstNF int
 }
 
 // Versioned incrementally maintains the sample hierarchy of one live
 // column across append epochs: each extension appends to level tails and
 // prefix sums instead of rebuilding, and ForSnapshot carves an immutable
 // Shared out of the tails for any published (gen, rows) version. The
-// exact-int64 and left-to-right-float prefix contracts of spanStats are
-// preserved, so a Shared served from the chain is indistinguishable from
-// one built from scratch over the same frozen prefix.
+// prefix and block-count contracts of spanStats are preserved, so a
+// Shared served from the chain is indistinguishable from one built from
+// scratch over the same frozen prefix.
 type Versioned struct {
 	mu        sync.Mutex
 	maxLevels int
@@ -142,7 +148,7 @@ func (v *Versioned) ForSnapshot(gen uint64, base *storage.Column) (*Shared, erro
 func (v *Versioned) extendLocked(base *storage.Column, rows int) {
 	isInt := base.Type() != storage.Float64
 	if len(v.tails) == 0 {
-		t0 := &levelTail{stride: 1}
+		t0 := &levelTail{stride: 1, firstNF: math.MaxInt}
 		if isInt {
 			t0.iprefix = []int64{0}
 		} else {
@@ -152,7 +158,7 @@ func (v *Versioned) extendLocked(base *storage.Column, rows int) {
 	}
 	top := v.levelsFor(rows)
 	for li := len(v.tails); li <= top; li++ {
-		t := &levelTail{stride: 1 << li, col: base.EmptyLike()}
+		t := &levelTail{stride: 1 << li, col: base.EmptyLike(), firstNF: math.MaxInt}
 		if isInt {
 			t.iprefix = []int64{0}
 		} else {
@@ -183,7 +189,11 @@ func (v *Versioned) extendLocked(base *storage.Column, rows int) {
 			t.prefix = slices.Grow(t.prefix, levelLen+1-len(t.prefix))
 			acc := t.prefix[len(t.prefix)-1]
 			for k := len(t.prefix) - 1; k < levelLen; k++ {
-				acc += col.Float(k)
+				if f := col.Float(k); f-f == 0 {
+					acc += f
+				} else {
+					t.firstNF = min(t.firstNF, k)
+				}
 				t.prefix = append(t.prefix, acc)
 			}
 		}
@@ -196,6 +206,13 @@ func (v *Versioned) extendLocked(base *storage.Column, rows int) {
 			min, max, _ := col.MinMaxRange(lo, hi)
 			t.blockMin = append(t.blockMin, min)
 			t.blockMax = append(t.blockMax, max)
+			if !isInt {
+				var nf storage.NonFinite
+				if t.firstNF < hi {
+					countNonFinite(&nf, col.Floats()[lo:hi])
+				}
+				t.blockNF = append(t.blockNF, nf)
+			}
 		}
 	}
 	v.baseLen = rows
@@ -212,6 +229,8 @@ func (t *levelTail) statsView(s *spanStats, n, blockLen int) {
 		s.iprefix = t.iprefix[: n+1 : n+1]
 	} else {
 		s.prefix = t.prefix[: n+1 : n+1]
+		s.blockNF = t.blockNF[:nb:nb]
+		s.firstNF = t.firstNF
 	}
 }
 

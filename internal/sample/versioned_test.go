@@ -119,12 +119,23 @@ func TestVersionedMatchesFrozenBuildInt(t *testing.T) {
 }
 
 func TestVersionedMatchesFrozenBuildFloat(t *testing.T) {
-	// Floats with wildly mixed magnitudes make the prefix sum order
-	// observable: only a strictly left-to-right extension matches the
-	// frozen single-pass build bit for bit.
+	for _, specials := range []bool{false, true} {
+		t.Run(fmt.Sprintf("specials=%v", specials), func(t *testing.T) { versionedFloatDiff(t, specials) })
+	}
+}
+
+// versionedFloatDiff drives a float chain against the frozen build.
+// Floats with wildly mixed magnitudes make the prefix sum order
+// observable: only a strictly left-to-right extension matches the frozen
+// single-pass build bit for bit. With specials, NaN and infinities land
+// in the first batch and then sparsely, inside blocks and on their edges,
+// so the per-block counts, the first-index skip and the edge scans all
+// have to agree with the frozen build.
+func versionedFloatDiff(t *testing.T, specials bool) {
 	full := storage.NewEmptyColumn("v", storage.Float64)
 	n := 0
 	v := NewVersioned(3, vtBlock)
+	nonFinite := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
 	for bi, bs := range batchSizes {
 		for i := 0; i < bs; i++ {
 			x := float64(n) * 1.37
@@ -133,6 +144,9 @@ func TestVersionedMatchesFrozenBuildFloat(t *testing.T) {
 			}
 			if n%7 == 0 {
 				x = -x
+			}
+			if specials && (n == 40 || n%331 == 17) {
+				x = nonFinite[n%3]
 			}
 			full.Append(storage.FloatValue(x))
 			n++

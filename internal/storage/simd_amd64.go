@@ -29,6 +29,7 @@ var (
 	simdFilterSum    = cpu.X86.HasAVX2 && !raceEnabled
 	simdFilterMinMax = cpu.X86.HasAVX2 && !raceEnabled
 	simdCompress     = cpu.X86.HasAVX2 && !raceEnabled
+	simdFloatSum     = cpu.X86.HasAVX2 && !raceEnabled
 )
 
 // simdAvailable reports whether this build+host can run the SIMD
@@ -39,18 +40,18 @@ func simdAvailable() bool { return cpu.X86.HasAVX2 && !raceEnabled }
 // benchmarks and returns a restore func. "On" is clamped to
 // simdAvailable().
 func setSIMD(on bool) (restore func()) {
-	oldSum, oldMM, oldFS, oldFM, oldC := simdSum, simdMinMax, simdFilterSum, simdFilterMinMax, simdCompress
+	oldSum, oldMM, oldFS, oldFM, oldC, oldFF := simdSum, simdMinMax, simdFilterSum, simdFilterMinMax, simdCompress, simdFloatSum
 	set := on && simdAvailable()
-	simdSum, simdMinMax, simdFilterSum, simdFilterMinMax, simdCompress = set, set, set, set, set
+	simdSum, simdMinMax, simdFilterSum, simdFilterMinMax, simdCompress, simdFloatSum = set, set, set, set, set, set
 	return func() {
-		simdSum, simdMinMax, simdFilterSum, simdFilterMinMax, simdCompress = oldSum, oldMM, oldFS, oldFM, oldC
+		simdSum, simdMinMax, simdFilterSum, simdFilterMinMax, simdCompress, simdFloatSum = oldSum, oldMM, oldFS, oldFM, oldC, oldFF
 	}
 }
 
 // Assembly kernels (simd_amd64.s). Length preconditions are the
-// wrappers' responsibility: avxSumInt64, the filter kernels and the
-// compress kernels need len(v) % 8 == 0, the 4-lane min/max kernels
-// len(v) % 4 == 0, all with len(v) > 0.
+// wrappers' responsibility: avxSumInt64, the filter kernels, the
+// compress kernels and the extraction kernels need len(v) % 8 == 0, the
+// 4-lane min/max kernels len(v) % 4 == 0, all with len(v) > 0.
 
 //go:noescape
 func avxSumInt64(v []int64) int64
@@ -75,6 +76,29 @@ func avxCompressInt64(v []int64, lo, hi int64, kxor uint64, base int64, lut *byt
 
 //go:noescape
 func avxCompressFloat64(v []float64, b float64, wlt, wgt, weq uint64, base int64, lut *byte, out *int32) int64
+
+// The masked extraction kernels, one per operator (the compare predicate
+// is an immediate): out gets Σq1, Σq2, max|x| over the qualifiers and the
+// OR of the residual bits; the result is the qualifying count. See
+// simdSumWindow.
+
+//go:noescape
+func avxExtractSumEq(v []float64, b, s1, s2 float64, out *[4]float64) (cnt int64)
+
+//go:noescape
+func avxExtractSumNe(v []float64, b, s1, s2 float64, out *[4]float64) (cnt int64)
+
+//go:noescape
+func avxExtractSumLt(v []float64, b, s1, s2 float64, out *[4]float64) (cnt int64)
+
+//go:noescape
+func avxExtractSumLe(v []float64, b, s1, s2 float64, out *[4]float64) (cnt int64)
+
+//go:noescape
+func avxExtractSumGt(v []float64, b, s1, s2 float64, out *[4]float64) (cnt int64)
+
+//go:noescape
+func avxExtractSumGe(v []float64, b, s1, s2 float64, out *[4]float64) (cnt int64)
 
 // compressLUT maps an 8-bit pass mask to the lane indices of its set
 // bits, packed to the front — the VPERMD shuffle table for the
@@ -260,3 +284,85 @@ func mask64(w int) uint64 {
 	}
 	return 0
 }
+
+// extractSum runs op's extraction kernel over v (len(v) % 8 == 0, > 0).
+func extractSum(op RangeOp, v []float64, b, s1, s2 float64, out *[4]float64) int64 {
+	switch op {
+	case RangeEq:
+		return avxExtractSumEq(v, b, s1, s2, out)
+	case RangeNe:
+		return avxExtractSumNe(v, b, s1, s2, out)
+	case RangeLt:
+		return avxExtractSumLt(v, b, s1, s2, out)
+	case RangeLe:
+		return avxExtractSumLe(v, b, s1, s2, out)
+	case RangeGt:
+		return avxExtractSumGt(v, b, s1, s2, out)
+	default:
+		return avxExtractSumGe(v, b, s1, s2, out)
+	}
+}
+
+// simdSumWindow adds the qualifying values of one window v (at most
+// fusedBufLen rows) to acc exactly, with no compaction: Rump, Ogita and
+// Oishi's ExtractVector ("Accurate floating-point summation, part I",
+// SIAM J. Sci. Comput. 2008) over masked lanes. With every qualifier
+// |x| < 2^e, σ1 = 2^(e+10) and σ2 = 2^(e-33), each lane runs
+//
+//	x &= pass
+//	q1 = (σ1+x)-σ1; r1 = x-q1; A1 += q1
+//	q2 = (σ2+r1)-σ2; r2 = r1-q2; A2 += q2
+//	res |= r2
+//
+// Every q1 is a multiple of 2^(e-43) no larger than 2^e, and every q2 a
+// multiple of 2^(e-86) no larger than 2^(e-43), so any sum of up to 1024
+// of either fits 53 bits: the lane accumulators, their fold across lanes
+// and the two totals are all exact, whatever the order. When no residual
+// r2 is left, Σq1 + Σq2 is the window's exact sum and two ExactSum adds
+// take it in. A non-qualifier is masked to +0 and adds nothing.
+//
+// e is carried in *exp from window to window (a scan's values change
+// binade rarely; the scan starts from the operand's binade). A window
+// whose qualifiers reach 2^e, or leave a residual under a bound looser
+// than their own, is redone once with the bound its own maximum gives —
+// it is still in L1. It is left to the scalar path (ok == false, acc
+// untouched) when a NaN or infinity qualified (an accumulator is not
+// finite), when a residual remains under its own bound (the qualifiers
+// span more than 33 binades), or when its bound would be past maxSumExp
+// (σ1 would overflow).
+func simdSumWindow(v []float64, pp *preparedPred, acc *ExactSum, exp *int) (n int, ok bool) {
+	whole := len(v) &^ 7
+	if whole == 0 {
+		return 0, false
+	}
+	var out [4]float64
+	for retried := false; ; retried = true {
+		e := *exp
+		cnt := extractSum(pp.op, v[:whole], pp.b, pow2(e+10), pow2(e-33), &out)
+		s1, s2, mx := out[0], out[1], out[2]
+		if math.IsNaN(s1-s1) || math.IsNaN(s2-s2) {
+			return 0, false
+		}
+		if mx < pow2(e) && math.Float64bits(out[3])<<1 == 0 {
+			acc.Add(s1)
+			acc.Add(s2)
+			n = int(cnt)
+			break
+		}
+		ne := sumExpFor(mx)
+		if retried || ne == e {
+			return 0, false
+		}
+		*exp = ne
+	}
+	for _, x := range v[whole:] {
+		if passFloat(x, pp.b, pp.wLt, pp.wGt, pp.wEq) == 1 {
+			acc.Add(x)
+			n++
+		}
+	}
+	return n, true
+}
+
+// pow2 is 2^k for a normal exponent k.
+func pow2(k int) float64 { return math.Float64frombits(uint64(k+1023) << 52) }

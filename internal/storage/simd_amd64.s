@@ -422,3 +422,112 @@ fcloop:
 	MOVQ R9, ret+80(FP)
 	VZEROUPPER
 	RET
+
+// EXTRACT_SUM(NAME, PRED) defines
+// func NAME(v []float64, b, s1, s2 float64, out *[4]float64) (cnt int64)
+// the masked error-free extraction of simdSumWindow, with the filter
+// `x PRED b` as one VCMPPD per vector (PRED is passFloat's operator as an
+// AVX predicate: ordered for Lt/Gt/Ne, unordered for Le/Ge/Eq, so a NaN
+// element or operand passes exactly where passFloat passes it). Eight
+// rows per iteration in two independent accumulator sets (a: Y0/Y2/Y12,
+// b: Y1/Y3/Y13); the count (Y14) and the residual OR (Y15) are shared.
+//   Y8 = b, Y9 = σ1, Y10 = σ2, Y11 = |x| mask
+//   Y0/Y1 = Σq1, Y2/Y3 = Σq2, Y12/Y13 = max|x|
+// out = {Σq1, Σq2, max|x|, OR of r2 bits}. Folding the two sets and the
+// four lanes is exact (every partial is a sum of at most len(v) q's).
+// The loop is compute-bound (14 vector ops per 4 rows), so it prefetches
+// 2 KiB ahead: without it the column streams from DRAM in the gaps,
+// about 1.4x slower over a 32 MB column.
+#define EXTRACT_SUM(NAME, PRED) \
+TEXT NAME(SB), NOSPLIT, $0-64; \
+	MOVQ         v_base+0(FP), SI; \
+	MOVQ         v_len+8(FP), CX; \
+	MOVQ         $0x7FFFFFFFFFFFFFFF, AX; \
+	MOVQ         AX, X11; \
+	VPBROADCASTQ X11, Y11; \
+	VBROADCASTSD b+24(FP), Y8; \
+	VBROADCASTSD s1+32(FP), Y9; \
+	VBROADCASTSD s2+40(FP), Y10; \
+	VXORPD       Y0, Y0, Y0; \
+	VXORPD       Y1, Y1, Y1; \
+	VXORPD       Y2, Y2, Y2; \
+	VXORPD       Y3, Y3, Y3; \
+	VXORPD       Y12, Y12, Y12; \
+	VXORPD       Y13, Y13, Y13; \
+	VPXOR        Y14, Y14, Y14; \
+	VPXOR        Y15, Y15, Y15; \
+loop: \
+	PREFETCHT0 2048(SI); \
+	VMOVUPD (SI), Y4; \
+	VMOVUPD 32(SI), Y5; \
+	VCMPPD  PRED, Y8, Y4, Y6; \
+	VPSUBQ  Y6, Y14, Y14; \
+	VANDPD  Y6, Y4, Y4; \
+	VANDPD  Y11, Y4, Y6; \
+	VMAXPD  Y6, Y12, Y12; \
+	VADDPD  Y9, Y4, Y6; \
+	VSUBPD  Y9, Y6, Y6; \
+	VSUBPD  Y6, Y4, Y4; \
+	VADDPD  Y6, Y0, Y0; \
+	VADDPD  Y10, Y4, Y6; \
+	VSUBPD  Y10, Y6, Y6; \
+	VSUBPD  Y6, Y4, Y4; \
+	VADDPD  Y6, Y2, Y2; \
+	VORPD   Y4, Y15, Y15; \
+	VCMPPD  PRED, Y8, Y5, Y7; \
+	VPSUBQ  Y7, Y14, Y14; \
+	VANDPD  Y7, Y5, Y5; \
+	VANDPD  Y11, Y5, Y7; \
+	VMAXPD  Y7, Y13, Y13; \
+	VADDPD  Y9, Y5, Y7; \
+	VSUBPD  Y9, Y7, Y7; \
+	VSUBPD  Y7, Y5, Y5; \
+	VADDPD  Y7, Y1, Y1; \
+	VADDPD  Y10, Y5, Y7; \
+	VSUBPD  Y10, Y7, Y7; \
+	VSUBPD  Y7, Y5, Y5; \
+	VADDPD  Y7, Y3, Y3; \
+	VORPD   Y5, Y15, Y15; \
+	ADDQ    $64, SI; \
+	SUBQ    $8, CX; \
+	JNZ     loop; \
+	VADDPD       Y1, Y0, Y0; \
+	VADDPD       Y3, Y2, Y2; \
+	VMAXPD       Y13, Y12, Y12; \
+	VEXTRACTF128 $1, Y0, X1; \
+	VADDPD       X1, X0, X0; \
+	VUNPCKHPD    X0, X0, X1; \
+	VADDSD       X1, X0, X0; \
+	VEXTRACTF128 $1, Y2, X3; \
+	VADDPD       X3, X2, X2; \
+	VUNPCKHPD    X2, X2, X3; \
+	VADDSD       X3, X2, X2; \
+	VEXTRACTF128 $1, Y12, X13; \
+	VMAXPD       X13, X12, X12; \
+	VUNPCKHPD    X12, X12, X13; \
+	VMAXSD       X13, X12, X12; \
+	VEXTRACTF128 $1, Y15, X4; \
+	VORPD        X4, X15, X15; \
+	VUNPCKHPD    X15, X15, X4; \
+	VORPD        X4, X15, X15; \
+	VEXTRACTI128 $1, Y14, X5; \
+	VPADDQ       X5, X14, X14; \
+	VPSHUFD      $0xEE, X14, X5; \
+	VPADDQ       X5, X14, X14; \
+	MOVQ         out+48(FP), DI; \
+	VMOVSD       X0, (DI); \
+	VMOVSD       X2, 8(DI); \
+	VMOVSD       X12, 16(DI); \
+	VMOVSD       X15, 24(DI); \
+	VMOVQ        X14, AX; \
+	VZEROUPPER; \
+	MOVQ         AX, cnt+56(FP); \
+	RET
+
+// Predicates: EQ_UQ, NEQ_OQ, LT_OQ, NGT_UQ, GT_OQ, NLT_UQ.
+EXTRACT_SUM(·avxExtractSumEq, $0x08)
+EXTRACT_SUM(·avxExtractSumNe, $0x0C)
+EXTRACT_SUM(·avxExtractSumLt, $0x11)
+EXTRACT_SUM(·avxExtractSumLe, $0x1A)
+EXTRACT_SUM(·avxExtractSumGt, $0x1E)
+EXTRACT_SUM(·avxExtractSumGe, $0x15)

@@ -22,6 +22,7 @@ var (
 	simdMinMax       = false
 	simdFilterMinMax = false
 	simdCompress     = false
+	simdFloatSum     = false
 )
 
 // simdAvailable reports whether this build+host can run the SIMD
@@ -134,4 +135,10 @@ func simdCompressFloat64(v []float64, b float64, wLt, wGt, wEq int, base int, bu
 		j += passFloat(x, b, wLt, wGt, wEq)
 	}
 	return j
+}
+
+// simdSumWindow has no assembly here: float SUM windows compact and add
+// their qualifiers one by one (see Column.sumWindow).
+func simdSumWindow(v []float64, pp *preparedPred, acc *ExactSum, exp *int) (int, bool) {
+	return 0, false
 }

@@ -277,3 +277,116 @@ func TestSIMDDispatchFlagsConsistent(t *testing.T) {
 		t.Fatal("setSIMD restore did not round-trip")
 	}
 }
+
+// twinSumWindow is the scalar twin of simdSumWindow: compaction, then
+// an ExactSum Add per qualifier.
+func twinSumWindow(v []float64, pp *preparedPred, acc *ExactSum) int {
+	n := 0
+	for _, x := range v {
+		if passFloat(x, pp.b, pp.wLt, pp.wGt, pp.wEq) == 1 {
+			acc.Add(x)
+			n++
+		}
+	}
+	return n
+}
+
+// TestSIMDSumWindowDifferential holds the AVX2 extraction window to its
+// scalar twin, bit for bit, for all six operators, NaN and infinite
+// operands, ragged lengths, carried bounds from far too tight to far too
+// loose, and value mixes that force the fallback: values 2^-60 below the
+// bulk (residuals) and non-finite qualifiers. Windows the kernel accepts
+// must add exactly what the twin adds; refused windows must leave the
+// accumulator alone. Where every value qualifies, finite single-binade
+// data must run on the kernel and the forcing mixes must not.
+func TestSIMDSumWindowDifferential(t *testing.T) {
+	skipNoAVX2(t)
+	rng := rand.New(rand.NewSource(8))
+	operands := []float64{0, 0.5, -100, 300, math.NaN(), math.Inf(1), math.Inf(-1)}
+	lengths := []int{16, 17, 23, 24, 31, 64, 100, 257, 1000, 1023, 1024}
+	mixes := []string{"finite", "edges", "residuals", "huge"}
+	accepted := map[string]int{}
+	for _, op := range fusedOps {
+		for _, b := range operands {
+			for _, n := range lengths {
+				for _, mix := range mixes {
+					var v []float64
+					switch mix {
+					case "edges":
+						v = fuzzFloats(rng, n)
+					default:
+						v = make([]float64, n)
+						for i := range v {
+							v[i] = rng.NormFloat64() * 200
+							if mix == "residuals" && i%7 == 3 {
+								v[i] = rng.Float64() * math.Ldexp(200, -60)
+							}
+							if mix == "huge" {
+								v[i] = math.Ldexp(rng.NormFloat64(), 1012+rng.Intn(12))
+							}
+						}
+					}
+					c := NewFloatColumn("f", v)
+					pp := c.preparePred(op, FloatValue(b))
+					for _, e0 := range []int{0, 9, -40, 200} {
+						var got, want ExactSum
+						got.Add(0.25)
+						want.Add(0.25)
+						before := got
+						e := e0
+						gotN, ok := simdSumWindow(v, &pp, &got, &e)
+						if !ok {
+							if got != before {
+								t.Fatalf("op=%d b=%v n=%d %s: refused window touched the accumulator", op, b, n, mix)
+							}
+							continue
+						}
+						if op == RangeGe && math.IsInf(b, -1) { // every value qualifies
+							accepted[mix]++
+						}
+						wantN := twinSumWindow(v, &pp, &want)
+						if gotN != wantN || !sameBits(got.Round(), want.Round()) {
+							t.Fatalf("op=%d b=%v n=%d %s e0=%d: kernel %v over %d, twin %v over %d", op, b, n, mix, e0, got.Round(), gotN, want.Round(), wantN)
+						}
+					}
+				}
+			}
+		}
+	}
+	if accepted["finite"] == 0 || accepted["residuals"] != 0 || accepted["huge"] != 0 {
+		t.Fatalf("accepted windows per mix = %v: finite data must run on the kernel, residuals and σ overflow must not", accepted)
+	}
+}
+
+// TestSIMDSumWindowScanDirectShape runs scan_direct's float SUM — values
+// k/1000 below 1000, `< 500` — as a scan does, 4096 windows of 1024 rows
+// with the bound carried across them: no window may take the fallback,
+// and the total must be the twin's.
+func TestSIMDSumWindowScanDirectShape(t *testing.T) {
+	skipNoAVX2(t)
+	rng := rand.New(rand.NewSource(9))
+	v := make([]float64, 4096*fusedBufLen)
+	for i := range v {
+		v[i] = float64(rng.Int63n(1_000_000)) / 1000
+	}
+	c := NewFloatColumn("f", v)
+	pp := c.preparePred(RangeLt, FloatValue(500))
+	var got, want ExactSum
+	exp, fallbacks, n := 0, 0, 0
+	for lo := 0; lo < len(v); lo += fusedBufLen {
+		w := v[lo : lo+fusedBufLen]
+		k, ok := simdSumWindow(w, &pp, &got, &exp)
+		if !ok {
+			fallbacks++
+			k = twinSumWindow(w, &pp, &got)
+		}
+		n += k
+		twinSumWindow(w, &pp, &want)
+	}
+	if fallbacks != 0 {
+		t.Fatalf("%d of 4096 windows fell back", fallbacks)
+	}
+	if !sameBits(got.Round(), want.Round()) {
+		t.Fatalf("kernel total %v, twin %v", got.Round(), want.Round())
+	}
+}

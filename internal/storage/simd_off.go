@@ -16,6 +16,7 @@ const (
 	simdFilterSum    = false
 	simdFilterMinMax = false
 	simdCompress     = false
+	simdFloatSum     = false
 )
 
 func simdAvailable() bool { return false }
@@ -79,4 +80,10 @@ func simdCompressFloat64(v []float64, b float64, wLt, wGt, wEq int, base int, bu
 		j += passFloat(x, b, wLt, wGt, wEq)
 	}
 	return j
+}
+
+// simdSumWindow has no assembly here: float SUM windows compact and add
+// their qualifiers one by one (see Column.sumWindow).
+func simdSumWindow(v []float64, pp *preparedPred, acc *ExactSum, exp *int) (int, bool) {
+	return 0, false
 }

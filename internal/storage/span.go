@@ -11,12 +11,9 @@ import "math"
 //
 // Result contract against a scalar loop over the same positions:
 // min/max are identical on any data; integer-backed columns (int, bool,
-// string codes) accumulate sums in int64, which is exact and therefore
-// bit-identical to a scalar float loop whenever that loop is itself exact
-// (every partial sum representable in a float64 — all data the
-// equivalence suites run); float64 columns keep a single accumulator in
-// strict left-to-right order so float sums share the scalar path's
-// addition order bit for bit.
+// string codes) accumulate sums in int64, and sums feed an exact
+// accumulator (ExactSum), so a span's sum is the same whatever the order
+// of its values.
 //
 // The inner loops are written for the Go compiler's strengths (see
 // ARCHITECTURE.md "Kernel layer"): one slice expression hoists the bounds
@@ -125,24 +122,27 @@ func (c *Column) SumRangeInt64(lo, hi int) (sum int64, n int, ok bool) {
 	return 0, 0, false
 }
 
-// SumRange sums the float coercion of values [lo, hi) and reports the
-// count, without boxing. String cells coerce to their dictionary code
-// (matching Column.Float). Integer-backed columns accumulate in int64
-// (exact); float columns accumulate strictly left to right.
-func (c *Column) SumRange(lo, hi int) (sum float64, n int) {
+// SumRange adds the float coercion of values [lo, hi) to acc exactly and
+// reports the count, without boxing. String cells coerce to their
+// dictionary code (matching Column.Float). Integer-backed columns sum in
+// int64 and join acc in one exact addition; float columns go through the
+// fused SUM scan's windows with a predicate every value passes.
+func (c *Column) SumRange(lo, hi int, acc *ExactSum) int {
 	lo, hi = c.clampRange(lo, hi)
 	if c.typ == Float64 {
 		c.countSpan(lo, hi)
-		for _, v := range c.flts[lo:hi] {
-			sum += v
+		var sc floatScan
+		for cur := lo; cur < hi; cur += fusedBufLen {
+			sc.sumWindow(c.flts[cur:min(cur+fusedBufLen, hi)], &allPass, acc)
 		}
-		return sum, hi - lo
+		return hi - lo
 	}
 	isum, n, ok := c.SumRangeInt64(lo, hi)
 	if !ok {
-		return 0, 0
+		return 0
 	}
-	return float64(isum), n
+	acc.AddInt(isum)
+	return n
 }
 
 // PrefixInts fills dst — which must have length Len()+1 — with exclusive

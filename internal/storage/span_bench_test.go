@@ -82,7 +82,9 @@ func BenchmarkSumRange(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			b.SetBytes(benchRows * 8)
 			for i := 0; i < b.N; i++ {
-				sinkF, _ = c.SumRange(0, benchRows)
+				var acc ExactSum
+				c.SumRange(0, benchRows, &acc)
+				sinkF = acc.Round()
 			}
 		})
 	}
@@ -174,7 +176,7 @@ func benchFusedBlocked(b *testing.B, c *Column, span int, operand Value, mode Fu
 	charged := 0
 	onBlock := func(_, k int) { charged += k }
 	for i := 0; i < b.N; i++ {
-		fa := c.FilterAggRangeBlocked(benchSpanLo, benchSpanLo+span, benchBlockLen, RangeLt, operand, mode, 0, onBlock)
+		fa := c.FilterAggRangeBlocked(benchSpanLo, benchSpanLo+span, benchBlockLen, RangeLt, operand, mode, onBlock)
 		sinkF = fa.Sum
 		sinkN = fa.N
 	}
@@ -207,7 +209,7 @@ func benchFusedSelBlocked(b *testing.B, c *Column, base []int32, operand Value) 
 	charged := 0
 	onBlock := func(_, k int) { charged += k }
 	for i := 0; i < b.N; i++ {
-		fa := c.FilterAggSelBlocked(base, benchBlockLen, RangeLt, operand, FusedSum, 0, onBlock)
+		fa := c.FilterAggSelBlocked(base, benchBlockLen, RangeLt, operand, FusedSum, onBlock)
 		sinkF = fa.Sum
 	}
 	sinkN = charged
@@ -271,14 +273,12 @@ func BenchmarkFilterThenSumRangeOverSel(b *testing.B) {
 			var out []int32
 			for i := 0; i < b.N; i++ {
 				out = c.FilterRange(0, benchRows, RangeLt, IntValue(sel.operand), out[:0])
-				var sum float64
+				var sum ExactSum
 				n := 0
 				forEachRun(out, func(lo, hi int) {
-					s, k := c.SumRange(lo, hi)
-					sum += s
-					n += k
+					n += c.SumRange(lo, hi, &sum)
 				})
-				sinkF = sum
+				sinkF = sum.Round()
 				sinkN = n
 			}
 		})
@@ -339,3 +339,29 @@ var (
 	sinkI  int64
 	sinkN  int
 )
+
+// BenchmarkExactSum is the scalar twin's inner cost: one ExactSum.Add per
+// value (what purego, arm64, -race and a fallen-back window pay per
+// qualifier), and the Round a running aggregate pays per answer.
+func BenchmarkExactSum(b *testing.B) {
+	c := benchFloatCol()
+	b.Run("add", func(b *testing.B) {
+		b.SetBytes(benchRows * 8)
+		for i := 0; i < b.N; i++ {
+			var acc ExactSum
+			for _, v := range c.flts {
+				acc.Add(v)
+			}
+			sinkF = acc.Round()
+		}
+	})
+	b.Run("round", func(b *testing.B) {
+		var acc ExactSum
+		for _, v := range c.flts[:1000] {
+			acc.Add(v)
+		}
+		for i := 0; i < b.N; i++ {
+			sinkF = acc.Round()
+		}
+	})
+}

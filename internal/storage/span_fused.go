@@ -15,63 +15,61 @@ import "math"
 // select through sentinel values, so the inner loop carries no
 // data-dependent branch on integer-backed columns.
 //
-// Float columns compact, then reduce: a masked float add would turn
-// -0.0, NaN and Inf non-qualifiers into sum perturbations, so each step
-// first packs the qualifying positions into a block-sized stack buffer —
-// the branch-free compare+compress FilterRange runs, AVX2 where the
-// build+host has it — and a tight loop folds them. The scan carries one
-// accumulator through every chunk, seeded with the consumer's running sum,
-// and adds each qualifier strictly left to right: ((seed + v1) + v2) + …,
-// never a per-chunk partial. The result is bit-identical to a scalar
-// filter-then-add loop continuing from the seed and independent of the
-// chunk width, which is what lets float SUM/AVG slides fuse like every
-// other kind.
+// Every sum a scan hands back is exact: integer-backed chunks sum in
+// int64 and that sum joins an ExactSum, and float qualifiers join it too,
+// so the result does not depend on the chunking, the lane split or the
+// order of the rows — which is what lets the float SUM scan run as one
+// vector pass (sumWindow). Float COUNT, MIN and MAX compact first, then
+// reduce: a masked min/max would turn -0.0 and NaN non-qualifiers into
+// candidates, so each step packs the qualifying positions into a
+// block-sized stack buffer — the branch-free compare+compress FilterRange
+// runs, AVX2 where the build+host has it — and a tight loop folds them.
 
 // FilterAgg is the result of one fused filter+aggregate scan: the count
-// and extrema of the qualifying values, and the running sum the scan was
-// seeded with after they joined it. With no qualifiers Min/Max are
-// +Inf/-Inf and Sum is the seed, matching MinMaxRange on an empty range.
-// Integer-backed columns report Exact=true and carry the span's exact
-// int64 sum in IntSum, which joins the seed in one addition; merging
-// exact chunks stays exact, so a scan split into cost-model blocks loses
-// nothing.
+// and extrema of the qualifying values and their exact sum. With no
+// qualifiers Min/Max are +Inf/-Inf and Sum is +0, matching MinMaxRange
+// on an empty range.
 type FilterAgg struct {
 	// N counts qualifying values.
 	N int
-	// Sum is the seed plus the qualifying values: added one by one in
-	// position order on float columns, as seed + float64(IntSum) when
-	// Exact. Modes that do not maintain a sum hand the seed back.
+	// Sum is Partial rounded once (0 in modes that keep no sum).
 	Sum float64
-	// IntSum is the exact integer sum for integer-backed columns
-	// (overflow wraps, like any int64 sum).
-	IntSum int64
-	// Exact reports that IntSum is authoritative.
-	Exact bool
+	// Partial is the exact sum of the qualifying values, for a running
+	// aggregate to merge without rounding.
+	Partial ExactSum
 	// Min and Max are the extrema of qualifying values (+Inf/-Inf when
 	// N == 0); NaN qualifiers are skipped, matching a scalar
 	// `if v < min` loop.
 	Min, Max float64
+	// isum is an integer-backed scan's wrapping int64 sum, which joins
+	// Partial once the scan ends: wrapping addition is associative, so
+	// the result is the same at any chunking.
+	isum int64
 }
 
-// emptyFilterAgg is the zero-qualifier result.
-func emptyFilterAgg() FilterAgg {
-	return FilterAgg{Min: math.Inf(1), Max: math.Inf(-1)}
+// chunkAgg is one chunk of an integer-backed scan: its qualifying count,
+// their wrapping int64 sum and their extrema.
+type chunkAgg struct {
+	n        int
+	isum     int64
+	min, max float64
 }
 
-// merge folds b — a later chunk of the same integer-backed scan — into a:
-// counts and integer sums add exactly, and a tie between extrema keeps
-// the earlier chunk's. Sum is settled once, by finish. Float columns have
-// nothing to merge — their scans fold every chunk into one accumulator
-// (see foldFloats) — because adding chunk partials would reassociate the
-// sum.
-func (a *FilterAgg) merge(b FilterAgg) {
-	a.N += b.N
-	a.IntSum += b.IntSum
-	if b.Min < a.Min {
-		a.Min = b.Min
+// emptyChunk is the zero-qualifier chunk.
+func emptyChunk() chunkAgg {
+	return chunkAgg{min: math.Inf(1), max: math.Inf(-1)}
+}
+
+// absorb folds a chunk of the same scan into a: counts and integer sums
+// add, and a tie between extrema keeps the earlier chunk's.
+func (a *FilterAgg) absorb(ca chunkAgg) {
+	a.N += ca.n
+	a.isum += ca.isum
+	if ca.min < a.Min {
+		a.Min = ca.min
 	}
-	if b.Max > a.Max {
-		a.Max = b.Max
+	if ca.max > a.Max {
+		a.Max = ca.max
 	}
 }
 
@@ -111,12 +109,12 @@ func passMax(mx, v int64, q int) int64 {
 	return max(mx, v&m|(math.MinInt64&^m))
 }
 
-func (f filterAggInt) result() FilterAgg {
-	agg := FilterAgg{N: f.cnt, IntSum: f.isum, Exact: true, Min: math.Inf(1), Max: math.Inf(-1)}
+func (f filterAggInt) result() chunkAgg {
+	ca := chunkAgg{n: f.cnt, isum: f.isum, min: math.Inf(1), max: math.Inf(-1)}
 	if f.cnt > 0 {
-		agg.Min, agg.Max = float64(f.mn), float64(f.mx)
+		ca.min, ca.max = float64(f.mn), float64(f.mx)
 	}
-	return agg
+	return ca
 }
 
 // sumMaskedLe counts and sums values v <= bound — the single-compare
@@ -274,41 +272,34 @@ const (
 	FusedMin
 	// FusedMax maintains count and maximum (sum comes back 0, Min +Inf).
 	FusedMax
-	// FusedFull maintains count, sum and extrema. No aggregate kind asks
-	// for it; it runs the scalar loops only.
-	FusedFull
 )
-
-// keepsSum, keepsMin and keepsMax report what a mode maintains.
-func (m FusedMode) keepsSum() bool { return m == FusedSum || m == FusedFull }
-func (m FusedMode) keepsMin() bool { return m == FusedMin || m == FusedFull }
-func (m FusedMode) keepsMax() bool { return m == FusedMax || m == FusedFull }
 
 // only drops from a what mode does not maintain: the integer sum back to
 // 0, an unkept extremum back to ±Inf.
-func (a FilterAgg) only(mode FusedMode) FilterAgg {
-	if !mode.keepsSum() {
-		a.IntSum = 0
+func (a chunkAgg) only(mode FusedMode) chunkAgg {
+	if mode != FusedSum {
+		a.isum = 0
 	}
-	if !mode.keepsMin() {
-		a.Min = math.Inf(1)
+	if mode != FusedMin {
+		a.min = math.Inf(1)
 	}
-	if !mode.keepsMax() {
-		a.Max = math.Inf(-1)
+	if mode != FusedMax {
+		a.max = math.Inf(-1)
 	}
 	return a
 }
 
 // preparedPred is per-scan predicate state lowered exactly once: the
-// integer bounds for int columns, the wants masks for float columns, the
-// two-outcome table for bools, and the memoized per-code table for
-// strings. Blocked scans prepare it up front so per-chunk work is only
-// the inner loop.
+// integer bounds for int columns, the operator and wants masks for float
+// columns, the two-outcome table for bools, and the memoized per-code
+// table for strings. Blocked scans prepare it up front so per-chunk work
+// is only the inner loop.
 type preparedPred struct {
 	// Int64 columns.
 	ip        intPred
 	none, all bool
 	// Float64 columns.
+	op            RangeOp
 	b             float64
 	wLt, wGt, wEq int
 	// Bool columns.
@@ -326,7 +317,7 @@ func (c *Column) preparePred(op RangeOp, operand Value) preparedPred {
 	case Int64:
 		pp.ip, pp.none, pp.all = intPredFor(op, operand.AsFloat())
 	case Float64:
-		pp.b = operand.AsFloat()
+		pp.op, pp.b = op, operand.AsFloat()
 		pp.wLt, pp.wGt, pp.wEq = op.wants()
 	case Bool:
 		b := operand.AsFloat()
@@ -337,24 +328,41 @@ func (c *Column) preparePred(op RangeOp, operand Value) preparedPred {
 	return pp
 }
 
-// fusedBufLen is how many rows one compact-then-reduce step of a float
-// scan classifies; the position buffer (4 KiB) lives on the scan's stack.
-// It equals iomodel's default BlockValues, so a served cost-model block is
-// one compaction.
+// fusedBufLen is how many rows one window of a float scan covers: the
+// position buffer (4 KiB) of a compact-then-reduce step lives on the
+// scan's stack, and a SUM window's vector extraction stays exact up to
+// this many rows. It equals iomodel's default BlockValues, so a served
+// cost-model block is one window.
 const fusedBufLen = 1024
 
-// foldFloats folds the values at pos — one step's qualifying positions,
-// ascending — into agg, each added to the running sum in position order.
+// floatScan is the per-scan state of a float column: the compaction
+// buffer, and the exponent bound the SUM windows carry from one to the
+// next (see simdSumWindow), first guessed from the operand.
+type floatScan struct {
+	buf [fusedBufLen]int32
+	exp int
+}
+
+const (
+	// maxSumExp keeps σ1 = 2^(e+10) finite.
+	maxSumExp = 1013
+	// minSumExp keeps σ2 = 2^(e-33) and its quantum 2^(e-86) normal.
+	minSumExp = -960
+)
+
+// sumExpFor is the least bound e with mx < 2^e, clamped to
+// [minSumExp, maxSumExp]: at the top clamp mx may reach 2^e, which the
+// window then reports.
+func sumExpFor(mx float64) int {
+	_, e := math.Frexp(mx)
+	return min(max(e, minSumExp), maxSumExp)
+}
+
+// foldFloats folds the extrema of the values at pos — one step's
+// qualifying positions — into agg, as mode asks.
 func foldFloats(vals []float64, pos []int32, mode FusedMode, agg *FilterAgg) {
-	agg.N += len(pos)
-	if mode.keepsSum() {
-		sum := agg.Sum
-		for _, p := range pos {
-			sum += vals[p]
-		}
-		agg.Sum = sum
-	}
-	if mode.keepsMin() {
+	switch mode {
+	case FusedMin:
 		mn := agg.Min
 		for _, p := range pos {
 			if v := vals[p]; v < mn {
@@ -362,8 +370,7 @@ func foldFloats(vals []float64, pos []int32, mode FusedMode, agg *FilterAgg) {
 			}
 		}
 		agg.Min = mn
-	}
-	if mode.keepsMax() {
+	case FusedMax:
 		mx := agg.Max
 		for _, p := range pos {
 			if v := vals[p]; v > mx {
@@ -374,46 +381,66 @@ func foldFloats(vals []float64, pos []int32, mode FusedMode, agg *FilterAgg) {
 	}
 }
 
+// allPass is the predicate every value passes, NaN included (x >= -Inf
+// under passFloat's rule): SumRange sums through the SUM windows with it.
+var allPass = preparedPred{op: RangeGe, b: math.Inf(-1), wGt: 1, wEq: 1}
+
+// sumWindow adds the values of v — one window, at most fusedBufLen of
+// them — that pass pp to acc exactly and reports how many passed. Where
+// the build+host has AVX2 the window is one masked extraction pass with
+// no compaction; a window the extraction cannot hold exactly (see
+// simdSumWindow), and every window elsewhere, compacts and adds the
+// qualifiers one by one — the same exact sum either way.
+func (sc *floatScan) sumWindow(v []float64, pp *preparedPred, acc *ExactSum) int {
+	if simdFloatSum && len(v) >= simdMinSpan {
+		if n, ok := simdSumWindow(v, pp, acc, &sc.exp); ok {
+			return n
+		}
+	}
+	k := compressFloat64(v, pp.b, pp.wLt, pp.wGt, pp.wEq, 0, sc.buf[:])
+	for _, p := range sc.buf[:k] {
+		acc.Add(v[p])
+	}
+	return k
+}
+
 // fusedChunk runs one prepared chunk [lo, hi) (already clamped) into
-// total and returns how many of its values qualified. Float chunks
-// compact the qualifying positions into buf, fusedBufLen rows at a time,
-// and fold them straight into total; the other types aggregate the chunk
-// on its own and merge exactly.
-func (c *Column) fusedChunk(pp *preparedPred, lo, hi int, mode FusedMode, total *FilterAgg, buf *[fusedBufLen]int32) int {
+// total and returns how many of its values qualified. Float chunks go
+// window by window: SUM through sumWindow, the other modes by compacting
+// the qualifying positions into the scan's buffer and folding them.
+// The other types aggregate the chunk on its own and absorb it exactly.
+func (c *Column) fusedChunk(pp *preparedPred, lo, hi int, mode FusedMode, total *FilterAgg, sc *floatScan) int {
 	c.countSpan(lo, hi)
 	if c.typ != Float64 {
-		fa := c.exactChunk(pp, lo, hi, mode)
-		total.merge(fa)
-		return fa.N
+		ca := c.exactChunk(pp, lo, hi, mode)
+		total.absorb(ca)
+		return ca.n
 	}
-	before := total.N
+	n := 0
 	for cur := lo; cur < hi; cur += fusedBufLen {
 		end := min(cur+fusedBufLen, hi)
-		k := compressFloat64(c.flts[cur:end], pp.b, pp.wLt, pp.wGt, pp.wEq, cur, buf[:])
-		foldFloats(c.flts, buf[:k], mode, total)
+		if mode == FusedSum {
+			n += sc.sumWindow(c.flts[cur:end], pp, &total.Partial)
+			continue
+		}
+		k := compressFloat64(c.flts[cur:end], pp.b, pp.wLt, pp.wGt, pp.wEq, cur, sc.buf[:])
+		foldFloats(c.flts, sc.buf[:k], mode, total)
+		n += k
 	}
-	return total.N - before
+	total.N += n
+	return n
 }
 
 // exactChunk aggregates one chunk of an integer-backed column: count,
-// IntSum and extrema (Sum is the scan's to settle, see finish).
-func (c *Column) exactChunk(pp *preparedPred, lo, hi int, mode FusedMode) FilterAgg {
+// wrapping int64 sum and extrema, as far as mode keeps them.
+func (c *Column) exactChunk(pp *preparedPred, lo, hi int, mode FusedMode) chunkAgg {
 	switch c.typ {
 	case Int64:
 		vals := c.ints[lo:hi]
 		if pp.none {
-			return emptyFilterAgg()
+			return emptyChunk()
 		}
 		switch mode {
-		case FusedSum:
-			var cnt int
-			var isum int64
-			if pp.all {
-				cnt, isum = len(vals), sumInt64Kernel(vals)
-			} else {
-				cnt, isum = filterSumInt64(vals, pp.ip)
-			}
-			return FilterAgg{N: cnt, IntSum: isum, Exact: true, Min: math.Inf(1), Max: math.Inf(-1)}
 		case FusedCount:
 			cnt := 0
 			switch {
@@ -426,21 +453,24 @@ func (c *Column) exactChunk(pp *preparedPred, lo, hi int, mode FusedMode) Filter
 					cnt += pp.ip.test(v)
 				}
 			}
-			return FilterAgg{N: cnt, Exact: true, Min: math.Inf(1), Max: math.Inf(-1)}
+			return chunkAgg{n: cnt, min: math.Inf(1), max: math.Inf(-1)}
 		// pp.all lowers to the trivially-true interval, which the
 		// extremum loops handle without a special case.
 		case FusedMin:
 			cnt, mn := filterMinInt64(vals, pp.ip)
-			return extremumAgg(cnt, mn, mode)
+			return extremumChunk(cnt, mn, mode)
 		case FusedMax:
 			cnt, mx := filterMaxInt64(vals, pp.ip)
-			return extremumAgg(cnt, mx, mode)
-		default: // FusedFull
-			f := newFilterAggInt()
-			for _, v := range vals {
-				f.absorb(v, pp.ip.test(v))
+			return extremumChunk(cnt, mx, mode)
+		default: // FusedSum
+			var cnt int
+			var isum int64
+			if pp.all {
+				cnt, isum = len(vals), sumInt64Kernel(vals)
+			} else {
+				cnt, isum = filterSumInt64(vals, pp.ip)
 			}
-			return f.result()
+			return chunkAgg{n: cnt, isum: isum, min: math.Inf(1), max: math.Inf(-1)}
 		}
 	case Bool:
 		cnt, ones := 0, 0
@@ -449,11 +479,11 @@ func (c *Column) exactChunk(pp *preparedPred, lo, hi int, mode FusedMode) Filter
 			cnt += q
 			ones += q & int(v&1)
 		}
-		return boolFilterAgg(cnt, ones, mode)
+		return boolChunk(cnt, ones, mode)
 	case String:
 		switch mode {
 		case FusedCount:
-			return FilterAgg{N: countPassing(c.codes[lo:hi], pp.pass), Exact: true, Min: math.Inf(1), Max: math.Inf(-1)}
+			return chunkAgg{n: countPassing(c.codes[lo:hi], pp.pass), min: math.Inf(1), max: math.Inf(-1)}
 		case FusedSum:
 			cnt := 0
 			var isum int64
@@ -462,7 +492,7 @@ func (c *Column) exactChunk(pp *preparedPred, lo, hi int, mode FusedMode) Filter
 				cnt += q
 				isum += int64(code) & int64(-q)
 			}
-			return FilterAgg{N: cnt, IntSum: isum, Exact: true, Min: math.Inf(1), Max: math.Inf(-1)}
+			return chunkAgg{n: cnt, isum: isum, min: math.Inf(1), max: math.Inf(-1)}
 		default:
 			f := newFilterAggInt()
 			for _, code := range c.codes[lo:hi] {
@@ -471,53 +501,50 @@ func (c *Column) exactChunk(pp *preparedPred, lo, hi int, mode FusedMode) Filter
 			return f.result().only(mode)
 		}
 	}
-	return emptyFilterAgg()
+	return emptyChunk()
 }
 
-// extremumAgg assembles a FusedMin or FusedMax chunk result from the
+// extremumChunk assembles a FusedMin or FusedMax chunk from the
 // qualifying count and the one extremum the mode keeps.
-func extremumAgg(cnt int, ext int64, mode FusedMode) FilterAgg {
-	agg := FilterAgg{N: cnt, Exact: true, Min: math.Inf(1), Max: math.Inf(-1)}
+func extremumChunk(cnt int, ext int64, mode FusedMode) chunkAgg {
+	ca := chunkAgg{n: cnt, min: math.Inf(1), max: math.Inf(-1)}
 	if cnt > 0 {
 		if mode == FusedMin {
-			agg.Min = float64(ext)
+			ca.min = float64(ext)
 		} else {
-			agg.Max = float64(ext)
+			ca.max = float64(ext)
 		}
 	}
-	return agg
+	return ca
 }
 
-// boolFilterAgg assembles a bool-column result from pass counts.
-func boolFilterAgg(cnt, ones int, mode FusedMode) FilterAgg {
-	agg := FilterAgg{N: cnt, IntSum: int64(ones), Exact: true, Min: math.Inf(1), Max: math.Inf(-1)}
+// boolChunk assembles a bool-column chunk from pass counts.
+func boolChunk(cnt, ones int, mode FusedMode) chunkAgg {
+	ca := chunkAgg{n: cnt, isum: int64(ones), min: math.Inf(1), max: math.Inf(-1)}
 	if cnt > 0 {
-		agg.Min, agg.Max = 1, 0
+		ca.min, ca.max = 1, 0
 		if cnt > ones {
-			agg.Min = 0
+			ca.min = 0
 		}
 		if ones > 0 {
-			agg.Max = 1
+			ca.max = 1
 		}
 	}
-	return agg.only(mode)
+	return ca.only(mode)
 }
 
-// seeded returns the accumulator a blocked scan over c starts from.
-func (c *Column) seeded(seed float64) FilterAgg {
-	total := emptyFilterAgg()
-	total.Sum = seed
-	total.Exact = c.typ != Float64
-	return total
+// emptyFilterAgg is the zero-qualifier result.
+func emptyFilterAgg() FilterAgg {
+	return FilterAgg{Min: math.Inf(1), Max: math.Inf(-1)}
 }
 
-// finish settles Sum once the last chunk is in: an exact scan's merged
-// integer sum joins the seed in one addition (float scans added their
-// qualifiers to the seed as they went). Without qualifiers the seed comes
-// back untouched, sign of zero included.
+// finish settles the sum once the last chunk is in: an integer-backed
+// scan's sum joins Partial, which is rounded once.
 func (a *FilterAgg) finish(mode FusedMode) {
-	if a.Exact && a.N > 0 && mode.keepsSum() {
-		a.Sum += float64(a.IntSum)
+	if mode == FusedSum {
+		a.Partial.AddInt(a.isum)
+		a.isum = 0
+		a.Sum = a.Partial.Round()
 	}
 }
 
@@ -525,15 +552,13 @@ func (a *FilterAgg) finish(mode FusedMode) {
 // in chunks aligned to blockLen boundaries, lowering the predicate once
 // for the whole scan and reporting each chunk's qualifying count to
 // onBlock (the cost-charging hook: one chunk never crosses a cost-model
-// block). seed is the consumer's running sum, which the result's Sum
-// continues (pass 0 for the span's own sum). Result-equal to FilterRange
-// followed by a scalar aggregation of the selection starting from seed,
-// for any blockLen (asserted by TestFusedKernelsMatchCompose); the
-// chunking only exists so callers can charge per block without
-// re-deriving the predicate per chunk.
-func (c *Column) FilterAggRangeBlocked(lo, hi, blockLen int, op RangeOp, operand Value, mode FusedMode, seed float64, onBlock func(start, count int)) FilterAgg {
+// block). Result-equal to FilterRange followed by an exact aggregation of
+// the selection, for any blockLen (asserted by
+// TestFusedKernelsMatchCompose); the chunking only exists so callers can
+// charge per block without re-deriving the predicate per chunk.
+func (c *Column) FilterAggRangeBlocked(lo, hi, blockLen int, op RangeOp, operand Value, mode FusedMode, onBlock func(start, count int)) FilterAgg {
 	lo, hi = c.clampRange(lo, hi)
-	total := c.seeded(seed)
+	total := emptyFilterAgg()
 	if hi == lo {
 		return total
 	}
@@ -541,10 +566,10 @@ func (c *Column) FilterAggRangeBlocked(lo, hi, blockLen int, op RangeOp, operand
 		blockLen = hi - lo
 	}
 	pp := c.preparePred(op, operand)
-	var buf [fusedBufLen]int32
+	sc := floatScan{exp: sumExpFor(math.Abs(pp.b))}
 	for cur := lo; cur < hi; {
 		end := min((cur/blockLen+1)*blockLen, hi)
-		if k := c.fusedChunk(&pp, cur, end, mode, &total, &buf); onBlock != nil && k > 0 {
+		if k := c.fusedChunk(&pp, cur, end, mode, &total, &sc); onBlock != nil && k > 0 {
 			onBlock(cur, k)
 		}
 		cur = end
@@ -557,8 +582,8 @@ func (c *Column) FilterAggRangeBlocked(lo, hi, blockLen int, op RangeOp, operand
 // the ascending selection is segmented at blockLen boundaries, each
 // segment's qualifying count goes to onBlock, and the predicate is
 // lowered once. Out-of-range positions are skipped, matching FilterSel.
-func (c *Column) FilterAggSelBlocked(sel []int32, blockLen int, op RangeOp, operand Value, mode FusedMode, seed float64, onBlock func(start, count int)) FilterAgg {
-	total := c.seeded(seed)
+func (c *Column) FilterAggSelBlocked(sel []int32, blockLen int, op RangeOp, operand Value, mode FusedMode, onBlock func(start, count int)) FilterAgg {
+	total := emptyFilterAgg()
 	if len(sel) == 0 {
 		return total
 	}
@@ -566,14 +591,14 @@ func (c *Column) FilterAggSelBlocked(sel []int32, blockLen int, op RangeOp, oper
 		blockLen = c.Len() + 1
 	}
 	pp := c.preparePred(op, operand)
-	var buf [fusedBufLen]int32
+	sc := floatScan{exp: sumExpFor(math.Abs(pp.b))}
 	for i := 0; i < len(sel); {
 		end := (int(sel[i])/blockLen + 1) * blockLen
 		j := i + 1
 		for j < len(sel) && int(sel[j]) < end {
 			j++
 		}
-		if k := c.fusedSelChunk(&pp, sel[i:j], mode, &total, &buf); onBlock != nil && k > 0 {
+		if k := c.fusedSelChunk(&pp, sel[i:j], mode, &total, &sc); onBlock != nil && k > 0 {
 			onBlock(int(sel[i]), k)
 		}
 		i = j
@@ -584,15 +609,34 @@ func (c *Column) FilterAggSelBlocked(sel []int32, blockLen int, op RangeOp, oper
 
 // fusedSelChunk runs one prepared segment of a selection into total and
 // returns how many of its rows qualified — fusedChunk's selection form.
-func (c *Column) fusedSelChunk(pp *preparedPred, sel []int32, mode FusedMode, total *FilterAgg, buf *[fusedBufLen]int32) int {
+func (c *Column) fusedSelChunk(pp *preparedPred, sel []int32, mode FusedMode, total *FilterAgg, sc *floatScan) int {
 	c.countSel(len(sel))
 	n := c.Len()
 	if c.typ != Float64 {
-		fa := c.exactSelChunk(pp, sel, n, mode)
-		total.merge(fa)
-		return fa.N
+		ca := c.exactSelChunk(pp, sel, n, mode)
+		total.absorb(ca)
+		return ca.n
 	}
-	before := total.N
+	qualified := 0
+	if mode == FusedSum {
+		// Gather the segment's values and sum them through the same
+		// windows as a range scan, the predicate applied there.
+		var vals [fusedBufLen]float64
+		for len(sel) > 0 {
+			step := sel[:min(len(sel), fusedBufLen)]
+			k := 0
+			for _, p := range step {
+				if p >= 0 && int(p) < n {
+					vals[k] = c.flts[p]
+					k++
+				}
+			}
+			qualified += sc.sumWindow(vals[:k], pp, &total.Partial)
+			sel = sel[len(step):]
+		}
+		total.N += qualified
+		return qualified
+	}
 	for len(sel) > 0 {
 		step := sel[:min(len(sel), fusedBufLen)]
 		k := 0
@@ -600,22 +644,24 @@ func (c *Column) fusedSelChunk(pp *preparedPred, sel []int32, mode FusedMode, to
 			if p < 0 || int(p) >= n {
 				continue
 			}
-			buf[k] = p
+			sc.buf[k] = p
 			k += passFloat(c.flts[p], pp.b, pp.wLt, pp.wGt, pp.wEq)
 		}
-		foldFloats(c.flts, buf[:k], mode, total)
+		foldFloats(c.flts, sc.buf[:k], mode, total)
+		qualified += k
 		sel = sel[len(step):]
 	}
-	return total.N - before
+	total.N += qualified
+	return qualified
 }
 
 // exactSelChunk aggregates one selection segment of an integer-backed
 // column.
-func (c *Column) exactSelChunk(pp *preparedPred, sel []int32, n int, mode FusedMode) FilterAgg {
+func (c *Column) exactSelChunk(pp *preparedPred, sel []int32, n int, mode FusedMode) chunkAgg {
 	switch c.typ {
 	case Int64:
 		if pp.none {
-			return emptyFilterAgg()
+			return emptyChunk()
 		}
 		switch mode {
 		case FusedSum, FusedCount:
@@ -630,11 +676,7 @@ func (c *Column) exactSelChunk(pp *preparedPred, sel []int32, n int, mode FusedM
 				cnt += q
 				isum += v & int64(-q)
 			}
-			agg := FilterAgg{N: cnt, Exact: true, Min: math.Inf(1), Max: math.Inf(-1)}
-			if mode == FusedSum {
-				agg.IntSum = isum
-			}
-			return agg
+			return chunkAgg{n: cnt, isum: isum, min: math.Inf(1), max: math.Inf(-1)}.only(mode)
 		default:
 			f := newFilterAggInt()
 			for _, p := range sel {
@@ -657,7 +699,7 @@ func (c *Column) exactSelChunk(pp *preparedPred, sel []int32, n int, mode FusedM
 			cnt += q
 			ones += q & int(v)
 		}
-		return boolFilterAgg(cnt, ones, mode)
+		return boolChunk(cnt, ones, mode)
 	case String:
 		f := newFilterAggInt()
 		for _, p := range sel {
@@ -669,5 +711,5 @@ func (c *Column) exactSelChunk(pp *preparedPred, sel []int32, n int, mode FusedM
 		}
 		return f.result().only(mode)
 	}
-	return emptyFilterAgg()
+	return emptyChunk()
 }

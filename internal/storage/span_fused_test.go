@@ -10,53 +10,34 @@ import (
 // The fused-kernel property suite: the blocked fused scans
 // (FilterAggRangeBlocked, FilterAggSelBlocked) must equal the
 // compose-of-parts path — FilterRange (or FilterSel) to a selection
-// vector, then a scalar aggregation loop over the selection, continuing
-// the seeded running sum — for all operators × column types × modes ×
-// block lengths × seeds × edge cases (NaN data and operands, empty and
-// inverted ranges, out-of-bounds clamping). Sums are compared bit for bit:
-// a float scan that added chunk partials, or added the seed last, would
-// differ. CI runs this under -race with the rest of the package.
+// vector, then a scalar aggregation loop over the selection — for all
+// operators × column types × modes × block lengths × seeds × edge cases
+// (NaN data and operands, empty and inverted ranges, out-of-bounds
+// clamping). Sums are compared bit for bit: every scan reports the exact
+// sum rounded once, so its bits cannot depend on the block length, the
+// windowing or the vector lanes. CI runs this under -race with the rest
+// of the package.
 
 var (
 	fusedOps       = []RangeOp{RangeEq, RangeNe, RangeLt, RangeLe, RangeGt, RangeGe}
-	fusedModes     = []FusedMode{FusedCount, FusedSum, FusedMin, FusedMax, FusedFull}
+	fusedModes     = []FusedMode{FusedCount, FusedSum, FusedMin, FusedMax}
 	fusedBlockLens = []int{0, 1, 7, 64, 1024, 10000}
 )
 
-// fusedSeed draws a running sum for a scan to continue. Next to 1e16 a
-// qualifying 1.0 is half an ulp: added alone it is lost, added as part of
-// a chunk's partial sum it is not, so a scan that reassociates shows; -0
-// survives only while nothing but -0 joins it.
-func fusedSeed(rng *rand.Rand) float64 {
-	switch rng.Intn(5) {
-	case 0:
-		return 0
-	case 1:
-		return math.Copysign(0, -1)
-	case 2:
-		return math.Copysign(1e16, rng.Float64()-0.5)
-	default:
-		return (rng.Float64() - 0.5) * 1e3
-	}
-}
-
-// composeAgg is the scalar reference: aggregate over the selection
-// exactly as a filter-then-add loop continuing the running sum seed would
-// — int64 accumulation for integer-backed columns, joined to the seed in
-// one addition (the fused kernels' exactness contract; it matches a float
-// loop bitwise whenever that loop is itself exact, and is the more
-// accurate answer beyond 2^53), float left-to-right from the seed for
-// float columns.
-func composeAgg(c *Column, sel []int32, seed float64) FilterAgg {
+// composeAgg is the scalar reference: aggregate over the selection one
+// value at a time — a wrapping int64 sum for integer-backed columns (the
+// fused kernels' integer contract: it matches a float loop whenever that
+// loop is exact, and is the more accurate answer beyond 2^53), an ExactSum
+// Add per value for float columns — and round the sum once.
+func composeAgg(c *Column, sel []int32) FilterAgg {
 	want := emptyFilterAgg()
-	want.Sum = seed
-	want.Exact = c.Type() != Float64
+	var isum int64
 	for _, p := range sel {
 		v := c.Float(int(p))
-		if want.Exact {
-			want.IntSum += c.Int(int(p))
+		if c.Type() == Float64 {
+			want.Partial.Add(v)
 		} else {
-			want.Sum += v
+			isum += c.Int(int(p))
 		}
 		want.N++
 		if v < want.Min {
@@ -66,9 +47,8 @@ func composeAgg(c *Column, sel []int32, seed float64) FilterAgg {
 			want.Max = v
 		}
 	}
-	if want.Exact && want.N > 0 {
-		want.Sum = seed + float64(want.IntSum)
-	}
+	want.Partial.AddInt(isum)
+	want.Sum = want.Partial.Round()
 	return want
 }
 
@@ -108,32 +88,30 @@ func composeRange(t *testing.T, c *Column, lo, hi int, op RangeOp, operand Value
 
 // checkBlocked runs one blocked scan — scan hands the counting onBlock to
 // FilterAggRangeBlocked or FilterAggSelBlocked — and holds its result and
-// its per-chunk counts to the compose over sel from the same seed.
-func checkBlocked(t *testing.T, label string, c *Column, sel []int32, mode FusedMode, bl int, seed float64, scan func(onBlock func(start, count int)) FilterAgg) {
+// its per-chunk counts to the compose over sel.
+func checkBlocked(t *testing.T, label string, c *Column, sel []int32, mode FusedMode, bl int, scan func(onBlock func(start, count int)) FilterAgg) {
 	t.Helper()
-	want := composeAgg(c, sel, seed)
+	want := composeAgg(c, sel)
 	counted := 0
 	got := scan(func(_, k int) { counted += k })
-	label = fmt.Sprintf("%s mode=%d bl=%d seed=%v", label, mode, bl, seed)
-	checkModeAgainstFull(t, label, got, want, mode, seed)
+	label = fmt.Sprintf("%s mode=%d bl=%d", label, mode, bl)
+	checkModeAgainstFull(t, label, got, want, mode)
 	if counted != want.N {
 		t.Fatalf("%s: onBlock counts sum to %d, want %d", label, counted, want.N)
 	}
 }
 
 // checkAgainstCompose holds the range form to the compose in every mode,
-// at the fixed block lengths and a random one, each mode from a random
-// seed: equal bits at every block length is what "independent of the
-// chunking" means.
+// at the fixed block lengths and a random one: equal bits at every block
+// length is what "independent of the chunking" means.
 func checkAgainstCompose(t *testing.T, rng *rand.Rand, c *Column, lo, hi int, op RangeOp, operand Value, label string) {
 	t.Helper()
 	sel := composeRange(t, c, lo, hi, op, operand, label)
 	label = fmt.Sprintf("%s range[%d,%d)", label, lo, hi)
 	for _, mode := range fusedModes {
-		seed := fusedSeed(rng)
 		for _, bl := range append(fusedBlockLens, 1+rng.Intn(1200)) {
-			checkBlocked(t, label, c, sel, mode, bl, seed, func(onBlock func(int, int)) FilterAgg {
-				return c.FilterAggRangeBlocked(lo, hi, bl, op, operand, mode, seed, onBlock)
+			checkBlocked(t, label, c, sel, mode, bl, func(onBlock func(int, int)) FilterAgg {
+				return c.FilterAggRangeBlocked(lo, hi, bl, op, operand, mode, onBlock)
 			})
 		}
 	}
@@ -144,10 +122,9 @@ func checkSelAgainstCompose(t *testing.T, rng *rand.Rand, c *Column, base []int3
 	t.Helper()
 	sel := c.FilterSel(base, op, operand, nil)
 	for _, mode := range fusedModes {
-		seed := fusedSeed(rng)
 		for _, bl := range append(fusedBlockLens, 1+rng.Intn(1200)) {
-			checkBlocked(t, label+" sel", c, sel, mode, bl, seed, func(onBlock func(int, int)) FilterAgg {
-				return c.FilterAggSelBlocked(base, bl, op, operand, mode, seed, onBlock)
+			checkBlocked(t, label+" sel", c, sel, mode, bl, func(onBlock func(int, int)) FilterAgg {
+				return c.FilterAggSelBlocked(base, bl, op, operand, mode, onBlock)
 			})
 		}
 	}
@@ -282,27 +259,27 @@ func TestBlockedKernelsMatchWholeRange(t *testing.T) {
 }
 
 // checkModeAgainstFull compares a mode-restricted blocked result to the
-// full compose result from the same seed: N always matches; the sum
-// matches bit for bit for sum-maintaining modes — on float columns too,
-// whatever the chunking — and the extrema for extrema-maintaining modes,
-// and what a mode does not maintain comes back untouched (the seed, ±Inf).
-func checkModeAgainstFull(t *testing.T, label string, got, want FilterAgg, mode FusedMode, seed float64) {
+// full compose result: N always matches; the sum matches bit for bit for
+// the sum-maintaining mode — on float columns too, whatever the chunking
+// — and the extrema for extrema-maintaining modes, and what a mode does
+// not maintain comes back untouched (+0, ±Inf).
+func checkModeAgainstFull(t *testing.T, label string, got, want FilterAgg, mode FusedMode) {
 	t.Helper()
-	if got.N != want.N || got.Exact != want.Exact {
-		t.Fatalf("%s: N = %d exact = %v, want %d %v", label, got.N, got.Exact, want.N, want.Exact)
+	if got.N != want.N {
+		t.Fatalf("%s: N = %d, want %d", label, got.N, want.N)
 	}
-	wantSum, wantIntSum := want.Sum, want.IntSum
-	if !mode.keepsSum() {
-		wantSum, wantIntSum = seed, 0
+	wantSum := want.Sum
+	if mode != FusedSum {
+		wantSum = 0
 	}
-	if got.IntSum != wantIntSum || !eqFloat(got.Sum, wantSum) {
-		t.Fatalf("%s: sum = %v/%d, want %v/%d", label, got.Sum, got.IntSum, wantSum, wantIntSum)
+	if !eqFloat(got.Sum, wantSum) || !eqFloat(got.Partial.Round(), wantSum) {
+		t.Fatalf("%s: sum = %v (partial %v), want %v", label, got.Sum, got.Partial.Round(), wantSum)
 	}
 	wantMin, wantMax := want.Min, want.Max
-	if !mode.keepsMin() {
+	if mode != FusedMin {
 		wantMin = math.Inf(1)
 	}
-	if !mode.keepsMax() {
+	if mode != FusedMax {
 		wantMax = math.Inf(-1)
 	}
 	if !eqFloat(got.Min, wantMin) || !eqFloat(got.Max, wantMax) {
@@ -311,66 +288,78 @@ func checkModeAgainstFull(t *testing.T, label string, got, want FilterAgg, mode 
 }
 
 // TestFilterAggRangeEmpty pins the zero-qualifier contract: Min/Max are
-// ±Inf, matching MinMaxRange over an empty range, and Sum is the seed.
+// ±Inf, matching MinMaxRange over an empty range, and Sum is +0.
 func TestFilterAggRangeEmpty(t *testing.T) {
 	c := NewIntColumn("v", []int64{1, 2, 3})
-	fa := c.FilterAggRangeBlocked(0, 3, 0, RangeGt, IntValue(100), FusedFull, 0, nil)
-	if fa.N != 0 || fa.Sum != 0 || !math.IsInf(fa.Min, 1) || !math.IsInf(fa.Max, -1) {
+	fa := c.FilterAggRangeBlocked(0, 3, 0, RangeGt, IntValue(100), FusedSum, nil)
+	if fa.N != 0 || math.Float64bits(fa.Sum) != 0 || !math.IsInf(fa.Min, 1) || !math.IsInf(fa.Max, -1) {
 		t.Fatalf("no-qualifier FilterAggRangeBlocked = %+v", fa)
 	}
-	fa = c.FilterAggRangeBlocked(2, 2, 0, RangeGe, IntValue(0), FusedFull, 4.5, nil)
-	if fa.N != 0 || fa.Sum != 4.5 || !math.IsInf(fa.Min, 1) {
+	fa = c.FilterAggRangeBlocked(2, 2, 0, RangeGe, IntValue(0), FusedMin, nil)
+	if fa.N != 0 || fa.Sum != 0 || !math.IsInf(fa.Min, 1) {
 		t.Fatalf("empty-range FilterAggRangeBlocked = %+v", fa)
 	}
-	if fa = c.FilterAggSelBlocked(nil, 0, RangeGe, IntValue(0), FusedFull, 4.5, nil); fa.N != 0 || fa.Sum != 4.5 {
+	if fa = c.FilterAggSelBlocked(nil, 0, RangeGe, IntValue(0), FusedSum, nil); fa.N != 0 || fa.Sum != 0 {
 		t.Fatalf("empty-selection FilterAggSelBlocked = %+v", fa)
+	}
+	fc := NewFloatColumn("f", []float64{math.Copysign(0, -1), 1})
+	if fa = fc.FilterAggRangeBlocked(0, 2, 0, RangeLt, FloatValue(1), FusedSum, nil); fa.N != 1 || math.Float64bits(fa.Sum) != 0 {
+		t.Fatalf("a lone -0 qualifier sums to %v over %d rows, want +0", fa.Sum, fa.N)
 	}
 }
 
 // TestFilterAggExactSums verifies the int64 accumulation is exact where
-// a float64 accumulator would round — within one chunk and across merged
-// chunks.
+// a float64 accumulator would round — within one chunk and across
+// chunks — and that the extrema modes see the same qualifiers.
 func TestFilterAggExactSums(t *testing.T) {
 	big := int64(1) << 60
 	c := NewIntColumn("v", []int64{big, 1, big, 1, -big, 1})
 	for _, bl := range []int{0, 4} {
-		fa := c.FilterAggRangeBlocked(0, 6, bl, RangeNe, IntValue(big), FusedFull, 0, nil)
 		// Qualifying values: 1, 1, -big, 1.
-		if !fa.Exact || fa.IntSum != 3-big {
-			t.Fatalf("bl=%d: exact sum = %+v, want IntSum %d", bl, fa, 3-big)
+		fa := c.FilterAggRangeBlocked(0, 6, bl, RangeNe, IntValue(big), FusedSum, nil)
+		if fa.N != 4 || fa.Sum != float64(3-big) {
+			t.Fatalf("bl=%d: exact sum = %+v, want %d", bl, fa, 3-big)
 		}
-		if fa.N != 4 || fa.Min != float64(-big) || fa.Max != 1 {
-			t.Fatalf("bl=%d: extrema = %+v", bl, fa)
+		mn := c.FilterAggRangeBlocked(0, 6, bl, RangeNe, IntValue(big), FusedMin, nil)
+		mx := c.FilterAggRangeBlocked(0, 6, bl, RangeNe, IntValue(big), FusedMax, nil)
+		if mn.N != 4 || mn.Min != float64(-big) || mx.Max != 1 {
+			t.Fatalf("bl=%d: extrema = %v, %v", bl, mn.Min, mx.Max)
 		}
 	}
 }
 
 // TestFilterAggMergeOrder verifies chunked scans merge to the
 // single-chunk answer (the operator layer splits scans at cost-model
-// block borders), both through merge by hand and through the blocked
-// scan's own chunking.
+// block borders), both through Merge by hand and through the blocked
+// scan's own chunking — on an integer column and on a float column whose
+// left-to-right sum rounds differently from any chunked one.
 func TestFilterAggMergeOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	vals := make([]int64, 5000)
+	flts := make([]float64, 5000)
 	for i := range vals {
 		vals[i] = int64(rng.Intn(1000))
+		flts[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(20)-10))
 	}
-	c := NewIntColumn("v", vals)
-	op, operand := RangeLt, IntValue(500)
-	whole := c.FilterAggRangeBlocked(0, len(vals), 0, op, operand, FusedFull, 0, nil)
-	if want := composeAgg(c, c.FilterRange(0, len(vals), op, operand, nil), 0); whole != want {
-		t.Fatalf("whole = %+v, compose = %+v", whole, want)
-	}
-	merged := c.seeded(0)
-	for lo := 0; lo < len(vals); lo += 512 {
-		merged.merge(c.FilterAggRangeBlocked(lo, lo+512, 0, op, operand, FusedFull, 0, nil))
-	}
-	merged.finish(FusedFull)
-	if merged != whole {
-		t.Fatalf("merged = %+v, whole = %+v", merged, whole)
-	}
-	if chunked := c.FilterAggRangeBlocked(0, len(vals), 512, op, operand, FusedFull, 0, nil); chunked != whole {
-		t.Fatalf("chunked = %+v, whole = %+v", chunked, whole)
+	for _, c := range []*Column{NewIntColumn("v", vals), NewFloatColumn("f", flts)} {
+		op, operand := RangeLt, IntValue(500)
+		whole := c.FilterAggRangeBlocked(0, c.Len(), 0, op, operand, FusedSum, nil)
+		if want := composeAgg(c, c.FilterRange(0, c.Len(), op, operand, nil)); whole.N != want.N || whole.Sum != want.Sum {
+			t.Fatalf("%s: whole = %v over %d, compose = %v over %d", c.Name(), whole.Sum, whole.N, want.Sum, want.N)
+		}
+		var merged ExactSum
+		n := 0
+		for lo := 0; lo < c.Len(); lo += 512 {
+			part := c.FilterAggRangeBlocked(lo, lo+512, 0, op, operand, FusedSum, nil)
+			merged.Merge(&part.Partial)
+			n += part.N
+		}
+		if n != whole.N || merged.Round() != whole.Sum {
+			t.Fatalf("%s: merged = %v over %d, whole = %v over %d", c.Name(), merged.Round(), n, whole.Sum, whole.N)
+		}
+		if chunked := c.FilterAggRangeBlocked(0, c.Len(), 512, op, operand, FusedSum, nil); chunked.N != whole.N || chunked.Sum != whole.Sum {
+			t.Fatalf("%s: chunked = %v over %d, whole = %v over %d", c.Name(), chunked.Sum, chunked.N, whole.Sum, whole.N)
+		}
 	}
 }
 

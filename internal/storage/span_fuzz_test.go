@@ -88,8 +88,8 @@ var fuzzWords = []string{"apple", "apple ", "banana", "fig", "pear", "quince", "
 
 // FuzzFusedBlocked holds the blocked fused scans — the storage entry
 // points operator.FuseFilterAgg calls — to the scalar compose (FilterRange
-// or FilterSel, then a per-value loop continuing a seed-derived running
-// sum, compared bit for bit on float columns too) over a fuzzer-chosen
+// or FilterSel, then a per-value loop, its sum compared bit for bit on
+// float columns too) over a fuzzer-chosen
 // column type, range, block length, mode, operator and operand. The
 // operand crosses every coercion path: a raw float64 payload (NaN, ±Inf,
 // ±2^53 and the MinInt64/MaxInt64 rounding edges come from the seed
@@ -112,7 +112,7 @@ func FuzzFusedBlocked(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, typByte uint8, seed int64, loRaw, hiRaw int16, blRaw uint16, opSel uint8, bBits uint64) {
 		op := RangeOp(opSel % 6)
-		mode := FusedMode(opSel / 6 % 5)
+		mode := FusedMode(opSel / 6 % 4)
 		var operand Value
 		switch opSel / 24 % 3 {
 		case 0:
@@ -181,25 +181,20 @@ func FuzzFusedBlocked(f *testing.F) {
 		}
 		base = append(base, int32(n), -1)
 
-		// The running sum the scans continue: signed zeros, a magnitude
-		// that swallows small addends unless they arrive pre-summed, or
-		// arbitrary bits.
-		sumSeed := []float64{0, math.Copysign(0, -1), 1e16, -1e16, 1, math.Float64frombits(next())}[next()>>32%6]
-
 		label := fmt.Sprintf("type=%v n=%d op=%d operand=%+v", c.Type(), n, op, operand)
 		check := func() {
 			sel := composeRange(t, c, lo, hi, op, operand, label)
-			checkBlocked(t, fmt.Sprintf("%s range[%d,%d)", label, lo, hi), c, sel, mode, bl, sumSeed, func(onBlock func(int, int)) FilterAgg {
-				return c.FilterAggRangeBlocked(lo, hi, bl, op, operand, mode, sumSeed, onBlock)
+			checkBlocked(t, fmt.Sprintf("%s range[%d,%d)", label, lo, hi), c, sel, mode, bl, func(onBlock func(int, int)) FilterAgg {
+				return c.FilterAggRangeBlocked(lo, hi, bl, op, operand, mode, onBlock)
 			})
 			sel = c.FilterSel(base, op, operand, nil)
-			checkBlocked(t, label+" sel", c, sel, mode, bl, sumSeed, func(onBlock func(int, int)) FilterAgg {
-				return c.FilterAggSelBlocked(base, bl, op, operand, mode, sumSeed, onBlock)
+			checkBlocked(t, label+" sel", c, sel, mode, bl, func(onBlock func(int, int)) FilterAgg {
+				return c.FilterAggSelBlocked(base, bl, op, operand, mode, onBlock)
 			})
 		}
 		check()
 		if simdAvailable() {
-			// Fuzz the scalar arm of the dispatched int loops too.
+			// Fuzz the scalar arms of the dispatched loops too.
 			restore := setSIMD(false)
 			defer restore()
 			check()
@@ -301,6 +296,95 @@ func FuzzCompressFloat64(f *testing.F) {
 			if gbuf[i] != wbuf[i] {
 				t.Fatalf("b=%v wants=%03b n=%d: buf[%d] kernel %d, scalar %d", b, wantsByte&7, n, i, gbuf[i], wbuf[i])
 			}
+		}
+	})
+}
+
+// FuzzFusedFloatSum holds the float SUM window kernel (masked error-free
+// extraction on AVX2) to its scalar twin — compaction, then an ExactSum
+// Add per qualifier — over fuzzer-chosen operators, operands (NaN and
+// infinities reachable through bBits), window lengths (ragged tails
+// included), carried bounds and value mixes: a bulk binade, values
+// 2^-60 below it that leave extraction residuals, -0, subnormals and
+// non-finite qualifiers. A window the kernel hands back must add exactly
+// what the twin adds; one it refuses must leave the accumulator as it
+// was. On hosts without AVX2 every window is refused and the target
+// checks only that.
+func FuzzFusedFloatSum(f *testing.F) {
+	for op := uint8(0); op < 6; op++ {
+		for i, bb := range fuzzEdgeBits {
+			f.Add(int64(i), bb, op, uint16(16+i*73), int16(0), uint8(0))
+		}
+		f.Add(int64(op), math.Float64bits(500), op, uint16(1024), int16(10), uint8(0))  // scan_direct's shape
+		f.Add(int64(op), math.Float64bits(500), op, uint16(1000), int16(-5), uint8(1))  // bound too tight: one retry
+		f.Add(int64(op), math.Float64bits(500), op, uint16(1000), int16(300), uint8(2)) // bound too loose, tiny values
+		f.Add(int64(op), math.Float64bits(1e300), op, uint16(999), int16(0), uint8(3))  // specials and extremes
+		f.Add(int64(op), math.Float64bits(-1), op, uint16(777), int16(1010), uint8(4))  // σ near overflow
+	}
+	f.Fuzz(func(t *testing.T, seed int64, bBits uint64, opByte uint8, nRaw uint16, expRaw int16, mix uint8) {
+		op := RangeOp(opByte % 6)
+		n := int(nRaw % (fusedBufLen + 1))
+		x := uint64(seed)
+		next := func() uint64 {
+			x = x*6364136223846793005 + 1442695040888963407
+			return x
+		}
+		scale := math.Ldexp(1, int(next()>>32%40)-10)
+		if mix%5 == 4 {
+			scale = math.Ldexp(1, 1000+int(next()>>32%24))
+		}
+		v := make([]float64, n)
+		for i := range v {
+			r := next()
+			u := float64(r>>11) / (1 << 53)
+			switch r % 16 {
+			case 0:
+				v[i] = math.Float64frombits(fuzzEdgeBits[(r>>32)%uint64(len(fuzzEdgeBits))])
+			case 1:
+				v[i] = math.Copysign(0, -1)
+			case 2:
+				if mix%5 != 0 { // values 2^-60 below the bulk: residuals
+					v[i] = u * scale * math.Ldexp(1, -60)
+				}
+			case 3:
+				if mix%5 == 3 {
+					v[i] = math.Float64frombits(r) // anything, subnormals and NaN payloads included
+				}
+			default:
+				v[i] = (u - 0.5) * scale
+			}
+		}
+		operand := math.Float64frombits(bBits)
+		c := NewFloatColumn("f", v)
+		pp := c.preparePred(op, FloatValue(operand))
+
+		var want ExactSum
+		wantN := 0
+		for _, val := range v {
+			if passFloat(val, operand, pp.wLt, pp.wGt, pp.wEq) == 1 {
+				want.Add(val)
+				wantN++
+			}
+		}
+		var before ExactSum
+		before.Add(1.5)
+		got := before
+		exp := min(max(int(expRaw), minSumExp), maxSumExp) // a scan's bounds all come from sumExpFor
+		gotN, ok := simdSumWindow(v, &pp, &got, &exp)
+		if !ok {
+			if got != before {
+				t.Fatalf("op=%d b=%v n=%d: a refused window changed the accumulator", op, operand, n)
+			}
+			return
+		}
+		want.Add(1.5)
+		if gotN != wantN || math.Float64bits(got.Round()) != math.Float64bits(want.Round()) {
+			t.Fatalf("op=%d b=%v n=%d: kernel %v over %d rows, scalar twin %v over %d", op, operand, n, got.Round(), gotN, want.Round(), wantN)
+		}
+		// The scan that dispatches to it lands on the same bits.
+		fa := c.FilterAggRangeBlocked(0, n, 0, op, FloatValue(operand), FusedSum, nil)
+		if fa.N != wantN || math.Float64bits(fa.Sum) != math.Float64bits(composeAgg(c, c.FilterRange(0, n, op, FloatValue(operand), nil)).Sum) {
+			t.Fatalf("op=%d b=%v n=%d: scan %v over %d rows, want %d rows", op, operand, n, fa.Sum, fa.N, wantN)
 		}
 	})
 }
