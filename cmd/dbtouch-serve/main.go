@@ -233,11 +233,17 @@ func main() {
 	if *rpcTimeout > 0 {
 		handlerOpts = append(handlerOpts, protocol.WithRPCTimeout(*rpcTimeout))
 	}
-	mux := http.NewServeMux()
-	mux.Handle("/healthz", health.Handler())
-	mux.Handle("/", protocol.NewHTTPHandler(mgr, handlerOpts...))
+	// One routing layer: /healthz here, everything else matched by the
+	// protocol handler's own switch.
+	rpc, healthz := protocol.NewHTTPHandler(mgr, handlerOpts...), health.Handler()
 	srv := &http.Server{
-		Handler:           mux,
+		Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/healthz" {
+				healthz.ServeHTTP(w, r)
+				return
+			}
+			rpc.ServeHTTP(w, r)
+		}),
 		ReadHeaderTimeout: 10 * time.Second,
 		ReadTimeout:       *readTimeout,
 		IdleTimeout:       *idleTimeout,

@@ -66,8 +66,13 @@ var ErrNoBackends = errors.New("gateway: no ready backend")
 const maxProxyRequestBytes = protocol.MaxRequestBytes
 
 // maxProxyResponseBytes bounds one forwarded response body (matches the
-// client's own decode bound).
-const maxProxyResponseBytes = 64 << 20
+// client's own decode bound). A variable so that tests can reach it.
+var maxProxyResponseBytes int64 = 64 << 20
+
+// errResponseTooLarge refuses a backend answer past maxProxyResponseBytes:
+// relayed clipped, it would reach the client as broken JSON under status
+// 200, and its intact {"v":2,"ok":true prefix would mark the pin held.
+var errResponseTooLarge = errors.New("backend response too large")
 
 // maxIdleConnsPerBackend sizes the keep-alive pool the gateway holds to
 // each backend, well above any realistic per-backend concurrency:
@@ -397,9 +402,12 @@ func (g *Gateway) post(b *backend, raw []byte) (rpcResult, error) {
 		return rpcResult{}, err
 	}
 	defer res.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(res.Body, maxProxyResponseBytes))
+	body, err := io.ReadAll(io.LimitReader(res.Body, maxProxyResponseBytes+1))
 	if err != nil {
 		return rpcResult{}, err
+	}
+	if int64(len(body)) > maxProxyResponseBytes {
+		return rpcResult{}, fmt.Errorf("%w: it exceeds the %d-byte limit", errResponseTooLarge, maxProxyResponseBytes)
 	}
 	out := rpcResult{status: res.StatusCode, body: body}
 	if s := res.Header.Get("Retry-After"); s != "" {
@@ -494,9 +502,17 @@ type routing struct {
 
 // peekRequest decodes a body's routing fields with the decoder and the
 // version check a backend applies, so the edge accepts no body a backend
-// would call malformed on those fields. A rejection is worded by the
-// full decoder — the cold path — so it reads exactly as a backend's.
+// would call malformed on those fields. A body in the protocol's fast
+// shape is read by its walk (protocol.PeekRequest); any other goes
+// through encoding/json. A rejection is worded by the full decoder — the
+// cold path — so it reads exactly as a backend's.
 func peekRequest(body []byte) (routing, error) {
+	if r, ok := protocol.PeekRequest(body); ok {
+		if err := r.CheckVersion(); err != nil {
+			return routing{}, err
+		}
+		return routing{V: r.V, Op: r.Op, ReqID: r.ReqID, Session: r.Session, Table: r.Table}, nil
+	}
 	var rt routing
 	err := json.Unmarshal(body, &rt)
 	if err == nil {
@@ -588,6 +604,9 @@ func (g *Gateway) forwardSession(req routing, raw []byte) (rpcResult, error) {
 		var res rpcResult
 		if err == nil {
 			res, err = g.post(b, raw)
+		}
+		if errors.Is(err, errResponseTooLarge) {
+			return rpcResult{}, err // the backend answered; another would answer the same
 		}
 		if err != nil {
 			// Transport failure, of the resume or of the request: the
@@ -806,7 +825,7 @@ func (g *Gateway) handleRPC(w http.ResponseWriter, r *http.Request) {
 	res, err := g.dispatch(rt, body)
 	if err != nil {
 		resp := protocol.Overloadedf("gateway: %v", err)
-		if errors.Is(err, errStampOverflow) {
+		if errors.Is(err, errStampOverflow) || errors.Is(err, errResponseTooLarge) {
 			resp = protocol.Errorf("gateway: %v", err) // retrying cannot help
 		}
 		resp.V = rt.V

@@ -214,3 +214,48 @@ func TestOversizedBodyRefusedAtEdge(t *testing.T) {
 		t.Fatalf("oversized requests reached the backend %d times", n)
 	}
 }
+
+// TestOversizedResponseRefused: a backend answer past the proxy's bound is
+// refused with a plain failure naming the limit — never relayed clipped
+// under status 200, where its intact {"v":2,"ok":true prefix passed for
+// success — and is not retried elsewhere; an answer at the limit is
+// relayed whole.
+func TestOversizedResponseRefused(t *testing.T) {
+	defer func(n int64) { maxProxyResponseBytes = n }(maxProxyResponseBytes)
+	maxProxyResponseBytes = 1 << 10
+	var hits, size atomic.Int64
+	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+		io.Copy(io.Discard, r.Body)
+		const ok = `{"v":2,"ok":true}`
+		io.WriteString(w, ok+strings.Repeat(" ", int(size.Load())-len(ok)))
+	}))
+	defer backend.Close()
+	g, err := New(Options{Backends: []string{backend.URL}, HealthInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+
+	post := func() (int, protocol.Response) {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		g.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/rpc", strings.NewReader(`{"v":1,"op":"open","session":"s"}`)))
+		resp, err := protocol.DecodeResponse(rec.Body.Bytes())
+		if err != nil {
+			t.Fatalf("status %d, undecodable body %.40q: %v", rec.Code, rec.Body.Bytes(), err)
+		}
+		return rec.Code, resp
+	}
+	size.Store(maxProxyResponseBytes + 1)
+	if code, resp := post(); resp.OK || resp.Overloaded || resp.V != 1 || !strings.Contains(resp.Error, "1024-byte limit") {
+		t.Fatalf("status %d, %+v; want a plain v1 failure naming the limit", code, resp)
+	}
+	if n := hits.Load(); n != 1 {
+		t.Fatalf("backend saw %d requests, want 1: an oversized answer is not retried", n)
+	}
+	size.Store(maxProxyResponseBytes)
+	if code, resp := post(); code != http.StatusOK || !resp.OK {
+		t.Fatalf("an answer at the limit: status %d, %+v", code, resp)
+	}
+}

@@ -57,3 +57,36 @@ func TestOversizedBodyRefused(t *testing.T) {
 		served.Store(0)
 	}
 }
+
+// TestOversizedResponseRefused: a server answer past the client's bound is
+// refused with an error naming the limit, declared or chunked — never
+// clipped and handed to the JSON decoder, which reported a syntax error —
+// and an answer at exactly the limit decodes.
+func TestOversizedResponseRefused(t *testing.T) {
+	defer func(n int64) { maxResponseBytes = n }(maxResponseBytes)
+	maxResponseBytes = 1 << 10
+	answer := func(size int) []byte {
+		const resp = `{"v":2,"ok":true}`
+		return []byte(resp + strings.Repeat(" ", size-len(resp)))
+	}
+	var size atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		if size.Load() < 0 {
+			w.(http.Flusher).Flush() // chunked: no Content-Length
+		}
+		w.Write(answer(int(max(size.Load(), -size.Load()))))
+	}))
+	defer srv.Close()
+	c := &Client{Base: srv.URL}
+	for _, chunked := range []int64{1, -1} {
+		size.Store(chunked * (maxResponseBytes + 1))
+		if _, err := c.Do(Request{Op: OpStats}); err == nil || !strings.Contains(err.Error(), "1024-byte limit") {
+			t.Fatalf("chunked=%v: an answer one byte past the limit: %v; want an error naming the limit", chunked < 0, err)
+		}
+		size.Store(chunked * maxResponseBytes)
+		if resp, err := c.Do(Request{Op: OpStats}); err != nil || !resp.OK {
+			t.Fatalf("chunked=%v: an answer at the limit: %+v, %v", chunked < 0, resp, err)
+		}
+	}
+}

@@ -44,6 +44,45 @@ func BenchmarkDecodeAppend(b *testing.B) {
 	}
 }
 
+// BenchmarkDecodeRequest decodes the perform bodies served all day
+// (servedBodies): "fast" is DecodeRequest's walk, "json" the
+// encoding/json decode it falls back to.
+func BenchmarkDecodeRequest(b *testing.B) {
+	for _, sb := range servedBodies(b) {
+		if sb.name == "zoom" {
+			continue // a tap with another gesture key
+		}
+		for _, bc := range []struct {
+			name   string
+			decode func([]byte) (protocol.Request, error)
+		}{{"fast", protocol.DecodeRequest}, {"json", oracleDecode}} {
+			b.Run(sb.name+"/"+bc.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for b.Loop() {
+					if req, err := bc.decode(sb.body); err != nil || req.Gesture == nil {
+						b.Fatalf("%+v, %v", req, err)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestDecodeTapAllocs gates the walk's allocations on a served tap: the
+// body's string copy and the gesture (encoding/json takes 11).
+func TestDecodeTapAllocs(t *testing.T) {
+	for _, sb := range servedBodies(t) {
+		n := testing.AllocsPerRun(100, func() {
+			if _, err := protocol.DecodeRequest(sb.body); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if n > 2 {
+			t.Errorf("decoding a %s takes %.0f allocations, want at most 2", sb.name, n)
+		}
+	}
+}
+
 // performResponse is a perform's answer carrying n aggregate frames, the
 // shape a tap (1) and a stream_ingest scan slide (200) produce.
 func performResponse(n int) protocol.Response {

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"dbtouch/internal/core"
+	"dbtouch/internal/gesture"
 	"dbtouch/internal/protocol"
 	"dbtouch/internal/session"
 	"dbtouch/internal/storage"
@@ -29,6 +30,33 @@ func ingestBody(tb testing.TB, rows int) []byte {
 		tb.Fatal(err)
 	}
 	return body
+}
+
+// servedBody is one request shape a server answers all day.
+type servedBody struct {
+	name string
+	body []byte
+}
+
+// servedBodies are the perform bodies touch_direct sends — a script
+// request as json.Marshal writes it — and a tap as a gateway forwards it,
+// its ReqID stamped last.
+func servedBodies(tb testing.TB) []servedBody {
+	perform := func(g gesture.Gesture) []byte {
+		body, err := json.Marshal(protocol.Request{V: protocol.Version, Op: protocol.OpPerform, Session: "touch-3", Object: "o", Gesture: &g})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return body
+	}
+	tap := perform(gesture.Gesture{Kind: gesture.KindTap, Frac: 0.4387})
+	stamped := append(append([]byte{}, tap[:len(tap)-1]...), `,"reqId":"gw-dqsn0xfdb2v4-1742"}`...)
+	return []servedBody{
+		{"tap", tap},
+		{"slide", perform(gesture.Gesture{Kind: gesture.KindSlide, Dur: 500 * time.Millisecond, From: 0.2113, To: 0.8765})},
+		{"zoom", perform(gesture.Gesture{Kind: gesture.KindZoom, Factor: 1.5})},
+		{"stamped", stamped},
+	}
 }
 
 // oracleDecode is DecodeRequest as it was before the hand parser:
@@ -70,7 +98,7 @@ func fuzzManager(t *testing.T) *session.Manager {
 	return m
 }
 
-// FuzzDecodeRequest holds the hand-written append decoder to its oracle
+// FuzzDecodeRequest holds the hand-written request decoder to its oracle
 // — the same Request and the same error text as encoding/json for any
 // bytes — and the hand-written encoder behind the table log to
 // json.Marshal, byte for byte; then the trust boundary behind them:
@@ -81,6 +109,12 @@ func FuzzDecodeRequest(f *testing.F) {
 		f.Fatal("the bench-shaped 1000x3 batch left the fast path")
 	}
 	f.Add(batch)
+	for _, sb := range servedBodies(f) {
+		if !protocol.TookFastPath(sb.body) {
+			f.Fatalf("the bench-shaped %s left the fast path: %s", sb.name, sb.body)
+		}
+		f.Add(sb.body)
+	}
 	for _, seed := range []string{
 		`{"v":2,"op":"append","table":"events","rows":[[1,"a",2],[3,"b",4]]}`,
 		`{"rows":[[1,"a",2]],"v":2,"op":"append","table":"events"}`,
@@ -128,6 +162,50 @@ func FuzzDecodeRequest(f *testing.F) {
 		`{"v":2,"op":"stats"}`,
 		`{"v":2,"op":"resume","session":"s"}`,
 		`{"v":1,"op":"evict","session":"s"}`,
+		// The edges of the request walk's fast shape.
+		`{"v":2,"OP":"perform","session":"s","object":"o","gesture":{"kind":"tap","frac":0.5}}`,
+		`{"v":2,"op":"perform","session":"s","object":"o","Gesture":{"kind":"tap","frac":0.5}}`,
+		`{"v":2,"op":"perform","session":"s","object":"o","gesture":{"Kind":"tap","frac":0.5}}`,
+		`{"v":2,"op":"idle","session":"a","session":"b","idle":5}`,
+		`{"v":2,"op":"perform","session":"s","object":"o","gesture":{"kind":"tap","frac":0.5,"frac":0.25}}`,
+		`{"v":2,"op":"perform","session":"s","object":"o","gesture":null}`,
+		`{"v":2,"op":"perform","session":"s","object":"o","gesture":{}}`,
+		`{"v":2,"op":"perform","session":"s","object":"o","gesture":{ }}`,
+		`{"v":2.0,"op":"stats"}`,
+		`{"v":02,"op":"stats"}`,
+		`{"v":-0,"op":"stats"}`,
+		`{"v":-2,"op":"stats"}`,
+		`{"v":2e0,"op":"stats"}`,
+		`{"v":null,"op":"stats"}`,
+		`{"v":2,"op":null}`,
+		`{}`,
+		`{"v":2,"op":"perform","session":"s","object":"o","gesture":{"kind":"slide","dur":1e9,"to":1}}`,
+		`{"v":2,"op":"perform","session":"s","object":"o","gesture":{"kind":"tap","frac":-0}}`,
+		`{"v":2,"op":"perform","session":"s","object":"o","gesture":{"kind":"tap","frac":1e400}}`,
+		`{"v":2,"op":"perform","session":"s","object":"o","gesture":{"kind":"slide","dur":123456789012345678,"to":1}}`,
+		`{"v":2,"op":"perform","session":"s","object":"o","gesture":{"kind":"slide","dur":1234567890123456789,"to":1}}`,
+		`{"v":2,"op":"perform","session":"s","object":"o","gesture":{"kind":"slide","dur":9999999999999999999,"to":1}}`,
+		`{"v":2,"op":"perform","session":"s","object":"o","gesture":{"kind":"back-and-forth","dur":-1,"passes":99999999999999999999}}`,
+		`{"v":2,"op":"perform","session":"s","object":"o","gesture":{"kind":"tap","fracs":0.5}}`,
+		`{"v":2,"op":"perform","session":"s","object":"o","gesture":{"kind":"tap","frac":"0.5"}}`,
+		`{"v":2,"op":"perform","session":"s","object":"o","gesture":{"kind":"move","x":1.5,"y":-2,"target":7}}`,
+		`{"v":2,"op":"perform","session":"s","object":"o","gesture":{"kind":"slide-pause","dur":2000000000,"pauseAt":0.5,"pauseDur":300000000}}`,
+		`{"v":2,"op":"perform","session":"s","object":"o","gesture":{"kind":"tap","frac":0.5}`,
+		`{"v":2,"op":"perform","session":"s","object":"o","gesture":[1]}`,
+		`{"v":2,"op":"open","session":"a\"b"}`,
+		`{"v":2,"op":"open","session":"a\u0062"}`,
+		"{\"v\":2,\"op\":\"open\",\"session\":\"\xff\xfe\"}",
+		"{\"v\":2,\"op\":\"open\",\"session\":\"\xe2\x82\"}",
+		"{\"v\":2,\"op\":\"open\",\"session\":\"é\u2028\x7f\"}",
+		"{\"v\":2,\"op\":\"open\",\"session\":\"a\x00\"}",
+		`{"v":2,"op":"stats"}x`,
+		`{"v":2,"op":"stats"}}`,
+		`{"v":2,"op":"stats",}`,
+		`{"v":2 "op":"stats"}`,
+		`{"v":2,"op":"append","table":"events","rows":[[1,"a",2]],"extra":1}`,
+		`{"v":2,"op":"append","table":"events","rows":[[1,"a",2]],"idle":7,"as":"x","object":"y"}`,
+		`{"v":2,"op":"pin","session":"s","object":"o","as":"p"}`,
+		`{"v":1,"op":"idle","session":"s","idle":-0,"reqId":"r-1"}`,
 	} {
 		f.Add([]byte(seed))
 	}

@@ -1,10 +1,10 @@
 package protocol
 
-// TookFastPath reports whether DecodeRequest parses data's rows by hand
-// (the external fuzz test pins that the bench-shaped batch does).
+// TookFastPath reports whether DecodeRequest reads data by hand (the
+// external tests pin the shapes served all day to the walk).
 func TookFastPath(data []byte) bool {
-	var r Request
-	return decodeAppend(data, &r)
+	_, ok := readRequest(string(data))
+	return ok
 }
 
 // DecodeColumns is the /rpc handler's decode: hand-parsed rows stay a

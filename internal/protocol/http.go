@@ -157,8 +157,9 @@ const MaxRequestBytes = 1 << 20
 // maxResponseBytes bounds one decoded response on the client side.
 // Responses carry whole result batches (a long gesture is tens of
 // thousands of frames), so the bound is generous — it exists to keep a
-// broken server from exhausting client memory, not to size payloads.
-const maxResponseBytes = 64 << 20
+// broken server from exhausting client memory, not to size payloads. A
+// variable so that tests can reach it.
+var maxResponseBytes int64 = 64 << 20
 
 // maxStreamBuffer caps the client-requested /stream ring size: the
 // buffer is allocated up front, so an unbounded query parameter would
@@ -282,14 +283,15 @@ func WriteResponse(w http.ResponseWriter, resp Response) {
 //	                                     as the session emits them, until
 //	                                     the client disconnects
 //
-// The stream endpoint requires the router to implement Subscriber.
+// The stream endpoint requires the router to implement Subscriber. Any
+// other path is 404. The handler matches the path itself, with no
+// ServeMux: it is the whole of dbtouch-serve's routing but /healthz.
 func NewHTTPHandler(r Router, opts ...HandlerOption) http.Handler {
 	var cfg handlerConfig
 	for _, o := range opts {
 		o(&cfg)
 	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/rpc", func(w http.ResponseWriter, req *http.Request) {
+	rpc := func(w http.ResponseWriter, req *http.Request) {
 		if req.Method != http.MethodPost {
 			http.Error(w, "POST only", http.StatusMethodNotAllowed)
 			return
@@ -312,8 +314,8 @@ func NewHTTPHandler(r Router, opts ...HandlerOption) http.Handler {
 			resp = handleWithTimeout(r, decoded, cfg.rpcTimeout)
 		}
 		WriteResponse(w, resp)
-	})
-	mux.HandleFunc("/stream", func(w http.ResponseWriter, req *http.Request) {
+	}
+	stream := func(w http.ResponseWriter, req *http.Request) {
 		sub, ok := r.(Subscriber)
 		if !ok {
 			http.Error(w, "streaming unsupported", http.StatusNotImplemented)
@@ -399,8 +401,17 @@ func NewHTTPHandler(r Router, opts ...HandlerOption) http.Handler {
 				flusher.Flush()
 			}
 		}
+	}
+	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		switch req.URL.Path {
+		case "/rpc":
+			rpc(w, req)
+		case "/stream":
+			stream(w, req)
+		default:
+			http.NotFound(w, req)
+		}
 	})
-	return mux
 }
 
 // Client speaks the wire protocol to a dbtouch-serve endpoint — the thin
@@ -481,9 +492,13 @@ func (c *Client) do(req Request) (Response, error) {
 		return Response{}, err
 	}
 	defer httpResp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(httpResp.Body, maxResponseBytes))
+	body, err := io.ReadAll(io.LimitReader(httpResp.Body, maxResponseBytes+1))
 	if err != nil {
 		return Response{}, err
+	}
+	if int64(len(body)) > maxResponseBytes {
+		// Refused whole, never clipped and decoded.
+		return Response{}, fmt.Errorf("protocol: response body exceeds the %d-byte limit", maxResponseBytes)
 	}
 	resp, err := DecodeResponse(body)
 	if err != nil {

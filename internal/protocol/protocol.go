@@ -381,9 +381,9 @@ func EncodeRows(r Request, rows, width int, cell func(r, c int) storage.Value) (
 	return append(b, '}'), nil
 }
 
-// DecodeRequest unmarshals and version-checks one request. An append
-// batch of plain scalars is parsed by hand (rows_decode.go) and boxed into
-// Rows; the result is the one encoding/json would have produced.
+// DecodeRequest unmarshals and version-checks one request. A body in the
+// fast shape is read by hand (request_decode.go), its append rows boxed
+// into Rows; the result is the one encoding/json would have produced.
 func DecodeRequest(data []byte) (Request, error) {
 	r, err := decodeRequest(data)
 	if r.batch != nil {
@@ -395,17 +395,36 @@ func DecodeRequest(data []byte) (Request, error) {
 // decodeRequest is DecodeRequest as the /rpc handler needs it: hand-parsed
 // append rows stay a column-wise batch (Request.Batch), Rows nil.
 func decodeRequest(data []byte) (Request, error) {
-	var r Request
-	if !decodeAppend(data, &r) {
-		r = Request{}
-		if err := json.Unmarshal(data, &r); err != nil {
-			return Request{}, fmt.Errorf("protocol: decoding request: %w", err)
+	r, ok := readRequest(string(data))
+	if !ok {
+		var err error
+		if r, err = unmarshalRequest(data); err != nil {
+			return Request{}, err
 		}
 	}
 	if err := r.CheckVersion(); err != nil {
 		return Request{}, err
 	}
 	return r, nil
+}
+
+// unmarshalRequest decodes a body outside the walk's fast shape with
+// encoding/json. Its own Request, not decodeRequest's, is the one that
+// escapes to the heap.
+func unmarshalRequest(data []byte) (Request, error) {
+	var r Request
+	if err := json.Unmarshal(data, &r); err != nil {
+		return Request{}, fmt.Errorf("protocol: decoding request: %w", err)
+	}
+	return r, nil
+}
+
+// PeekRequest reads a body in the fast shape (request_decode.go) as the
+// /rpc handler does, without the version check, and reports whether it
+// was in that shape: a proxy routes on the fields without paying for
+// reflection. A body outside it is encoding/json's to read.
+func PeekRequest(data []byte) (r Request, ok bool) {
+	return readRequest(string(data))
 }
 
 // EncodeResponse marshals the response, stamping the current version

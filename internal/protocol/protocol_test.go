@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"dbtouch/internal/core"
 	"dbtouch/internal/gesture"
@@ -146,6 +147,34 @@ func TestCoerceValue(t *testing.T) {
 	for _, c := range cases {
 		if got := CoerceValue(c.in); got != c.want {
 			t.Fatalf("CoerceValue(%v) = %+v, want %+v", c.in, got, c.want)
+		}
+	}
+}
+
+// TestBigBodyFieldsCopied: the fields of a body past pinBytes are copies,
+// so that a table name or session id kept after the request does not keep
+// a thousand-row append alive; a small body's fields share its bytes.
+func TestBigBodyFieldsCopied(t *testing.T) {
+	shares := func(field, body string) bool {
+		lo := uintptr(unsafe.Pointer(unsafe.StringData(body)))
+		p := uintptr(unsafe.Pointer(unsafe.StringData(field)))
+		return lo <= p && p < lo+uintptr(len(body))
+	}
+	const head = `{"v":2,"op":"append","session":"s","table":"events","rows":[[1,"a",2]`
+	small := head + `]}`
+	big := head + strings.Repeat(`,[1,"a",2]`, pinBytes/8) + `]}`
+	for _, tc := range []struct {
+		body   string
+		shared bool
+	}{{small, true}, {big, false}} {
+		r, ok := readRequest(tc.body)
+		if !ok {
+			t.Fatalf("%d-byte body left the fast shape", len(tc.body))
+		}
+		for _, f := range []string{r.Op, r.Session, r.Table} {
+			if shares(f, tc.body) != tc.shared {
+				t.Errorf("%d-byte body: field %q shares its bytes: %v, want %v", len(tc.body), f, !tc.shared, tc.shared)
+			}
 		}
 	}
 }
