@@ -21,26 +21,31 @@ const slideRows = 4 << 20
 // slideCases are scan_direct's four filtered aggregates, each with its
 // ~50 %-selective `col < operand` conjunct; the two sums run side by
 // side, since the float sum is held to within 1.3x of the int64 one.
+// string/count is scan_direct's STRING column, 64 keys, whose pass table
+// folds into the AVX2 count's bitmap; string1000/count is the same count
+// over 1 000 keys, past the bitmap, on the table loop.
 var slideCases = []struct {
 	name    string
-	typ     storage.Type
+	col     string
 	kind    AggKind
 	operand storage.Value
 }{
-	{"int64/sum", storage.Int64, Sum, storage.IntValue(500_000)},
-	{"float64/sum", storage.Float64, Sum, storage.FloatValue(500)},
-	{"int64/max", storage.Int64, Max, storage.IntValue(500_000)},
-	{"string/count", storage.String, Count, storage.StringValue("k0500")},
+	{"int64/sum", "int64", Sum, storage.IntValue(500_000)},
+	{"float64/sum", "float64", Sum, storage.FloatValue(500)},
+	{"int64/max", "int64", Max, storage.IntValue(500_000)},
+	{"string/count", "string", Count, storage.StringValue("k32")},
+	{"string1000/count", "string1000", Count, storage.StringValue("k0500")},
 }
 
 var (
 	slideColsOnce sync.Once
-	slideCols     map[storage.Type]*storage.Column
+	slideCols     map[string]*storage.Column
 )
 
 // slideColumns builds scan_direct-shaped columns once: uniform ints in
-// [0, 1e6), floats in [0, 1000) and strings over 1 000 keys.
-func slideColumns() map[storage.Type]*storage.Column {
+// [0, 1e6), floats in [0, 1000), strings over bench/gen.go's 64 keys
+// k00…k63, and strings over 1 000 keys k0000…k0999.
+func slideColumns() map[string]*storage.Column {
 	slideColsOnce.Do(func() {
 		rng := rand.New(rand.NewSource(1))
 		ints := make([]int64, slideRows)
@@ -49,21 +54,27 @@ func slideColumns() map[storage.Type]*storage.Column {
 			ints[i] = rng.Int63n(1_000_000)
 			flts[i] = rng.Float64() * 1000
 		}
-		keys := make([]string, 1000)
-		for i := range keys {
-			keys[i] = fmt.Sprintf("k%04d", i)
-		}
-		strs := make([]string, slideRows)
-		for i := range strs {
-			strs[i] = keys[rng.Intn(len(keys))]
-		}
-		slideCols = map[storage.Type]*storage.Column{
-			storage.Int64:   storage.NewIntColumn("i", ints),
-			storage.Float64: storage.NewFloatColumn("f", flts),
-			storage.String:  storage.NewStringColumn("s", strs),
+		slideCols = map[string]*storage.Column{
+			"int64":      storage.NewIntColumn("i", ints),
+			"float64":    storage.NewFloatColumn("f", flts),
+			"string":     stringSlideColumn(rng, 64, "k%02d"),
+			"string1000": stringSlideColumn(rng, 1000, "k%04d"),
 		}
 	})
 	return slideCols
+}
+
+// stringSlideColumn draws slideRows values uniformly from n keys.
+func stringSlideColumn(rng *rand.Rand, n int, format string) *storage.Column {
+	keys := make([]string, n)
+	for i := range keys {
+		keys[i] = fmt.Sprintf(format, i)
+	}
+	strs := make([]string, slideRows)
+	for i := range strs {
+		strs[i] = keys[rng.Intn(n)]
+	}
+	return storage.NewStringColumn("s", strs)
 }
 
 // BenchmarkFuseFilterSlide is a full-height filtered slide as
@@ -78,12 +89,12 @@ func BenchmarkFuseFilterSlide(b *testing.B) {
 	cols := slideColumns()
 	for _, sc := range slideCases {
 		b.Run(sc.name, func(b *testing.B) {
-			col := cols[sc.typ]
+			col := cols[sc.col]
 			clock := vclock.New()
 			pred := iomodel.New(clock, iomodel.DefaultParams(), cache.NewGestureAware(8))
 			val := iomodel.New(clock, iomodel.DefaultParams(), cache.NewGestureAware(8))
 			width := int64(8)
-			if sc.typ == storage.String {
+			if col.Type() == storage.String {
 				width = 4
 			}
 			b.SetBytes(slideRows * width)

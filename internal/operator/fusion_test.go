@@ -348,17 +348,34 @@ func TestFusedFloatSumAllocatesNothing(t *testing.T) {
 	for i := range vals {
 		vals[i] = float64(i%1000) / 7
 	}
-	col := storage.NewFloatColumn("f", vals)
+	checkFusedStepAllocs(t, storage.NewFloatColumn("f", vals), Sum, storage.FloatValue(100))
+}
+
+// TestFusedStringCountAllocatesNothing is the same gate for the string
+// COUNT slide over scan_direct's 64 keys, whose pass table the scan
+// folds into the count kernel's bitmap on its stack.
+func TestFusedStringCountAllocatesNothing(t *testing.T) {
+	vals := make([]string, 50_000)
+	for i := range vals {
+		vals[i] = fmt.Sprintf("k%02d", i*7%64)
+	}
+	checkFusedStepAllocs(t, storage.NewStringColumn("s", vals), Count, storage.StringValue("k32"))
+}
+
+// checkFusedStepAllocs fails t if a warm fused `col < operand` step over
+// the whole of col allocates.
+func checkFusedStepAllocs(t *testing.T, col *storage.Column, kind AggKind, operand storage.Value) {
+	t.Helper()
 	clock := vclock.New()
 	pred := iomodel.New(clock, iomodel.DefaultParams(), cache.NewGestureAware(8))
 	val := iomodel.New(clock, iomodel.DefaultParams(), cache.NewGestureAware(8))
-	agg := NewRunningAgg(Sum)
+	agg := NewRunningAgg(kind)
 	step := func() {
-		agg.FuseFilter(col, 0, len(vals), nil, Lt, storage.FloatValue(100), pred, val)
+		agg.FuseFilter(col, 0, col.Len(), nil, Lt, operand, pred, val)
 		sinkValue = agg.Value()
 	}
 	step() // warm the trackers
 	if allocs := testing.AllocsPerRun(20, step); allocs != 0 {
-		t.Fatalf("a fused float SUM step allocates %v times", allocs)
+		t.Fatalf("a fused %v step over a %v column allocates %v times", kind, col.Type(), allocs)
 	}
 }

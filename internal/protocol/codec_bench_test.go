@@ -1,8 +1,11 @@
 package protocol_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -79,6 +82,46 @@ func TestDecodeTapAllocs(t *testing.T) {
 		})
 		if n > 2 {
 			t.Errorf("decoding a %s takes %.0f allocations, want at most 2", sb.name, n)
+		}
+	}
+}
+
+// discardWriter is an http.ResponseWriter that keeps nothing: what a
+// WriteResponse allocates is its own.
+type discardWriter struct{ h http.Header }
+
+func (w *discardWriter) Header() http.Header         { return w.h }
+func (w *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
+func (w *discardWriter) WriteHeader(int)             {}
+
+// TestWriteResponseAllocs gates the /rpc answer: a 21-frame perform
+// response renders into a pooled buffer, so the body allocates nothing.
+// The one allocation left is the Content-Type header's value slice.
+func TestWriteResponseAllocs(t *testing.T) {
+	resp := performResponse(21)
+	w := &discardWriter{h: http.Header{}}
+	n := testing.AllocsPerRun(100, func() { protocol.WriteResponse(w, resp) })
+	if n > 1 {
+		t.Fatalf("writing a 21-frame response takes %.0f allocations, want at most 1 (the header value)", n)
+	}
+}
+
+// TestWriteResponseNoStaleBytes writes short answers right after long
+// ones through the pooled buffer: each body must be exactly its own
+// encoding, with nothing of the longer answer before it carried over.
+func TestWriteResponseNoStaleBytes(t *testing.T) {
+	for _, resp := range []protocol.Response{
+		performResponse(200), protocol.OK(), performResponse(21), protocol.Errorf("perform: unknown object %q", "o"),
+		performResponse(1), protocol.Overloadedf("busy"), performResponse(0),
+	} {
+		want, err := protocol.EncodeResponse(resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		protocol.WriteResponse(rec, resp)
+		if !bytes.Equal(rec.Body.Bytes(), want) {
+			t.Fatalf("WriteResponse wrote\n%s\nwant\n%s", rec.Body.Bytes(), want)
 		}
 	}
 }

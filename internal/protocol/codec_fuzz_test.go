@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"net/http/httptest"
 	"reflect"
 	"testing"
 	"time"
@@ -303,6 +304,15 @@ func FuzzEncodeResponse(f *testing.F) {
 		}
 		if !bytes.Equal(got, want) {
 			t.Fatalf("bytes diverged from json.Marshal:\n got %s\nwant %s", got, want)
+		}
+		// The /rpc writer renders through a pooled buffer that the
+		// previous input, longer or shorter, used last.
+		if wantErr == nil {
+			rec := httptest.NewRecorder()
+			protocol.WriteResponse(rec, resp)
+			if !bytes.Equal(rec.Body.Bytes(), want) {
+				t.Fatalf("WriteResponse diverged from json.Marshal:\n got %s\nwant %s", rec.Body.Bytes(), want)
+			}
 		}
 	})
 }

@@ -254,16 +254,38 @@ func ReadRequestBody(w http.ResponseWriter, req *http.Request) ([]byte, bool) {
 
 var errRequestTooLarge = fmt.Errorf("protocol: request body exceeds the %d-byte limit", MaxRequestBytes)
 
-// WriteResponse writes resp as the answer to one /rpc request. Admission
-// control speaks HTTP: an overloaded envelope goes out as 503 plus a
-// Retry-After hint (DefaultRetryAfterSec when resp names none), with the
-// full envelope still in the body.
+// responseBufs holds the buffers WriteResponse renders into, so an
+// answered perform leaves no body behind for the collector. A buffer
+// grown past maxPooledResponse (a rare huge answer) is dropped instead.
+var responseBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledResponse = 1 << 20
+
+// WriteResponse writes resp as the answer to one /rpc request, rendered
+// as EncodeResponse renders it. Admission control speaks HTTP: an
+// overloaded envelope goes out as 503 plus a Retry-After hint
+// (DefaultRetryAfterSec when resp names none), with the full envelope
+// still in the body.
 func WriteResponse(w http.ResponseWriter, resp Response) {
 	w.Header().Set("Content-Type", "application/json")
-	data, err := EncodeResponse(resp)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
+	if resp.V < 1 || resp.V > Version {
+		resp.V = Version
+	}
+	buf := responseBufs.Get().(*[]byte)
+	defer func() {
+		if cap(*buf) <= maxPooledResponse {
+			responseBufs.Put(buf)
+		}
+	}()
+	data, ok := appendResponse((*buf)[:0], &resp)
+	if ok {
+		*buf = data
+	} else {
+		var err error
+		if data, err = json.Marshal(resp); err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
 	}
 	if resp.Overloaded {
 		ra := resp.RetryAfter

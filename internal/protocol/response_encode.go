@@ -3,6 +3,7 @@ package protocol
 import (
 	"encoding/json"
 	"math"
+	"slices"
 	"strconv"
 	"unicode/utf8"
 
@@ -23,13 +24,20 @@ import (
 // frameSizeHint presizes an encode buffer: a summary frame is ~170 bytes.
 const frameSizeHint = 192
 
-// marshalResponse renders r as json.Marshal(r) would. It reports false
-// for the values left to encoding/json whole.
+// marshalResponse renders r as json.Marshal(r) would, into a buffer of
+// its own. It reports false for the values left to encoding/json whole.
 func marshalResponse(r *Response) ([]byte, bool) {
+	return appendResponse(nil, r)
+}
+
+// appendResponse is marshalResponse appending to b, which it first grows
+// by the rendering's usual size. On false the bytes past len(b) are
+// garbage and b's own are untouched.
+func appendResponse(b []byte, r *Response) ([]byte, bool) {
 	if r.Stats != nil {
-		return nil, false
+		return b, false
 	}
-	b := make([]byte, 0, 128+len(r.Error)+frameSizeHint*len(r.Results))
+	b = slices.Grow(b, 128+len(r.Error)+frameSizeHint*len(r.Results))
 	b = append(b, `{"v":`...)
 	b = strconv.AppendInt(b, int64(r.V), 10)
 	b = append(b, `,"ok":`...)
@@ -50,7 +58,7 @@ func marshalResponse(r *Response) ([]byte, bool) {
 			}
 			var ok bool
 			if b, ok = appendFrame(b, &r.Results[i]); !ok {
-				return nil, false
+				return b, false
 			}
 		}
 		b = append(b, ']')

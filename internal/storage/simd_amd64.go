@@ -30,6 +30,7 @@ var (
 	simdFilterMinMax = cpu.X86.HasAVX2 && !raceEnabled
 	simdCompress     = cpu.X86.HasAVX2 && !raceEnabled
 	simdFloatSum     = cpu.X86.HasAVX2 && !raceEnabled
+	simdCountCodes   = cpu.X86.HasAVX2 && !raceEnabled
 )
 
 // simdAvailable reports whether this build+host can run the SIMD
@@ -40,18 +41,19 @@ func simdAvailable() bool { return cpu.X86.HasAVX2 && !raceEnabled }
 // benchmarks and returns a restore func. "On" is clamped to
 // simdAvailable().
 func setSIMD(on bool) (restore func()) {
-	oldSum, oldMM, oldFS, oldFM, oldC, oldFF := simdSum, simdMinMax, simdFilterSum, simdFilterMinMax, simdCompress, simdFloatSum
+	oldSum, oldMM, oldFS, oldFM, oldC, oldFF, oldCC := simdSum, simdMinMax, simdFilterSum, simdFilterMinMax, simdCompress, simdFloatSum, simdCountCodes
 	set := on && simdAvailable()
-	simdSum, simdMinMax, simdFilterSum, simdFilterMinMax, simdCompress, simdFloatSum = set, set, set, set, set, set
+	simdSum, simdMinMax, simdFilterSum, simdFilterMinMax, simdCompress, simdFloatSum, simdCountCodes = set, set, set, set, set, set, set
 	return func() {
-		simdSum, simdMinMax, simdFilterSum, simdFilterMinMax, simdCompress, simdFloatSum = oldSum, oldMM, oldFS, oldFM, oldC, oldFF
+		simdSum, simdMinMax, simdFilterSum, simdFilterMinMax, simdCompress, simdFloatSum, simdCountCodes = oldSum, oldMM, oldFS, oldFM, oldC, oldFF, oldCC
 	}
 }
 
 // Assembly kernels (simd_amd64.s). Length preconditions are the
 // wrappers' responsibility: avxSumInt64, the filter kernels, the
-// compress kernels and the extraction kernels need len(v) % 8 == 0, the
-// 4-lane min/max kernels len(v) % 4 == 0, all with len(v) > 0.
+// compress kernels, the extraction kernels and avxCountCodes need
+// len(v) % 8 == 0, the 4-lane min/max kernels len(v) % 4 == 0, all with
+// len(v) > 0.
 
 //go:noescape
 func avxSumInt64(v []int64) int64
@@ -76,6 +78,9 @@ func avxCompressInt64(v []int64, lo, hi int64, kxor uint64, base int64, lut *byt
 
 //go:noescape
 func avxCompressFloat64(v []float64, b float64, wlt, wgt, weq uint64, base int64, lut *byte, out *int32) int64
+
+//go:noescape
+func avxCountCodes(codes []int32, mask *[8]uint32) int64
 
 // The masked extraction kernels, one per operator (the compare predicate
 // is an immediate): out gets Σq1, Σq2, max|x| over the qualifiers and the
@@ -188,6 +193,18 @@ func simdMinMaxFloat64(v []float64) (mn, mx float64) {
 		}
 	}
 	return mn, mx
+}
+
+// simdCountPassing counts the codes whose pass bit is set: mask is pass
+// folded by foldPass, so every code is below maskCodes. Whole 8-code
+// blocks run in the kernel, the ragged tail through countPassing.
+func simdCountPassing(codes []int32, mask *[8]uint32, pass []bool) int {
+	n := len(codes) &^ 7
+	cnt := countPassing(codes[n:], pass)
+	if n > 0 {
+		cnt += int(avxCountCodes(codes[:n], mask))
+	}
+	return cnt
 }
 
 // simdFilterSumInt64 counts and sums the values passing p.

@@ -531,3 +531,75 @@ EXTRACT_SUM(·avxExtractSumLt, $0x11)
 EXTRACT_SUM(·avxExtractSumLe, $0x1A)
 EXTRACT_SUM(·avxExtractSumGt, $0x1E)
 EXTRACT_SUM(·avxExtractSumGe, $0x15)
+
+// func avxCountCodes(codes []int32, mask *[8]uint32) int64
+// The string COUNT slide: a code passes iff bit code&31 of mask word
+// code>>5 is set — a pass table of at most 256 codes folded into one
+// register. Per 8 codes: VPSRLD picks each code's word index, VPERMD
+// fetches that bitmap word into the code's lane, VPSRLVD shifts its bit
+// down to bit 0, and the pass bit adds into a dword count. Two vectors
+// (16 codes) per main-loop iteration with independent accumulators, one
+// 8-code step for the remainder. Every code must be < 256: VPERMD reads
+// only the low 3 bits of the word index, so a larger code would alias.
+// A dword lane counts at most len/8 codes and the total at most len,
+// which a slice of int32 positions keeps below 2^31.
+TEXT ·avxCountCodes(SB), NOSPLIT, $0-40
+	MOVQ         codes_base+0(FP), SI
+	MOVQ         codes_len+8(FP), CX
+	MOVQ         mask+24(FP), DI
+	VMOVDQU      (DI), Y8           // the pass bitmap
+	MOVL         $31, AX
+	MOVQ         AX, X9
+	VPBROADCASTD X9, Y9             // bit-index mask
+	MOVL         $1, AX
+	MOVQ         AX, X10
+	VPBROADCASTD X10, Y10           // pass-bit mask
+	VPXOR        Y0, Y0, Y0         // counts a
+	VPXOR        Y1, Y1, Y1         // counts b
+	CMPQ         CX, $16
+	JL           cctail
+
+ccloop16:
+	VMOVDQU (SI), Y2
+	VMOVDQU 32(SI), Y3
+	VPSRLD  $5, Y2, Y4              // word index code>>5
+	VPSRLD  $5, Y3, Y5
+	VPERMD  Y8, Y4, Y4              // the bitmap word of each code
+	VPERMD  Y8, Y5, Y5
+	VPAND   Y9, Y2, Y2              // bit index code&31
+	VPAND   Y9, Y3, Y3
+	VPSRLVD Y2, Y4, Y4              // word >> bit index
+	VPSRLVD Y3, Y5, Y5
+	VPAND   Y10, Y4, Y4             // the pass bit
+	VPAND   Y10, Y5, Y5
+	VPADDD  Y4, Y0, Y0
+	VPADDD  Y5, Y1, Y1
+	ADDQ    $64, SI
+	SUBQ    $16, CX
+	CMPQ    CX, $16
+	JGE     ccloop16
+
+cctail:
+	TESTQ   CX, CX
+	JZ      ccreduce
+	VMOVDQU (SI), Y2
+	VPSRLD  $5, Y2, Y4
+	VPERMD  Y8, Y4, Y4
+	VPAND   Y9, Y2, Y2
+	VPSRLVD Y2, Y4, Y4
+	VPAND   Y10, Y4, Y4
+	VPADDD  Y4, Y0, Y0
+
+ccreduce:
+	VPADDD       Y1, Y0, Y0
+	VEXTRACTI128 $1, Y0, X1
+	VPADDD       X1, X0, X0
+	VPSHUFD      $0xEE, X0, X1
+	VPADDD       X1, X0, X0
+	VPSHUFD      $0x55, X0, X1
+	VPADDD       X1, X0, X0
+	VZEROUPPER
+	MOVQ         X0, AX
+	MOVL         AX, AX             // the low dword: the count
+	MOVQ         AX, ret+32(FP)
+	RET

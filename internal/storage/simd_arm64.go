@@ -13,9 +13,9 @@ import (
 // VADD/CMGT/logic ops, and the port stays small enough to audit by
 // decode (this tree is developed on amd64, so the arm64 kernels are
 // assemble- and objdump-verified rather than benchmarked in CI — keep
-// them conservative). Min/max, filtered min/max and compare+compress
-// take the pure-Go kernels, which the gc compiler already keeps
-// branch-free.
+// them conservative). Min/max, filtered min/max, compare+compress and
+// the string count take the pure-Go kernels, which the gc compiler
+// already keeps branch-free.
 var (
 	simdSum          = cpu.ARM64.HasASIMD && !raceEnabled
 	simdFilterSum    = cpu.ARM64.HasASIMD && !raceEnabled
@@ -23,6 +23,7 @@ var (
 	simdFilterMinMax = false
 	simdCompress     = false
 	simdFloatSum     = false
+	simdCountCodes   = false
 )
 
 // simdAvailable reports whether this build+host can run the SIMD
@@ -135,6 +136,10 @@ func simdCompressFloat64(v []float64, b float64, wLt, wGt, wEq int, base int, bu
 		j += passFloat(x, b, wLt, wGt, wEq)
 	}
 	return j
+}
+
+func simdCountPassing(codes []int32, mask *[8]uint32, pass []bool) int {
+	return countPassing(codes, pass)
 }
 
 // simdSumWindow has no assembly here: float SUM windows compact and add

@@ -55,8 +55,9 @@ func BenchmarkSIMDMinMaxRange(b *testing.B) {
 // BenchmarkSIMDFusedBlocked pairs the blocked scans with assembly behind
 // them at the served chunk width, where a 1024-value chunk amortizes the
 // SIMD call less than a whole-column sweep would: the int64 masked loops,
-// and the float64 sum, whose compaction step is the compare+compress
-// kernel (its fold is scalar on both sides).
+// the float64 sum (the masked extraction window), and the string count
+// over the bench column's 100 keys, whose pass table folds into the
+// bitmap kernel's register.
 func BenchmarkSIMDFusedBlocked(b *testing.B) {
 	ic := benchIntCol()
 	operand := fusedBenchOperand("int64", selectivities[1]) // sel50
@@ -75,6 +76,13 @@ func BenchmarkSIMDFusedBlocked(b *testing.B) {
 				benchPair(b, func(b *testing.B) { benchFusedBlocked(b, fc, span, operand, FusedSum) })
 			})
 		}
+	}
+	sc := benchStringCol()
+	operand = fusedBenchOperand("string", selectivities[1])
+	for _, span := range benchSpans {
+		b.Run(fmt.Sprintf("string/count/sel50/span%d", span), func(b *testing.B) {
+			benchPair(b, func(b *testing.B) { benchFusedBlocked(b, sc, span, operand, FusedCount) })
+		})
 	}
 }
 

@@ -3,6 +3,7 @@
 package storage
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -264,12 +265,12 @@ func TestSIMDCompressFloat64Differential(t *testing.T) {
 // -race every flag must be off (the detector cannot see loads inside
 // assembly), and setSIMD must round-trip the flags.
 func TestSIMDDispatchFlagsConsistent(t *testing.T) {
-	if raceEnabled && (simdSum || simdMinMax || simdFilterSum || simdFilterMinMax || simdCompress) {
+	if raceEnabled && (simdSum || simdMinMax || simdFilterSum || simdFilterMinMax || simdCompress || simdFloatSum || simdCountCodes) {
 		t.Fatal("SIMD dispatch flags must be off under -race")
 	}
 	was := simdSum
 	restore := setSIMD(false)
-	if simdSum || simdFilterSum {
+	if simdSum || simdFilterSum || simdCountCodes {
 		t.Fatal("setSIMD(false) left a dispatch flag on")
 	}
 	restore()
@@ -388,5 +389,81 @@ func TestSIMDSumWindowScanDirectShape(t *testing.T) {
 	}
 	if !sameBits(got.Round(), want.Round()) {
 		t.Fatalf("kernel total %v, twin %v", got.Round(), want.Round())
+	}
+}
+
+// TestSIMDCountCodesDifferential holds the string COUNT kernel to the
+// table loop it replaces: dictionaries on both sides of every bitmap
+// word boundary up to maskCodes, the pass tables of every operator under
+// string, int, float and NaN operands plus all-pass and none-pass, and
+// lengths 0-70 and 1024 at ragged offsets. A dictionary one past
+// maskCodes must not fold: it keeps the table loop.
+func TestSIMDCountCodesDifferential(t *testing.T) {
+	skipNoAVX2(t)
+	rng := rand.New(rand.NewSource(10))
+	lengths := []int{1024}
+	for n := 0; n <= 70; n++ {
+		lengths = append(lengths, n)
+	}
+	for _, size := range []int{1, 2, 31, 32, 33, 63, 64, 65, 255, 256, 257} {
+		words := make([]string, size)
+		for i := range words {
+			words[i] = fmt.Sprintf("w%03d", i)
+		}
+		// The dictionary interns every word, in order, and the codes are
+		// drawn uniformly with the top code planted at both ends.
+		vals := append([]string(nil), words...)
+		for i := 0; i < 1024+8; i++ {
+			vals = append(vals, words[rng.Intn(size)])
+		}
+		codes := NewStringColumn("s", vals).codes[size:]
+		codes[0], codes[len(codes)-1] = int32(size-1), int32(size-1)
+		c := NewStringColumn("s", words)
+
+		operands := []Value{
+			StringValue(words[0]), StringValue(words[size/2]), StringValue(words[size-1]),
+			StringValue(""), StringValue("x"),
+			IntValue(int64(size / 2)), FloatValue(2.5), FloatValue(math.NaN()),
+		}
+		var tables [][]bool
+		for _, op := range fusedOps {
+			for _, operand := range operands {
+				tables = append(tables, c.passByCode(op, operand))
+			}
+		}
+		all, none := make([]bool, size), make([]bool, size)
+		for i := range all {
+			all[i] = true
+		}
+		tables = append(tables, all, none)
+
+		if simdAvailable() {
+			restore := setSIMD(true)
+			pp := c.preparePred(RangeLt, StringValue(words[size/2]))
+			restore()
+			if pp.masked != (size <= maskCodes) {
+				t.Fatalf("dictionary of %d: folded = %v", size, pp.masked)
+			}
+		}
+		if size > maskCodes {
+			continue
+		}
+		for ti, pass := range tables {
+			mask := foldPass(pass)
+			for _, n := range lengths {
+				off := rng.Intn(8)
+				if n+off > len(codes) {
+					off = len(codes) - n
+				}
+				v := codes[off : off+n]
+				want := 0
+				for _, code := range v {
+					want += b2i(pass[code])
+				}
+				if got := simdCountPassing(v, &mask, pass); got != want {
+					t.Fatalf("dictionary of %d, table %d, n=%d at offset %d: kernel %d, table loop %d", size, ti, n, off, got, want)
+				}
+			}
+		}
 	}
 }

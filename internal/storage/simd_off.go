@@ -17,6 +17,7 @@ const (
 	simdFilterMinMax = false
 	simdCompress     = false
 	simdFloatSum     = false
+	simdCountCodes   = false
 )
 
 func simdAvailable() bool { return false }
@@ -80,6 +81,10 @@ func simdCompressFloat64(v []float64, b float64, wLt, wGt, wEq int, base int, bu
 		j += passFloat(x, b, wLt, wGt, wEq)
 	}
 	return j
+}
+
+func simdCountPassing(codes []int32, mask *[8]uint32, pass []bool) int {
+	return countPassing(codes, pass)
 }
 
 // simdSumWindow has no assembly here: float SUM windows compact and add

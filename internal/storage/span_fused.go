@@ -240,7 +240,8 @@ func maxPassing(vals []int64, p intPred) (cnt int, mx int64) {
 }
 
 // countPassing counts the dictionary codes whose pass entry is set —
-// the string COUNT slide's loop, unrolled with independent accumulators
+// the string COUNT slide's loop where there is no AVX2 kernel (or the
+// dictionary is past maskCodes), unrolled with independent accumulators
 // like sumMaskedLe so the table lookups overlap.
 func countPassing(codes []int32, pass []bool) int {
 	var c0, c1, c2, c3 int
@@ -256,6 +257,21 @@ func countPassing(codes []int32, pass []bool) int {
 		c0 += b2i(pass[code])
 	}
 	return c0 + c1 + c2 + c3
+}
+
+// maskCodes is the most dictionary codes a folded pass bitmap covers:
+// 256 bits, one AVX2 register.
+const maskCodes = 256
+
+// foldPass folds a pass table of at most maskCodes entries into the
+// bitmap avxCountCodes tests: bit c&31 of word c>>5 is pass[c].
+func foldPass(pass []bool) (m [8]uint32) {
+	for c, ok := range pass {
+		if ok {
+			m[c>>5] |= 1 << (c & 31)
+		}
+	}
+	return m
 }
 
 // FusedMode selects what a blocked fused scan maintains — the storage
@@ -292,8 +308,9 @@ func (a chunkAgg) only(mode FusedMode) chunkAgg {
 // preparedPred is per-scan predicate state lowered exactly once: the
 // integer bounds for int columns, the operator and wants masks for float
 // columns, the two-outcome table for bools, and the memoized per-code
-// table for strings. Blocked scans prepare it up front so per-chunk work
-// is only the inner loop.
+// table for strings — folded into a bitmap too when the count kernel can
+// use it. Blocked scans prepare it up front so per-chunk work is only the
+// inner loop.
 type preparedPred struct {
 	// Int64 columns.
 	ip        intPred
@@ -304,8 +321,12 @@ type preparedPred struct {
 	wLt, wGt, wEq int
 	// Bool columns.
 	tab [2]int
-	// String columns.
-	pass []bool
+	// String columns: mask is pass folded by foldPass, set (masked)
+	// only where simdCountCodes can run and the dictionary has at most
+	// maskCodes entries.
+	pass   []bool
+	mask   [8]uint32
+	masked bool
 }
 
 // preparePred lowers the predicate for this column's type.
@@ -314,6 +335,9 @@ func (c *Column) preparePred(op RangeOp, operand Value) preparedPred {
 	switch c.typ {
 	case String:
 		pp.pass = c.passByCode(op, operand)
+		if simdCountCodes && len(pp.pass) <= maskCodes {
+			pp.mask, pp.masked = foldPass(pp.pass), true
+		}
 	case Int64:
 		pp.ip, pp.none, pp.all = intPredFor(op, operand.AsFloat())
 	case Float64:
@@ -483,7 +507,14 @@ func (c *Column) exactChunk(pp *preparedPred, lo, hi int, mode FusedMode) chunkA
 	case String:
 		switch mode {
 		case FusedCount:
-			return chunkAgg{n: countPassing(c.codes[lo:hi], pp.pass), min: math.Inf(1), max: math.Inf(-1)}
+			codes := c.codes[lo:hi]
+			var cnt int
+			if simdCountCodes && pp.masked && len(codes) >= simdMinSpan {
+				cnt = simdCountPassing(codes, &pp.mask, pp.pass)
+			} else {
+				cnt = countPassing(codes, pp.pass)
+			}
+			return chunkAgg{n: cnt, min: math.Inf(1), max: math.Inf(-1)}
 		case FusedSum:
 			cnt := 0
 			var isum int64

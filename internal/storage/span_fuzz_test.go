@@ -86,6 +86,18 @@ func FuzzIntPredFor(f *testing.F) {
 // above-everything word and the empty string.
 var fuzzWords = []string{"apple", "apple ", "banana", "fig", "pear", "quince", "zzz", ""}
 
+// wideWords is the wide dictionary of FuzzFusedBlocked's string columns
+// with bit 2 of the type byte set: 250 to 260 words, so a dictionary
+// lands on either side of maskCodes, where the string count leaves its
+// bitmap kernel for the table loop.
+var wideWords = func() []string {
+	w := make([]string, 260)
+	for i := range w {
+		w[i] = fmt.Sprintf("w%03d", i)
+	}
+	return w
+}()
+
 // FuzzFusedBlocked holds the blocked fused scans — the storage entry
 // points operator.FuseFilterAgg calls — to the scalar compose (FilterRange
 // or FilterSel, then a per-value loop, its sum compared bit for bit on
@@ -110,9 +122,19 @@ func FuzzFusedBlocked(f *testing.F) {
 	for i, bl := range []uint16{0, 1, 3, 64, 1024} {
 		f.Add(uint8(1), int64(1000+i), int16(0), int16(415), bl, uint8(6+i), math.Float64bits(1))
 	}
+	// String counts (opSel 48..53: FusedCount, string operand) over wide
+	// dictionaries of 250 to 260 words.
+	for k := 0; k < 11; k++ {
+		f.Add(uint8(7+8*k), int64(2000+k), int16(0), int16(415), uint16(k%2*64), uint8(48+k%6), uint64(125+k))
+	}
 	f.Fuzz(func(t *testing.T, typByte uint8, seed int64, loRaw, hiRaw int16, blRaw uint16, opSel uint8, bBits uint64) {
 		op := RangeOp(opSel % 6)
 		mode := FusedMode(opSel / 6 % 4)
+		words := fuzzWords
+		wide := typByte%4 == 3 && typByte&4 != 0
+		if wide {
+			words = wideWords[:250+int(typByte/8)%11]
+		}
 		var operand Value
 		switch opSel / 24 % 3 {
 		case 0:
@@ -120,7 +142,7 @@ func FuzzFusedBlocked(f *testing.F) {
 		case 1:
 			operand = IntValue(int64(bBits))
 		default:
-			operand = StringValue(fuzzWords[bBits%uint64(len(fuzzWords))])
+			operand = StringValue(words[bBits%uint64(len(words))])
 		}
 
 		// Deterministic column from the seed: a Weyl sequence mixed with
@@ -162,9 +184,16 @@ func FuzzFusedBlocked(f *testing.F) {
 		default:
 			v := make([]string, n)
 			for i := range v {
-				v[i] = fuzzWords[(next()>>32)%uint64(len(fuzzWords))]
+				v[i] = words[(next()>>32)%uint64(len(words))]
 			}
-			c = NewStringColumn("s", v)
+			if wide {
+				// Intern every word first, so the dictionary holds all
+				// of them whichever the column draws.
+				full := NewStringColumn("s", append(append([]string(nil), words...), v...))
+				c, _ = full.Slice(len(words), len(words)+n)
+			} else {
+				c = NewStringColumn("s", v)
+			}
 		}
 
 		// Ranges reach past both ends and invert; block lengths run from
