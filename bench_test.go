@@ -155,7 +155,9 @@ func BenchmarkIndexedSlide(b *testing.B) {
 // sequential execution of the same script.
 func BenchmarkConcurrentSessions(b *testing.B) {
 	s := benchScale()
-	seq := experiments.RunSequentialSessions(s.Rows, 1)
+	ref := experiments.NewSessionBench(s.Rows)
+	seq := ref.Run(1, false)
+	ref.Close()
 	if len(seq.Streams[0]) == 0 {
 		b.Fatal("sequential reference produced no results")
 	}

@@ -33,9 +33,9 @@
 // appended to a per-session log (compacted into checkpoints past
 // -session-compact bytes, the directory bounded by -session-retain),
 // and a crashed or evicted session resumes exactly where it stopped —
-// send {"op":"resume","session":ID} after a restart, or use a client
-// with AutoResume. Live-table appends are persisted and restored at
-// startup too. See docs/operations.md, "Session durability".
+// send {"op":"resume","session":ID} after a restart, or route through
+// dbtouch-gateway, which resumes for its clients. Live-table appends are
+// persisted and restored at startup too. See docs/operations.md, "Session durability".
 //
 // -ftdc-dir turns on the flight recorder: every session/storage
 // gauge is sampled each -ftdc-interval into delta-of-delta

@@ -55,9 +55,6 @@ func (e *Engine) Register(m *storage.Matrix) error {
 	return nil
 }
 
-// Queries reports how many statements have executed.
-func (e *Engine) Queries() int64 { return e.queries }
-
 // TotalStats aggregates access statistics across all column trackers.
 func (e *Engine) TotalStats() iomodel.Stats {
 	var total iomodel.Stats

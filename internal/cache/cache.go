@@ -4,10 +4,8 @@
 //
 // The package supplies eviction policies for iomodel trackers — plain LRU
 // lives in iomodel; here are the gesture-aware alternative and a
-// no-caching strawman — plus a hash-table cache for join state reuse
-// (§2.9: "caching of hash tables across the various sample copies can
-// enhance future queries"). Cache-to-sample promotion reads core's
-// per-object touch histogram, not these policies.
+// no-caching strawman. Cache-to-sample promotion reads core's per-object
+// touch histogram, not these policies.
 package cache
 
 import (

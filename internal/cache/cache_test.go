@@ -119,45 +119,3 @@ func TestGestureAwareRevisitBeatsNone(t *testing.T) {
 		t.Fatalf("gesture-aware cold=%d, none cold=%d; aware should refetch less", aware, none)
 	}
 }
-
-func TestHashTableCache(t *testing.T) {
-	c := NewHashTableCache(2)
-	c.Put(Key("t", "a", 0), "tableA")
-	c.Put(Key("t", "b", 0), "tableB")
-	if v, ok := c.Get(Key("t", "a", 0)); !ok || v != "tableA" {
-		t.Fatalf("Get A = %v, %v", v, ok)
-	}
-	// Insert a third: LRU (b) evicted because a was just used.
-	c.Put(Key("t", "c", 0), "tableC")
-	if _, ok := c.Get(Key("t", "b", 0)); ok {
-		t.Fatal("b should have been evicted")
-	}
-	if _, ok := c.Get(Key("t", "a", 0)); !ok {
-		t.Fatal("a should have survived")
-	}
-	if c.Len() != 2 {
-		t.Fatalf("len = %d", c.Len())
-	}
-	if c.Hits() < 2 || c.Misses() < 1 {
-		t.Fatalf("hits=%d misses=%d", c.Hits(), c.Misses())
-	}
-}
-
-func TestHashTableCacheUpdate(t *testing.T) {
-	c := NewHashTableCache(2)
-	key := Key("t", "a", 1)
-	c.Put(key, 1)
-	c.Put(key, 2)
-	if v, _ := c.Get(key); v != 2 {
-		t.Fatalf("updated value = %v", v)
-	}
-	if c.Len() != 1 {
-		t.Fatal("update should not grow the cache")
-	}
-}
-
-func TestKeyFormat(t *testing.T) {
-	if Key("orders", "amount", 3) != "orders.amount@3" {
-		t.Fatalf("key = %q", Key("orders", "amount", 3))
-	}
-}

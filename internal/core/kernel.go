@@ -266,9 +266,6 @@ func (k *Kernel) Counters() *metrics.Counters { return k.counters }
 // TouchLatency exposes the per-touch busy-time histogram.
 func (k *Kernel) TouchLatency() *metrics.Histogram { return &k.touchHist }
 
-// DispatchStats exposes dispatcher delivery/coalescing counters.
-func (k *Kernel) DispatchStats() touchos.DispatchStats { return k.dispatcher.Stats() }
-
 // OnResult registers a callback invoked for every emitted result (the
 // front-end hook, and the way to observe the full unbounded stream).
 // Results are also retained while visible; see Results.
@@ -281,9 +278,6 @@ func (k *Kernel) OnResult(fn func(Result)) { k.onResult = fn }
 // memory for long-running sessions; subscribe with OnResult to observe
 // the complete stream.
 func (k *Kernel) Results() []Result { return k.results }
-
-// ResetResults clears retained results (between experiment runs).
-func (k *Kernel) ResetResults() { k.results = nil }
 
 // newPolicy builds a fresh eviction policy instance per tracker.
 func (k *Kernel) newPolicy() iomodel.EvictionPolicy {
@@ -390,11 +384,6 @@ func (k *Kernel) newObject(m *storage.Matrix, col int, frame touchos.Rect) *Obje
 }
 
 func (k *Kernel) finishObject(o *Object) {
-	rows, cols := o.matrix.NumRows(), o.matrix.NumCols()
-	if o.IsColumn() {
-		cols = 1
-	}
-	o.view.SetProps(touchos.DataProps{ObjectID: o.id, Rows: rows, Cols: cols})
 	_ = k.screen.AddChild(o.view)
 	k.objects[o.id] = o
 	k.byView[o.view.ID()] = o

@@ -4,7 +4,6 @@ import (
 	"dbtouch/internal/index"
 	"dbtouch/internal/sample"
 	"dbtouch/internal/storage"
-	"dbtouch/internal/touchos"
 )
 
 // Live ingestion at the kernel layer: objects over a live table read one
@@ -198,10 +197,5 @@ func (o *Object) rebindLive(pin *sample.Pinned) error {
 			}
 		}
 	}
-	rows, cols := o.matrix.NumRows(), o.matrix.NumCols()
-	if o.IsColumn() {
-		cols = 1
-	}
-	o.view.SetProps(touchos.DataProps{ObjectID: o.id, Rows: rows, Cols: cols})
 	return nil
 }

@@ -42,31 +42,6 @@ func NewAdaptiveOptimizer(predicates []operator.Predicate, window int, enabled b
 	return o
 }
 
-// Eval evaluates the conjunction against tuple row of m with
-// short-circuiting in the current adaptive order, charging reads through
-// trackers, then reconsiders the order. Evaluated conjuncts update their
-// selectivity; short-circuited ones learn nothing (they were not paid
-// for).
-func (o *AdaptiveOptimizer) Eval(m *storage.Matrix, row int, trackers []*iomodel.Tracker) (bool, error) {
-	o.evals++
-	pass := true
-	for _, idx := range o.order {
-		ok, err := o.predicates[idx].Eval(m, row, trackers)
-		if err != nil {
-			return false, err
-		}
-		o.stats[idx].Observe(ok)
-		if !ok {
-			pass = false
-			break
-		}
-	}
-	if o.Enabled && o.evals%16 == 0 {
-		o.reorder()
-	}
-	return pass, nil
-}
-
 // EvalSpan evaluates the conjunction over tuple span [lo, hi) of m and
 // returns the qualifying rows in ascending order (a selection vector that
 // aliases internal scratch; callers must consume it before the next
@@ -270,15 +245,8 @@ func (o *AdaptiveOptimizer) reorder() {
 	}
 }
 
-// Order returns the current evaluation order (indexes into the original
-// predicate list).
-func (o *AdaptiveOptimizer) Order() []int { return append([]int(nil), o.order...) }
-
 // Reorders reports how many times the order changed.
 func (o *AdaptiveOptimizer) Reorders() int { return o.reorders }
-
-// Selectivity reports the observed selectivity of predicate i.
-func (o *AdaptiveOptimizer) Selectivity(i int) float64 { return o.stats[i].Selectivity() }
 
 // Len reports the number of conjuncts.
 func (o *AdaptiveOptimizer) Len() int { return len(o.predicates) }

@@ -110,13 +110,6 @@ func (s *ResultStream) Closed() bool {
 	return s.closed
 }
 
-// Len reports how many results are currently buffered.
-func (s *ResultStream) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.count
-}
-
 // Dropped reports how many results were discarded because the consumer
 // fell more than the buffer size behind the kernel.
 func (s *ResultStream) Dropped() int64 {

@@ -9,8 +9,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-
-	"dbtouch/internal/storage"
 )
 
 // Dist selects a value distribution.
@@ -130,29 +128,6 @@ func Floats(spec Spec) []float64 {
 		for i := range out {
 			out[i] = lo + rng.Float64()*span
 		}
-	}
-	return out
-}
-
-// IntColumn generates a storage column of int64 values per spec.
-func IntColumn(name string, spec Spec) *storage.Column {
-	return storage.NewIntColumn(name, Ints(spec))
-}
-
-// FloatColumn generates a storage column of float64 values per spec.
-func FloatColumn(name string, spec Spec) *storage.Column {
-	return storage.NewFloatColumn(name, Floats(spec))
-}
-
-// Strings generates n strings drawn from a vocabulary of cardinality card.
-func Strings(n int, card int, seed int64) []string {
-	rng := rand.New(rand.NewSource(seed))
-	if card <= 0 {
-		card = 16
-	}
-	out := make([]string, n)
-	for i := range out {
-		out[i] = fmt.Sprintf("v%04d", rng.Intn(card))
 	}
 	return out
 }

@@ -53,14 +53,8 @@ type Pattern struct {
 	Magnitude float64
 }
 
-// Contains reports whether tuple id lies inside the planted region.
-func (p Pattern) Contains(id int) bool { return id >= p.Start && id < p.End }
-
 // Overlaps reports whether [lo, hi) intersects the planted region.
 func (p Pattern) Overlaps(lo, hi int) bool { return lo < p.End && hi > p.Start }
-
-// Center returns the midpoint tuple of the region.
-func (p Pattern) Center() int { return (p.Start + p.End) / 2 }
 
 // Plant applies a pattern to data in place and returns its descriptor.
 // frac positions the region start as a fraction of the column; width is
@@ -109,28 +103,13 @@ func Plant(data []float64, kind PatternKind, frac, width float64, seed int64) Pa
 		}
 	case Correlated:
 		// Correlation involves a second column; for a single column we
-		// plant a smooth bump that PlantCorrelated mirrors.
+		// plant a smooth bump.
 		for i := start; i < end; i++ {
 			phase := math.Pi * float64(i-start) / float64(length)
 			data[i] += mag * math.Sin(phase)
 		}
 	}
 	return Pattern{Kind: kind, Start: start, End: end, Magnitude: mag}
-}
-
-// PlantCorrelated plants a matched bump in two columns over the same
-// region so that a join/correlation explorer can detect it.
-func PlantCorrelated(a, b []float64, frac, width float64, seed int64) Pattern {
-	p := Plant(a, Correlated, frac, width, seed)
-	if len(b) == 0 {
-		return p
-	}
-	n := len(b)
-	for i := p.Start; i < p.End && i < n; i++ {
-		phase := math.Pi * float64(i-p.Start) / float64(p.End-p.Start)
-		b[i] += p.Magnitude * math.Sin(phase)
-	}
-	return p
 }
 
 // stddev computes the sample standard deviation of data.

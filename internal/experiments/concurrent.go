@@ -163,26 +163,6 @@ func (b *SessionBench) Run(n int, concurrent bool) ConcurrentSessionsResult {
 	return res
 }
 
-// RunConcurrentSessions executes the standard script on n concurrent
-// sessions over one shared table of rows tuples and reports the group's
-// aggregate numbers. Each session runs on its own goroutine and owns its
-// virtual clock and trackers; the column data and sample hierarchy are
-// shared.
-func RunConcurrentSessions(rows, n int) ConcurrentSessionsResult {
-	b := NewSessionBench(rows)
-	defer b.Close()
-	return b.Run(n, true)
-}
-
-// RunSequentialSessions runs the identical workload on the calling
-// goroutine, one session at a time — the reference for stream-equivalence
-// checks.
-func RunSequentialSessions(rows, n int) ConcurrentSessionsResult {
-	b := NewSessionBench(rows)
-	defer b.Close()
-	return b.Run(n, false)
-}
-
 // ConcurrentSessions sweeps the session count over one shared table: the
 // many-users workload of the ROADMAP north star (and of ICEBOAT-style
 // interactive analytics deployments). The printed table shows aggregate

@@ -98,9 +98,6 @@ func New(upstream string) (*Proxy, error) {
 // of the upstream.
 func (p *Proxy) Addr() string { return p.ln.Addr().String() }
 
-// Upstream returns the address the proxy forwards to.
-func (p *Proxy) Upstream() string { return p.upstream }
-
 // Set replaces the active toxics; live connections observe the change
 // at their next forwarded chunk.
 func (p *Proxy) Set(t Toxics) {

@@ -359,7 +359,7 @@ func runChaosEquivalence(t *testing.T, cfg chaosConfig) {
 			continue
 		}
 		// Kills detach streams; frames emitted while detached are not
-		// replayed (the StreamResumed contract). What must hold: every
+		// replayed (the handleStream contract). What must hold: every
 		// relayed frame is genuine and in order — an ordered subsequence
 		// of the control stream — and the stream kept working.
 		// The probe frames follow every scripted frame; they proved the

@@ -25,9 +25,9 @@ const maxProxyFrameBytes = 64 << 20
 //
 // The encoding negotiated on the first attach is forced on every
 // reconnect, so a mid-stream failover cannot flip the client's decoder.
-// As with client-side StreamResumed, frames emitted while detached are
-// not replayed; what failover preserves is the session's state and the
-// stream's framing.
+// Frames emitted while detached are not replayed (a subscription observes
+// results from the moment it attaches); what failover preserves is the
+// session's state and the stream's framing.
 func (g *Gateway) handleStream(w http.ResponseWriter, r *http.Request) {
 	session := r.URL.Query().Get("session")
 	if session == "" {

@@ -58,17 +58,13 @@ func (s Synth) appendSlide(dst []touchos.TouchEvent, from, to touchos.Point, sta
 	return s.appendPath(dst, []Waypoint{{At: start, Loc: from}, {At: start + dur, Loc: to}})
 }
 
-// Path produces a single-finger gesture through the waypoints with
-// piecewise-linear interpolation. Consecutive waypoints at the same
-// location synthesize a pause (the finger stays down, the digitizer keeps
-// sampling the same spot). Waypoints must be in nondecreasing time order.
-func (s Synth) Path(points []Waypoint) []touchos.TouchEvent {
-	return s.appendPath(nil, points)
-}
-
-// appendPath appends Path's events to dst, growing it once: a segment of
-// duration d is sampled at a.At+k·period for k = 1..d/period, so the
-// count is known before the first event is written.
+// appendPath appends a single-finger gesture through the waypoints, with
+// piecewise-linear interpolation, to dst. Consecutive waypoints at the
+// same location synthesize a pause (the finger stays down, the digitizer
+// keeps sampling the same spot). Waypoints must be in nondecreasing time
+// order. dst grows once: a segment of duration d is sampled at
+// a.At+k·period for k = 1..d/period, so the count is known before the
+// first event is written.
 func (s Synth) appendPath(dst []touchos.TouchEvent, points []Waypoint) []touchos.TouchEvent {
 	if len(points) == 0 {
 		return dst
@@ -107,13 +103,9 @@ func (s Synth) appendPath(dst []touchos.TouchEvent, points []Waypoint) []touchos
 	})
 }
 
-// PauseResume produces a slide from 'from' to 'to' with a mid-gesture
-// pause: the finger travels pauseAt of the way, rests for pauseDur, then
-// completes the slide. Total moving time is dur.
-func (s Synth) PauseResume(from, to touchos.Point, start, dur time.Duration, pauseAt float64, pauseDur time.Duration) []touchos.TouchEvent {
-	return s.appendPauseResume(nil, from, to, start, dur, pauseAt, pauseDur)
-}
-
+// appendPauseResume appends a slide from 'from' to 'to' with a
+// mid-gesture pause: the finger travels pauseAt of the way, rests for
+// pauseDur, then completes the slide. Total moving time is dur.
 func (s Synth) appendPauseResume(dst []touchos.TouchEvent, from, to touchos.Point, start, dur time.Duration, pauseAt float64, pauseDur time.Duration) []touchos.TouchEvent {
 	mid := touchos.Point{
 		X: from.X + (to.X-from.X)*pauseAt,

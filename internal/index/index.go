@@ -175,6 +175,3 @@ func (r *Registry) For(level int, col *storage.Column, tracker *iomodel.Tracker)
 	}
 	return idx
 }
-
-// Builds reports how many lazy builds have run.
-func (r *Registry) Builds() int { return r.builds }

@@ -94,9 +94,6 @@ func New(clock *vclock.Clock, params Params, policy EvictionPolicy) *Tracker {
 // Params returns the tracker's cost parameters.
 func (t *Tracker) Params() Params { return t.params }
 
-// Policy exposes the eviction policy.
-func (t *Tracker) Policy() EvictionPolicy { return t.policy }
-
 // SetDirection records the current gesture movement direction, forwarded
 // to the eviction policy on each touch.
 func (t *Tracker) SetDirection(dir int) { t.dir = dir }
@@ -273,9 +270,6 @@ func (t *Tracker) WarmBlocks() int { return t.warm.Len() }
 
 // Stats returns a snapshot of the counters.
 func (t *Tracker) Stats() Stats { return t.stats }
-
-// ResetStats zeroes the counters, keeping warmth state.
-func (t *Tracker) ResetStats() { t.stats = Stats{} }
 
 // Cool drops all warm blocks, returning the store to a cold start.
 func (t *Tracker) Cool() { t.warm.clear() }

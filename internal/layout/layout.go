@@ -28,10 +28,6 @@ type Conversion struct {
 	next int
 	// chunk is the number of rows converted per Step.
 	chunk int
-	// sampleStride > 0 means a strided preview sample was converted
-	// first into Preview.
-	sampleStride int
-	preview      *storage.Matrix
 }
 
 // Target layout is the opposite of src's. chunk <= 0 selects 4096 rows
@@ -66,9 +62,6 @@ func NewConversion(src *storage.Matrix, clock *vclock.Clock, chunk int) (*Conver
 func emptyColumnMajor(name string, cols []*storage.Column) (*storage.Matrix, error) {
 	return storage.NewMatrix(name, cols...)
 }
-
-// Source returns the matrix being converted.
-func (c *Conversion) Source() *storage.Matrix { return c.src }
 
 // Result returns the destination matrix (complete only when Done).
 func (c *Conversion) Result() *storage.Matrix { return c.dst }
@@ -165,10 +158,5 @@ func (c *Conversion) SampleFirst(stride int) (*storage.Matrix, error) {
 	if c.clock != nil {
 		c.clock.Advance(time.Duration(rows) * CostPerRow)
 	}
-	c.sampleStride = stride
-	c.preview = preview
 	return preview, nil
 }
-
-// Preview returns the sample-first preview matrix, if one was built.
-func (c *Conversion) Preview() *storage.Matrix { return c.preview }

@@ -157,9 +157,6 @@ func TestSampleFirstPreview(t *testing.T) {
 	if v.I != 300 {
 		t.Fatalf("preview cell = %v, want 300", v)
 	}
-	if conv.Preview() != preview {
-		t.Fatal("Preview accessor mismatch")
-	}
 	// The full conversion still runs to completion independently.
 	if err := conv.Run(); err != nil {
 		t.Fatal(err)

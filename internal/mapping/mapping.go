@@ -11,7 +11,6 @@ package mapping
 
 import (
 	"errors"
-	"fmt"
 
 	"dbtouch/internal/touchos"
 )
@@ -27,25 +26,6 @@ var ErrEmptyObject = errors.New("mapping: data object has no tuples")
 
 // ErrDegenerateView reports a view with zero extent along the mapped axis.
 var ErrDegenerateView = errors.New("mapping: view has zero size along the data axis")
-
-// TupleID applies the Rule of Three: the relative location t within object
-// extent o selects tuple id = n·t/o, clamped into [0, n).
-func TupleID(t, o float64, n int) (int, error) {
-	if n <= 0 {
-		return 0, ErrEmptyObject
-	}
-	if o <= 0 {
-		return 0, ErrDegenerateView
-	}
-	id := int(float64(n) * t / o)
-	if id < 0 {
-		id = 0
-	}
-	if id >= n {
-		id = n - 1
-	}
-	return id, nil
-}
 
 // ObjectMap translates local touch coordinates on one data-object view to
 // tuple/attribute identifiers.
@@ -79,26 +59,6 @@ func (m ObjectMap) Positions(extent float64) int {
 		p = 1
 	}
 	return p
-}
-
-// AddressableTuples reports how many distinct tuples a slide over the full
-// extent can touch: bounded both by the tuple count and by the physical
-// position count.
-func (m ObjectMap) AddressableTuples(extent float64) int {
-	p := m.Positions(extent)
-	rows := m.effectiveRows()
-	if p < rows {
-		return p
-	}
-	return rows
-}
-
-func (m ObjectMap) effectiveRows() int {
-	g := m.Granularity
-	if g <= 1 {
-		return m.Rows
-	}
-	return (m.Rows + g - 1) / g
 }
 
 // RowAt maps a local Y coordinate within a view of the given local size to
@@ -174,15 +134,4 @@ func (m ObjectMap) RowOnView(v *touchos.View, screen touchos.Point) (int, error)
 // CellOnView maps a screen-coordinate touch on a table view to (row, col).
 func (m ObjectMap) CellOnView(v *touchos.View, screen touchos.Point) (row, col int, err error) {
 	return m.Cell(v.FromScreen(screen), v.LocalSize())
-}
-
-// Validate reports configuration errors up front.
-func (m ObjectMap) Validate() error {
-	if m.Rows < 0 || m.Cols < 0 {
-		return fmt.Errorf("mapping: negative dimensions %dx%d", m.Rows, m.Cols)
-	}
-	if m.Granularity < 0 {
-		return fmt.Errorf("mapping: negative granularity %d", m.Granularity)
-	}
-	return nil
 }

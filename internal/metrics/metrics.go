@@ -56,15 +56,6 @@ func (h *Histogram) Mean() time.Duration {
 	return h.sum / time.Duration(h.count)
 }
 
-// Min reports the smallest observation.
-func (h *Histogram) Min() time.Duration { return h.min }
-
-// Max reports the largest observation.
-func (h *Histogram) Max() time.Duration { return h.max }
-
-// Sum reports the total of all observations.
-func (h *Histogram) Sum() time.Duration { return h.sum }
-
 // Quantile approximates the q-quantile (0 < q <= 1) from the buckets,
 // returning the upper bound of the bucket containing the quantile.
 func (h *Histogram) Quantile(q float64) time.Duration {
@@ -91,9 +82,6 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 	return h.max
 }
 
-// Reset clears the histogram.
-func (h *Histogram) Reset() { *h = Histogram{} }
-
 // String summarizes the distribution.
 func (h *Histogram) String() string {
 	return fmt.Sprintf("n=%d mean=%v p50=%v p99=%v min=%v max=%v",
@@ -104,8 +92,6 @@ func (h *Histogram) String() string {
 type Point struct {
 	X float64
 	Y float64
-	// Label optionally annotates the point (e.g. a policy name).
-	Label string
 }
 
 // Series is a labeled sequence of points — one curve of a figure.
@@ -119,11 +105,6 @@ type Series struct {
 // Add appends a point.
 func (s *Series) Add(x, y float64) { s.Points = append(s.Points, Point{X: x, Y: y}) }
 
-// AddLabeled appends an annotated point.
-func (s *Series) AddLabeled(x, y float64, label string) {
-	s.Points = append(s.Points, Point{X: x, Y: y, Label: label})
-}
-
 // Fprint renders the series as an aligned two-column table.
 func (s *Series) Fprint(w io.Writer) {
 	fmt.Fprintf(w, "# %s\n", s.Name)
@@ -136,11 +117,7 @@ func (s *Series) Fprint(w io.Writer) {
 	}
 	fmt.Fprintf(w, "%-24s %-16s\n", x, y)
 	for _, p := range s.Points {
-		label := ""
-		if p.Label != "" {
-			label = "  # " + p.Label
-		}
-		fmt.Fprintf(w, "%-24.4g %-16.4g%s\n", p.X, p.Y, label)
+		fmt.Fprintf(w, "%-24.4g %-16.4g\n", p.X, p.Y)
 	}
 }
 
@@ -217,11 +194,4 @@ func (c *Counters) Names() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// Fprint renders all counters.
-func (c *Counters) Fprint(w io.Writer) {
-	for _, n := range c.Names() {
-		fmt.Fprintf(w, "%-32s %d\n", n, c.values[n])
-	}
 }

@@ -17,11 +17,8 @@ func TestHistogramBasics(t *testing.T) {
 	if h.Mean() != 2*time.Millisecond {
 		t.Fatalf("mean = %v", h.Mean())
 	}
-	if h.Min() != time.Millisecond || h.Max() != 3*time.Millisecond {
-		t.Fatalf("min/max = %v/%v", h.Min(), h.Max())
-	}
-	if h.Sum() != 6*time.Millisecond {
-		t.Fatalf("sum = %v", h.Sum())
+	if s := h.String(); !strings.Contains(s, "min=1ms max=3ms") {
+		t.Fatalf("String = %q, want min=1ms max=3ms", s)
 	}
 }
 
@@ -66,11 +63,11 @@ func TestHistogramString(t *testing.T) {
 func TestSeriesPrint(t *testing.T) {
 	s := &Series{Name: "curve", XLabel: "x", YLabel: "y"}
 	s.Add(1, 10)
-	s.AddLabeled(2, 20, "note")
+	s.Add(2, 20)
 	var sb strings.Builder
 	s.Fprint(&sb)
 	out := sb.String()
-	for _, want := range []string{"# curve", "x", "y", "10", "20", "# note"} {
+	for _, want := range []string{"# curve", "x", "y", "10", "20"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("series output missing %q:\n%s", want, out)
 		}
@@ -109,11 +106,6 @@ func TestCounters(t *testing.T) {
 	names := c.Names()
 	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
 		t.Fatalf("names = %v", names)
-	}
-	var sb strings.Builder
-	c.Fprint(&sb)
-	if !strings.Contains(sb.String(), "5") {
-		t.Fatal("Fprint missing counts")
 	}
 }
 

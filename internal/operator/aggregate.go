@@ -223,8 +223,3 @@ func (a *RunningAgg) Value() float64 {
 		return math.NaN()
 	}
 }
-
-// Reset clears the aggregate for reuse.
-func (a *RunningAgg) Reset() {
-	*a = RunningAgg{kind: a.kind, min: math.Inf(1), max: math.Inf(-1)}
-}

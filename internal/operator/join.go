@@ -166,12 +166,6 @@ func (j *SymmetricHashJoin) push(id int, isLeft bool, tracker *iomodel.Tracker, 
 // Matches reports the total matches emitted so far.
 func (j *SymmetricHashJoin) Matches() int64 { return j.matches }
 
-// SeenLeft reports how many distinct left tuples have been pushed.
-func (j *SymmetricHashJoin) SeenLeft() int { return j.nLeft }
-
-// SeenRight reports how many distinct right tuples have been pushed.
-func (j *SymmetricHashJoin) SeenRight() int { return j.nRight }
-
 // BlockingHashJoin is the classic build-then-probe hash join used by the
 // traditional baseline: it consumes the entire build side before emitting
 // anything — exactly the behaviour the paper argues breaks interactivity.
@@ -197,9 +191,6 @@ func (j *BlockingHashJoin) Build(build *storage.Column, tracker *iomodel.Tracker
 	j.built = true
 }
 
-// Built reports whether the build phase has completed.
-func (j *BlockingHashJoin) Built() bool { return j.built }
-
 // Probe matches one probe-side tuple; it must not be called before Build
 // completes (the blocking property under test) and returns the matching
 // build-side ids.
@@ -212,7 +203,3 @@ func (j *BlockingHashJoin) Probe(probe *storage.Column, id int, tracker *iomodel
 	}
 	return j.table[probe.Float(id)]
 }
-
-// TableSize reports the number of distinct keys in the build table — used
-// by the hash-table cache to report reuse value.
-func (j *BlockingHashJoin) TableSize() int { return len(j.table) }

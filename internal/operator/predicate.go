@@ -262,6 +262,3 @@ func (s *ConjunctStats) Selectivity() float64 {
 	}
 	return s.passes / s.evals
 }
-
-// Observations reports the (decayed) evaluation weight.
-func (s *ConjunctStats) Observations() float64 { return s.evals }

@@ -1,10 +1,5 @@
 package operator
 
-import (
-	"dbtouch/internal/iomodel"
-	"dbtouch/internal/storage"
-)
-
 // Summarizer computes interactive summaries (paper §2.7): when a slide
 // registers position p mapping to tuple idp, dbTouch scans all entries in
 // [idp−k, idp+k] and returns a single aggregate value. K can be tuned by
@@ -15,16 +10,6 @@ type Summarizer struct {
 	K int
 	// Kind is the window aggregation function.
 	Kind AggKind
-}
-
-// SummaryResult reports one interactive summary.
-type SummaryResult struct {
-	// Lo and Hi bound the tuple range [Lo, Hi) actually aggregated.
-	Lo, Hi int
-	// Value is the window aggregate.
-	Value float64
-	// N is the number of entries aggregated.
-	N int
 }
 
 // Window returns the clamped window [lo, hi) around id for a column of n
@@ -42,28 +27,4 @@ func (s Summarizer) Window(id, n int) (lo, hi int) {
 		lo = hi
 	}
 	return lo, hi
-}
-
-// At computes the summary centered on tuple id, charging every value read
-// to the tracker (which advances the virtual clock). A nil tracker skips
-// cost accounting (used by tests and the baseline comparison).
-func (s Summarizer) At(col *storage.Column, id int, tracker *iomodel.Tracker) SummaryResult {
-	lo, hi := s.Window(id, col.Len())
-	agg := NewRunningAgg(s.Kind)
-	for i := lo; i < hi; i++ {
-		if tracker != nil {
-			tracker.Access(i)
-		}
-		agg.Add(col.Float(i))
-	}
-	return SummaryResult{Lo: lo, Hi: hi, Value: agg.Value(), N: int(agg.N())}
-}
-
-// Scan reads the single value at id, charging the tracker; the degenerate
-// k=0 path kept separate for the plain-scan gesture.
-func Scan(col *storage.Column, id int, tracker *iomodel.Tracker) storage.Value {
-	if tracker != nil {
-		tracker.Access(id)
-	}
-	return col.Value(id)
 }

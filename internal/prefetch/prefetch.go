@@ -47,10 +47,6 @@ func (e *Extrapolator) Observe(id int, t time.Duration) {
 	e.observed++
 }
 
-// Velocity reports the smoothed tuple velocity (tuples/second, signed by
-// direction).
-func (e *Extrapolator) Velocity() float64 { return e.velocity }
-
 // Direction reports the current movement direction: -1, 0, or +1.
 func (e *Extrapolator) Direction() int {
 	switch {
@@ -352,6 +348,3 @@ func (p *Prefetcher) account(used time.Duration) {
 		p.stats.Invocations++
 	}
 }
-
-// Stats returns a snapshot of prefetch activity.
-func (p *Prefetcher) Stats() Stats { return p.stats }

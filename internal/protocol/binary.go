@@ -485,16 +485,12 @@ func decodeSection(tag byte, data []byte, frames []ResultFrame) error {
 type BinaryScanner struct {
 	r   *bufio.Reader
 	cur []ResultFrame
-	hdr BinaryFrameHeader
 }
 
 // NewBinaryScanner wraps r.
 func NewBinaryScanner(r io.Reader) *BinaryScanner {
 	return &BinaryScanner{r: bufio.NewReader(r)}
 }
-
-// Header reports the header of the frame the most recent row came from.
-func (s *BinaryScanner) Header() BinaryFrameHeader { return s.hdr }
 
 // Next returns the next result row. It returns io.EOF at a clean end of
 // stream and a decoding error on corrupt input.
@@ -515,11 +511,10 @@ func (s *BinaryScanner) Next() (ResultFrame, error) {
 		if _, err := io.ReadFull(s.r, payload); err != nil {
 			return ResultFrame{}, fmt.Errorf("protocol: binary stream: truncated frame: %v", err)
 		}
-		hdr, frames, err := DecodeBinaryFrame(payload)
+		_, frames, err := DecodeBinaryFrame(payload)
 		if err != nil {
 			return ResultFrame{}, err
 		}
-		s.hdr = hdr
 		s.cur = frames
 	}
 	f := s.cur[0]

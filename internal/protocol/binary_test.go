@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"io"
 	"math"
@@ -88,10 +89,15 @@ func TestBinaryRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d: decode: %v", trial, err)
 			}
-			if h := sc.Header(); h.Session != "s1" || h.Epoch != 42 {
-				t.Fatalf("trial %d: header = %+v, want session s1 epoch 42", trial, h)
-			}
 			got = append(got, f)
+		}
+		for rest := enc; len(rest) > 0; {
+			n := 4 + int(binary.LittleEndian.Uint32(rest))
+			h, _, err := DecodeBinaryFrame(rest[4:n])
+			if err != nil || h.Session != "s1" || h.Epoch != 42 {
+				t.Fatalf("trial %d: header = %+v, err %v; want session s1 epoch 42", trial, h, err)
+			}
+			rest = rest[n:]
 		}
 		if !reflect.DeepEqual(got, want) {
 			for i := range want {

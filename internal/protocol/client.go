@@ -2,10 +2,8 @@ package protocol
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
-	"time"
 
 	"dbtouch/internal/gesture"
 )
@@ -15,12 +13,6 @@ import (
 // Open creates a session on the server.
 func (c *Client) Open(session string) error {
 	_, err := c.Do(Request{Op: OpOpen, Session: session})
-	return err
-}
-
-// Evict removes a session on the server.
-func (c *Client) Evict(session string) error {
-	_, err := c.Do(Request{Op: OpEvict, Session: session})
 	return err
 }
 
@@ -60,22 +52,6 @@ func (c *Client) Append(table string, rows [][]any) (epoch uint64, total int, er
 	return resp.Epoch, resp.Rows, nil
 }
 
-// Idle advances the session's virtual time with no touch activity.
-func (c *Client) Idle(session string, d time.Duration) error {
-	_, err := c.Do(Request{Op: OpIdle, Session: session, Idle: d})
-	return err
-}
-
-// Resume re-materializes an evicted or crashed session from the
-// server's persisted request log, returning how many logged requests
-// the server replayed. Resuming a session that is already live succeeds
-// with 0. Requires a server running with session durability
-// (dbtouch-serve -session-dir).
-func (c *Client) Resume(session string) (replayed int, err error) {
-	resp, err := c.Do(Request{Op: OpResume, Session: session})
-	return resp.Replayed, err
-}
-
 // Stats snapshots the server's session manager.
 func (c *Client) Stats() (StatsFrame, error) {
 	resp, err := c.Do(Request{Op: OpStats})
@@ -96,72 +72,6 @@ func (c *Client) Stats() (StatsFrame, error) {
 // other, and fn sees identical frames regardless of which encoding won.
 func (c *Client) Stream(ctx context.Context, session string, buffer int, fn func(ResultFrame) bool) error {
 	return c.streamWith(ctx, session, buffer, BinaryContentType+", "+NDJSONContentType, fn)
-}
-
-// StreamResumed is Stream with transparent reconnect: when the stream
-// drops — the server restarted, or the session was LRU-evicted and its
-// subscriptions closed — the client resumes the session from its
-// persisted log and reopens the stream, so fn keeps seeing frames
-// across session death. Frames emitted while disconnected are not
-// replayed (subscriptions observe results from the moment they attach);
-// what reconnect guarantees is that the session's state continues
-// exactly where its log left off. Returns nil when ctx is cancelled or
-// fn returns false; a drop that cannot be resumed (session wire-evicted,
-// server unreachable, durability disabled) returns the resume error.
-func (c *Client) StreamResumed(ctx context.Context, session string, buffer int, fn func(ResultFrame) bool) error {
-	accept := BinaryContentType + ", " + NDJSONContentType
-	resumed := false
-	attempt := 0
-	for {
-		fs, err := c.OpenStream(ctx, session, buffer, accept)
-		if err != nil {
-			if ctx.Err() != nil {
-				return nil
-			}
-			if resumed {
-				// A resume already happened and the stream still won't
-				// open. With a retry policy, back off and try again (the
-				// server may be mid-restart); otherwise surface.
-				if c.Retry != nil && attempt < c.Retry.MaxAttempts() {
-					if !c.Retry.wait(ctx, attempt, 0) {
-						return nil
-					}
-					attempt++
-					resumed = false
-					continue
-				}
-				if c.Retry != nil {
-					err = errors.Join(ErrRetriesExhausted, err)
-				}
-				return fmt.Errorf("protocol: stream %q after resume: %w", session, err)
-			}
-			if _, rerr := c.Resume(session); rerr != nil {
-				return fmt.Errorf("protocol: resuming session %q: %w", session, rerr)
-			}
-			resumed = true
-			continue
-		}
-		resumed = false
-		attempt = 0
-		for {
-			frame, err := fs.Next()
-			if err != nil {
-				fs.Close()
-				break // stream dropped: resume and reconnect below
-			}
-			if !fn(frame) {
-				fs.Close()
-				return nil
-			}
-		}
-		if ctx.Err() != nil {
-			return nil
-		}
-		if _, rerr := c.Resume(session); rerr != nil {
-			return fmt.Errorf("protocol: resuming session %q: %w", session, rerr)
-		}
-		resumed = true
-	}
 }
 
 func (c *Client) streamWith(ctx context.Context, session string, buffer int, accept string, fn func(ResultFrame) bool) error {

@@ -444,18 +444,11 @@ type Client struct {
 	Base string
 	// HTTPClient overrides http.DefaultClient when set.
 	HTTPClient *http.Client
-	// AutoResume makes the client transparent to session loss: when a
-	// session-scoped request fails with Gone (the session was evicted or
-	// the server restarted), the client sends one OpResume and retries
-	// the request once. Requires a server running with session
-	// durability; without one the original Gone failure surfaces.
-	AutoResume bool
 	// Retry, when set, is the client's retry policy: overloaded
 	// responses (503 + Retry-After) are retried with capped backoff and
-	// full jitter, honoring the server's Retry-After hint, and
-	// StreamResumed retries reopening a dropped stream the same way.
-	// Exhausting the budget surfaces ErrRetriesExhausted wrapping the
-	// last failure. Nil keeps single-attempt behavior.
+	// full jitter, honoring the server's Retry-After hint. Exhausting the
+	// budget surfaces ErrRetriesExhausted wrapping the last failure. Nil
+	// keeps single-attempt behavior.
 	Retry *Backoff
 }
 
@@ -468,39 +461,24 @@ func (c *Client) httpClient() *http.Client {
 
 // Do sends one request and decodes the server's response envelope. A
 // transport-level failure returns an error; a server-side failure comes
-// back inside the Response (OK=false) wrapped as an error too. With
-// AutoResume set, a Gone failure on a session-scoped request triggers
-// one OpResume + retry before surfacing. With Retry set, overloaded
-// responses are retried under the shared backoff policy (Retry-After
-// honored) before ErrRetriesExhausted surfaces.
+// back inside the Response (OK=false) wrapped as an error too; a Gone
+// failure marks a session the server no longer holds, which the caller
+// may bring back with OpResume. With Retry set, overloaded responses are
+// retried under the shared backoff policy (Retry-After honored) before
+// ErrRetriesExhausted surfaces.
 func (c *Client) Do(req Request) (Response, error) {
 	if c.Retry == nil {
-		return c.doResuming(req)
+		return c.do(req)
 	}
 	var resp Response
 	err := c.Retry.Retry(context.Background(), func() (bool, time.Duration, error) {
 		var err error
-		resp, err = c.doResuming(req)
+		resp, err = c.do(req)
 		if err != nil && errors.Is(err, ErrOverloaded) {
 			return true, RetryAfterDuration(resp), err
 		}
 		return false, 0, err
 	})
-	return resp, err
-}
-
-// doResuming is one Do attempt including the AutoResume Gone-handling.
-func (c *Client) doResuming(req Request) (Response, error) {
-	resp, err := c.do(req)
-	// A Gone failure is worth a resume + retry on session work, not on
-	// lifecycle or server-scoped ops.
-	if err != nil && resp.Gone && c.AutoResume && req.Session != "" &&
-		MutatesSession(req.Op) && !OpensSession(req.Op) {
-		if _, rerr := c.Resume(req.Session); rerr != nil {
-			return resp, err // surface the original failure
-		}
-		return c.do(req)
-	}
 	return resp, err
 }
 

@@ -232,7 +232,7 @@ type Response struct {
 	Rows  int    `json:"rows,omitempty"`
 	// Gone marks a failure as "session not found": the session was
 	// evicted or the server restarted. A resume-aware client reacts by
-	// sending OpResume and retrying (Client.AutoResume automates it).
+	// sending OpResume and retrying.
 	Gone bool `json:"gone,omitempty"`
 	// Replayed answers OpResume: how many logged requests were replayed
 	// to reconstruct the session.

@@ -1,11 +1,9 @@
 package protocol_test
 
 import (
-	"context"
 	"errors"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"dbtouch"
 	"dbtouch/internal/gesture"
@@ -17,9 +15,8 @@ import (
 // names the object and the server stamps the kernel id.
 func gestureTap(frac float64) gesture.Gesture { return gesture.NewTap(0, frac) }
 
-// Resume-aware client behavior over real HTTP: AutoResume retries a
-// Gone request transparently, and StreamResumed reconnects a dropped
-// stream through an OpResume.
+// Resume over real HTTP: a plain client sees an evicted session as a
+// Gone failure and brings it back itself with OpResume.
 
 // newDurableServer starts an HTTP server over a durable session
 // manager and returns its client.
@@ -40,106 +37,32 @@ func newDurableServer(t *testing.T) (*dbtouch.DB, *protocol.Client) {
 	return db, &protocol.Client{Base: srv.URL}
 }
 
-// TestClientAutoResume: after the server evicts the session, the next
-// session-scoped call on an AutoResume client succeeds transparently —
-// one OpResume, one retry, no surfaced error.
-func TestClientAutoResume(t *testing.T) {
-	db, c := newDurableServer(t)
-	c.AutoResume = true
-	if err := c.Open("s"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.CreateColumn("s", "obj", "t", "v", 2, 2, 2, 10); err != nil {
-		t.Fatal(err)
-	}
-	first, err := c.Perform("s", "obj", gestureTap(0.5))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if !db.Manager().Evict("s") {
-		t.Fatal("evict failed")
-	}
-	// Same call again: the server answers Gone, the client resumes and
-	// retries. The replayed session is bit-identical, so the second tap
-	// from the same virtual-clock state gives the same frame shape.
-	second, err := c.Perform("s", "obj", gestureTap(0.5))
-	if err != nil {
-		t.Fatalf("perform after eviction: %v", err)
-	}
-	if len(second) == 0 || len(first) == 0 {
-		t.Fatalf("taps produced %d/%d frames", len(first), len(second))
-	}
-
-	// Without AutoResume the same failure surfaces.
-	if !db.Manager().Evict("s") {
-		t.Fatal("evict failed")
-	}
-	c2 := &protocol.Client{Base: c.Base}
-	if _, err := c2.Perform("s", "obj", gestureTap(0.5)); err == nil {
-		t.Fatal("plain client survived eviction without AutoResume")
-	}
-}
-
-// TestClientStreamResumed: a consumer on StreamResumed keeps receiving
-// frames across an eviction — the drop triggers resume + reconnect.
-func TestClientStreamResumed(t *testing.T) {
-	db, c := newDurableServer(t)
-	c.AutoResume = true
-	if err := c.Open("s"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.CreateColumn("s", "obj", "t", "v", 2, 2, 2, 10); err != nil {
-		t.Fatal(err)
-	}
-
-	frames := make(chan protocol.ResultFrame, 1024)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	streamDone := make(chan error, 1)
-	go func() {
-		streamDone <- c.StreamResumed(ctx, "s", 1024, func(f protocol.ResultFrame) bool {
-			frames <- f
-			return true
-		})
-	}()
-
-	waitFrame := func(label string) {
-		// Frames race the (re)subscription, so tap until one lands.
-		deadline := time.After(10 * time.Second)
-		for {
-			if _, err := c.Perform("s", "obj", gestureTap(0.5)); err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
-			select {
-			case <-frames:
-				return
-			case <-deadline:
-				t.Fatalf("%s: no frame arrived", label)
-			case <-time.After(50 * time.Millisecond):
-			}
-		}
-	}
-
-	waitFrame("before eviction")
-	if !db.Manager().Evict("s") {
-		t.Fatal("evict failed")
-	}
-	waitFrame("after eviction")
-
-	cancel()
-	if err := <-streamDone; err != nil {
-		t.Fatalf("StreamResumed: %v", err)
-	}
-}
-
-// TestClientResumeGone: resuming a session that has no log surfaces the
-// server failure, and the response marks it gone for good.
+// TestClientResumeGone: a request to an evicted session fails with Gone
+// until the client resumes it; resuming a session that has no log
+// surfaces the server failure, and the response marks it gone for good.
 func TestClientResumeGone(t *testing.T) {
-	_, c := newDurableServer(t)
-	if _, err := c.Resume("never-existed"); err == nil {
-		t.Fatal("resume of unknown session succeeded")
+	db, c := newDurableServer(t)
+	if err := c.Open("s"); err != nil {
+		t.Fatal(err)
 	}
+	if _, err := c.CreateColumn("s", "obj", "t", "v", 2, 2, 2, 10); err != nil {
+		t.Fatal(err)
+	}
+	tap := gestureTap(0.5)
+	if !db.Manager().Evict("s") {
+		t.Fatal("evict failed")
+	}
+	perform := protocol.Request{Op: protocol.OpPerform, Session: "s", Object: "obj", Gesture: &tap}
+	if resp, err := c.Do(perform); err == nil || !resp.Gone {
+		t.Fatalf("perform after eviction: want Gone failure, got resp=%+v err=%v", resp, err)
+	}
+	if _, err := c.Do(protocol.Request{Op: protocol.OpResume, Session: "s"}); err != nil {
+		t.Fatalf("resume: %v", err)
+	}
+	if frames, err := c.Perform("s", "obj", tap); err != nil || len(frames) == 0 {
+		t.Fatalf("perform after resume: %d frames, err=%v", len(frames), err)
+	}
+
 	resp, err := c.Do(protocol.Request{Op: protocol.OpResume, Session: "never-existed"})
 	if err == nil || !resp.Gone {
 		t.Fatalf("want Gone failure, got resp=%+v err=%v", resp, err)

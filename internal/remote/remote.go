@@ -64,31 +64,6 @@ func NewServer(base *storage.Column, levels int, params iomodel.Params) (*Server
 	return &Server{clock: clock, hierarchy: h}, nil
 }
 
-// ReadRange serves a dense window read at a level, returning the values,
-// the base ids they represent, and the server time consumed.
-func (s *Server) ReadRange(lo, hi, level int) (values []float64, ids []int, cost time.Duration) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	start := s.clock.Now()
-	l, err := s.hierarchy.Level(level)
-	if err != nil {
-		return nil, nil, 0
-	}
-	from, to := lo/l.Stride, (hi+l.Stride-1)/l.Stride
-	if from < 0 {
-		from = 0
-	}
-	if to > l.Col.Len() {
-		to = l.Col.Len()
-	}
-	for i := from; i < to; i++ {
-		l.Tracker.Access(i)
-		values = append(values, l.Col.Float(i))
-		ids = append(ids, i*l.Stride)
-	}
-	return values, ids, s.clock.Now() - start
-}
-
 // readIDs serves point reads for the given base ids at a level (duplicates
 // after stride snapping are deduplicated), returning the values, the base
 // ids they represent, and the server time consumed.
@@ -188,9 +163,6 @@ func NewDevice(clock *vclock.Clock, server *Server, serverOffset, localLevels in
 	}, nil
 }
 
-// SetNet overrides the network parameters.
-func (d *Device) SetNet(n NetParams) { d.net = n }
-
 // Stats returns device counters.
 func (d *Device) Stats() Stats { return d.stats }
 
@@ -281,6 +253,3 @@ func (d *Device) Poll() []Refinement {
 
 // Flush forces the current batch out (end of gesture).
 func (d *Device) Flush() { d.flush() }
-
-// InFlight reports refinements still traveling.
-func (d *Device) InFlight() int { return len(d.inFlight) }

@@ -1,0 +1,14 @@
+package sample
+
+// NumLevels reports the number of stored levels including base.
+func (s *Shared) NumLevels() int { return len(s.levels) }
+
+// BaseLen reports how many base tuples the level spans.
+func (l *Level) BaseLen() int { return l.Col.Len() * l.Stride }
+
+// Cool drops warmth on every level (cold-start for experiments).
+func (h *Hierarchy) Cool() {
+	for _, l := range h.levels {
+		l.Tracker.Cool()
+	}
+}

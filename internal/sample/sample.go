@@ -152,9 +152,6 @@ func BuildShared(base *storage.Column, maxLevels int) (*Shared, error) {
 	return s, nil
 }
 
-// NumLevels reports the number of stored levels including base.
-func (s *Shared) NumLevels() int { return len(s.levels) }
-
 // Attach builds one session's view of the shared hierarchy: every level
 // gets a fresh tracker charging the session's clock with params, so
 // sessions account I/O independently while reading the same arrays.
@@ -199,9 +196,6 @@ type Level struct {
 func (l *Level) stats() *spanStats {
 	return l.shared.stats(l.Tracker.Params().BlockValues)
 }
-
-// BaseLen reports how many base tuples the level spans.
-func (l *Level) BaseLen() int { return l.Col.Len() * l.Stride }
 
 // Hierarchy is one session's view of a column's sample hierarchy: shared
 // immutable sample columns, per-session trackers. It is owned by one
@@ -523,18 +517,4 @@ func (h *Hierarchy) TotalStats() iomodel.Stats {
 		total.BytesRead += s.BytesRead
 	}
 	return total
-}
-
-// Cool drops warmth on every level (cold-start for experiments).
-func (h *Hierarchy) Cool() {
-	for _, l := range h.levels {
-		l.Tracker.Cool()
-	}
-}
-
-// ResetStats zeroes counters on every level.
-func (h *Hierarchy) ResetStats() {
-	for _, l := range h.levels {
-		l.Tracker.ResetStats()
-	}
 }

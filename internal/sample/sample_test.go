@@ -236,10 +236,6 @@ func TestTotalStatsAndCool(t *testing.T) {
 	if st.ValuesRead != 2 {
 		t.Fatalf("total values read = %d", st.ValuesRead)
 	}
-	h.ResetStats()
-	if h.TotalStats().ValuesRead != 0 {
-		t.Fatal("ResetStats incomplete")
-	}
 	h.Cool()
 	l0, _ := h.Level(0)
 	if l0.Tracker.WarmBlocks() != 0 {

@@ -188,23 +188,6 @@ func encodeOne(c Command, session string) ([]protocol.Request, error) {
 	}
 }
 
-// Replay routes encoded requests through a protocol router (typically a
-// session.Manager, local or behind HTTP glue), collecting the frames
-// that perform requests produce — the "replay" half of record/replay.
-// The session must already be open; replay stops at the first failed
-// response.
-func Replay(router protocol.Router, reqs []protocol.Request) ([]protocol.ResultFrame, error) {
-	var frames []protocol.ResultFrame
-	for i, req := range reqs {
-		resp := router.HandleRequest(req)
-		if !resp.OK {
-			return frames, fmt.Errorf("script: replaying request %d (%s): %s", i, req.Op, resp.Error)
-		}
-		frames = append(frames, resp.Results...)
-	}
-	return frames, nil
-}
-
 func parseOnOff(s string) (bool, error) {
 	switch s {
 	case "on", "true", "1":

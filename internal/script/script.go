@@ -90,12 +90,6 @@ func NewRunner(db *dbtouch.DB, out io.Writer) *Runner {
 	return &Runner{DB: db, Out: out, objects: make(map[string]*dbtouch.Object)}
 }
 
-// Object returns a named object created by the script.
-func (r *Runner) Object(name string) (*dbtouch.Object, bool) {
-	o, ok := r.objects[name]
-	return o, ok
-}
-
 // Run executes all commands, stopping at the first error.
 func (r *Runner) Run(commands []Command) error {
 	for _, c := range commands {

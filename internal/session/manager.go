@@ -83,14 +83,10 @@ func (m *Manager) SetAdmissionCap(n int) {
 // to every session.
 func (m *Manager) Catalog() *storage.Catalog { return m.catalog }
 
-// LiveStore returns the shared live-table snapshot store (pin refcounts
-// and versioned sample chains).
-func (m *Manager) LiveStore() *sample.LiveStore { return m.live }
-
-// Append appends rows to the named live table and returns the published
-// snapshot: the manager-level ingestion entry point the wire protocol
-// routes to. Appends need no session — snapshot publication synchronizes
-// with every session's batch-start repin.
+// Append appends boxed rows to the named live table and returns the
+// published snapshot — the row-wise twin of the wire's column-wise append
+// (handleAppend). Appends need no session: snapshot publication
+// synchronizes with every session's batch-start repin.
 func (m *Manager) Append(table string, rows [][]storage.Value) (*storage.TableSnapshot, error) {
 	t, err := m.liveTable(table)
 	if err != nil {
@@ -115,13 +111,6 @@ func (m *Manager) SetMaxSessions(n int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.maxSessions = n
-}
-
-// Evictions reports how many sessions the cap has evicted.
-func (m *Manager) Evictions() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.evictions
 }
 
 // Stats snapshots the manager in its wire form — the admission signals
@@ -257,17 +246,6 @@ func (m *Manager) Len() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return len(m.sessions)
-}
-
-// Sessions lists live session ids (unordered).
-func (m *Manager) Sessions() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]string, 0, len(m.sessions))
-	for id := range m.sessions {
-		out = append(out, id)
-	}
-	return out
 }
 
 // Dispatch routes a touch-event batch to the session identified by id —

@@ -39,7 +39,6 @@ import (
 	"dbtouch/internal/core"
 	"dbtouch/internal/gesture"
 	"dbtouch/internal/protocol"
-	"dbtouch/internal/storage"
 	"dbtouch/internal/touchos"
 )
 
@@ -248,16 +247,7 @@ func (s *Session) Close() {
 	s.kernel.ReleaseLive()
 }
 
-// Results returns the session's retained results (the kernel's bounded,
-// fade-pruned window), valid until the session's next batch. Read it
-// from the goroutine that drives the session, or after that goroutine
-// has been joined.
-func (s *Session) Results() []core.Result { return s.kernel.Results() }
-
 // OnResult registers the session's live result callback. The callback
 // runs on whichever goroutine is driving the session, so it must not
 // share unsynchronized state across sessions.
 func (s *Session) OnResult(fn func(core.Result)) { s.kernel.OnResult(fn) }
-
-// Catalog exposes the shared catalog.
-func (s *Session) Catalog() *storage.Catalog { return s.kernel.Catalog() }

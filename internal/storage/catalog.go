@@ -72,18 +72,6 @@ func (c *Catalog) LiveTables() []*Table {
 	return out
 }
 
-// Drop removes the named matrix or live table and reports whether it
-// existed.
-func (c *Catalog) Drop(name string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, okM := c.matrixes[name]
-	_, okL := c.lives[name]
-	delete(c.matrixes, name)
-	delete(c.lives, name)
-	return okM || okL
-}
-
 // Get resolves a matrix by name. For a live table this returns the
 // current snapshot's matrix — an immutable version, not a handle that
 // follows appends; callers that must track epochs resolve via Live.
@@ -112,11 +100,4 @@ func (c *Catalog) List() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// Len reports the number of registered entries (frozen and live).
-func (c *Catalog) Len() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.matrixes) + len(c.lives)
 }

@@ -14,9 +14,9 @@ import (
 // number of concurrent exploration sessions without locking — every read
 // kernel (Value/Float, the span kernels, Strided/Slice) only looks
 // at the backing slices. The lazily memoized predicate tables are the one
-// piece of internal mutable state and are mutex-guarded. Mutators (Append,
-// Set, Rename) are reserved for single-owner use before a column is
-// shared: loaders, builders, and layout conversions.
+// piece of internal mutable state and are mutex-guarded. The mutator,
+// Append, is reserved for single-owner use before a column is shared:
+// loaders, builders, and layout conversions.
 type Column struct {
 	name  string
 	typ   Type
@@ -82,10 +82,6 @@ func NewEmptyColumn(name string, typ Type) *Column {
 
 // Name reports the column name.
 func (c *Column) Name() string { return c.name }
-
-// Rename sets the column name (used when projecting a column out of a
-// table into its own object).
-func (c *Column) Rename(name string) { c.name = name }
 
 // Type reports the column type.
 func (c *Column) Type() Type { return c.typ }
@@ -255,28 +251,6 @@ func (c *Column) appendVector(v *vector) {
 		for i := 0; i < n; i++ {
 			c.Append(v.value(i))
 		}
-	}
-}
-
-// Set overwrites the cell at i with v, coercing to the column type.
-func (c *Column) Set(i int, v Value) {
-	switch c.typ {
-	case Int64:
-		if v.Type == Float64 {
-			c.ints[i] = int64(v.F)
-		} else {
-			c.ints[i] = v.I
-		}
-	case Float64:
-		c.flts[i] = v.AsFloat()
-	case Bool:
-		if v.B {
-			c.bools[i] = 1
-		} else {
-			c.bools[i] = 0
-		}
-	case String:
-		c.codes[i] = c.dict.Intern(v.S)
 	}
 }
 

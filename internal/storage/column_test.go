@@ -224,9 +224,6 @@ func TestDictionary(t *testing.T) {
 	if got := d.Lookup(999); got != "" {
 		t.Fatalf("unknown code Lookup = %q, want empty", got)
 	}
-	if _, ok := d.Code("gamma"); ok {
-		t.Fatal("Code should not intern")
-	}
 	if d.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", d.Len())
 	}

@@ -80,31 +80,3 @@ func parseField(s string, t Type) (Value, error) {
 		return Value{}, fmt.Errorf("unsupported type %v", t)
 	}
 }
-
-// WriteCSV serializes m (any layout) as CSV with a typed header, the
-// inverse of ReadCSV.
-func WriteCSV(m *Matrix, w io.Writer) error {
-	cw := csv.NewWriter(w)
-	header := make([]string, m.NumCols())
-	for i, cm := range m.Schema() {
-		header[i] = cm.Name + ":" + cm.Type.String()
-	}
-	if err := cw.Write(header); err != nil {
-		return fmt.Errorf("storage: writing CSV header: %w", err)
-	}
-	rec := make([]string, m.NumCols())
-	for r := 0; r < m.NumRows(); r++ {
-		for c := 0; c < m.NumCols(); c++ {
-			v, err := m.At(r, c)
-			if err != nil {
-				return err
-			}
-			rec[c] = v.String()
-		}
-		if err := cw.Write(rec); err != nil {
-			return fmt.Errorf("storage: writing CSV row %d: %w", r, err)
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}

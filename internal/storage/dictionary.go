@@ -71,14 +71,6 @@ func (d *Dictionary) appendCodes(codes []int32, n int, key func(i int) string) [
 	return codes
 }
 
-// Code returns the code for s and whether it is present, without interning.
-func (d *Dictionary) Code(s string) (int32, bool) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	code, ok := d.index[s]
-	return code, ok
-}
-
 // Lookup returns the string for a code; unknown codes decode to "".
 func (d *Dictionary) Lookup(code int32) string {
 	d.mu.RLock()

@@ -105,9 +105,6 @@ func NewTable(name string, cols ...*Column) (*Table, error) {
 // Name reports the table name.
 func (t *Table) Name() string { return t.name }
 
-// Schema reports the column metadata in declaration order.
-func (t *Table) Schema() []ColumnMeta { return append([]ColumnMeta(nil), t.schema...) }
-
 // Snapshot returns the current published snapshot. The returned value is
 // immutable and safe to read forever.
 func (t *Table) Snapshot() *TableSnapshot { return t.snap.Load() }

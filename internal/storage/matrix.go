@@ -83,9 +83,6 @@ func NewRowMajorMatrix(name string, schema []ColumnMeta) *Matrix {
 // Name reports the matrix name.
 func (m *Matrix) Name() string { return m.name }
 
-// Rename sets the matrix name.
-func (m *Matrix) Rename(name string) { m.name = name }
-
 // Layout reports the current physical layout.
 func (m *Matrix) Layout() Layout { return m.layout }
 
@@ -276,7 +273,3 @@ func (m *Matrix) Project(col int) (*Matrix, error) {
 	out := c.Clone()
 	return NewMatrix(m.name+"."+out.Name(), out)
 }
-
-// WordsPerRow reports the fixed row width in 64-bit words (the schema
-// width; every field is fixed width by construction).
-func (m *Matrix) WordsPerRow() int { return len(m.schema) }

@@ -221,10 +221,4 @@ func TestCatalog(t *testing.T) {
 	if names := c.List(); len(names) != 1 || names[0] != "t" {
 		t.Fatalf("List = %v", names)
 	}
-	if !c.Drop("t") || c.Len() != 0 {
-		t.Fatal("Drop failed")
-	}
-	if c.Drop("t") {
-		t.Fatal("double Drop should report false")
-	}
 }

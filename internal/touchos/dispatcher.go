@@ -44,15 +44,6 @@ func NewDispatcher(clock *vclock.Clock) *Dispatcher {
 	return &Dispatcher{clock: clock, moves: make(map[int]TouchEvent)}
 }
 
-// Stats returns a snapshot of delivery counters.
-func (d *Dispatcher) Stats() DispatchStats { return d.stats }
-
-// ResetStats zeroes the counters.
-func (d *Dispatcher) ResetStats() { d.stats = DispatchStats{} }
-
-// BusyUntil reports when the kernel last becomes idle.
-func (d *Dispatcher) BusyUntil() time.Duration { return d.busyUntil }
-
 // Dispatch feeds a time-ordered batch of raw touch events through the
 // queue, invoking handler for each delivered event, and returns the stats
 // snapshot after the batch. It may be called repeatedly; kernel busy state

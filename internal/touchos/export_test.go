@@ -1,0 +1,10 @@
+package touchos
+
+// Children returns a copy of the subviews in stacking order (bottom
+// first).
+func (v *View) Children() []*View {
+	return append([]*View(nil), v.children...)
+}
+
+// SetHidden toggles hit-test visibility.
+func (v *View) SetHidden(h bool) { v.hidden = h }

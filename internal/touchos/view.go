@@ -27,18 +27,6 @@ func (q QuarterTurns) Horizontal() bool {
 	return n == 1 || n == 3
 }
 
-// DataProps carries the dbTouch-added view properties (paper §2.4:
-// "dbTouch adds a number of properties to each view, e.g. the number of
-// data entries in the underlying column or table").
-type DataProps struct {
-	// ObjectID links the view to a kernel data object; 0 means none.
-	ObjectID int
-	// Rows is the tuple count of the underlying data.
-	Rows int
-	// Cols is the attribute count (1 for single-column objects).
-	Cols int
-}
-
 // View is a placeholder for a visual object, arranged in a master-view
 // hierarchy exactly as in modern touch operating systems.
 type View struct {
@@ -51,7 +39,6 @@ type View struct {
 	// top and RemoveChild keeps the order of the rest, so the slice order
 	// is the z-order and hit testing walks it back to front.
 	children []*View
-	props    DataProps
 	hidden   bool
 }
 
@@ -89,26 +76,8 @@ func (v *View) Rotation() QuarterTurns { return v.rotation }
 // Rotate adds quarter turns to the view's transform.
 func (v *View) Rotate(turns QuarterTurns) { v.rotation = (v.rotation + turns).Normalized() }
 
-// Props returns the dbTouch data properties.
-func (v *View) Props() DataProps { return v.props }
-
-// SetProps attaches dbTouch data properties.
-func (v *View) SetProps(p DataProps) { v.props = p }
-
-// Hidden reports whether the view is excluded from hit testing.
-func (v *View) Hidden() bool { return v.hidden }
-
-// SetHidden toggles hit-test visibility.
-func (v *View) SetHidden(h bool) { v.hidden = h }
-
 // Parent returns the master view, or nil for the root.
 func (v *View) Parent() *View { return v.parent }
-
-// Children returns a copy of the subviews in stacking order (bottom
-// first).
-func (v *View) Children() []*View {
-	return append([]*View(nil), v.children...)
-}
 
 // AddChild places child into v's hierarchy on top of existing children.
 func (v *View) AddChild(child *View) error {

@@ -1,0 +1,8 @@
+//go:build arm64
+
+package app
+
+import "fixture/internal/lib"
+
+// Arm64 calls the function nothing else calls.
+func Arm64() int { return lib.Arm64Only() }
