@@ -133,6 +133,8 @@ func emitChunks(chunks []ftdc.Chunk) error {
 var counterMetrics = map[string]bool{
 	"steals": true, "dispatches": true, "evictions": true,
 	"append_epochs": true, "retention_gens": true, "kernel_bytes": true,
+	"logged_requests": true, "log_errors": true, "log_compactions": true,
+	"log_appended_bytes": true, "resumes": true, "replayed_requests": true,
 }
 
 func emitSummary(chunks []ftdc.Chunk) error {

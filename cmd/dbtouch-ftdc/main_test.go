@@ -60,3 +60,28 @@ func TestDecodeOldSchemaCapture(t *testing.T) {
 		}
 	}
 }
+
+// TestSummaryRatesCounters: a cumulative column reads as a rate. The
+// synthetic capture's logged_requests climbs 10 then 30 per second, so
+// the summary must report its peak as 30/s, not as a level.
+func TestSummaryRatesCounters(t *testing.T) {
+	const s = int64(1e9)
+	chunks := []ftdc.Chunk{{
+		Names: []string{"ts_unix_ns", "sessions_live", "logged_requests"},
+		Columns: [][]int64{
+			{0, s, 2 * s},
+			{1, 2, 2},
+			{0, 10, 40},
+		},
+	}}
+	summary := stdout(t, func() error { return emitSummary(chunks) })
+	for _, line := range strings.Split(summary, "\n") {
+		if strings.HasPrefix(line, "logged_requests ") {
+			if !strings.HasSuffix(line, "peak 30/s at t+2s") {
+				t.Fatalf("logged_requests reads as a level, not a rate:\n%s", line)
+			}
+			return
+		}
+	}
+	t.Fatalf("summary has no logged_requests row:\n%s", summary)
+}

@@ -134,7 +134,7 @@ func main() {
 			os.Exit(1)
 		}
 	} else {
-		data := datagen.Floats(datagen.Spec{Dist: datagen.Uniform, N: *rows, Seed: *seed, Min: 0, Max: 1000})
+		data := datagen.Floats(datagen.Spec{N: *rows, Seed: *seed, Min: 0, Max: 1000})
 		switch *pattern {
 		case "outliers":
 			datagen.Plant(data, datagen.OutlierRegion, 0.6, 0.03, *seed)

@@ -68,7 +68,7 @@ func main() {
 			os.Exit(1)
 		}
 	} else {
-		data := datagen.Floats(datagen.Spec{Dist: datagen.Uniform, N: *rows, Seed: *seed, Min: 0, Max: 1000})
+		data := datagen.Floats(datagen.Spec{N: *rows, Seed: *seed, Min: 0, Max: 1000})
 		var planted string
 		switch *pattern {
 		case "outliers":

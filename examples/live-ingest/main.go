@@ -28,7 +28,7 @@ func main() {
 	db := dbtouch.Open()
 
 	// The data under observation: a sensor column with planted outliers.
-	data := datagen.Floats(datagen.Spec{Dist: datagen.Uniform, N: 500_000, Seed: 9, Min: 0, Max: 1000})
+	data := datagen.Floats(datagen.Spec{N: 500_000, Seed: 9, Min: 0, Max: 1000})
 	datagen.Plant(data, datagen.OutlierRegion, 0.6, 0.03, 9)
 	db.NewTable("sensors").Float("reading", data).MustCreate()
 

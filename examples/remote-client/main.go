@@ -24,7 +24,7 @@ import (
 func main() {
 	// Server side: full data, sample hierarchies, session manager.
 	db := dbtouch.Open()
-	data := datagen.Floats(datagen.Spec{Dist: datagen.Uniform, N: 200_000, Seed: 7, Min: 0, Max: 1000})
+	data := datagen.Floats(datagen.Spec{N: 200_000, Seed: 7, Min: 0, Max: 1000})
 	datagen.Plant(data, datagen.OutlierRegion, 0.6, 0.03, 7)
 	db.NewTable("sensors").Float("reading", data).MustCreate()
 

@@ -14,6 +14,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -53,6 +54,18 @@ var exportAllowlist = map[string]string{
 	"internal/faultnet":                      "gateway TestChaosEquivalenceNetworkFaults, TestChaosEquivalenceBackendKills and TestBreakerRecoveryViaProxy inject faults through it",
 }
 
+// fieldAllowlist names the exported fields under internal/ that no
+// non-test code sets and that stay anyway, keyed
+// "internal/<pkg>.<Type>.<Field>". Every entry gives its reason; an entry
+// whose field is gone or has gained a non-test setter is stale and fails
+// the check.
+var fieldAllowlist = map[string]string{
+	"internal/core.Config.ScalarSlide":     "public as dbtouch.Config; core's TestSpanEquivalence* suite sets it to diff the scalar reference against the span kernels, and ROADMAP item 13 retires it",
+	"internal/core.Config.Granularity":     "public as dbtouch.Config: library users may coarsen the touch-to-tuple mapping",
+	"internal/core.Config.ResolutionPerCm": "public as dbtouch.Config: library users may override the digitizer's pointing resolution",
+	"internal/protocol.Backoff.Rand":       "protocol's TestBackoff* tests pin the jitter draws through it",
+}
+
 // servedCommands must not link the research, demo and test-only packages
 // in servedExcluded: the served binaries carry only the touch path.
 var (
@@ -70,6 +83,23 @@ func TestExportsHaveCallers(t *testing.T) {
 	}
 	c := newExportCheck(t, "dbtouch", nil, ".", "bench")
 	for _, p := range c.check(exportAllowlist) {
+		t.Error(p)
+	}
+}
+
+// TestFieldsHaveSetters fails on every exported field of a struct declared
+// under internal/ that no non-test file of module dbtouch or of the bench
+// module sets, unless it is on fieldAllowlist or in a package
+// exportAllowlist names whole. A field is set where it is the left side
+// of an assignment or inc/dec, where its address is taken, where it is a
+// key of a keyed struct literal or the struct has an unkeyed one, and
+// wherever it carries a json tag.
+func TestFieldsHaveSetters(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks both modules")
+	}
+	c := newExportCheck(t, "dbtouch", nil, ".", "bench")
+	for _, p := range c.checkFields(fieldAllowlist, exportAllowlist) {
 		t.Error(p)
 	}
 }
@@ -96,9 +126,10 @@ func TestServedClosure(t *testing.T) {
 	}
 }
 
-// TestExportCheckerFixture runs the checker over testdata/exportcheck, a
-// module with one export of each kind, on two architectures: the function
-// called only from an arm64 file counts as called on both.
+// TestExportCheckerFixture runs both checks over testdata/exportcheck, a
+// module with one export and one field of each kind, on two
+// architectures: the function called and the field set only from an arm64
+// file count as called and set on both.
 func TestExportCheckerFixture(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs go list twice")
@@ -109,6 +140,10 @@ func TestExportCheckerFixture(t *testing.T) {
 		got := c.check(allow)
 		if len(got) != 1 || !strings.Contains(got[0], "internal/lib.Unused has no non-test caller") {
 			t.Errorf("GOARCH=%s: got %q, want exactly internal/lib.Unused flagged", arch, got)
+		}
+		got = c.checkFields(nil, nil)
+		if len(got) != 1 || !strings.Contains(got[0], "internal/lib.Config.ReadOnly has no non-test setter") {
+			t.Errorf("GOARCH=%s: got %q, want exactly internal/lib.Config.ReadOnly flagged", arch, got)
 		}
 	}
 
@@ -127,6 +162,21 @@ func TestExportCheckerFixture(t *testing.T) {
 	} {
 		if !strings.Contains(got, want) {
 			t.Errorf("stale allowlist: missing %q in\n%s", want, got)
+		}
+	}
+	staleFields := map[string]string{
+		"internal/lib.Config.Gone":     "fixture: no such field",
+		"internal/lib.Config.Assigned": "fixture: has a setter",
+		"internal/lib.Config.ReadOnly": "",
+	}
+	got = strings.Join(c.checkFields(staleFields, nil), "\n")
+	for _, want := range []string{
+		"internal/lib.Config.Gone is stale",
+		"internal/lib.Config.Assigned is stale",
+		"internal/lib.Config.ReadOnly gives no reason",
+	} {
+		if !strings.Contains(got, want) {
+			t.Errorf("stale field allowlist: missing %q in\n%s", want, got)
 		}
 	}
 }
@@ -178,10 +228,13 @@ type exportCheck struct {
 	checked map[string]*types.Package
 	std     types.Importer
 
-	candidates []*types.Func                 // exported funcs and methods under internal/
-	used       map[*types.Func]bool          // referenced from outside their own body
-	byName     map[string]bool               // identifiers in files excluded by build tags
-	ifaces     map[string][]*types.Interface // by method name
+	candidates []*types.Func                  // exported funcs and methods under internal/
+	used       map[*types.Func]bool           // referenced from outside their own body
+	fields     []*types.Var                   // exported fields of structs declared under internal/
+	owner      map[*types.Var]*types.TypeName // the struct type each field is declared in
+	set        map[*types.Var]bool            // written by some non-test file
+	byName     map[string]bool                // identifiers in files excluded by build tags
+	ifaces     map[string][]*types.Interface  // by method name
 }
 
 func newExportCheck(t *testing.T, module string, env []string, dirs ...string) *exportCheck {
@@ -196,6 +249,8 @@ func newExportCheck(t *testing.T, module string, env []string, dirs ...string) *
 		fset:    token.NewFileSet(),
 		checked: map[string]*types.Package{},
 		used:    map[*types.Func]bool{},
+		owner:   map[*types.Var]*types.TypeName{},
+		set:     map[*types.Var]bool{},
 		byName:  map[string]bool{},
 		ifaces:  map[string][]*types.Interface{},
 	}
@@ -295,14 +350,30 @@ func (c *exportCheck) load(t *testing.T, p *listedPkg) {
 				}
 			}
 			ast.Inspect(decl, func(n ast.Node) bool {
-				if id, ok := n.(*ast.Ident); ok {
-					if fn, ok := info.Uses[id].(*types.Func); ok && fn.Origin() != self {
+				switch n := n.(type) {
+				case *ast.Ident:
+					if fn, ok := info.Uses[n].(*types.Func); ok && fn.Origin() != self {
 						c.used[fn.Origin()] = true
 					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						c.setField(info, lhs)
+					}
+				case *ast.IncDecStmt:
+					c.setField(info, n.X)
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						c.setField(info, n.X)
+					}
+				case *ast.CompositeLit:
+					c.setLiteral(info, n)
 				}
 				return true
 			})
 		}
+	}
+	if internal {
+		c.addFields(pkg)
 	}
 	for _, tv := range info.Types {
 		if it, ok := tv.Type.Underlying().(*types.Interface); ok {
@@ -369,39 +440,121 @@ func (c *exportCheck) implements(fn *types.Func) bool {
 	return false
 }
 
-// key names fn as the allowlist does: internal/<pkg>.[<Type>.]<Name>.
-func (c *exportCheck) key(fn *types.Func) string {
-	k := strings.TrimPrefix(fn.Pkg().Path(), c.module+"/") + "."
-	if T := receiver(fn); T != nil {
-		k += T.Obj().Name() + "."
+// addFields records the exported fields of the struct types pkg declares
+// at package level. A json-tagged field counts as set: decoding writes it.
+func (c *exportCheck) addFields(pkg *types.Package) {
+	for _, name := range pkg.Scope().Names() {
+		tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
+		if !ok || tn.IsAlias() {
+			continue
+		}
+		st, ok := tn.Type().Underlying().(*types.Struct)
+		if !ok {
+			continue
+		}
+		for i := 0; i < st.NumFields(); i++ {
+			f := st.Field(i)
+			if !f.Exported() {
+				continue
+			}
+			c.fields = append(c.fields, f)
+			c.owner[f] = tn
+			if tag, ok := reflect.StructTag(st.Tag(i)).Lookup("json"); ok && tag != "-" {
+				c.set[f] = true
+			}
+		}
 	}
-	return k + fn.Name()
+}
+
+// setField records the field e selects, if it selects one, as set.
+func (c *exportCheck) setField(info *types.Info, e ast.Expr) {
+	if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+		if f, ok := info.Uses[sel.Sel].(*types.Var); ok && f.IsField() {
+			c.set[f.Origin()] = true
+		}
+	}
+}
+
+// setLiteral records the fields a struct literal sets: each key of a keyed
+// literal, every field of an unkeyed one.
+func (c *exportCheck) setLiteral(info *types.Info, lit *ast.CompositeLit) {
+	st, ok := info.Types[lit].Type.Underlying().(*types.Struct)
+	if !ok || len(lit.Elts) == 0 {
+		return
+	}
+	if _, keyed := lit.Elts[0].(*ast.KeyValueExpr); !keyed {
+		for i := 0; i < st.NumFields(); i++ {
+			c.set[st.Field(i).Origin()] = true
+		}
+		return
+	}
+	for _, e := range lit.Elts {
+		if id, ok := e.(*ast.KeyValueExpr).Key.(*ast.Ident); ok {
+			if f, ok := info.Uses[id].(*types.Var); ok {
+				c.set[f.Origin()] = true
+			}
+		}
+	}
+}
+
+// key names obj as the allowlists do: internal/<pkg>.[<Type>.]<Name>.
+func (c *exportCheck) key(obj types.Object) string {
+	k := strings.TrimPrefix(obj.Pkg().Path(), c.module+"/") + "."
+	switch obj := obj.(type) {
+	case *types.Func:
+		if T := receiver(obj); T != nil {
+			k += T.Obj().Name() + "."
+		}
+	case *types.Var:
+		k += c.owner[obj].Name() + "."
+	}
+	return k + obj.Name()
 }
 
 // check returns one line per unreferenced export not on allow, and one per
 // allow entry that is stale or gives no reason.
 func (c *exportCheck) check(allow map[string]string) []string {
-	var flagged []*types.Func
-	hit := map[string]bool{}
+	var flagged []types.Object
 	for _, fn := range c.candidates {
-		if c.used[fn] || c.byName[fn.Name()] || c.implements(fn) {
-			continue
+		if !c.used[fn] && !c.byName[fn.Name()] && !c.implements(fn) {
+			flagged = append(flagged, fn)
 		}
-		k, pkg := c.key(fn), strings.TrimPrefix(fn.Pkg().Path(), c.module+"/")
-		if allow[k] != "" || allow[pkg] != "" {
+	}
+	return c.verdict(flagged, allow, nil, "has no non-test caller", "unreferenced export")
+}
+
+// checkFields returns one line per exported field that no non-test code
+// sets and that neither allow nor a package entry of pkgs covers, and one
+// per allow entry that is stale or gives no reason. The package entries
+// are not judged here: the function check judges them.
+func (c *exportCheck) checkFields(allow, pkgs map[string]string) []string {
+	var flagged []types.Object
+	for _, f := range c.fields {
+		if !c.set[f] && !c.byName[f.Name()] {
+			flagged = append(flagged, f)
+		}
+	}
+	return c.verdict(flagged, allow, pkgs, "has no non-test setter", "unset field")
+}
+
+// verdict lists the flagged objects that neither allow nor a package entry
+// of pkgs covers, then the allow entries that give no reason or cover no
+// flagged object.
+func (c *exportCheck) verdict(flagged []types.Object, allow, pkgs map[string]string, fail, kind string) []string {
+	hit := map[string]bool{}
+	var problems []string
+	sort.Slice(flagged, func(i, j int) bool { return flagged[i].Pos() < flagged[j].Pos() })
+	for _, obj := range flagged {
+		k, pkg := c.key(obj), strings.TrimPrefix(obj.Pkg().Path(), c.module+"/")
+		if allow[k] != "" || allow[pkg] != "" || pkgs[pkg] != "" {
 			hit[k], hit[pkg] = true, true
 			continue
 		}
-		flagged = append(flagged, fn)
-	}
-	sort.Slice(flagged, func(i, j int) bool { return flagged[i].Pos() < flagged[j].Pos() })
-	var problems []string
-	for _, fn := range flagged {
-		pos := c.fset.Position(fn.Pos())
+		pos := c.fset.Position(obj.Pos())
 		if rel, err := filepath.Rel(c.root, pos.Filename); err == nil {
 			pos.Filename = rel
 		}
-		problems = append(problems, fmt.Sprintf("%s: %s has no non-test caller", pos, c.key(fn)))
+		problems = append(problems, fmt.Sprintf("%s: %s %s", pos, k, fail))
 	}
 	var keys []string
 	for k := range allow {
@@ -413,7 +566,7 @@ func (c *exportCheck) check(allow map[string]string) []string {
 		case allow[k] == "":
 			problems = append(problems, fmt.Sprintf("allowlist: %s gives no reason", k))
 		case !hit[k]:
-			problems = append(problems, fmt.Sprintf("allowlist: %s is stale: no unreferenced export has that name", k))
+			problems = append(problems, fmt.Sprintf("allowlist: %s is stale: no %s has that name", k, kind))
 		}
 	}
 	return problems

@@ -1,12 +1,14 @@
 package datagen
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 )
 
 func TestDeterminism(t *testing.T) {
-	spec := Spec{Dist: Uniform, N: 1000, Seed: 7, Min: 0, Max: 100}
+	spec := Spec{N: 1000, Seed: 7, Min: 0, Max: 100}
 	a := Floats(spec)
 	b := Floats(spec)
 	for i := range a {
@@ -29,7 +31,7 @@ func TestDeterminism(t *testing.T) {
 }
 
 func TestUniformBounds(t *testing.T) {
-	vals := Floats(Spec{Dist: Uniform, N: 5000, Seed: 1, Min: 10, Max: 20})
+	vals := Floats(Spec{N: 5000, Seed: 1, Min: 10, Max: 20})
 	for _, v := range vals {
 		if v < 10 || v >= 20 {
 			t.Fatalf("uniform value %v outside [10,20)", v)
@@ -37,68 +39,29 @@ func TestUniformBounds(t *testing.T) {
 	}
 }
 
-func TestSortedIsMonotone(t *testing.T) {
-	vals := Floats(Spec{Dist: Sorted, N: 100, Seed: 1, Min: 0, Max: 50})
-	for i := 1; i < len(vals); i++ {
-		if vals[i] < vals[i-1] {
-			t.Fatalf("sorted data decreases at %d", i)
-		}
-	}
-	if vals[0] != 0 || vals[len(vals)-1] != 50 {
-		t.Fatalf("sorted endpoints = %v, %v", vals[0], vals[len(vals)-1])
-	}
-}
-
-func TestStepsHasPlateaus(t *testing.T) {
-	vals := Floats(Spec{Dist: Steps, N: 100, Seed: 1, Min: 0, Max: 40, StepLevels: 5})
-	distinct := map[float64]bool{}
-	for _, v := range vals {
-		distinct[v] = true
-	}
-	if len(distinct) != 5 {
-		t.Fatalf("steps produced %d levels, want 5", len(distinct))
-	}
-}
-
-func TestPeriodicRange(t *testing.T) {
-	vals := Floats(Spec{Dist: Periodic, N: 200, Seed: 1, Min: 0, Max: 10, Period: 50})
-	if vals[0] != vals[50] || vals[3] != vals[53] {
-		t.Fatal("periodic data should repeat with the period")
-	}
-}
-
-func TestNormalMoments(t *testing.T) {
-	vals := Floats(Spec{Dist: Normal, N: 50000, Seed: 1, Mean: 100, Stddev: 5})
-	var sum float64
-	for _, v := range vals {
-		sum += v
-	}
-	mean := sum / float64(len(vals))
-	if math.Abs(mean-100) > 0.5 {
-		t.Fatalf("normal mean = %v, want ≈100", mean)
-	}
-}
-
-func TestZipfSkew(t *testing.T) {
-	vals := Ints(Spec{Dist: Zipf, N: 10000, Seed: 1, Min: 0, Max: 1000, ZipfS: 1.5, ZipfV: 1})
-	zeros := 0
-	for _, v := range vals {
-		if v == 0 {
-			zeros++
-		}
-	}
-	if zeros < len(vals)/4 {
-		t.Fatalf("zipf should be head-heavy; zero count = %d", zeros)
-	}
-}
-
 func TestIntsRounds(t *testing.T) {
-	ints := Ints(Spec{Dist: Sorted, N: 3, Seed: 1, Min: 0, Max: 2})
-	want := []int64{0, 1, 2}
-	for i, w := range want {
-		if ints[i] != w {
-			t.Fatalf("Ints = %v, want %v", ints, want)
+	spec := Spec{N: 1000, Seed: 3, Min: 0, Max: 10}
+	floats, ints := Floats(spec), Ints(spec)
+	for i, f := range floats {
+		if want := int64(math.Round(f)); ints[i] != want {
+			t.Fatalf("Ints[%d] = %d, want %d (round of %v)", i, ints[i], want, f)
 		}
+	}
+}
+
+// TestFloatsGolden pins the data dbtouch-serve serves by default (seed 42,
+// values in [0, 1000)) on its first 1000 rows: the FNV-64a hash of each
+// value's IEEE-754 bits, little-endian, in order.
+func TestFloatsGolden(t *testing.T) {
+	const want uint64 = 0xe9e85447db802f35
+	h := fnv.New64a()
+	var b [8]byte
+	for _, v := range Floats(Spec{N: 1000, Seed: 42, Min: 0, Max: 1000}) {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+		h.Write(b[:])
+	}
+	if got := h.Sum64(); got != want {
+		t.Fatalf("Floats hash %#x, want %#x", got, want)
 	}
 }
 
@@ -114,15 +77,15 @@ func TestStringsCardinality(t *testing.T) {
 }
 
 func TestColumnsBuild(t *testing.T) {
-	ic := IntColumn("i", Spec{Dist: Uniform, N: 10, Seed: 1})
-	fc := FloatColumn("f", Spec{Dist: Uniform, N: 10, Seed: 1})
+	ic := IntColumn("i", Spec{N: 10, Seed: 1})
+	fc := FloatColumn("f", Spec{N: 10, Seed: 1})
 	if ic.Len() != 10 || fc.Len() != 10 {
 		t.Fatal("column constructors wrong length")
 	}
 }
 
 func TestPlantOutlierRegion(t *testing.T) {
-	data := Floats(Spec{Dist: Uniform, N: 10000, Seed: 2, Min: 0, Max: 100})
+	data := Floats(Spec{N: 10000, Seed: 2, Min: 0, Max: 100})
 	baseline := append([]float64(nil), data...)
 	p := Plant(data, OutlierRegion, 0.5, 0.05, 3)
 	if p.Start != 5000 || p.End-p.Start != 500 {
@@ -141,7 +104,7 @@ func TestPlantOutlierRegion(t *testing.T) {
 }
 
 func TestPlantLevelShiftExtendsToEnd(t *testing.T) {
-	data := Floats(Spec{Dist: Uniform, N: 1000, Seed: 2})
+	data := Floats(Spec{N: 1000, Seed: 2})
 	p := Plant(data, LevelShift, 0.7, 0.01, 3)
 	if p.End != 1000 {
 		t.Fatalf("level shift End = %d, want 1000", p.End)
@@ -149,7 +112,7 @@ func TestPlantLevelShiftExtendsToEnd(t *testing.T) {
 }
 
 func TestPlantSpikesAreExtreme(t *testing.T) {
-	data := Floats(Spec{Dist: Uniform, N: 10000, Seed: 2, Min: 0, Max: 100})
+	data := Floats(Spec{N: 10000, Seed: 2, Min: 0, Max: 100})
 	p := Plant(data, Spike, 0.2, 0.1, 3)
 	max := 0.0
 	for i := p.Start; i < p.End; i++ {
@@ -163,8 +126,8 @@ func TestPlantSpikesAreExtreme(t *testing.T) {
 }
 
 func TestPlantCorrelatedBothColumns(t *testing.T) {
-	a := Floats(Spec{Dist: Uniform, N: 1000, Seed: 2, Min: 0, Max: 10})
-	b := Floats(Spec{Dist: Uniform, N: 1000, Seed: 4, Min: 0, Max: 10})
+	a := Floats(Spec{N: 1000, Seed: 2, Min: 0, Max: 10})
+	b := Floats(Spec{N: 1000, Seed: 4, Min: 0, Max: 10})
 	a0, b0 := append([]float64(nil), a...), append([]float64(nil), b...)
 	p := PlantCorrelated(a, b, 0.4, 0.1, 5)
 	mid := p.Center()

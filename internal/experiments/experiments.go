@@ -38,7 +38,7 @@ func Small() Scale {
 // column materializes the standard experiment column: uniform integers,
 // deterministic seed.
 func (s Scale) columnData() []int64 {
-	return datagen.Ints(datagen.Spec{Dist: datagen.Uniform, N: s.Rows, Seed: 42, Min: 0, Max: 1000})
+	return datagen.Ints(datagen.Spec{N: s.Rows, Seed: 42, Min: 0, Max: 1000})
 }
 
 // newDB opens a paper-configured dbTouch instance over the standard

@@ -89,8 +89,8 @@ func JoinNonBlocking(s Scale) *metrics.Table {
 	if n < 1000 {
 		n = 1000
 	}
-	left := storage.NewIntColumn("l", datagen.Ints(datagen.Spec{Dist: datagen.Uniform, N: n, Seed: 7, Min: 0, Max: float64(n / 4)}))
-	right := storage.NewIntColumn("r", datagen.Ints(datagen.Spec{Dist: datagen.Uniform, N: n, Seed: 8, Min: 0, Max: float64(n / 4)}))
+	left := storage.NewIntColumn("l", datagen.Ints(datagen.Spec{N: n, Seed: 7, Min: 0, Max: float64(n / 4)}))
+	right := storage.NewIntColumn("r", datagen.Ints(datagen.Spec{N: n, Seed: 8, Min: 0, Max: float64(n / 4)}))
 	params := heavyIO()
 
 	// Symmetric: alternate pushes from both sides, as interleaved slide
@@ -143,7 +143,7 @@ func IndexedSlide(s Scale) *metrics.Table {
 	if n < 1000 {
 		n = 1000
 	}
-	col := storage.NewIntColumn("v", datagen.Ints(datagen.Spec{Dist: datagen.Uniform, N: n, Seed: 11, Min: 0, Max: 1e6}))
+	col := storage.NewIntColumn("v", datagen.Ints(datagen.Spec{N: n, Seed: 11, Min: 0, Max: 1e6}))
 	params := heavyIO()
 
 	measure := func(name string, f func(tr *iomodel.Tracker)) {

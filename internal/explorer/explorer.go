@@ -33,7 +33,7 @@ type Task struct {
 // planted pattern, plus an id column (0..n-1) so the SQL agent can
 // restrict ranges.
 func NewTask(name string, kind datagen.PatternKind, n int, seed int64) Task {
-	data := datagen.Floats(datagen.Spec{Dist: datagen.Uniform, N: n, Seed: seed, Min: 0, Max: 1000})
+	data := datagen.Floats(datagen.Spec{N: n, Seed: seed, Min: 0, Max: 1000})
 	// Region position/width derive from the seed so tasks differ.
 	frac := 0.15 + float64(seed%7)/10.0
 	if frac > 0.8 {

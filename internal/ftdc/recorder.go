@@ -59,8 +59,8 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// RecorderStats counts what the recorder has done; the session manager
-// exposes these as gauges, so the flight recorder records itself too.
+// RecorderStats counts what the recorder has done. Recorder.Stats reports
+// it to the recorder's owner; the capture itself does not record it.
 type RecorderStats struct {
 	Samples       int64 // ticks recorded
 	ChunksWritten int64 // chunks flushed to disk

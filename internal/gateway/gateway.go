@@ -9,8 +9,8 @@
 // thundering herd of client retries.
 //
 // The proxy path is resilient by construction: per-attempt deadlines,
-// capped exponential backoff with full jitter (the shared
-// protocol.Backoff policy), Retry-After honored on 503. Mutating
+// capped exponential backoff with full jitter (protocol.Backoff's Delay
+// under the gateway's own retry loop), Retry-After honored on 503. Mutating
 // requests are stamped with a per-session ReqID before forwarding, so a
 // retried request whose response was lost in flight is answered from
 // the session's dedupe cache instead of executing twice — which is what
@@ -96,8 +96,8 @@ type Options struct {
 	// "http://127.0.0.1:8081". A bare host:port gets http:// prepended.
 	// All backends must share one -session-dir for failover to work.
 	Backends []string
-	// Retry is the proxy path's backoff policy (shared protocol.Backoff
-	// semantics: capped exponential, full jitter, Retry-After floored).
+	// Retry is the proxy path's backoff policy (capped exponential, full
+	// jitter, Retry-After floored): retry reads its MaxAttempts and Delay.
 	Retry protocol.Backoff
 	// RequestTimeout bounds one forwarded /rpc attempt (default 30s).
 	// Streams are never bounded.

@@ -57,20 +57,6 @@ func TestSynthSlideShape(t *testing.T) {
 	}
 }
 
-func TestSynthCustomRate(t *testing.T) {
-	s := Synth{Hz: 10}
-	events := s.Slide(touchos.Point{X: 0, Y: 0}, touchos.Point{X: 0, Y: 1}, 0, time.Second)
-	moves := 0
-	for _, e := range events {
-		if e.Phase == touchos.TouchMoved {
-			moves++
-		}
-	}
-	if moves < 9 || moves > 11 {
-		t.Fatalf("10Hz moves = %d", moves)
-	}
-}
-
 func TestSynthPauseResumeHoldsPosition(t *testing.T) {
 	s := Synth{}
 	events := s.PauseResume(touchos.Point{X: 0, Y: 0}, touchos.Point{X: 0, Y: 10}, 0, 2*time.Second, 0.5, time.Second)

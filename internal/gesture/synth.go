@@ -22,19 +22,11 @@ type Waypoint struct {
 	Loc touchos.Point
 }
 
-// Synth generates raw touch-event streams at a digitizer sampling rate.
-type Synth struct {
-	// Hz is the digitizer sampling rate; zero selects touchos.DigitizerHz.
-	Hz float64
-}
+// Synth generates raw touch-event streams sampled at touchos.DigitizerHz.
+type Synth struct{}
 
-func (s Synth) period() time.Duration {
-	hz := s.Hz
-	if hz <= 0 {
-		hz = touchos.DigitizerHz
-	}
-	return time.Duration(float64(time.Second) / hz)
-}
+// period is the time between two digitizer samples.
+const period = time.Second / touchos.DigitizerHz
 
 // Tap produces a touch-down/up pair at loc.
 func (s Synth) Tap(loc touchos.Point, at time.Duration) []touchos.TouchEvent {
@@ -69,7 +61,6 @@ func (s Synth) appendPath(dst []touchos.TouchEvent, points []Waypoint) []touchos
 	if len(points) == 0 {
 		return dst
 	}
-	period := s.period()
 	n := 2
 	for seg := 1; seg < len(points); seg++ {
 		if segDur := points[seg].At - points[seg-1].At; segDur > 0 {
@@ -145,7 +136,7 @@ func (s Synth) appendBackAndForth(dst []touchos.TouchEvent, from, to touchos.Poi
 
 // twoFingerSteps counts the sampling instants start+k·period ≤ start+dur
 // (k ≥ 1) of a two-finger gesture.
-func twoFingerSteps(dur, period time.Duration) int {
+func twoFingerSteps(dur time.Duration) int {
 	return max(int(dur/period), 0)
 }
 
@@ -157,13 +148,12 @@ func (s Synth) Pinch(center touchos.Point, spread0, spread1 float64, start, dur 
 }
 
 func (s Synth) appendPinch(dst []touchos.TouchEvent, center touchos.Point, spread0, spread1 float64, start, dur time.Duration) []touchos.TouchEvent {
-	period := s.period()
 	place := func(spread float64) (touchos.Point, touchos.Point) {
 		h := spread / 2
 		return touchos.Point{X: center.X, Y: center.Y - h},
 			touchos.Point{X: center.X, Y: center.Y + h}
 	}
-	dst = slices.Grow(dst, 4+2*twoFingerSteps(dur, period))
+	dst = slices.Grow(dst, 4+2*twoFingerSteps(dur))
 	p0, p1 := place(spread0)
 	dst = append(dst,
 		touchos.TouchEvent{Finger: 0, Phase: touchos.TouchBegan, Loc: p0, Time: start},
@@ -191,7 +181,6 @@ func (s Synth) Rotate(center touchos.Point, radius, angle float64, start, dur ti
 }
 
 func (s Synth) appendRotate(dst []touchos.TouchEvent, center touchos.Point, radius, angle float64, start, dur time.Duration) []touchos.TouchEvent {
-	period := s.period()
 	place := func(theta float64) (touchos.Point, touchos.Point) {
 		return touchos.Point{
 				X: center.X + radius*math.Cos(theta),
@@ -201,7 +190,7 @@ func (s Synth) appendRotate(dst []touchos.TouchEvent, center touchos.Point, radi
 				Y: center.Y - radius*math.Sin(theta),
 			}
 	}
-	dst = slices.Grow(dst, 4+2*twoFingerSteps(dur, period))
+	dst = slices.Grow(dst, 4+2*twoFingerSteps(dur))
 	p0, p1 := place(0)
 	dst = append(dst,
 		touchos.TouchEvent{Finger: 0, Phase: touchos.TouchBegan, Loc: p0, Time: start},

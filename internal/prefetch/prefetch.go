@@ -113,18 +113,21 @@ type Stats struct {
 	GrowWarms int
 }
 
+const (
+	// horizon is how far ahead (virtual time) the prefetcher
+	// extrapolates the gesture.
+	horizon = 500 * time.Millisecond
+	// slack is the relative velocity-estimate error budget: each
+	// predicted position k steps ahead is warmed with a halo of
+	// ±slack·|step|·k tuples.
+	slack = 0.08
+)
+
 // Prefetcher converts idle windows into warm blocks along the predicted
 // path.
 type Prefetcher struct {
 	// Enabled gates the whole mechanism (the ablation switch).
 	Enabled bool
-	// Horizon is how far ahead (virtual time) to extrapolate; zero
-	// selects 500ms.
-	Horizon time.Duration
-	// Slack is the relative velocity-estimate error budget: each
-	// predicted position k steps ahead is warmed with a halo of
-	// ±Slack·|step|·k tuples. Zero selects 0.08.
-	Slack float64
 	// Extrapolator supplies predictions.
 	Extrapolator *Extrapolator
 
@@ -153,10 +156,6 @@ func (p *Prefetcher) OnIdle(from, to time.Duration, tracker *iomodel.Tracker, cl
 	budget := to - from
 	if budget <= 0 {
 		return
-	}
-	horizon := p.Horizon
-	if horizon <= 0 {
-		horizon = 500 * time.Millisecond
 	}
 	last := p.Extrapolator.LastID()
 	if p.haveAnchor && p.anchor != last {
@@ -196,10 +195,6 @@ func (p *Prefetcher) OnIdle(from, to time.Duration, tracker *iomodel.Tracker, cl
 	// proportional to the predicted distance absorbs velocity-estimate
 	// error; consecutive idle windows of one pause resume from the
 	// frontier the previous window reached.
-	slack := p.Slack
-	if slack <= 0 {
-		slack = 0.08
-	}
 	steps := float64(horizon) / float64(interTouch)
 	if steps < 1 {
 		steps = 1
@@ -298,14 +293,6 @@ func (p *Prefetcher) OnGrow(oldLimit, newLimit int, tracker *iomodel.Tracker) bo
 	bv := tracker.Params().BlockValues
 	if p.frontier < oldLimit-bv {
 		return false
-	}
-	horizon := p.Horizon
-	if horizon <= 0 {
-		horizon = 500 * time.Millisecond
-	}
-	slack := p.Slack
-	if slack <= 0 {
-		slack = 0.08
 	}
 	stepMag := p.Extrapolator.StepSize()
 	if stepMag < 0 {

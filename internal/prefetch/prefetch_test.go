@@ -78,7 +78,6 @@ func TestPrefetcherWarmsPredictedPath(t *testing.T) {
 	}, nil)
 	e := &Extrapolator{Alpha: 1} // no smoothing: exact step estimates
 	p := New(e)
-	p.Horizon = time.Second
 
 	// Gesture moving forward 1000 tuples per 100ms.
 	for i := 0; i <= 5; i++ {
@@ -128,7 +127,6 @@ func TestPrefetcherRespectsClamp(t *testing.T) {
 		return id
 	}
 	p := New(e)
-	p.Horizon = 10 * time.Second
 	p.OnIdle(0, time.Second, tr, clamp)
 	if tr.IsWarm(500) {
 		t.Fatal("prefetch escaped the clamp")
@@ -162,17 +160,16 @@ func TestPrefetcherRangedWarmCoversWholeSpan(t *testing.T) {
 	}, nil)
 	e := &Extrapolator{Alpha: 1}
 	p := New(e)
-	p.Horizon = time.Second
 
-	// Forward gesture, 1000 tuples per 100ms: the extrapolated next span
-	// is [5000, 15000); span execution will consume every tuple of it,
-	// so the warm must be contiguous — including tuples between the
-	// predicted touch positions.
+	// Forward gesture, 1000 tuples per 100ms: over the 500ms horizon the
+	// extrapolated next span is [5000, 10000); span execution will
+	// consume every tuple of it, so the warm must be contiguous —
+	// including tuples between the predicted touch positions.
 	for i := 0; i <= 5; i++ {
 		e.Observe(i*1000, time.Duration(i)*100*time.Millisecond)
 	}
 	p.OnIdle(0, time.Minute, tr, nil)
-	for id := 5000; id < 15000; id += 100 {
+	for id := 5000; id < 10000; id += 100 {
 		if !tr.IsWarm(id) {
 			t.Fatalf("tuple %d in the extrapolated span is cold", id)
 		}
@@ -186,7 +183,6 @@ func TestPrefetcherBackwardRangedWarm(t *testing.T) {
 	}, nil)
 	e := &Extrapolator{Alpha: 1}
 	p := New(e)
-	p.Horizon = time.Second
 	// Backward gesture from 20000, 1000 tuples per 100ms.
 	for i := 0; i <= 5; i++ {
 		e.Observe(20000-i*1000, time.Duration(i)*100*time.Millisecond)
@@ -209,7 +205,6 @@ func TestPrefetcherFrontierResumesAcrossIdleWindows(t *testing.T) {
 	}, nil)
 	e := &Extrapolator{Alpha: 1}
 	p := New(e)
-	p.Horizon = time.Second
 	for i := 0; i <= 5; i++ {
 		e.Observe(i*1000, time.Duration(i)*100*time.Millisecond)
 	}

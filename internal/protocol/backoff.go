@@ -1,7 +1,6 @@
 package protocol
 
 import (
-	"context"
 	"errors"
 	"math/rand"
 	"time"
@@ -12,17 +11,15 @@ import (
 // failure is wrapped alongside it.
 var ErrRetriesExhausted = errors.New("protocol: retries exhausted")
 
-// Backoff is the one retry policy shared by every resilient caller in
-// the system — protocol.Client (overloaded requests, stream reconnects)
-// and the gateway's proxy path — so backoff behavior is uniform instead
-// of ad-hoc sleeps: capped exponential growth with full jitter, and a
-// server-sent Retry-After hint always honored as the floor for that
-// attempt (an overloaded server knows its own drain rate better than
-// our curve does).
+// Backoff is the gateway proxy path's retry policy: capped exponential
+// growth with full jitter, and a server-sent Retry-After hint always
+// honored as the floor for that attempt (an overloaded server knows its
+// own drain rate better than our curve does). The gateway runs its own
+// retry loop around MaxAttempts and Delay.
 //
 // The zero value is usable and selects the defaults below. Backoff is a
-// value type: copies are independent, and a Backoff without custom
-// Rand/Sleep hooks is safe for concurrent use.
+// value type: copies are independent, and a Backoff without a custom
+// Rand hook is safe for concurrent use.
 type Backoff struct {
 	// Base is the first attempt's delay ceiling (default 50ms). Attempt
 	// k's ceiling is Base<<k, capped at Cap.
@@ -36,9 +33,6 @@ type Backoff struct {
 	// in [0, 1) — injectable for deterministic tests. Nil uses the
 	// global math/rand source (which is safe for concurrent use).
 	Rand func() float64
-	// Sleep overrides the delay implementation — injectable for tests
-	// that must not consume wall-clock time. Nil sleeps for real.
-	Sleep func(time.Duration)
 }
 
 // Backoff defaults.
@@ -93,58 +87,4 @@ func (b Backoff) Delay(attempt int, retryAfter time.Duration) time.Duration {
 		d = retryAfter
 	}
 	return d
-}
-
-// wait sleeps for attempt's delay, honoring ctx cancellation. Reports
-// false when the context died first.
-func (b Backoff) wait(ctx context.Context, attempt int, retryAfter time.Duration) bool {
-	d := b.Delay(attempt, retryAfter)
-	if b.Sleep != nil {
-		b.Sleep(d)
-		return ctx.Err() == nil
-	}
-	if d <= 0 {
-		return ctx.Err() == nil
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
-}
-
-// Retry runs fn up to 1+MaxAttempts times. fn reports whether its
-// failure is retryable and an optional server-hinted minimum delay.
-// A nil error stops immediately; a non-retryable error surfaces as-is;
-// running out of attempts wraps the last error with ErrRetriesExhausted.
-func (b Backoff) Retry(ctx context.Context, fn func() (retryable bool, retryAfter time.Duration, err error)) error {
-	var last error
-	for attempt := 0; ; attempt++ {
-		retryable, retryAfter, err := fn()
-		if err == nil {
-			return nil
-		}
-		if !retryable {
-			return err
-		}
-		last = err
-		if attempt >= b.MaxAttempts() {
-			return errors.Join(ErrRetriesExhausted, last)
-		}
-		if !b.wait(ctx, attempt, retryAfter) {
-			return errors.Join(ctx.Err(), last)
-		}
-	}
-}
-
-// RetryAfterDuration renders a response's Retry-After hint (seconds) as
-// a duration, zero when the response carried none.
-func RetryAfterDuration(resp Response) time.Duration {
-	if resp.RetryAfter > 0 {
-		return time.Duration(resp.RetryAfter) * time.Second
-	}
-	return 0
 }

@@ -68,10 +68,9 @@ func TestBackoffZeroValueDefaults(t *testing.T) {
 }
 
 func TestBackoffRetryExhaustionWrapsTypedError(t *testing.T) {
-	var slept []time.Duration
+	waits := 0 // Delay draws one jitter value per backoff
 	b := Backoff{Base: time.Millisecond, Cap: time.Millisecond, Attempts: 3,
-		Rand:  func() float64 { return 1 },
-		Sleep: func(d time.Duration) { slept = append(slept, d) }}
+		Rand: func() float64 { waits++; return 0 }}
 	boom := errors.New("boom")
 	calls := 0
 	err := b.Retry(context.Background(), func() (bool, time.Duration, error) {
@@ -87,13 +86,13 @@ func TestBackoffRetryExhaustionWrapsTypedError(t *testing.T) {
 	if calls != 4 { // initial try + 3 retries
 		t.Fatalf("fn ran %d times, want 4", calls)
 	}
-	if len(slept) != 3 {
-		t.Fatalf("slept %d times, want 3 (no sleep after the final failure)", len(slept))
+	if waits != 3 {
+		t.Fatalf("backed off %d times, want 3 (no backoff after the final failure)", waits)
 	}
 }
 
 func TestBackoffRetryStopsOnNonRetryable(t *testing.T) {
-	b := Backoff{Sleep: func(time.Duration) { t.Fatal("must not sleep for a terminal error") }}
+	b := Backoff{Rand: func() float64 { t.Fatal("must not back off for a terminal error"); return 0 }}
 	terminal := errors.New("bad request")
 	calls := 0
 	err := b.Retry(context.Background(), func() (bool, time.Duration, error) {
@@ -109,7 +108,7 @@ func TestBackoffRetryStopsOnNonRetryable(t *testing.T) {
 }
 
 func TestBackoffRetrySucceedsMidway(t *testing.T) {
-	b := Backoff{Sleep: func(time.Duration) {}}
+	b := Backoff{Rand: func() float64 { return 0 }}
 	calls := 0
 	err := b.Retry(context.Background(), func() (bool, time.Duration, error) {
 		calls++
@@ -128,7 +127,9 @@ func TestBackoffRetrySucceedsMidway(t *testing.T) {
 
 func TestBackoffRetryRespectsContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	b := Backoff{Attempts: 10, Sleep: func(time.Duration) { cancel() }}
+	// The context dies as the first backoff starts; its hour-long delay
+	// must not be slept out.
+	b := Backoff{Base: time.Hour, Cap: time.Hour, Attempts: 10, Rand: func() float64 { cancel(); return 1 }}
 	boom := errors.New("boom")
 	err := b.Retry(ctx, func() (bool, time.Duration, error) { return true, 0, boom })
 	if !errors.Is(err, context.Canceled) {

@@ -444,12 +444,6 @@ type Client struct {
 	Base string
 	// HTTPClient overrides http.DefaultClient when set.
 	HTTPClient *http.Client
-	// Retry, when set, is the client's retry policy: overloaded
-	// responses (503 + Retry-After) are retried with capped backoff and
-	// full jitter, honoring the server's Retry-After hint. Exhausting the
-	// budget surfaces ErrRetriesExhausted wrapping the last failure. Nil
-	// keeps single-attempt behavior.
-	Retry *Backoff
 }
 
 func (c *Client) httpClient() *http.Client {
@@ -459,30 +453,13 @@ func (c *Client) httpClient() *http.Client {
 	return http.DefaultClient
 }
 
-// Do sends one request and decodes the server's response envelope. A
-// transport-level failure returns an error; a server-side failure comes
-// back inside the Response (OK=false) wrapped as an error too; a Gone
-// failure marks a session the server no longer holds, which the caller
-// may bring back with OpResume. With Retry set, overloaded responses are
-// retried under the shared backoff policy (Retry-After honored) before
-// ErrRetriesExhausted surfaces.
+// Do sends one request, once, and decodes the server's response
+// envelope. A transport-level failure returns an error; a server-side
+// failure comes back inside the Response (OK=false) wrapped as an error
+// too; an overloaded answer (503 + Retry-After) wraps ErrOverloaded and
+// is the caller's to retry; a Gone failure marks a session the server no
+// longer holds, which the caller may bring back with OpResume.
 func (c *Client) Do(req Request) (Response, error) {
-	if c.Retry == nil {
-		return c.do(req)
-	}
-	var resp Response
-	err := c.Retry.Retry(context.Background(), func() (bool, time.Duration, error) {
-		var err error
-		resp, err = c.do(req)
-		if err != nil && errors.Is(err, ErrOverloaded) {
-			return true, RetryAfterDuration(resp), err
-		}
-		return false, 0, err
-	})
-	return resp, err
-}
-
-func (c *Client) do(req Request) (Response, error) {
 	data, err := EncodeRequest(req)
 	if err != nil {
 		return Response{}, err

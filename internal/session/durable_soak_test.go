@@ -26,7 +26,6 @@ func TestDurableSoak10kSessions(t *testing.T) {
 		Dir:          dir,
 		CompactBytes: 4 << 10,
 		RetainBytes:  4 << 20,
-		MaxOpenLogs:  64,
 	})
 	if err != nil {
 		t.Fatal(err)

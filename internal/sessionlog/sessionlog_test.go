@@ -189,16 +189,16 @@ func TestRemoveSessionForgetsHistory(t *testing.T) {
 	assertHistory(t, rep, 2)
 }
 
-// TestAppenderFDCache proves the open-file LRU: many sessions appended
-// round-robin stay correct while only MaxOpenLogs descriptors are
-// cached (the 10k-session soak depends on this).
+// TestAppenderFDCache proves the open-file LRU: more sessions than
+// MaxOpenLogs appended round-robin stay correct while only MaxOpenLogs
+// descriptors are cached (the 10k-session soak depends on this).
 func TestAppenderFDCache(t *testing.T) {
-	st, err := Open(Options{Dir: t.TempDir(), MaxOpenLogs: 2})
+	st, err := Open(Options{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	const sessions, rounds = 7, 5
+	const sessions, rounds = MaxOpenLogs + 7, 5
 	for r := 0; r < rounds; r++ {
 		for s := 0; s < sessions; s++ {
 			id := fmt.Sprintf("u%d", s)
@@ -207,8 +207,8 @@ func TestAppenderFDCache(t *testing.T) {
 			}
 		}
 	}
-	if open := st.Stats().OpenLogs; open > 2 {
-		t.Fatalf("OpenLogs = %d, want <= 2", open)
+	if open := st.Stats().OpenLogs; open != MaxOpenLogs {
+		t.Fatalf("OpenLogs = %d, want %d", open, MaxOpenLogs)
 	}
 	for s := 0; s < sessions; s++ {
 		rep, err := st.LoadSession(fmt.Sprintf("u%d", s))
@@ -226,15 +226,12 @@ func TestAppenderFDCache(t *testing.T) {
 // protected (live) sessions survive.
 func TestRetentionDropsOldestParked(t *testing.T) {
 	protected := map[string]bool{"live": true}
-	st, err := Open(Options{
-		Dir:         t.TempDir(),
-		RetainBytes: 8 << 10,
-		Protect:     func(id string) bool { return protected[id] },
-	})
+	st, err := Open(Options{Dir: t.TempDir(), RetainBytes: 8 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
+	st.SetProtect(func(id string) bool { return protected[id] })
 	big := make([]byte, 1024)
 	for i := range big {
 		big[i] = byte(i)

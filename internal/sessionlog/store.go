@@ -10,15 +10,14 @@ import (
 	"time"
 )
 
-// Defaults for Options zero values.
 const (
 	// DefaultCompactBytes is the log-tail size that triggers compaction
-	// into a checkpoint.
+	// into a checkpoint when Options.CompactBytes is zero.
 	DefaultCompactBytes = 256 << 10
-	// DefaultMaxOpenLogs caps cached appender file descriptors; colder
-	// logs are closed and reopened on demand, so 10k live sessions cost
-	// O(DefaultMaxOpenLogs) fds, not O(sessions).
-	DefaultMaxOpenLogs = 64
+	// MaxOpenLogs caps cached appender file descriptors; colder logs are
+	// closed and reopened on demand, so 10k live sessions cost
+	// O(MaxOpenLogs) fds, not O(sessions).
+	MaxOpenLogs = 64
 )
 
 // Options configures a Store. Zero values select the defaults.
@@ -33,11 +32,6 @@ type Options struct {
 	// resumability — the same trade the flight recorder makes). 0
 	// disables the bound. Table logs are data, never dropped.
 	RetainBytes int64
-	// MaxOpenLogs caps cached appender fds.
-	MaxOpenLogs int
-	// Protect exempts a session from retention deletion (the session
-	// manager protects live sessions). May be replaced via SetProtect.
-	Protect func(id string) bool
 }
 
 // Stats is a point-in-time snapshot of store counters.
@@ -79,7 +73,6 @@ type Store struct {
 	dir          string
 	compactBytes int64
 	retainBytes  int64
-	maxOpen      int
 
 	mu        sync.Mutex
 	protect   func(string) bool
@@ -113,16 +106,11 @@ func Open(opts Options) (*Store, error) {
 		dir:          opts.Dir,
 		compactBytes: opts.CompactBytes,
 		retainBytes:  opts.RetainBytes,
-		maxOpen:      opts.MaxOpenLogs,
-		protect:      opts.Protect,
 		appenders:    make(map[string]*appender),
 		locks:        make(map[string]*sync.Mutex),
 	}
 	if st.compactBytes <= 0 {
 		st.compactBytes = DefaultCompactBytes
-	}
-	if st.maxOpen <= 0 {
-		st.maxOpen = DefaultMaxOpenLogs
 	}
 	return st, nil
 }
@@ -130,9 +118,10 @@ func Open(opts Options) (*Store, error) {
 // CompactBytes reports the configured compaction threshold.
 func (st *Store) CompactBytes() int64 { return st.compactBytes }
 
-// SetProtect installs the retention exemption callback. The callback
-// runs while the store's mutex is held, so it must not call back into
-// the store.
+// SetProtect installs the retention exemption callback: a session it
+// reports true for is never deleted by retention (the session manager
+// protects live sessions). The callback runs while the store's mutex is
+// held, so it must not call back into the store.
 func (st *Store) SetProtect(fn func(id string) bool) {
 	st.mu.Lock()
 	st.protect = fn
@@ -263,7 +252,7 @@ func (st *Store) appenderLocked(base string) (*appender, error) {
 	}
 	st.appenders[base] = ap
 	st.order = append(st.order, base)
-	for len(st.appenders) > st.maxOpen {
+	for len(st.appenders) > MaxOpenLogs {
 		victim := st.order[0]
 		st.order = st.order[1:]
 		st.appenders[victim].f.Close()

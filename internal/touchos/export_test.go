@@ -5,6 +5,3 @@ package touchos
 func (v *View) Children() []*View {
 	return append([]*View(nil), v.children...)
 }
-
-// SetHidden toggles hit-test visibility.
-func (v *View) SetHidden(h bool) { v.hidden = h }

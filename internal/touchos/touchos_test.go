@@ -83,16 +83,6 @@ func TestHitTestStackingOrder(t *testing.T) {
 	}
 }
 
-func TestHiddenViewSkipped(t *testing.T) {
-	screen := NewScreen(10, 10)
-	v := NewView("v", NewRect(1, 1, 2, 2))
-	_ = screen.AddChild(v)
-	v.SetHidden(true)
-	if got := screen.HitTest(Point{2, 2}); got != screen {
-		t.Fatal("hidden view should not hit-test")
-	}
-}
-
 func TestAddChildCycleRejected(t *testing.T) {
 	a := NewView("a", NewRect(0, 0, 5, 5))
 	b := NewView("b", NewRect(0, 0, 2, 2))

@@ -39,7 +39,6 @@ type View struct {
 	// top and RemoveChild keeps the order of the rest, so the slice order
 	// is the z-order and hit testing walks it back to front.
 	children []*View
-	hidden   bool
 }
 
 // nextViewID is atomic: views are created from every session's
@@ -136,11 +135,11 @@ func (v *View) LocalSize() Size {
 	return v.frame.Size
 }
 
-// HitTest finds the topmost unhidden descendant whose frame contains p
+// HitTest finds the topmost descendant whose frame contains p
 // (p in v's parent coordinates, as delivered by the digitizer for the
 // root view). It returns nil when the point misses v entirely.
 func (v *View) HitTest(p Point) *View {
-	if v.hidden || !v.frame.Contains(p) {
+	if !v.frame.Contains(p) {
 		return nil
 	}
 	inner := p.Sub(v.frame.Origin)

@@ -44,8 +44,15 @@ if [ "$rows" -lt "$min_rows" ]; then
   echo "FAIL: capture decoded to $rows ticks, want >= $min_rows" >&2
   exit 1
 fi
-"$work/dbtouch-ftdc" "$capture" | grep -q 'sessions_live' || {
+summary="$("$work/dbtouch-ftdc" "$capture")"
+grep -q 'sessions_live' <<<"$summary" || {
   echo "FAIL: summary is missing the sessions_live gauge" >&2
+  exit 1
+}
+# A cumulative column reads as a rate, not a level.
+grep -q '^logged_requests .*/s at t+' <<<"$summary" || {
+  echo "FAIL: summary does not read logged_requests as a rate:" >&2
+  grep '^logged_requests' <<<"$summary" >&2
   exit 1
 }
 # The capture's schema is the current one: none of the removed pool gauges.

@@ -21,3 +21,13 @@ func Arm64Only() int { return 2 }
 
 // Allowed has no caller and is allowlisted.
 func Allowed() int { return 3 }
+
+// Config holds one exported field of each kind the field check judges.
+type Config struct {
+	Assigned  int // set by assignment in app
+	Addressed int // set through a pointer to it in app
+	Keyed     int // set in a keyed literal in app
+	Arm64Set  int // set only in a file that builds on arm64
+	Decoded   int `json:"decoded"` // a decoder sets it
+	ReadOnly  int // read, never set: the checker flags it
+}
