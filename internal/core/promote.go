@@ -100,7 +100,7 @@ func (k *Kernel) PromoteHotRegion(o *Object, frame touchos.Rect) (*Object, error
 		return nil, fmt.Errorf("core: object %d has no hot regions yet", o.id)
 	}
 	r := regions[0]
-	col, err := o.hierarchy.Promote(r.Lo, r.Hi, k.clock, k.cfg.IO)
+	col, err := o.hierarchy.Promote(r.Lo, r.Hi)
 	if err != nil {
 		return nil, err
 	}

@@ -89,7 +89,7 @@ type Pinned struct {
 // versioned chain.
 func (p *Pinned) Samples(col, levels, blockLen int) (*Shared, error) {
 	if blockLen <= 0 {
-		blockLen = 1024
+		blockLen = defaultBlockLen
 	}
 	ls := p.store
 	ls.mu.Lock()

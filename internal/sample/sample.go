@@ -8,17 +8,23 @@
 // granularity touches a physically small array.
 //
 // The hierarchy is split along the shared-immutable vs per-session line:
-// a Shared holds the sample columns and their lazily built span statistics
-// (prefix sums, zone maps) — built once, safe for any number of concurrent
-// exploration sessions — while a Hierarchy is one session's view of a
-// Shared, carrying the mutable access trackers that charge that session's
+// a Shared holds the sample columns and their span statistics (prefix
+// sums, zone maps) — safe for any number of concurrent exploration
+// sessions — while a Hierarchy is one session's view of a Shared,
+// carrying the mutable access trackers that charge that session's
 // virtual clock. BuildShared + Attach is the multi-session path; Build
 // remains the single-session convenience that does both.
+//
+// Span statistics have one builder, levelTail.extend, under two
+// policies: a static column's level builds once, lazily, on its first
+// span; a live column's levels (Versioned) build eagerly, extended on
+// every append and published per version.
 package sample
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -43,54 +49,26 @@ type sharedLevel struct {
 	span *spanStats
 }
 
-// stats returns the level's span metadata, building it on first use.
-// blockValues sizes the zone-map blocks; the first caller's cost-model
-// block size wins, which only affects wall-clock work (correctness and
-// virtual-time charging are independent of the blocking).
+// defaultBlockLen is the zone-map block size (values per block) when the
+// cost model sets none.
+const defaultBlockLen = 1024
+
+// stats returns the level's span metadata, building it on first use: a
+// fresh levelTail extended once over the whole column and carved by
+// statsView, exactly as a live chain would publish it. blockValues sizes
+// the zone-map blocks; the first caller's cost-model block size wins,
+// which only affects wall-clock work (correctness and virtual-time
+// charging are independent of the blocking).
 func (sl *sharedLevel) stats(blockValues int) *spanStats {
 	sl.once.Do(func() {
+		if blockValues <= 0 {
+			blockValues = defaultBlockLen
+		}
 		n := sl.col.Len()
-		blockLen := blockValues
-		if blockLen <= 0 {
-			blockLen = 1024
-		}
-		s := &spanStats{
-			blockMin: make([]float64, (n+blockLen-1)/blockLen),
-			blockMax: make([]float64, (n+blockLen-1)/blockLen),
-			blockLen: blockLen,
-		}
-		for b := range s.blockMin {
-			lo, hi := b*blockLen, (b+1)*blockLen
-			min, max, _ := sl.col.MinMaxRange(lo, hi)
-			s.blockMin[b], s.blockMax[b] = min, max
-		}
-		// Integer-backed columns keep exact int64 prefix sums: span sums
-		// of int data are exact at any magnitude and the build runs on
-		// native integer adds. Float columns accumulate their finite
-		// values left to right and count the others per block, so one NaN
-		// or infinity decides only the spans that hold it.
-		if sl.col.Type() != storage.Float64 {
-			ip := make([]int64, n+1)
-			sl.col.PrefixInts(ip)
-			s.iprefix = ip
-		} else {
-			s.prefix = make([]float64, n+1)
-			s.blockNF = make([]storage.NonFinite, len(s.blockMin))
-			s.firstNF = math.MaxInt
-			acc := 0.0
-			idx := 0
-			sl.col.AddRangeTo(0, n, func(v float64) {
-				if v-v == 0 {
-					acc += v
-				} else {
-					s.blockNF[idx/blockLen].Count(v)
-					s.firstNF = min(s.firstNF, idx)
-				}
-				idx++
-				s.prefix[idx] = acc
-			})
-		}
-		sl.span = s
+		var t levelTail
+		t.extend(sl.col, n, blockValues)
+		sl.span = new(spanStats)
+		t.statsView(sl.span, n, blockValues)
 	})
 	return sl.span
 }
@@ -101,7 +79,9 @@ func (sl *sharedLevel) stats(blockValues int) *spanStats {
 // min/max to edge scans plus one comparison per interior block. The
 // metadata is auxiliary (like an index): building it charges no virtual
 // time, and the cost model still charges every span read through the
-// level's tracker as if the entries themselves were scanned.
+// level's tracker as if the entries themselves were scanned. Every
+// spanStats is a statsView of a levelTail, so levelTail.extend is the
+// one place its arrays are computed.
 type spanStats struct {
 	// prefix[i] is the sum of the finite values among entries [0, i),
 	// computed left to right (float columns only; nil otherwise).
@@ -116,10 +96,134 @@ type spanStats struct {
 	// integer-backed columns (int values, bool 0/1, string codes) — span
 	// sums of integer data are exact at any magnitude (nil for floats).
 	iprefix []int64
-	// blockMin/blockMax aggregate entries [b*blockLen, (b+1)*blockLen).
+	// blockMin/blockMax aggregate entries [b*blockLen, (b+1)*blockLen),
+	// complete blocks only. SpanEntries reads them for interior blocks
+	// exclusively (head and tail partial blocks scan natively), and an
+	// interior block of a span within n entries always ends by n.
 	blockMin, blockMax []float64
 	blockLen           int
 }
+
+// levelTail is the one builder of span statistics: append-only arrays
+// for one sample level, grown by extend and frozen into spanStats by
+// statsView. It serves two policies. A static level builds once and
+// lazily — sharedLevel.stats extends a fresh tail over the whole column
+// on the first span. A live level builds eagerly — Versioned extends its
+// tail on every append, and because the arrays only grow at the end, a
+// published view of the first n entries stays immutable while the tail
+// keeps growing and is bit-identical to a from-scratch build of those n
+// entries.
+type levelTail struct {
+	// stride is the base-tuple distance between entries (2^level).
+	stride int
+	// col holds a live level's own sample values (nil for level 0, whose
+	// values are the base column itself, and for static levels).
+	col *storage.Column
+	// iprefix, prefix, blockMin, blockMax, blockNF and firstNF are the
+	// spanStats arrays of the same names, covering every entry extended
+	// so far.
+	iprefix            []int64
+	prefix             []float64
+	blockMin, blockMax []float64
+	blockNF            []storage.NonFinite
+	firstNF            int
+}
+
+// extend advances the tail to cover the first n values of col, the
+// level's own values, with zone-map blocks of blockLen; n never shrinks
+// across calls. Each new entry adds exactly the term a single left-to-
+// right pass would add at that index, and a block is computed once, when
+// it completes, and never changes.
+func (t *levelTail) extend(col *storage.Column, n, blockLen int) {
+	// Reserve each array's growth once: a fresh tail (a static level, or
+	// a live one after a compaction restart) grows by its whole length in
+	// one call, and append's doubling would copy it several times over.
+	float := col.Type() == storage.Float64
+	vals := col.Floats()
+	if !float {
+		// Integer-backed columns keep exact int64 prefix sums: span sums
+		// of int data are exact at any magnitude.
+		if t.iprefix == nil {
+			t.iprefix = make([]int64, 1, n+1)
+		}
+		t.iprefix = slices.Grow(t.iprefix, n+1-len(t.iprefix))
+		for k := len(t.iprefix) - 1; k < n; k++ {
+			t.iprefix = append(t.iprefix, t.iprefix[k]+col.Int(k))
+		}
+	} else {
+		// Float columns accumulate their finite values left to right and
+		// count the others per block, so one NaN or infinity decides only
+		// the spans that hold it.
+		if t.prefix == nil {
+			t.prefix = make([]float64, 1, n+1)
+			t.firstNF = math.MaxInt
+		}
+		t.prefix = slices.Grow(t.prefix, n+1-len(t.prefix))
+		acc := t.prefix[len(t.prefix)-1]
+		for k := len(t.prefix) - 1; k < n; k++ {
+			if f := vals[k]; f-f == 0 {
+				acc += f
+			} else {
+				t.firstNF = min(t.firstNF, k)
+			}
+			t.prefix = append(t.prefix, acc)
+		}
+	}
+	if blocks := n/blockLen - len(t.blockMin); blocks > 0 {
+		t.blockMin = slices.Grow(t.blockMin, blocks)
+		t.blockMax = slices.Grow(t.blockMax, blocks)
+		if float {
+			t.blockNF = slices.Grow(t.blockNF, blocks)
+		}
+	}
+	for b := len(t.blockMin); (b+1)*blockLen <= n; b++ {
+		lo, hi := b*blockLen, (b+1)*blockLen
+		mn, mx, _ := col.MinMaxRange(lo, hi)
+		t.blockMin = append(t.blockMin, mn)
+		t.blockMax = append(t.blockMax, mx)
+		if float {
+			var nf storage.NonFinite
+			if t.firstNF < hi {
+				countNonFinite(&nf, vals[lo:hi])
+			}
+			t.blockNF = append(t.blockNF, nf)
+		}
+	}
+}
+
+// statsView sets s to the frozen statistics for the first n level
+// entries, carved out of the tail's append-only arrays.
+func (t *levelTail) statsView(s *spanStats, n, blockLen int) {
+	nb := n / blockLen
+	s.blockMin = t.blockMin[:nb:nb]
+	s.blockMax = t.blockMax[:nb:nb]
+	s.blockLen = blockLen
+	if t.iprefix != nil {
+		s.iprefix = t.iprefix[: n+1 : n+1]
+	} else {
+		s.prefix = t.prefix[: n+1 : n+1]
+		s.blockNF = t.blockNF[:nb:nb]
+		s.firstNF = t.firstNF
+	}
+}
+
+// minLevelLen is the smallest sample level stored: a level is built only
+// while it keeps at least this many entries.
+const minLevelLen = 64
+
+// levelsFor reports the highest stored level over n base rows: level i
+// exists iff i <= maxLevels and level i-1 holds at least 2*minLevelLen
+// entries. BuildShared and the live chain both stop on it.
+func levelsFor(n, maxLevels int) int {
+	top := 0
+	for top < maxLevels && n/2 >= minLevelLen {
+		top++
+		n = ceilDiv(n, 2)
+	}
+	return top
+}
+
+func ceilDiv(n, d int) int { return (n + d - 1) / d }
 
 // Shared is the immutable half of a sample hierarchy: the base column and
 // its stored sample levels, without any per-session state. One Shared is
@@ -132,22 +236,16 @@ type Shared struct {
 // BuildShared constructs the immutable sample levels over base with
 // maxLevels levels above the base (so maxLevels=0 means base only). Each
 // level halves the previous one; construction stops early when a level
-// would drop below minLen entries (default 64).
+// would drop below minLevelLen entries (levelsFor).
 func BuildShared(base *storage.Column, maxLevels int) (*Shared, error) {
 	if base == nil || base.Len() == 0 {
 		return nil, fmt.Errorf("sample: empty base column")
 	}
-	const minLen = 64
-	s := &Shared{}
-	s.levels = append(s.levels, &sharedLevel{stride: 1, col: base})
-	prev := base
-	for lvl := 1; lvl <= maxLevels; lvl++ {
-		if prev.Len()/2 < minLen {
-			break
-		}
-		col := prev.Strided(0, 2)
+	s := &Shared{levels: []*sharedLevel{{stride: 1, col: base}}}
+	col := base
+	for lvl := 1; lvl <= levelsFor(base.Len(), maxLevels); lvl++ {
+		col = col.Strided(0, 2)
 		s.levels = append(s.levels, &sharedLevel{stride: 1 << lvl, col: col})
-		prev = col
 	}
 	return s, nil
 }
@@ -301,14 +399,7 @@ func (h *Hierarchy) SelectLevelForGap(gap float64) int {
 	if lv >= float64(len(h.levels)) {
 		return len(h.levels) - 1
 	}
-	level := int(lv)
-	if level < 0 {
-		level = 0
-	}
-	if level >= len(h.levels) {
-		level = len(h.levels) - 1
-	}
-	return level
+	return int(lv)
 }
 
 // ValueAt reads the sample value nearest base tuple baseID from level,
@@ -486,13 +577,12 @@ func (h *Hierarchy) SpanAgg(lo, hi, level int) (sum float64, n int, min, max flo
 	return h.SpanEntries(from, to, level)
 }
 
-// Promote adds a stored sample covering base range [lo, hi) at base
-// resolution as a new finest-of-region level. It models §2.6 "Caching
-// Data": heavily revisited regions get their own materialized copy so
-// future queries at similar granularity feed from it. The returned column
-// is also registered as an extra level with stride 1 offset lo — callers
-// address it directly.
-func (h *Hierarchy) Promote(lo, hi int, clock *vclock.Clock, params iomodel.Params) (*storage.Column, error) {
+// Promote copies base range [lo, hi) at base resolution into a new
+// column. It models §2.6 "Caching Data": heavily revisited regions get
+// their own materialized copy so future queries at similar granularity
+// feed from it. The hierarchy does not keep the copy: the caller builds
+// its own object, with its own sample hierarchy, over it.
+func (h *Hierarchy) Promote(lo, hi int) (*storage.Column, error) {
 	base := h.Base()
 	if lo < 0 || hi > base.Len() || lo >= hi {
 		return nil, fmt.Errorf("sample: promote range [%d,%d) out of bounds for %d", lo, hi, base.Len())

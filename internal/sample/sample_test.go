@@ -215,15 +215,15 @@ func TestWindowAggChargesOnlyTouchedLevel(t *testing.T) {
 }
 
 func TestPromote(t *testing.T) {
-	h, clock := buildHierarchy(t, 1024, 2)
-	col, err := h.Promote(100, 200, clock, iomodel.DefaultParams())
+	h, _ := buildHierarchy(t, 1024, 2)
+	col, err := h.Promote(100, 200)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if col.Len() != 100 || col.Int(0) != 100 {
 		t.Fatalf("promoted region = len %d first %d", col.Len(), col.Int(0))
 	}
-	if _, err := h.Promote(200, 100, clock, iomodel.DefaultParams()); err == nil {
+	if _, err := h.Promote(200, 100); err == nil {
 		t.Fatal("inverted promote range should error")
 	}
 }

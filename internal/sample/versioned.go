@@ -2,8 +2,6 @@ package sample
 
 import (
 	"fmt"
-	"math"
-	"slices"
 	"sync"
 
 	"dbtouch/internal/storage"
@@ -19,44 +17,13 @@ type verKey struct {
 	rows int
 }
 
-// levelTail is the append-only accumulator for one sample level of a
-// versioned chain. Every array grows strictly at the end as the table
-// grows, so a published Shared can expose capped prefix views of these
-// arrays and stay immutable while the chain keeps extending.
-type levelTail struct {
-	// stride is the base-tuple distance between entries (2^level).
-	stride int
-	// col holds the level's sample values (nil for level 0, whose values
-	// are the base column itself).
-	col *storage.Column
-	// iprefix/prefix mirror spanStats: exact int64 prefix sums for
-	// integer-backed columns, left-to-right sums of the finite values
-	// otherwise. Extending by one value appends exactly the term a
-	// from-scratch build would have added at that index, so any prefix
-	// view of these arrays is bit-identical to a frozen single-pass build.
-	iprefix []int64
-	prefix  []float64
-	// blockMin/blockMax (and, for floats, blockNF) hold zone-map entries
-	// for COMPLETE blocks only. SpanEntries reads them for interior
-	// blocks exclusively (head and tail partial blocks scan natively),
-	// and the interior block index is always < floor(n/blockLen), so
-	// complete blocks suffice; a block is computed once, when it
-	// completes, and never changes.
-	blockMin, blockMax []float64
-	blockNF            []storage.NonFinite
-	// firstNF is the index of the first NaN or infinite value appended
-	// (math.MaxInt while there is none): a view of n entries holds one
-	// iff firstNF < n.
-	firstNF int
-}
-
 // Versioned incrementally maintains the sample hierarchy of one live
-// column across append epochs: each extension appends to level tails and
-// prefix sums instead of rebuilding, and ForSnapshot carves an immutable
-// Shared out of the tails for any published (gen, rows) version. The
-// prefix and block-count contracts of spanStats are preserved, so a
-// Shared served from the chain is indistinguishable from one built from
-// scratch over the same frozen prefix.
+// column across append epochs: each append extends every level's tail
+// (levelTail.extend, the builder a static level runs once) instead of
+// rebuilding, and ForSnapshot carves an immutable Shared out of the tails
+// for any published (gen, rows) version. A Shared served from the chain
+// is therefore indistinguishable from one built from scratch over the
+// same frozen prefix.
 type Versioned struct {
 	mu        sync.Mutex
 	maxLevels int
@@ -68,32 +35,12 @@ type Versioned struct {
 }
 
 // NewVersioned builds an empty chain with the given depth bound and
-// zone-map block size (values per block; <=0 selects the 1024 default
-// that sharedLevel.stats uses).
+// zone-map block size (values per block; <=0 selects defaultBlockLen).
 func NewVersioned(maxLevels, blockLen int) *Versioned {
 	if blockLen <= 0 {
-		blockLen = 1024
+		blockLen = defaultBlockLen
 	}
 	return &Versioned{maxLevels: maxLevels, blockLen: blockLen, cache: make(map[verKey]*Shared)}
-}
-
-func ceilDiv(n, d int) int { return (n + d - 1) / d }
-
-// levelsFor reports the highest stored level for n base rows, matching
-// BuildShared's stopping rule: level i exists iff i <= maxLevels and the
-// previous level holds at least 2*minLen entries.
-func (v *Versioned) levelsFor(n int) int {
-	const minLen = 64
-	top := 0
-	prevLen := n
-	for i := 1; i <= v.maxLevels; i++ {
-		if prevLen/2 < minLen {
-			break
-		}
-		top = i
-		prevLen = ceilDiv(prevLen, 2)
-	}
-	return top
 }
 
 // ForSnapshot returns the Shared hierarchy for one published version of
@@ -146,92 +93,26 @@ func (v *Versioned) ForSnapshot(gen uint64, base *storage.Column) (*Shared, erro
 // values through base (which shares the table's backing arrays, so any
 // same-generation snapshot view of length >= rows serves).
 func (v *Versioned) extendLocked(base *storage.Column, rows int) {
-	isInt := base.Type() != storage.Float64
-	if len(v.tails) == 0 {
-		t0 := &levelTail{stride: 1, firstNF: math.MaxInt}
-		if isInt {
-			t0.iprefix = []int64{0}
-		} else {
-			t0.prefix = []float64{0}
-		}
-		v.tails = append(v.tails, t0)
-	}
-	top := v.levelsFor(rows)
-	for li := len(v.tails); li <= top; li++ {
-		t := &levelTail{stride: 1 << li, col: base.EmptyLike(), firstNF: math.MaxInt}
-		if isInt {
-			t.iprefix = []int64{0}
-		} else {
-			t.prefix = []float64{0}
+	for li, top := len(v.tails), levelsFor(rows, v.maxLevels); li <= top; li++ {
+		t := &levelTail{stride: 1 << li}
+		if li > 0 {
+			t.col = base.EmptyLike()
 		}
 		v.tails = append(v.tails, t)
 	}
-	for li, t := range v.tails {
+	for _, t := range v.tails {
 		levelLen := ceilDiv(rows, t.stride)
-		col := t.col // level values; base for level 0
-		// Reserve each array's growth once: after a compaction restarts
-		// the tails a level grows by its whole length in one call, and
-		// append's doubling would copy it several times over.
-		if li == 0 {
-			col = base
-		} else {
+		col := base
+		if t.col != nil {
+			col = t.col
 			col.Grow(levelLen - col.Len())
 			for k := col.Len(); k < levelLen; k++ {
 				col.AppendAt(base, k*t.stride)
 			}
 		}
-		if isInt {
-			t.iprefix = slices.Grow(t.iprefix, levelLen+1-len(t.iprefix))
-			for k := len(t.iprefix) - 1; k < levelLen; k++ {
-				t.iprefix = append(t.iprefix, t.iprefix[len(t.iprefix)-1]+col.Int(k))
-			}
-		} else {
-			t.prefix = slices.Grow(t.prefix, levelLen+1-len(t.prefix))
-			acc := t.prefix[len(t.prefix)-1]
-			for k := len(t.prefix) - 1; k < levelLen; k++ {
-				if f := col.Float(k); f-f == 0 {
-					acc += f
-				} else {
-					t.firstNF = min(t.firstNF, k)
-				}
-				t.prefix = append(t.prefix, acc)
-			}
-		}
-		if blocks := levelLen/v.blockLen - len(t.blockMin); blocks > 0 {
-			t.blockMin = slices.Grow(t.blockMin, blocks)
-			t.blockMax = slices.Grow(t.blockMax, blocks)
-		}
-		for b := len(t.blockMin); (b+1)*v.blockLen <= levelLen; b++ {
-			lo, hi := b*v.blockLen, (b+1)*v.blockLen
-			min, max, _ := col.MinMaxRange(lo, hi)
-			t.blockMin = append(t.blockMin, min)
-			t.blockMax = append(t.blockMax, max)
-			if !isInt {
-				var nf storage.NonFinite
-				if t.firstNF < hi {
-					countNonFinite(&nf, col.Floats()[lo:hi])
-				}
-				t.blockNF = append(t.blockNF, nf)
-			}
-		}
+		t.extend(col, levelLen, v.blockLen)
 	}
 	v.baseLen = rows
-}
-
-// statsView sets s to the frozen statistics for the first n level
-// entries, carved out of the tail's append-only arrays.
-func (t *levelTail) statsView(s *spanStats, n, blockLen int) {
-	nb := n / blockLen
-	s.blockMin = t.blockMin[:nb:nb]
-	s.blockMax = t.blockMax[:nb:nb]
-	s.blockLen = blockLen
-	if t.iprefix != nil {
-		s.iprefix = t.iprefix[: n+1 : n+1]
-	} else {
-		s.prefix = t.prefix[: n+1 : n+1]
-		s.blockNF = t.blockNF[:nb:nb]
-		s.firstNF = t.firstNF
-	}
 }
 
 // buildLocked assembles the immutable Shared for rows base values. The
@@ -241,7 +122,7 @@ func (t *levelTail) statsView(s *spanStats, n, blockLen int) {
 // append a reader sees, so each kind of part is allocated once for all
 // levels, not once per level.
 func (v *Versioned) buildLocked(base *storage.Column, rows int) (*Shared, error) {
-	top := v.levelsFor(rows)
+	top := levelsFor(rows, v.maxLevels)
 	levels := make([]sharedLevel, top+1)
 	stats := make([]spanStats, top+1)
 	cols := make([]storage.Column, top) // views of levels 1..top

@@ -1,6 +1,7 @@
 package sample
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"testing"
@@ -192,6 +193,33 @@ func TestVersionedMatchesFrozenBuildString(t *testing.T) {
 	}
 }
 
+// TestVersionedMatchesFrozenBuildBool covers the last integer-backed
+// type: bool cells sum as 0/1 through the exact int64 prefix.
+func TestVersionedMatchesFrozenBuildBool(t *testing.T) {
+	full := storage.NewEmptyColumn("v", storage.Bool)
+	n := 0
+	v := NewVersioned(3, vtBlock)
+	for bi, bs := range batchSizes {
+		for i := 0; i < bs; i++ {
+			full.Append(storage.BoolValue(n%3 == 0 || n%7 == 0))
+			n++
+		}
+		base, err := full.Prefix(n)
+		if err != nil {
+			t.Fatalf("Prefix: %v", err)
+		}
+		got, err := v.ForSnapshot(0, base)
+		if err != nil {
+			t.Fatalf("ForSnapshot: %v", err)
+		}
+		want, err := BuildShared(base, 3)
+		if err != nil {
+			t.Fatalf("BuildShared: %v", err)
+		}
+		diffShared(t, fmt.Sprintf("bool batch %d (rows %d)", bi, n), got, want)
+	}
+}
+
 // TestVersionedCacheIdentity: the same (gen, rows) version resolves to
 // the same *Shared (sessions pinning one snapshot share statistics), and
 // prune drops what the keep-set omits without harming correctness.
@@ -317,6 +345,175 @@ func TestVersionedMatchesFrozenBuildAcrossCompactions(t *testing.T) {
 				t.Fatalf("BuildShared: %v", err)
 			}
 			diffShared(t, fmt.Sprintf("%s batch %d (gen %d, rows %d)", base.Name(), bi, snap.Gen, snap.Rows), got, want)
+		}
+	}
+}
+
+// fuzzFloats are the float values a fuzz byte below len(fuzzFloats)
+// names: NaN, both infinities, both zeros, item 14a's 1e16, subnormals,
+// and magnitudes far enough apart that summation order shows.
+var fuzzFloats = []float64{
+	math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1),
+	1e16, -1e16, 5e-324, -0x1p-1040, 1, 0.1, 1e300, -1e300,
+}
+
+// fuzzTypes are the column types the fuzz kind byte picks from.
+var fuzzTypes = []storage.Type{storage.Int64, storage.Float64, storage.String, storage.Bool}
+
+// fuzzValue maps one fuzz byte to a cell of typ.
+func fuzzValue(typ storage.Type, b byte) storage.Value {
+	switch typ {
+	case storage.Float64:
+		if int(b) < len(fuzzFloats) {
+			return storage.FloatValue(fuzzFloats[b])
+		}
+		x := float64(int8(b)) * 1.37
+		if b%5 == 0 {
+			x *= 1e15
+		}
+		return storage.FloatValue(x)
+	case storage.Int64:
+		// Shifts up to 54 bits put sums past 2^53, where only the exact
+		// int64 prefix stays exact.
+		return storage.IntValue(int64(int8(b)) << (b % 4 * 18))
+	case storage.Bool:
+		return storage.BoolValue(b&1 == 1)
+	default:
+		return storage.StringValue(fmt.Sprintf("key%d", b%23))
+	}
+}
+
+// splitBytes encodes batch sizes the way FuzzVersionedMatchesFrozen reads
+// them: two little-endian bytes per batch, holding size-1.
+func splitBytes(sizes []int) []byte {
+	out := make([]byte, 0, 2*len(sizes))
+	for _, n := range sizes {
+		out = append(out, byte(n-1), byte((n-1)>>8))
+	}
+	return out
+}
+
+// FuzzVersionedMatchesFrozen drives one live column through ragged
+// appends and at most one compaction, and holds every version the chain
+// publishes to a frozen BuildShared over the same prefix, bit for bit
+// (diffShared). The inputs choose the column type and depth (kind), the
+// row count, the values (vals, cycled), the batch sizes (splits: two
+// bytes each, cycled) and the compaction (compact: 0 for none, else the
+// row count after which the oldest half of the rows is dropped). After
+// the compaction, a pin on the last pre-compaction version is checked
+// too, through the chain's stale-generation rebuild.
+func FuzzVersionedMatchesFrozen(f *testing.F) {
+	float4 := uint8(1 | 4<<2) // float column, four levels
+	f.Add(float4, uint16(2117), uint16(0), splitBytes(batchSizes), []byte{200, 13, 5, 1, 40, 77, 150, 9})
+	f.Add(uint8(0|4<<2), uint16(2117), uint16(1300), splitBytes(batchSizes), []byte{255, 1, 130, 7, 64, 201})
+	f.Add(uint8(2|2<<2), uint16(900), uint16(500), splitBytes(batchSizes), []byte{0, 1, 2, 3, 4, 5, 6})
+	f.Add(uint8(3|3<<2), uint16(2117), uint16(700), splitBytes(batchSizes), []byte{1, 0, 0, 1, 1})
+	// The first special lands mid-level, so spans read its block from
+	// the zone maps.
+	late := append(bytes.Repeat([]byte{9, 200, 77}, 40), 0, 2, 1)
+	f.Add(float4, uint16(2117), uint16(0), splitBytes(batchSizes), late)
+	// Item 14a's column: 4 096 rows of 1.0 after one 1e16.
+	ones := append([]byte{5}, bytes.Repeat([]byte{9}, 4095)...)
+	f.Add(float4, uint16(4096), uint16(0), splitBytes([]int{4096}), ones)
+	f.Add(float4, uint16(4096), uint16(3000), splitBytes(batchSizes), ones)
+	f.Fuzz(func(t *testing.T, kind uint8, rows, compact uint16, splits, vals []byte) {
+		n := int(rows) % 4097
+		if n == 0 || len(vals) == 0 {
+			return
+		}
+		typ := fuzzTypes[kind%4]
+		levels := int(kind>>2) % 6
+		var sizes []int
+		for i := 0; i+1 < len(splits); i += 2 {
+			sizes = append(sizes, 1+(int(splits[i])|int(splits[i+1])<<8)%1024)
+		}
+		if len(sizes) == 0 {
+			sizes = []int{n}
+		}
+		chain := NewVersioned(levels, vtBlock)
+		// publish checks one version the chain serves against the
+		// frozen build of the same column.
+		publish := func(gen uint64, base *storage.Column) {
+			got, err := chain.ForSnapshot(gen, base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := BuildShared(base, levels)
+			if err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("%v gen %d rows %d", typ, gen, base.Len())
+			diffShared(t, label, got, want)
+			checkNaive(t, label, want)
+		}
+		full := storage.NewEmptyColumn("v", typ)
+		var gen uint64
+		for i, bi := 0, 0; i < n; bi++ {
+			for end := min(n, i+sizes[bi%len(sizes)]); i < end; i++ {
+				full.Append(fuzzValue(typ, vals[i%len(vals)]))
+			}
+			base, err := full.Prefix(full.Len())
+			if err != nil {
+				t.Fatal(err)
+			}
+			publish(gen, base)
+			if gen == 0 && compact != 0 && i >= int(compact) && base.Len() > 1 {
+				// Compaction keeps the newest half, rebased to row 0,
+				// under a new generation; a reader still pinned to the
+				// last old version is served too.
+				gen = 1
+				full = storage.NewEmptyColumn("v", typ)
+				for k := base.Len() / 2; k < base.Len(); k++ {
+					full.Append(base.Value(k))
+				}
+				kept, err := full.Prefix(full.Len())
+				if err != nil {
+					t.Fatal(err)
+				}
+				publish(gen, kept)
+				publish(0, base)
+			}
+		}
+	})
+}
+
+// checkNaive holds s's SpanEntries to a scalar pass over each tested span
+// of every level, wherever that pass is exact: the count; min and max by
+// value (±0 compare equal); integer sums in full; and float sums over
+// spans that hold a NaN or an infinity, which the IEEE rule decides. The
+// chain and the frozen build share one builder, so this is what catches a
+// fault both would make.
+func checkNaive(t *testing.T, label string, s *Shared) {
+	t.Helper()
+	h := s.Attach(vclock.New(), vtParams(), nil)
+	for lvl := 0; lvl < h.NumLevels(); lvl++ {
+		col := h.levels[lvl].Col
+		pts := spanPoints(col.Len())
+		for _, from := range pts {
+			for _, to := range pts {
+				if from >= to {
+					continue
+				}
+				sum, n, mn, mx, err := h.SpanEntries(from, to, lvl)
+				wmn, wmx, _ := col.MinMaxRange(from, to)
+				if err != nil || n != to-from || mn != wmn || mx != wmx {
+					t.Fatalf("%s level %d [%d,%d): n/min/max %d/%v/%v (%v), want %d/%v/%v",
+						label, lvl, from, to, n, mn, mx, err, to-from, wmn, wmx)
+				}
+				var isum int64
+				var nf storage.NonFinite
+				for k := from; k < to; k++ {
+					isum += col.Int(k)
+					nf.Count(col.Float(k))
+				}
+				want, exact := nf.Apply(0), nf.Any()
+				if col.Type() != storage.Float64 {
+					want, exact = float64(isum), true
+				}
+				if exact && !sameBits(sum, want) {
+					t.Fatalf("%s level %d [%d,%d): sum %v, want %v", label, lvl, from, to, sum, want)
+				}
+			}
 		}
 	}
 }

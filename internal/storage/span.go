@@ -145,40 +145,6 @@ func (c *Column) SumRange(lo, hi int, acc *ExactSum) int {
 	return n
 }
 
-// PrefixInts fills dst — which must have length Len()+1 — with exclusive
-// integer prefix sums: dst[i] is the exact int64 sum of values [0, i)
-// (bool cells 0/1, string cells their dictionary code). It reports false
-// without writing for float columns; callers keep a float64 prefix for
-// those. This is the build kernel for exact span statistics over integer
-// data (sample.spanStats).
-func (c *Column) PrefixInts(dst []int64) bool {
-	if len(dst) != c.Len()+1 {
-		return false
-	}
-	dst[0] = 0
-	var acc int64
-	switch c.typ {
-	case Int64:
-		for i, v := range c.ints {
-			acc += v
-			dst[i+1] = acc
-		}
-	case Bool:
-		for i, v := range c.bools {
-			acc += int64(v)
-			dst[i+1] = acc
-		}
-	case String:
-		for i, v := range c.codes {
-			acc += int64(v)
-			dst[i+1] = acc
-		}
-	default:
-		return false
-	}
-	return true
-}
-
 // MinMaxRange reports the minimum and maximum float coercion over
 // [lo, hi) and the count. Empty ranges report (+Inf, -Inf, 0); NaN values
 // are skipped, matching a scalar `if v < min` loop. Integer-backed

@@ -394,28 +394,6 @@ func TestSumRangeInt64Exact(t *testing.T) {
 	}
 }
 
-// TestPrefixInts pins the exact prefix-sum build kernel.
-func TestPrefixInts(t *testing.T) {
-	c := NewIntColumn("v", []int64{3, -1, 4, 1, -5})
-	dst := make([]int64, 6)
-	if !c.PrefixInts(dst) {
-		t.Fatal("PrefixInts refused an int column")
-	}
-	want := []int64{0, 3, 2, 6, 7, 2}
-	for i := range want {
-		if dst[i] != want[i] {
-			t.Fatalf("prefix[%d] = %d, want %d", i, dst[i], want[i])
-		}
-	}
-	if c.PrefixInts(make([]int64, 3)) {
-		t.Fatal("wrong-length dst should be refused")
-	}
-	fc := NewFloatColumn("f", []float64{1})
-	if fc.PrefixInts(make([]int64, 2)) {
-		t.Fatal("float column should be refused")
-	}
-}
-
 // TestPassCacheLRU asserts eviction order: a hot predicate's memo table
 // survives a storm of 64+ distinct cold predicates because eviction
 // drops the least-recently-used table, not an arbitrary one.
