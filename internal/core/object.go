@@ -769,16 +769,18 @@ func (o *Object) chooseLevel(ev gesture.Event, interTouch time.Duration) int {
 // sizes").
 func (o *Object) escalateForBound(level int, bound time.Duration) int {
 	window := 2*o.actions.SummaryK + 1
+	// Only the cost parameters are probed, which every level shares:
+	// reading level 0 for them leaves the coarser levels unbuilt.
+	base, err := o.hierarchy.Level(0)
+	if err != nil {
+		return level
+	}
+	params := base.Tracker.Params()
 	for level < o.hierarchy.NumLevels()-1 {
-		lvl, err := o.hierarchy.Level(level)
-		if err != nil {
-			return level
-		}
-		entries := window / lvl.Stride
+		entries := window / (1 << level) // the level's stride
 		if entries < 1 {
 			entries = 1
 		}
-		params := lvl.Tracker.Params()
 		blocks := entries/params.BlockValues + 1
 		worst := time.Duration(blocks)*params.ColdLatency + time.Duration(entries)*params.WarmLatency
 		if worst <= bound {
@@ -827,11 +829,7 @@ func (o *Object) trackerFor(col int) *iomodel.Tracker {
 func (o *Object) setDirection() {
 	dir := o.extrap.Direction()
 	if o.hierarchy != nil {
-		for i := 0; i < o.hierarchy.NumLevels(); i++ {
-			if lvl, err := o.hierarchy.Level(i); err == nil {
-				lvl.Tracker.SetDirection(dir)
-			}
-		}
+		o.hierarchy.SetDirection(dir)
 	}
 	if o.cellTracker != nil {
 		o.cellTracker.SetDirection(dir)

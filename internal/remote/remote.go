@@ -144,7 +144,11 @@ func NewDevice(clock *vclock.Clock, server *Server, serverOffset, localLevels in
 	if serverOffset < 0 || serverOffset >= server.hierarchy.NumLevels() {
 		return nil, fmt.Errorf("remote: server offset %d out of range", serverOffset)
 	}
+	// The hierarchy is the server's: reading a level may build it, so
+	// devices created concurrently take the server lock to read it.
+	server.mu.Lock()
 	lvl, err := server.hierarchy.Level(serverOffset)
+	server.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}

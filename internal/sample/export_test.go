@@ -12,3 +12,7 @@ func (h *Hierarchy) Cool() {
 		l.Tracker.Cool()
 	}
 }
+
+// Built reports whether level i's values have been copied yet. Call it
+// only once the sessions reading the Shared are done.
+func (s *Shared) Built(i int) bool { return s.levels[i].col != nil }

@@ -15,10 +15,13 @@
 // virtual clock. BuildShared + Attach is the multi-session path; Build
 // remains the single-session convenience that does both.
 //
-// Span statistics have one builder, levelTail.extend, under two
-// policies: a static column's level builds once, lazily, on its first
-// span; a live column's levels (Versioned) build eagerly, extended on
-// every append and published per version.
+// A level and its span statistics are built under two policies. A static
+// column's level is copied from the base the first time a session reads
+// it, and its statistics on its first span, so memory holds only the
+// levels touches actually read: filtered touches read base data only. A
+// live column's levels (Versioned) build eagerly, extended on every
+// append and published per version. Span statistics have one builder,
+// levelTail.extend, under both.
 package sample
 
 import (
@@ -39,14 +42,31 @@ import (
 type sharedLevel struct {
 	// stride is the base-tuple distance between consecutive entries.
 	stride int
-	// col holds the sample values densely (immutable once built).
+	// col holds the sample values densely (immutable once built). Base
+	// data and live levels set it at construction; a static level above
+	// the base copies it from src on its first read. Read it through
+	// column.
 	col *storage.Column
+	// src is the base column a static level samples (nil otherwise), and
+	// colOnce guards the single-flight copy from it.
+	src     *storage.Column
+	colOnce sync.Once
 
 	// once guards the single-flight build of span: the first session to
 	// aggregate a span on this level builds the statistics; concurrent
 	// sessions block briefly and then share the result.
 	once sync.Once
 	span *spanStats
+}
+
+// column returns the level's values, copying every stride-th base value
+// the first time any session reads a static level; concurrent first
+// readers block briefly and then share the copy.
+func (sl *sharedLevel) column() *storage.Column {
+	if sl.src != nil {
+		sl.colOnce.Do(func() { sl.col = sl.src.Strided(0, sl.stride) })
+	}
+	return sl.col
 }
 
 // defaultBlockLen is the zone-map block size (values per block) when the
@@ -64,9 +84,10 @@ func (sl *sharedLevel) stats(blockValues int) *spanStats {
 		if blockValues <= 0 {
 			blockValues = defaultBlockLen
 		}
-		n := sl.col.Len()
+		col := sl.column()
+		n := col.Len()
 		var t levelTail
-		t.extend(sl.col, n, blockValues)
+		t.extend(col, n, blockValues)
 		sl.span = new(spanStats)
 		t.statsView(sl.span, n, blockValues)
 	})
@@ -233,19 +254,18 @@ type Shared struct {
 	levels []*sharedLevel // levels[0] is base data (stride 1)
 }
 
-// BuildShared constructs the immutable sample levels over base with
+// BuildShared lays out the immutable sample levels over base with
 // maxLevels levels above the base (so maxLevels=0 means base only). Each
-// level halves the previous one; construction stops early when a level
-// would drop below minLevelLen entries (levelsFor).
+// level halves the previous one; the levels stop early when one would
+// drop below minLevelLen entries (levelsFor). No level is copied here:
+// each is built on its first read (sharedLevel.column).
 func BuildShared(base *storage.Column, maxLevels int) (*Shared, error) {
 	if base == nil || base.Len() == 0 {
 		return nil, fmt.Errorf("sample: empty base column")
 	}
 	s := &Shared{levels: []*sharedLevel{{stride: 1, col: base}}}
-	col := base
 	for lvl := 1; lvl <= levelsFor(base.Len(), maxLevels); lvl++ {
-		col = col.Strided(0, 2)
-		s.levels = append(s.levels, &sharedLevel{stride: 1 << lvl, col: col})
+		s.levels = append(s.levels, &sharedLevel{stride: 1 << lvl, src: base})
 	}
 	return s, nil
 }
@@ -264,7 +284,6 @@ func (s *Shared) Attach(clock *vclock.Clock, params iomodel.Params, policy func(
 	for _, sl := range s.levels {
 		h.levels = append(h.levels, &Level{
 			Stride:  sl.stride,
-			Col:     sl.col,
 			Tracker: iomodel.New(clock, params, newPolicy()),
 			shared:  sl,
 		})
@@ -279,7 +298,8 @@ type Level struct {
 	// entries (2^level).
 	Stride int
 	// Col holds the sample values densely (shared across sessions;
-	// treat as read-only).
+	// treat as read-only). Hierarchy.Level fills it: a static level's
+	// values are copied the first time any session reads it.
 	Col *storage.Column
 	// Tracker charges access costs for this level's array against the
 	// owning session's clock.
@@ -338,13 +358,12 @@ func (h *Hierarchy) Rebind(s *Shared) {
 	for i, sl := range s.levels {
 		if i < len(h.levels) {
 			h.levels[i].Stride = sl.stride
-			h.levels[i].Col = sl.col
+			h.levels[i].Col = nil
 			h.levels[i].shared = sl
 			continue
 		}
 		h.levels = append(h.levels, &Level{
 			Stride:  sl.stride,
-			Col:     sl.col,
 			Tracker: iomodel.New(h.clock, h.params, h.newPolicy()),
 			shared:  sl,
 		})
@@ -355,16 +374,30 @@ func (h *Hierarchy) Rebind(s *Shared) {
 // NumLevels reports the number of stored levels including base.
 func (h *Hierarchy) NumLevels() int { return len(h.levels) }
 
-// Level returns stored level i (0 = base).
+// Level returns stored level i (0 = base), with its column: reading a
+// static level for the first time copies it.
 func (h *Hierarchy) Level(i int) (*Level, error) {
 	if i < 0 || i >= len(h.levels) {
 		return nil, fmt.Errorf("sample: no level %d (have %d)", i, len(h.levels))
 	}
-	return h.levels[i], nil
+	l := h.levels[i]
+	if l.Col == nil {
+		l.Col = l.shared.column()
+	}
+	return l, nil
+}
+
+// SetDirection forwards the gesture direction to every level's tracker,
+// so gesture-aware eviction can protect trailing blocks. It builds no
+// level.
+func (h *Hierarchy) SetDirection(dir int) {
+	for _, l := range h.levels {
+		l.Tracker.SetDirection(dir)
+	}
 }
 
 // Base returns the base column.
-func (h *Hierarchy) Base() *storage.Column { return h.levels[0].Col }
+func (h *Hierarchy) Base() *storage.Column { return h.levels[0].shared.column() }
 
 // SelectLevel picks the coarsest level whose stride does not exceed the
 // expected base-tuple gap between consecutive touches, so consecutive
@@ -379,7 +412,7 @@ func (h *Hierarchy) SelectLevel(extentCm, cmPerSec float64, interTouch time.Dura
 	if extentCm <= 0 || cmPerSec <= 0 || interTouch <= 0 {
 		return 0
 	}
-	rows := h.levels[0].Col.Len()
+	rows := h.Base().Len()
 	gap := float64(rows) * cmPerSec * interTouch.Seconds() / extentCm
 	return h.SelectLevelForGap(gap)
 }

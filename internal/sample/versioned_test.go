@@ -487,7 +487,11 @@ func checkNaive(t *testing.T, label string, s *Shared) {
 	t.Helper()
 	h := s.Attach(vclock.New(), vtParams(), nil)
 	for lvl := 0; lvl < h.NumLevels(); lvl++ {
-		col := h.levels[lvl].Col
+		l, err := h.Level(lvl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		col := l.Col
 		pts := spanPoints(col.Len())
 		for _, from := range pts {
 			for _, to := range pts {

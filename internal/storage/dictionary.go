@@ -51,6 +51,18 @@ func (d *Dictionary) Intern(s string) int32 {
 	return code
 }
 
+// internBytes is Intern for a key held in a byte slice: a known key is
+// found without converting it, so only a first sight allocates.
+func (d *Dictionary) internBytes(b []byte) int32 {
+	d.mu.RLock()
+	code, ok := d.index[string(b)]
+	d.mu.RUnlock()
+	if ok {
+		return code
+	}
+	return d.Intern(string(b))
+}
+
 // appendCodes appends the codes of key(0), …, key(n-1) to codes,
 // interning new strings. The read lock is held across the batch and
 // dropped only around a first sight, so a batch of known keys costs one
