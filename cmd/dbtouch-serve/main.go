@@ -60,6 +60,11 @@
 // -append-rate for ingestion, and the HTTP read/idle timeouts. See
 // docs/operations.md for tuning guidance.
 //
+// Once the tables are loaded the server paces its garbage collector so
+// that the next heap goal is the loaded heap plus twice what lives beyond
+// it (at least 4 MiB), never above GOGC=100's goal; setting GOGC or
+// GOMEMLIMIT in the environment turns the pacing off.
+//
 // -debug-addr serves net/http/pprof on a listener of its own (off by
 // default, never on the protocol address): profile the live server with
 // go tool pprof http://ADDR/debug/pprof/profile?seconds=30.
@@ -86,6 +91,7 @@ import (
 	"dbtouch"
 	"dbtouch/internal/datagen"
 	"dbtouch/internal/debughttp"
+	"dbtouch/internal/gcpace"
 	"dbtouch/internal/protocol"
 	"dbtouch/internal/sessionlog"
 )
@@ -317,6 +323,9 @@ func main() {
 		fmt.Printf("serving table %q\n", name)
 	}
 	fmt.Printf("dbtouch-serve listening on %s (protocol v%d)\n", *addr, protocol.Version)
+	// The loaded tables stay live for the server's life: leave them out
+	// of the collector's budget (docs/operations.md, "Memory").
+	gcpace.Start()
 	health.Set(protocol.HealthReady)
 	if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
 		fmt.Fprintln(os.Stderr, "dbtouch-serve:", err)

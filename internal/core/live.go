@@ -166,6 +166,7 @@ func (k *Kernel) liveSampleLevels() int {
 func (o *Object) rebindLive(pin *sample.Pinned) error {
 	snap := pin.Snap
 	o.matrix = snap.Matrix
+	o.fused = storage.FusedMemo{} // the new version's columns are new: its partials start over
 	oldLen := 0
 	if o.IsColumn() {
 		k := o.kernel

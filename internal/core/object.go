@@ -46,6 +46,9 @@ type Object struct {
 	grouper    *operator.IncrementalGroupBy
 	join       *operator.SymmetricHashJoin
 	joinSide   JoinSide
+	// fused keeps the block partials of the fused conjunct's range scans
+	// (trySlideFused), so a repeated slide reads each block once.
+	fused storage.FusedMemo
 
 	lastID    int
 	lastTouch time.Duration
@@ -277,7 +280,9 @@ func (o *Object) processSlideStep(ev gesture.Event) {
 // pass) instead of materializing a selection vector and re-reading it.
 // Multi-conjunct WHEREs evaluate all but the final conjunct normally and
 // fuse the last one over the survivors (see AdaptiveOptimizer.FusionPlan
-// for when that split is offered). Charging is byte-compatible with the
+// for when that split is offered). A single conjunct scans the span
+// itself, and the object's memo answers the complete blocks an earlier
+// span already read. Charging is byte-compatible with the
 // unfused path and every sum is exact on every column type, so the
 // emitted stream — values, counts, virtual times — is identical to both
 // the selection-vector path and the scalar reference. It reports whether
@@ -330,7 +335,7 @@ func (o *Object) trySlideFused(id, level, spanLo, spanHi int) bool {
 			return true
 		}
 	}
-	qualified := o.agg.FuseFilter(lvl.Col, spanLo, spanHi, sel, final.Op, final.Operand, o.trackerFor(final.Col), lvl.Tracker)
+	qualified := o.agg.FuseFilter(lvl.Col, spanLo, spanHi, sel, final.Op, final.Operand, o.trackerFor(final.Col), lvl.Tracker, &o.fused)
 	o.optimizer.NoteSpan(spanHi - spanLo)
 	o.kernel.counters.Add("touch.fused", 1)
 	if qualified == 0 {

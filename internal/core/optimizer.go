@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sort"
-
 	"dbtouch/internal/iomodel"
 	"dbtouch/internal/operator"
 	"dbtouch/internal/storage"
@@ -231,17 +229,25 @@ func (o *AdaptiveOptimizer) observeSpan(idx, lo, hi int, evaluated []int32, full
 
 // reorder sorts conjuncts by ascending selectivity: with uniform
 // per-predicate cost, evaluating the most selective (lowest pass rate)
-// first minimizes expected evaluations.
+// first minimizes expected evaluations. The sort is a stable insertion
+// sort in place — a WHERE has a handful of conjuncts, and one has no
+// order to change.
 func (o *AdaptiveOptimizer) reorder() {
-	prev := append([]int(nil), o.order...)
-	sort.SliceStable(o.order, func(a, b int) bool {
-		return o.stats[o.order[a]].Selectivity() < o.stats[o.order[b]].Selectivity()
-	})
-	for i := range prev {
-		if prev[i] != o.order[i] {
-			o.reorders++
-			return
+	moved := false
+	for i := 1; i < len(o.order); i++ {
+		idx := o.order[i]
+		sel := o.stats[idx].Selectivity()
+		j := i
+		for ; j > 0 && sel < o.stats[o.order[j-1]].Selectivity(); j-- {
+			o.order[j] = o.order[j-1]
 		}
+		if j != i {
+			o.order[j] = idx
+			moved = true
+		}
+	}
+	if moved {
+		o.reorders++
 	}
 }
 

@@ -402,6 +402,69 @@ func TestSpanEquivalenceFusedAggregate(t *testing.T) {
 	}
 }
 
+// TestSpanEquivalenceFusedRepeatedSlides slides one fused object over the
+// same column again and again, so the vector kernel's block memo answers
+// the complete blocks an earlier span read — over integers, over the
+// order-sensitive floats with NaN and ±Inf in the last fifth, and over
+// signed zeros, where MIN under `>= 0` and MAX under `<= 0` tie between
+// -0 and +0 — and changes the WHERE operand and back between rounds,
+// which must start the memo over. Every stream stays byte-identical to
+// the scalar reference, aggregate bits included: the suite's DeepEqual
+// holds -0 equal to +0, and only the first-wins rule tells them apart.
+func TestSpanEquivalenceFusedRepeatedSlides(t *testing.T) {
+	cases := []struct {
+		name     string
+		data     func() *storage.Matrix
+		op       operator.CmpOp
+		operands []float64
+	}{
+		{"int", randInts(57, 60000, 1000), operator.Lt, []float64{600, 300, 600}},
+		{"float", orderSensitiveFloats(65, 60000, true), operator.Le, []float64{0, 2e16, 0}},
+		{"zeros_ge", signedZeros(66, 60000), operator.Ge, []float64{0, 1, 0}},
+		{"zeros_le", signedZeros(67, 60000), operator.Le, []float64{0, -1, 0}},
+	}
+	for _, kind := range []operator.AggKind{operator.Count, operator.Sum, operator.Avg, operator.Min, operator.Max} {
+		for _, tc := range cases {
+			t.Run(kind.String()+"/"+tc.name, func(t *testing.T) {
+				p := newEquivPair(t, func(c *Config) { c.IO.BlockValues = 128 })
+				obj := p.addColumn(tc.data, 0, touchos.NewRect(2, 2, 2, 10))
+				for _, operand := range tc.operands {
+					p.setActions(obj, Actions{Mode: ModeAggregate, Agg: kind, Filters: []operator.Predicate{{Col: 0, Op: tc.op, Operand: storage.FloatValue(operand)}}})
+					p.slide(obj, 0, 1, 500*time.Millisecond)
+					p.slide(obj, 1, 0, 400*time.Millisecond)
+					p.slide(obj, 0.1, 0.9, 300*time.Millisecond)
+					sr, vr := p.scalar.Results(), p.vector.Results()
+					for i := range sr {
+						if a, b := sr[i].Agg, vr[i].Agg; math.Float64bits(a) != math.Float64bits(b) && !(math.IsNaN(a) && math.IsNaN(b)) {
+							t.Fatalf("result %d: scalar aggregate %v (bits %#x), vector %v (bits %#x)", i, a, math.Float64bits(a), b, math.Float64bits(b))
+						}
+					}
+				}
+				if p.vector.Counters().Get("touch.fused") == 0 {
+					t.Fatal("vector kernel never took the fused path")
+				}
+			})
+		}
+	}
+}
+
+// signedZeros builds a float column factory of +0, -0, 1, -1 and NaN.
+func signedZeros(seed int64, n int) func() *storage.Matrix {
+	return func() *storage.Matrix {
+		rng := rand.New(rand.NewSource(seed))
+		palette := []float64{0, math.Copysign(0, -1), 1, -1, math.NaN()}
+		vals := make([]float64, n)
+		for i := range vals {
+			vals[i] = palette[rng.Intn(len(palette))]
+		}
+		m, err := storage.NewMatrix("t", storage.NewFloatColumn("v", vals))
+		if err != nil {
+			panic(err)
+		}
+		return m
+	}
+}
+
 // orderSensitiveFloats builds a float column factory whose left-to-right
 // running sum differs from almost any other order of addition:
 // full-mantissa values round differently in every order, a rare ±1e16

@@ -35,9 +35,11 @@ import (
 // left the state its kind reads — the count, and the sum or the one
 // extremum (the other extremum and the Welford state are not maintained:
 // see FusableAgg). It returns how many values qualified. Trackers are
-// charged as FuseFilterAgg documents.
-func (a *RunningAgg) FuseFilter(col *storage.Column, lo, hi int, sel []int32, op CmpOp, operand storage.Value, predTracker, valTracker *iomodel.Tracker) int {
-	fa := FuseFilterAgg(col, lo, hi, sel, op, operand, predTracker, valTracker, a.kind)
+// charged as FuseFilterAgg documents. memo, which may be nil, keeps the
+// block partials of the range form (sel == nil) for the next span over
+// col under the same conjunct; the selection form does not use it.
+func (a *RunningAgg) FuseFilter(col *storage.Column, lo, hi int, sel []int32, op CmpOp, operand storage.Value, predTracker, valTracker *iomodel.Tracker, memo *storage.FusedMemo) int {
+	fa := fuseFilterAgg(col, lo, hi, sel, op, operand, predTracker, valTracker, a.kind, memo)
 	a.n += int64(fa.N)
 	a.sum.Merge(&fa.Partial)
 	a.extend(fa.Min, fa.Max)
@@ -58,8 +60,15 @@ func (a *RunningAgg) FuseFilter(col *storage.Column, lo, hi int, sel []int32, op
 // Predicate.EvalRange charges. valTracker is charged one read per
 // qualifying value, placed in the block that holds it, exactly as
 // ChargeSelection over the materialized selection would. Either tracker
-// may be nil to skip its accounting.
+// may be nil to skip its accounting. It keeps no block partials: every
+// span is read whole.
 func FuseFilterAgg(col *storage.Column, lo, hi int, sel []int32, op CmpOp, operand storage.Value, predTracker, valTracker *iomodel.Tracker, kind AggKind) storage.FilterAgg {
+	return fuseFilterAgg(col, lo, hi, sel, op, operand, predTracker, valTracker, kind, nil)
+}
+
+// fuseFilterAgg is FuseFilterAgg with the range form's block partials
+// kept in memo (nil for none).
+func fuseFilterAgg(col *storage.Column, lo, hi int, sel []int32, op CmpOp, operand storage.Value, predTracker, valTracker *iomodel.Tracker, kind AggKind, memo *storage.FusedMemo) storage.FilterAgg {
 	rop := op.rangeOp()
 	mode := fusedModeFor(kind)
 	onBlock := func(start, count int) {
@@ -77,7 +86,7 @@ func FuseFilterAgg(col *storage.Column, lo, hi int, sel []int32, op CmpOp, opera
 		if predTracker != nil {
 			predTracker.AccessRange(lo, hi)
 		}
-		return col.FilterAggRangeBlocked(lo, hi, chunkSize(valTracker, hi-lo), rop, operand, mode, onBlock)
+		return col.FilterAggRangeBlocked(lo, hi, chunkSize(valTracker, hi-lo), rop, operand, mode, memo, onBlock)
 	}
 	ChargeSelection(predTracker, sel)
 	return col.FilterAggSelBlocked(sel, chunkSize(valTracker, col.Len()), rop, operand, mode, onBlock)

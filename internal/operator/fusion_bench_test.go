@@ -84,28 +84,47 @@ func stringSlideColumn(rng *rand.Rand, n int, format string) *storage.Column {
 // object's configuration. After the first pass every block is warm (the
 // 3 907 blocks fit the 4 096-block budget), so the steady state is the
 // warm-charging path plus the kernel. Bytes are the column's: 8 per row,
-// 4 for a string's dictionary code.
+// 4 for a string's dictionary code, per slide. Each kind's /repeat case runs the
+// slide twice through one fresh block memo, as an object's second pass
+// over the same WHERE does: the first reads every block and keeps its
+// partial, the second answers every block from the memo.
 func BenchmarkFuseFilterSlide(b *testing.B) {
 	cols := slideColumns()
 	for _, sc := range slideCases {
-		b.Run(sc.name, func(b *testing.B) {
-			col := cols[sc.col]
-			clock := vclock.New()
-			pred := iomodel.New(clock, iomodel.DefaultParams(), cache.NewGestureAware(8))
-			val := iomodel.New(clock, iomodel.DefaultParams(), cache.NewGestureAware(8))
-			width := int64(8)
-			if col.Type() == storage.String {
-				width = 4
+		for _, repeat := range []bool{false, true} {
+			name := sc.name
+			if repeat {
+				name += "/repeat"
 			}
-			b.SetBytes(slideRows * width)
-			b.ReportAllocs()
-			var n int
-			for i := 0; i < b.N; i++ {
-				n += FuseFilterAgg(col, 0, slideRows, nil, Lt, sc.operand, pred, val, sc.kind).N
-			}
-			if n == 0 {
-				b.Fatal("no row qualified")
-			}
-		})
+			b.Run(name, func(b *testing.B) {
+				col := cols[sc.col]
+				clock := vclock.New()
+				pred := iomodel.New(clock, iomodel.DefaultParams(), cache.NewGestureAware(8))
+				val := iomodel.New(clock, iomodel.DefaultParams(), cache.NewGestureAware(8))
+				width := int64(8)
+				if col.Type() == storage.String {
+					width = 4
+				}
+				if repeat {
+					width *= 2
+				}
+				b.SetBytes(slideRows * width)
+				b.ReportAllocs()
+				var n int
+				for i := 0; i < b.N; i++ {
+					if !repeat {
+						n += FuseFilterAgg(col, 0, slideRows, nil, Lt, sc.operand, pred, val, sc.kind).N
+						continue
+					}
+					var memo storage.FusedMemo
+					for range 2 {
+						n += fuseFilterAgg(col, 0, slideRows, nil, Lt, sc.operand, pred, val, sc.kind, &memo).N
+					}
+				}
+				if n == 0 {
+					b.Fatal("no row qualified")
+				}
+			})
+		}
 	}
 }

@@ -259,7 +259,7 @@ func TestFuseFilterContinuesRunningSum(t *testing.T) {
 						want.Add(vals[i])
 					}
 				}
-				got.FuseFilter(col, s[0], s[1], nil, p.Op, p.Operand, nil, val)
+				got.FuseFilter(col, s[0], s[1], nil, p.Op, p.Operand, nil, val, nil)
 				if got.N() != want.N() || math.Float64bits(got.Value()) != math.Float64bits(want.Value()) {
 					t.Fatalf("%v blocks of %d, span %v: fused %v over %d rows, per-row adds %v over %d", kind, blockValues, s, got.Value(), got.N(), want.Value(), want.N())
 				}
@@ -327,7 +327,7 @@ func TestFuseFilterMinMaxEveryType(t *testing.T) {
 						for _, r := range col.FilterRange(s[0], s[1], op.rangeOp(), operand, nil) {
 							want.Add(col.Float(int(r)))
 						}
-						got.FuseFilter(col, s[0], s[1], nil, op, operand, nil, val)
+						got.FuseFilter(col, s[0], s[1], nil, op, operand, nil, val, nil)
 						if got.N() != want.N() || math.Float64bits(got.Value()) != math.Float64bits(want.Value()) {
 							t.Fatalf("%s %v op=%v blocks of %d, span %v: fused %v over %d rows, unfused %v over %d",
 								col.Type(), kind, op, blockValues, s, got.Value(), got.N(), want.Value(), want.N())
@@ -371,7 +371,7 @@ func checkFusedStepAllocs(t *testing.T, col *storage.Column, kind AggKind, opera
 	val := iomodel.New(clock, iomodel.DefaultParams(), cache.NewGestureAware(8))
 	agg := NewRunningAgg(kind)
 	step := func() {
-		agg.FuseFilter(col, 0, col.Len(), nil, Lt, operand, pred, val)
+		agg.FuseFilter(col, 0, col.Len(), nil, Lt, operand, pred, val, nil)
 		sinkValue = agg.Value()
 	}
 	step() // warm the trackers

@@ -102,7 +102,7 @@ func TestRunningAggSumIsExact(t *testing.T) {
 		spans.AddSpan(1, vals[i], vals[i], vals[i])
 	}
 	fused := NewRunningAgg(Sum)
-	fused.FuseFilter(storage.NewFloatColumn("v", vals), 0, len(vals), nil, Lt, storage.FloatValue(2e16), nil, nil)
+	fused.FuseFilter(storage.NewFloatColumn("v", vals), 0, len(vals), nil, Lt, storage.FloatValue(2e16), nil, nil, nil)
 	for name, a := range map[string]*RunningAgg{"forward": forward, "backward": backward, "spans": spans, "fused": fused} {
 		if got := a.Value(); got != want {
 			t.Errorf("%s: sum = %v, want %v", name, got, want)

@@ -221,6 +221,12 @@ func WithAdmitGate(fn func() bool) HandlerOption {
 // body that cannot be read is 400. A declared Content-Length is read in
 // one exact read instead of io.ReadAll's regrowing buffer.
 func ReadRequestBody(w http.ResponseWriter, req *http.Request) ([]byte, bool) {
+	return readRequestBody(w, req, nil)
+}
+
+// readRequestBody is ReadRequestBody reading a declared-length body into
+// buf when it has room.
+func readRequestBody(w http.ResponseWriter, req *http.Request, buf []byte) ([]byte, bool) {
 	var (
 		body []byte
 		err  error
@@ -230,7 +236,10 @@ func ReadRequestBody(w http.ResponseWriter, req *http.Request) ([]byte, bool) {
 	case req.ContentLength > MaxRequestBytes:
 		err = errRequestTooLarge
 	case req.ContentLength >= 0:
-		body = make([]byte, req.ContentLength)
+		if int64(cap(buf)) < req.ContentLength {
+			buf = make([]byte, req.ContentLength)
+		}
+		body = buf[:req.ContentLength]
 		_, err = io.ReadFull(req.Body, body)
 	default:
 		body, err = io.ReadAll(http.MaxBytesReader(w, req.Body, MaxRequestBytes))
@@ -253,6 +262,11 @@ func ReadRequestBody(w http.ResponseWriter, req *http.Request) ([]byte, bool) {
 }
 
 var errRequestTooLarge = fmt.Errorf("protocol: request body exceeds the %d-byte limit", MaxRequestBytes)
+
+// requestBufs holds the buffers /rpc reads bodies into: decodeRequest
+// copies a body into the one string it walks, so the buffer goes back
+// as soon as the request is decoded.
+var requestBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // responseBufs holds the buffers WriteResponse renders into, so an
 // answered perform leaves no body behind for the collector. A buffer
@@ -318,11 +332,15 @@ func NewHTTPHandler(r Router, opts ...HandlerOption) http.Handler {
 			http.Error(w, "POST only", http.StatusMethodNotAllowed)
 			return
 		}
-		body, ok := ReadRequestBody(w, req)
+		buf := requestBufs.Get().(*[]byte)
+		body, ok := readRequestBody(w, req, *buf)
 		if !ok {
+			requestBufs.Put(buf)
 			return
 		}
 		decoded, err := decodeRequest(body)
+		*buf = body[:0]
+		requestBufs.Put(buf)
 		var resp Response
 		switch {
 		case err != nil:

@@ -6,6 +6,7 @@ import (
 
 	"dbtouch/internal/core"
 	"dbtouch/internal/gesture"
+	"dbtouch/internal/operator"
 	"dbtouch/internal/storage"
 )
 
@@ -161,6 +162,48 @@ func TestPerformAllocsFlatInSessionHistory(t *testing.T) {
 	t.Logf("tap: %.0f allocs after 10 performs, %.0f after 1000", early, late)
 	if d := late - early; d > 2 || d < -2 {
 		t.Fatalf("a tap allocates %.0f after 10 performs but %.0f after 1000", early, late)
+	}
+}
+
+// TestPerformAllocsFilteredAggregateSlide gates scan_direct's perform: a
+// full-height filtered SUM slide over a static column, fused with its one
+// WHERE conjunct, allocates only the session's result copy — the fused
+// scan, its block memo and the optimizer's bookkeeping allocate nothing
+// once the memo has its blocks.
+func TestPerformAllocsFilteredAggregateSlide(t *testing.T) {
+	m := NewManager(core.DefaultConfig())
+	vals := make([]int64, 200_000)
+	for i := range vals {
+		vals[i] = int64(i * 7919 % 1_000_000)
+	}
+	mt, err := storage.NewMatrix("t", storage.NewIntColumn("i", vals))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Catalog().Register(mt)
+	s, err := m.Create("scanner")
+	if err != nil {
+		t.Fatal(err)
+	}
+	obj, err := s.CreateColumnObject("t", "i", equivFrame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obj.SetActions(core.Actions{Mode: core.ModeAggregate, Agg: operator.Sum,
+		Filters: []operator.Predicate{{Col: 0, Op: operator.Lt, Operand: storage.IntValue(500_000)}}})
+	slide := func() {
+		if _, err := s.Perform(gesture.NewSlide(obj.ID(), 0, 1, 2*time.Second)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	slide()
+	allocs := testing.AllocsPerRun(10, slide)
+	t.Logf("filtered aggregate slide: %.0f allocs", allocs)
+	if allocs > 1 {
+		t.Fatalf("a filtered aggregate slide allocates %.0f, want ≤ 1", allocs)
+	}
+	if s.Kernel().Counters().Get("touch.fused") == 0 {
+		t.Fatal("the slide never took the fused path")
 	}
 }
 

@@ -79,7 +79,7 @@ func checkCounts(t *testing.T, label string, c *storage.Column) {
 	count := func(simd bool, op storage.RangeOp, operand storage.Value) int {
 		restore := storage.SetSIMD(simd)
 		defer restore()
-		return c.FilterAggRangeBlocked(0, c.Len(), 1024, op, operand, storage.FusedCount, nil).N
+		return c.FilterAggRangeBlocked(0, c.Len(), 1024, op, operand, storage.FusedCount, nil, nil).N
 	}
 	for _, op := range growthOps {
 		for _, operand := range growthOperands {

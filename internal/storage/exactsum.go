@@ -103,6 +103,24 @@ func (s *ExactSum) Merge(o *ExactSum) {
 	s.nf.Merge(o.nf)
 }
 
+// pair reports the sum as hi+lo, two doubles whose exact sum it is: hi is
+// the rounded sum and lo the rounded rest. ok is false when the rest does
+// not fit one double, the sum overflows, or a NaN or infinity was added.
+func (s *ExactSum) pair() (hi, lo float64, ok bool) {
+	if s.nf.Any() {
+		return 0, 0, false
+	}
+	if hi = s.Round(); math.IsInf(hi, 0) {
+		return 0, 0, false
+	}
+	r := *s
+	r.Add(-hi)
+	lo = r.Round()
+	r.Add(-lo)
+	carryChunks(&r.chunk)
+	return hi, lo, r.chunk == [sumChunks]int64{}
+}
+
 // carry brings every chunk but the last into [0, 2^32), pushing the rest
 // upward; the value does not change.
 func (s *ExactSum) carry() {

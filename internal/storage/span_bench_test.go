@@ -176,7 +176,7 @@ func benchFusedBlocked(b *testing.B, c *Column, span int, operand Value, mode Fu
 	charged := 0
 	onBlock := func(_, k int) { charged += k }
 	for i := 0; i < b.N; i++ {
-		fa := c.FilterAggRangeBlocked(benchSpanLo, benchSpanLo+span, benchBlockLen, RangeLt, operand, mode, onBlock)
+		fa := c.FilterAggRangeBlocked(benchSpanLo, benchSpanLo+span, benchBlockLen, RangeLt, operand, mode, nil, onBlock)
 		sinkF = fa.Sum
 		sinkN = fa.N
 	}

@@ -434,7 +434,6 @@ func (sc *floatScan) sumWindow(v []float64, pp *preparedPred, acc *ExactSum) int
 // the qualifying positions into the scan's buffer and folding them.
 // The other types aggregate the chunk on its own and absorb it exactly.
 func (c *Column) fusedChunk(pp *preparedPred, lo, hi int, mode FusedMode, total *FilterAgg, sc *floatScan) int {
-	c.countSpan(lo, hi)
 	if c.typ != Float64 {
 		ca := c.exactChunk(pp, lo, hi, mode)
 		total.absorb(ca)
@@ -586,21 +585,33 @@ func (a *FilterAgg) finish(mode FusedMode) {
 // block). Result-equal to FilterRange followed by an exact aggregation of
 // the selection, for any blockLen (asserted by
 // TestFusedKernelsMatchCompose); the chunking only exists so callers can
-// charge per block without re-deriving the predicate per chunk.
-func (c *Column) FilterAggRangeBlocked(lo, hi, blockLen int, op RangeOp, operand Value, mode FusedMode, onBlock func(start, count int)) FilterAgg {
+// charge per block without re-deriving the predicate per chunk. With a
+// memo, a complete block whose partial the memo keeps is answered from
+// it — same result bits, same onBlock calls — and a complete block it
+// has not seen is read once and kept; memo may be nil. KernelBytes counts
+// the bytes of [lo, hi) either way.
+func (c *Column) FilterAggRangeBlocked(lo, hi, blockLen int, op RangeOp, operand Value, mode FusedMode, memo *FusedMemo, onBlock func(start, count int)) FilterAgg {
 	lo, hi = c.clampRange(lo, hi)
 	total := emptyFilterAgg()
 	if hi == lo {
 		return total
 	}
+	c.countSpan(lo, hi)
 	if blockLen <= 0 {
-		blockLen = hi - lo
+		blockLen, memo = hi-lo, nil
 	}
 	pp := c.preparePred(op, operand)
 	sc := floatScan{exp: sumExpFor(math.Abs(pp.b))}
+	parts := memo.partsFor(c, op, operand, mode, blockLen)
 	for cur := lo; cur < hi; {
 		end := min((cur/blockLen+1)*blockLen, hi)
-		if k := c.fusedChunk(&pp, cur, end, mode, &total, &sc); onBlock != nil && k > 0 {
+		var k int
+		if b := cur / blockLen; b < len(parts) && end-cur == blockLen {
+			k = c.memoChunk(&parts[b], &pp, cur, end, mode, &total, &sc)
+		} else {
+			k = c.fusedChunk(&pp, cur, end, mode, &total, &sc)
+		}
+		if onBlock != nil && k > 0 {
 			onBlock(cur, k)
 		}
 		cur = end
@@ -621,6 +632,7 @@ func (c *Column) FilterAggSelBlocked(sel []int32, blockLen int, op RangeOp, oper
 	if blockLen <= 0 {
 		blockLen = c.Len() + 1
 	}
+	c.countSel(len(sel))
 	pp := c.preparePred(op, operand)
 	sc := floatScan{exp: sumExpFor(math.Abs(pp.b))}
 	for i := 0; i < len(sel); {
@@ -641,7 +653,6 @@ func (c *Column) FilterAggSelBlocked(sel []int32, blockLen int, op RangeOp, oper
 // fusedSelChunk runs one prepared segment of a selection into total and
 // returns how many of its rows qualified — fusedChunk's selection form.
 func (c *Column) fusedSelChunk(pp *preparedPred, sel []int32, mode FusedMode, total *FilterAgg, sc *floatScan) int {
-	c.countSel(len(sel))
 	n := c.Len()
 	if c.typ != Float64 {
 		ca := c.exactSelChunk(pp, sel, n, mode)

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
 // The fused-kernel property suite: the blocked fused scans
@@ -111,7 +112,7 @@ func checkAgainstCompose(t *testing.T, rng *rand.Rand, c *Column, lo, hi int, op
 	for _, mode := range fusedModes {
 		for _, bl := range append(fusedBlockLens, 1+rng.Intn(1200)) {
 			checkBlocked(t, label, c, sel, mode, bl, func(onBlock func(int, int)) FilterAgg {
-				return c.FilterAggRangeBlocked(lo, hi, bl, op, operand, mode, onBlock)
+				return c.FilterAggRangeBlocked(lo, hi, bl, op, operand, mode, nil, onBlock)
 			})
 		}
 	}
@@ -291,11 +292,11 @@ func checkModeAgainstFull(t *testing.T, label string, got, want FilterAgg, mode 
 // ±Inf, matching MinMaxRange over an empty range, and Sum is +0.
 func TestFilterAggRangeEmpty(t *testing.T) {
 	c := NewIntColumn("v", []int64{1, 2, 3})
-	fa := c.FilterAggRangeBlocked(0, 3, 0, RangeGt, IntValue(100), FusedSum, nil)
+	fa := c.FilterAggRangeBlocked(0, 3, 0, RangeGt, IntValue(100), FusedSum, nil, nil)
 	if fa.N != 0 || math.Float64bits(fa.Sum) != 0 || !math.IsInf(fa.Min, 1) || !math.IsInf(fa.Max, -1) {
 		t.Fatalf("no-qualifier FilterAggRangeBlocked = %+v", fa)
 	}
-	fa = c.FilterAggRangeBlocked(2, 2, 0, RangeGe, IntValue(0), FusedMin, nil)
+	fa = c.FilterAggRangeBlocked(2, 2, 0, RangeGe, IntValue(0), FusedMin, nil, nil)
 	if fa.N != 0 || fa.Sum != 0 || !math.IsInf(fa.Min, 1) {
 		t.Fatalf("empty-range FilterAggRangeBlocked = %+v", fa)
 	}
@@ -303,7 +304,7 @@ func TestFilterAggRangeEmpty(t *testing.T) {
 		t.Fatalf("empty-selection FilterAggSelBlocked = %+v", fa)
 	}
 	fc := NewFloatColumn("f", []float64{math.Copysign(0, -1), 1})
-	if fa = fc.FilterAggRangeBlocked(0, 2, 0, RangeLt, FloatValue(1), FusedSum, nil); fa.N != 1 || math.Float64bits(fa.Sum) != 0 {
+	if fa = fc.FilterAggRangeBlocked(0, 2, 0, RangeLt, FloatValue(1), FusedSum, nil, nil); fa.N != 1 || math.Float64bits(fa.Sum) != 0 {
 		t.Fatalf("a lone -0 qualifier sums to %v over %d rows, want +0", fa.Sum, fa.N)
 	}
 }
@@ -316,12 +317,12 @@ func TestFilterAggExactSums(t *testing.T) {
 	c := NewIntColumn("v", []int64{big, 1, big, 1, -big, 1})
 	for _, bl := range []int{0, 4} {
 		// Qualifying values: 1, 1, -big, 1.
-		fa := c.FilterAggRangeBlocked(0, 6, bl, RangeNe, IntValue(big), FusedSum, nil)
+		fa := c.FilterAggRangeBlocked(0, 6, bl, RangeNe, IntValue(big), FusedSum, nil, nil)
 		if fa.N != 4 || fa.Sum != float64(3-big) {
 			t.Fatalf("bl=%d: exact sum = %+v, want %d", bl, fa, 3-big)
 		}
-		mn := c.FilterAggRangeBlocked(0, 6, bl, RangeNe, IntValue(big), FusedMin, nil)
-		mx := c.FilterAggRangeBlocked(0, 6, bl, RangeNe, IntValue(big), FusedMax, nil)
+		mn := c.FilterAggRangeBlocked(0, 6, bl, RangeNe, IntValue(big), FusedMin, nil, nil)
+		mx := c.FilterAggRangeBlocked(0, 6, bl, RangeNe, IntValue(big), FusedMax, nil, nil)
 		if mn.N != 4 || mn.Min != float64(-big) || mx.Max != 1 {
 			t.Fatalf("bl=%d: extrema = %v, %v", bl, mn.Min, mx.Max)
 		}
@@ -343,21 +344,21 @@ func TestFilterAggMergeOrder(t *testing.T) {
 	}
 	for _, c := range []*Column{NewIntColumn("v", vals), NewFloatColumn("f", flts)} {
 		op, operand := RangeLt, IntValue(500)
-		whole := c.FilterAggRangeBlocked(0, c.Len(), 0, op, operand, FusedSum, nil)
+		whole := c.FilterAggRangeBlocked(0, c.Len(), 0, op, operand, FusedSum, nil, nil)
 		if want := composeAgg(c, c.FilterRange(0, c.Len(), op, operand, nil)); whole.N != want.N || whole.Sum != want.Sum {
 			t.Fatalf("%s: whole = %v over %d, compose = %v over %d", c.Name(), whole.Sum, whole.N, want.Sum, want.N)
 		}
 		var merged ExactSum
 		n := 0
 		for lo := 0; lo < c.Len(); lo += 512 {
-			part := c.FilterAggRangeBlocked(lo, lo+512, 0, op, operand, FusedSum, nil)
+			part := c.FilterAggRangeBlocked(lo, lo+512, 0, op, operand, FusedSum, nil, nil)
 			merged.Merge(&part.Partial)
 			n += part.N
 		}
 		if n != whole.N || merged.Round() != whole.Sum {
 			t.Fatalf("%s: merged = %v over %d, whole = %v over %d", c.Name(), merged.Round(), n, whole.Sum, whole.N)
 		}
-		if chunked := c.FilterAggRangeBlocked(0, c.Len(), 512, op, operand, FusedSum, nil); chunked.N != whole.N || chunked.Sum != whole.Sum {
+		if chunked := c.FilterAggRangeBlocked(0, c.Len(), 512, op, operand, FusedSum, nil, nil); chunked.N != whole.N || chunked.Sum != whole.Sum {
 			t.Fatalf("%s: chunked = %v over %d, whole = %v over %d", c.Name(), chunked.Sum, chunked.N, whole.Sum, whole.N)
 		}
 	}
@@ -446,5 +447,55 @@ func TestCountPassingMatchesSingleAccumulator(t *testing.T) {
 		if got := countPassing(codes, pass); got != want {
 			t.Fatalf("n=%d: countPassing = %d, single-accumulator loop = %d", n, got, want)
 		}
+	}
+}
+
+// TestFusedScansCountCoveredBytes pins what KernelBytes counts for the
+// fused scans: the bytes of the span (or the selection) the scan covers,
+// once per call, whether its blocks are read, kept in a memo or answered
+// from one.
+func TestFusedScansCountCoveredBytes(t *testing.T) {
+	vals := make([]int64, 10_000)
+	for i := range vals {
+		vals[i] = int64(i % 97)
+	}
+	c := NewIntColumn("v", vals)
+	var memo FusedMemo
+	for pass := 0; pass < 3; pass++ {
+		m := &memo
+		if pass == 0 {
+			m = nil
+		}
+		before := KernelBytes()
+		c.FilterAggRangeBlocked(-5, 9_000, 1024, RangeLt, IntValue(50), FusedSum, m, nil)
+		if got := KernelBytes() - before; got != 9_000*8 {
+			t.Fatalf("pass %d: the range scan counted %d bytes, want %d", pass, got, 9_000*8)
+		}
+	}
+	sel := []int32{3, 900, 1500, 4000, 9999, 20_000}
+	before := KernelBytes()
+	c.FilterAggSelBlocked(sel, 1024, RangeLt, IntValue(50), FusedSum, nil)
+	if got := KernelBytes() - before; got != int64(len(sel))*8 {
+		t.Fatalf("the selection scan counted %d bytes, want %d", got, len(sel)*8)
+	}
+}
+
+// TestFusedMemoCost: a memo holds one 24-byte partial per complete block
+// of the column and nothing more, and a scan under another key reuses
+// that room.
+func TestFusedMemoCost(t *testing.T) {
+	if size := unsafe.Sizeof(blockPartial{}); size > 24 {
+		t.Fatalf("a block partial takes %d bytes, want ≤ 24", size)
+	}
+	c := NewFloatColumn("v", make([]float64, 10_000))
+	var memo FusedMemo
+	c.FilterAggRangeBlocked(0, 5_000, 1024, RangeLt, FloatValue(1), FusedSum, &memo, nil)
+	if len(memo.parts) != 9 || cap(memo.parts) != 9 {
+		t.Fatalf("memo of a 10 000-row column in 1 024-row blocks holds %d partials (cap %d), want 9", len(memo.parts), cap(memo.parts))
+	}
+	kept := &memo.parts[0]
+	c.FilterAggRangeBlocked(0, 5_000, 1024, RangeGt, FloatValue(1), FusedSum, &memo, nil)
+	if &memo.parts[0] != kept {
+		t.Fatal("a scan under another key reallocated the memo")
 	}
 }

@@ -3,6 +3,7 @@ package storage
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -98,6 +99,13 @@ var wideWords = func() []string {
 	return w
 }()
 
+// tieFloats is the palette of FuzzFusedBlocked's float columns with bit 2
+// of the type byte set: both zeros and NaN, which qualify together under
+// `>= 0` and `<= 0` and make MIN and MAX ties that only the first-wins
+// rule settles, and values 2^80 apart, whose block sums need three
+// doubles.
+var tieFloats = []float64{0, math.Copysign(0, -1), math.NaN(), 1, -1, 0x1p80, -0x1p80, 0x1p-80}
+
 // FuzzFusedBlocked holds the blocked fused scans — the storage entry
 // points operator.FuseFilterAgg calls — to the scalar compose (FilterRange
 // or FilterSel, then a per-value loop, its sum compared bit for bit on
@@ -105,7 +113,8 @@ var wideWords = func() []string {
 // column type, range, block length, mode, operator and operand. The
 // operand crosses every coercion path: a raw float64 payload (NaN, ±Inf,
 // ±2^53 and the MinInt64/MaxInt64 rounding edges come from the seed
-// corpus), the same bits as an int64, or a string.
+// corpus), the same bits as an int64, or a string. The range form then
+// runs through a FusedMemo too (checkMemo).
 func FuzzFusedBlocked(f *testing.F) {
 	for i, bb := range fuzzEdgeBits {
 		for typ := uint8(0); typ < 4; typ++ {
@@ -126,6 +135,19 @@ func FuzzFusedBlocked(f *testing.F) {
 	// dictionaries of 250 to 260 words.
 	for k := 0; k < 11; k++ {
 		f.Add(uint8(7+8*k), int64(2000+k), int16(0), int16(415), uint16(k%2*64), uint8(48+k%6), uint64(125+k))
+	}
+	// Memoized blocks over the tieFloats palette in 16-row blocks: MIN
+	// under `>= 0` and MAX under `<= 0` (opSel 17, 21), where ±0 and NaN
+	// qualify and the zeros tie; SUM under `!= 1` (opSel 7), whose blocks
+	// mix 2^80, 1 and 2^-80 and cannot be kept as two doubles; and SUM
+	// under `>= 0` (opSel 11), where NaN qualifiers refuse the block.
+	for k, m := range []struct {
+		opSel   uint8
+		operand float64
+	}{{17, 0}, {21, 0}, {7, 1}, {11, 0}} {
+		for j := int64(0); j < 3; j++ {
+			f.Add(uint8(5), 3000+10*int64(k)+j, int16(-5), int16(410), uint16(16), m.opSel, math.Float64bits(m.operand))
+		}
 	}
 	f.Fuzz(func(t *testing.T, typByte uint8, seed int64, loRaw, hiRaw int16, blRaw uint16, opSel uint8, bBits uint64) {
 		op := RangeOp(opSel % 6)
@@ -168,7 +190,9 @@ func FuzzFusedBlocked(f *testing.F) {
 		case 1:
 			v := make([]float64, n)
 			for i := range v {
-				if r := next(); r%4 == 0 {
+				if r := next(); typByte&4 != 0 {
+					v[i] = tieFloats[(r>>32)%uint64(len(tieFloats))]
+				} else if r%4 == 0 {
 					v[i] = math.Float64frombits(fuzzEdgeBits[(r>>32)%uint64(len(fuzzEdgeBits))])
 				} else {
 					v[i] = math.Float64frombits(r)
@@ -214,8 +238,9 @@ func FuzzFusedBlocked(f *testing.F) {
 		check := func() {
 			sel := composeRange(t, c, lo, hi, op, operand, label)
 			checkBlocked(t, fmt.Sprintf("%s range[%d,%d)", label, lo, hi), c, sel, mode, bl, func(onBlock func(int, int)) FilterAgg {
-				return c.FilterAggRangeBlocked(lo, hi, bl, op, operand, mode, onBlock)
+				return c.FilterAggRangeBlocked(lo, hi, bl, op, operand, mode, nil, onBlock)
 			})
+			checkMemo(t, label, c, lo, hi, bl, op, operand, mode)
 			sel = c.FilterSel(base, op, operand, nil)
 			checkBlocked(t, label+" sel", c, sel, mode, bl, func(onBlock func(int, int)) FilterAgg {
 				return c.FilterAggSelBlocked(base, bl, op, operand, mode, onBlock)
@@ -229,6 +254,44 @@ func FuzzFusedBlocked(f *testing.F) {
 			check()
 		}
 	})
+}
+
+// checkMemo runs [lo, hi) and a span overlapping it by half, twice over,
+// through one FusedMemo, then [lo, hi) under another operand (a value of
+// the column) and under the first again, and holds every run to the
+// memo-free scan of the same span: N, Sum, Min and Max bits, the rounded
+// Partial, and the sequence of onBlock calls.
+func checkMemo(t *testing.T, label string, c *Column, lo, hi, bl int, op RangeOp, operand Value, mode FusedMode) {
+	t.Helper()
+	type span struct {
+		lo, hi  int
+		operand Value
+	}
+	mid := lo + (hi-lo)/2
+	spans := []span{{lo, hi, operand}, {mid, hi + (hi - lo), operand}, {lo, hi, operand}, {mid, hi + (hi - lo), operand}}
+	if c.Len() > 0 {
+		spans = append(spans, span{lo, hi, c.Value(c.Len() / 2)}, span{lo, hi, operand})
+	}
+	var memo FusedMemo
+	for i, s := range spans {
+		var wantCalls, gotCalls [][2]int
+		want := c.FilterAggRangeBlocked(s.lo, s.hi, bl, op, s.operand, mode, nil, func(start, k int) {
+			wantCalls = append(wantCalls, [2]int{start, k})
+		})
+		got := c.FilterAggRangeBlocked(s.lo, s.hi, bl, op, s.operand, mode, &memo, func(start, k int) {
+			gotCalls = append(gotCalls, [2]int{start, k})
+		})
+		at := fmt.Sprintf("%s mode=%d bl=%d memo run %d range[%d,%d) operand %+v", label, mode, bl, i, s.lo, s.hi, s.operand)
+		bits := func(a FilterAgg) [5]uint64 {
+			return [5]uint64{uint64(a.N), math.Float64bits(a.Sum), math.Float64bits(a.Min), math.Float64bits(a.Max), math.Float64bits(a.Partial.Round())}
+		}
+		if bits(got) != bits(want) {
+			t.Fatalf("%s: memo scan %+v, memo-free %+v", at, got, want)
+		}
+		if !slices.Equal(gotCalls, wantCalls) {
+			t.Fatalf("%s: memo scan reported blocks %v, memo-free %v", at, gotCalls, wantCalls)
+		}
+	}
 }
 
 // FuzzCompressInt64 differentials the int compare+compress kernel (AVX2
@@ -411,7 +474,7 @@ func FuzzFusedFloatSum(f *testing.F) {
 			t.Fatalf("op=%d b=%v n=%d: kernel %v over %d rows, scalar twin %v over %d", op, operand, n, got.Round(), gotN, want.Round(), wantN)
 		}
 		// The scan that dispatches to it lands on the same bits.
-		fa := c.FilterAggRangeBlocked(0, n, 0, op, FloatValue(operand), FusedSum, nil)
+		fa := c.FilterAggRangeBlocked(0, n, 0, op, FloatValue(operand), FusedSum, nil, nil)
 		if fa.N != wantN || math.Float64bits(fa.Sum) != math.Float64bits(composeAgg(c, c.FilterRange(0, n, op, FloatValue(operand), nil)).Sum) {
 			t.Fatalf("op=%d b=%v n=%d: scan %v over %d rows, want %d rows", op, operand, n, fa.Sum, fa.N, wantN)
 		}
