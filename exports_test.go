@@ -60,7 +60,6 @@ var exportAllowlist = map[string]string{
 // whose field is gone or has gained a non-test setter is stale and fails
 // the check.
 var fieldAllowlist = map[string]string{
-	"internal/core.Config.ScalarSlide":     "public as dbtouch.Config; core's TestSpanEquivalence* suite sets it to diff the scalar reference against the span kernels, and ROADMAP item 13 retires it",
 	"internal/core.Config.Granularity":     "public as dbtouch.Config: library users may coarsen the touch-to-tuple mapping",
 	"internal/core.Config.ResolutionPerCm": "public as dbtouch.Config: library users may override the digitizer's pointing resolution",
 	"internal/protocol.Backoff.Rand":       "protocol's TestBackoff* tests pin the jitter draws through it",

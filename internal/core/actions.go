@@ -7,7 +7,7 @@
 // controls the data flow, the kernel reacts. Slide steps execute
 // span-at-a-time — each delivered touch covers the whole tuple range swept
 // since the previous one and dispatches it through the storage range
-// kernels (Config.ScalarSlide selects the tuple-at-a-time reference path).
+// kernels; there is no tuple-at-a-time path.
 //
 // One kernel is one exploration session's mutable world: clock, screen,
 // dispatcher, objects, trackers, result log. The storage it reads

@@ -67,12 +67,6 @@ type Config struct {
 	CachePolicy PolicyKind
 	// AdaptiveOpt gates on-the-fly predicate reordering.
 	AdaptiveOpt bool
-	// ScalarSlide executes slide spans tuple-at-a-time through the scalar
-	// reference path instead of the vectorized span kernels. Both paths
-	// emit identical result streams (asserted by the span-equivalence
-	// suite); the flag exists for differential testing and ablation
-	// benchmarks.
-	ScalarSlide bool
 	// ResponseBound caps the per-touch data-processing estimate; the
 	// kernel degrades to coarser sample levels to respect it. Zero
 	// disables the bound.

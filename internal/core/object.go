@@ -203,9 +203,8 @@ func (o *Object) processTap(ev gesture.Event) {
 // processing in dbTouch. A slide step semantically covers every tuple
 // between the previous sample and this one, so the step computes that
 // span and dispatches it as one unit: aggregates, filters, grouping and
-// joins consume the whole span (vectorized through the storage range
-// kernels, or tuple-at-a-time when Config.ScalarSlide selects the
-// reference path), while emission stays one result per touch.
+// joins consume the whole span through the storage range kernels, while
+// emission stays one result per touch.
 func (o *Object) processSlideStep(ev gesture.Event) {
 	om := o.objectMap()
 	var id, col int
@@ -248,7 +247,7 @@ func (o *Object) processSlideStep(ev gesture.Event) {
 	// means the touch yields no result.
 	var sel []int32
 	if o.optimizer != nil && o.optimizer.Len() > 0 {
-		sel, err = o.optimizer.EvalSpan(o.matrix, spanLo, spanHi, o.colTrackers, o.kernel.cfg.ScalarSlide)
+		sel, err = o.optimizer.EvalSpan(o.matrix, spanLo, spanHi, o.colTrackers)
 		if err != nil {
 			return
 		}
@@ -282,15 +281,14 @@ func (o *Object) processSlideStep(ev gesture.Event) {
 // fuse the last one over the survivors (see AdaptiveOptimizer.FusionPlan
 // for when that split is offered). A single conjunct scans the span
 // itself, and the object's memo answers the complete blocks an earlier
-// span already read. Charging is byte-compatible with the
-// unfused path and every sum is exact on every column type, so the
-// emitted stream — values, counts, virtual times — is identical to both
-// the selection-vector path and the scalar reference. It reports whether
-// it handled the touch; eligibility checks all run before any charging,
-// so a false return falls through to the unfused path with no cost
-// double-counted.
+// span already read. Charging is byte-compatible with the unfused path
+// and every sum is exact on every column type, so the emitted stream —
+// values, counts, virtual times — is identical to the selection-vector
+// path's. It reports whether it handled the touch; eligibility checks
+// all run before any charging, so a false return falls through to the
+// unfused path with no cost double-counted.
 func (o *Object) trySlideFused(id, level, spanLo, spanHi int) bool {
-	if o.kernel.cfg.ScalarSlide || !o.IsColumn() || o.grouper != nil || o.join != nil {
+	if !o.IsColumn() || o.grouper != nil || o.join != nil {
 		return false
 	}
 	if o.actions.Mode != ModeAggregate || o.actions.ValueOrder {
@@ -433,17 +431,7 @@ func (o *Object) slideColumn(prevID, id, level int, sel []int32) {
 		}
 		s := operator.Summarizer{K: o.actions.SummaryK, Kind: o.actions.Agg}
 		lo, hi := s.Window(id, rows)
-		var (
-			sum      float64
-			n        int
-			min, max float64
-			err      error
-		)
-		if o.kernel.cfg.ScalarSlide {
-			sum, n, min, max, err = o.hierarchy.WindowAgg(lo, hi, level)
-		} else {
-			sum, n, min, max, err = o.hierarchy.SpanAgg(lo, hi, level)
-		}
+		sum, n, min, max, err := o.hierarchy.SpanAgg(lo, hi, level)
 		if err != nil || n == 0 {
 			return
 		}
@@ -480,20 +468,12 @@ func (o *Object) slideAggregateColumn(prevID, id, level int, sel []int32) {
 	if err != nil {
 		return
 	}
-	scalar := o.kernel.cfg.ScalarSlide
 	if sel != nil {
 		// Filtered slides run at base level (chooseLevel): absorb the
 		// qualifying rows.
-		if scalar {
-			for _, r := range sel {
-				lvl.Tracker.Access(int(r))
-				o.agg.Add(lvl.Col.Float(int(r)))
-			}
-		} else {
-			operator.ChargeSelection(lvl.Tracker, sel)
-			for _, r := range sel {
-				o.agg.Add(lvl.Col.Float(int(r)))
-			}
+		operator.ChargeSelection(lvl.Tracker, sel)
+		for _, r := range sel {
+			o.agg.Add(lvl.Col.Float(int(r)))
 		}
 		o.kernel.emit(Result{
 			Kind: AggregateValue, ObjectID: o.id, TupleID: id,
@@ -502,18 +482,12 @@ func (o *Object) slideAggregateColumn(prevID, id, level int, sel []int32) {
 		return
 	}
 	from, to := entrySpan(prevID, id, lvl.Stride, lvl.Col.Len())
-	switch {
-	case scalar:
-		for e := from; e < to; e++ {
-			lvl.Tracker.Access(e)
-			o.agg.Add(lvl.Col.Float(e))
-		}
-	case o.agg.NeedsPerValue():
+	if o.agg.NeedsPerValue() {
 		// Variance-family aggregates are order-sensitive: absorb the span
 		// value by value over the native slice, charged as one range.
 		lvl.Tracker.AccessRange(from, to)
 		lvl.Col.AddRangeTo(from, to, o.agg.Add)
-	default:
+	} else {
 		sum, n, min, max, err := o.hierarchy.SpanEntries(from, to, level)
 		if err != nil {
 			return
@@ -566,17 +540,7 @@ func (o *Object) summaryValueOrder(id, level int) {
 		hi = idx.Len()
 	}
 	agg := operator.NewRunningAgg(o.actions.Agg)
-	if o.kernel.cfg.ScalarSlide {
-		for r := lo; r < hi; r++ {
-			v, _, err := idx.ValueAtRank(r, lvl.Tracker)
-			if err != nil {
-				continue
-			}
-			agg.Add(v)
-		}
-	} else {
-		idx.AddRankRange(lo, hi, lvl.Tracker, agg.Add)
-	}
+	idx.AddRankRange(lo, hi, lvl.Tracker, agg.Add)
 	if agg.N() == 0 {
 		return
 	}
@@ -590,7 +554,6 @@ func (o *Object) summaryValueOrder(id, level int) {
 // slideTable executes the configured mode against a table object for the
 // row span ending at (row, col).
 func (o *Object) slideTable(prevRow, row, col int, sel []int32) {
-	scalar := o.kernel.cfg.ScalarSlide
 	switch o.actions.Mode {
 	case ModeScan:
 		if sel != nil {
@@ -610,7 +573,7 @@ func (o *Object) slideTable(prevRow, row, col int, sel []int32) {
 				o.agg.Add(o.matrix.Float(int(r), col))
 			}
 		} else {
-			o.absorbCellSpan(o.agg, spanLo, spanHi, col, scalar)
+			o.absorbCellSpan(o.agg, spanLo, spanHi, col)
 		}
 		o.kernel.emit(Result{
 			Kind: AggregateValue, ObjectID: o.id, TupleID: row, Col: col,
@@ -620,7 +583,7 @@ func (o *Object) slideTable(prevRow, row, col int, sel []int32) {
 		s := operator.Summarizer{K: o.actions.SummaryK, Kind: o.actions.Agg}
 		lo, hi := s.Window(row, o.matrix.NumRows())
 		agg := operator.NewRunningAgg(o.actions.Agg)
-		o.absorbCellSpan(agg, lo, hi, col, scalar)
+		o.absorbCellSpan(agg, lo, hi, col)
 		if agg.N() == 0 {
 			return
 		}
@@ -631,11 +594,10 @@ func (o *Object) slideTable(prevRow, row, col int, sel []int32) {
 	}
 }
 
-// absorbCellSpan feeds cells (lo..hi, col) into agg. The scalar path
-// charges and reads cell by cell; the vectorized path charges the strided
-// cell range as one unit and, on column-major layouts, absorbs through
+// absorbCellSpan feeds cells (lo..hi, col) into agg, charging the strided
+// cell range as one unit and, on column-major layouts, absorbing through
 // the typed column kernels.
-func (o *Object) absorbCellSpan(agg *operator.RunningAgg, lo, hi, col int, scalar bool) {
+func (o *Object) absorbCellSpan(agg *operator.RunningAgg, lo, hi, col int) {
 	if hi > o.matrix.NumRows() {
 		hi = o.matrix.NumRows()
 	}
@@ -643,13 +605,6 @@ func (o *Object) absorbCellSpan(agg *operator.RunningAgg, lo, hi, col int, scala
 		lo = 0
 	}
 	if lo >= hi {
-		return
-	}
-	if scalar {
-		for r := lo; r < hi; r++ {
-			o.chargeCell(r, col)
-			agg.Add(o.matrix.Float(r, col))
-		}
 		return
 	}
 	if o.cellTracker != nil {
@@ -672,17 +627,7 @@ func (o *Object) pushGroupSpan(spanLo, spanHi int, sel []int32, id, level int) {
 	kt := o.trackerFor(o.actions.Group.KeyCol)
 	vt := o.trackerFor(o.actions.Group.ValCol)
 	wasSeen := o.grouper.Seen(id)
-	if o.kernel.cfg.ScalarSlide {
-		if sel != nil {
-			for _, r := range sel {
-				o.grouper.Push(int(r), kt, vt)
-			}
-		} else {
-			for r := spanLo; r < spanHi; r++ {
-				o.grouper.Push(r, kt, vt)
-			}
-		}
-	} else if sel != nil {
+	if sel != nil {
 		operator.ForEachRun(sel, func(lo, hi int) { o.grouper.PushRange(lo, hi, kt, vt) })
 	} else {
 		o.grouper.PushRange(spanLo, spanHi, kt, vt)
@@ -704,24 +649,7 @@ func (o *Object) pushJoinSpan(spanLo, spanHi int, sel []int32, id, level int) {
 	tracker := o.trackerFor(maxInt(o.colIdx, 0))
 	isLeft := o.joinSide == JoinLeft
 	var matches []operator.JoinMatch
-	if o.kernel.cfg.ScalarSlide {
-		push := func(r int) {
-			if isLeft {
-				matches = append(matches, o.join.PushLeft(r, tracker)...)
-			} else {
-				matches = append(matches, o.join.PushRight(r, tracker)...)
-			}
-		}
-		if sel != nil {
-			for _, r := range sel {
-				push(int(r))
-			}
-		} else {
-			for r := spanLo; r < spanHi; r++ {
-				push(r)
-			}
-		}
-	} else if sel != nil {
+	if sel != nil {
 		operator.ForEachRun(sel, func(lo, hi int) {
 			matches = append(matches, o.join.PushRange(lo, hi, isLeft, tracker)...)
 		})

@@ -43,28 +43,14 @@ func NewAdaptiveOptimizer(predicates []operator.Predicate, window int, enabled b
 // EvalSpan evaluates the conjunction over tuple span [lo, hi) of m and
 // returns the qualifying rows in ascending order (a selection vector that
 // aliases internal scratch; callers must consume it before the next
-// call). The vectorized path refines the span conjunct by conjunct
-// through the storage filter kernels; scalar selects the tuple-at-a-time
-// reference path. Both observe identical per-conjunct statistics, charge
-// identical virtual costs, and reconsider the conjunct order only at span
-// boundaries, so they qualify identical tuples.
-func (o *AdaptiveOptimizer) EvalSpan(m *storage.Matrix, lo, hi int, trackers []*iomodel.Tracker, scalar bool) ([]int32, error) {
-	if lo < 0 {
-		lo = 0
-	}
-	if n := m.NumRows(); hi > n {
-		hi = n
-	}
-	if hi < lo {
-		hi = lo
-	}
-	var sel []int32
-	var err error
-	if scalar {
-		sel, err = o.evalSpanScalar(m, lo, hi, trackers)
-	} else {
-		sel, err = o.evalSpanVector(m, lo, hi, trackers)
-	}
+// call). Each conjunct filters the survivors of the previous ones in one
+// storage kernel call, observing its statistics and charging its reads
+// exactly as a per-row, short-circuiting loop in the current order
+// would; the order is reconsidered only at span boundaries. With no
+// conjuncts it returns nil: the whole span survives.
+func (o *AdaptiveOptimizer) EvalSpan(m *storage.Matrix, lo, hi int, trackers []*iomodel.Tracker) ([]int32, error) {
+	lo, hi = clampSpan(m, lo, hi)
+	sel, err := o.evalConjuncts(m, lo, hi, trackers, len(o.order))
 	if err != nil {
 		return nil, err
 	}
@@ -109,16 +95,19 @@ func (o *AdaptiveOptimizer) FusionPlan(col int) (final operator.Predicate, prefi
 }
 
 // EvalSpanPrefix evaluates the first prefixLen conjuncts of the current
-// order over [lo, hi) exactly as the vectorized EvalSpan does — same
-// kernels, same charges, same statistics — and returns the surviving
-// selection (aliasing internal scratch, like EvalSpan). prefixLen == 0
-// returns nil: the whole span survives. Unlike EvalSpan it does not
-// advance the evaluation counter; the caller completes the span with the
-// fused final conjunct and then calls NoteSpan.
+// order over [lo, hi) exactly as EvalSpan does — same kernels, same
+// charges, same statistics — and returns the surviving selection
+// (aliasing internal scratch, like EvalSpan). prefixLen == 0 returns nil:
+// the whole span survives. Unlike EvalSpan it does not advance the
+// evaluation counter; the caller completes the span with the fused final
+// conjunct and then calls NoteSpan.
 func (o *AdaptiveOptimizer) EvalSpanPrefix(m *storage.Matrix, lo, hi int, trackers []*iomodel.Tracker, prefixLen int) ([]int32, error) {
-	if prefixLen <= 0 {
-		return nil, nil
-	}
+	lo, hi = clampSpan(m, lo, hi)
+	return o.evalConjuncts(m, lo, hi, trackers, prefixLen)
+}
+
+// clampSpan clips [lo, hi) to m's rows.
+func clampSpan(m *storage.Matrix, lo, hi int) (int, int) {
 	if lo < 0 {
 		lo = 0
 	}
@@ -128,9 +117,15 @@ func (o *AdaptiveOptimizer) EvalSpanPrefix(m *storage.Matrix, lo, hi int, tracke
 	if hi < lo {
 		hi = lo
 	}
+	return lo, hi
+}
+
+// evalConjuncts refines [lo, hi) through the first n conjuncts of the
+// current order. n == 0 returns nil: the whole span survives.
+func (o *AdaptiveOptimizer) evalConjuncts(m *storage.Matrix, lo, hi int, trackers []*iomodel.Tracker, n int) ([]int32, error) {
 	var sel []int32
 	first := true
-	for _, idx := range o.order[:prefixLen] {
+	for _, idx := range o.order[:n] {
 		out := o.selB[:0]
 		out, _, err := o.predicates[idx].EvalRange(m, lo, hi, sel, trackers, out)
 		if err != nil {
@@ -143,60 +138,6 @@ func (o *AdaptiveOptimizer) EvalSpanPrefix(m *storage.Matrix, lo, hi int, tracke
 			break
 		}
 	}
-	return sel, nil
-}
-
-// evalSpanVector is the column-at-a-time path: each conjunct filters the
-// survivors of the previous ones in one kernel call.
-func (o *AdaptiveOptimizer) evalSpanVector(m *storage.Matrix, lo, hi int, trackers []*iomodel.Tracker) ([]int32, error) {
-	var sel []int32
-	first := true
-	for _, idx := range o.order {
-		out := o.selB[:0]
-		out, _, err := o.predicates[idx].EvalRange(m, lo, hi, sel, trackers, out)
-		if err != nil {
-			return nil, err
-		}
-		o.observeSpan(idx, lo, hi, sel, first, out)
-		o.selA, o.selB = out, o.selA
-		sel, first = out, false
-		if len(sel) == 0 {
-			break
-		}
-	}
-	if first {
-		// No conjuncts: the whole span qualifies.
-		sel = o.selA[:0]
-		for row := lo; row < hi; row++ {
-			sel = append(sel, int32(row))
-		}
-		o.selA = sel
-	}
-	return sel, nil
-}
-
-// evalSpanScalar is the tuple-at-a-time reference: per row, evaluate
-// conjuncts in the current order with short-circuiting.
-func (o *AdaptiveOptimizer) evalSpanScalar(m *storage.Matrix, lo, hi int, trackers []*iomodel.Tracker) ([]int32, error) {
-	sel := o.selA[:0]
-	for row := lo; row < hi; row++ {
-		pass := true
-		for _, idx := range o.order {
-			ok, err := o.predicates[idx].Eval(m, row, trackers)
-			if err != nil {
-				return nil, err
-			}
-			o.stats[idx].Observe(ok)
-			if !ok {
-				pass = false
-				break
-			}
-		}
-		if pass {
-			sel = append(sel, int32(row))
-		}
-	}
-	o.selA = sel
 	return sel, nil
 }
 
@@ -204,8 +145,8 @@ func (o *AdaptiveOptimizer) evalSpanScalar(m *storage.Matrix, lo, hi int, tracke
 // row order: evaluated rows are the previous selection (or the whole span
 // for the first conjunct), passing rows the refined one. Row order
 // matters because the decay window halves counters at fixed sample
-// boundaries — this keeps the vectorized statistics bit-identical to the
-// scalar path's.
+// boundaries — this keeps the statistics bit-identical to a per-row
+// loop's.
 func (o *AdaptiveOptimizer) observeSpan(idx, lo, hi int, evaluated []int32, full bool, passing []int32) {
 	s := o.stats[idx]
 	j := 0

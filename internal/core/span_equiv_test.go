@@ -1,10 +1,15 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
+	"hash"
 	"math"
+	"math/big"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -14,138 +19,162 @@ import (
 	"dbtouch/internal/touchos"
 )
 
-// The span-equivalence suite runs identical gesture scripts through two
-// kernels that differ only in Config.ScalarSlide and asserts the emitted
-// Result streams are byte-identical — the vectorized span kernels must be
-// indistinguishable from the tuple-at-a-time reference path, including
-// virtual-time stamps and latencies. Integer-valued data makes every sum
-// exact, so even prefix-sum span aggregation reproduces the scalar
-// stream bit for bit.
+// The span-equivalence suite replays fixed gesture scripts through one
+// kernel and holds everything the kernel emits to a recorded SHA-256: the
+// complete Result stream, every field rendered (floats by their bits, so
+// -0 and +0 differ and NaN payloads count), and the virtual clock after
+// every gesture. Each digest in spanDigests was recorded at commit
+// a4fb974, when a Config switch still ran every slide tuple-at-a-time
+// through a scalar reference path: both paths ran each script and their
+// digests were equal, with and without the assembly kernels. A stream
+// that still matches is the one the per-row reference produced.
 
-// equivPair is one scalar/vector kernel pair under a shared script.
-type equivPair struct {
-	t       *testing.T
-	scalar  *Kernel
-	vector  *Kernel
-	objects [][2]*Object // [i] = {scalar object, vector object}
+// equivRun is one kernel under a pinned script.
+type equivRun struct {
+	t      *testing.T
+	k      *Kernel
+	stream hash.Hash
+	n      int
+	head   []string // the first results rendered, shown on a mismatch
 }
 
-func newEquivPair(t *testing.T, mutate func(*Config)) *equivPair {
+// headLen is how many results a digest mismatch prints.
+const headLen = 20
+
+// newEquivRun builds the kernel and checks its stream against the test's
+// recorded digest when the test ends.
+func newEquivRun(t *testing.T, mutate func(*Config)) *equivRun {
 	t.Helper()
-	mk := func(scalarSlide bool) *Kernel {
-		cfg := DefaultConfig()
-		cfg.ScalarSlide = scalarSlide
-		if mutate != nil {
-			mutate(&cfg)
+	cfg := DefaultConfig()
+	if mutate != nil {
+		mutate(&cfg)
+	}
+	r := &equivRun{t: t, k: NewKernel(cfg), stream: sha256.New()}
+	r.k.OnResult(r.record)
+	t.Cleanup(r.verify)
+	return r
+}
+
+func (r *equivRun) record(res Result) {
+	line := renderResult(res)
+	r.stream.Write([]byte(line))
+	r.stream.Write([]byte{'\n'})
+	if len(r.head) < headLen {
+		r.head = append(r.head, line)
+	}
+	r.n++
+}
+
+// verify compares the stream's digest with the recorded one.
+func (r *equivRun) verify() {
+	if r.t.Failed() {
+		return
+	}
+	got := hex.EncodeToString(r.stream.Sum(nil))
+	want, ok := spanDigests[r.t.Name()]
+	switch {
+	case !ok:
+		r.t.Errorf("no digest recorded for %s: stream digest %s over %d results", r.t.Name(), got, r.n)
+	case got != want:
+		r.t.Errorf("stream digest %s over %d results, want %s; the first results:\n%s", got, r.n, want, strings.Join(r.head, "\n"))
+	}
+}
+
+// renderResult renders every field of a Result, floats by their bits.
+func renderResult(r Result) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "kind=%d obj=%d tuple=%d col=%d value=%s agg=%#x window=[%d,%d) n=%d group=%q level=%d time=%d fade=%d latency=%d",
+		r.Kind, r.ObjectID, r.TupleID, r.Col, renderValue(r.Value), math.Float64bits(r.Agg),
+		r.WindowLo, r.WindowHi, r.N, r.GroupKey, r.Level, r.Time, r.FadeAt, r.Latency)
+	if r.Matches != nil {
+		b.WriteString(" matches=")
+		for _, m := range r.Matches {
+			fmt.Fprintf(&b, "(%d,%d,%s)", m.LeftID, m.RightID, renderValue(m.Key))
 		}
-		return NewKernel(cfg)
 	}
-	return &equivPair{t: t, scalar: mk(true), vector: mk(false)}
+	if r.Tuple != nil {
+		b.WriteString(" tuple=")
+		for _, v := range r.Tuple {
+			b.WriteString(renderValue(v))
+		}
+	}
+	return b.String()
 }
 
-// addColumn registers the same column object on both kernels.
-func (p *equivPair) addColumn(m func() *storage.Matrix, col int, frame touchos.Rect) int {
-	p.t.Helper()
-	so, err := p.scalar.CreateColumnObject(m(), col, frame)
-	if err != nil {
-		p.t.Fatal(err)
-	}
-	vo, err := p.vector.CreateColumnObject(m(), col, frame)
-	if err != nil {
-		p.t.Fatal(err)
-	}
-	p.objects = append(p.objects, [2]*Object{so, vo})
-	return len(p.objects) - 1
+func renderValue(v storage.Value) string {
+	return fmt.Sprintf("{%d %d %#x %t %q}", v.Type, v.I, math.Float64bits(v.F), v.B, v.S)
 }
 
-func (p *equivPair) addTable(m func() *storage.Matrix, frame touchos.Rect) int {
-	p.t.Helper()
-	so, err := p.scalar.CreateTableObject(m(), frame)
-	if err != nil {
-		p.t.Fatal(err)
+// TestRenderResultCoversEveryField fails when Result, JoinMatch or Value
+// gains a field renderResult does not render.
+func TestRenderResultCoversEveryField(t *testing.T) {
+	for _, c := range []struct {
+		v    any
+		want int
+	}{{Result{}, 16}, {operator.JoinMatch{}, 3}, {storage.Value{}, 5}} {
+		if n := reflect.TypeOf(c.v).NumField(); n != c.want {
+			t.Errorf("%T has %d fields; renderResult renders %d", c.v, n, c.want)
+		}
 	}
-	vo, err := p.vector.CreateTableObject(m(), frame)
-	if err != nil {
-		p.t.Fatal(err)
-	}
-	p.objects = append(p.objects, [2]*Object{so, vo})
-	return len(p.objects) - 1
 }
 
-func (p *equivPair) setActions(obj int, a Actions) {
-	p.objects[obj][0].SetActions(a)
-	p.objects[obj][1].SetActions(a)
+// mustFuse fails the test unless a touch took the fused filter+aggregate
+// path.
+func (r *equivRun) mustFuse() {
+	r.t.Helper()
+	if r.k.Counters().Get("touch.fused") == 0 {
+		r.t.Fatal("the kernel never took the fused path")
+	}
 }
 
-// slide sweeps both twins between fractional heights of the object.
-func (p *equivPair) slide(obj int, fromFrac, toFrac float64, dur time.Duration) {
-	p.t.Helper()
-	for i, k := range []*Kernel{p.scalar, p.vector} {
-		o := p.objects[obj][i]
-		f := o.View().Frame()
-		synth := gesture.Synth{}
-		y := func(frac float64) float64 { return f.Origin.Y + 0.02 + frac*(f.Size.H-0.04) }
-		events := synth.Slide(
-			touchos.Point{X: f.Origin.X + f.Size.W/2, Y: y(fromFrac)},
-			touchos.Point{X: f.Origin.X + f.Size.W/2, Y: y(toFrac)},
-			k.Clock().Now()+time.Millisecond, dur,
-		)
-		k.Apply(events)
+// step folds the virtual clock into the stream after each gesture.
+func (r *equivRun) step() {
+	fmt.Fprintf(r.stream, "clock=%d\n", r.k.Clock().Now())
+}
+
+// addColumn registers a column object.
+func (r *equivRun) addColumn(m func() *storage.Matrix, col int, frame touchos.Rect) *Object {
+	r.t.Helper()
+	o, err := r.k.CreateColumnObject(m(), col, frame)
+	if err != nil {
+		r.t.Fatal(err)
 	}
-	p.check()
+	return o
+}
+
+func (r *equivRun) addTable(m func() *storage.Matrix, frame touchos.Rect) *Object {
+	r.t.Helper()
+	o, err := r.k.CreateTableObject(m(), frame)
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	return o
+}
+
+// slide sweeps the middle of an object between fractional heights.
+func (r *equivRun) slide(o *Object, fromFrac, toFrac float64, dur time.Duration) {
+	f := o.View().Frame()
+	r.slideAtX(o, f.Origin.X+f.Size.W/2, fromFrac, toFrac, dur)
 }
 
 // slideAtX sweeps vertically at an absolute X (table objects: picks the
 // touched attribute).
-func (p *equivPair) slideAtX(obj int, x, fromFrac, toFrac float64, dur time.Duration) {
-	p.t.Helper()
-	for i, k := range []*Kernel{p.scalar, p.vector} {
-		o := p.objects[obj][i]
-		f := o.View().Frame()
-		synth := gesture.Synth{}
-		y := func(frac float64) float64 { return f.Origin.Y + 0.02 + frac*(f.Size.H-0.04) }
-		events := synth.Slide(
-			touchos.Point{X: x, Y: y(fromFrac)},
-			touchos.Point{X: x, Y: y(toFrac)},
-			k.Clock().Now()+time.Millisecond, dur,
-		)
-		k.Apply(events)
-	}
-	p.check()
+func (r *equivRun) slideAtX(o *Object, x, fromFrac, toFrac float64, dur time.Duration) {
+	f := o.View().Frame()
+	synth := gesture.Synth{}
+	y := func(frac float64) float64 { return f.Origin.Y + 0.02 + frac*(f.Size.H-0.04) }
+	r.k.Apply(synth.Slide(
+		touchos.Point{X: x, Y: y(fromFrac)},
+		touchos.Point{X: x, Y: y(toFrac)},
+		r.k.Clock().Now()+time.Millisecond, dur,
+	))
+	r.step()
 }
 
-func (p *equivPair) idle(d time.Duration) {
-	for _, k := range []*Kernel{p.scalar, p.vector} {
-		now := k.Clock().Now()
-		k.RunIdle(now, now+d)
-	}
-	p.check()
-}
-
-// resultsEqual is DeepEqual except that two NaN aggregates compare equal
-// (variance of a single sample is NaN on both paths, and NaN != NaN).
-func resultsEqual(a, b Result) bool {
-	if math.IsNaN(a.Agg) && math.IsNaN(b.Agg) {
-		a.Agg, b.Agg = 0, 0
-	}
-	return reflect.DeepEqual(a, b)
-}
-
-// check asserts the two kernels are indistinguishable so far.
-func (p *equivPair) check() {
-	p.t.Helper()
-	sr, vr := p.scalar.Results(), p.vector.Results()
-	if len(sr) != len(vr) {
-		p.t.Fatalf("result counts diverge: scalar %d vector %d", len(sr), len(vr))
-	}
-	for i := range sr {
-		if !resultsEqual(sr[i], vr[i]) {
-			p.t.Fatalf("result %d diverges:\n scalar: %+v\n vector: %+v", i, sr[i], vr[i])
-		}
-	}
-	if p.scalar.Clock().Now() != p.vector.Clock().Now() {
-		p.t.Fatalf("virtual clocks diverge: scalar %v vector %v", p.scalar.Clock().Now(), p.vector.Clock().Now())
-	}
+func (r *equivRun) idle(d time.Duration) {
+	now := r.k.Clock().Now()
+	r.k.RunIdle(now, now+d)
+	r.step()
 }
 
 // randInts builds a deterministic pseudo-random integer column factory.
@@ -167,13 +196,13 @@ func randInts(seed int64, n int, max int64) func() *storage.Matrix {
 func TestSpanEquivalenceAggregateKinds(t *testing.T) {
 	for _, kind := range []operator.AggKind{operator.Count, operator.Sum, operator.Avg, operator.Min, operator.Max, operator.Var, operator.Stddev} {
 		t.Run(kind.String(), func(t *testing.T) {
-			p := newEquivPair(t, nil)
-			obj := p.addColumn(randInts(7, 60000, 1000), 0, touchos.NewRect(2, 2, 2, 10))
-			p.setActions(obj, Actions{Mode: ModeAggregate, Agg: kind})
-			p.slide(obj, 0, 1, 1200*time.Millisecond)
-			p.slide(obj, 1, 0.3, 600*time.Millisecond)
-			p.idle(200 * time.Millisecond)
-			p.slide(obj, 0.3, 0.9, 900*time.Millisecond)
+			r := newEquivRun(t, nil)
+			obj := r.addColumn(randInts(7, 60000, 1000), 0, touchos.NewRect(2, 2, 2, 10))
+			obj.SetActions(Actions{Mode: ModeAggregate, Agg: kind})
+			r.slide(obj, 0, 1, 1200*time.Millisecond)
+			r.slide(obj, 1, 0.3, 600*time.Millisecond)
+			r.idle(200 * time.Millisecond)
+			r.slide(obj, 0.3, 0.9, 900*time.Millisecond)
 		})
 	}
 }
@@ -193,33 +222,33 @@ func TestSpanEquivalenceVarOnFloats(t *testing.T) {
 		}
 		return m
 	}
-	p := newEquivPair(t, nil)
-	obj := p.addColumn(mkFloats, 0, touchos.NewRect(2, 2, 2, 10))
-	p.setActions(obj, Actions{Mode: ModeAggregate, Agg: operator.Stddev})
-	p.slide(obj, 0, 1, 1500*time.Millisecond)
-	p.slide(obj, 1, 0, 700*time.Millisecond)
+	r := newEquivRun(t, nil)
+	obj := r.addColumn(mkFloats, 0, touchos.NewRect(2, 2, 2, 10))
+	obj.SetActions(Actions{Mode: ModeAggregate, Agg: operator.Stddev})
+	r.slide(obj, 0, 1, 1500*time.Millisecond)
+	r.slide(obj, 1, 0, 700*time.Millisecond)
 }
 
 func TestSpanEquivalenceSummary(t *testing.T) {
 	for _, k := range []int{0, 3, 25, 400} {
 		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
-			p := newEquivPair(t, nil)
-			obj := p.addColumn(randInts(13, 80000, 500), 0, touchos.NewRect(2, 2, 2, 10))
-			p.setActions(obj, Actions{Mode: ModeSummary, Agg: operator.Avg, SummaryK: k})
-			p.slide(obj, 0, 1, 1500*time.Millisecond)
-			p.setActions(obj, Actions{Mode: ModeSummary, Agg: operator.Max, SummaryK: k})
-			p.slide(obj, 1, 0, 800*time.Millisecond)
+			r := newEquivRun(t, nil)
+			obj := r.addColumn(randInts(13, 80000, 500), 0, touchos.NewRect(2, 2, 2, 10))
+			obj.SetActions(Actions{Mode: ModeSummary, Agg: operator.Avg, SummaryK: k})
+			r.slide(obj, 0, 1, 1500*time.Millisecond)
+			obj.SetActions(Actions{Mode: ModeSummary, Agg: operator.Max, SummaryK: k})
+			r.slide(obj, 1, 0, 800*time.Millisecond)
 		})
 	}
 }
 
 func TestSpanEquivalenceValueOrder(t *testing.T) {
-	p := newEquivPair(t, nil)
-	obj := p.addColumn(randInts(17, 30000, 100000), 0, touchos.NewRect(2, 2, 2, 10))
-	p.setActions(obj, Actions{Mode: ModeScan, ValueOrder: true})
-	p.slide(obj, 0, 1, 800*time.Millisecond)
-	p.setActions(obj, Actions{Mode: ModeSummary, Agg: operator.Avg, SummaryK: 20, ValueOrder: true})
-	p.slide(obj, 0, 1, 1200*time.Millisecond)
+	r := newEquivRun(t, nil)
+	obj := r.addColumn(randInts(17, 30000, 100000), 0, touchos.NewRect(2, 2, 2, 10))
+	obj.SetActions(Actions{Mode: ModeScan, ValueOrder: true})
+	r.slide(obj, 0, 1, 800*time.Millisecond)
+	obj.SetActions(Actions{Mode: ModeSummary, Agg: operator.Avg, SummaryK: 20, ValueOrder: true})
+	r.slide(obj, 0, 1, 1200*time.Millisecond)
 }
 
 func TestSpanEquivalenceFiltered(t *testing.T) {
@@ -250,11 +279,11 @@ func TestSpanEquivalenceFiltered(t *testing.T) {
 	}
 	for _, mode := range []Mode{ModeScan, ModeAggregate} {
 		t.Run(mode.String(), func(t *testing.T) {
-			p := newEquivPair(t, nil)
-			obj := p.addColumn(mk, 0, touchos.NewRect(2, 2, 2, 10))
-			p.setActions(obj, Actions{Mode: mode, Agg: operator.Sum, Filters: filters})
-			p.slide(obj, 0, 1, 1800*time.Millisecond)
-			p.slide(obj, 1, 0.2, 700*time.Millisecond)
+			r := newEquivRun(t, nil)
+			obj := r.addColumn(mk, 0, touchos.NewRect(2, 2, 2, 10))
+			obj.SetActions(Actions{Mode: mode, Agg: operator.Sum, Filters: filters})
+			r.slide(obj, 0, 1, 1800*time.Millisecond)
+			r.slide(obj, 1, 0.2, 700*time.Millisecond)
 		})
 	}
 }
@@ -278,33 +307,29 @@ func TestSpanEquivalenceGroupBy(t *testing.T) {
 		}
 		return m
 	}
-	p := newEquivPair(t, nil)
-	obj := p.addColumn(mk, 0, touchos.NewRect(2, 2, 2, 10))
-	p.setActions(obj, Actions{Mode: ModeSummary, Agg: operator.Avg, SummaryK: 10,
+	r := newEquivRun(t, nil)
+	obj := r.addColumn(mk, 0, touchos.NewRect(2, 2, 2, 10))
+	obj.SetActions(Actions{Mode: ModeSummary, Agg: operator.Avg, SummaryK: 10,
 		Group: &GroupSpec{KeyCol: 1, ValCol: 0, Agg: operator.Sum}})
-	p.slide(obj, 0, 1, 1500*time.Millisecond)
-	p.slide(obj, 1, 0, 900*time.Millisecond)
+	r.slide(obj, 0, 1, 1500*time.Millisecond)
+	r.slide(obj, 1, 0, 900*time.Millisecond)
 }
 
 func TestSpanEquivalenceJoin(t *testing.T) {
 	mkSide := func(seed int64) func() *storage.Matrix {
 		return randInts(seed, 8000, 2000)
 	}
-	p := newEquivPair(t, nil)
-	left := p.addColumn(mkSide(31), 0, touchos.NewRect(2, 2, 2, 8))
-	right := p.addColumn(mkSide(37), 0, touchos.NewRect(6, 2, 2, 8))
-	a := p.objects[left][0].Actions()
-	a.Join = &JoinSpec{OtherObject: p.objects[right][0].ID(), Side: JoinLeft}
-	// Wire the join on each kernel with its own object ids.
-	p.objects[left][0].SetActions(a)
-	av := p.objects[left][1].Actions()
-	av.Join = &JoinSpec{OtherObject: p.objects[right][1].ID(), Side: JoinLeft}
-	p.objects[left][1].SetActions(av)
+	r := newEquivRun(t, nil)
+	left := r.addColumn(mkSide(31), 0, touchos.NewRect(2, 2, 2, 8))
+	right := r.addColumn(mkSide(37), 0, touchos.NewRect(6, 2, 2, 8))
+	a := left.Actions()
+	a.Join = &JoinSpec{OtherObject: right.ID(), Side: JoinLeft}
+	left.SetActions(a)
 
-	p.slide(left, 0, 1, 900*time.Millisecond)
-	p.slide(right, 0, 1, 900*time.Millisecond)
-	p.slide(left, 1, 0, 600*time.Millisecond)
-	p.slide(right, 0.2, 0.8, 600*time.Millisecond)
+	r.slide(left, 0, 1, 900*time.Millisecond)
+	r.slide(right, 0, 1, 900*time.Millisecond)
+	r.slide(left, 1, 0, 600*time.Millisecond)
+	r.slide(right, 0.2, 0.8, 600*time.Millisecond)
 }
 
 func TestSpanEquivalenceTableObject(t *testing.T) {
@@ -328,25 +353,25 @@ func TestSpanEquivalenceTableObject(t *testing.T) {
 	}
 	for _, mode := range []Mode{ModeScan, ModeAggregate, ModeSummary} {
 		t.Run(mode.String(), func(t *testing.T) {
-			p := newEquivPair(t, nil)
-			obj := p.addTable(mk, touchos.NewRect(2, 2, 6, 10))
-			p.setActions(obj, Actions{Mode: mode, Agg: operator.Avg, SummaryK: 15})
-			p.slideAtX(obj, 3.5, 0, 1, 900*time.Millisecond) // left column
-			p.slideAtX(obj, 6.5, 1, 0, 700*time.Millisecond) // right column
-			p.slideAtX(obj, 3.5, 0.2, 0.9, 500*time.Millisecond)
+			r := newEquivRun(t, nil)
+			obj := r.addTable(mk, touchos.NewRect(2, 2, 6, 10))
+			obj.SetActions(Actions{Mode: mode, Agg: operator.Avg, SummaryK: 15})
+			r.slideAtX(obj, 3.5, 0, 1, 900*time.Millisecond) // left column
+			r.slideAtX(obj, 6.5, 1, 0, 700*time.Millisecond) // right column
+			r.slideAtX(obj, 3.5, 0.2, 0.9, 500*time.Millisecond)
 		})
 	}
 }
 
 // TestSpanEquivalenceRandomScript is the randomized gesture-script
 // equivalence test: random mode switches, directions, durations, and
-// idle pauses, replayed identically on both kernels.
+// idle pauses from fixed seeds.
 func TestSpanEquivalenceRandomScript(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
-			p := newEquivPair(t, nil)
-			obj := p.addColumn(randInts(seed+100, 50000, 1000), 0, touchos.NewRect(2, 2, 2, 10))
+			r := newEquivRun(t, nil)
+			obj := r.addColumn(randInts(seed+100, 50000, 1000), 0, touchos.NewRect(2, 2, 2, 10))
 			kinds := []operator.AggKind{operator.Count, operator.Sum, operator.Avg, operator.Min, operator.Max, operator.Var, operator.Stddev}
 			pos := 0.0
 			for step := 0; step < 12; step++ {
@@ -360,15 +385,15 @@ func TestSpanEquivalenceRandomScript(t *testing.T) {
 					if rng.Intn(4) == 0 {
 						a.ValueOrder = true
 					}
-					p.setActions(obj, a)
+					obj.SetActions(a)
 				}
 				switch rng.Intn(5) {
 				case 0:
-					p.idle(time.Duration(50+rng.Intn(400)) * time.Millisecond)
+					r.idle(time.Duration(50+rng.Intn(400)) * time.Millisecond)
 				default:
 					next := rng.Float64()
 					dur := time.Duration(200+rng.Intn(1200)) * time.Millisecond
-					p.slide(obj, pos, next, dur)
+					r.slide(obj, pos, next, dur)
 					pos = next
 				}
 			}
@@ -380,37 +405,32 @@ func TestSpanEquivalenceRandomScript(t *testing.T) {
 // slide path: a single WHERE conjunct over the aggregated column itself,
 // consumed only by the running aggregate, must produce a stream
 // byte-identical to the scalar reference — and must actually take the
-// fused path on the vector kernel (asserted via the touch.fused counter).
+// fused path (asserted via the touch.fused counter).
 func TestSpanEquivalenceFusedAggregate(t *testing.T) {
 	filters := []operator.Predicate{{Col: 0, Op: operator.Lt, Operand: storage.IntValue(600)}}
 	for _, kind := range []operator.AggKind{operator.Count, operator.Sum, operator.Avg, operator.Min, operator.Max} {
 		t.Run(kind.String(), func(t *testing.T) {
-			p := newEquivPair(t, nil)
-			obj := p.addColumn(randInts(51, 60000, 1000), 0, touchos.NewRect(2, 2, 2, 10))
-			p.setActions(obj, Actions{Mode: ModeAggregate, Agg: kind, Filters: filters})
-			p.slide(obj, 0, 1, 1400*time.Millisecond)
-			p.slide(obj, 1, 0.2, 700*time.Millisecond)
-			p.idle(150 * time.Millisecond)
-			p.slide(obj, 0.2, 0.8, 600*time.Millisecond)
-			if fused := p.vector.Counters().Get("touch.fused"); fused == 0 {
-				t.Fatal("vector kernel never took the fused path")
-			}
-			if fused := p.scalar.Counters().Get("touch.fused"); fused != 0 {
-				t.Fatal("scalar kernel took the fused path")
-			}
+			r := newEquivRun(t, nil)
+			obj := r.addColumn(randInts(51, 60000, 1000), 0, touchos.NewRect(2, 2, 2, 10))
+			obj.SetActions(Actions{Mode: ModeAggregate, Agg: kind, Filters: filters})
+			r.slide(obj, 0, 1, 1400*time.Millisecond)
+			r.slide(obj, 1, 0.2, 700*time.Millisecond)
+			r.idle(150 * time.Millisecond)
+			r.slide(obj, 0.2, 0.8, 600*time.Millisecond)
+			r.mustFuse()
 		})
 	}
 }
 
 // TestSpanEquivalenceFusedRepeatedSlides slides one fused object over the
-// same column again and again, so the vector kernel's block memo answers
+// same column again and again, so the object's block memo answers
 // the complete blocks an earlier span read — over integers, over the
 // order-sensitive floats with NaN and ±Inf in the last fifth, and over
 // signed zeros, where MIN under `>= 0` and MAX under `<= 0` tie between
 // -0 and +0 — and changes the WHERE operand and back between rounds,
 // which must start the memo over. Every stream stays byte-identical to
-// the scalar reference, aggregate bits included: the suite's DeepEqual
-// holds -0 equal to +0, and only the first-wins rule tells them apart.
+// the scalar reference's, aggregate bits included: only the first-wins
+// rule tells -0 and +0 apart.
 func TestSpanEquivalenceFusedRepeatedSlides(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -426,23 +446,15 @@ func TestSpanEquivalenceFusedRepeatedSlides(t *testing.T) {
 	for _, kind := range []operator.AggKind{operator.Count, operator.Sum, operator.Avg, operator.Min, operator.Max} {
 		for _, tc := range cases {
 			t.Run(kind.String()+"/"+tc.name, func(t *testing.T) {
-				p := newEquivPair(t, func(c *Config) { c.IO.BlockValues = 128 })
-				obj := p.addColumn(tc.data, 0, touchos.NewRect(2, 2, 2, 10))
+				r := newEquivRun(t, func(c *Config) { c.IO.BlockValues = 128 })
+				obj := r.addColumn(tc.data, 0, touchos.NewRect(2, 2, 2, 10))
 				for _, operand := range tc.operands {
-					p.setActions(obj, Actions{Mode: ModeAggregate, Agg: kind, Filters: []operator.Predicate{{Col: 0, Op: tc.op, Operand: storage.FloatValue(operand)}}})
-					p.slide(obj, 0, 1, 500*time.Millisecond)
-					p.slide(obj, 1, 0, 400*time.Millisecond)
-					p.slide(obj, 0.1, 0.9, 300*time.Millisecond)
-					sr, vr := p.scalar.Results(), p.vector.Results()
-					for i := range sr {
-						if a, b := sr[i].Agg, vr[i].Agg; math.Float64bits(a) != math.Float64bits(b) && !(math.IsNaN(a) && math.IsNaN(b)) {
-							t.Fatalf("result %d: scalar aggregate %v (bits %#x), vector %v (bits %#x)", i, a, math.Float64bits(a), b, math.Float64bits(b))
-						}
-					}
+					obj.SetActions(Actions{Mode: ModeAggregate, Agg: kind, Filters: []operator.Predicate{{Col: 0, Op: tc.op, Operand: storage.FloatValue(operand)}}})
+					r.slide(obj, 0, 1, 500*time.Millisecond)
+					r.slide(obj, 1, 0, 400*time.Millisecond)
+					r.slide(obj, 0.1, 0.9, 300*time.Millisecond)
 				}
-				if p.vector.Counters().Get("touch.fused") == 0 {
-					t.Fatal("vector kernel never took the fused path")
-				}
+				r.mustFuse()
 			})
 		}
 	}
@@ -505,7 +517,7 @@ func orderSensitiveFloats(seed int64, n int, specials bool) func() *storage.Matr
 
 // TestSpanEquivalenceFusedFloatColumn runs every fusable kind fused over
 // a float column — sum and avg included — and holds its stream to the
-// scalar reference byte for byte: the fused scan's exact partial sums
+// scalar reference's byte for byte: the fused scan's exact partial sums
 // merge into the same exact running sum the reference's per-row adds
 // build. The data makes any rounded reassociation visible, sliding both
 // ways; `<= 2e16` lets NaN qualify (Value.Compare ranks it equal), `< 1`
@@ -528,18 +540,13 @@ func TestSpanEquivalenceFusedFloatColumn(t *testing.T) {
 			for _, tc := range cases {
 				t.Run(tc.name, func(t *testing.T) {
 					filters := []operator.Predicate{{Col: 0, Op: tc.op, Operand: storage.FloatValue(tc.operand)}}
-					p := newEquivPair(t, nil)
-					obj := p.addColumn(tc.data, 0, touchos.NewRect(2, 2, 2, 10))
-					p.setActions(obj, Actions{Mode: ModeAggregate, Agg: kind, Filters: filters})
+					r := newEquivRun(t, nil)
+					obj := r.addColumn(tc.data, 0, touchos.NewRect(2, 2, 2, 10))
+					obj.SetActions(Actions{Mode: ModeAggregate, Agg: kind, Filters: filters})
 					for i := 1; i < len(tc.path); i++ {
-						p.slide(obj, tc.path[i-1], tc.path[i], 900*time.Millisecond)
+						r.slide(obj, tc.path[i-1], tc.path[i], 900*time.Millisecond)
 					}
-					if p.vector.Counters().Get("touch.fused") == 0 {
-						t.Fatalf("%v over floats never took the fused path", kind)
-					}
-					if p.scalar.Counters().Get("touch.fused") != 0 {
-						t.Fatal("scalar kernel took the fused path")
-					}
+					r.mustFuse()
 				})
 			}
 		})
@@ -549,11 +556,10 @@ func TestSpanEquivalenceFusedFloatColumn(t *testing.T) {
 // sweepSum runs one full-height filtered SUM or AVG sweep over data on a
 // fresh kernel and returns the last result: the aggregate over every
 // qualifying row the sweep covered.
-func sweepSum(t *testing.T, data func() *storage.Matrix, kind operator.AggKind, filter operator.Predicate, blockValues int, scalar, down bool) Result {
+func sweepSum(t *testing.T, data func() *storage.Matrix, kind operator.AggKind, filter operator.Predicate, blockValues int, down bool) Result {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.IO.BlockValues = blockValues
-	cfg.ScalarSlide = scalar
 	k := NewKernel(cfg)
 	o, err := k.CreateColumnObject(data(), 0, touchos.NewRect(2, 2, 2, 10))
 	if err != nil {
@@ -598,12 +604,49 @@ func quietEnds(data func() *storage.Matrix, v float64) func() *storage.Matrix {
 	}
 }
 
+// bigSum is the sum of vals rounded once: the finite values add exactly
+// in math/big, and NaN and the infinities settle by the IEEE rule — a
+// NaN, or +Inf and -Inf together, give NaN; a lone infinity wins.
+func bigSum(vals []float64) float64 {
+	var acc *big.Float
+	var nan, pos, neg bool
+	for _, v := range vals {
+		switch {
+		case math.IsNaN(v):
+			nan = true
+		case math.IsInf(v, 1):
+			pos = true
+		case math.IsInf(v, -1):
+			neg = true
+		case acc == nil:
+			// 2 200 bits hold every float64 from 2^-1074 to 2^1024 with
+			// room for the carries, so no addition below rounds; starting
+			// from the first value keeps the sign of an all -0 sum.
+			acc = new(big.Float).SetPrec(2200).SetFloat64(v)
+		default:
+			acc.Add(acc, new(big.Float).SetFloat64(v))
+		}
+	}
+	switch {
+	case nan || pos && neg:
+		return math.NaN()
+	case pos:
+		return math.Inf(1)
+	case neg:
+		return math.Inf(-1)
+	case acc == nil:
+		return 0
+	}
+	f, _ := acc.Float64()
+	return f
+}
+
 // TestFloatSumOrderInvariance is the property the exact running sum
 // buys: over the order-sensitive float data, a full sweep's SUM and AVG
-// have the same bits whether the sweep runs fused or through the scalar
-// reference, slides down or up, and charges cost-model blocks of 64,
-// 1 024 or 4 096 rows (which re-chunk the fused scan) — every order of
-// addition the pipeline can produce.
+// have the bits of the filter's qualifying rows summed in math/big and
+// rounded once, whether the sweep slides down or up and whether it
+// charges cost-model blocks of 64, 1 024 or 4 096 rows (which re-chunk
+// the fused scan) — every order of addition the pipeline can produce.
 func TestFloatSumOrderInvariance(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -615,16 +658,28 @@ func TestFloatSumOrderInvariance(t *testing.T) {
 		{"specials", quietEnds(orderSensitiveFloats(73, 40000, true), -5), operator.Predicate{Col: 0, Op: operator.Ge, Operand: storage.FloatValue(-3)}},
 	}
 	for _, tc := range cases {
+		col, err := tc.data().Column(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var qualified []float64
+		for _, v := range col.Floats() {
+			if tc.filter.Op.Apply(storage.FloatValue(v), tc.filter.Operand) {
+				qualified = append(qualified, v)
+			}
+		}
+		sum := bigSum(qualified)
 		for _, kind := range []operator.AggKind{operator.Sum, operator.Avg} {
 			t.Run(tc.name+"/"+kind.String(), func(t *testing.T) {
-				want := sweepSum(t, tc.data, kind, tc.filter, 1024, true, true)
+				want := sum
+				if kind == operator.Avg {
+					want = sum / float64(len(qualified))
+				}
 				for _, bv := range []int{64, 1024, 4096} {
-					for _, scalar := range []bool{false, true} {
-						for _, down := range []bool{true, false} {
-							got := sweepSum(t, tc.data, kind, tc.filter, bv, scalar, down)
-							if got.N != want.N || math.Float64bits(got.Agg) != math.Float64bits(want.Agg) && !(math.IsNaN(got.Agg) && math.IsNaN(want.Agg)) {
-								t.Fatalf("blocks of %d scalar=%v down=%v: %v over %d rows, want %v over %d", bv, scalar, down, got.Agg, got.N, want.Agg, want.N)
-							}
+					for _, down := range []bool{true, false} {
+						got := sweepSum(t, tc.data, kind, tc.filter, bv, down)
+						if got.N != int64(len(qualified)) || math.Float64bits(got.Agg) != math.Float64bits(want) && !(math.IsNaN(got.Agg) && math.IsNaN(want)) {
+							t.Fatalf("blocks of %d down=%v: %v over %d rows, want %v over %d", bv, down, got.Agg, got.N, want, len(qualified))
 						}
 					}
 				}
@@ -639,12 +694,12 @@ func TestFloatSumOrderInvariance(t *testing.T) {
 func TestSpanEquivalenceFusedSelective(t *testing.T) {
 	for _, operand := range []int64{0, 5, 1000} { // ~0%, ~0.5%, 100% pass
 		t.Run(fmt.Sprintf("lt_%d", operand), func(t *testing.T) {
-			p := newEquivPair(t, nil)
-			obj := p.addColumn(randInts(53, 40000, 1000), 0, touchos.NewRect(2, 2, 2, 10))
-			p.setActions(obj, Actions{Mode: ModeAggregate, Agg: operator.Sum,
+			r := newEquivRun(t, nil)
+			obj := r.addColumn(randInts(53, 40000, 1000), 0, touchos.NewRect(2, 2, 2, 10))
+			obj.SetActions(Actions{Mode: ModeAggregate, Agg: operator.Sum,
 				Filters: []operator.Predicate{{Col: 0, Op: operator.Lt, Operand: storage.IntValue(operand)}}})
-			p.slide(obj, 0, 1, 1200*time.Millisecond)
-			p.slide(obj, 1, 0, 800*time.Millisecond)
+			r.slide(obj, 0, 1, 1200*time.Millisecond)
+			r.slide(obj, 1, 0, 800*time.Millisecond)
 		})
 	}
 }
@@ -684,24 +739,22 @@ func TestSpanEquivalenceFusedMultiConjunct(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			filters := []operator.Predicate{{Col: 1, Op: operator.Ne, Operand: storage.IntValue(2)}, tc.final}
-			p := newEquivPair(t, func(c *Config) { c.AdaptiveOpt = false })
-			obj := p.addColumn(tc.data, 0, touchos.NewRect(2, 2, 2, 10))
-			p.setActions(obj, Actions{Mode: ModeAggregate, Agg: operator.Avg, Filters: filters})
-			p.slide(obj, 0, 1, 1600*time.Millisecond)
-			p.slide(obj, 1, 0.1, 900*time.Millisecond)
-			if fused := p.vector.Counters().Get("touch.fused"); fused == 0 {
-				t.Fatal("vector kernel never took the fused multi-conjunct path")
-			}
+			r := newEquivRun(t, func(c *Config) { c.AdaptiveOpt = false })
+			obj := r.addColumn(tc.data, 0, touchos.NewRect(2, 2, 2, 10))
+			obj.SetActions(Actions{Mode: ModeAggregate, Agg: operator.Avg, Filters: filters})
+			r.slide(obj, 0, 1, 1600*time.Millisecond)
+			r.slide(obj, 1, 0.1, 900*time.Millisecond)
+			r.mustFuse()
 		})
 	}
 }
 
 func TestSpanEquivalenceValueOrderFiltered(t *testing.T) {
-	p := newEquivPair(t, nil)
-	obj := p.addColumn(randInts(43, 30000, 1000), 0, touchos.NewRect(2, 2, 2, 10))
+	r := newEquivRun(t, nil)
+	obj := r.addColumn(randInts(43, 30000, 1000), 0, touchos.NewRect(2, 2, 2, 10))
 	filters := []operator.Predicate{{Col: 0, Op: operator.Lt, Operand: storage.IntValue(500)}}
-	p.setActions(obj, Actions{Mode: ModeScan, ValueOrder: true, Filters: filters})
-	p.slide(obj, 0, 1, 900*time.Millisecond)
-	p.setActions(obj, Actions{Mode: ModeSummary, Agg: operator.Avg, SummaryK: 15, ValueOrder: true, Filters: filters})
-	p.slide(obj, 1, 0, 900*time.Millisecond)
+	obj.SetActions(Actions{Mode: ModeScan, ValueOrder: true, Filters: filters})
+	r.slide(obj, 0, 1, 900*time.Millisecond)
+	obj.SetActions(Actions{Mode: ModeSummary, Agg: operator.Avg, SummaryK: 15, ValueOrder: true, Filters: filters})
+	r.slide(obj, 1, 0, 900*time.Millisecond)
 }

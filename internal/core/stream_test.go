@@ -3,10 +3,21 @@ package core
 import (
 	"dbtouch/internal/gesture"
 	"dbtouch/internal/operator"
+	"math"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 )
+
+// resultsEqual is DeepEqual except that two NaN aggregates compare equal
+// (NaN != NaN).
+func resultsEqual(a, b Result) bool {
+	if math.IsNaN(a.Agg) && math.IsNaN(b.Agg) {
+		a.Agg, b.Agg = 0, 0
+	}
+	return reflect.DeepEqual(a, b)
+}
 
 func TestResultStreamCursor(t *testing.T) {
 	s := newResultStream(4)

@@ -1,11 +1,16 @@
 package index
 
 import (
+	"math"
+	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
+	"time"
 
+	"dbtouch/internal/iomodel"
 	"dbtouch/internal/storage"
+	"dbtouch/internal/vclock"
 )
 
 func TestBuildAndRankAccess(t *testing.T) {
@@ -108,6 +113,58 @@ func TestRangeMatchesNaive(t *testing.T) {
 	}
 	if r, _ := idx.Range(7, 3, nil); r != nil {
 		t.Fatal("inverted range should be nil")
+	}
+}
+
+// TestAddRankRangeMatchesValueAtRankLoop holds the rank-window kernel to
+// a ValueAtRank loop that skips the ranks it refuses: the same values fed
+// in the same order, the same count, and the same charges — tracker clock
+// and stats — over windows clamped at either end, empty and inverted.
+func TestAddRankRangeMatchesValueAtRankLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	vals := make([]float64, 4000)
+	for i := range vals {
+		vals[i] = float64(rng.Intn(500)) / 4 // duplicates: ties keep storage order
+	}
+	idx := New(storage.NewFloatColumn("v", vals))
+	idx.Build(nil)
+	mk := func() (*iomodel.Tracker, *vclock.Clock) {
+		clock := vclock.New()
+		params := iomodel.Params{BlockValues: 32, ColdLatency: time.Millisecond, WarmLatency: time.Microsecond, WarmBudget: 8}
+		return iomodel.New(clock, params, nil), clock
+	}
+	refTr, refClock := mk()
+	spanTr, spanClock := mk()
+	windows := [][2]int{{-5, 20}, {3980, 4010}, {-10, 4010}, {700, 700}, {900, 850}, {0, 1}, {3999, 4000}, {4000, 4005}}
+	for i := 0; i < 40; i++ {
+		lo := rng.Intn(4000)
+		windows = append(windows, [2]int{lo, lo + rng.Intn(120)})
+	}
+	for _, w := range windows {
+		var want []float64
+		for r := w[0]; r < w[1]; r++ {
+			v, _, err := idx.ValueAtRank(r, refTr)
+			if err != nil {
+				continue
+			}
+			want = append(want, v)
+		}
+		var got []float64
+		n := idx.AddRankRange(w[0], w[1], spanTr, func(v float64) { got = append(got, v) })
+		if n != len(want) || len(got) != len(want) {
+			t.Fatalf("window %v: count %d, fed %d values, want %d", w, n, len(got), len(want))
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("window %v: value %d is %v, want %v", w, i, got[i], want[i])
+			}
+		}
+		if spanClock.Now() != refClock.Now() {
+			t.Fatalf("window %v: clock %v, want %v", w, spanClock.Now(), refClock.Now())
+		}
+		if g, w2 := spanTr.Stats(), refTr.Stats(); g != w2 {
+			t.Fatalf("window %v: tracker stats %+v, want %+v", w, g, w2)
+		}
 	}
 }
 

@@ -45,3 +45,37 @@ func (s Summarizer) At(col *storage.Column, id int, tracker *iomodel.Tracker) Su
 	}
 	return SummaryResult{Lo: lo, Hi: hi, Value: agg.Value(), N: int(agg.N())}
 }
+
+// Eval is EvalRange's per-row reference: it tests the predicate against
+// tuple row of m, charging one value read per evaluation to the
+// per-column tracker (trackers indexed by column; nil entries skip
+// accounting).
+func (p Predicate) Eval(m *storage.Matrix, row int, trackers []*iomodel.Tracker) (bool, error) {
+	v, err := m.At(row, p.Col)
+	if err != nil {
+		return false, err
+	}
+	if p.Col < len(trackers) && trackers[p.Col] != nil {
+		trackers[p.Col].Access(row)
+	}
+	return p.Op.Apply(v, p.Operand), nil
+}
+
+// Push is PushRange's per-tuple reference: it absorbs tuple id
+// (idempotent for revisited tuples), charging both the key and value
+// reads, and returns the group key's current aggregate.
+func (g *IncrementalGroupBy) Push(id int, keyTracker, valTracker *iomodel.Tracker) (key string, value float64, ok bool) {
+	if id < 0 || id >= g.keyCol.Len() || g.Seen(id) {
+		return "", 0, false
+	}
+	g.markSeen(id)
+	if keyTracker != nil {
+		keyTracker.Access(id)
+	}
+	if valTracker != nil {
+		valTracker.Access(id)
+	}
+	e := g.entryFor(id)
+	e.agg.Add(g.valCol.Float(id))
+	return e.name, e.agg.Value(), true
+}

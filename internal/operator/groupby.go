@@ -96,29 +96,11 @@ func (g *IncrementalGroupBy) entryFor(id int) *groupEntry {
 	return e
 }
 
-// Push absorbs tuple id (idempotent for revisited tuples), charging both
-// the key and value reads, and returns the group key's current aggregate.
-func (g *IncrementalGroupBy) Push(id int, keyTracker, valTracker *iomodel.Tracker) (key string, value float64, ok bool) {
-	if id < 0 || id >= g.keyCol.Len() || g.Seen(id) {
-		return "", 0, false
-	}
-	g.markSeen(id)
-	if keyTracker != nil {
-		keyTracker.Access(id)
-	}
-	if valTracker != nil {
-		valTracker.Access(id)
-	}
-	e := g.entryFor(id)
-	e.agg.Add(g.valCol.Float(id))
-	return e.name, e.agg.Value(), true
-}
-
 // PushRange absorbs every not-yet-seen tuple in [lo, hi) in ascending
-// order — the span version of Push. Key and value reads are charged per
-// contiguous run of fresh tuples through the trackers' ranged accounting,
-// so the virtual cost matches a per-tuple Push loop while the bookkeeping
-// runs per block. It reports how many tuples were newly absorbed.
+// order. Key and value reads are charged per contiguous run of fresh
+// tuples through the trackers' ranged accounting, so the virtual cost
+// matches a per-tuple loop while the bookkeeping runs per block. It
+// reports how many tuples were newly absorbed.
 func (g *IncrementalGroupBy) PushRange(lo, hi int, keyTracker, valTracker *iomodel.Tracker) int {
 	if lo < 0 {
 		lo = 0

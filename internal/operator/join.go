@@ -80,10 +80,10 @@ func (j *SymmetricHashJoin) PushRight(id int, tracker *iomodel.Tracker) []JoinMa
 }
 
 // PushRange feeds every not-yet-seen tuple of one side in [lo, hi) in
-// ascending order — the span version of Push. Reads are charged per
-// contiguous run of fresh tuples through the tracker's ranged accounting
-// (identical virtual cost to a per-tuple loop), and all new matches are
-// returned in push order. isLeft selects the side.
+// ascending order — the span version of PushLeft/PushRight. Reads are
+// charged per contiguous run of fresh tuples through the tracker's ranged
+// accounting (identical virtual cost to a per-tuple loop), and all new
+// matches are returned in push order. isLeft selects the side.
 func (j *SymmetricHashJoin) PushRange(lo, hi int, isLeft bool, tracker *iomodel.Tracker) []JoinMatch {
 	col := j.right
 	if isLeft {

@@ -96,20 +96,6 @@ func (p Predicate) String() string {
 	return fmt.Sprintf("col%d %s %s", p.Col, p.Op, p.Operand)
 }
 
-// Eval tests the predicate against tuple row of m, charging one value
-// read per evaluation to the per-column tracker (trackers indexed by
-// column; nil entries skip accounting).
-func (p Predicate) Eval(m *storage.Matrix, row int, trackers []*iomodel.Tracker) (bool, error) {
-	v, err := m.At(row, p.Col)
-	if err != nil {
-		return false, err
-	}
-	if p.Col < len(trackers) && trackers[p.Col] != nil {
-		trackers[p.Col].Access(row)
-	}
-	return p.Op.Apply(v, p.Operand), nil
-}
-
 // rangeOp converts to the storage-layer comparison enum. The two enums
 // declare the same operators in the same order (see TestRangeOpMirrors).
 func (op CmpOp) rangeOp() storage.RangeOp { return storage.RangeOp(op) }
@@ -119,7 +105,7 @@ func (op CmpOp) rangeOp() storage.RangeOp { return storage.RangeOp(op) }
 // selection vector only those rows are evaluated (conjunct refinement).
 // One read per evaluated row is charged to the predicate column's
 // tracker, batched through ranged accounting so the virtual cost matches
-// a per-row Eval loop. It returns the refined selection and the number of
+// a per-row loop. It returns the refined selection and the number of
 // rows evaluated.
 func (p Predicate) EvalRange(m *storage.Matrix, lo, hi int, sel []int32, trackers []*iomodel.Tracker, out []int32) ([]int32, int, error) {
 	var tracker *iomodel.Tracker

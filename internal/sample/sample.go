@@ -113,9 +113,10 @@ type spanStats struct {
 	// reads neither.
 	blockNF []storage.NonFinite
 	firstNF int
-	// iprefix[i] is the exact int64 sum of entries [0, i) for
-	// integer-backed columns (int values, bool 0/1, string codes) — span
-	// sums of integer data are exact at any magnitude (nil for floats).
+	// iprefix[i] is the wrapping int64 sum of entries [0, i) for
+	// integer-backed columns (int values, bool 0/1, string codes) — a
+	// span sum of integer data is exact while it fits in int64 (nil for
+	// floats).
 	iprefix []int64
 	// blockMin/blockMax aggregate entries [b*blockLen, (b+1)*blockLen),
 	// complete blocks only. SpanEntries reads them for interior blocks
@@ -162,8 +163,8 @@ func (t *levelTail) extend(col *storage.Column, n, blockLen int) {
 	float := col.Type() == storage.Float64
 	vals := col.Floats()
 	if !float {
-		// Integer-backed columns keep exact int64 prefix sums: span sums
-		// of int data are exact at any magnitude.
+		// Integer-backed columns keep wrapping int64 prefix sums: a span
+		// sum of int data is exact while it fits in int64.
 		if t.iprefix == nil {
 			t.iprefix = make([]int64, 1, n+1)
 		}
@@ -473,48 +474,17 @@ func (h *Hierarchy) ScanAt(baseID, level int) (storage.Value, int, error) {
 	return l.Col.Value(idx), idx * l.Stride, nil
 }
 
-// WindowAgg aggregates sample entries of level covering base range
-// [lo, hi), charging per entry, and returns (sum, count, min, max).
-func (h *Hierarchy) WindowAgg(lo, hi, level int) (sum float64, n int, min, max float64, err error) {
-	l, err := h.Level(level)
-	if err != nil {
-		return 0, 0, 0, 0, err
-	}
-	from := lo / l.Stride
-	to := (hi + l.Stride - 1) / l.Stride
-	if from < 0 {
-		from = 0
-	}
-	if to > l.Col.Len() {
-		to = l.Col.Len()
-	}
-	min, max = math.Inf(1), math.Inf(-1)
-	for i := from; i < to; i++ {
-		l.Tracker.Access(i)
-		v := l.Col.Float(i)
-		sum += v
-		n++
-		if v < min {
-			min = v
-		}
-		if v > max {
-			max = v
-		}
-	}
-	return sum, n, min, max, nil
-}
-
 // SpanEntries aggregates sample entries [from, to) of level as one unit:
 // the sum comes from the level's prefix-sum array, min/max from the
 // per-block zone maps plus edge scans, and the whole span is charged
 // through the tracker's ranged accounting — identical virtual cost to a
 // per-entry scan, a fraction of the wall-clock work. Integer-backed
-// columns difference exact int64 prefix sums, so span sums are exact at
-// any magnitude and bit-identical to WindowAgg's scalar loop whenever
-// that loop is itself exact. Float spans difference the prefix of finite
-// values and settle NaN and infinities from their counts by the IEEE rule
-// (storage.NonFinite.Apply); the finite part may differ from a scalar
-// loop in the last ulp (different association order).
+// columns difference int64 prefix sums, so a span sum is exact while the
+// span's sum fits in int64; a larger one wraps. Float spans difference
+// the prefix of finite values and settle NaN and infinities from their
+// counts by the IEEE rule (storage.NonFinite.Apply); the finite part may
+// differ from a per-entry loop in the last ulp (different association
+// order).
 func (h *Hierarchy) SpanEntries(from, to, level int) (sum float64, n int, min, max float64, err error) {
 	l, err := h.Level(level)
 	if err != nil {
@@ -597,9 +567,9 @@ func countNonFinite(nf *storage.NonFinite, vals []float64) {
 	}
 }
 
-// SpanAgg is the vectorized WindowAgg: it aggregates the sample entries
-// of level covering base range [lo, hi) via SpanEntries, using the exact
-// same base→entry conversion as WindowAgg so the two are interchangeable.
+// SpanAgg aggregates the sample entries of level covering base range
+// [lo, hi) via SpanEntries: entries lo/stride up to the one holding
+// hi-1.
 func (h *Hierarchy) SpanAgg(lo, hi, level int) (sum float64, n int, min, max float64, err error) {
 	l, err := h.Level(level)
 	if err != nil {
