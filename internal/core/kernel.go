@@ -320,7 +320,7 @@ func (k *Kernel) createLiveColumnObject(t *storage.Table, col int, frame touchos
 	if _, err := m.Column(col); err != nil {
 		return nil, err
 	}
-	shared, err := lp.pin.Samples(col, k.liveSampleLevels(), k.cfg.IO.BlockValues)
+	shared, err := lp.pin.Samples(col, k.liveSampleLevels())
 	if err != nil {
 		return nil, err
 	}

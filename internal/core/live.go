@@ -173,7 +173,7 @@ func (o *Object) rebindLive(pin *sample.Pinned) error {
 		if lvl, err := o.hierarchy.Level(o.lastLevel); err == nil {
 			oldLen = lvl.Col.Len()
 		}
-		shared, err := pin.Samples(o.colIdx, k.liveSampleLevels(), k.cfg.IO.BlockValues)
+		shared, err := pin.Samples(o.colIdx, k.liveSampleLevels())
 		if err != nil {
 			return err
 		}

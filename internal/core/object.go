@@ -431,14 +431,24 @@ func (o *Object) slideColumn(prevID, id, level int, sel []int32) {
 		}
 		s := operator.Summarizer{K: o.actions.SummaryK, Kind: o.actions.Agg}
 		lo, hi := s.Window(id, rows)
-		sum, n, min, max, err := o.hierarchy.SpanAgg(lo, hi, level)
-		if err != nil || n == 0 {
+		lvl, err := o.hierarchy.Level(level)
+		if err != nil {
 			return
 		}
+		// The window's level entries: lo/stride up to the one holding
+		// hi-1, read as one charged span.
+		from, to := lo/lvl.Stride, min((hi+lvl.Stride-1)/lvl.Stride, lvl.Col.Len())
+		if from >= to {
+			return
+		}
+		lvl.Tracker.AccessRange(from, to)
+		var sum storage.ExactSum
+		n := lvl.Col.SumRange(from, to, &sum)
+		mn, mx, _ := lvl.Col.MinMaxRange(from, to)
 		o.kernel.emit(Result{
 			Kind: SummaryValue, ObjectID: o.id, TupleID: id,
 			WindowLo: lo, WindowHi: hi, N: int64(n), Level: level,
-			Agg: summaryValue(o.actions.Agg, sum, n, min, max),
+			Agg: summaryValue(o.actions.Agg, sum.Round(), n, mn, mx),
 		})
 	}
 }
@@ -482,17 +492,13 @@ func (o *Object) slideAggregateColumn(prevID, id, level int, sel []int32) {
 		return
 	}
 	from, to := entrySpan(prevID, id, lvl.Stride, lvl.Col.Len())
+	lvl.Tracker.AccessRange(from, to)
 	if o.agg.NeedsPerValue() {
 		// Variance-family aggregates are order-sensitive: absorb the span
-		// value by value over the native slice, charged as one range.
-		lvl.Tracker.AccessRange(from, to)
+		// value by value over the native slice.
 		lvl.Col.AddRangeTo(from, to, o.agg.Add)
 	} else {
-		sum, n, min, max, err := o.hierarchy.SpanEntries(from, to, level)
-		if err != nil {
-			return
-		}
-		o.agg.AddSpan(int64(n), sum, min, max)
+		o.agg.AddRange(lvl.Col, from, to)
 	}
 	o.kernel.emit(Result{
 		Kind: AggregateValue, ObjectID: o.id, TupleID: clampIdx(id/lvl.Stride, lvl.Col.Len()) * lvl.Stride,

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash"
 	"math"
-	"math/big"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -604,41 +603,13 @@ func quietEnds(data func() *storage.Matrix, v float64) func() *storage.Matrix {
 	}
 }
 
-// bigSum is the sum of vals rounded once: the finite values add exactly
-// in math/big, and NaN and the infinities settle by the IEEE rule — a
-// NaN, or +Inf and -Inf together, give NaN; a lone infinity wins.
+// bigSum is the sum of vals rounded once (bigAgg.sum).
 func bigSum(vals []float64) float64 {
-	var acc *big.Float
-	var nan, pos, neg bool
+	a := newBigAgg()
 	for _, v := range vals {
-		switch {
-		case math.IsNaN(v):
-			nan = true
-		case math.IsInf(v, 1):
-			pos = true
-		case math.IsInf(v, -1):
-			neg = true
-		case acc == nil:
-			// 2 200 bits hold every float64 from 2^-1074 to 2^1024 with
-			// room for the carries, so no addition below rounds; starting
-			// from the first value keeps the sign of an all -0 sum.
-			acc = new(big.Float).SetPrec(2200).SetFloat64(v)
-		default:
-			acc.Add(acc, new(big.Float).SetFloat64(v))
-		}
+		a.addFloat(v)
 	}
-	switch {
-	case nan || pos && neg:
-		return math.NaN()
-	case pos:
-		return math.Inf(1)
-	case neg:
-		return math.Inf(-1)
-	case acc == nil:
-		return 0
-	}
-	f, _ := acc.Float64()
-	return f
+	return a.sum()
 }
 
 // TestFloatSumOrderInvariance is the property the exact running sum

@@ -87,7 +87,7 @@ func TestLazyLevelBuiltOnce(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			start.Wait()
-			if _, _, _, _, err := h.SpanEntries(0, 100, level); err != nil {
+			if _, _, err := h.ValueAt(100, level); err != nil {
 				t.Error(err)
 			}
 			l, err := h.Level(level)

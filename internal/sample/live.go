@@ -9,12 +9,11 @@ import (
 )
 
 // chainKey identifies one versioned sample chain within a table: the
-// column index plus the hierarchy shape parameters. Sessions configured
-// alike share one chain.
+// column index plus the hierarchy depth. Sessions with the same depth
+// share one chain.
 type chainKey struct {
-	col      int
-	levels   int
-	blockLen int
+	col    int
+	levels int
 }
 
 // liveEntry is the per-table state of a LiveStore: the versioned chains
@@ -87,17 +86,14 @@ type Pinned struct {
 // Samples returns the Shared sample hierarchy for column col of the
 // pinned version, built or extended incrementally by the table's
 // versioned chain.
-func (p *Pinned) Samples(col, levels, blockLen int) (*Shared, error) {
-	if blockLen <= 0 {
-		blockLen = defaultBlockLen
-	}
+func (p *Pinned) Samples(col, levels int) (*Shared, error) {
 	ls := p.store
 	ls.mu.Lock()
 	e := ls.entryLocked(p.table)
-	key := chainKey{col: col, levels: levels, blockLen: blockLen}
+	key := chainKey{col: col, levels: levels}
 	chain, ok := e.chains[key]
 	if !ok {
-		chain = NewVersioned(levels, blockLen)
+		chain = NewVersioned(levels, 0)
 		e.chains[key] = chain
 	}
 	ls.mu.Unlock()

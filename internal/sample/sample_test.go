@@ -179,41 +179,6 @@ func TestSelectLevelForGap(t *testing.T) {
 	}
 }
 
-func TestWindowAgg(t *testing.T) {
-	h, _ := buildHierarchy(t, 1024, 4)
-	sum, n, min, max, err := h.WindowAgg(10, 20, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 10 || min != 10 || max != 19 || sum != 145 {
-		t.Fatalf("window agg = sum %v n %d min %v max %v", sum, n, min, max)
-	}
-	// At level 2 (stride 4) the same window covers entries 8..20 step 4.
-	sum, n, _, _, err = h.WindowAgg(10, 20, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 3 || sum != 8+12+16 {
-		t.Fatalf("level-2 window = sum %v n %d", sum, n)
-	}
-}
-
-func TestWindowAggChargesOnlyTouchedLevel(t *testing.T) {
-	h, _ := buildHierarchy(t, 1024, 4)
-	_, _, _, _, err := h.WindowAgg(0, 100, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l0, _ := h.Level(0)
-	l3, _ := h.Level(3)
-	if l0.Tracker.Stats().ValuesRead != 0 {
-		t.Fatal("base level charged for a level-3 read")
-	}
-	if l3.Tracker.Stats().ValuesRead == 0 {
-		t.Fatal("level 3 not charged")
-	}
-}
-
 func TestPromote(t *testing.T) {
 	h, _ := buildHierarchy(t, 1024, 2)
 	col, err := h.Promote(100, 200)
@@ -249,164 +214,4 @@ func TestBaseLen(t *testing.T) {
 	if l1.BaseLen() != 1000 {
 		t.Fatalf("BaseLen = %d", l1.BaseLen())
 	}
-}
-
-func TestSpanAggMatchesWindowAgg(t *testing.T) {
-	// The vectorized span read must match the scalar window loop in
-	// values, stats, and virtual cost on integer data.
-	mk := func() (*Hierarchy, *vclock.Clock) {
-		vals := make([]int64, 5000)
-		for i := range vals {
-			vals[i] = int64((i*2654435761 + 17) % 1000)
-		}
-		clock := vclock.New()
-		params := iomodel.Params{BlockValues: 64, ColdLatency: time.Millisecond, WarmLatency: time.Microsecond}
-		h, err := Build(storage.NewIntColumn("v", vals), 4, clock, params, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return h, clock
-	}
-	scalarH, scalarClock := mk()
-	spanH, spanClock := mk()
-	ranges := [][2]int{{0, 5000}, {10, 11}, {100, 612}, {4990, 5600}, {-5, 40}, {70, 70}}
-	for level := 0; level < scalarH.NumLevels(); level++ {
-		for _, r := range ranges {
-			sSum, sN, sMin, sMax, sErr := scalarH.WindowAgg(r[0], r[1], level)
-			vSum, vN, vMin, vMax, vErr := spanH.SpanAgg(r[0], r[1], level)
-			if (sErr == nil) != (vErr == nil) {
-				t.Fatalf("level %d range %v: err %v vs %v", level, r, sErr, vErr)
-			}
-			if sSum != vSum || sN != vN || sMin != vMin || sMax != vMax {
-				t.Fatalf("level %d range %v: scalar (%v,%d,%v,%v) span (%v,%d,%v,%v)",
-					level, r, sSum, sN, sMin, sMax, vSum, vN, vMin, vMax)
-			}
-		}
-	}
-	if scalarClock.Now() != spanClock.Now() {
-		t.Fatalf("virtual cost diverged: scalar %v span %v", scalarClock.Now(), spanClock.Now())
-	}
-	for level := 0; level < scalarH.NumLevels(); level++ {
-		sl, _ := scalarH.Level(level)
-		vl, _ := spanH.Level(level)
-		if sl.Tracker.Stats() != vl.Tracker.Stats() {
-			t.Fatalf("level %d stats diverged: %+v vs %+v", level, sl.Tracker.Stats(), vl.Tracker.Stats())
-		}
-	}
-}
-
-func TestSpanEntriesEmptyAndClamped(t *testing.T) {
-	h, _ := buildHierarchy(t, 256, 1)
-	sum, n, _, _, err := h.SpanEntries(40, 40, 0)
-	if err != nil || n != 0 || sum != 0 {
-		t.Fatalf("empty span = %v,%d,%v", sum, n, err)
-	}
-	if _, _, _, _, err := h.SpanEntries(0, 10, 99); err == nil {
-		t.Fatal("bad level should error")
-	}
-	sum, n, min, max, err := h.SpanEntries(250, 9999, 0)
-	if err != nil || n != 6 || min != 250 || max != 255 || sum != 250+251+252+253+254+255 {
-		t.Fatalf("clamped span = %v,%d,%v,%v,%v", sum, n, min, max, err)
-	}
-}
-
-func TestSpanEntriesExactIntSums(t *testing.T) {
-	// Integer columns difference exact int64 prefix sums: span sums stay
-	// exact even where float64 prefix accumulation would round (values
-	// beyond 2^53).
-	big := int64(1) << 60
-	vals := []int64{big, 3, big, -7, big, 11, -big, 5}
-	for len(vals) < 200 {
-		vals = append(vals, int64(len(vals)))
-	}
-	clock := vclock.New()
-	params := iomodel.Params{BlockValues: 4, ColdLatency: time.Millisecond, WarmLatency: time.Microsecond}
-	h, err := Build(storage.NewIntColumn("v", vals), 0, clock, params, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum, n, _, _, err := h.SpanEntries(1, 6, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := float64(3 + big - 7 + big + 11)
-	if n != 5 || sum != want {
-		t.Fatalf("SpanEntries sum = %v (n=%d), want exact %v", sum, n, want)
-	}
-	// A float column keeps the float prefix path.
-	fvals := make([]float64, 200)
-	for i := range fvals {
-		fvals[i] = float64(i) + 0.5
-	}
-	fh, err := Build(storage.NewFloatColumn("f", fvals), 0, clock, params, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fsum, fn, _, _, err := fh.SpanEntries(10, 14, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fn != 4 || fsum != 10.5+11.5+12.5+13.5 {
-		t.Fatalf("float SpanEntries = %v (n=%d)", fsum, fn)
-	}
-}
-
-// TestSpanEntriesOneNonFiniteDoesNotPoison is the probe for the prefix
-// bug: a 4 096-row column of 1.0 whose first entry is +Inf or NaN. A span
-// that does not hold the special must read its plain sum — a
-// left-to-right prefix over every value carries the special into every
-// later span (NaN for both probes). Spans that do hold specials follow
-// the IEEE rule, on static hierarchies and live chains alike.
-func TestSpanEntriesOneNonFiniteDoesNotPoison(t *testing.T) {
-	inf, nan := math.Inf(1), math.NaN()
-	for _, first := range []float64{inf, nan} {
-		vals := make([]float64, 4096)
-		for i := range vals {
-			vals[i] = 1
-		}
-		vals[0] = first
-		vals[2500] = math.Inf(-1) // an interior block of the wide spans
-		col := storage.NewFloatColumn("v", vals)
-		chain := NewVersioned(3, 1024)
-		shared, err := chain.ForSnapshot(0, col)
-		if err != nil {
-			t.Fatal(err)
-		}
-		params := iomodel.Params{BlockValues: 1024, ColdLatency: time.Millisecond, WarmLatency: time.Microsecond}
-		static, err := Build(col, 3, vclock.New(), params, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		live := shared.Attach(vclock.New(), params, nil)
-		cases := []struct {
-			from, to int
-			want     float64
-		}{
-			{100, 200, 100},
-			{1, 2500, 2499},
-			{1, 4096, math.Inf(-1)},
-			{2501, 4096, 1595},
-			{0, 1, first},
-			{0, 2000, first},
-			{0, 4096, nan}, // with +Inf: both infinities
-		}
-		for name, h := range map[string]*Hierarchy{"static": static, "live": live} {
-			for _, tc := range cases {
-				sum, n, _, _, err := h.SpanEntries(tc.from, tc.to, 0)
-				if err != nil || n != tc.to-tc.from || !sameBits(sum, tc.want) {
-					t.Fatalf("first=%v %s SpanEntries[%d,%d) = %v over %d (%v), want %v", first, name, tc.from, tc.to, sum, n, err, tc.want)
-				}
-				if sum, _, _, _, err := h.SpanAgg(tc.from, tc.to, 0); err != nil || !sameBits(sum, tc.want) {
-					t.Fatalf("first=%v %s SpanAgg[%d,%d) = %v, want %v", first, name, tc.from, tc.to, sum, tc.want)
-				}
-			}
-		}
-	}
-}
-
-func sameBits(a, b float64) bool {
-	if math.IsNaN(a) && math.IsNaN(b) {
-		return true
-	}
-	return math.Float64bits(a) == math.Float64bits(b)
 }

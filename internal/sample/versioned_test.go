@@ -9,72 +9,45 @@ import (
 
 	"dbtouch/internal/iomodel"
 	"dbtouch/internal/storage"
-	"dbtouch/internal/vclock"
 )
 
 // The versioned-chain contract: a Shared served incrementally from the
 // chain must be indistinguishable from one built from scratch over the
-// same frozen prefix — same level structure, and bit-identical
-// SpanEntries everywhere (exact int sums, left-to-right float sums, zone
-// maps). These tests drive the chain through odd-sized append epochs and
-// differential every epoch against BuildShared.
-
-const vtBlock = 8 // small zone-map blocks so spans cross many boundaries
+// same frozen prefix — the same levels, each holding the same column
+// entry for entry. These tests drive the chain through odd-sized append
+// epochs and differential every epoch against BuildShared.
 
 func vtParams() iomodel.Params {
-	return iomodel.Params{BlockValues: vtBlock, ColdLatency: time.Millisecond, WarmLatency: time.Microsecond}
-}
-
-// spanPoints picks span endpoints that straddle zone-map block edges,
-// level boundaries, and the extremes for a level of length n.
-func spanPoints(n int) []int {
-	pts := []int{0, 1, vtBlock - 1, vtBlock, vtBlock + 1, 3 * vtBlock, n / 2, n - vtBlock - 1, n - 1, n}
-	out := pts[:0]
-	for _, p := range pts {
-		if p >= 0 && p <= n {
-			out = append(out, p)
-		}
-	}
-	return out
+	return iomodel.Params{BlockValues: 8, ColdLatency: time.Millisecond, WarmLatency: time.Microsecond}
 }
 
 // diffShared asserts got (from the chain) and want (frozen BuildShared)
-// agree on level structure and on SpanEntries over every tested span of
-// every level.
+// hold the same levels: the same strides and, level by level, columns of
+// the same type and length whose values agree bit for bit.
 func diffShared(t *testing.T, label string, got, want *Shared) {
 	t.Helper()
 	if got.NumLevels() != want.NumLevels() {
 		t.Fatalf("%s: chain has %d levels, frozen build %d", label, got.NumLevels(), want.NumLevels())
 	}
-	clock := vclock.New()
-	gh := got.Attach(clock, vtParams(), nil)
-	wh := want.Attach(clock, vtParams(), nil)
-	for lvl := 0; lvl < got.NumLevels(); lvl++ {
-		gl, _ := gh.Level(lvl)
-		wl, _ := wh.Level(lvl)
-		if gl.Col.Len() != wl.Col.Len() || gl.Stride != wl.Stride {
-			t.Fatalf("%s level %d: chain len/stride %d/%d, frozen %d/%d",
-				label, lvl, gl.Col.Len(), gl.Stride, wl.Col.Len(), wl.Stride)
+	for lvl := range got.levels {
+		gl, wl := got.levels[lvl], want.levels[lvl]
+		gc, wc := gl.column(), wl.column()
+		if gl.stride != wl.stride || gc.Type() != wc.Type() || gc.Len() != wc.Len() {
+			t.Fatalf("%s level %d: chain stride/type/len %d/%v/%d, frozen %d/%v/%d",
+				label, lvl, gl.stride, gc.Type(), gc.Len(), wl.stride, wc.Type(), wc.Len())
 		}
-		pts := spanPoints(gl.Col.Len())
-		for _, from := range pts {
-			for _, to := range pts {
-				if from >= to {
-					continue
-				}
-				gs, gn, gmn, gmx, gerr := gh.SpanEntries(from, to, lvl)
-				ws, wn, wmn, wmx, werr := wh.SpanEntries(from, to, lvl)
-				if (gerr == nil) != (werr == nil) {
-					t.Fatalf("%s level %d [%d,%d): err %v vs %v", label, lvl, from, to, gerr, werr)
-				}
-				if math.Float64bits(gs) != math.Float64bits(ws) || gn != wn ||
-					math.Float64bits(gmn) != math.Float64bits(wmn) || math.Float64bits(gmx) != math.Float64bits(wmx) {
-					t.Fatalf("%s level %d [%d,%d): chain (%v,%d,%v,%v), frozen (%v,%d,%v,%v)",
-						label, lvl, from, to, gs, gn, gmn, gmx, ws, wn, wmn, wmx)
-				}
+		for k := 0; k < gc.Len(); k++ {
+			if g, w := gc.Value(k), wc.Value(k); !sameValue(g, w) {
+				t.Fatalf("%s level %d entry %d: chain %+v, frozen %+v", label, lvl, k, g, w)
 			}
 		}
 	}
+}
+
+// sameValue reports whether a and b are the same cell: every field
+// equal, floats by their bits (-0 and +0 differ, NaN payloads count).
+func sameValue(a, b storage.Value) bool {
+	return a.Type == b.Type && a.I == b.I && math.Float64bits(a.F) == math.Float64bits(b.F) && a.B == b.B && a.S == b.S
 }
 
 // batchSizes are deliberately odd and ragged so level lengths, block
@@ -83,12 +56,11 @@ func diffShared(t *testing.T, label string, got, want *Shared) {
 var batchSizes = []int{130, 1, 7, 255, 64, 3, 511, 129, 1000, 17}
 
 func TestVersionedMatchesFrozenBuildInt(t *testing.T) {
-	// Values beyond 2^53 verify the exact-int64 prefix path survives
-	// incremental extension.
+	// Values beyond 2^53 would not survive a detour through float64.
 	big := int64(1) << 60
 	var vals []int64
 	full := storage.NewEmptyColumn("v", storage.Int64)
-	v := NewVersioned(4, vtBlock)
+	v := NewVersioned(4, 0)
 	for bi, bs := range batchSizes {
 		for i := 0; i < bs; i++ {
 			x := int64(len(vals))
@@ -125,17 +97,14 @@ func TestVersionedMatchesFrozenBuildFloat(t *testing.T) {
 	}
 }
 
-// versionedFloatDiff drives a float chain against the frozen build.
-// Floats with wildly mixed magnitudes make the prefix sum order
-// observable: only a strictly left-to-right extension matches the frozen
-// single-pass build bit for bit. With specials, NaN and infinities land
-// in the first batch and then sparsely, inside blocks and on their edges,
-// so the per-block counts, the first-index skip and the edge scans all
-// have to agree with the frozen build.
+// versionedFloatDiff drives a float chain against the frozen build, over
+// floats of wildly mixed magnitudes and signs. With specials, NaN and
+// infinities land in the first batch and then sparsely, so the levels
+// sample them at some strides and skip them at others.
 func versionedFloatDiff(t *testing.T, specials bool) {
 	full := storage.NewEmptyColumn("v", storage.Float64)
 	n := 0
-	v := NewVersioned(3, vtBlock)
+	v := NewVersioned(3, 0)
 	nonFinite := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
 	for bi, bs := range batchSizes {
 		for i := 0; i < bs; i++ {
@@ -171,7 +140,7 @@ func versionedFloatDiff(t *testing.T, specials bool) {
 func TestVersionedMatchesFrozenBuildString(t *testing.T) {
 	full := storage.NewEmptyColumn("v", storage.String)
 	n := 0
-	v := NewVersioned(2, vtBlock)
+	v := NewVersioned(2, 0)
 	for bi, bs := range batchSizes[:6] {
 		for i := 0; i < bs; i++ {
 			full.Append(storage.StringValue(fmt.Sprintf("key%d", n%23)))
@@ -194,11 +163,11 @@ func TestVersionedMatchesFrozenBuildString(t *testing.T) {
 }
 
 // TestVersionedMatchesFrozenBuildBool covers the last integer-backed
-// type: bool cells sum as 0/1 through the exact int64 prefix.
+// type.
 func TestVersionedMatchesFrozenBuildBool(t *testing.T) {
 	full := storage.NewEmptyColumn("v", storage.Bool)
 	n := 0
-	v := NewVersioned(3, vtBlock)
+	v := NewVersioned(3, 0)
 	for bi, bs := range batchSizes {
 		for i := 0; i < bs; i++ {
 			full.Append(storage.BoolValue(n%3 == 0 || n%7 == 0))
@@ -229,7 +198,7 @@ func TestVersionedCacheIdentity(t *testing.T) {
 		vals[i] = int64(i)
 	}
 	full := storage.NewIntColumn("v", vals)
-	v := NewVersioned(2, vtBlock)
+	v := NewVersioned(2, 0)
 	base, _ := full.Prefix(200)
 	s1, err := v.ForSnapshot(0, base)
 	if err != nil {
@@ -271,7 +240,7 @@ func TestVersionedGenerationChange(t *testing.T) {
 		vals[i] = int64(i * 3)
 	}
 	full := storage.NewIntColumn("v", vals)
-	v := NewVersioned(2, vtBlock)
+	v := NewVersioned(2, 0)
 	oldBase, _ := full.Prefix(400)
 	if _, err := v.ForSnapshot(0, oldBase); err != nil {
 		t.Fatalf("ForSnapshot gen 0: %v", err)
@@ -315,7 +284,7 @@ func TestVersionedMatchesFrozenBuildAcrossCompactions(t *testing.T) {
 	if err := tb.SetRetention(storage.Retention{MaxRows: 1300}); err != nil {
 		t.Fatal(err)
 	}
-	chains := []*Versioned{NewVersioned(4, vtBlock), NewVersioned(4, vtBlock), NewVersioned(4, vtBlock)}
+	chains := []*Versioned{NewVersioned(4, 0), NewVersioned(4, 0), NewVersioned(4, 0)}
 	n := 0
 	for bi := 0; tb.Gen() < 3; bi++ {
 		rows := make([][]storage.Value, batchSizes[bi%len(batchSizes)])
@@ -350,8 +319,8 @@ func TestVersionedMatchesFrozenBuildAcrossCompactions(t *testing.T) {
 }
 
 // fuzzFloats are the float values a fuzz byte below len(fuzzFloats)
-// names: NaN, both infinities, both zeros, item 14a's 1e16, subnormals,
-// and magnitudes far enough apart that summation order shows.
+// names: NaN, both infinities, both zeros, 1e16, subnormals, and
+// magnitudes far enough apart that summation order would show.
 var fuzzFloats = []float64{
 	math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1),
 	1e16, -1e16, 5e-324, -0x1p-1040, 1, 0.1, 1e300, -1e300,
@@ -373,8 +342,8 @@ func fuzzValue(typ storage.Type, b byte) storage.Value {
 		}
 		return storage.FloatValue(x)
 	case storage.Int64:
-		// Shifts up to 54 bits put sums past 2^53, where only the exact
-		// int64 prefix stays exact.
+		// Shifts up to 54 bits put values past 2^53, where a float64
+		// detour would round them.
 		return storage.IntValue(int64(int8(b)) << (b % 4 * 18))
 	case storage.Bool:
 		return storage.BoolValue(b&1 == 1)
@@ -408,11 +377,10 @@ func FuzzVersionedMatchesFrozen(f *testing.F) {
 	f.Add(uint8(0|4<<2), uint16(2117), uint16(1300), splitBytes(batchSizes), []byte{255, 1, 130, 7, 64, 201})
 	f.Add(uint8(2|2<<2), uint16(900), uint16(500), splitBytes(batchSizes), []byte{0, 1, 2, 3, 4, 5, 6})
 	f.Add(uint8(3|3<<2), uint16(2117), uint16(700), splitBytes(batchSizes), []byte{1, 0, 0, 1, 1})
-	// The first special lands mid-level, so spans read its block from
-	// the zone maps.
+	// The first special lands mid-level.
 	late := append(bytes.Repeat([]byte{9, 200, 77}, 40), 0, 2, 1)
 	f.Add(float4, uint16(2117), uint16(0), splitBytes(batchSizes), late)
-	// Item 14a's column: 4 096 rows of 1.0 after one 1e16.
+	// 4 096 rows of 1.0 after one 1e16.
 	ones := append([]byte{5}, bytes.Repeat([]byte{9}, 4095)...)
 	f.Add(float4, uint16(4096), uint16(0), splitBytes([]int{4096}), ones)
 	f.Add(float4, uint16(4096), uint16(3000), splitBytes(batchSizes), ones)
@@ -430,7 +398,7 @@ func FuzzVersionedMatchesFrozen(f *testing.F) {
 		if len(sizes) == 0 {
 			sizes = []int{n}
 		}
-		chain := NewVersioned(levels, vtBlock)
+		chain := NewVersioned(levels, 0)
 		// publish checks one version the chain serves against the
 		// frozen build of the same column.
 		publish := func(gen uint64, base *storage.Column) {
@@ -444,7 +412,6 @@ func FuzzVersionedMatchesFrozen(f *testing.F) {
 			}
 			label := fmt.Sprintf("%v gen %d rows %d", typ, gen, base.Len())
 			diffShared(t, label, got, want)
-			checkNaive(t, label, want)
 		}
 		full := storage.NewEmptyColumn("v", typ)
 		var gen uint64
@@ -475,49 +442,4 @@ func FuzzVersionedMatchesFrozen(f *testing.F) {
 			}
 		}
 	})
-}
-
-// checkNaive holds s's SpanEntries to a scalar pass over each tested span
-// of every level, wherever that pass is exact: the count; min and max by
-// value (±0 compare equal); integer sums in full; and float sums over
-// spans that hold a NaN or an infinity, which the IEEE rule decides. The
-// chain and the frozen build share one builder, so this is what catches a
-// fault both would make.
-func checkNaive(t *testing.T, label string, s *Shared) {
-	t.Helper()
-	h := s.Attach(vclock.New(), vtParams(), nil)
-	for lvl := 0; lvl < h.NumLevels(); lvl++ {
-		l, err := h.Level(lvl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		col := l.Col
-		pts := spanPoints(col.Len())
-		for _, from := range pts {
-			for _, to := range pts {
-				if from >= to {
-					continue
-				}
-				sum, n, mn, mx, err := h.SpanEntries(from, to, lvl)
-				wmn, wmx, _ := col.MinMaxRange(from, to)
-				if err != nil || n != to-from || mn != wmn || mx != wmx {
-					t.Fatalf("%s level %d [%d,%d): n/min/max %d/%v/%v (%v), want %d/%v/%v",
-						label, lvl, from, to, n, mn, mx, err, to-from, wmn, wmx)
-				}
-				var isum int64
-				var nf storage.NonFinite
-				for k := from; k < to; k++ {
-					isum += col.Int(k)
-					nf.Count(col.Float(k))
-				}
-				want, exact := nf.Apply(0), nf.Any()
-				if col.Type() != storage.Float64 {
-					want, exact = float64(isum), true
-				}
-				if exact && !sameBits(sum, want) {
-					t.Fatalf("%s level %d [%d,%d): sum %v, want %v", label, lvl, from, to, sum, want)
-				}
-			}
-		}
-	}
 }

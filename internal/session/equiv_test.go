@@ -24,8 +24,8 @@ import (
 // GOMAXPROCS driver goroutines — sessions must never interfere).
 // Randomized scripts vary gesture speed, direction, range and touch mode
 // per session; `go test -race ./internal/session` additionally proves the
-// shared layer (catalog, sample columns, single-flight span statistics,
-// memoized predicate tables) is read without data races.
+// shared layer (catalog, single-flight sample columns, memoized predicate
+// tables) is read without data races.
 
 // sessionScript is one session's precomputed exploration: the touch
 // configuration plus a deterministic sequence of raw event batches.

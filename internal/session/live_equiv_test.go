@@ -18,11 +18,11 @@ import (
 // the claim under test is that the session's result stream is
 // byte-identical to replaying its script against a frozen table driven
 // to exactly the same epoch sequence — i.e. a pinned snapshot really is
-// immutable and complete, and the incremental span statistics served for
-// it are indistinguishable from a from-scratch build. Run under -race
-// this also proves the copy-on-tail publication protocol: racing
-// appends, repins, and statistic extensions never touch memory a reader
-// holds.
+// immutable and complete, and the incrementally grown sample levels
+// served for it are indistinguishable from a from-scratch build. Run
+// under -race this also proves the copy-on-tail publication protocol:
+// racing appends, repins, and level extensions never touch memory a
+// reader holds.
 
 const (
 	liveBaseRows      = 20_000

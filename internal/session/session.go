@@ -5,11 +5,11 @@
 // A Session owns everything that is mutable about one user's exploration:
 // a kernel with its virtual clock, screen, dispatcher, result log, and
 // per-object trackers/prefetchers/cursors. The storage underneath —
-// catalog, columns, dictionaries, and the sample hierarchies' columns and
-// span statistics — is the shared immutable layer: built once, read by
-// every session without locking on the hot span path (the only
-// synchronization is single-flight initialization of lazily built shared
-// statistics and the memoized string-predicate tables).
+// catalog, columns, dictionaries, and the sample hierarchies' columns —
+// is the shared immutable layer: built once, read by every session
+// without locking on the hot span path (the only synchronization is
+// single-flight initialization of lazily copied sample levels and the
+// memoized string-predicate tables).
 //
 // A Manager creates and evicts sessions by ID and routes touch-event
 // batches and wire requests to the right session.

@@ -208,7 +208,7 @@ func TestEvictionPruningNoLeak(t *testing.T) {
 
 // TestConcurrentSessionsRace drives many sessions at once, one goroutine
 // each, purely for the race detector: shared catalog reads, single-flight
-// sample builds, shared span statistics, and independent clocks.
+// sample level copies, and independent clocks.
 func TestConcurrentSessionsRace(t *testing.T) {
 	m := testManager(t, 100_000)
 	const n = 8

@@ -25,7 +25,7 @@ type ExactSum struct {
 	chunk [sumChunks]int64
 	// terms counts the adds since the last carry pass.
 	terms int
-	nf    NonFinite
+	nf    nonFinite
 }
 
 const (
@@ -139,7 +139,7 @@ func carryChunks(c *[sumChunks]int64) {
 }
 
 // Round reports the sum rounded once to the nearest float64, ties to even.
-// Non-finite inputs decide it as IEEE addition would (see NonFinite.Apply),
+// Non-finite inputs decide it as IEEE addition would (see nonFinite.Apply),
 // a finite sum past the float64 range overflows to ±Inf, and an exact zero
 // is +0.
 func (s *ExactSum) Round() float64 {
@@ -206,15 +206,14 @@ func signed(v float64, neg bool) float64 {
 	return v
 }
 
-// NonFinite counts the NaN, +Inf and -Inf values a sum has seen — the
-// part of a float sum that integers cannot hold. ExactSum keeps one, and
-// the sample layer's span statistics keep one per block.
-type NonFinite struct {
+// nonFinite counts the NaN, +Inf and -Inf values a sum has seen — the
+// part of a float sum that integers cannot hold. ExactSum keeps one.
+type nonFinite struct {
 	NaN, PosInf, NegInf int64
 }
 
 // Count counts v if it is NaN or infinite and reports whether it was.
-func (c *NonFinite) Count(v float64) bool {
+func (c *nonFinite) Count(v float64) bool {
 	switch {
 	case v != v:
 		c.NaN++
@@ -229,19 +228,19 @@ func (c *NonFinite) Count(v float64) bool {
 }
 
 // Merge adds d's counts to c's.
-func (c *NonFinite) Merge(d NonFinite) {
+func (c *nonFinite) Merge(d nonFinite) {
 	c.NaN += d.NaN
 	c.PosInf += d.PosInf
 	c.NegInf += d.NegInf
 }
 
 // Any reports whether any non-finite value was counted.
-func (c NonFinite) Any() bool { return c.NaN|c.PosInf|c.NegInf != 0 }
+func (c nonFinite) Any() bool { return c.NaN|c.PosInf|c.NegInf != 0 }
 
 // Apply is the IEEE rule for a sum: finite plus the counted values is NaN
 // when a NaN was counted or both infinities were, ±Inf when one infinity
 // was, and finite when nothing was counted.
-func (c NonFinite) Apply(finite float64) float64 {
+func (c nonFinite) Apply(finite float64) float64 {
 	switch {
 	case c.NaN > 0 || c.PosInf > 0 && c.NegInf > 0:
 		return math.NaN()

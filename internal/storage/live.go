@@ -243,9 +243,10 @@ const compactMinStale = 1024
 // applyRetentionLocked computes how many head rows are stale under the
 // policy and compacts once the stale run is large enough to amortize the
 // copy. Compaction is the only reclamation mechanism: a logical head
-// offset would misalign zone-map blocks and sample strides, so instead
+// offset would misalign cost-model blocks and sample strides, so instead
 // survivors are copied into fresh arrays and the generation is bumped,
-// telling readers their position-keyed statistics must rebuild.
+// telling readers their position-keyed state (sample levels, block
+// memos) must rebuild.
 func (t *Table) applyRetentionLocked() {
 	stale := 0
 	if t.ret.MaxRows > 0 && t.rows > t.ret.MaxRows {
