@@ -179,6 +179,81 @@ func TestSelectLevelForGap(t *testing.T) {
 	}
 }
 
+// spanEntries reads the entries of level covering base range [lo, hi) the
+// way a summary window does: entries lo/stride up to the one holding
+// hi-1, clamped to the level, charged as one span and summed exactly.
+func spanEntries(h *Hierarchy, lo, hi, level int) (sum float64, n int, min, max float64, err error) {
+	l, err := h.Level(level)
+	if err != nil {
+		return 0, 0, 0, 0, err
+	}
+	from, to := max0(lo)/l.Stride, (hi+l.Stride-1)/l.Stride
+	if to > l.Col.Len() {
+		to = l.Col.Len()
+	}
+	if from >= to {
+		return 0, 0, 0, 0, nil
+	}
+	l.Tracker.AccessRange(from, to)
+	var acc storage.ExactSum
+	n = l.Col.SumRange(from, to, &acc)
+	min, max, _ = l.Col.MinMaxRange(from, to)
+	return acc.Round(), n, min, max, nil
+}
+
+func max0(v int) int {
+	if v < 0 {
+		return 0
+	}
+	return v
+}
+
+func TestWindowAggChargesOnlyTouchedLevel(t *testing.T) {
+	h, _ := buildHierarchy(t, 1024, 4)
+	_, n, _, _, err := spanEntries(h, 0, 100, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l0, _ := h.Level(0)
+	l3, _ := h.Level(3)
+	if l0.Tracker.Stats().ValuesRead != 0 {
+		t.Fatal("base level charged for a level-3 read")
+	}
+	if got := l3.Tracker.Stats().ValuesRead; got != int64(n) || n != 13 {
+		t.Fatalf("level 3 charged %d values for a %d-entry read, want 13", got, n)
+	}
+	if h.TotalStats() != l3.Tracker.Stats() {
+		t.Fatalf("total %+v, want level 3's %+v alone", h.TotalStats(), l3.Tracker.Stats())
+	}
+}
+
+func TestSpanEntriesEmptyAndClamped(t *testing.T) {
+	h, _ := buildHierarchy(t, 256, 1)
+	sum, n, _, _, err := spanEntries(h, 40, 40, 0)
+	if err != nil || n != 0 || sum != 0 {
+		t.Fatalf("empty span = %v,%d,%v", sum, n, err)
+	}
+	if h.TotalStats().ValuesRead != 0 {
+		t.Fatalf("empty span charged %+v", h.TotalStats())
+	}
+	if _, _, _, _, err := spanEntries(h, 0, 10, 99); err == nil {
+		t.Fatal("bad level should error")
+	}
+	sum, n, min, max, err := spanEntries(h, 250, 9999, 0)
+	if err != nil || n != 6 || min != 250 || max != 255 || sum != 250+251+252+253+254+255 {
+		t.Fatalf("clamped span = %v,%d,%v,%v,%v", sum, n, min, max, err)
+	}
+	if got := h.TotalStats().ValuesRead; got != 6 {
+		t.Fatalf("clamped span charged %d values, want 6", got)
+	}
+	// At level 1 (stride 2) base [-5, 9) clamps to entries 0..4 (base
+	// tuples 0, 2, 4, 6, 8).
+	sum, n, min, max, err = spanEntries(h, -5, 9, 1)
+	if err != nil || n != 5 || min != 0 || max != 8 || sum != 0+2+4+6+8 {
+		t.Fatalf("level-1 clamped span = %v,%d,%v,%v,%v", sum, n, min, max, err)
+	}
+}
+
 func TestPromote(t *testing.T) {
 	h, _ := buildHierarchy(t, 1024, 2)
 	col, err := h.Promote(100, 200)
