@@ -4,8 +4,11 @@
 //
 // The package supplies eviction policies for iomodel trackers — plain LRU
 // lives in iomodel; here are the gesture-aware alternative and a
-// no-caching strawman. Cache-to-sample promotion reads core's per-object
-// touch histogram, not these policies.
+// no-caching strawman. A policy keeps no state of the gesture: the
+// tracker owns the frontier (the last block it charged and the last
+// direction it moved in) and passes it to Victim, so charging a warm
+// block never calls into a policy. Cache-to-sample promotion reads core's
+// per-object touch histogram, not these policies.
 package cache
 
 import (
@@ -21,8 +24,6 @@ import (
 type GestureAware struct {
 	// Window is how many blocks behind the frontier stay protected.
 	Window int
-	lastB  int
-	dir    int
 }
 
 // NewGestureAware returns a policy protecting window blocks behind the
@@ -31,38 +32,30 @@ func NewGestureAware(window int) *GestureAware {
 	if window <= 0 {
 		window = 8
 	}
-	return &GestureAware{Window: window, lastB: -1}
-}
-
-// Touched implements iomodel.EvictionPolicy.
-func (g *GestureAware) Touched(b int, _ time.Duration, dir int) {
-	g.lastB = b
-	if dir != 0 {
-		g.dir = dir
-	}
+	return &GestureAware{Window: window}
 }
 
 // Name implements iomodel.EvictionPolicy.
 func (g *GestureAware) Name() string { return "gesture-aware" }
 
 // Victim implements iomodel.EvictionPolicy: keep the finger's
-// neighborhood. The gesture frontier is the last touched block; the warm
-// block farthest from it is evicted first, with a tie broken toward the
-// block *behind* the movement direction beyond the protection window
-// (ahead-of-finger blocks are about to be touched; just-behind blocks are
-// what a direction reversal revisits). A full tie — same score, same last
-// use — goes to the lower block.
-func (g *GestureAware) Victim(warm *iomodel.WarmSet) int {
+// neighborhood. The gesture frontier is the last charged block, last;
+// the warm block farthest from it is evicted first, with a tie broken
+// toward the block *behind* the movement direction dir beyond the
+// protection window (ahead-of-finger blocks are about to be touched;
+// just-behind blocks are what a direction reversal revisits). A full tie
+// — same score, same last use — goes to the lower block.
+func (g *GestureAware) Victim(warm *iomodel.WarmSet, last, dir int) int {
 	victim, found := -1, false
 	var victimScore float64
 	var victimUse time.Duration
 	for b, use := range warm.All() {
-		dist := b - g.lastB
-		if g.lastB < 0 {
+		dist := b - last
+		if last < 0 {
 			dist = 0
 		}
 		score := -absInt(dist) // farther = lower = evicted earlier
-		if g.dir != 0 && dist*g.dir < 0 && absInt(dist) > float64(g.Window) {
+		if dir != 0 && dist*dir < 0 && absInt(dist) > float64(g.Window) {
 			// Far behind the direction of travel beyond the protected
 			// trailing window: least likely to be touched soon.
 			score -= float64(g.Window)
@@ -86,15 +79,12 @@ func absInt(v int) float64 {
 // accumulates (used with WarmBudget=1-ish configs to model cold reads).
 type None struct{}
 
-// Touched implements iomodel.EvictionPolicy.
-func (None) Touched(int, time.Duration, int) {}
-
 // Name implements iomodel.EvictionPolicy.
 func (None) Name() string { return "none" }
 
 // Victim implements iomodel.EvictionPolicy: evict the newest block, the
 // higher block on a tie.
-func (None) Victim(warm *iomodel.WarmSet) int {
+func (None) Victim(warm *iomodel.WarmSet, _, _ int) int {
 	victim, newest := -1, time.Duration(-1)
 	for b, t := range warm.All() {
 		if t > newest || (t == newest && b > victim) {

@@ -20,12 +20,12 @@ func warmSet(lastUse map[int]time.Duration) *iomodel.WarmSet {
 func TestGestureAwareKeepsFingerNeighborhood(t *testing.T) {
 	g := NewGestureAware(4)
 	lastUse := map[int]time.Duration{}
-	// Finger moved through blocks 0..20, budget retains them all so far.
+	// Finger moved forward through blocks 0..20, budget retains them all
+	// so far: the frontier is block 20, moving +1.
 	for b := 0; b <= 20; b++ {
-		g.Touched(b, time.Duration(b), 1)
 		lastUse[b] = time.Duration(b)
 	}
-	victim := g.Victim(warmSet(lastUse))
+	victim := g.Victim(warmSet(lastUse), 20, 1)
 	if victim != 0 {
 		t.Fatalf("victim = %d, want 0 (farthest from frontier 20)", victim)
 	}
@@ -34,7 +34,7 @@ func TestGestureAwareKeepsFingerNeighborhood(t *testing.T) {
 func TestGestureAwareVictimFallsBackWithoutState(t *testing.T) {
 	g := NewGestureAware(4)
 	lastUse := map[int]time.Duration{3: 1, 7: 2}
-	v := g.Victim(warmSet(lastUse))
+	v := g.Victim(warmSet(lastUse), -1, 0)
 	if v != 3 && v != 7 {
 		t.Fatalf("victim %d not a warm block", v)
 	}
@@ -46,16 +46,14 @@ func TestGestureAwareVictimFallsBackWithoutState(t *testing.T) {
 // built or scanned in.
 func TestGestureAwareTieGoesToLowerBlock(t *testing.T) {
 	g := NewGestureAware(4)
-	g.Touched(10, 2, 0)
 	for i := 0; i < 200; i++ {
-		if v := g.Victim(warmSet(map[int]time.Duration{5: 1, 15: 1, 10: 2})); v != 5 {
+		if v := g.Victim(warmSet(map[int]time.Duration{5: 1, 15: 1, 10: 2}), 10, 0); v != 5 {
 			t.Fatalf("call %d: victim = %d, want 5 (the lower of two tied blocks)", i, v)
 		}
 	}
 	// Negative blocks tie the same way, and block -1 is a block like any
 	// other rather than a "no victim yet" marker.
-	g.Touched(0, 2, 0)
-	if v := g.Victim(warmSet(map[int]time.Duration{-1: 1, 1: 1, 0: 2})); v != -1 {
+	if v := g.Victim(warmSet(map[int]time.Duration{-1: 1, 1: 1, 0: 2}), 0, 0); v != -1 {
 		t.Fatalf("victim = %d, want -1", v)
 	}
 }
@@ -63,7 +61,7 @@ func TestGestureAwareTieGoesToLowerBlock(t *testing.T) {
 func TestNonePolicyEvictsNewest(t *testing.T) {
 	n := None{}
 	lastUse := map[int]time.Duration{1: 10, 2: 30, 3: 20}
-	if v := n.Victim(warmSet(lastUse)); v != 2 {
+	if v := n.Victim(warmSet(lastUse), -1, 0); v != 2 {
 		t.Fatalf("victim = %d, want newest (2)", v)
 	}
 }

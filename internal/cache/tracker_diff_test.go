@@ -11,11 +11,13 @@ import (
 )
 
 // The differential suite for cost-model charging: iomodel.Tracker keeps
-// its warm blocks in a block-indexed WarmSet; mapTracker below is the
-// map-keyed tracker it replaced, kept verbatim as the reference, with map
-// copies of the three eviction policies. Random call scripts under warm
-// budgets small enough to evict constantly must leave both with the same
-// costs, clock, stats and warm set after every call.
+// its warm blocks in a block-indexed WarmSet and the gesture frontier in
+// itself, handing it to Victim; mapTracker below is the map-keyed tracker
+// it replaced, kept verbatim as the reference, with map copies of the
+// three eviction policies, told of every charged block through TouchedN.
+// Random call scripts under warm budgets small enough to evict constantly
+// must leave both with the same costs, clock, stats and warm set after
+// every call.
 
 // mapPolicy is the eviction-policy interface as the map-keyed tracker
 // called it: a ranged touch per charged block, and a victim picked from
@@ -220,57 +222,87 @@ func (t *mapTracker) prefetchRange(lo, hi int, budget time.Duration) (time.Durat
 	return used, b * t.params.BlockValues
 }
 
+// trackerPolicies pairs each eviction policy with its map copy.
+var trackerPolicies = []struct {
+	name string
+	mk   func() (iomodel.EvictionPolicy, mapPolicy)
+}{
+	{"lru", func() (iomodel.EvictionPolicy, mapPolicy) { return nil, mapLRU{} }},
+	{"none", func() (iomodel.EvictionPolicy, mapPolicy) { return None{}, mapNone{} }},
+	{"gesture-aware", func() (iomodel.EvictionPolicy, mapPolicy) {
+		return NewGestureAware(3), &mapGestureAware{window: 3, lastB: -1}
+	}},
+}
+
 func TestTrackerMatchesMapReference(t *testing.T) {
-	policies := []struct {
-		name string
-		mk   func() (iomodel.EvictionPolicy, mapPolicy)
-	}{
-		{"lru", func() (iomodel.EvictionPolicy, mapPolicy) { return nil, mapLRU{} }},
-		{"none", func() (iomodel.EvictionPolicy, mapPolicy) { return None{}, mapNone{} }},
-		{"gesture-aware", func() (iomodel.EvictionPolicy, mapPolicy) {
-			return NewGestureAware(3), &mapGestureAware{window: 3, lastB: -1}
-		}},
-	}
-	for _, pc := range policies {
+	for _, pc := range trackerPolicies {
 		for _, budget := range []int{0, 1, 2, 5, 40} {
 			for seed := int64(1); seed <= 4; seed++ {
 				t.Run(fmt.Sprintf("%s/budget%d/seed%d", pc.name, budget, seed), func(t *testing.T) {
-					diffScript(t, rand.New(rand.NewSource(seed*100+int64(budget))), budget, pc.mk)
+					diffScript(t, rand.New(rand.NewSource(seed*100+int64(budget))).Intn, budget, pc.mk)
 				})
 			}
 		}
 	}
 }
 
-// diffScript runs one random call script against both trackers. Indices
-// span negative blocks (a prefetch extrapolated past the start reaches
-// them) and several WarmSet pages; spans stay short enough that a
-// script revisits its blocks.
-func diffScript(t *testing.T, rng *rand.Rand, budget int, mk func() (iomodel.EvictionPolicy, mapPolicy)) {
+// FuzzTrackerMatchesMapReference is TestTrackerMatchesMapReference with
+// the fuzzer choosing the seed, the budget, the policy and the script:
+// the script's choices are read from script's bytes while they last,
+// then drawn from the seed.
+func FuzzTrackerMatchesMapReference(f *testing.F) {
+	f.Add(int64(1), uint8(2), uint8(2), []byte{0, 2, 12, 1, 1, 2, 1, 7})
+	f.Add(int64(7), uint8(5), uint8(1), []byte{1, 0, 2, 15})
+	f.Add(int64(3), uint8(0), uint8(0), []byte{})
+	f.Fuzz(func(t *testing.T, seed int64, budget, policy uint8, script []byte) {
+		rng := rand.New(rand.NewSource(seed))
+		pick := func(n int) int {
+			if len(script) == 0 {
+				return rng.Intn(n)
+			}
+			v := 0
+			for m := 1; m < n && len(script) > 0; m <<= 8 {
+				v = v<<8 | int(script[0])
+				script = script[1:]
+			}
+			return v % n
+		}
+		diffScript(t, pick, int(budget%48), trackerPolicies[int(policy)%len(trackerPolicies)].mk)
+	})
+}
+
+// diffScript runs one random call script, its choices drawn by pick(n)
+// from [0, n), against both trackers. Indices span negative blocks (a
+// prefetch extrapolated past the start reaches them) and several WarmSet
+// pages; spans stay short enough that a script revisits its blocks. Half
+// the scripts read warm values for free, so a run of charges leaves its
+// blocks' last uses tied and victims turn on the policies' tie-breaks.
+func diffScript(t *testing.T, pick func(n int) int, budget int, mk func() (iomodel.EvictionPolicy, mapPolicy)) {
 	t.Helper()
-	params := iomodel.Params{BlockValues: 7, ColdLatency: 40 * time.Microsecond, WarmLatency: 3 * time.Nanosecond, WarmBudget: budget}
+	params := iomodel.Params{BlockValues: 7, ColdLatency: 40 * time.Microsecond, WarmLatency: time.Duration(pick(2)) * 3 * time.Nanosecond, WarmBudget: budget}
 	policy, refPolicy := mk()
-	got := iomodel.New(vclock.New(), params, policy)
+	clock := vclock.New()
+	got := iomodel.New(clock, params, policy)
 	ref := &mapTracker{params: params, clock: vclock.New(), warm: map[int]time.Duration{}, policy: refPolicy}
 	// Touch positions cluster around a wandering finger, with an
 	// occasional jump across pages (512 blocks of 7 values each).
 	finger := 0
 	pos := func() int {
-		if rng.Intn(20) == 0 {
-			finger = rng.Intn(20000) - 6000
+		if pick(20) == 0 {
+			finger = pick(20000) - 6000
 		}
-		finger += rng.Intn(61) - 30
+		finger += pick(61) - 30
 		return finger
 	}
 	for step := 0; step < 600; step++ {
-		dir := rng.Intn(3) - 1
+		dir := pick(3) - 1
 		got.SetDirection(dir)
 		ref.dir = dir
 		lo := pos()
-		hi := lo + rng.Intn(40)
+		hi := lo + pick(40)
 		var call string
 		var gotCost, refCost time.Duration
-		switch rng.Intn(7) {
+		switch pick(7) {
 		case 0:
 			call = fmt.Sprintf("Access(%d)", lo)
 			gotCost, refCost = got.Access(lo), ref.access(lo)
@@ -278,20 +310,31 @@ func diffScript(t *testing.T, rng *rand.Rand, budget int, mk func() (iomodel.Evi
 			call = fmt.Sprintf("AccessRange(%d, %d)", lo, hi)
 			gotCost, refCost = got.AccessRange(lo, hi), ref.accessRange(lo, hi)
 		case 2:
-			k := rng.Intn(9) - 1
-			call = fmt.Sprintf("AccessCount(%d, %d)", lo, k)
-			gotCost, refCost = got.AccessCount(lo, k), ref.accessCount(lo, k)
+			// A run of per-block counts, some zero or negative, long
+			// enough for small budgets to evict mid-run.
+			counts := make([]int32, pick(16))
+			for i := range counts {
+				if pick(3) != 0 {
+					counts[i] = int32(pick(9) - 1)
+				}
+			}
+			b0 := ref.block(lo)
+			call = fmt.Sprintf("AccessCounts(%d, %v)", b0, counts)
+			gotCost = got.AccessCounts(b0, counts)
+			for i, k := range counts {
+				refCost += ref.accessCount((b0+i)*params.BlockValues, int(k))
+			}
 		case 3:
-			stride := rng.Intn(12)
+			stride := pick(12)
 			call = fmt.Sprintf("AccessStrided(%d, %d, %d)", lo, hi+40, stride)
 			gotCost, refCost = got.AccessStrided(lo, hi+40, stride), ref.accessStrided(lo, hi+40, stride)
 		case 4:
-			b := time.Duration(rng.Intn(3)) * params.ColdLatency
+			b := time.Duration(pick(3)) * params.ColdLatency
 			call = fmt.Sprintf("PrefetchBlock(%d, %v)", lo, b)
 			gotCost, refCost = got.PrefetchBlock(lo, b), ref.prefetchBlock(lo, b)
 		case 5:
-			b := time.Duration(rng.Intn(6)) * params.ColdLatency
-			if rng.Intn(2) == 0 {
+			b := time.Duration(pick(6)) * params.ColdLatency
+			if pick(2) == 0 {
 				lo, hi = hi, lo
 			}
 			call = fmt.Sprintf("PrefetchRange(%d, %d, %v)", lo, hi, b)
@@ -302,7 +345,7 @@ func diffScript(t *testing.T, rng *rand.Rand, budget int, mk func() (iomodel.Evi
 				t.Fatalf("step %d %s: frontier %d, reference %d", step, call, gotFrontier, refFrontier)
 			}
 		default:
-			if rng.Intn(10) != 0 {
+			if pick(10) != 0 {
 				continue
 			}
 			call = "Cool()"
@@ -311,6 +354,9 @@ func diffScript(t *testing.T, rng *rand.Rand, budget int, mk func() (iomodel.Evi
 		}
 		if gotCost != refCost {
 			t.Fatalf("step %d %s: cost %v, reference %v", step, call, gotCost, refCost)
+		}
+		if clock.Now() != ref.clock.Now() {
+			t.Fatalf("step %d %s: clock %v, reference %v", step, call, clock.Now(), ref.clock.Now())
 		}
 		if got.Stats() != ref.stats {
 			t.Fatalf("step %d %s: stats %+v, reference %+v", step, call, got.Stats(), ref.stats)
@@ -331,7 +377,7 @@ func diffScript(t *testing.T, rng *rand.Rand, budget int, mk func() (iomodel.Evi
 
 // TestChargingWarmBlocksAllocatesNothing is the charging allocation gate:
 // once a span's blocks are warm, charging it again — ranged or per-block
-// count, as a fused slide does — allocates nothing, under the default
+// counts, as a fused slide does — allocates nothing, under the default
 // policy and the gesture-aware one dbtouch-serve runs.
 func TestChargingWarmBlocksAllocatesNothing(t *testing.T) {
 	for _, policy := range []iomodel.EvictionPolicy{iomodel.LRU{}, NewGestureAware(8)} {
@@ -339,12 +385,14 @@ func TestChargingWarmBlocksAllocatesNothing(t *testing.T) {
 		const lo, hi = 3_000_000, 3_500_000 // a slide far down a 4M-row column
 		tr.AccessRange(lo, hi)
 		bv := tr.Params().BlockValues
+		counts := make([]int32, (hi-lo)/bv)
+		for i := range counts {
+			counts[i] = 300
+		}
 		allocs := testing.AllocsPerRun(20, func() {
 			tr.SetDirection(1)
 			tr.AccessRange(lo, hi)
-			for idx := lo; idx < hi; idx += bv {
-				tr.AccessCount(idx, 300)
-			}
+			tr.AccessCounts(lo/bv, counts)
 		})
 		if allocs != 0 {
 			t.Fatalf("%s: charging warm blocks allocated %v times per span, want 0", policy.Name(), allocs)

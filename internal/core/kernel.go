@@ -536,8 +536,6 @@ func (k *Kernel) handleTouch(ev touchos.TouchEvent) time.Duration {
 			o.beginSlide(ge)
 		case gesture.SlideStep:
 			o.processSlideStep(ge)
-		case gesture.SlideEnded:
-			o.endSlide(ge)
 		case gesture.PinchEnded:
 			o.applyZoom(ge.Scale)
 		case gesture.RotateEnded:

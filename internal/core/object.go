@@ -53,7 +53,6 @@ type Object struct {
 	lastID    int
 	lastTouch time.Duration
 	lastLevel int
-	sliding   bool
 
 	// touchBuckets histograms touched base ids at bucketSize granularity
 	// (bucket b counts ids in [b·bucketSize, (b+1)·bucketSize)), feeding
@@ -150,16 +149,10 @@ func (o *Object) column() (*storage.Column, error) {
 
 // beginSlide resets gesture-tracking state at slide start.
 func (o *Object) beginSlide(ev gesture.Event) {
-	o.sliding = true
 	o.lastID = -1
 	o.extrap.Reset()
 	o.lastTouch = ev.Time
 	o.kernel.counters.Add("gesture.slides", 1)
-}
-
-// endSlide finalizes a slide.
-func (o *Object) endSlide(gesture.Event) {
-	o.sliding = false
 }
 
 // processTap handles a single tap: reveal one value (columns) or one full

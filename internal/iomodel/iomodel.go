@@ -5,6 +5,14 @@
 // A warm-block budget models limited fast memory, and pluggable eviction
 // policies let the caching experiments (§2.6 "Caching Data") compare
 // gesture-aware policies against plain LRU.
+//
+// A tracker charges a run of blocks in one loop: AccessRange for a
+// contiguous span, AccessCounts for per-block read counts (what a fused
+// filter+aggregate scan reports), AccessStrided for a row-major slab's
+// column. Charging a warm block is a slot write in its WarmSet; the
+// tracker keeps the gesture frontier — the last block it charged and the
+// last direction it charged with — and hands it to the eviction policy
+// only when the budget forces a victim.
 package iomodel
 
 import (
@@ -42,15 +50,14 @@ func DefaultParams() Params {
 // exceeded. Implementations live in internal/cache; iomodel ships plain
 // LRU as the default.
 type EvictionPolicy interface {
-	// Touched notifies the policy of a charge against block b at
-	// virtual time now, moving in direction dir (-1 backward, 0 unknown,
-	// +1 forward): one call per charged block, however many of its
-	// values the charge reads, so span charging stays O(blocks).
-	Touched(b int, now time.Duration, dir int)
 	// Victim picks the block to evict from the warm set, which holds
-	// each warm block's last access time. A policy that leaves a choice
-	// open must break it by block number, never by iteration order.
-	Victim(warm *WarmSet) int
+	// each warm block's last access time, given the tracker's gesture
+	// frontier: last, the last block whose charge completed (-1 before
+	// the first), and dir, the last non-zero direction a charge moved in
+	// (-1 backward, +1 forward, 0 before any). A policy that leaves a
+	// choice open must break it by block number, never by iteration
+	// order.
+	Victim(warm *WarmSet, last, dir int) int
 	// Name identifies the policy in benchmark output.
 	Name() string
 }
@@ -73,7 +80,13 @@ type Tracker struct {
 	warm   WarmSet
 	policy EvictionPolicy
 	stats  Stats
-	dir    int
+	// dir is the direction the next charge records in the frontier:
+	// SetDirection's, or the frontier's own when that is unknown.
+	dir int
+	// last and lastDir are the gesture frontier Victim receives: the
+	// last charged block and the last non-zero direction it was charged
+	// with.
+	last, lastDir int
 }
 
 // New returns a tracker with the given params. A nil policy selects LRU.
@@ -88,15 +101,22 @@ func New(clock *vclock.Clock, params Params, policy EvictionPolicy) *Tracker {
 		params: params,
 		clock:  clock,
 		policy: policy,
+		last:   -1,
 	}
 }
 
 // Params returns the tracker's cost parameters.
 func (t *Tracker) Params() Params { return t.params }
 
-// SetDirection records the current gesture movement direction, forwarded
-// to the eviction policy on each touch.
-func (t *Tracker) SetDirection(dir int) { t.dir = dir }
+// SetDirection records the current gesture movement direction (-1
+// backward, 0 unknown, +1 forward), which the charges that follow move
+// the frontier in. An unknown direction keeps the frontier's last one.
+func (t *Tracker) SetDirection(dir int) {
+	if dir == 0 {
+		dir = t.lastDir
+	}
+	t.dir = dir
+}
 
 // Block returns the block index holding value idx.
 func (t *Tracker) Block(idx int) int { return idx / t.params.BlockValues }
@@ -110,14 +130,18 @@ func (t *Tracker) IsWarm(idx int) bool {
 // Access charges the cost of reading the value at idx, advances the clock,
 // and returns the charged duration.
 func (t *Tracker) Access(idx int) time.Duration {
-	return t.AccessCount(idx, 1)
+	cost := t.chargeBlock(t.Block(idx), 1, t.clock.Now())
+	t.clock.Advance(cost)
+	return cost
 }
 
 // AccessRange charges the cost of reading values [lo, hi), advances the
 // clock, and returns the total charged duration. Costs, stats, and warm
 // state evolve exactly as a per-value Access loop over the same indices
 // would, but the bookkeeping runs once per touched block rather than once
-// per value — the iomodel half of span-at-a-time execution.
+// per value — the iomodel half of span-at-a-time execution. Block numbers
+// are Block's (division truncating toward zero): left of zero a block's
+// clamped count can be zero or negative, and is charged as it stands.
 func (t *Tracker) AccessRange(lo, hi int) time.Duration {
 	if hi <= lo {
 		return 0
@@ -125,34 +149,41 @@ func (t *Tracker) AccessRange(lo, hi int) time.Duration {
 	now := t.clock.Now()
 	bv := t.params.BlockValues
 	var total time.Duration
-	for b := lo / bv; b <= (hi-1)/bv; b++ {
-		first := b * bv
-		if first < lo {
-			first = lo
+	b, last := lo/bv, (hi-1)/bv
+	for first := b * bv; b <= last; b, first = b+1, first+bv {
+		k := min(first+bv, hi) - max(first, lo)
+		if t.chargeWarm(b, k, now) {
+			total += time.Duration(k) * t.params.WarmLatency
+		} else {
+			total += t.chargeSlow(b, k, now)
 		}
-		last := (b + 1) * bv
-		if last > hi {
-			last = hi
-		}
-		total += t.chargeBlock(b, last-first, now)
 	}
 	t.clock.Advance(total)
 	return total
 }
 
-// AccessCount charges k value reads against the block holding value idx,
-// advancing the clock — the charging primitive for fused filter+aggregate
-// scans, which know how many values qualified inside each cost-model
-// block without ever materializing their positions. Cost, stats, and
-// warm-state evolution match k Access calls (or one AccessRange over k
-// contiguous values) within that block.
-func (t *Tracker) AccessCount(idx, k int) time.Duration {
-	if k <= 0 {
-		return 0
+// AccessCounts charges counts[i] value reads against block b0+i, in
+// order, and advances the clock once by their total, which it returns.
+// Each block is charged at the virtual time the blocks before it left
+// the clock at, so costs, stats and warm state evolve as one
+// single-block charge per count would; a count <= 0 charges nothing. It
+// is the charging primitive of fused filter+aggregate scans, which know
+// how many values qualified inside each cost-model block without ever
+// materializing their positions.
+func (t *Tracker) AccessCounts(b0 int, counts []int32) time.Duration {
+	start := t.clock.Now()
+	now := start
+	for i, k := range counts {
+		switch b := b0 + i; {
+		case k <= 0:
+		case t.chargeWarm(b, int(k), now):
+			now += time.Duration(k) * t.params.WarmLatency
+		default:
+			now += t.chargeSlow(b, int(k), now)
+		}
 	}
-	cost := t.chargeBlock(t.Block(idx), k, t.clock.Now())
-	t.clock.Advance(cost)
-	return cost
+	t.clock.Advance(now - start)
+	return now - start
 }
 
 // AccessStrided charges the cost of reading values lo, lo+stride, ... up
@@ -185,11 +216,35 @@ func (t *Tracker) AccessStrided(lo, hi, stride int) time.Duration {
 }
 
 // chargeBlock records k value reads against block b at time now and
-// returns their cost — the per-block equivalent of k Access calls,
-// including the pathological case where the eviction policy drops the
-// block immediately after warming (the no-caching strawman), which makes
-// every further value in the block a fresh cold fetch.
+// returns their cost — the per-block equivalent of k Access calls.
 func (t *Tracker) chargeBlock(b, k int, now time.Duration) time.Duration {
+	if t.chargeWarm(b, k, now) {
+		return time.Duration(k) * t.params.WarmLatency
+	}
+	return t.chargeSlow(b, k, now)
+}
+
+// chargeWarm is chargeBlock's hot path, small enough for the charging
+// loops to inline: a warm block on an allocated page — what a repeated
+// slide charges for almost every block — is a slot write. For any other
+// block it charges nothing and reports false.
+func (t *Tracker) chargeWarm(b, k int, now time.Duration) bool {
+	s := t.warm.hotSlot(b)
+	if *s == 0 {
+		return false
+	}
+	*s = now + 1
+	t.stats.WarmHits += int64(k)
+	t.stats.ValuesRead += int64(k)
+	t.last, t.lastDir = b, t.dir
+	return true
+}
+
+// chargeSlow is chargeBlock for any block: a warm one left of zero, or a
+// cold one — including the pathological case where the eviction policy
+// drops the block immediately after warming (the no-caching strawman),
+// which makes every further value in the block a fresh cold fetch.
+func (t *Tracker) chargeSlow(b, k int, now time.Duration) time.Duration {
 	cost := time.Duration(k) * t.params.WarmLatency
 	if !t.warm.touch(b, now) {
 		cost += t.params.ColdLatency
@@ -210,7 +265,9 @@ func (t *Tracker) chargeBlock(b, k int, now time.Duration) time.Duration {
 		t.stats.WarmHits += int64(k)
 	}
 	t.stats.ValuesRead += int64(k)
-	t.policy.Touched(b, now, t.dir)
+	// The frontier moves to b only now: a victim picked while b warmed
+	// saw the block charged before it.
+	t.last, t.lastDir = b, t.dir
 	return cost
 }
 
@@ -218,7 +275,7 @@ func (t *Tracker) chargeBlock(b, k int, now time.Duration) time.Duration {
 func (t *Tracker) warmBlock(b int, now time.Duration) {
 	t.warm.Set(b, now)
 	if t.params.WarmBudget > 0 && t.warm.Len() > t.params.WarmBudget {
-		victim := t.policy.Victim(&t.warm)
+		victim := t.policy.Victim(&t.warm, t.last, t.lastDir)
 		if _, ok := t.warm.LastUse(victim); !ok {
 			// Defensive: a policy returning a non-warm block falls back
 			// to oldest-first so eviction always makes progress.
@@ -277,13 +334,9 @@ func (t *Tracker) Cool() { t.warm.clear() }
 // LRU is the default eviction policy: evict the least recently used block.
 type LRU struct{}
 
-// Touched implements EvictionPolicy (LRU keeps no extra state; recency
-// lives in the tracker's warm set).
-func (LRU) Touched(int, time.Duration, int) {}
-
 // Victim returns the least recently used warm block, the lower block on
 // a tie.
-func (LRU) Victim(warm *WarmSet) int { return oldestBlock(warm) }
+func (LRU) Victim(warm *WarmSet, _, _ int) int { return oldestBlock(warm) }
 
 // Name implements EvictionPolicy.
 func (LRU) Name() string { return "lru" }

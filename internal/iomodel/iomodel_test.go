@@ -231,29 +231,41 @@ func TestAccessStridedMatchesScalarLoop(t *testing.T) {
 	}
 }
 
-func TestAccessCountMatchesScalarLoop(t *testing.T) {
-	scalar := New(vclock.New(), testParams(), nil)
-	counted := New(vclock.New(), testParams(), nil)
-	// k reads within one block: same cost, stats and clock as k Access
-	// calls to positions of that block.
-	var scalarCost time.Duration
-	for i := 0; i < 7; i++ {
-		scalarCost += scalar.Access(20 + i)
+// TestAccessCountsMatchesScalarLoop: counts[i] reads against block b0+i
+// cost, count, warm and advance the clock as that many Access calls to
+// positions of each block, block after block — across a budget that
+// evicts mid-run — and a non-positive count charges nothing.
+func TestAccessCountsMatchesScalarLoop(t *testing.T) {
+	scalarClock, countedClock := vclock.New(), vclock.New()
+	scalar := New(scalarClock, testParams(), nil)
+	counted := New(countedClock, testParams(), nil)
+	check := func(label string, b0 int, counts []int32) {
+		t.Helper()
+		var scalarCost time.Duration
+		for i, k := range counts {
+			for j := 0; j < int(k); j++ {
+				scalarCost += scalar.Access((b0+i)*10 + j)
+			}
+		}
+		if got := counted.AccessCounts(b0, counts); got != scalarCost {
+			t.Fatalf("%s: AccessCounts cost = %v, want %v", label, got, scalarCost)
+		}
+		if scalar.Stats() != counted.Stats() {
+			t.Fatalf("%s: stats diverge: %+v vs %+v", label, scalar.Stats(), counted.Stats())
+		}
+		if scalarClock.Now() != countedClock.Now() {
+			t.Fatalf("%s: clock %v, want %v", label, countedClock.Now(), scalarClock.Now())
+		}
+		for b := b0 - 3; b < b0+len(counts)+3; b++ {
+			if scalar.IsWarm(b*10) != counted.IsWarm(b*10) {
+				t.Fatalf("%s: block %d warm=%v, want %v", label, b, counted.IsWarm(b*10), scalar.IsWarm(b*10))
+			}
+		}
 	}
-	if got := counted.AccessCount(23, 7); got != scalarCost {
-		t.Fatalf("AccessCount cost = %v, want %v", got, scalarCost)
-	}
-	if scalar.Stats() != counted.Stats() {
-		t.Fatalf("stats diverge: %+v vs %+v", scalar.Stats(), counted.Stats())
-	}
-	// Second charge hits the now-warm block.
-	scalarCost = scalar.Access(25)
-	if got := counted.AccessCount(25, 1); got != scalarCost {
-		t.Fatalf("warm AccessCount cost = %v, want %v", got, scalarCost)
-	}
-	if counted.AccessCount(5, 0) != 0 || counted.AccessCount(5, -3) != 0 {
-		t.Fatal("non-positive count should be free")
-	}
+	check("cold run", 2, []int32{7, 0, 3, -2, 10, 1})
+	check("warm re-read", 6, []int32{1, 4})
+	check("nothing to charge", 0, []int32{0, -3})
+	check("empty run", 5, nil)
 }
 
 // TestWarmSetAscendingAcrossPages pins the WarmSet contract the eviction

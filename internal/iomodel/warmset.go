@@ -71,15 +71,22 @@ func (w *WarmSet) LastUse(b int) (time.Duration, bool) {
 	return 0, false
 }
 
+// hotSlot returns the slot of block b >= 0 on an allocated page — the
+// charging hot path, small enough to inline — and a cold slot otherwise.
+func (w *WarmSet) hotSlot(b int) *time.Duration {
+	if p := uint(b) >> warmPageBits; p < uint(len(w.pos)) && w.pos[p] != nil {
+		return &w.pos[p].slots[b&(warmPageLen-1)]
+	}
+	return &noSlot
+}
+
+// noSlot is hotSlot's answer off the hot path: always 0, never written.
+var noSlot time.Duration
+
 // touch moves a warm block's last use to now and reports whether b was
 // warm; a cold block is left cold.
 func (w *WarmSet) touch(b int, now time.Duration) bool {
-	var s *time.Duration
-	if p := b >> warmPageBits; b >= 0 && p < len(w.pos) && w.pos[p] != nil {
-		s = &w.pos[p].slots[b&(warmPageLen-1)] // the charging hot path
-	} else {
-		s, _ = w.slot(b, false)
-	}
+	s, _ := w.slot(b, false)
 	if s == nil || *s == 0 {
 		return false
 	}

@@ -114,6 +114,9 @@ type RunningAgg struct {
 	max  float64
 	mean float64
 	m2   float64
+	// counts is FuseFilter's per-block qualifying counts, kept so a
+	// filtered slide reuses one buffer.
+	counts []int32
 }
 
 // NewRunningAgg returns an empty running aggregate of the given kind.

@@ -17,9 +17,11 @@ import (
 // then ChargeSelection, then per-row absorption): the predicate column's
 // tracker is charged for every evaluated row exactly as EvalRange
 // charges, and the value tracker is charged per qualifying value block by
-// block — the fused scan is chunked at the cost model's block size, and
-// each chunk reports how many values qualified inside its block, which
-// is what ChargeSelection derives from a materialized selection.
+// block — the fused scan is chunked at the cost model's block size and
+// appends how many values qualified inside each block to the aggregate's
+// counts buffer, which one Tracker.AccessCounts call charges after the
+// scan: the per-block counts ChargeSelection derives from a materialized
+// selection, charged in the same order.
 //
 // The aggregate matches per-row absorption bit for bit on every column
 // type: the scan hands back the exact sum of its qualifiers, which merges
@@ -39,7 +41,8 @@ import (
 // block partials of the range form (sel == nil) for the next span over
 // col under the same conjunct; the selection form does not use it.
 func (a *RunningAgg) FuseFilter(col *storage.Column, lo, hi int, sel []int32, op CmpOp, operand storage.Value, predTracker, valTracker *iomodel.Tracker, memo *storage.FusedMemo) int {
-	fa := fuseFilterAgg(col, lo, hi, sel, op, operand, predTracker, valTracker, a.kind, memo)
+	var fa storage.FilterAgg
+	fa, a.counts = fuseFilterAgg(col, lo, hi, sel, op, operand, predTracker, valTracker, a.kind, memo, a.counts[:0])
 	a.n += int64(fa.N)
 	a.sum.Merge(&fa.Partial)
 	a.extend(fa.Min, fa.Max)
@@ -57,25 +60,26 @@ func (a *RunningAgg) FuseFilter(col *storage.Column, lo, hi int, sel []int32, op
 //
 // predTracker is charged for every evaluated row — AccessRange over the
 // span, or ChargeSelection over the prior selection — exactly as
-// Predicate.EvalRange charges. valTracker is charged one read per
+// Predicate.EvalRange charges. valTracker is then charged one read per
 // qualifying value, placed in the block that holds it, exactly as
 // ChargeSelection over the materialized selection would. Either tracker
 // may be nil to skip its accounting. It keeps no block partials: every
-// span is read whole.
+// span is read whole. Its per-block counts live on its stack, so a span
+// of up to 256 blocks allocates nothing.
 func FuseFilterAgg(col *storage.Column, lo, hi int, sel []int32, op CmpOp, operand storage.Value, predTracker, valTracker *iomodel.Tracker, kind AggKind) storage.FilterAgg {
-	return fuseFilterAgg(col, lo, hi, sel, op, operand, predTracker, valTracker, kind, nil)
+	var counts [256]int32
+	fa, _ := fuseFilterAgg(col, lo, hi, sel, op, operand, predTracker, valTracker, kind, nil, counts[:0])
+	return fa
 }
 
 // fuseFilterAgg is FuseFilterAgg with the range form's block partials
-// kept in memo (nil for none).
-func fuseFilterAgg(col *storage.Column, lo, hi int, sel []int32, op CmpOp, operand storage.Value, predTracker, valTracker *iomodel.Tracker, kind AggKind, memo *storage.FusedMemo) storage.FilterAgg {
+// kept in memo (nil for none) and the per-block qualifying counts the
+// value tracker is charged with appended to counts, which it returns.
+func fuseFilterAgg(col *storage.Column, lo, hi int, sel []int32, op CmpOp, operand storage.Value, predTracker, valTracker *iomodel.Tracker, kind AggKind, memo *storage.FusedMemo, counts []int32) (storage.FilterAgg, []int32) {
 	rop := op.rangeOp()
 	mode := fusedModeFor(kind)
-	onBlock := func(start, count int) {
-		if valTracker != nil {
-			valTracker.AccessCount(start, count)
-		}
-	}
+	var fa storage.FilterAgg
+	var b0 int // the block counts[0] is charged against
 	if sel == nil {
 		if lo < 0 {
 			lo = 0
@@ -86,10 +90,21 @@ func fuseFilterAgg(col *storage.Column, lo, hi int, sel []int32, op CmpOp, opera
 		if predTracker != nil {
 			predTracker.AccessRange(lo, hi)
 		}
-		return col.FilterAggRangeBlocked(lo, hi, chunkSize(valTracker, hi-lo), rop, operand, mode, memo, onBlock)
+		bl := chunkSize(valTracker, hi-lo)
+		fa, counts = col.FilterAggRangeBlocked(lo, hi, bl, rop, operand, mode, memo, counts)
+		b0 = lo / bl
+	} else {
+		ChargeSelection(predTracker, sel)
+		bl := chunkSize(valTracker, col.Len())
+		fa, counts = col.FilterAggSelBlocked(sel, bl, rop, operand, mode, counts)
+		if len(sel) > 0 {
+			b0 = int(sel[0]) / bl
+		}
 	}
-	ChargeSelection(predTracker, sel)
-	return col.FilterAggSelBlocked(sel, chunkSize(valTracker, col.Len()), rop, operand, mode, onBlock)
+	if valTracker != nil {
+		valTracker.AccessCounts(b0, counts)
+	}
+	return fa, counts
 }
 
 // fusedModeFor maps an aggregate kind to what the fused scan maintains.

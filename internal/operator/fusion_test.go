@@ -363,7 +363,8 @@ func TestFusedStringCountAllocatesNothing(t *testing.T) {
 }
 
 // checkFusedStepAllocs fails t if a warm fused `col < operand` step over
-// the whole of col allocates.
+// the whole of col allocates, through a running aggregate or through
+// FuseFilterAgg (col spans fewer than 256 blocks).
 func checkFusedStepAllocs(t *testing.T, col *storage.Column, kind AggKind, operand storage.Value) {
 	t.Helper()
 	clock := vclock.New()
@@ -377,5 +378,9 @@ func checkFusedStepAllocs(t *testing.T, col *storage.Column, kind AggKind, opera
 	step() // warm the trackers
 	if allocs := testing.AllocsPerRun(20, step); allocs != 0 {
 		t.Fatalf("a fused %v step over a %v column allocates %v times", kind, col.Type(), allocs)
+	}
+	alone := func() { sinkValue = FuseFilterAgg(col, 0, col.Len(), nil, Lt, operand, pred, val, kind).Sum }
+	if allocs := testing.AllocsPerRun(20, alone); allocs != 0 {
+		t.Fatalf("FuseFilterAgg over a %v column allocates %v times", col.Type(), allocs)
 	}
 }

@@ -183,23 +183,31 @@ func ForEachRun(sel []int32, fn func(lo, hi int)) {
 }
 
 // ChargeSelection charges tracker one read per row of the ascending
-// selection, one AccessCount per cost-model block the selection enters —
+// selection: it counts the rows in every cost-model block from the
+// selection's first to its last, zeros for the blocks it skips, and
+// charges the counts through AccessCounts in runs of up to 256 blocks —
 // O(blocks), not O(runs): at mid selectivities a selection is mostly
 // two-row runs. Cost, stats and warm state evolve as a per-row Access
 // loop's would.
 func ChargeSelection(tracker *iomodel.Tracker, sel []int32) {
-	if tracker == nil {
+	if tracker == nil || len(sel) == 0 {
 		return
 	}
 	bv := tracker.Params().BlockValues
-	for i := 0; i < len(sel); {
-		end := (int(sel[i])/bv + 1) * bv
-		j := i + 1
+	var counts [256]int32
+	b0 := int(sel[0]) / bv
+	n := 0
+	for i, end := 0, (b0+1)*bv; i < len(sel); end += bv {
+		j := i
 		for j < len(sel) && int(sel[j]) < end {
 			j++
 		}
-		tracker.AccessCount(int(sel[i]), j-i)
+		counts[n] = int32(j - i)
 		i = j
+		if n++; n == len(counts) || i == len(sel) {
+			tracker.AccessCounts(b0, counts[:n])
+			b0, n = b0+n, 0
+		}
 	}
 }
 

@@ -170,17 +170,16 @@ func fusedBenchOperand(typ string, sel selectivity) Value {
 }
 
 // benchFusedBlocked times one blocked scan shaped like a served fused
-// slide: cost-model-sized chunks and a live per-block charge callback.
+// slide: cost-model-sized chunks, their counts in a reused buffer.
 func benchFusedBlocked(b *testing.B, c *Column, span int, operand Value, mode FusedMode) {
 	b.SetBytes(int64(span) * 8)
-	charged := 0
-	onBlock := func(_, k int) { charged += k }
+	var counts []int32
 	for i := 0; i < b.N; i++ {
-		fa := c.FilterAggRangeBlocked(benchSpanLo, benchSpanLo+span, benchBlockLen, RangeLt, operand, mode, nil, onBlock)
+		var fa FilterAgg
+		fa, counts = c.FilterAggRangeBlocked(benchSpanLo, benchSpanLo+span, benchBlockLen, RangeLt, operand, mode, nil, counts[:0])
 		sinkF = fa.Sum
-		sinkN = fa.N
+		sinkN = fa.N + len(counts)
 	}
-	sinkN += charged
 }
 
 // BenchmarkFusedBlocked is the fused path exactly as the touch pipeline
@@ -206,13 +205,13 @@ func BenchmarkFusedBlocked(b *testing.B) {
 // benchFusedSelBlocked times one blocked scan over a prior selection.
 func benchFusedSelBlocked(b *testing.B, c *Column, base []int32, operand Value) {
 	b.SetBytes(int64(len(base)) * 8)
-	charged := 0
-	onBlock := func(_, k int) { charged += k }
+	var counts []int32
 	for i := 0; i < b.N; i++ {
-		fa := c.FilterAggSelBlocked(base, benchBlockLen, RangeLt, operand, FusedSum, onBlock)
+		var fa FilterAgg
+		fa, counts = c.FilterAggSelBlocked(base, benchBlockLen, RangeLt, operand, FusedSum, counts[:0])
 		sinkF = fa.Sum
+		sinkN = len(counts)
 	}
-	sinkN = charged
 }
 
 // BenchmarkFusedSelBlocked is the multi-conjunct form: the final conjunct

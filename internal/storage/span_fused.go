@@ -1,6 +1,9 @@
 package storage
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // Fused filter+aggregate kernels: when a WHERE-restricted slide only
 // feeds a running aggregate, materializing the qualifying positions is
@@ -580,21 +583,23 @@ func (a *FilterAgg) finish(mode FusedMode) {
 
 // FilterAggRangeBlocked runs a fused filter+aggregate scan over [lo, hi)
 // in chunks aligned to blockLen boundaries, lowering the predicate once
-// for the whole scan and reporting each chunk's qualifying count to
-// onBlock (the cost-charging hook: one chunk never crosses a cost-model
-// block). Result-equal to FilterRange followed by an exact aggregation of
+// for the whole scan, and appends each chunk's qualifying count to counts
+// — one count per block, zeros included, from block lo/blockLen of the
+// span clamped to the column — for the caller to charge (one chunk never
+// crosses a cost-model block). It returns the result and the extended
+// counts. Result-equal to FilterRange followed by an exact aggregation of
 // the selection, for any blockLen (asserted by
 // TestFusedKernelsMatchCompose); the chunking only exists so callers can
 // charge per block without re-deriving the predicate per chunk. With a
 // memo, a complete block whose partial the memo keeps is answered from
-// it — same result bits, same onBlock calls — and a complete block it
-// has not seen is read once and kept; memo may be nil. KernelBytes counts
-// the bytes of [lo, hi) either way.
-func (c *Column) FilterAggRangeBlocked(lo, hi, blockLen int, op RangeOp, operand Value, mode FusedMode, memo *FusedMemo, onBlock func(start, count int)) FilterAgg {
+// it — same result bits, same counts — and a complete block it has not
+// seen is read once and kept; memo may be nil. KernelBytes counts the
+// bytes of [lo, hi) either way.
+func (c *Column) FilterAggRangeBlocked(lo, hi, blockLen int, op RangeOp, operand Value, mode FusedMode, memo *FusedMemo, counts []int32) (FilterAgg, []int32) {
 	lo, hi = c.clampRange(lo, hi)
 	total := emptyFilterAgg()
 	if hi == lo {
-		return total
+		return total, counts
 	}
 	c.countSpan(lo, hi)
 	if blockLen <= 0 {
@@ -603,31 +608,32 @@ func (c *Column) FilterAggRangeBlocked(lo, hi, blockLen int, op RangeOp, operand
 	pp := c.preparePred(op, operand)
 	sc := floatScan{exp: sumExpFor(math.Abs(pp.b))}
 	parts := memo.partsFor(c, op, operand, mode, blockLen)
-	for cur := lo; cur < hi; {
-		end := min((cur/blockLen+1)*blockLen, hi)
+	b := lo / blockLen
+	counts = slices.Grow(counts, (hi-1)/blockLen-b+1)
+	for cur, next := lo, (b+1)*blockLen; cur < hi; b, cur, next = b+1, next, next+blockLen {
+		end := min(next, hi)
 		var k int
-		if b := cur / blockLen; b < len(parts) && end-cur == blockLen {
+		if b < len(parts) && end-cur == blockLen {
 			k = c.memoChunk(&parts[b], &pp, cur, end, mode, &total, &sc)
 		} else {
 			k = c.fusedChunk(&pp, cur, end, mode, &total, &sc)
 		}
-		if onBlock != nil && k > 0 {
-			onBlock(cur, k)
-		}
-		cur = end
+		counts = append(counts, int32(k))
 	}
 	total.finish(mode)
-	return total
+	return total, counts
 }
 
 // FilterAggSelBlocked is FilterAggRangeBlocked over a prior selection:
-// the ascending selection is segmented at blockLen boundaries, each
-// segment's qualifying count goes to onBlock, and the predicate is
-// lowered once. Out-of-range positions are skipped, matching FilterSel.
-func (c *Column) FilterAggSelBlocked(sel []int32, blockLen int, op RangeOp, operand Value, mode FusedMode, onBlock func(start, count int)) FilterAgg {
+// the ascending selection is segmented at blockLen boundaries, the
+// predicate is lowered once, and one qualifying count per block goes to
+// counts — every block from sel[0]/blockLen to the last the selection
+// enters, zeros for the blocks it skips. Out-of-range positions are
+// skipped, matching FilterSel.
+func (c *Column) FilterAggSelBlocked(sel []int32, blockLen int, op RangeOp, operand Value, mode FusedMode, counts []int32) (FilterAgg, []int32) {
 	total := emptyFilterAgg()
 	if len(sel) == 0 {
-		return total
+		return total, counts
 	}
 	if blockLen <= 0 {
 		blockLen = c.Len() + 1
@@ -635,19 +641,20 @@ func (c *Column) FilterAggSelBlocked(sel []int32, blockLen int, op RangeOp, oper
 	c.countSel(len(sel))
 	pp := c.preparePred(op, operand)
 	sc := floatScan{exp: sumExpFor(math.Abs(pp.b))}
-	for i := 0; i < len(sel); {
-		end := (int(sel[i])/blockLen + 1) * blockLen
-		j := i + 1
+	for i, end := 0, (int(sel[0])/blockLen+1)*blockLen; i < len(sel); end += blockLen {
+		j := i
 		for j < len(sel) && int(sel[j]) < end {
 			j++
 		}
-		if k := c.fusedSelChunk(&pp, sel[i:j], mode, &total, &sc); onBlock != nil && k > 0 {
-			onBlock(int(sel[i]), k)
+		k := 0
+		if j > i {
+			k = c.fusedSelChunk(&pp, sel[i:j], mode, &total, &sc)
 		}
+		counts = append(counts, int32(k))
 		i = j
 	}
 	total.finish(mode)
-	return total
+	return total, counts
 }
 
 // fusedSelChunk runs one prepared segment of a selection into total and

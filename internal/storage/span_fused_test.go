@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"unsafe"
 )
@@ -87,19 +88,53 @@ func composeRange(t *testing.T, c *Column, lo, hi int, op RangeOp, operand Value
 	return sel
 }
 
-// checkBlocked runs one blocked scan — scan hands the counting onBlock to
-// FilterAggRangeBlocked or FilterAggSelBlocked — and holds its result and
-// its per-chunk counts to the compose over sel.
-func checkBlocked(t *testing.T, label string, c *Column, sel []int32, mode FusedMode, bl int, scan func(onBlock func(start, count int)) FilterAgg) {
+// checkBlocked runs one blocked scan — FilterAggRangeBlocked or
+// FilterAggSelBlocked, whose first count is block b0's — and holds its
+// result to the compose over sel, and its per-block counts to sel's
+// positions bucketed by block of bl (bl <= 0: only their sum).
+func checkBlocked(t *testing.T, label string, c *Column, sel []int32, mode FusedMode, bl, b0 int, scan func() (FilterAgg, []int32)) {
 	t.Helper()
 	want := composeAgg(c, sel)
-	counted := 0
-	got := scan(func(_, k int) { counted += k })
+	got, counts := scan()
 	label = fmt.Sprintf("%s mode=%d bl=%d", label, mode, bl)
 	checkModeAgainstFull(t, label, got, want, mode)
-	if counted != want.N {
-		t.Fatalf("%s: onBlock counts sum to %d, want %d", label, counted, want.N)
+	counted := 0
+	for _, k := range counts {
+		counted += int(k)
 	}
+	if counted != want.N {
+		t.Fatalf("%s: counts sum to %d, want %d", label, counted, want.N)
+	}
+	if bl <= 0 {
+		return
+	}
+	wantCounts := make([]int32, len(counts))
+	for _, p := range sel {
+		i := int(p)/bl - b0
+		if i < 0 || i >= len(wantCounts) {
+			t.Fatalf("%s: row %d qualified in block %d, outside the %d counted from block %d", label, p, int(p)/bl, len(counts), b0)
+		}
+		wantCounts[i]++
+	}
+	if !slices.Equal(counts, wantCounts) {
+		t.Fatalf("%s: counts %v from block %d, want %v", label, counts, b0, wantCounts)
+	}
+}
+
+// rangeFirstBlock is the block a range scan's first count belongs to.
+func rangeFirstBlock(lo, bl int) int {
+	if bl <= 0 {
+		return 0
+	}
+	return max(lo, 0) / bl
+}
+
+// selFirstBlock is the block a selection scan's first count belongs to.
+func selFirstBlock(base []int32, bl int) int {
+	if bl <= 0 || len(base) == 0 {
+		return 0
+	}
+	return int(base[0]) / bl
 }
 
 // checkAgainstCompose holds the range form to the compose in every mode,
@@ -111,8 +146,8 @@ func checkAgainstCompose(t *testing.T, rng *rand.Rand, c *Column, lo, hi int, op
 	label = fmt.Sprintf("%s range[%d,%d)", label, lo, hi)
 	for _, mode := range fusedModes {
 		for _, bl := range append(fusedBlockLens, 1+rng.Intn(1200)) {
-			checkBlocked(t, label, c, sel, mode, bl, func(onBlock func(int, int)) FilterAgg {
-				return c.FilterAggRangeBlocked(lo, hi, bl, op, operand, mode, nil, onBlock)
+			checkBlocked(t, label, c, sel, mode, bl, rangeFirstBlock(lo, bl), func() (FilterAgg, []int32) {
+				return c.FilterAggRangeBlocked(lo, hi, bl, op, operand, mode, nil, nil)
 			})
 		}
 	}
@@ -124,8 +159,8 @@ func checkSelAgainstCompose(t *testing.T, rng *rand.Rand, c *Column, base []int3
 	sel := c.FilterSel(base, op, operand, nil)
 	for _, mode := range fusedModes {
 		for _, bl := range append(fusedBlockLens, 1+rng.Intn(1200)) {
-			checkBlocked(t, label+" sel", c, sel, mode, bl, func(onBlock func(int, int)) FilterAgg {
-				return c.FilterAggSelBlocked(base, bl, op, operand, mode, onBlock)
+			checkBlocked(t, label+" sel", c, sel, mode, bl, selFirstBlock(base, bl), func() (FilterAgg, []int32) {
+				return c.FilterAggSelBlocked(base, bl, op, operand, mode, nil)
 			})
 		}
 	}
@@ -292,19 +327,19 @@ func checkModeAgainstFull(t *testing.T, label string, got, want FilterAgg, mode 
 // ±Inf, matching MinMaxRange over an empty range, and Sum is +0.
 func TestFilterAggRangeEmpty(t *testing.T) {
 	c := NewIntColumn("v", []int64{1, 2, 3})
-	fa := c.FilterAggRangeBlocked(0, 3, 0, RangeGt, IntValue(100), FusedSum, nil, nil)
+	fa, _ := c.FilterAggRangeBlocked(0, 3, 0, RangeGt, IntValue(100), FusedSum, nil, nil)
 	if fa.N != 0 || math.Float64bits(fa.Sum) != 0 || !math.IsInf(fa.Min, 1) || !math.IsInf(fa.Max, -1) {
 		t.Fatalf("no-qualifier FilterAggRangeBlocked = %+v", fa)
 	}
-	fa = c.FilterAggRangeBlocked(2, 2, 0, RangeGe, IntValue(0), FusedMin, nil, nil)
+	fa, _ = c.FilterAggRangeBlocked(2, 2, 0, RangeGe, IntValue(0), FusedMin, nil, nil)
 	if fa.N != 0 || fa.Sum != 0 || !math.IsInf(fa.Min, 1) {
 		t.Fatalf("empty-range FilterAggRangeBlocked = %+v", fa)
 	}
-	if fa = c.FilterAggSelBlocked(nil, 0, RangeGe, IntValue(0), FusedSum, nil); fa.N != 0 || fa.Sum != 0 {
+	if fa, _ = c.FilterAggSelBlocked(nil, 0, RangeGe, IntValue(0), FusedSum, nil); fa.N != 0 || fa.Sum != 0 {
 		t.Fatalf("empty-selection FilterAggSelBlocked = %+v", fa)
 	}
 	fc := NewFloatColumn("f", []float64{math.Copysign(0, -1), 1})
-	if fa = fc.FilterAggRangeBlocked(0, 2, 0, RangeLt, FloatValue(1), FusedSum, nil, nil); fa.N != 1 || math.Float64bits(fa.Sum) != 0 {
+	if fa, _ = fc.FilterAggRangeBlocked(0, 2, 0, RangeLt, FloatValue(1), FusedSum, nil, nil); fa.N != 1 || math.Float64bits(fa.Sum) != 0 {
 		t.Fatalf("a lone -0 qualifier sums to %v over %d rows, want +0", fa.Sum, fa.N)
 	}
 }
@@ -317,12 +352,12 @@ func TestFilterAggExactSums(t *testing.T) {
 	c := NewIntColumn("v", []int64{big, 1, big, 1, -big, 1})
 	for _, bl := range []int{0, 4} {
 		// Qualifying values: 1, 1, -big, 1.
-		fa := c.FilterAggRangeBlocked(0, 6, bl, RangeNe, IntValue(big), FusedSum, nil, nil)
+		fa, _ := c.FilterAggRangeBlocked(0, 6, bl, RangeNe, IntValue(big), FusedSum, nil, nil)
 		if fa.N != 4 || fa.Sum != float64(3-big) {
 			t.Fatalf("bl=%d: exact sum = %+v, want %d", bl, fa, 3-big)
 		}
-		mn := c.FilterAggRangeBlocked(0, 6, bl, RangeNe, IntValue(big), FusedMin, nil, nil)
-		mx := c.FilterAggRangeBlocked(0, 6, bl, RangeNe, IntValue(big), FusedMax, nil, nil)
+		mn, _ := c.FilterAggRangeBlocked(0, 6, bl, RangeNe, IntValue(big), FusedMin, nil, nil)
+		mx, _ := c.FilterAggRangeBlocked(0, 6, bl, RangeNe, IntValue(big), FusedMax, nil, nil)
 		if mn.N != 4 || mn.Min != float64(-big) || mx.Max != 1 {
 			t.Fatalf("bl=%d: extrema = %v, %v", bl, mn.Min, mx.Max)
 		}
@@ -344,21 +379,21 @@ func TestFilterAggMergeOrder(t *testing.T) {
 	}
 	for _, c := range []*Column{NewIntColumn("v", vals), NewFloatColumn("f", flts)} {
 		op, operand := RangeLt, IntValue(500)
-		whole := c.FilterAggRangeBlocked(0, c.Len(), 0, op, operand, FusedSum, nil, nil)
+		whole, _ := c.FilterAggRangeBlocked(0, c.Len(), 0, op, operand, FusedSum, nil, nil)
 		if want := composeAgg(c, c.FilterRange(0, c.Len(), op, operand, nil)); whole.N != want.N || whole.Sum != want.Sum {
 			t.Fatalf("%s: whole = %v over %d, compose = %v over %d", c.Name(), whole.Sum, whole.N, want.Sum, want.N)
 		}
 		var merged ExactSum
 		n := 0
 		for lo := 0; lo < c.Len(); lo += 512 {
-			part := c.FilterAggRangeBlocked(lo, lo+512, 0, op, operand, FusedSum, nil, nil)
+			part, _ := c.FilterAggRangeBlocked(lo, lo+512, 0, op, operand, FusedSum, nil, nil)
 			merged.Merge(&part.Partial)
 			n += part.N
 		}
 		if n != whole.N || merged.Round() != whole.Sum {
 			t.Fatalf("%s: merged = %v over %d, whole = %v over %d", c.Name(), merged.Round(), n, whole.Sum, whole.N)
 		}
-		if chunked := c.FilterAggRangeBlocked(0, c.Len(), 512, op, operand, FusedSum, nil, nil); chunked.N != whole.N || chunked.Sum != whole.Sum {
+		if chunked, _ := c.FilterAggRangeBlocked(0, c.Len(), 512, op, operand, FusedSum, nil, nil); chunked.N != whole.N || chunked.Sum != whole.Sum {
 			t.Fatalf("%s: chunked = %v over %d, whole = %v over %d", c.Name(), chunked.Sum, chunked.N, whole.Sum, whole.N)
 		}
 	}

@@ -237,13 +237,13 @@ func FuzzFusedBlocked(f *testing.F) {
 		label := fmt.Sprintf("type=%v n=%d op=%d operand=%+v", c.Type(), n, op, operand)
 		check := func() {
 			sel := composeRange(t, c, lo, hi, op, operand, label)
-			checkBlocked(t, fmt.Sprintf("%s range[%d,%d)", label, lo, hi), c, sel, mode, bl, func(onBlock func(int, int)) FilterAgg {
-				return c.FilterAggRangeBlocked(lo, hi, bl, op, operand, mode, nil, onBlock)
+			checkBlocked(t, fmt.Sprintf("%s range[%d,%d)", label, lo, hi), c, sel, mode, bl, rangeFirstBlock(lo, bl), func() (FilterAgg, []int32) {
+				return c.FilterAggRangeBlocked(lo, hi, bl, op, operand, mode, nil, nil)
 			})
 			checkMemo(t, label, c, lo, hi, bl, op, operand, mode)
 			sel = c.FilterSel(base, op, operand, nil)
-			checkBlocked(t, label+" sel", c, sel, mode, bl, func(onBlock func(int, int)) FilterAgg {
-				return c.FilterAggSelBlocked(base, bl, op, operand, mode, onBlock)
+			checkBlocked(t, label+" sel", c, sel, mode, bl, selFirstBlock(base, bl), func() (FilterAgg, []int32) {
+				return c.FilterAggSelBlocked(base, bl, op, operand, mode, nil)
 			})
 		}
 		check()
@@ -260,7 +260,7 @@ func FuzzFusedBlocked(f *testing.F) {
 // through one FusedMemo, then [lo, hi) under another operand (a value of
 // the column) and under the first again, and holds every run to the
 // memo-free scan of the same span: N, Sum, Min and Max bits, the rounded
-// Partial, and the sequence of onBlock calls.
+// Partial, and the per-block counts.
 func checkMemo(t *testing.T, label string, c *Column, lo, hi, bl int, op RangeOp, operand Value, mode FusedMode) {
 	t.Helper()
 	type span struct {
@@ -274,13 +274,8 @@ func checkMemo(t *testing.T, label string, c *Column, lo, hi, bl int, op RangeOp
 	}
 	var memo FusedMemo
 	for i, s := range spans {
-		var wantCalls, gotCalls [][2]int
-		want := c.FilterAggRangeBlocked(s.lo, s.hi, bl, op, s.operand, mode, nil, func(start, k int) {
-			wantCalls = append(wantCalls, [2]int{start, k})
-		})
-		got := c.FilterAggRangeBlocked(s.lo, s.hi, bl, op, s.operand, mode, &memo, func(start, k int) {
-			gotCalls = append(gotCalls, [2]int{start, k})
-		})
+		want, wantCounts := c.FilterAggRangeBlocked(s.lo, s.hi, bl, op, s.operand, mode, nil, nil)
+		got, gotCounts := c.FilterAggRangeBlocked(s.lo, s.hi, bl, op, s.operand, mode, &memo, nil)
 		at := fmt.Sprintf("%s mode=%d bl=%d memo run %d range[%d,%d) operand %+v", label, mode, bl, i, s.lo, s.hi, s.operand)
 		bits := func(a FilterAgg) [5]uint64 {
 			return [5]uint64{uint64(a.N), math.Float64bits(a.Sum), math.Float64bits(a.Min), math.Float64bits(a.Max), math.Float64bits(a.Partial.Round())}
@@ -288,8 +283,8 @@ func checkMemo(t *testing.T, label string, c *Column, lo, hi, bl int, op RangeOp
 		if bits(got) != bits(want) {
 			t.Fatalf("%s: memo scan %+v, memo-free %+v", at, got, want)
 		}
-		if !slices.Equal(gotCalls, wantCalls) {
-			t.Fatalf("%s: memo scan reported blocks %v, memo-free %v", at, gotCalls, wantCalls)
+		if !slices.Equal(gotCounts, wantCounts) {
+			t.Fatalf("%s: memo scan counted blocks %v, memo-free %v", at, gotCounts, wantCounts)
 		}
 	}
 }
@@ -474,7 +469,7 @@ func FuzzFusedFloatSum(f *testing.F) {
 			t.Fatalf("op=%d b=%v n=%d: kernel %v over %d rows, scalar twin %v over %d", op, operand, n, got.Round(), gotN, want.Round(), wantN)
 		}
 		// The scan that dispatches to it lands on the same bits.
-		fa := c.FilterAggRangeBlocked(0, n, 0, op, FloatValue(operand), FusedSum, nil, nil)
+		fa, _ := c.FilterAggRangeBlocked(0, n, 0, op, FloatValue(operand), FusedSum, nil, nil)
 		if fa.N != wantN || math.Float64bits(fa.Sum) != math.Float64bits(composeAgg(c, c.FilterRange(0, n, op, FloatValue(operand), nil)).Sum) {
 			t.Fatalf("op=%d b=%v n=%d: scan %v over %d rows, want %d rows", op, operand, n, fa.Sum, fa.N, wantN)
 		}
