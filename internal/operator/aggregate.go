@@ -83,8 +83,8 @@ func ParseAggKind(s string) (AggKind, error) {
 
 // FusableAgg reports whether kind's running state can absorb a fused
 // filter+aggregate scan through RunningAgg.FuseFilter: count, sum, avg,
-// min and max need only (n, sum, min, max), and the scan's exact partial
-// sum merges into the running one as if every qualifier had been added —
+// min and max need only (n, sum, min, max), and the scan adds its exact
+// sum into the running one as if every qualifier had been added —
 // over float columns too, since no sum depends on the order of its
 // terms. The Welford variance family needs the mean and m2 updated per
 // value and must absorb values one at a time. The fusion dispatch (core's

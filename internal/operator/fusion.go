@@ -24,9 +24,15 @@ import (
 // selection, charged in the same order.
 //
 // The aggregate matches per-row absorption bit for bit on every column
-// type: the scan hands back the exact sum of its qualifiers, which merges
-// into the running exact sum, so no kind is left behind on the
-// selection-vector path for ordering reasons.
+// type: the scan adds the exact sum of its qualifiers straight into the
+// running exact sum, so no kind is left behind on the selection-vector
+// path for ordering reasons, and a step rounds nothing — the sum is
+// rounded once, when the aggregate is read.
+//
+// A repeated slide over the same column under the same conjunct is
+// answered from the object's storage.FusedMemo: it keeps the lowered
+// predicate and every complete block's partial, so a warm step reads
+// only its ragged head and tail chunks and folds runs of kept blocks.
 
 // FuseFilter evaluates one WHERE conjunct over col fused with the
 // absorption of the same column's qualifying values into a — what a
@@ -38,13 +44,13 @@ import (
 // extremum (the other extremum and the Welford state are not maintained:
 // see FusableAgg). It returns how many values qualified. Trackers are
 // charged as FuseFilterAgg documents. memo, which may be nil, keeps the
-// block partials of the range form (sel == nil) for the next span over
-// col under the same conjunct; the selection form does not use it.
+// block partials of the range form (sel == nil), and the predicate
+// lowered for them, for the next span over col under the same conjunct;
+// the selection form does not use it.
 func (a *RunningAgg) FuseFilter(col *storage.Column, lo, hi int, sel []int32, op CmpOp, operand storage.Value, predTracker, valTracker *iomodel.Tracker, memo *storage.FusedMemo) int {
 	var fa storage.FilterAgg
-	fa, a.counts = fuseFilterAgg(col, lo, hi, sel, op, operand, predTracker, valTracker, a.kind, memo, a.counts[:0])
+	fa, a.counts = fuseFilterAgg(col, lo, hi, sel, op, operand, predTracker, valTracker, a.kind, memo, &a.sum, a.counts[:0])
 	a.n += int64(fa.N)
-	a.sum.Merge(&fa.Partial)
 	a.extend(fa.Min, fa.Max)
 	return fa.N
 }
@@ -53,10 +59,12 @@ func (a *RunningAgg) FuseFilter(col *storage.Column, lo, hi int, sel []int32, op
 // span's count and what kind reads of its sum and extrema, for a caller
 // that absorbs them itself. kind selects the aggregate-specialized
 // kernel, which maintains only what the kind reads: COUNT the count,
-// SUM/AVG count and sum (exact in Partial, rounded in Sum; extrema come
-// back ±Inf), MIN count and minimum, MAX count and maximum (sum comes
-// back 0, the other extremum ±Inf). It serves the FusableAgg kinds; any
-// other kind gets the count alone.
+// SUM/AVG count and sum (extrema come back ±Inf), MIN count and minimum,
+// MAX count and maximum (sum comes back 0, the other extremum ±Inf). The
+// scan adds its exact sum into a sum of FuseFilterAgg's own, which it
+// rounds once into Sum — the one place a fused sum is rounded outside
+// RunningAgg.Value. It serves the FusableAgg kinds; any other kind gets
+// the count alone.
 //
 // predTracker is charged for every evaluated row — AccessRange over the
 // span, or ChargeSelection over the prior selection — exactly as
@@ -68,14 +76,19 @@ func (a *RunningAgg) FuseFilter(col *storage.Column, lo, hi int, sel []int32, op
 // of up to 256 blocks allocates nothing.
 func FuseFilterAgg(col *storage.Column, lo, hi int, sel []int32, op CmpOp, operand storage.Value, predTracker, valTracker *iomodel.Tracker, kind AggKind) storage.FilterAgg {
 	var counts [256]int32
-	fa, _ := fuseFilterAgg(col, lo, hi, sel, op, operand, predTracker, valTracker, kind, nil, counts[:0])
+	var sum storage.ExactSum
+	fa, _ := fuseFilterAgg(col, lo, hi, sel, op, operand, predTracker, valTracker, kind, nil, &sum, counts[:0])
+	if fusedModeFor(kind) == storage.FusedSum {
+		fa.Sum = sum.Round()
+	}
 	return fa
 }
 
 // fuseFilterAgg is FuseFilterAgg with the range form's block partials
-// kept in memo (nil for none) and the per-block qualifying counts the
-// value tracker is charged with appended to counts, which it returns.
-func fuseFilterAgg(col *storage.Column, lo, hi int, sel []int32, op CmpOp, operand storage.Value, predTracker, valTracker *iomodel.Tracker, kind AggKind, memo *storage.FusedMemo, counts []int32) (storage.FilterAgg, []int32) {
+// kept in memo (nil for none), the exact sum added into sum rather than
+// rounded, and the per-block qualifying counts the value tracker is
+// charged with appended to counts, which it returns.
+func fuseFilterAgg(col *storage.Column, lo, hi int, sel []int32, op CmpOp, operand storage.Value, predTracker, valTracker *iomodel.Tracker, kind AggKind, memo *storage.FusedMemo, sum *storage.ExactSum, counts []int32) (storage.FilterAgg, []int32) {
 	rop := op.rangeOp()
 	mode := fusedModeFor(kind)
 	var fa storage.FilterAgg
@@ -91,12 +104,12 @@ func fuseFilterAgg(col *storage.Column, lo, hi int, sel []int32, op CmpOp, opera
 			predTracker.AccessRange(lo, hi)
 		}
 		bl := chunkSize(valTracker, hi-lo)
-		fa, counts = col.FilterAggRangeBlocked(lo, hi, bl, rop, operand, mode, memo, counts)
+		fa, counts = col.FilterAggRangeBlocked(lo, hi, bl, rop, operand, mode, memo, sum, counts)
 		b0 = lo / bl
 	} else {
 		ChargeSelection(predTracker, sel)
 		bl := chunkSize(valTracker, col.Len())
-		fa, counts = col.FilterAggSelBlocked(sel, bl, rop, operand, mode, counts)
+		fa, counts = col.FilterAggSelBlocked(sel, bl, rop, operand, mode, sum, counts)
 		if len(sel) > 0 {
 			b0 = int(sel[0]) / bl
 		}

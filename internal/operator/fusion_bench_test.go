@@ -79,7 +79,8 @@ func stringSlideColumn(rng *rand.Rand, n int, format string) *storage.Column {
 
 // BenchmarkFuseFilterSlide is a full-height filtered slide as
 // dbtouch-serve runs it: one fused scan over a 4M-row span (the scan
-// behind RunningAgg.FuseFilter, its counts buffer reused), chunked at the
+// behind RunningAgg.FuseFilter, its counts buffer reused and its sum
+// added into one running ExactSum), chunked at the
 // cost model's block size and charged to live gesture-aware trackers
 // (predicate and value) on one virtual clock — the served object's
 // configuration. After the first pass every block is warm (the 3 907
@@ -102,9 +103,10 @@ func BenchmarkFuseFilterSlide(b *testing.B) {
 				pred := iomodel.New(clock, iomodel.DefaultParams(), cache.NewGestureAware(8))
 				val := iomodel.New(clock, iomodel.DefaultParams(), cache.NewGestureAware(8))
 				var counts []int32
+				var sum storage.ExactSum
 				slide := func(memo *storage.FusedMemo) int {
 					var fa storage.FilterAgg
-					fa, counts = fuseFilterAgg(col, 0, slideRows, nil, Lt, sc.operand, pred, val, sc.kind, memo, counts[:0])
+					fa, counts = fuseFilterAgg(col, 0, slideRows, nil, Lt, sc.operand, pred, val, sc.kind, memo, &sum, counts[:0])
 					return fa.N
 				}
 				width := int64(8)

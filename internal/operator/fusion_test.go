@@ -218,7 +218,7 @@ func TestFuseFilterAggKindDispatch(t *testing.T) {
 			t.Fatalf("%v = %+v", kind, fa)
 		}
 	}
-	if fa := run(Sum); fa.Sum != 5+9+7+8 || fa.Partial.Round() != fa.Sum || !math.IsInf(fa.Min, 1) {
+	if fa := run(Sum); fa.Sum != 5+9+7+8 || !math.IsInf(fa.Min, 1) {
 		t.Fatalf("Sum = %+v", fa)
 	}
 	if fa := run(Min); fa.Min != 5 || !math.IsInf(fa.Max, -1) || fa.Sum != 0 {
@@ -364,7 +364,9 @@ func TestFusedStringCountAllocatesNothing(t *testing.T) {
 
 // checkFusedStepAllocs fails t if a warm fused `col < operand` step over
 // the whole of col allocates, through a running aggregate or through
-// FuseFilterAgg (col spans fewer than 256 blocks).
+// FuseFilterAgg (col spans fewer than 256 blocks), or if a served step —
+// ragged head and tail chunks around a run of blocks answered from a
+// filled FusedMemo — does.
 func checkFusedStepAllocs(t *testing.T, col *storage.Column, kind AggKind, operand storage.Value) {
 	t.Helper()
 	clock := vclock.New()
@@ -382,5 +384,14 @@ func checkFusedStepAllocs(t *testing.T, col *storage.Column, kind AggKind, opera
 	alone := func() { sinkValue = FuseFilterAgg(col, 0, col.Len(), nil, Lt, operand, pred, val, kind).Sum }
 	if allocs := testing.AllocsPerRun(20, alone); allocs != 0 {
 		t.Fatalf("FuseFilterAgg over a %v column allocates %v times", col.Type(), allocs)
+	}
+	var memo storage.FusedMemo
+	served := func() {
+		agg.FuseFilter(col, 3, col.Len()-5, nil, Lt, operand, pred, val, &memo)
+		sinkValue = agg.Value()
+	}
+	served() // fill the memo
+	if allocs := testing.AllocsPerRun(20, served); allocs != 0 {
+		t.Fatalf("a fused %v step answered from a block memo over a %v column allocates %v times", kind, col.Type(), allocs)
 	}
 }

@@ -79,7 +79,7 @@ func checkCounts(t *testing.T, label string, c *storage.Column) {
 	count := func(simd bool, op storage.RangeOp, operand storage.Value) int {
 		restore := storage.SetSIMD(simd)
 		defer restore()
-		fa, _ := c.FilterAggRangeBlocked(0, c.Len(), 1024, op, operand, storage.FusedCount, nil, nil)
+		fa, _ := c.FilterAggRangeBlocked(0, c.Len(), 1024, op, operand, storage.FusedCount, nil, nil, nil)
 		return fa.N
 	}
 	for _, op := range growthOps {

@@ -174,9 +174,10 @@ func fusedBenchOperand(typ string, sel selectivity) Value {
 func benchFusedBlocked(b *testing.B, c *Column, span int, operand Value, mode FusedMode) {
 	b.SetBytes(int64(span) * 8)
 	var counts []int32
+	var sum ExactSum
 	for i := 0; i < b.N; i++ {
 		var fa FilterAgg
-		fa, counts = c.FilterAggRangeBlocked(benchSpanLo, benchSpanLo+span, benchBlockLen, RangeLt, operand, mode, nil, counts[:0])
+		fa, counts = c.FilterAggRangeBlocked(benchSpanLo, benchSpanLo+span, benchBlockLen, RangeLt, operand, mode, nil, &sum, counts[:0])
 		sinkF = fa.Sum
 		sinkN = fa.N + len(counts)
 	}
@@ -206,9 +207,10 @@ func BenchmarkFusedBlocked(b *testing.B) {
 func benchFusedSelBlocked(b *testing.B, c *Column, base []int32, operand Value) {
 	b.SetBytes(int64(len(base)) * 8)
 	var counts []int32
+	var sum ExactSum
 	for i := 0; i < b.N; i++ {
 		var fa FilterAgg
-		fa, counts = c.FilterAggSelBlocked(base, benchBlockLen, RangeLt, operand, FusedSum, counts[:0])
+		fa, counts = c.FilterAggSelBlocked(base, benchBlockLen, RangeLt, operand, FusedSum, &sum, counts[:0])
 		sinkF = fa.Sum
 		sinkN = len(counts)
 	}

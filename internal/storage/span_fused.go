@@ -18,36 +18,45 @@ import (
 // select through sentinel values, so the inner loop carries no
 // data-dependent branch on integer-backed columns.
 //
-// Every sum a scan hands back is exact: integer-backed chunks sum in
-// int64 and that sum joins an ExactSum, and float qualifiers join it too,
-// so the result does not depend on the chunking, the lane split or the
+// Every sum a scan computes is exact: integer-backed chunks sum in int64
+// and that sum joins an ExactSum, and float qualifiers join it too, so
+// the result does not depend on the chunking, the lane split or the
 // order of the rows — which is what lets the float SUM scan run as one
-// vector pass (sumWindow). Float COUNT, MIN and MAX compact first, then
-// reduce: a masked min/max would turn -0.0 and NaN non-qualifiers into
-// candidates, so each step packs the qualifying positions into a
-// block-sized stack buffer — the branch-free compare+compress FilterRange
-// runs, AVX2 where the build+host has it — and a tight loop folds them.
+// vector pass (sumWindow). The scans add that sum straight into the
+// caller's ExactSum (a running aggregate's own, as Column.SumRange does
+// for unfiltered spans) and return only the count and extrema, so a
+// slide step neither copies nor merges nor rounds a sum of its own.
+// Float COUNT, MIN and MAX compact first, then reduce: a masked min/max
+// would turn -0.0 and NaN non-qualifiers into candidates, so each step
+// packs the qualifying positions into a block-sized stack buffer — the
+// branch-free compare+compress FilterRange runs, AVX2 where the
+// build+host has it — and a tight loop folds them.
 
 // FilterAgg is the result of one fused filter+aggregate scan: the count
-// and extrema of the qualifying values and their exact sum. With no
-// qualifiers Min/Max are +Inf/-Inf and Sum is +0, matching MinMaxRange
-// on an empty range.
+// and extrema of the qualifying values. With no qualifiers Min/Max are
+// +Inf/-Inf, matching MinMaxRange on an empty range.
 type FilterAgg struct {
 	// N counts qualifying values.
 	N int
-	// Sum is Partial rounded once (0 in modes that keep no sum).
+	// Sum is the qualifiers' sum rounded once. The storage scans leave
+	// it 0 — they add the exact sum into the caller's ExactSum — and
+	// only operator.FuseFilterAgg, which owns the whole sum, fills it.
 	Sum float64
-	// Partial is the exact sum of the qualifying values, for a running
-	// aggregate to merge without rounding.
-	Partial ExactSum
 	// Min and Max are the extrema of qualifying values (+Inf/-Inf when
 	// N == 0); NaN qualifiers are skipped, matching a scalar
 	// `if v < min` loop.
 	Min, Max float64
-	// isum is an integer-backed scan's wrapping int64 sum, which joins
-	// Partial once the scan ends: wrapping addition is associative, so
-	// the result is the same at any chunking.
+}
+
+// fusedAcc is a blocked scan's running state: the FilterAgg it returns,
+// an integer-backed scan's wrapping int64 sum — which joins sum once the
+// scan ends: wrapping addition is associative, so the result is the same
+// at any chunking — and the caller's exact sum, which float qualifiers
+// join as their windows are read.
+type fusedAcc struct {
+	FilterAgg
 	isum int64
+	sum  *ExactSum
 }
 
 // chunkAgg is one chunk of an integer-backed scan: its qualifying count,
@@ -65,7 +74,7 @@ func emptyChunk() chunkAgg {
 
 // absorb folds a chunk of the same scan into a: counts and integer sums
 // add, and a tie between extrema keeps the earlier chunk's.
-func (a *FilterAgg) absorb(ca chunkAgg) {
+func (a *fusedAcc) absorb(ca chunkAgg) {
 	a.N += ca.n
 	a.isum += ca.isum
 	if ca.min < a.Min {
@@ -387,7 +396,7 @@ func sumExpFor(mx float64) int {
 
 // foldFloats folds the extrema of the values at pos — one step's
 // qualifying positions — into agg, as mode asks.
-func foldFloats(vals []float64, pos []int32, mode FusedMode, agg *FilterAgg) {
+func foldFloats(vals []float64, pos []int32, mode FusedMode, agg *fusedAcc) {
 	switch mode {
 	case FusedMin:
 		mn := agg.Min
@@ -436,7 +445,7 @@ func (sc *floatScan) sumWindow(v []float64, pp *preparedPred, acc *ExactSum) int
 // window by window: SUM through sumWindow, the other modes by compacting
 // the qualifying positions into the scan's buffer and folding them.
 // The other types aggregate the chunk on its own and absorb it exactly.
-func (c *Column) fusedChunk(pp *preparedPred, lo, hi int, mode FusedMode, total *FilterAgg, sc *floatScan) int {
+func (c *Column) fusedChunk(pp *preparedPred, lo, hi int, mode FusedMode, total *fusedAcc, sc *floatScan) int {
 	if c.typ != Float64 {
 		ca := c.exactChunk(pp, lo, hi, mode)
 		total.absorb(ca)
@@ -446,7 +455,7 @@ func (c *Column) fusedChunk(pp *preparedPred, lo, hi int, mode FusedMode, total 
 	for cur := lo; cur < hi; cur += fusedBufLen {
 		end := min(cur+fusedBufLen, hi)
 		if mode == FusedSum {
-			n += sc.sumWindow(c.flts[cur:end], pp, &total.Partial)
+			n += sc.sumWindow(c.flts[cur:end], pp, total.sum)
 			continue
 		}
 		k := compressFloat64(c.flts[cur:end], pp.b, pp.wLt, pp.wGt, pp.wEq, cur, sc.buf[:])
@@ -566,19 +575,19 @@ func boolChunk(cnt, ones int, mode FusedMode) chunkAgg {
 	return ca.only(mode)
 }
 
-// emptyFilterAgg is the zero-qualifier result.
-func emptyFilterAgg() FilterAgg {
-	return FilterAgg{Min: math.Inf(1), Max: math.Inf(-1)}
+// newFusedAcc is a scan's state before its first chunk: no qualifiers,
+// its sum going to sum.
+func newFusedAcc(sum *ExactSum) fusedAcc {
+	return fusedAcc{FilterAgg: FilterAgg{Min: math.Inf(1), Max: math.Inf(-1)}, sum: sum}
 }
 
 // finish settles the sum once the last chunk is in: an integer-backed
-// scan's sum joins Partial, which is rounded once.
-func (a *FilterAgg) finish(mode FusedMode) {
+// scan's sum joins the caller's exact sum.
+func (a *fusedAcc) finish(mode FusedMode) FilterAgg {
 	if mode == FusedSum {
-		a.Partial.AddInt(a.isum)
-		a.isum = 0
-		a.Sum = a.Partial.Round()
+		a.sum.AddInt(a.isum)
 	}
+	return a.FilterAgg
 }
 
 // FilterAggRangeBlocked runs a fused filter+aggregate scan over [lo, hi)
@@ -586,42 +595,63 @@ func (a *FilterAgg) finish(mode FusedMode) {
 // for the whole scan, and appends each chunk's qualifying count to counts
 // — one count per block, zeros included, from block lo/blockLen of the
 // span clamped to the column — for the caller to charge (one chunk never
-// crosses a cost-model block). It returns the result and the extended
-// counts. Result-equal to FilterRange followed by an exact aggregation of
-// the selection, for any blockLen (asserted by
+// crosses a cost-model block). It returns the count and extrema and the
+// extended counts; in FusedSum mode it adds the qualifiers' exact sum to
+// sum (which the other modes leave alone, and may be nil) and rounds
+// nothing. Result-equal to FilterRange followed by an exact aggregation
+// of the selection, for any blockLen (asserted by
 // TestFusedKernelsMatchCompose); the chunking only exists so callers can
 // charge per block without re-deriving the predicate per chunk. With a
 // memo, a complete block whose partial the memo keeps is answered from
-// it — same result bits, same counts — and a complete block it has not
-// seen is read once and kept; memo may be nil. KernelBytes counts the
-// bytes of [lo, hi) either way.
-func (c *Column) FilterAggRangeBlocked(lo, hi, blockLen int, op RangeOp, operand Value, mode FusedMode, memo *FusedMemo, counts []int32) (FilterAgg, []int32) {
+// it — same result bits, same counts — a run of such blocks in one loop,
+// and a complete block it has not seen is read once and kept; the memo
+// also keeps the lowered predicate for its key. memo may be nil, and the
+// predicate is then lowered on every call. KernelBytes counts the bytes
+// of [lo, hi) either way.
+func (c *Column) FilterAggRangeBlocked(lo, hi, blockLen int, op RangeOp, operand Value, mode FusedMode, memo *FusedMemo, sum *ExactSum, counts []int32) (FilterAgg, []int32) {
 	lo, hi = c.clampRange(lo, hi)
-	total := emptyFilterAgg()
+	acc := newFusedAcc(sum)
 	if hi == lo {
-		return total, counts
+		return acc.FilterAgg, counts
 	}
 	c.countSpan(lo, hi)
 	if blockLen <= 0 {
 		blockLen, memo = hi-lo, nil
 	}
-	pp := c.preparePred(op, operand)
+	var lowered preparedPred
+	pp, parts := &lowered, []blockPartial(nil)
+	if memo != nil {
+		pp, parts = memo.prepare(c, op, operand, mode, blockLen)
+	} else {
+		lowered = c.preparePred(op, operand)
+	}
 	sc := floatScan{exp: sumExpFor(math.Abs(pp.b))}
-	parts := memo.partsFor(c, op, operand, mode, blockLen)
+	float := c.typ == Float64
 	b := lo / blockLen
 	counts = slices.Grow(counts, (hi-1)/blockLen-b+1)
-	for cur, next := lo, (b+1)*blockLen; cur < hi; b, cur, next = b+1, next, next+blockLen {
-		end := min(next, hi)
+	for cur := lo; cur < hi; {
+		end := min((b+1)*blockLen, hi)
 		var k int
-		if b < len(parts) && end-cur == blockLen {
-			k = c.memoChunk(&parts[b], &pp, cur, end, mode, &total, &sc)
-		} else {
-			k = c.fusedChunk(&pp, cur, end, mode, &total, &sc)
+		switch {
+		case b >= len(parts) || end-cur < blockLen || parts[b].state == partRefused:
+			// No memo, a partial head or tail chunk, or a refused block.
+			k = c.fusedChunk(pp, cur, end, mode, &acc, &sc)
+		case parts[b].state == partUnread && !c.keepBlock(&parts[b], pp, cur, end, mode, &acc, &sc):
+			// Refused as it was read, and folded then.
+			k = int(parts[b].n)
+		default:
+			// Kept, now or on an earlier scan: fold the run of kept
+			// complete blocks that starts here.
+			var run int
+			run, counts = acc.foldKept(parts[b:hi/blockLen], mode, float, counts)
+			b += run
+			cur = b * blockLen
+			continue
 		}
 		counts = append(counts, int32(k))
+		b, cur = b+1, end
 	}
-	total.finish(mode)
-	return total, counts
+	return acc.finish(mode), counts
 }
 
 // FilterAggSelBlocked is FilterAggRangeBlocked over a prior selection:
@@ -629,11 +659,12 @@ func (c *Column) FilterAggRangeBlocked(lo, hi, blockLen int, op RangeOp, operand
 // predicate is lowered once, and one qualifying count per block goes to
 // counts — every block from sel[0]/blockLen to the last the selection
 // enters, zeros for the blocks it skips. Out-of-range positions are
-// skipped, matching FilterSel.
-func (c *Column) FilterAggSelBlocked(sel []int32, blockLen int, op RangeOp, operand Value, mode FusedMode, counts []int32) (FilterAgg, []int32) {
-	total := emptyFilterAgg()
+// skipped, matching FilterSel. Its sum goes to sum, as the range form's
+// does.
+func (c *Column) FilterAggSelBlocked(sel []int32, blockLen int, op RangeOp, operand Value, mode FusedMode, sum *ExactSum, counts []int32) (FilterAgg, []int32) {
+	acc := newFusedAcc(sum)
 	if len(sel) == 0 {
-		return total, counts
+		return acc.FilterAgg, counts
 	}
 	if blockLen <= 0 {
 		blockLen = c.Len() + 1
@@ -648,18 +679,17 @@ func (c *Column) FilterAggSelBlocked(sel []int32, blockLen int, op RangeOp, oper
 		}
 		k := 0
 		if j > i {
-			k = c.fusedSelChunk(&pp, sel[i:j], mode, &total, &sc)
+			k = c.fusedSelChunk(&pp, sel[i:j], mode, &acc, &sc)
 		}
 		counts = append(counts, int32(k))
 		i = j
 	}
-	total.finish(mode)
-	return total, counts
+	return acc.finish(mode), counts
 }
 
 // fusedSelChunk runs one prepared segment of a selection into total and
 // returns how many of its rows qualified — fusedChunk's selection form.
-func (c *Column) fusedSelChunk(pp *preparedPred, sel []int32, mode FusedMode, total *FilterAgg, sc *floatScan) int {
+func (c *Column) fusedSelChunk(pp *preparedPred, sel []int32, mode FusedMode, total *fusedAcc, sc *floatScan) int {
 	n := c.Len()
 	if c.typ != Float64 {
 		ca := c.exactSelChunk(pp, sel, n, mode)
@@ -680,7 +710,7 @@ func (c *Column) fusedSelChunk(pp *preparedPred, sel []int32, mode FusedMode, to
 					k++
 				}
 			}
-			qualified += sc.sumWindow(vals[:k], pp, &total.Partial)
+			qualified += sc.sumWindow(vals[:k], pp, total.sum)
 			sel = sel[len(step):]
 		}
 		total.N += qualified

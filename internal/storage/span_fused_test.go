@@ -32,12 +32,13 @@ var (
 // loop is exact, and is the more accurate answer beyond 2^53), an ExactSum
 // Add per value for float columns — and round the sum once.
 func composeAgg(c *Column, sel []int32) FilterAgg {
-	want := emptyFilterAgg()
+	want := FilterAgg{Min: math.Inf(1), Max: math.Inf(-1)}
+	var sum ExactSum
 	var isum int64
 	for _, p := range sel {
 		v := c.Float(int(p))
 		if c.Type() == Float64 {
-			want.Partial.Add(v)
+			sum.Add(v)
 		} else {
 			isum += c.Int(int(p))
 		}
@@ -49,9 +50,27 @@ func composeAgg(c *Column, sel []int32) FilterAgg {
 			want.Max = v
 		}
 	}
-	want.Partial.AddInt(isum)
-	want.Sum = want.Partial.Round()
+	sum.AddInt(isum)
+	want.Sum = sum.Round()
 	return want
+}
+
+// rangeScan runs FilterAggRangeBlocked into a fresh exact sum and reports
+// that sum rounded once in Sum, as operator.FuseFilterAgg does (+0 in the
+// modes that keep no sum).
+func rangeScan(c *Column, lo, hi, bl int, op RangeOp, operand Value, mode FusedMode, memo *FusedMemo) (FilterAgg, []int32) {
+	var sum ExactSum
+	fa, counts := c.FilterAggRangeBlocked(lo, hi, bl, op, operand, mode, memo, &sum, nil)
+	fa.Sum = sum.Round()
+	return fa, counts
+}
+
+// selScan is rangeScan for FilterAggSelBlocked.
+func selScan(c *Column, sel []int32, bl int, op RangeOp, operand Value, mode FusedMode) (FilterAgg, []int32) {
+	var sum ExactSum
+	fa, counts := c.FilterAggSelBlocked(sel, bl, op, operand, mode, &sum, nil)
+	fa.Sum = sum.Round()
+	return fa, counts
 }
 
 // eqFloat compares aggregates bit for bit (so -0 is not +0), treating any
@@ -147,7 +166,7 @@ func checkAgainstCompose(t *testing.T, rng *rand.Rand, c *Column, lo, hi int, op
 	for _, mode := range fusedModes {
 		for _, bl := range append(fusedBlockLens, 1+rng.Intn(1200)) {
 			checkBlocked(t, label, c, sel, mode, bl, rangeFirstBlock(lo, bl), func() (FilterAgg, []int32) {
-				return c.FilterAggRangeBlocked(lo, hi, bl, op, operand, mode, nil, nil)
+				return rangeScan(c, lo, hi, bl, op, operand, mode, nil)
 			})
 		}
 	}
@@ -160,7 +179,7 @@ func checkSelAgainstCompose(t *testing.T, rng *rand.Rand, c *Column, base []int3
 	for _, mode := range fusedModes {
 		for _, bl := range append(fusedBlockLens, 1+rng.Intn(1200)) {
 			checkBlocked(t, label+" sel", c, sel, mode, bl, selFirstBlock(base, bl), func() (FilterAgg, []int32) {
-				return c.FilterAggSelBlocked(base, bl, op, operand, mode, nil)
+				return selScan(c, base, bl, op, operand, mode)
 			})
 		}
 	}
@@ -308,8 +327,8 @@ func checkModeAgainstFull(t *testing.T, label string, got, want FilterAgg, mode 
 	if mode != FusedSum {
 		wantSum = 0
 	}
-	if !eqFloat(got.Sum, wantSum) || !eqFloat(got.Partial.Round(), wantSum) {
-		t.Fatalf("%s: sum = %v (partial %v), want %v", label, got.Sum, got.Partial.Round(), wantSum)
+	if !eqFloat(got.Sum, wantSum) {
+		t.Fatalf("%s: sum = %v, want %v", label, got.Sum, wantSum)
 	}
 	wantMin, wantMax := want.Min, want.Max
 	if mode != FusedMin {
@@ -327,19 +346,19 @@ func checkModeAgainstFull(t *testing.T, label string, got, want FilterAgg, mode 
 // ±Inf, matching MinMaxRange over an empty range, and Sum is +0.
 func TestFilterAggRangeEmpty(t *testing.T) {
 	c := NewIntColumn("v", []int64{1, 2, 3})
-	fa, _ := c.FilterAggRangeBlocked(0, 3, 0, RangeGt, IntValue(100), FusedSum, nil, nil)
+	fa, _ := rangeScan(c, 0, 3, 0, RangeGt, IntValue(100), FusedSum, nil)
 	if fa.N != 0 || math.Float64bits(fa.Sum) != 0 || !math.IsInf(fa.Min, 1) || !math.IsInf(fa.Max, -1) {
 		t.Fatalf("no-qualifier FilterAggRangeBlocked = %+v", fa)
 	}
-	fa, _ = c.FilterAggRangeBlocked(2, 2, 0, RangeGe, IntValue(0), FusedMin, nil, nil)
+	fa, _ = rangeScan(c, 2, 2, 0, RangeGe, IntValue(0), FusedMin, nil)
 	if fa.N != 0 || fa.Sum != 0 || !math.IsInf(fa.Min, 1) {
 		t.Fatalf("empty-range FilterAggRangeBlocked = %+v", fa)
 	}
-	if fa, _ = c.FilterAggSelBlocked(nil, 0, RangeGe, IntValue(0), FusedSum, nil); fa.N != 0 || fa.Sum != 0 {
+	if fa, _ = selScan(c, nil, 0, RangeGe, IntValue(0), FusedSum); fa.N != 0 || fa.Sum != 0 {
 		t.Fatalf("empty-selection FilterAggSelBlocked = %+v", fa)
 	}
 	fc := NewFloatColumn("f", []float64{math.Copysign(0, -1), 1})
-	if fa, _ = fc.FilterAggRangeBlocked(0, 2, 0, RangeLt, FloatValue(1), FusedSum, nil, nil); fa.N != 1 || math.Float64bits(fa.Sum) != 0 {
+	if fa, _ = rangeScan(fc, 0, 2, 0, RangeLt, FloatValue(1), FusedSum, nil); fa.N != 1 || math.Float64bits(fa.Sum) != 0 {
 		t.Fatalf("a lone -0 qualifier sums to %v over %d rows, want +0", fa.Sum, fa.N)
 	}
 }
@@ -352,12 +371,12 @@ func TestFilterAggExactSums(t *testing.T) {
 	c := NewIntColumn("v", []int64{big, 1, big, 1, -big, 1})
 	for _, bl := range []int{0, 4} {
 		// Qualifying values: 1, 1, -big, 1.
-		fa, _ := c.FilterAggRangeBlocked(0, 6, bl, RangeNe, IntValue(big), FusedSum, nil, nil)
+		fa, _ := rangeScan(c, 0, 6, bl, RangeNe, IntValue(big), FusedSum, nil)
 		if fa.N != 4 || fa.Sum != float64(3-big) {
 			t.Fatalf("bl=%d: exact sum = %+v, want %d", bl, fa, 3-big)
 		}
-		mn, _ := c.FilterAggRangeBlocked(0, 6, bl, RangeNe, IntValue(big), FusedMin, nil, nil)
-		mx, _ := c.FilterAggRangeBlocked(0, 6, bl, RangeNe, IntValue(big), FusedMax, nil, nil)
+		mn, _ := rangeScan(c, 0, 6, bl, RangeNe, IntValue(big), FusedMin, nil)
+		mx, _ := rangeScan(c, 0, 6, bl, RangeNe, IntValue(big), FusedMax, nil)
 		if mn.N != 4 || mn.Min != float64(-big) || mx.Max != 1 {
 			t.Fatalf("bl=%d: extrema = %v, %v", bl, mn.Min, mx.Max)
 		}
@@ -379,21 +398,22 @@ func TestFilterAggMergeOrder(t *testing.T) {
 	}
 	for _, c := range []*Column{NewIntColumn("v", vals), NewFloatColumn("f", flts)} {
 		op, operand := RangeLt, IntValue(500)
-		whole, _ := c.FilterAggRangeBlocked(0, c.Len(), 0, op, operand, FusedSum, nil, nil)
+		whole, _ := rangeScan(c, 0, c.Len(), 0, op, operand, FusedSum, nil)
 		if want := composeAgg(c, c.FilterRange(0, c.Len(), op, operand, nil)); whole.N != want.N || whole.Sum != want.Sum {
 			t.Fatalf("%s: whole = %v over %d, compose = %v over %d", c.Name(), whole.Sum, whole.N, want.Sum, want.N)
 		}
 		var merged ExactSum
 		n := 0
 		for lo := 0; lo < c.Len(); lo += 512 {
-			part, _ := c.FilterAggRangeBlocked(lo, lo+512, 0, op, operand, FusedSum, nil, nil)
-			merged.Merge(&part.Partial)
-			n += part.N
+			var part ExactSum
+			fa, _ := c.FilterAggRangeBlocked(lo, lo+512, 0, op, operand, FusedSum, nil, &part, nil)
+			merged.Merge(&part)
+			n += fa.N
 		}
 		if n != whole.N || merged.Round() != whole.Sum {
 			t.Fatalf("%s: merged = %v over %d, whole = %v over %d", c.Name(), merged.Round(), n, whole.Sum, whole.N)
 		}
-		if chunked, _ := c.FilterAggRangeBlocked(0, c.Len(), 512, op, operand, FusedSum, nil, nil); chunked.N != whole.N || chunked.Sum != whole.Sum {
+		if chunked, _ := rangeScan(c, 0, c.Len(), 512, op, operand, FusedSum, nil); chunked.N != whole.N || chunked.Sum != whole.Sum {
 			t.Fatalf("%s: chunked = %v over %d, whole = %v over %d", c.Name(), chunked.Sum, chunked.N, whole.Sum, whole.N)
 		}
 	}
@@ -502,14 +522,14 @@ func TestFusedScansCountCoveredBytes(t *testing.T) {
 			m = nil
 		}
 		before := KernelBytes()
-		c.FilterAggRangeBlocked(-5, 9_000, 1024, RangeLt, IntValue(50), FusedSum, m, nil)
+		rangeScan(c, -5, 9_000, 1024, RangeLt, IntValue(50), FusedSum, m)
 		if got := KernelBytes() - before; got != 9_000*8 {
 			t.Fatalf("pass %d: the range scan counted %d bytes, want %d", pass, got, 9_000*8)
 		}
 	}
 	sel := []int32{3, 900, 1500, 4000, 9999, 20_000}
 	before := KernelBytes()
-	c.FilterAggSelBlocked(sel, 1024, RangeLt, IntValue(50), FusedSum, nil)
+	selScan(c, sel, 1024, RangeLt, IntValue(50), FusedSum)
 	if got := KernelBytes() - before; got != int64(len(sel))*8 {
 		t.Fatalf("the selection scan counted %d bytes, want %d", got, len(sel)*8)
 	}
@@ -524,12 +544,12 @@ func TestFusedMemoCost(t *testing.T) {
 	}
 	c := NewFloatColumn("v", make([]float64, 10_000))
 	var memo FusedMemo
-	c.FilterAggRangeBlocked(0, 5_000, 1024, RangeLt, FloatValue(1), FusedSum, &memo, nil)
+	rangeScan(c, 0, 5_000, 1024, RangeLt, FloatValue(1), FusedSum, &memo)
 	if len(memo.parts) != 9 || cap(memo.parts) != 9 {
 		t.Fatalf("memo of a 10 000-row column in 1 024-row blocks holds %d partials (cap %d), want 9", len(memo.parts), cap(memo.parts))
 	}
 	kept := &memo.parts[0]
-	c.FilterAggRangeBlocked(0, 5_000, 1024, RangeGt, FloatValue(1), FusedSum, &memo, nil)
+	rangeScan(c, 0, 5_000, 1024, RangeGt, FloatValue(1), FusedSum, &memo)
 	if &memo.parts[0] != kept {
 		t.Fatal("a scan under another key reallocated the memo")
 	}

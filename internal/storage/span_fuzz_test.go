@@ -238,12 +238,12 @@ func FuzzFusedBlocked(f *testing.F) {
 		check := func() {
 			sel := composeRange(t, c, lo, hi, op, operand, label)
 			checkBlocked(t, fmt.Sprintf("%s range[%d,%d)", label, lo, hi), c, sel, mode, bl, rangeFirstBlock(lo, bl), func() (FilterAgg, []int32) {
-				return c.FilterAggRangeBlocked(lo, hi, bl, op, operand, mode, nil, nil)
+				return rangeScan(c, lo, hi, bl, op, operand, mode, nil)
 			})
 			checkMemo(t, label, c, lo, hi, bl, op, operand, mode)
 			sel = c.FilterSel(base, op, operand, nil)
 			checkBlocked(t, label+" sel", c, sel, mode, bl, selFirstBlock(base, bl), func() (FilterAgg, []int32) {
-				return c.FilterAggSelBlocked(base, bl, op, operand, mode, nil)
+				return selScan(c, base, bl, op, operand, mode)
 			})
 		}
 		check()
@@ -258,27 +258,35 @@ func FuzzFusedBlocked(f *testing.F) {
 
 // checkMemo runs [lo, hi) and a span overlapping it by half, twice over,
 // through one FusedMemo, then [lo, hi) under another operand (a value of
-// the column) and under the first again, and holds every run to the
-// memo-free scan of the same span: N, Sum, Min and Max bits, the rounded
-// Partial, and the per-block counts.
+// the column) and under the first again (checkMemoSpans).
 func checkMemo(t *testing.T, label string, c *Column, lo, hi, bl int, op RangeOp, operand Value, mode FusedMode) {
 	t.Helper()
-	type span struct {
-		lo, hi  int
-		operand Value
-	}
 	mid := lo + (hi-lo)/2
-	spans := []span{{lo, hi, operand}, {mid, hi + (hi - lo), operand}, {lo, hi, operand}, {mid, hi + (hi - lo), operand}}
+	spans := []memoSpan{{lo, hi, operand}, {mid, hi + (hi - lo), operand}, {lo, hi, operand}, {mid, hi + (hi - lo), operand}}
 	if c.Len() > 0 {
-		spans = append(spans, span{lo, hi, c.Value(c.Len() / 2)}, span{lo, hi, operand})
+		spans = append(spans, memoSpan{lo, hi, c.Value(c.Len() / 2)}, memoSpan{lo, hi, operand})
 	}
+	checkMemoSpans(t, label, c, bl, op, mode, spans)
+}
+
+// memoSpan is one scan of checkMemoSpans.
+type memoSpan struct {
+	lo, hi  int
+	operand Value
+}
+
+// checkMemoSpans runs spans in order through one FusedMemo and holds
+// every run to the memo-free scan of the same span: N, Min and Max bits,
+// the bits of the exact sum rounded once, and the per-block counts.
+func checkMemoSpans(t *testing.T, label string, c *Column, bl int, op RangeOp, mode FusedMode, spans []memoSpan) {
+	t.Helper()
 	var memo FusedMemo
 	for i, s := range spans {
-		want, wantCounts := c.FilterAggRangeBlocked(s.lo, s.hi, bl, op, s.operand, mode, nil, nil)
-		got, gotCounts := c.FilterAggRangeBlocked(s.lo, s.hi, bl, op, s.operand, mode, &memo, nil)
+		want, wantCounts := rangeScan(c, s.lo, s.hi, bl, op, s.operand, mode, nil)
+		got, gotCounts := rangeScan(c, s.lo, s.hi, bl, op, s.operand, mode, &memo)
 		at := fmt.Sprintf("%s mode=%d bl=%d memo run %d range[%d,%d) operand %+v", label, mode, bl, i, s.lo, s.hi, s.operand)
-		bits := func(a FilterAgg) [5]uint64 {
-			return [5]uint64{uint64(a.N), math.Float64bits(a.Sum), math.Float64bits(a.Min), math.Float64bits(a.Max), math.Float64bits(a.Partial.Round())}
+		bits := func(a FilterAgg) [4]uint64 {
+			return [4]uint64{uint64(a.N), math.Float64bits(a.Sum), math.Float64bits(a.Min), math.Float64bits(a.Max)}
 		}
 		if bits(got) != bits(want) {
 			t.Fatalf("%s: memo scan %+v, memo-free %+v", at, got, want)
@@ -469,7 +477,7 @@ func FuzzFusedFloatSum(f *testing.F) {
 			t.Fatalf("op=%d b=%v n=%d: kernel %v over %d rows, scalar twin %v over %d", op, operand, n, got.Round(), gotN, want.Round(), wantN)
 		}
 		// The scan that dispatches to it lands on the same bits.
-		fa, _ := c.FilterAggRangeBlocked(0, n, 0, op, FloatValue(operand), FusedSum, nil, nil)
+		fa, _ := rangeScan(c, 0, n, 0, op, FloatValue(operand), FusedSum, nil)
 		if fa.N != wantN || math.Float64bits(fa.Sum) != math.Float64bits(composeAgg(c, c.FilterRange(0, n, op, FloatValue(operand), nil)).Sum) {
 			t.Fatalf("op=%d b=%v n=%d: scan %v over %d rows, want %d rows", op, operand, n, fa.Sum, fa.N, wantN)
 		}
