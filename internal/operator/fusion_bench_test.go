@@ -18,6 +18,14 @@ import (
 // benchmarks (8 MB) do not.
 const slideRows = 4 << 20
 
+// slideSteps is how many steps a /warmsteps slide takes, about as many
+// as a served full-height slide emits; slideShifts is how many passes
+// its cut points take to cycle through every shift they make.
+const (
+	slideSteps  = 120
+	slideShifts = 61
+)
+
 // slideCases are scan_direct's four filtered aggregates, each with its
 // ~50 %-selective `col < operand` conjunct; the two sums run side by
 // side, since the float sum is held to within 1.3x of the int64 one.
@@ -92,11 +100,17 @@ func stringSlideColumn(rng *rand.Rand, n int, format string) *storage.Column {
 // keeps its partial, the second answers every block from the memo. Its
 // /warm case is what a repeated served slide costs once both are done:
 // the memo is filled and the blocks are warm before the timer starts, so
-// it times memo answers plus charging.
+// it times memo answers plus charging. Its /warmsteps case is that warm
+// slide as a served one runs it, in slideSteps steps whose spans start and
+// end inside blocks, with cut points that move a few rows from one pass
+// to the next, as a user's next slide lands a few rows away: each step's
+// ends fold the sub-block partials the memo keeps for the blocks they
+// cut and read the ragged rows. Its memo is filled over a whole cycle of
+// cut points before the timer starts.
 func BenchmarkFuseFilterSlide(b *testing.B) {
 	cols := slideColumns()
 	for _, sc := range slideCases {
-		for _, variant := range []string{"", "/repeat", "/warm"} {
+		for _, variant := range []string{"", "/repeat", "/warm", "/warmsteps"} {
 			b.Run(sc.name+variant, func(b *testing.B) {
 				col := cols[sc.col]
 				clock := vclock.New()
@@ -109,6 +123,23 @@ func BenchmarkFuseFilterSlide(b *testing.B) {
 					fa, counts = fuseFilterAgg(col, 0, slideRows, nil, Lt, sc.operand, pred, val, sc.kind, memo, &sum, counts[:0])
 					return fa.N
 				}
+				// steps slides in slideSteps steps, every inner cut point
+				// shifted by 3 rows a pass, through [0, slideShifts).
+				steps := func(memo *storage.FusedMemo, pass int) int {
+					shift := pass * 3 % slideShifts
+					n, lo := 0, 0
+					for s := 1; s <= slideSteps; s++ {
+						hi := slideRows
+						if s < slideSteps {
+							hi = s*slideRows/slideSteps + shift
+						}
+						var fa storage.FilterAgg
+						fa, counts = fuseFilterAgg(col, lo, hi, nil, Lt, sc.operand, pred, val, sc.kind, memo, &sum, counts[:0])
+						n += fa.N
+						lo = hi
+					}
+					return n
+				}
 				width := int64(8)
 				if col.Type() == storage.String {
 					width = 4
@@ -120,6 +151,10 @@ func BenchmarkFuseFilterSlide(b *testing.B) {
 					width *= 2
 				case "/warm":
 					n += slide(&memo)
+				case "/warmsteps":
+					for pass := 0; pass < slideShifts; pass++ {
+						n += steps(&memo, pass)
+					}
 				}
 				b.SetBytes(slideRows * width)
 				b.ReportAllocs()
@@ -133,6 +168,8 @@ func BenchmarkFuseFilterSlide(b *testing.B) {
 						n += slide(&memo) + slide(&memo)
 					case "/warm":
 						n += slide(&memo)
+					case "/warmsteps":
+						n += steps(&memo, i)
 					}
 				}
 				if n == 0 {

@@ -366,7 +366,8 @@ func TestFusedStringCountAllocatesNothing(t *testing.T) {
 // the whole of col allocates, through a running aggregate or through
 // FuseFilterAgg (col spans fewer than 256 blocks), or if a served step —
 // ragged head and tail chunks around a run of blocks answered from a
-// filled FusedMemo — does.
+// filled FusedMemo — does, or one whose cut points move inside blocks
+// spans have already cut.
 func checkFusedStepAllocs(t *testing.T, col *storage.Column, kind AggKind, operand storage.Value) {
 	t.Helper()
 	clock := vclock.New()
@@ -393,5 +394,27 @@ func checkFusedStepAllocs(t *testing.T, col *storage.Column, kind AggKind, opera
 	served() // fill the memo
 	if allocs := testing.AllocsPerRun(20, served); allocs != 0 {
 		t.Fatalf("a fused %v step answered from a block memo over a %v column allocates %v times", kind, col.Type(), allocs)
+	}
+	// Steps whose ends move inside the first and the last complete block
+	// a span cuts: once both blocks have their sub-block partials (the
+	// first step gives the last one its slot), the ends fold them and
+	// read the ragged rows, and allocate nothing.
+	last := col.Len()/1024*1024 - 1024
+	shift := 0
+	moving := func() {
+		shift = (shift + 37) % 1000
+		agg.FuseFilter(col, 3+shift, last+17+shift, nil, Lt, operand, pred, val, &memo)
+		sinkValue = agg.Value()
+	}
+	// One count over 20 steps: AllocsPerRun truncates its mean, and a
+	// slot table that grew on every cut would allocate less than once a
+	// step.
+	steps := func() {
+		for i := 0; i < 20; i++ {
+			moving()
+		}
+	}
+	if allocs := testing.AllocsPerRun(1, steps); allocs != 0 {
+		t.Fatalf("20 fused %v steps whose ends move inside cut blocks over a %v column allocate %v times", kind, col.Type(), allocs)
 	}
 }

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
@@ -149,76 +150,23 @@ func FuzzFusedBlocked(f *testing.F) {
 			f.Add(uint8(5), 3000+10*int64(k)+j, int16(-5), int16(410), uint16(16), m.opSel, math.Float64bits(m.operand))
 		}
 	}
+	// Sub-block partials: 16- and 64-row blocks (2- and 8-row
+	// sub-blocks), spans whose ends land on a sub-block boundary (64, 40)
+	// and inside one (13, 301), through every mode: int sums (opSel 6),
+	// tieFloats MIN under `>= 0` (17) and SUM under `!= 1` (7), string
+	// counts (48).
+	for k, lohi := range [][2]int16{{13, 301}, {64, 40}, {40, 301}} {
+		for _, bl := range []uint16{16, 64} {
+			f.Add(uint8(0), 4000+int64(k), lohi[0], lohi[1], bl, uint8(6), uint64(1<<62))
+			f.Add(uint8(5), 4010+int64(k), lohi[0], lohi[1], bl, uint8(17), math.Float64bits(0))
+			f.Add(uint8(5), 4020+int64(k), lohi[0], lohi[1], bl, uint8(7), math.Float64bits(1))
+			f.Add(uint8(3), 4030+int64(k), lohi[0], lohi[1], bl, uint8(48), uint64(k))
+		}
+	}
 	f.Fuzz(func(t *testing.T, typByte uint8, seed int64, loRaw, hiRaw int16, blRaw uint16, opSel uint8, bBits uint64) {
-		op := RangeOp(opSel % 6)
-		mode := FusedMode(opSel / 6 % 4)
-		words := fuzzWords
-		wide := typByte%4 == 3 && typByte&4 != 0
-		if wide {
-			words = wideWords[:250+int(typByte/8)%11]
-		}
-		var operand Value
-		switch opSel / 24 % 3 {
-		case 0:
-			operand = FloatValue(math.Float64frombits(bBits))
-		case 1:
-			operand = IntValue(int64(bBits))
-		default:
-			operand = StringValue(words[bBits%uint64(len(words))])
-		}
-
-		// Deterministic column from the seed: a Weyl sequence mixed with
-		// the edge sets, so every run sits on lowering boundaries.
-		x := uint64(seed)
-		next := func() uint64 {
-			x = x*6364136223846793005 + 1442695040888963407
-			return x
-		}
-		n := int(next() >> 32 % 400)
-		var c *Column
-		switch typByte % 4 {
-		case 0:
-			v := make([]int64, n)
-			for i := range v {
-				if r := next(); r%4 == 0 {
-					v[i] = fuzzEdgeInts[(r>>32)%uint64(len(fuzzEdgeInts))]
-				} else {
-					v[i] = int64(r)
-				}
-			}
-			c = NewIntColumn("i", v)
-		case 1:
-			v := make([]float64, n)
-			for i := range v {
-				if r := next(); typByte&4 != 0 {
-					v[i] = tieFloats[(r>>32)%uint64(len(tieFloats))]
-				} else if r%4 == 0 {
-					v[i] = math.Float64frombits(fuzzEdgeBits[(r>>32)%uint64(len(fuzzEdgeBits))])
-				} else {
-					v[i] = math.Float64frombits(r)
-				}
-			}
-			c = NewFloatColumn("f", v)
-		case 2:
-			v := make([]bool, n)
-			for i := range v {
-				v[i] = next()>>40&1 == 1
-			}
-			c = NewBoolColumn("b", v)
-		default:
-			v := make([]string, n)
-			for i := range v {
-				v[i] = words[(next()>>32)%uint64(len(words))]
-			}
-			if wide {
-				// Intern every word first, so the dictionary holds all
-				// of them whichever the column draws.
-				full := NewStringColumn("s", append(append([]string(nil), words...), v...))
-				c, _ = full.Slice(len(words), len(words)+n)
-			} else {
-				c = NewStringColumn("s", v)
-			}
-		}
+		c, words, next := fuzzColumn(typByte, seed)
+		n := c.Len()
+		op, mode, operand := fuzzConjunct(opSel, bBits, words)
 
 		// Ranges reach past both ends and invert; block lengths run from
 		// "whole span" (0) through one value to wider than the column.
@@ -256,6 +204,90 @@ func FuzzFusedBlocked(f *testing.F) {
 	})
 }
 
+// fuzzColumn is the column FuzzFusedBlocked and FuzzFusedMemoSteps draw
+// from typByte and seed — its type is typByte%4; bit 2 draws a float
+// column from tieFloats and a string column from 250 to 260 words — with
+// the words a string operand is drawn from and the generator, which the
+// caller may draw on further.
+func fuzzColumn(typByte uint8, seed int64) (*Column, []string, func() uint64) {
+	words := fuzzWords
+	wide := typByte%4 == 3 && typByte&4 != 0
+	if wide {
+		words = wideWords[:250+int(typByte/8)%11]
+	}
+
+	// Deterministic column from the seed: a Weyl sequence mixed with
+	// the edge sets, so every run sits on lowering boundaries.
+	x := uint64(seed)
+	next := func() uint64 {
+		x = x*6364136223846793005 + 1442695040888963407
+		return x
+	}
+	n := int(next() >> 32 % 400)
+	var c *Column
+	switch typByte % 4 {
+	case 0:
+		v := make([]int64, n)
+		for i := range v {
+			if r := next(); r%4 == 0 {
+				v[i] = fuzzEdgeInts[(r>>32)%uint64(len(fuzzEdgeInts))]
+			} else {
+				v[i] = int64(r)
+			}
+		}
+		c = NewIntColumn("i", v)
+	case 1:
+		v := make([]float64, n)
+		for i := range v {
+			if r := next(); typByte&4 != 0 {
+				v[i] = tieFloats[(r>>32)%uint64(len(tieFloats))]
+			} else if r%4 == 0 {
+				v[i] = math.Float64frombits(fuzzEdgeBits[(r>>32)%uint64(len(fuzzEdgeBits))])
+			} else {
+				v[i] = math.Float64frombits(r)
+			}
+		}
+		c = NewFloatColumn("f", v)
+	case 2:
+		v := make([]bool, n)
+		for i := range v {
+			v[i] = next()>>40&1 == 1
+		}
+		c = NewBoolColumn("b", v)
+	default:
+		v := make([]string, n)
+		for i := range v {
+			v[i] = words[(next()>>32)%uint64(len(words))]
+		}
+		if wide {
+			// Intern every word first, so the dictionary holds all
+			// of them whichever the column draws.
+			full := NewStringColumn("s", append(append([]string(nil), words...), v...))
+			c, _ = full.Slice(len(words), len(words)+n)
+		} else {
+			c = NewStringColumn("s", v)
+		}
+	}
+	return c, words, next
+}
+
+// fuzzConjunct draws a fuzz target's operator, mode and operand: opSel
+// cycles the three together, and the operand crosses every coercion path
+// — bBits as a float64 payload, the same bits as an int64, or one of
+// words.
+func fuzzConjunct(opSel uint8, bBits uint64, words []string) (RangeOp, FusedMode, Value) {
+	var operand Value
+	switch opSel / 24 % 3 {
+	case 0:
+		operand = FloatValue(math.Float64frombits(bBits))
+	case 1:
+		operand = IntValue(int64(bBits))
+	default:
+		operand = StringValue(words[bBits%uint64(len(words))])
+	}
+	return RangeOp(opSel % 6), FusedMode(opSel / 6 % 4), operand
+}
+
 // checkMemo runs [lo, hi) and a span overlapping it by half, twice over,
 // through one FusedMemo, then [lo, hi) under another operand (a value of
 // the column) and under the first again (checkMemoSpans).
@@ -267,6 +299,64 @@ func checkMemo(t *testing.T, label string, c *Column, lo, hi, bl int, op RangeOp
 		spans = append(spans, memoSpan{lo, hi, c.Value(c.Len() / 2)}, memoSpan{lo, hi, operand})
 	}
 	checkMemoSpans(t, label, c, bl, op, mode, spans)
+}
+
+// FuzzFusedMemoSteps holds a slide's steps through one FusedMemo to the
+// memo-free scan (checkMemoSpans): a column, block length, conjunct and
+// mode drawn as FuzzFusedBlocked draws them, and a path of finger
+// positions whose consecutive pairs are the steps' spans, slid twice —
+// the second time every position moved by jitter rows, as a user's next
+// slide lands a few rows away. Step ends cut blocks and keep their
+// sub-block partials, later steps fold what earlier ones kept, and
+// spans that cover a cut block whole keep it from its sub-blocks.
+func FuzzFusedMemoSteps(f *testing.F) {
+	// path is little-endian uint16 positions, each taken modulo the
+	// column's length plus 16 and moved 8 back, so spans reach past both
+	// ends.
+	path := func(pos ...uint16) []byte {
+		b := make([]byte, 2*len(pos))
+		for i, p := range pos {
+			binary.LittleEndian.PutUint16(b[2*i:], p+8)
+		}
+		return b
+	}
+	down := path(3, 40, 77, 130, 171, 250, 333)
+	up := path(390, 301, 222, 150, 99, 20, 0)
+	for k, bl := range []uint16{16, 64, 8, 7, 1024} {
+		f.Add(uint8(0), 5000+int64(k), bl, uint8(6), uint64(1<<62), int8(3), down)
+		f.Add(uint8(5), 5010+int64(k), bl, uint8(17), math.Float64bits(0), int8(-5), up)
+		f.Add(uint8(5), 5020+int64(k), bl, uint8(21), math.Float64bits(0), int8(2), down)
+		f.Add(uint8(5), 5030+int64(k), bl, uint8(7), math.Float64bits(1), int8(7), up)
+		f.Add(uint8(1), 5040+int64(k), bl, uint8(11), math.Float64bits(0), int8(-1), down)
+		f.Add(uint8(3), 5050+int64(k), bl, uint8(48), uint64(k), int8(9), up)
+	}
+	f.Fuzz(func(t *testing.T, typByte uint8, seed int64, blRaw uint16, opSel uint8, bBits uint64, jitter int8, steps []byte) {
+		c, words, _ := fuzzColumn(typByte, seed)
+		n := c.Len()
+		op, mode, operand := fuzzConjunct(opSel, bBits, words)
+		var pos []int
+		for i := 0; i+1 < len(steps) && len(pos) < 64; i += 2 {
+			pos = append(pos, int(binary.LittleEndian.Uint16(steps[i:]))%(n+16)-8)
+		}
+		var spans []memoSpan
+		for pass := 0; pass < 2; pass++ {
+			for i := 1; i < len(pos); i++ {
+				lo, hi := pos[i-1], pos[i]
+				if lo > hi {
+					lo, hi = hi, lo
+				}
+				spans = append(spans, memoSpan{lo + pass*int(jitter), hi + pass*int(jitter), operand})
+			}
+		}
+		label := fmt.Sprintf("type=%v n=%d op=%d operand=%+v", c.Type(), n, op, operand)
+		bl := int(blRaw % 1100)
+		checkMemoSpans(t, label, c, bl, op, mode, spans)
+		if simdAvailable() {
+			restore := setSIMD(false)
+			defer restore()
+			checkMemoSpans(t, label+" scalar", c, bl, op, mode, spans)
+		}
+	})
 }
 
 // memoSpan is one scan of checkMemoSpans.
