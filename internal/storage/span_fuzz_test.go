@@ -310,18 +310,18 @@ func checkMemo(t *testing.T, label string, c *Column, lo, hi, bl int, op RangeOp
 // sub-block partials, later steps fold what earlier ones kept, and
 // spans that cover a cut block whole keep it from its sub-blocks.
 func FuzzFusedMemoSteps(f *testing.F) {
-	// path is little-endian uint16 positions, each taken modulo the
+	// A path is little-endian uint16 positions, each taken modulo the
 	// column's length plus 16 and moved 8 back, so spans reach past both
 	// ends.
-	path := func(pos ...uint16) []byte {
+	positions := func(pos ...uint16) []byte {
 		b := make([]byte, 2*len(pos))
 		for i, p := range pos {
 			binary.LittleEndian.PutUint16(b[2*i:], p+8)
 		}
 		return b
 	}
-	down := path(3, 40, 77, 130, 171, 250, 333)
-	up := path(390, 301, 222, 150, 99, 20, 0)
+	down := positions(3, 40, 77, 130, 171, 250, 333)
+	up := positions(390, 301, 222, 150, 99, 20, 0)
 	for k, bl := range []uint16{16, 64, 8, 7, 1024} {
 		f.Add(uint8(0), 5000+int64(k), bl, uint8(6), uint64(1<<62), int8(3), down)
 		f.Add(uint8(5), 5010+int64(k), bl, uint8(17), math.Float64bits(0), int8(-5), up)
@@ -330,13 +330,13 @@ func FuzzFusedMemoSteps(f *testing.F) {
 		f.Add(uint8(1), 5040+int64(k), bl, uint8(11), math.Float64bits(0), int8(-1), down)
 		f.Add(uint8(3), 5050+int64(k), bl, uint8(48), uint64(k), int8(9), up)
 	}
-	f.Fuzz(func(t *testing.T, typByte uint8, seed int64, blRaw uint16, opSel uint8, bBits uint64, jitter int8, steps []byte) {
+	f.Fuzz(func(t *testing.T, typByte uint8, seed int64, blRaw uint16, opSel uint8, bBits uint64, jitter int8, path []byte) {
 		c, words, _ := fuzzColumn(typByte, seed)
 		n := c.Len()
 		op, mode, operand := fuzzConjunct(opSel, bBits, words)
 		var pos []int
-		for i := 0; i+1 < len(steps) && len(pos) < 64; i += 2 {
-			pos = append(pos, int(binary.LittleEndian.Uint16(steps[i:]))%(n+16)-8)
+		for i := 0; i+1 < len(path) && len(pos) < 64; i += 2 {
+			pos = append(pos, int(binary.LittleEndian.Uint16(path[i:]))%(n+16)-8)
 		}
 		var spans []memoSpan
 		for pass := 0; pass < 2; pass++ {
