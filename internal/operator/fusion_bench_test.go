@@ -18,9 +18,9 @@ import (
 // benchmarks (8 MB) do not.
 const slideRows = 4 << 20
 
-// slideSteps is how many steps a /warmsteps slide takes, about as many
-// as a served full-height slide emits; slideShifts is how many passes
-// its cut points take to cycle through every shift they make.
+// slideSteps is how many steps a /warmsteps slide takes, spans of about
+// 35 000 rows; slideShifts is how many passes its cut points take to
+// cycle through every shift they make.
 const (
 	slideSteps  = 120
 	slideShifts = 61

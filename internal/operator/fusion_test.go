@@ -397,7 +397,7 @@ func checkFusedStepAllocs(t *testing.T, col *storage.Column, kind AggKind, opera
 	}
 	// Steps whose ends move inside the first and the last complete block
 	// a span cuts: once both blocks have their sub-block partials (the
-	// first step gives the last one its slot), the ends fold them and
+	// warm-up run gives the last one its slot), the ends fold them and
 	// read the ragged rows, and allocate nothing.
 	last := col.Len()/1024*1024 - 1024
 	shift := 0
