@@ -103,10 +103,10 @@ func stringSlideColumn(rng *rand.Rand, n int, format string) *storage.Column {
 // it times memo answers plus charging. Its /warmsteps case is that warm
 // slide as a served one runs it, in slideSteps steps whose spans start and
 // end inside blocks, with cut points that move a few rows from one pass
-// to the next, as a user's next slide lands a few rows away: each step's
-// ends fold the sub-block partials the memo keeps for the blocks they
-// cut and read the ragged rows. Its memo is filled over a whole cycle of
-// cut points before the timer starts.
+// to the next, as a user's next slide lands a few rows away: each step
+// folds the kept blocks its span covers and reads the parts of the two
+// it cuts. Its memo is filled over a whole cycle of cut points before
+// the timer starts.
 func BenchmarkFuseFilterSlide(b *testing.B) {
 	cols := slideColumns()
 	for _, sc := range slideCases {

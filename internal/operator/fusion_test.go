@@ -366,8 +366,8 @@ func TestFusedStringCountAllocatesNothing(t *testing.T) {
 // the whole of col allocates, through a running aggregate or through
 // FuseFilterAgg (col spans fewer than 256 blocks), or if a served step —
 // ragged head and tail chunks around a run of blocks answered from a
-// filled FusedMemo — does, or one whose cut points move inside blocks
-// spans have already cut.
+// filled FusedMemo — does, or one whose cut points move inside the
+// blocks at either end.
 func checkFusedStepAllocs(t *testing.T, col *storage.Column, kind AggKind, operand storage.Value) {
 	t.Helper()
 	clock := vclock.New()
@@ -379,12 +379,22 @@ func checkFusedStepAllocs(t *testing.T, col *storage.Column, kind AggKind, opera
 		sinkValue = agg.Value()
 	}
 	step() // warm the trackers
-	if allocs := testing.AllocsPerRun(20, step); allocs != 0 {
-		t.Fatalf("a fused %v step over a %v column allocates %v times", kind, col.Type(), allocs)
+	// allocs counts the allocations of 20 calls of f as one run:
+	// AllocsPerRun truncates its mean, so a step that allocated on a few
+	// calls only (a buffer grown now and then) would read 0 per call.
+	allocs := func(f func()) float64 {
+		return testing.AllocsPerRun(1, func() {
+			for i := 0; i < 20; i++ {
+				f()
+			}
+		})
+	}
+	if n := allocs(step); n != 0 {
+		t.Fatalf("20 fused %v steps over a %v column allocate %v times", kind, col.Type(), n)
 	}
 	alone := func() { sinkValue = FuseFilterAgg(col, 0, col.Len(), nil, Lt, operand, pred, val, kind).Sum }
-	if allocs := testing.AllocsPerRun(20, alone); allocs != 0 {
-		t.Fatalf("FuseFilterAgg over a %v column allocates %v times", col.Type(), allocs)
+	if n := allocs(alone); n != 0 {
+		t.Fatalf("20 FuseFilterAgg calls over a %v column allocate %v times", col.Type(), n)
 	}
 	var memo storage.FusedMemo
 	served := func() {
@@ -392,13 +402,12 @@ func checkFusedStepAllocs(t *testing.T, col *storage.Column, kind AggKind, opera
 		sinkValue = agg.Value()
 	}
 	served() // fill the memo
-	if allocs := testing.AllocsPerRun(20, served); allocs != 0 {
-		t.Fatalf("a fused %v step answered from a block memo over a %v column allocates %v times", kind, col.Type(), allocs)
+	if n := allocs(served); n != 0 {
+		t.Fatalf("20 fused %v steps answered from a block memo over a %v column allocate %v times", kind, col.Type(), n)
 	}
 	// Steps whose ends move inside the first and the last complete block
-	// a span cuts: once both blocks have their sub-block partials (the
-	// warm-up run gives the last one its slot), the ends fold them and
-	// read the ragged rows, and allocate nothing.
+	// a span cuts read those parts, fold the kept blocks between, and
+	// allocate nothing.
 	last := col.Len()/1024*1024 - 1024
 	shift := 0
 	moving := func() {
@@ -406,15 +415,7 @@ func checkFusedStepAllocs(t *testing.T, col *storage.Column, kind AggKind, opera
 		agg.FuseFilter(col, 3+shift, last+17+shift, nil, Lt, operand, pred, val, &memo)
 		sinkValue = agg.Value()
 	}
-	// One count over 20 steps: AllocsPerRun truncates its mean, and a
-	// slot table that grew on every cut would allocate less than once a
-	// step.
-	steps := func() {
-		for i := 0; i < 20; i++ {
-			moving()
-		}
-	}
-	if allocs := testing.AllocsPerRun(1, steps); allocs != 0 {
-		t.Fatalf("20 fused %v steps whose ends move inside cut blocks over a %v column allocate %v times", kind, col.Type(), allocs)
+	if n := allocs(moving); n != 0 {
+		t.Fatalf("20 fused %v steps whose ends move inside cut blocks over a %v column allocate %v times", kind, col.Type(), n)
 	}
 }

@@ -446,7 +446,6 @@ func (sc *floatScan) sumWindow(v []float64, pp *preparedPred, acc *ExactSum) int
 // the qualifying positions into the scan's buffer and folding them.
 // The other types aggregate the chunk on its own and absorb it exactly.
 func (c *Column) fusedChunk(pp *preparedPred, lo, hi int, mode FusedMode, total *fusedAcc, sc *floatScan) int {
-	noteRead(hi - lo)
 	if c.typ != Float64 {
 		ca := c.exactChunk(pp, lo, hi, mode)
 		total.absorb(ca)
@@ -605,12 +604,10 @@ func (a *fusedAcc) finish(mode FusedMode) FilterAgg {
 // charge per block without re-deriving the predicate per chunk. With a
 // memo, a complete block whose partial the memo keeps is answered from
 // it — same result bits, same counts — a run of such blocks in one loop,
-// and a complete block it has not seen is read once and kept; a partial
-// head or tail chunk inside a complete block folds the sub-block
-// partials the memo keeps for it and reads only its ragged rows (see
-// FusedMemo). The memo also keeps the lowered predicate for its key.
-// memo may be nil, and the predicate is then lowered on every call.
-// KernelBytes counts the bytes of [lo, hi) either way.
+// and a complete block it has not seen is read once and kept; the memo
+// also keeps the lowered predicate for its key. memo may be nil, and the
+// predicate is then lowered on every call. KernelBytes counts the bytes
+// of [lo, hi) either way.
 func (c *Column) FilterAggRangeBlocked(lo, hi, blockLen int, op RangeOp, operand Value, mode FusedMode, memo *FusedMemo, sum *ExactSum, counts []int32) (FilterAgg, []int32) {
 	lo, hi = c.clampRange(lo, hi)
 	acc := newFusedAcc(sum)
@@ -639,15 +636,11 @@ func (c *Column) FilterAggRangeBlocked(lo, hi, blockLen int, op RangeOp, operand
 		end := min((b+1)*blockLen, hi)
 		var k int
 		switch {
-		case b >= len(parts):
-			// No memo, or the column's ragged last block.
+		case b >= len(parts) || end-cur < blockLen || parts[b].state == partRefused:
+			// No memo, a partial head or tail chunk, or a refused block.
 			k = c.fusedChunk(pp, cur, end, mode, &acc, sc)
-		case end-cur < blockLen || parts[b].state == partRefused:
-			// A partial head or tail chunk, or a refused block: through
-			// the sub-block partials that can answer part of it.
-			k = memo.cutChunk(c, b, pp, cur, end, mode, &acc, sc)
-		case parts[b].state == partUnread && !c.keepBlock(&parts[b], memo.subsOf(b), pp, cur, end, mode, &acc, sc):
-			// Refused as it was computed, and folded then.
+		case parts[b].state == partUnread && !c.keepBlock(&parts[b], pp, cur, end, mode, &acc, sc):
+			// Refused as it was read, and folded then.
 			k = int(parts[b].n)
 		default:
 			// Kept, now or on an earlier scan: fold the run of kept

@@ -536,8 +536,8 @@ func TestFusedScansCountCoveredBytes(t *testing.T) {
 }
 
 // TestFusedMemoCost: a memo holds one 24-byte partial per complete block
-// of the column, and sub-block partials only for the blocks spans cut,
-// and a scan under another key reuses that room.
+// of the column and nothing more, and a scan under another key reuses
+// that room.
 func TestFusedMemoCost(t *testing.T) {
 	if size := unsafe.Sizeof(blockPartial{}); size > 24 {
 		t.Fatalf("a block partial takes %d bytes, want ≤ 24", size)
@@ -548,22 +548,9 @@ func TestFusedMemoCost(t *testing.T) {
 	if len(memo.parts) != 9 || cap(memo.parts) != 9 {
 		t.Fatalf("memo of a 10 000-row column in 1 024-row blocks holds %d partials (cap %d), want 9", len(memo.parts), cap(memo.parts))
 	}
-	// 5 000 cuts block 4, and only block 4 gets sub-block partials.
-	rangeScan(c, 2_000, 5_000, 1024, RangeLt, FloatValue(1), FusedSum, &memo)
-	if len(memo.subs) != 1 || memo.subsOf(4) == nil {
-		t.Fatalf("after spans that cut only block 4, the memo keeps sub-block partials for %d blocks", len(memo.subs))
-	}
-	kept, slot := &memo.parts[0], &memo.subs[0]
+	kept := &memo.parts[0]
 	rangeScan(c, 0, 5_000, 1024, RangeGt, FloatValue(1), FusedSum, &memo)
-	if &memo.parts[0] != kept || len(memo.subs) != 1 || &memo.subs[0] != slot {
+	if &memo.parts[0] != kept {
 		t.Fatal("a scan under another key reallocated the memo")
-	}
-	// Once every slot is taken, a block a span cuts gets none: its end is
-	// read whole, as a memo-free scan reads it.
-	memo.subs = append(memo.subs, make([]subPartials, maxCutBlocks-1)...)
-	want, _ := rangeScan(c, 0, 6*1024+100, 1024, RangeGt, FloatValue(1), FusedSum, nil)
-	got, _ := rangeScan(c, 0, 6*1024+100, 1024, RangeGt, FloatValue(1), FusedSum, &memo)
-	if got != want || memo.subsOf(6) != nil || len(memo.subs) != maxCutBlocks {
-		t.Fatalf("a cut past the last slot: %+v, want %+v; block 6 has a slot: %v", got, want, memo.subsOf(6) != nil)
 	}
 }

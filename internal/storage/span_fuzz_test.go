@@ -150,11 +150,10 @@ func FuzzFusedBlocked(f *testing.F) {
 			f.Add(uint8(5), 3000+10*int64(k)+j, int16(-5), int16(410), uint16(16), m.opSel, math.Float64bits(m.operand))
 		}
 	}
-	// Sub-block partials: 16- and 64-row blocks (2- and 8-row
-	// sub-blocks), spans whose ends land on a sub-block boundary (64, 40)
-	// and inside one (13, 301), through every mode: int sums (opSel 6),
-	// tieFloats MIN under `>= 0` (17) and SUM under `!= 1` (7), string
-	// counts (48).
+	// Cut ends: 16- and 64-row blocks, spans whose ends land on a
+	// multiple of 8 (64, 40) and between two (13, 301), through every
+	// mode: int sums (opSel 6), tieFloats MIN under `>= 0` (17) and SUM
+	// under `!= 1` (7), string counts (48).
 	for k, lohi := range [][2]int16{{13, 301}, {64, 40}, {40, 301}} {
 		for _, bl := range []uint16{16, 64} {
 			f.Add(uint8(0), 4000+int64(k), lohi[0], lohi[1], bl, uint8(6), uint64(1<<62))
@@ -306,9 +305,9 @@ func checkMemo(t *testing.T, label string, c *Column, lo, hi, bl int, op RangeOp
 // mode drawn as FuzzFusedBlocked draws them, and a path of finger
 // positions whose consecutive pairs are the steps' spans, slid twice —
 // the second time every position moved by jitter rows, as a user's next
-// slide lands a few rows away. Step ends cut blocks and keep their
-// sub-block partials, later steps fold what earlier ones kept, and
-// spans that cover a cut block whole keep it from its sub-blocks.
+// slide lands a few rows away. Step ends cut blocks and read them,
+// later steps fold the blocks earlier ones kept, and a span that covers
+// a block earlier steps only cut keeps it.
 func FuzzFusedMemoSteps(f *testing.F) {
 	// A path is little-endian uint16 positions, each taken modulo the
 	// column's length plus 16 and moved 8 back, so spans reach past both

@@ -9,38 +9,22 @@ import "math"
 // boundaries, so an object that slides over the same column again under
 // the same WHERE need not read that block again, whatever the data's
 // distribution. A FusedMemo keeps those partials for one object's fused
-// conjunct, and the predicate lowered for it; FilterAggRangeBlocked folds
-// each run of kept blocks in one loop (foldKept), so a warm step costs
-// the run's partials, not a call per block.
-//
-// A slide step's span seldom starts or ends on a block boundary, so the
-// memo keeps partials at a second level for the blocks spans cut: each
-// cut block's eight sub-blocks of blockLen/8 rows (128 at the served
-// 1 024), in a side table with one slot per cut block. A span's partial
-// end folds the kept sub-blocks it covers and reads only its ragged
-// remainder, fewer than blockLen/8 rows; a sub-block is read and kept the
-// first time a span covers it whole, and a cut block a span then covers
-// whole is kept from its sub-blocks, reading only those not kept yet —
-// none once all eight are. Nothing is keyed on a step's cut points: a
-// slide whose steps land elsewhere next time reuses every sub-block they
-// cover.
+// conjunct, and the predicate lowered for it; FilterAggRangeBlocked reads
+// only a span's partial head and tail chunks and the blocks the memo has
+// not kept, and folds each run of kept blocks in one loop (foldKept), so
+// a warm step costs the run's partials, not a call per block.
 
 // FusedMemo keeps the partials of the complete, block-aligned chunks one
-// object's blocked fused scans have read, the sub-block partials of the
-// complete blocks their spans have cut, and the predicate lowered for
+// object's blocked fused scans have read, and the predicate lowered for
 // them. Its key is the column (identity and length), the operator and
 // operand, the mode and the block length; a scan under any other key
 // lowers the predicate again and starts the partials over. The zero
 // value is an empty memo. It costs 24 bytes per block of the column once
-// a scan covers a complete block, plus 192 bytes per block a span has
-// cut, and is not safe for concurrent use.
+// a scan covers a complete block, and is not safe for concurrent use.
 type FusedMemo struct {
 	key   memoKey
 	pp    preparedPred
 	parts []blockPartial
-	// subs has one slot per cut block, in the order spans first cut
-	// them; a block's sub field names its slot.
-	subs []subPartials
 }
 
 // memoKey is what a block partial depends on.
@@ -53,18 +37,15 @@ type memoKey struct {
 	blockLen int
 }
 
-// blockPartial is one complete block's or sub-block's partial: the
-// qualifying count, and in a the wrapping int64 sum (b unused), or the
-// bits of the one extremum the mode keeps (first-wins, as the scan folds
-// it), or a float sum as the exact pair a+b of doubles. keepBlock writes
-// it and foldKept reads it. A block's sub is its slot in FusedMemo.subs
-// plus one, 0 while no span has cut it; it fills what was padding, so a
-// partial stays 24 bytes.
+// blockPartial is one complete block's partial: the qualifying count,
+// and in a the wrapping int64 sum (b unused), or the bits of the one
+// extremum the mode keeps (first-wins, as the scan folds it), or a float
+// sum as the exact pair a+b of doubles. keepBlock writes it and foldKept
+// reads it.
 type blockPartial struct {
 	a, b  uint64
 	n     int32
 	state uint8
-	sub   uint16
 }
 
 // Block partial states; the zero value is a block not read yet.
@@ -75,19 +56,6 @@ const (
 	// or that saw a NaN or an infinity: the block is read on every scan.
 	partRefused
 )
-
-// subBlocks is how many sub-blocks a cut block's partials split it into.
-// A block length it does not divide keeps no sub-block partials: the
-// ends of spans are then read whole.
-const subBlocks = 8
-
-// subPartials is one cut block's sub-block partials, in row order.
-type subPartials [subBlocks]blockPartial
-
-// maxCutBlocks is the most cut blocks one memo keeps sub-block partials
-// for — every slot blockPartial.sub can name, 12 MiB of them. The ends of
-// spans that cut a block past it are read whole.
-const maxCutBlocks = math.MaxUint16
 
 // prepare returns the memo's lowered predicate and its partials, one per
 // complete block of c, for a scan under the given key. A changed key
@@ -107,96 +75,19 @@ func (m *FusedMemo) prepare(c *Column, op RangeOp, operand Value, mode FusedMode
 		} else {
 			m.parts = make([]blockPartial, nb)
 		}
-		m.subs = m.subs[:0]
 	case c.typ == String && len(m.pp.pass) < c.dict.Len():
 		m.pp = c.preparePred(op, operand)
 	}
 	return &m.pp, m.parts
 }
 
-// subsOf returns complete block b's sub-block partials, nil while no
-// span has cut it.
-func (m *FusedMemo) subsOf(b int) *subPartials {
-	if s := m.parts[b].sub; s != 0 {
-		return &m.subs[s-1]
-	}
-	return nil
-}
-
-// cutChunk runs [lo, hi), inside complete block b, into total and
-// returns how many of its values qualified: a span's partial end, or a
-// refused block. The whole sub-blocks it covers go through the block's
-// sub-block partials (subChunk), which a partial end that covers one
-// gives a slot on first touch; a refused block no span has cut, a part
-// that covers no whole sub-block, and a block length subBlocks does not
-// divide are read.
-func (m *FusedMemo) cutChunk(c *Column, b int, pp *preparedPred, lo, hi int, mode FusedMode, total *fusedAcc, sc *floatScan) int {
-	bl := m.key.blockLen
-	base, sl := b*bl, bl/subBlocks
-	if bl%subBlocks != 0 || (lo-base+sl-1)/sl >= (hi-base)/sl {
-		return c.fusedChunk(pp, lo, hi, mode, total, sc)
-	}
-	bp := &m.parts[b]
-	if bp.sub == 0 {
-		if hi-lo == bl || len(m.subs) == maxCutBlocks {
-			return c.fusedChunk(pp, lo, hi, mode, total, sc)
-		}
-		m.subs = append(m.subs, subPartials{})
-		bp.sub = uint16(len(m.subs))
-	}
-	return c.subChunk(&m.subs[bp.sub-1], pp, base, sl, lo, hi, mode, total, sc)
-}
-
-// subChunk runs [lo, hi) — inside the block at base whose sub-block
-// partials, sl rows each, are subs, and covering at least one of them
-// whole — into total, in row order, and returns how many of its values
-// qualified. A run of kept sub-blocks folds in one loop, an unread one
-// is read and kept, a refused one is read; the ragged rows at either
-// end, fewer than sl each, are read.
-func (c *Column) subChunk(subs *subPartials, pp *preparedPred, base, sl, lo, hi int, mode FusedMode, total *fusedAcc, sc *floatScan) int {
-	n0 := total.N
-	s0, s1 := (lo-base+sl-1)/sl, (hi-base)/sl
-	if from := base + s0*sl; lo < from {
-		c.fusedChunk(pp, lo, from, mode, total, sc)
-	}
-	float := c.typ == Float64
-	for s := s0; s < s1; {
-		from := base + s*sl
-		switch sp := &subs[s]; {
-		case sp.state == partRefused:
-			c.fusedChunk(pp, from, from+sl, mode, total, sc)
-		case sp.state == partUnread && !c.keepBlock(sp, nil, pp, from, from+sl, mode, total, sc):
-			// Refused as it was read, and folded then.
-		default:
-			// Kept, now or on an earlier scan: fold the run.
-			var counts [subBlocks]int32
-			run, _ := total.foldKept(subs[s:s1], mode, float, counts[:0])
-			s += run
-			continue
-		}
-		s++
-	}
-	if from := base + s1*sl; from < hi {
-		c.fusedChunk(pp, from, hi, mode, total, sc)
-	}
-	return total.N - n0
-}
-
-// keepBlock computes the partial of the complete block or sub-block
-// [lo, hi) and keeps it in bp. A block with sub-block partials subs (nil
-// for none) is computed through them (subChunk), so it is read only
-// where they are not kept; otherwise it is read. A float sum two doubles
-// cannot hold exactly is refused instead: keepBlock then folds what it
-// computed into total and reports false.
-func (c *Column) keepBlock(bp *blockPartial, subs *subPartials, pp *preparedPred, lo, hi int, mode FusedMode, total *fusedAcc, sc *floatScan) bool {
+// keepBlock reads the complete block [lo, hi) and keeps its partial in
+// bp. A float sum two doubles cannot hold exactly is refused instead:
+// keepBlock then folds what it read into total and reports false.
+func (c *Column) keepBlock(bp *blockPartial, pp *preparedPred, lo, hi int, mode FusedMode, total *fusedAcc, sc *floatScan) bool {
 	var sum ExactSum
 	blk := newFusedAcc(&sum)
-	if subs != nil {
-		c.subChunk(subs, pp, lo, (hi-lo)/subBlocks, lo, hi, mode, &blk, sc)
-	} else {
-		c.fusedChunk(pp, lo, hi, mode, &blk, sc)
-	}
-	bp.n = int32(blk.N)
+	bp.n = int32(c.fusedChunk(pp, lo, hi, mode, &blk, sc))
 	switch float := c.typ == Float64; {
 	case mode == FusedSum && float:
 		h, l, ok := sum.pair()

@@ -3,7 +3,6 @@ package storage
 import (
 	"fmt"
 	"math"
-	"slices"
 	"testing"
 )
 
@@ -184,50 +183,50 @@ func TestFusedMemoLiveDictionary(t *testing.T) {
 	}
 }
 
-// subBlock is the block length of the sub-block columns: eight
-// sub-blocks of 8 rows. subRows is 6 complete blocks and a ragged tail.
+// cutBlock is the block length of the cut-block columns, and cutLen the
+// 8-row stretch the columns repeat their patterns in. cutRows is 6
+// complete blocks and a ragged tail.
 const (
-	subBlock = 64
-	subLen   = subBlock / subBlocks
-	subRows  = 6*subBlock + 5
+	cutBlock = 64
+	cutLen   = 8
+	cutRows  = 6*cutBlock + 5
 )
 
-// TestFusedMemoSubBlocks runs every mode over spans whose ends cut
-// blocks, through one memo, so that later spans answer their ends from
-// the sub-block partials earlier ones kept: ends on a sub-block boundary
-// and inside a sub-block, a span inside one block and one inside a
-// single sub-block, cut points that move a few rows, and a whole-column
-// span that keeps the cut blocks from their sub-blocks. The columns put
-// refused float sub-blocks in the way — a NaN qualifier, and tieFloats'
-// 2^80, 1 and 2^-80 in one sub-block, whose block -2^80 brings back to a
-// sum two doubles hold — and ±0 MIN/MAX ties across the sub-blocks of a
-// block, where only the earliest zero a span covers is right.
-func TestFusedMemoSubBlocks(t *testing.T) {
-	ints := make([]int64, subRows)
+// TestFusedMemoCutBlocks runs every mode over spans whose ends cut
+// blocks, through one memo, so that later spans read their ends around
+// the complete blocks earlier ones kept: ends on an 8-row boundary and
+// between two, a span inside one block and one inside 8 rows, cut points
+// that move a few rows, and a whole-column span that keeps the blocks
+// earlier spans only cut. The columns put refused float blocks in the
+// way — a NaN qualifier, and tieFloats' 2^80, 1 and 2^-80 side by side,
+// whose block -2^80 brings back to a sum two doubles hold — and ±0
+// MIN/MAX ties within and across blocks, where only the earliest zero a
+// span covers is right.
+func TestFusedMemoCutBlocks(t *testing.T) {
+	ints := make([]int64, cutRows)
 	for i := range ints {
 		ints[i] = int64(i*37%23) - 11
 	}
-	refused := make([]float64, subRows)
+	refused := make([]float64, cutRows)
 	for i := range refused {
 		refused[i] = float64(i%7) * 0.25
 	}
-	refused[subBlock+2*subLen+3] = math.NaN()
-	refused[3*subBlock+5*subLen] = math.NaN()
-	refused[4*subBlock+subLen] = 0x1p80
-	refused[4*subBlock+subLen+1] = 1
-	refused[4*subBlock+subLen+2] = 0x1p-80
-	refused[4*subBlock+3*subLen+4] = -0x1p80
-	// zeros(neg0, sign): every sub-block holds one zero among values of
-	// the given sign, +0 in even sub-blocks and -0 in odd ones (the other
-	// way round when neg0), so every sub-block's extremum ties the
-	// others'.
+	refused[cutBlock+2*cutLen+3] = math.NaN()
+	refused[3*cutBlock+5*cutLen] = math.NaN()
+	refused[4*cutBlock+cutLen] = 0x1p80
+	refused[4*cutBlock+cutLen+1] = 1
+	refused[4*cutBlock+cutLen+2] = 0x1p-80
+	refused[4*cutBlock+3*cutLen+4] = -0x1p80
+	// zeros(neg0, sign): every cutLen rows hold one zero among values of
+	// the given sign, +0 in even stretches and -0 in odd ones (the other
+	// way round when neg0), so every stretch's extremum ties the others'.
 	zeros := func(neg0 bool, sign float64) *Column {
-		v := make([]float64, subRows)
+		v := make([]float64, cutRows)
 		for i := range v {
 			v[i] = sign * float64(1+i%5)
-			if i%subLen == 3 {
+			if i%cutLen == 3 {
 				v[i] = 0
-				if (i/subLen%2 == 1) != neg0 {
+				if (i/cutLen%2 == 1) != neg0 {
 					v[i] = math.Copysign(0, -1)
 				}
 			}
@@ -235,19 +234,19 @@ func TestFusedMemoSubBlocks(t *testing.T) {
 		return NewFloatColumn("z", v)
 	}
 
-	const B, S = subBlock, subLen
+	const B, S = cutBlock, cutLen
 	spans := []memoSpan{
-		{3, 2*B + 5*S, Value{}},        // a head inside a sub-block, a tail on a sub-block boundary
-		{3, 2*B + 5*S, Value{}},        // again: both ends from sub-blocks
-		{2*B + 5*S, 4*B + 13, Value{}}, // the rest of block 2, a tail inside a sub-block
+		{3, 2*B + 5*S, Value{}},        // a head between 8-row boundaries, a tail on one
+		{3, 2*B + 5*S, Value{}},        // again: block 1 from the memo
+		{2*B + 5*S, 4*B + 13, Value{}}, // the rest of block 2, a tail between boundaries
 		{2*B + 5*S - 3, 4*B + 16, Value{}},
 		{B + 3, B + 50, Value{}},            // inside one block
-		{B + 2*S + 1, B + 2*S + 6, Value{}}, // inside one sub-block
-		{B + 2*S, B + 3*S, Value{}},         // one whole sub-block
+		{B + 2*S + 1, B + 2*S + 6, Value{}}, // inside 8 rows
+		{B + 2*S, B + 3*S, Value{}},         // 8 aligned rows
 		{B + 3, B + 50, Value{}},
 		{B + 5, B + 47, Value{}}, // cut points moved a few rows
-		{0, subRows, Value{}},    // every cut block covered whole
-		{5, subRows - 7, Value{}},
+		{0, cutRows, Value{}},    // every cut block covered whole
+		{5, cutRows - 7, Value{}},
 		{3*B + 1, 3*B + 2*S - 1, Value{}},
 		{3*B + 1, 3*B + 2*S - 1, Value{}},
 	}
@@ -258,7 +257,7 @@ func TestFusedMemoSubBlocks(t *testing.T) {
 		operand Value
 	}{
 		{"int", NewIntColumn("i", ints), RangeGe, IntValue(-3)},
-		{"refused float sub-blocks", NewFloatColumn("f", refused), RangeGe, FloatValue(0)},
+		{"refused float blocks", NewFloatColumn("f", refused), RangeGe, FloatValue(0)},
 		{"+0 then -0 ties, non-positive", zeros(false, -1), RangeLe, FloatValue(0)},
 		{"-0 then +0 ties, non-positive", zeros(true, -1), RangeLe, FloatValue(0)},
 		{"+0 then -0 ties, non-negative", zeros(false, 1), RangeGe, FloatValue(0)},
@@ -269,86 +268,22 @@ func TestFusedMemoSubBlocks(t *testing.T) {
 			spans[i].operand = tc.operand
 		}
 		for _, mode := range fusedModes {
-			checkMemoSpans(t, tc.name, tc.col, subBlock, tc.op, mode, spans)
+			checkMemoSpans(t, tc.name, tc.col, cutBlock, tc.op, mode, spans)
 		}
 	}
 	for _, mode := range fusedModes {
-		checkMemoSpans(t, "tieFloats", tieColumn(subRows), subBlock, RangeNe, mode, []memoSpan{
-			{3, subRows - 3, FloatValue(1)}, {3, subRows - 3, FloatValue(1)}, {0, subRows, FloatValue(1)},
+		checkMemoSpans(t, "tieFloats", tieColumn(cutRows), cutBlock, RangeNe, mode, []memoSpan{
+			{3, cutRows - 3, FloatValue(1)}, {3, cutRows - 3, FloatValue(1)}, {0, cutRows, FloatValue(1)},
 		})
 	}
 }
 
-// tieColumn is n values drawn from tieFloats, each sub-block of
-// subBlock-row blocks holding 2^80, 1 and 2^-80 among the zeros and NaN.
+// tieColumn is n values drawn from tieFloats, every cutLen rows holding
+// 2^80, 1 and 2^-80 among the zeros and NaN.
 func tieColumn(n int) *Column {
 	v := make([]float64, n)
 	for i := range v {
-		v[i] = tieFloats[(i*5+i/subLen)%len(tieFloats)]
+		v[i] = tieFloats[(i*5+i/cutLen)%len(tieFloats)]
 	}
 	return NewFloatColumn("t", v)
-}
-
-// TestFusedMemoBlockFromSubBlocks cuts block 2 in two spans whose ends
-// together cover its eight sub-blocks, then scans the whole column: the
-// block is kept from its sub-blocks without a read — its rows are
-// overwritten before that scan, and the answer is still the original
-// column's — and its partial is the one a fresh memo reads from the
-// original rows.
-func TestFusedMemoBlockFromSubBlocks(t *testing.T) {
-	const B = subBlock
-	ints := make([]int64, subRows)
-	flts := make([]float64, subRows)
-	for i := range ints {
-		ints[i] = int64(i*37%23) - 11
-		flts[i] = float64(i*37%23)/4 - 2.75
-	}
-	for _, tc := range []struct {
-		typ     Type
-		op      RangeOp
-		operand Value
-	}{
-		{Int64, RangeGe, IntValue(-3)},
-		{Float64, RangeLt, FloatValue(1.5)},
-	} {
-		for _, mode := range fusedModes {
-			fresh := func() *Column {
-				if tc.typ == Int64 {
-					return NewIntColumn("i", slices.Clone(ints))
-				}
-				return NewFloatColumn("f", slices.Clone(flts))
-			}
-			c := fresh()
-			at := fmt.Sprintf("%v mode=%d", tc.typ, mode)
-			var memo FusedMemo
-			rangeScan(c, B+3, 2*B+4*subLen, B, tc.op, tc.operand, mode, &memo)
-			rangeScan(c, 2*B+4*subLen, 3*B+9, B, tc.op, tc.operand, mode, &memo)
-			subs := memo.subsOf(2)
-			if subs == nil || memo.parts[2].state != partUnread {
-				t.Fatalf("%s: block 2 after two cuts: state %d, sub-blocks %v", at, memo.parts[2].state, subs != nil)
-			}
-			for s, sp := range subs {
-				if sp.state != partKept {
-					t.Fatalf("%s: sub-block %d of block 2 not kept after both cuts", at, s)
-				}
-			}
-
-			want, wantCounts := rangeScan(c, 0, subRows, B, tc.op, tc.operand, mode, nil)
-			var full FusedMemo
-			rangeScan(c, 0, subRows, B, tc.op, tc.operand, mode, &full)
-			for i := 2 * B; i < 3*B; i++ {
-				c.Set(i, IntValue(1000+int64(i)))
-			}
-			got, gotCounts := rangeScan(c, 0, subRows, B, tc.op, tc.operand, mode, &memo)
-			if math.Float64bits(got.Sum) != math.Float64bits(want.Sum) || got.N != want.N ||
-				math.Float64bits(got.Min) != math.Float64bits(want.Min) || math.Float64bits(got.Max) != math.Float64bits(want.Max) ||
-				!slices.Equal(gotCounts, wantCounts) {
-				t.Fatalf("%s: the whole column after block 2 was overwritten: %+v %v, want the original %+v %v", at, got, gotCounts, want, wantCounts)
-			}
-			bp, ref := memo.parts[2], full.parts[2]
-			if bp.state != partKept || bp.a != ref.a || bp.b != ref.b || bp.n != ref.n {
-				t.Fatalf("%s: block 2 kept from its sub-blocks as %+v, read whole as %+v", at, bp, ref)
-			}
-		}
-	}
 }
