@@ -37,9 +37,11 @@ func (s BreakerState) String() string {
 }
 
 // backend is one dbtouch-serve instance behind the gateway: its address
-// plus the breaker and draining state the router consults.
+// and /rpc connections, plus the breaker and draining state the router
+// consults.
 type backend struct {
 	base string // server root, e.g. "http://127.0.0.1:8081"
+	hop  *hop   // its /rpc client
 
 	mu          sync.Mutex
 	state       BreakerState

@@ -24,6 +24,18 @@
 // recognized by its first bytes and never parsed, and a non-OK body is
 // read only to spot "gone" (or a draining backend's refusal).
 //
+// The /rpc hop to a backend is the gateway's own HTTP/1.1 client (hop.go),
+// not net/http's: a LIFO pool of keep-alive connections per backend,
+// each request written in one flush and its reply read whole on the
+// forwarding goroutine, the attempt bounded by the connection's deadline.
+// A connection is reused only after a complete reply that did not ask to
+// close it. A transport failure marks the backend's breaker and closes
+// its idle connections; a pooled connection that dies before the first
+// reply byte is redialed once, unmarked, for a request that may arrive
+// twice (a ReqID, or an op that mutates nothing — never an append).
+// Backends are http:// only. Health probes and /stream attaches stay on
+// net/http's client.
+//
 // Placement is one rule, applied by place before anything is sent for a
 // session: its requests go to the pinned backend while that backend is
 // ready and known to hold the session — it answered the session OK or
@@ -74,10 +86,10 @@ var maxProxyResponseBytes int64 = 64 << 20
 // 200, and its intact {"v":2,"ok":true prefix would mark the pin held.
 var errResponseTooLarge = errors.New("backend response too large")
 
-// maxIdleConnsPerBackend sizes the keep-alive pool the gateway holds to
-// each backend, well above any realistic per-backend concurrency:
-// http.DefaultTransport keeps two, so every forward past the second in
-// flight would close its connection on return and re-dial the next time.
+// maxIdleConnsPerBackend bounds the idle /rpc connections the gateway
+// keeps to each backend (hop), well above any realistic per-backend
+// concurrency: a forward that finds the pool full closes its connection
+// on return and the next one past it re-dials.
 const maxIdleConnsPerBackend = 256
 
 // Gateway option defaults.
@@ -169,12 +181,9 @@ func New(opts Options) (*Gateway, error) {
 	orDefault(&opts.FailThreshold, DefaultFailThreshold)
 	orDefault(&opts.SuccessThreshold, DefaultSuccessThreshold)
 	orDefault(&opts.OpenCooldown, DefaultOpenCooldown)
-	// The gateway's own transport: a per-backend idle pool wide enough
-	// to keep every concurrent session's connection, and no transparent
-	// gzip — nothing on this hop is compressed.
+	// Health probes and /stream attaches go through net/http's client,
+	// with no transparent gzip: nothing on this hop is compressed.
 	transport := http.DefaultTransport.(*http.Transport).Clone()
-	transport.MaxIdleConns = 0 // bounded per backend instead
-	transport.MaxIdleConnsPerHost = maxIdleConnsPerBackend
 	transport.DisableCompression = true
 	g := &Gateway{
 		opts:     opts,
@@ -194,7 +203,11 @@ func New(opts Options) (*Gateway, error) {
 			return nil, fmt.Errorf("gateway: duplicate backend %s", base)
 		}
 		seen[base] = true
-		g.backends = append(g.backends, &backend{base: base})
+		h, err := newHop(base)
+		if err != nil {
+			return nil, err
+		}
+		g.backends = append(g.backends, &backend{base: base, hop: h})
 	}
 	g.wg.Add(1)
 	go g.healthLoop()
@@ -213,6 +226,9 @@ func (g *Gateway) Close() {
 	g.mu.Unlock()
 	close(g.done)
 	g.wg.Wait()
+	for _, b := range g.backends {
+		b.hop.closeIdle(true)
+	}
 	g.client.CloseIdleConnections()
 }
 
@@ -387,35 +403,11 @@ func (res rpcResult) envelope() protocol.Response {
 	return resp
 }
 
-// post forwards one raw /rpc body to a backend under the per-attempt
-// deadline.
-func (g *Gateway) post(b *backend, raw []byte) (rpcResult, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), g.opts.RequestTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, b.base+"/rpc", bytes.NewReader(raw))
-	if err != nil {
-		return rpcResult{}, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	res, err := g.client.Do(req)
-	if err != nil {
-		return rpcResult{}, err
-	}
-	defer res.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(res.Body, maxProxyResponseBytes+1))
-	if err != nil {
-		return rpcResult{}, err
-	}
-	if int64(len(body)) > maxProxyResponseBytes {
-		return rpcResult{}, fmt.Errorf("%w: it exceeds the %d-byte limit", errResponseTooLarge, maxProxyResponseBytes)
-	}
-	out := rpcResult{status: res.StatusCode, body: body}
-	if s := res.Header.Get("Retry-After"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n > 0 {
-			out.retryAfter = time.Duration(n) * time.Second
-		}
-	}
-	return out, nil
+// post forwards one raw /rpc body to a backend over its hop, under the
+// per-attempt deadline. resend says the request may reach the backend
+// twice (routing.resendable).
+func (g *Gateway) post(b *backend, raw []byte, resend bool) (rpcResult, error) {
+	return b.hop.post(raw, time.Now().Add(g.opts.RequestTimeout), resend)
 }
 
 // place is the gateway's one placement rule, applied under the session's
@@ -459,7 +451,8 @@ func (g *Gateway) place(e *sessEntry, session string, exclude *backend, resume b
 // accepted it; the error is the transport's.
 func (g *Gateway) resumeOn(b *backend, session string) (bool, error) {
 	raw, _ := protocol.EncodeRequest(protocol.Request{Op: protocol.OpResume, Session: session}) // an op and a string always marshal
-	res, err := g.post(b, raw)
+	// A resume of a live session replays nothing: it may arrive twice.
+	res, err := g.post(b, raw, true)
 	if err != nil {
 		return false, err
 	}
@@ -498,6 +491,14 @@ type routing struct {
 	ReqID   string `json:"reqId"`
 	Session string `json:"session"`
 	Table   string `json:"table"`
+}
+
+// resendable reports whether the request may reach a backend twice with
+// one outcome: it carries a ReqID (every mutating session forward does
+// once stamped), or its op changes no session. An append does neither:
+// its rows would land twice.
+func (rt routing) resendable() bool {
+	return rt.Op != protocol.OpAppend && (rt.ReqID != "" || !protocol.MutatesSession(rt.Op))
 }
 
 // peekRequest decodes a body's routing fields with the decoder and the
@@ -558,7 +559,7 @@ func (g *Gateway) dispatch(rt routing, raw []byte) (rpcResult, error) {
 	case rt.Session != "":
 		return g.forwardSession(rt, raw)
 	default:
-		return g.forwardAny(raw)
+		return g.forwardAny(rt, raw)
 	}
 }
 
@@ -580,7 +581,8 @@ func (g *Gateway) forwardSession(req routing, raw []byte) (rpcResult, error) {
 		// is the one key the gateway adds. A request that already carries
 		// a ReqID is forwarded untouched.
 		e.seq++
-		raw = stamp(raw, "gw-"+g.instance+"-"+strconv.FormatUint(e.seq, 10))
+		req.ReqID = "gw-" + g.instance + "-" + strconv.FormatUint(e.seq, 10)
+		raw = stamp(raw, req.ReqID)
 		if len(raw) > maxProxyRequestBytes {
 			return rpcResult{}, errStampOverflow
 		}
@@ -603,7 +605,7 @@ func (g *Gateway) forwardSession(req routing, raw []byte) (rpcResult, error) {
 		}
 		var res rpcResult
 		if err == nil {
-			res, err = g.post(b, raw)
+			res, err = g.post(b, raw, req.resendable())
 		}
 		if errors.Is(err, errResponseTooLarge) {
 			return rpcResult{}, err // the backend answered; another would answer the same
@@ -668,7 +670,7 @@ func (g *Gateway) forwardAppend(table string, raw []byte) (rpcResult, error) {
 		if !b.ready() {
 			continue
 		}
-		res, err := g.post(b, raw)
+		res, err := g.post(b, raw, false)
 		if err != nil {
 			lastErr = err
 			if b.noteFailure(g.opts.FailThreshold) {
@@ -692,13 +694,13 @@ func (g *Gateway) forwardAppend(table string, raw []byte) (rpcResult, error) {
 
 // forwardAny forwards a session-less request (stats, unknown ops) to the
 // first ready backend, trying the next on transport failure.
-func (g *Gateway) forwardAny(raw []byte) (rpcResult, error) {
+func (g *Gateway) forwardAny(rt routing, raw []byte) (rpcResult, error) {
 	var lastErr error = ErrNoBackends
 	for _, b := range g.backends {
 		if !b.ready() {
 			continue
 		}
-		res, err := g.post(b, raw)
+		res, err := g.post(b, raw, rt.resendable())
 		if err == nil {
 			return res, nil
 		}

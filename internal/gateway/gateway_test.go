@@ -41,6 +41,13 @@ type testBackend struct {
 
 func newTestBackend(t testing.TB, dir string) *testBackend {
 	t.Helper()
+	return newTestBackendWith(t, dir, nil)
+}
+
+// newTestBackendWith is newTestBackend with setup, when set, applied to
+// the server before it starts: a server option, a wrapped handler.
+func newTestBackendWith(t testing.TB, dir string, setup func(*httptest.Server)) *testBackend {
+	t.Helper()
 	b := &testBackend{db: dbtouch.Open(), health: protocol.NewHealth()}
 	vals := make([]int64, 50000)
 	for i := range vals {
@@ -63,7 +70,11 @@ func newTestBackend(t testing.TB, dir string) *testBackend {
 		b.rpcHits.Add(1)
 		inner.ServeHTTP(w, r)
 	}))
-	b.srv = httptest.NewServer(mux)
+	b.srv = httptest.NewUnstartedServer(mux)
+	if setup != nil {
+		setup(b.srv)
+	}
+	b.srv.Start()
 	b.health.Set(protocol.HealthReady)
 	t.Cleanup(func() {
 		b.kill()
@@ -654,10 +665,11 @@ func TestGatewayHealthz(t *testing.T) {
 	}
 }
 
-// TestGatewayKeepsBackendConnections: with more sessions in flight to
-// one backend than http.DefaultTransport's two idle slots, every forward
-// must still find a kept-alive connection — the backend sees about one
-// new connection per concurrent session, not one per request.
+// TestGatewayKeepsBackendConnections: with eight sessions in flight to
+// one backend at once, every forward must still find a kept-alive
+// connection — the gateway's pool keeps every connection a forward hands
+// back, so the backend sees about one new connection per concurrent
+// session, not one per request.
 func TestGatewayKeepsBackendConnections(t *testing.T) {
 	const sessions, rounds = 8, 50
 	var dialed atomic.Int64
@@ -678,8 +690,9 @@ func TestGatewayKeepsBackendConnections(t *testing.T) {
 	g, _ := newGateway(t, fastOpts(t, backend.URL))
 
 	// Each round is a burst: every session forwards at once, then all go
-	// quiet — the moment a two-wide idle pool closes the other six
-	// connections, to be re-dialed by the next round.
+	// quiet — the moment a pool narrower than the burst (two wide, say)
+	// would close the rest of the connections, to be re-dialed by the next
+	// round.
 	bodies := make([][]byte, sessions)
 	for s := range bodies {
 		bodies[s] = encode(t, protocol.Request{Op: protocol.OpIdle, Session: fmt.Sprintf("pool-%d", s), Idle: time.Millisecond})
@@ -706,6 +719,313 @@ func TestGatewayKeepsBackendConnections(t *testing.T) {
 	}
 }
 
+// connCounter counts a test server's connections by state.
+type connCounter struct {
+	opened, closed atomic.Int64
+}
+
+// track counts srv's connections; call it before srv starts.
+func (c *connCounter) track(srv *httptest.Server) {
+	srv.Config.ConnState = func(_ net.Conn, state http.ConnState) {
+		switch state {
+		case http.StateNew:
+			c.opened.Add(1)
+		case http.StateClosed:
+			c.closed.Add(1)
+		}
+	}
+}
+
+// quietOpts is fastOpts without health probes, so that every backend
+// connection a test counts is one its forwards made: the backends start
+// ready and no probe runs for an hour.
+func quietOpts(t testing.TB, backends ...string) gateway.Options {
+	opts := fastOpts(t, backends...)
+	opts.HealthInterval = time.Hour
+	return opts
+}
+
+// TestGatewayRedialsIdleClosedConnection: the backend closes the
+// gateway's pooled connection at its keep-alive idle timeout. The next
+// forward finds the dead socket, goes once more on a fresh connection
+// and lands on the same backend: no breaker mark, no failover, no resume.
+func TestGatewayRedialsIdleClosedConnection(t *testing.T) {
+	var conns connCounter
+	backend := newTestBackendWith(t, t.TempDir(), func(srv *httptest.Server) {
+		srv.Config.IdleTimeout = 50 * time.Millisecond
+		conns.track(srv)
+	})
+	g, gw := newGateway(t, quietOpts(t, backend.url()))
+	const session = "idle-gap"
+	script := sessionScript(session, 8)
+	want := controlBodies(t, script)
+	half := len(script) / 2
+	runScript(t, gw, "before the idle gap", script, want, 0, half)
+	before := g.Stats()
+	waitFor(t, 5*time.Second, "the backend to close the idle connection", func() bool {
+		return conns.opened.Load() > 0 && conns.closed.Load() == conns.opened.Load()
+	})
+	runScript(t, gw, "after the idle gap", script, want, half, len(script))
+	st := g.Stats()
+	if st.Failovers != 0 || st.Resumes != before.Resumes || st.Retries != before.Retries {
+		t.Fatalf("a connection closed while idle moved the session: before %+v, after %+v", before, st)
+	}
+	if bs := backendState(g, backend.url()); bs.ConsecFails != 0 || !bs.Ready {
+		t.Fatalf("a connection closed while idle counted against the backend: %+v", bs)
+	}
+	if n := conns.opened.Load(); n < 2 {
+		t.Fatalf("the backend saw %d connections, want a fresh one after the gap", n)
+	}
+}
+
+// echoReply is the answer echoBackend gives a request body.
+func echoReply(body []byte) []byte {
+	return []byte(`{"v":2,"ok":true,"echo":` + string(body) + `}`)
+}
+
+// TestGatewayClosesStalledConnection: the backend answers one request
+// only after the attempt's deadline. The gateway closes that connection,
+// so its late answer is never read: the retry and every request after it
+// get their own answers.
+func TestGatewayClosesStalledConnection(t *testing.T) {
+	var conns connCounter
+	var stalled atomic.Bool
+	late := make(chan struct{})
+	backend := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, _ := io.ReadAll(r.Body)
+		if bytes.Contains(body, []byte(`"reqId":"stall"`)) && stalled.CompareAndSwap(false, true) {
+			time.Sleep(1500 * time.Millisecond)
+			w.Write(echoReply(body))
+			close(late)
+			return
+		}
+		w.Write(echoReply(body))
+	}))
+	conns.track(backend)
+	backend.Start()
+	t.Cleanup(backend.Close)
+	opts := quietOpts(t, backend.URL)
+	opts.RequestTimeout = 500 * time.Millisecond
+	_, gw := newGateway(t, opts)
+
+	// Each request carries its own ReqID, so the gateway forwards its
+	// bytes untouched and the echo names it.
+	idle := func(reqID string) []byte {
+		return []byte(`{"v":2,"op":"idle","session":"s","idle":1000000,"reqId":"` + reqID + `"}`)
+	}
+	if status, got := rawPost(t, gw, idle("stall")); status != http.StatusOK || !bytes.Equal(got, echoReply(idle("stall"))) {
+		t.Fatalf("the retried request answered %d %s", status, got)
+	}
+	select {
+	case <-late:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the stalled handler never answered")
+	}
+	for _, id := range []string{"after-1", "after-2"} {
+		if status, got := rawPost(t, gw, idle(id)); status != http.StatusOK || !bytes.Equal(got, echoReply(idle(id))) {
+			t.Fatalf("request %s answered %d %s, want its own echo", id, status, got)
+		}
+	}
+	waitFor(t, 5*time.Second, "the stalled connection to close", func() bool {
+		return conns.closed.Load() == 1
+	})
+	if n := conns.opened.Load(); n != 2 {
+		t.Fatalf("the backend saw %d connections, want 2: the stalled one and its replacement", n)
+	}
+}
+
+// TestGatewayRelaysChunkedReply: a perform reply over 2 KB, which the
+// backend frames chunked, reaches the client byte-identical to a direct
+// post.
+func TestGatewayRelaysChunkedReply(t *testing.T) {
+	backend := newTestBackend(t, t.TempDir())
+	control := newTestBackend(t, t.TempDir())
+	_, gw := newGateway(t, fastOpts(t, backend.url()))
+	const session = "chunked"
+	slide := gesture.NewSlide(0, 0, 1, 2*time.Second)
+	script := append(sessionScript(session, 0),
+		protocol.Request{Op: protocol.OpConfigure, Session: session, Object: "o", Actions: &protocol.ActionsSpec{Mode: "scan"}},
+		protocol.Request{Op: protocol.OpPerform, Session: session, Object: "o", Gesture: &slide})
+	for i, req := range script {
+		raw := encode(t, req)
+		res, err := http.Post(control.url()+"/rpc", "application/json", bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := io.ReadAll(res.Body)
+		res.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == len(script)-1 && (res.ContentLength != -1 || len(res.TransferEncoding) == 0 || len(want) <= 2048) {
+			t.Fatalf("the slide's reply: %d bytes, Content-Length %d, Transfer-Encoding %v; want a chunked reply over 2 KB",
+				len(want), res.ContentLength, res.TransferEncoding)
+		}
+		if _, got := rawPost(t, gw, raw); !bytes.Equal(got, want) {
+			t.Fatalf("request %d (%s): gateway %s, direct %s", i, req.Op, got, want)
+		}
+	}
+}
+
+// TestGatewayRelaysClosingReply: a reply that closes its connection
+// reaches the client byte-identical to a direct post, and that
+// connection is not pooled: each forward dials afresh.
+func TestGatewayRelaysClosingReply(t *testing.T) {
+	var conns connCounter
+	backend := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		w.Header().Set("Connection", "close")
+		io.WriteString(w, `{"v":2,"ok":true,"rows":1}`)
+	}))
+	conns.track(backend)
+	backend.Start()
+	t.Cleanup(backend.Close)
+	_, gw := newGateway(t, quietOpts(t, backend.URL))
+	// An append is never sent twice, so a closed connection taken from
+	// the pool would fail the forward rather than be redialed unseen.
+	body := encode(t, protocol.Request{Op: protocol.OpAppend, Table: "ev", Rows: [][]any{{int64(1)}}})
+	const n = 3
+	var got [][]byte
+	for i := 0; i < n; i++ {
+		status, b := rawPost(t, gw, body)
+		if status != http.StatusOK {
+			t.Fatalf("forward %d: %d %s", i, status, b)
+		}
+		got = append(got, b)
+	}
+	if d := conns.opened.Load(); d != n {
+		t.Fatalf("%d forwards of a closing reply opened %d backend connections, want %d", n, d, n)
+	}
+	_, want := rawPost(t, backend.URL, body)
+	for i, b := range got {
+		if !bytes.Equal(b, want) {
+			t.Fatalf("forward %d: gateway %s, direct %s", i, b, want)
+		}
+	}
+}
+
+// TestGatewayAppendNotResent: an append whose reused connection dies
+// after the backend took it but before any reply byte is not sent again
+// (its rows landed), so the backend holds its rows once.
+func TestGatewayAppendNotResent(t *testing.T) {
+	var cut atomic.Bool
+	backend := newTestBackendWith(t, t.TempDir(), func(srv *httptest.Server) {
+		inner := srv.Config.Handler
+		srv.Config.Handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path != "/rpc" || !cut.CompareAndSwap(true, false) {
+				inner.ServeHTTP(w, r)
+				return
+			}
+			inner.ServeHTTP(httptest.NewRecorder(), r) // the append executes
+			conn, _, err := w.(http.Hijacker).Hijack()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			conn.Close() // and its reply is never written
+		})
+	})
+	if _, err := backend.db.NewLiveTable("ev").Int("k", nil).Create(); err != nil {
+		t.Fatal(err)
+	}
+	g, gw := newGateway(t, quietOpts(t, backend.url()))
+	appendReq := func(k int64) []byte {
+		return encode(t, protocol.Request{Op: protocol.OpAppend, Table: "ev", Rows: [][]any{{k}}})
+	}
+	if status, body := rawPost(t, gw, appendReq(0)); status != http.StatusOK {
+		t.Fatalf("first append: %d %s", status, body)
+	}
+	cut.Store(true)
+	if status, body := rawPost(t, gw, appendReq(1)); status != http.StatusServiceUnavailable {
+		t.Fatalf("the append on a cut connection answered %d %s, want 503", status, body)
+	}
+	if cut.Load() {
+		t.Fatal("the second append never reached the backend")
+	}
+	_, body := rawPost(t, backend.url(), appendReq(2))
+	var resp protocol.Response
+	if err := json.Unmarshal(body, &resp); err != nil || !resp.OK {
+		t.Fatalf("direct append: %s", body)
+	}
+	if resp.Rows != 3 {
+		t.Fatalf("the backend holds %d rows, want 3: the cut append landed once", resp.Rows)
+	}
+	if bs := backendState(g, backend.url()); bs.ConsecFails != 1 {
+		t.Fatalf("the cut connection left consecFails %d, want 1", bs.ConsecFails)
+	}
+}
+
+// TestGatewayCloseClosesIdleConnections: Close closes every idle backend
+// connection, and a connection a forward hands back after Close is
+// closed as well.
+func TestGatewayCloseClosesIdleConnections(t *testing.T) {
+	const inflight = 6
+	var conns connCounter
+	var mu sync.Mutex
+	gate := make(chan struct{})
+	arrived := make(chan struct{}, inflight)
+	backend := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		mu.Lock()
+		wait := gate
+		mu.Unlock()
+		arrived <- struct{}{}
+		<-wait
+		io.WriteString(w, `{"v":2,"ok":true}`)
+	}))
+	conns.track(backend)
+	backend.Start()
+	t.Cleanup(backend.Close)
+	g, err := gateway.New(quietOpts(t, backend.URL))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(g.Close)
+	var wg sync.WaitGroup
+	body := encode(t, protocol.Request{Op: protocol.OpStats}) // one post, no resume first
+	forward := func() {
+		defer wg.Done()
+		rec := httptest.NewRecorder()
+		g.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/rpc", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Errorf("status %d: %s", rec.Code, rec.Body.Bytes())
+		}
+	}
+	// Every forward is in the handler at once, so each holds a connection
+	// of its own; then all go back to the pool.
+	for s := 0; s < inflight; s++ {
+		wg.Add(1)
+		go forward()
+	}
+	for s := 0; s < inflight; s++ {
+		<-arrived
+	}
+	mu.Lock()
+	close(gate)
+	gate = make(chan struct{})
+	mu.Unlock()
+	wg.Wait()
+	if n := conns.opened.Load(); n != inflight {
+		t.Fatalf("%d concurrent forwards opened %d connections", inflight, n)
+	}
+	// One forward is in flight across Close and hands its connection
+	// back after it.
+	wg.Add(1)
+	go forward()
+	<-arrived
+	g.Close()
+	mu.Lock()
+	close(gate)
+	mu.Unlock()
+	wg.Wait()
+	waitFor(t, 5*time.Second, "every backend connection to close", func() bool {
+		return conns.closed.Load() == inflight
+	})
+	if n := conns.opened.Load(); n != inflight {
+		t.Fatalf("the backend saw %d connections, want %d", n, inflight)
+	}
+}
+
 // BenchmarkGatewayForwardTap is one tap forwarded in-process through the
 // gateway to one loopback backend serving the real handler: the cost of
 // the hop itself — peek, stamp, one HTTP round trip, relay.
@@ -713,6 +1033,11 @@ func BenchmarkGatewayForwardTap(b *testing.B) {
 	backend := newTestBackend(b, b.TempDir())
 	opts := fastOpts(b, backend.url())
 	opts.Logf = nil
+	// Probe at the default period and timeout. On one CPU the loop keeps
+	// the run queue full, and a probe's round trip, which passes through
+	// several goroutines, takes 15–60 ms: past fastOpts' 25 ms timeout, so
+	// two timed-out probes would trip the breaker mid-run.
+	opts.HealthInterval = gateway.DefaultHealthInterval
 	g, _ := newGateway(b, opts)
 	h := g.Handler()
 	post := func(body []byte) {

@@ -59,6 +59,9 @@ bench ./internal/session/ 'BenchmarkAppendWhileTouching$'
 echo "== wire serialization (binary vs JSON result frames)" >&2
 bench ./internal/protocol/ 'BenchmarkResultFrame(Encode|Decode)(Binary|JSON)$'
 
+echo "== the gateway's /rpc hop (a tap forwarded to a loopback backend)" >&2
+bench ./internal/gateway/ 'BenchmarkGatewayForwardTap$'
+
 stream after
 triad_after="$(echo "$stream_out" | awk '/^triad_mbps/ {print $2}')"
 
