@@ -32,7 +32,9 @@
 // close it. A transport failure marks the backend's breaker and closes
 // its idle connections; a pooled connection that dies before the first
 // reply byte is redialed once, unmarked, for a request that may arrive
-// twice (a ReqID, or an op that mutates nothing — never an append).
+// twice (a ReqID, or an op that mutates nothing). Any other request, an
+// append among them, first checks its pooled connection with a read that
+// does not wait and drops one the backend closed while it sat idle.
 // Backends are http:// only. Health probes and /stream attaches stay on
 // net/http's client.
 //

@@ -778,6 +778,46 @@ func TestGatewayRedialsIdleClosedConnection(t *testing.T) {
 	}
 }
 
+// TestGatewayAppendAfterIdleGap: an append is never sent twice, so it
+// cannot be redialed after it failed on a connection the backend closed
+// at its keep-alive idle timeout. The gateway checks its pooled
+// connection before the append instead: the append after the gap lands
+// once, and the backend is not marked.
+func TestGatewayAppendAfterIdleGap(t *testing.T) {
+	var conns connCounter
+	backend := newTestBackendWith(t, t.TempDir(), func(srv *httptest.Server) {
+		srv.Config.IdleTimeout = 50 * time.Millisecond
+		conns.track(srv)
+	})
+	if _, err := backend.db.NewLiveTable("ev").Int("k", nil).Create(); err != nil {
+		t.Fatal(err)
+	}
+	g, gw := newGateway(t, quietOpts(t, backend.url()))
+	appendReq := func(k int64) []byte {
+		return encode(t, protocol.Request{Op: protocol.OpAppend, Table: "ev", Rows: [][]any{{k}}})
+	}
+	if status, body := rawPost(t, gw, appendReq(0)); status != http.StatusOK {
+		t.Fatalf("append before the idle gap: %d %s", status, body)
+	}
+	waitFor(t, 5*time.Second, "the backend to close the idle connection", func() bool {
+		return conns.opened.Load() > 0 && conns.closed.Load() == conns.opened.Load()
+	})
+	if status, body := rawPost(t, gw, appendReq(1)); status != http.StatusOK {
+		t.Fatalf("append after the idle gap: %d %s", status, body)
+	}
+	if bs := backendState(g, backend.url()); bs.ConsecFails != 0 || !bs.Ready {
+		t.Fatalf("a connection closed while idle counted against the backend: %+v", bs)
+	}
+	_, body := rawPost(t, backend.url(), appendReq(2))
+	var resp protocol.Response
+	if err := json.Unmarshal(body, &resp); err != nil || !resp.OK {
+		t.Fatalf("direct append: %s", body)
+	}
+	if resp.Rows != 3 {
+		t.Fatalf("the backend holds %d rows, want 3: each append once", resp.Rows)
+	}
+}
+
 // echoReply is the answer echoBackend gives a request body.
 func echoReply(body []byte) []byte {
 	return []byte(`{"v":2,"ok":true,"echo":` + string(body) + `}`)
@@ -881,8 +921,9 @@ func TestGatewayRelaysClosingReply(t *testing.T) {
 	backend.Start()
 	t.Cleanup(backend.Close)
 	_, gw := newGateway(t, quietOpts(t, backend.URL))
-	// An append is never sent twice, so a closed connection taken from
-	// the pool would fail the forward rather than be redialed unseen.
+	// The pool itself is checked in TestHopClosingReplyNotPooled: a
+	// closed connection that was pooled anyway would be dropped before
+	// its next use, and still count one dial per forward here.
 	body := encode(t, protocol.Request{Op: protocol.OpAppend, Table: "ev", Rows: [][]any{{int64(1)}}})
 	const n = 3
 	var got [][]byte

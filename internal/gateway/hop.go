@@ -112,9 +112,16 @@ func (h *hop) closeIdle(done bool) {
 // exception is a pooled connection that fails before the first reply
 // byte, which is most likely one the backend closed while it sat idle:
 // when resend allows the request to arrive twice, it goes once more on a
-// fresh connection and the failure is not the backend's.
+// fresh connection and the failure is not the backend's. A request that
+// may not arrive twice checks its pooled connection first instead, and
+// drops one the backend closed, so an append after an idle gap is not
+// lost to the backend's idle timeout.
 func (h *hop) post(raw []byte, deadline time.Time, resend bool) (rpcResult, error) {
 	c := h.get()
+	for !resend && c != nil && c.closedWhileIdle() {
+		c.Close()
+		c = h.get()
+	}
 	reused := c != nil
 	for {
 		if c == nil {

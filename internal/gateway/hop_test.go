@@ -134,3 +134,30 @@ func TestNewRefusesNonHTTPBackend(t *testing.T) {
 		}
 	}
 }
+
+// TestHopClosingReplyNotPooled: a connection comes back to the pool only
+// after a reply that keeps it open, not one that asks to close it.
+func TestHopClosingReplyNotPooled(t *testing.T) {
+	for _, closing := range []bool{false, true} {
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			io.Copy(io.Discard, r.Body)
+			if closing {
+				w.Header().Set("Connection", "close")
+			}
+			io.WriteString(w, `{"v":2,"ok":true}`)
+		}))
+		h, err := newHop(srv.URL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := h.post([]byte(`{}`), time.Now().Add(5*time.Second), false)
+		if err != nil || res.status != http.StatusOK {
+			t.Fatalf("closing %v: post answered %d, %v", closing, res.status, err)
+		}
+		if n, want := len(h.idle), map[bool]int{false: 1, true: 0}[closing]; n != want {
+			t.Fatalf("closing %v: the pool holds %d connections, want %d", closing, n, want)
+		}
+		h.closeIdle(true)
+		srv.Close()
+	}
+}
