@@ -149,7 +149,17 @@ type Request struct {
 	// batch holds the rows column-wise, in place of Rows, on a request
 	// the /rpc handler decoded (see Batch).
 	batch *storage.Batch
+	// body is the /rpc body the handler decoded the request from (see
+	// Body).
+	body string
 }
+
+// Body returns the /rpc body the request was decoded from, byte for byte
+// as it arrived — padding, field order, a gateway's spliced reqId and
+// all — or "" for a request built in process. The body decodes
+// (DecodeRequest) to the request the handler executed, so a durable
+// session logs it as it came instead of encoding the request again.
+func (r Request) Body() string { return r.body }
 
 // Batch returns the append's rows column-wise: the batch the /rpc handler
 // parsed them into, or one built from Rows — each cell coerced by
@@ -389,13 +399,17 @@ func DecodeRequest(data []byte) (Request, error) {
 	if r.batch != nil {
 		r.Rows, r.batch = boxRows(r.batch), nil
 	}
+	r.body = ""
 	return r, err
 }
 
 // decodeRequest is DecodeRequest as the /rpc handler needs it: hand-parsed
-// append rows stay a column-wise batch (Request.Batch), Rows nil.
+// append rows stay a column-wise batch (Request.Batch), Rows nil, and the
+// request keeps its body (Request.Body) — the string the walk reads, so
+// keeping it copies nothing more.
 func decodeRequest(data []byte) (Request, error) {
-	r, ok := readRequest(string(data))
+	body := string(data)
+	r, ok := readRequest(body)
 	if !ok {
 		var err error
 		if r, err = unmarshalRequest(data); err != nil {
@@ -405,6 +419,7 @@ func decodeRequest(data []byte) (Request, error) {
 	if err := r.CheckVersion(); err != nil {
 		return Request{}, err
 	}
+	r.body = body
 	return r, nil
 }
 

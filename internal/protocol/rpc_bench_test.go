@@ -2,6 +2,7 @@ package protocol_test
 
 import (
 	"bytes"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -66,6 +67,79 @@ func BenchmarkRPCHandlerTap(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkRPCHandlerTapDurable is a gateway-stamped tap through the /rpc
+// handler on a durable session (dbtouch-serve with -session-dir): each tap
+// is also written to the session's log, which compacts into the session's
+// checkpoint every CompactBytes of tail — compactions/op says how often.
+// Sessions rotate every 5 000 performs, as bench's clients rotate theirs
+// (open, create, configure, then taps; a wire evict ends each), so the
+// per-tap cost includes the log's whole life at the length the fleet
+// workload runs it to.
+func BenchmarkRPCHandlerTapDurable(b *testing.B) {
+	const rotateEvery = 5000
+	st, err := sessionlog.Open(sessionlog.Options{Dir: b.TempDir()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	db := dbtouch.Open()
+	vals := make([]float64, 100000)
+	for i := range vals {
+		vals[i] = float64(i * 7 % 1000)
+	}
+	db.NewTable("t").Float("v", vals).MustCreate()
+	defer db.Manager().Close()
+	db.Manager().EnableDurability(st)
+	h := protocol.NewHTTPHandler(db.Manager(), protocol.WithRPCTimeout(time.Minute))
+	post := func(body []byte) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/rpc", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", rec.Code, rec.Body.Bytes())
+		}
+	}
+	encode := func(req protocol.Request, reqID string) []byte {
+		body, err := protocol.EncodeRequest(req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		// The gateway's stamp: the ReqID spliced in before the last brace.
+		return append(body[:len(body)-1], `,"reqId":"`+reqID+`"}`...)
+	}
+	// taps alternate two ReqIDs: the dedupe cache holds a session's last
+	// one, so consecutive taps must differ.
+	var taps [2][]byte
+	session, performs := 0, 0
+	open := func() {
+		session++
+		name := fmt.Sprintf("bench-c0-s%d", session)
+		post(encode(protocol.Request{Op: protocol.OpOpen, Session: name}, "g-open"))
+		post(encode(protocol.Request{Op: protocol.OpCreate, Session: name, Object: "o",
+			Create: &protocol.CreateSpec{Table: "t", Column: "v", X: 2, Y: 2, W: 2, H: 10}}, "g-create"))
+		post(encode(protocol.Request{Op: protocol.OpConfigure, Session: name, Object: "o",
+			Actions: &protocol.ActionsSpec{Mode: "summary"}}, "g-configure"))
+		tap := gesture.NewTap(0, 0.5)
+		for i := range taps {
+			taps[i] = encode(protocol.Request{Op: protocol.OpPerform, Session: name, Object: "o", Gesture: &tap}, fmt.Sprintf("g-%d", i))
+		}
+		performs = 0
+	}
+	open()
+	compacted := st.Stats().Compactions
+	b.ReportAllocs()
+	n := 0
+	for b.Loop() {
+		if performs == rotateEvery {
+			post([]byte(fmt.Sprintf(`{"v":2,"op":"evict","session":"bench-c0-s%d"}`, session)))
+			open()
+		}
+		post(taps[performs%2])
+		performs++
+		n++
+	}
+	b.ReportMetric(float64(st.Stats().Compactions-compacted)/float64(n), "compactions/op")
 }
 
 // BenchmarkRPCHandlerAppend is one 1000x3 append through the /rpc handler

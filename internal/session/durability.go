@@ -151,18 +151,26 @@ func (m *Manager) dispatchRequest(req protocol.Request) protocol.Response {
 }
 
 // logRequest appends one executed request to the session's log and
-// compacts past the threshold. Logging failures (disk full, damaged
-// log) degrade availability-first: the request already executed and is
-// answered OK; the failure is counted in the LogErrors gauge and the
-// session simply stops being crash-consistent until appends succeed
-// again.
+// compacts past the threshold. A request that arrived over /rpc is
+// logged as the body it arrived as (Request.Body), one built in process
+// as EncodeRequest renders it; either decodes to the request executed.
+// Logging failures (disk full, damaged log) degrade availability-first:
+// the request already executed and is answered OK; the failure is
+// counted in the LogErrors gauge and the session simply stops being
+// crash-consistent until appends succeed again.
 func (d *durability) logRequest(m *Manager, req protocol.Request) {
-	payload, err := protocol.EncodeRequest(req)
-	if err != nil {
-		d.logErrs.Add(1)
-		return
+	var (
+		tail int64
+		err  error
+	)
+	if body := req.Body(); body != "" {
+		tail, err = d.store.AppendSessionBody(req.Session, body)
+	} else {
+		var payload []byte
+		if payload, err = protocol.EncodeRequest(req); err == nil {
+			tail, err = d.store.AppendSession(req.Session, payload)
+		}
 	}
-	tail, err := d.store.AppendSession(req.Session, payload)
 	if err != nil {
 		d.logErrs.Add(1)
 		return
@@ -209,18 +217,25 @@ func (s *Session) checkpointMeta() sessionlog.CheckpointMeta {
 	return meta
 }
 
-// logAppend tees one executed table append and, when the store reports
+// logAppend tees one executed table append (its body, as logRequest
+// logs a session's) and, when the store reports
 // the log due, compacts it into a checkpoint holding one append request
 // with the table's current snapshot (coarser than a session checkpoint:
 // replacing N batches with one trades away intermediate epochs, which
 // only matters to forensics — restored sessions pin fresh epochs anyway).
 func (d *durability) logAppend(m *Manager, req protocol.Request) {
-	payload, err := protocol.EncodeRequest(req)
-	if err != nil {
-		d.logErrs.Add(1)
-		return
+	var (
+		due bool
+		err error
+	)
+	if body := req.Body(); body != "" {
+		due, err = d.store.AppendTableBody(req.Table, body)
+	} else {
+		var payload []byte
+		if payload, err = protocol.EncodeRequest(req); err == nil {
+			due, err = d.store.AppendTable(req.Table, payload)
+		}
 	}
-	due, err := d.store.AppendTable(req.Table, payload)
 	if err != nil {
 		d.logErrs.Add(1)
 		return

@@ -5,6 +5,7 @@ import (
 	"compress/flate"
 	"encoding/json"
 	"errors"
+	"os"
 	"runtime"
 	"strings"
 	"testing"
@@ -91,8 +92,27 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	// One segment per frame, as a session compacted after every request
+	// writes them; and the version-1 fixture.
+	var segs bytes.Buffer
+	sw := segmentWriter{limit: 1}
+	if err := sw.write(&segs, encodeFrames(historyOf(3))); err != nil {
+		f.Fatal(err)
+	}
+	split, err := appendCheckpointHeader(nil, &CheckpointMeta{LastSeq: 3, Frames: 3, RawBytes: int64(len(encodeFrames(historyOf(3))))})
+	if err != nil {
+		f.Fatal(err)
+	}
+	split = append(split, segs.Bytes()...)
+	v1, err := os.ReadFile("testdata/v1/s-legacy.ckpt")
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Add(img)
 	f.Add(empty)
+	f.Add(split)
+	f.Add(flipped(split, len(split)-3))
+	f.Add(v1)
 	f.Add(ckptMagic[:])
 	f.Add(img[:len(img)/2])
 	f.Add(img[:len(img)-1])
@@ -126,15 +146,15 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 	})
 }
 
-// TestCheckpointInflationBounded: a checkpoint whose body inflates far
-// past what its header records is refused after inflating about that
-// much, not after materializing the whole body.
+// TestCheckpointInflationBounded: a version-1 checkpoint whose body
+// inflates far past what its header records is refused after inflating
+// about that much, not after materializing the whole body.
 func TestCheckpointInflationBounded(t *testing.T) {
 	metaJSON, err := json.Marshal(CheckpointMeta{Session: "u", LastSeq: 1, Frames: 1, RawBytes: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
-	img := AppendFrame(append([]byte(nil), ckptMagic[:]...), 0, metaJSON)
+	img := AppendFrame(append([]byte(nil), ckptMagicV1[:]...), 0, metaJSON)
 	var body bytes.Buffer
 	zw, err := flate.NewWriter(&body, flate.BestSpeed)
 	if err != nil {

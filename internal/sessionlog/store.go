@@ -2,6 +2,7 @@ package sessionlog
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -82,6 +83,11 @@ type Store struct {
 	sinceScan int64
 	closed    bool
 	stats     Stats
+	// frame is the buffer an append frames its payload in; tail holds
+	// the log a session compaction reads; segs compresses its segments.
+	frame []byte
+	tail  []byte
+	segs  segmentWriter
 }
 
 // appender is one open log file positioned at its end.
@@ -131,18 +137,20 @@ func (st *Store) SetProtect(fn func(id string) bool) {
 // SessionLocker returns the mutex serializing one session's
 // execute+append sequences (and its resume). Lockers are per-id and
 // live for the store's lifetime.
-func (st *Store) SessionLocker(id string) *sync.Mutex { return st.locker(sessionBase(id)) }
+func (st *Store) SessionLocker(id string) *sync.Mutex { return st.locker(sessionPrefix, id) }
 
 // TableLocker is SessionLocker for a table log.
-func (st *Store) TableLocker(name string) *sync.Mutex { return st.locker(tableBase(name)) }
+func (st *Store) TableLocker(name string) *sync.Mutex { return st.locker(tablePrefix, name) }
 
-func (st *Store) locker(base string) *sync.Mutex {
+func (st *Store) locker(prefix, name string) *sync.Mutex {
+	var kb [64]byte
+	key := appendBase(kb[:0], prefix, name)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	lk, ok := st.locks[base]
+	lk, ok := st.locks[string(key)]
 	if !ok {
 		lk = &sync.Mutex{}
-		st.locks[base] = lk
+		st.locks[string(key)] = lk
 	}
 	return lk
 }
@@ -152,7 +160,15 @@ func (st *Store) locker(base string) *sync.Mutex {
 // frame, and only as a tolerated torn tail). It returns the log's tail
 // size so the caller can trigger compaction past CompactBytes.
 func (st *Store) AppendSession(id string, payload []byte) (tail int64, err error) {
-	tail, _, err = st.appendTo(sessionBase(id), payload)
+	tail, _, err = appendTo(st, sessionPrefix, id, payload)
+	return tail, err
+}
+
+// AppendSessionBody is AppendSession for a payload held as a string: a
+// request body as the /rpc handler read it, logged without a copy to
+// bytes first.
+func (st *Store) AppendSessionBody(id, body string) (tail int64, err error) {
+	tail, _, err = appendTo(st, sessionPrefix, id, body)
 	return tail, err
 }
 
@@ -161,20 +177,36 @@ func (st *Store) AppendSession(id string, payload []byte) (tail int64, err error
 // max(CompactBytes, the last checkpoint's RawBytes). The threshold grows
 // with the table, so a table's total rewrite stays O(bytes appended).
 func (st *Store) AppendTable(name string, payload []byte) (due bool, err error) {
-	tail, ckpt, err := st.appendTo(tableBase(name), payload)
+	return st.tableDue(appendTo(st, tablePrefix, name, payload))
+}
+
+// AppendTableBody is AppendTable for a payload held as a string.
+func (st *Store) AppendTableBody(name, body string) (due bool, err error) {
+	return st.tableDue(appendTo(st, tablePrefix, name, body))
+}
+
+func (st *Store) tableDue(tail, ckpt int64, err error) (bool, error) {
 	return err == nil && tail >= max(st.compactBytes, ckpt), err
 }
 
-// appendTo appends one frame and reports the log's tail size and its
-// checkpoint's RawBytes.
-func (st *Store) appendTo(base string, payload []byte) (tail, ckpt int64, err error) {
+// appendTo appends one frame to the log named name (prefix sessionPrefix
+// or tablePrefix) and reports the log's tail size and its checkpoint's
+// RawBytes. A warm append — its appender cached — allocates nothing: the
+// log's key is built on the stack and the frame in the store's buffer.
+func appendTo[P ~string | ~[]byte](st *Store, prefix, name string, payload P) (tail, ckpt int64, err error) {
+	var kb [64]byte
+	key := appendBase(kb[:0], prefix, name)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	ap, err := st.appenderLocked(base)
+	ap, err := st.appenderLocked(key)
 	if err != nil {
 		return 0, 0, err
 	}
-	buf := AppendFrame(nil, ap.nextSeq, payload)
+	st.frame = appendFrame(st.frame[:0], ap.nextSeq, payload)
+	buf := st.frame
+	if cap(st.frame) > maxKeptBuffer {
+		st.frame = nil
+	}
 	n, err := ap.f.Write(buf)
 	if err != nil {
 		// A short write leaves a torn tail in a file we keep appending
@@ -183,7 +215,7 @@ func (st *Store) appendTo(base string, payload []byte) (tail, ckpt int64, err er
 			ap.f.Truncate(ap.size)
 			ap.f.Seek(ap.size, 0)
 		}
-		return ap.size, ap.ckptBytes, fmt.Errorf("sessionlog: append %s: %w", base, err)
+		return ap.size, ap.ckptBytes, fmt.Errorf("sessionlog: append %s: %w", string(key), err)
 	}
 	ap.size += int64(len(buf))
 	ap.nextSeq++
@@ -194,22 +226,25 @@ func (st *Store) appendTo(base string, payload []byte) (tail, ckpt int64, err er
 	return ap.size, ap.ckptBytes, nil
 }
 
-// appenderLocked returns the cached appender for base, opening the log
-// (healing any torn tail) on a miss and evicting the coldest cached
-// appenders past MaxOpenLogs. Caller holds st.mu.
-func (st *Store) appenderLocked(base string) (*appender, error) {
+// appenderLocked returns the cached appender for the log whose file base
+// is key, opening the log (healing any torn tail) on a miss and evicting
+// the coldest cached appenders past MaxOpenLogs. A hit moves the log to
+// the back of the LRU order in place. Caller holds st.mu.
+func (st *Store) appenderLocked(key []byte) (*appender, error) {
 	if st.closed {
 		return nil, fmt.Errorf("sessionlog: store closed")
 	}
-	if ap, ok := st.appenders[base]; ok {
-		for i, b := range st.order {
-			if b == base {
-				st.order = append(append(st.order[:i:i], st.order[i+1:]...), base)
+	if ap, ok := st.appenders[string(key)]; ok {
+		for i := len(st.order) - 1; i >= 0; i-- {
+			if b := st.order[i]; b == string(key) {
+				copy(st.order[i:], st.order[i+1:])
+				st.order[len(st.order)-1] = b
 				break
 			}
 		}
 		return ap, nil
 	}
+	base := string(key)
 	path := filepath.Join(st.dir, base+".log")
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
@@ -238,7 +273,7 @@ func (st *Store) appenderLocked(base string) (*appender, error) {
 	ap := &appender{f: f, size: size, nextSeq: 1}
 	// The checkpoint header continues an empty log's sequence and sets a
 	// table's compaction threshold.
-	if len(frames) == 0 || strings.HasPrefix(base, "t-") {
+	if len(frames) == 0 || strings.HasPrefix(base, tablePrefix) {
 		if meta, err := st.checkpointHeader(base); err == nil {
 			ap.nextSeq, ap.ckptBytes = meta.LastSeq+1, meta.RawBytes
 		}
@@ -264,11 +299,12 @@ func (st *Store) appenderLocked(base string) (*appender, error) {
 // checkpointHeader reads just the checkpoint's meta (an error if there is
 // no checkpoint). Caller holds st.mu.
 func (st *Store) checkpointHeader(base string) (CheckpointMeta, error) {
-	data, err := os.ReadFile(filepath.Join(st.dir, base+".ckpt"))
+	f, err := os.Open(filepath.Join(st.dir, base+".ckpt"))
 	if err != nil {
 		return CheckpointMeta{}, err
 	}
-	meta, _, err := decodeCheckpointHeader(data)
+	defer f.Close()
+	meta, _, _, err := readCheckpointHeader(f)
 	return meta, err
 }
 
@@ -332,23 +368,150 @@ func (st *Store) loadLocked(base string) (*Replay, error) {
 	return rep, nil
 }
 
-// CompactSession rewrites the session's full history into a fresh
-// checkpoint (atomically, via temp file + rename) and truncates the
-// log. The caller holds the session's locker and supplies the advisory
-// meta fields; the store stamps the coverage fields.
+// CompactSession folds the session's log tail into its checkpoint
+// (atomically, via temp file + rename) and truncates the log. The new
+// checkpoint is the old one's segments, copied byte for byte, plus one
+// segment compressing the tail's frames as the log holds them: the work
+// is the tail's, whatever the history before it. A version-1 checkpoint
+// is read whole once and rewritten in segments. The caller holds the
+// session's locker and supplies the advisory meta fields; the store
+// stamps the coverage fields.
 func (st *Store) CompactSession(id string, meta CheckpointMeta) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	base := sessionBase(id)
-	rep, err := st.loadLocked(base)
+	ckptPath := filepath.Join(st.dir, base+".ckpt")
+	var (
+		prev    CheckpointMeta
+		ckpt    bool
+		old     *os.File // the checkpoint, positioned at its segments
+		history []byte   // a version-1 checkpoint's frames, inflated
+	)
+	if f, err := os.Open(ckptPath); err == nil {
+		ckpt = true
+		defer f.Close()
+		m, _, v1, err := readCheckpointHeader(f)
+		if err != nil {
+			return fmt.Errorf("%s: %w", ckptPath, err)
+		}
+		prev, old = m, f
+		if v1 {
+			data, err := os.ReadFile(ckptPath)
+			if err != nil {
+				return fmt.Errorf("sessionlog: %w", err)
+			}
+			var body []byte
+			if prev, body, _, err = decodeCheckpointHeader(data); err == nil {
+				history, _, err = decodeBodyV1(&prev, body)
+			}
+			if err != nil {
+				return fmt.Errorf("%s: %w", ckptPath, err)
+			}
+			prev.RawBytes, old = int64(len(history)), nil
+		}
+	} else if !os.IsNotExist(err) {
+		return fmt.Errorf("sessionlog: %w", err)
+	}
+	tail, err := st.readLogLocked(base)
 	if err != nil {
 		return err
 	}
-	if rep.Torn {
-		return fmt.Errorf("%w: refusing to compact %s with a torn tail", ErrTornLog, base)
+	if !ckpt && len(tail) == 0 {
+		return fmt.Errorf("%w: %s", ErrNoLog, base)
 	}
-	meta.Session, meta.LastSeq = id, rep.LastSeq
-	return st.writeCheckpointLocked(base, meta, rep.Frames)
+	start, frames, last, err := newFrames(tail, prev.LastSeq)
+	if err != nil {
+		return fmt.Errorf("sessionlog: %s.log: %w", base, err)
+	}
+	fresh := tail[start:]
+	meta.Session = id
+	meta.LastSeq = max(prev.LastSeq, last)
+	meta.Frames = prev.Frames + frames
+	meta.RawBytes = prev.RawBytes + int64(len(fresh))
+	meta.WrittenUnixNS = time.Now().UnixNano()
+	head, err := appendCheckpointHeader(nil, &meta)
+	if err != nil {
+		return fmt.Errorf("sessionlog: encoding checkpoint %s: %w", base, err)
+	}
+	return st.replaceCheckpointLocked(base, meta, func(w *os.File) error {
+		if _, err := w.Write(head); err != nil {
+			return err
+		}
+		if old != nil {
+			// copy_file_range where the filesystem has it: the earlier
+			// segments never pass through this process.
+			if _, err := io.Copy(w, old); err != nil {
+				return err
+			}
+		}
+		if err := st.segs.write(w, history); err != nil {
+			return err
+		}
+		return st.segs.write(w, fresh)
+	})
+}
+
+// readLogLocked reads base's log into the store's tail buffer; a missing
+// log reads empty. Caller holds st.mu.
+func (st *Store) readLogLocked(base string) ([]byte, error) {
+	f, err := os.Open(filepath.Join(st.dir, base+".log"))
+	if os.IsNotExist(err) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, fmt.Errorf("sessionlog: %w", err)
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, fmt.Errorf("sessionlog: %w", err)
+	}
+	if int64(cap(st.tail)) < fi.Size() {
+		st.tail = make([]byte, fi.Size())
+	}
+	buf := st.tail[:fi.Size()]
+	if cap(st.tail) > maxKeptBuffer {
+		st.tail = nil
+	}
+	n, err := io.ReadFull(f, buf)
+	if err != nil && err != io.ErrUnexpectedEOF {
+		return nil, fmt.Errorf("sessionlog: %w", err)
+	}
+	return buf[:n], nil
+}
+
+// newFrames checks a session log's frames against the checkpoint, which
+// ends at sequence number ckptSeq (0 for none), and locates the ones
+// past it: they start at byte start and run to the end of log, frames of
+// them ending at sequence number last. Frames at or before ckptSeq — left
+// by a crash between a checkpoint's rename and the log's truncate — may
+// only come first. A torn tail, or a frame out of sequence, is
+// ErrTornLog: compaction refuses to fold either into a checkpoint.
+func newFrames(log []byte, ckptSeq uint64) (start, frames int, last uint64, err error) {
+	start, last = len(log), ckptSeq
+	for pos := 0; pos < len(log); {
+		fr, n, err := frameAt(log, pos)
+		if err != nil {
+			return 0, 0, 0, err
+		}
+		if n == 0 {
+			return 0, 0, 0, fmt.Errorf("%w: refusing to compact a torn tail", ErrTornLog)
+		}
+		switch {
+		case frames == 0 && fr.Seq <= ckptSeq:
+			// A duplicate of a checkpointed frame.
+		case frames == 0 && (ckptSeq == 0 || fr.Seq == ckptSeq+1), fr.Seq == last+1:
+			if frames == 0 {
+				start = pos
+			}
+			frames++
+			last = fr.Seq
+		default:
+			return 0, 0, 0, fmt.Errorf("%w: sequence gap (frame %d after %d)", ErrTornLog, fr.Seq, last)
+		}
+		pos += n
+	}
+	return start, frames, last, nil
 }
 
 // CompactTable replaces a table's history with snapshot, one append
@@ -359,7 +522,7 @@ func (st *Store) CompactTable(name string, snapshot []byte) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	base := tableBase(name)
-	ap, err := st.appenderLocked(base)
+	ap, err := st.appenderLocked([]byte(base))
 	if err != nil {
 		return err
 	}
@@ -367,21 +530,37 @@ func (st *Store) CompactTable(name string, snapshot []byte) error {
 	return st.writeCheckpointLocked(base, CheckpointMeta{Table: name, LastSeq: seq}, []Frame{{Seq: seq, Payload: snapshot}})
 }
 
-// writeCheckpointLocked is the one checkpoint writer: frames, ending at
-// meta.LastSeq, replace base's checkpoint (temp file + rename) and the
-// log they cover is truncated. A session writes its whole history, a
-// table the one frame holding its snapshot.
+// writeCheckpointLocked writes a table's checkpoint: the one frame
+// holding its snapshot, ending at meta.LastSeq.
 func (st *Store) writeCheckpointLocked(base string, meta CheckpointMeta, frames []Frame) error {
-	meta.Frames = len(frames)
 	meta.WrittenUnixNS = time.Now().UnixNano()
 	img, err := encodeCheckpoint(&meta, frames)
 	if err != nil {
 		return fmt.Errorf("sessionlog: encoding checkpoint %s: %w", base, err)
 	}
+	return st.replaceCheckpointLocked(base, meta, func(w *os.File) error {
+		_, err := w.Write(img)
+		return err
+	})
+}
+
+// replaceCheckpointLocked is the one checkpoint installer: write fills a
+// temp file, which is renamed over base's checkpoint, and the log the
+// checkpoint now covers is truncated.
+func (st *Store) replaceCheckpointLocked(base string, meta CheckpointMeta, write func(*os.File) error) error {
 	path := filepath.Join(st.dir, base+".ckpt")
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, img, 0o644); err != nil {
+	f, err := os.Create(tmp)
+	if err != nil {
 		return fmt.Errorf("sessionlog: %w", err)
+	}
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return fmt.Errorf("sessionlog: writing checkpoint %s: %w", base, err)
 	}
 	if err := os.Rename(tmp, path); err != nil {
 		return fmt.Errorf("sessionlog: %w", err)
@@ -445,10 +624,10 @@ func (st *Store) closeAppenderLocked(base string) {
 }
 
 // Sessions lists every session id with persisted state, sorted.
-func (st *Store) Sessions() []string { return st.list("s-") }
+func (st *Store) Sessions() []string { return st.list(sessionPrefix) }
 
 // Tables lists every table with a persisted log, sorted.
-func (st *Store) Tables() []string { return st.list("t-") }
+func (st *Store) Tables() []string { return st.list(tablePrefix) }
 
 func (st *Store) list(prefix string) []string {
 	entries, err := os.ReadDir(st.dir)
@@ -546,7 +725,7 @@ func (st *Store) maybeRetainLocked() {
 		}
 		total += info.Size()
 		base, ok := logBase(e.Name())
-		if !ok || !strings.HasPrefix(base, "s-") {
+		if !ok || !strings.HasPrefix(base, sessionPrefix) {
 			continue
 		}
 		p, ok := pairs[base]
@@ -575,7 +754,7 @@ func (st *Store) maybeRetainLocked() {
 			continue
 		}
 		if st.protect != nil {
-			if id, ok := unescapeName(strings.TrimPrefix(p.base, "s-")); ok && st.protect(id) {
+			if id, ok := unescapeName(strings.TrimPrefix(p.base, sessionPrefix)); ok && st.protect(id) {
 				continue
 			}
 		}
@@ -589,9 +768,18 @@ func (st *Store) maybeRetainLocked() {
 // File naming: "s-<escaped id>.log/.ckpt" for sessions, "t-<escaped
 // name>.log/.ckpt" for tables. Escaping is conservative %XX so arbitrary
 // ids round-trip through the filesystem.
+const (
+	sessionPrefix = "s-"
+	tablePrefix   = "t-"
+)
 
-func sessionBase(id string) string { return "s-" + escapeName(id) }
-func tableBase(name string) string { return "t-" + escapeName(name) }
+func sessionBase(id string) string { return sessionPrefix + escapeName(id) }
+func tableBase(name string) string { return tablePrefix + escapeName(name) }
+
+// appendBase appends the file base of the log named name to dst.
+func appendBase(dst []byte, prefix, name string) []byte {
+	return appendEscaped(append(dst, prefix...), name)
+}
 
 // logBase strips a directory entry's ".log" or ".ckpt" suffix.
 func logBase(name string) (string, bool) {
@@ -601,18 +789,31 @@ func logBase(name string) (string, bool) {
 	return strings.CutSuffix(name, ".ckpt")
 }
 
+// plainByte reports whether c stands for itself in a file name.
+func plainByte(c byte) bool {
+	return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' ||
+		c == '-' || c == '_' || c == '.'
+}
+
 func escapeName(s string) string {
-	var b strings.Builder
 	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' ||
-			c == '-' || c == '_' || c == '.' {
-			b.WriteByte(c)
-			continue
+		if !plainByte(s[i]) {
+			return string(appendEscaped(nil, s))
 		}
-		fmt.Fprintf(&b, "%%%02X", c)
 	}
-	return b.String()
+	return s
+}
+
+func appendEscaped(dst []byte, s string) []byte {
+	const hex = "0123456789ABCDEF"
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; plainByte(c) {
+			dst = append(dst, c)
+		} else {
+			dst = append(dst, '%', hex[c>>4], hex[c&15])
+		}
+	}
+	return dst
 }
 
 func unescapeName(s string) (string, bool) {

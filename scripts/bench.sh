@@ -59,6 +59,9 @@ bench ./internal/session/ 'BenchmarkAppendWhileTouching$'
 echo "== wire serialization (binary vs JSON result frames)" >&2
 bench ./internal/protocol/ 'BenchmarkResultFrame(Encode|Decode)(Binary|JSON)$'
 
+echo "== a durable tap through /rpc (logged, sessions rotated every 5 000 taps)" >&2
+bench ./internal/protocol/ 'BenchmarkRPCHandlerTapDurable$'
+
 echo "== the gateway's /rpc hop (a tap forwarded to a loopback backend)" >&2
 bench ./internal/gateway/ 'BenchmarkGatewayForwardTap$'
 
